@@ -4,14 +4,15 @@ A determinant-one matrix with bottom-left entry mu != 0 and top-left
 entry lambda acts through an isometric hemisphere centered at lambda/mu
 with squared radius 1/norm(mu), and every unimodular pair (lambda, mu)
 arises this way.  Enumerating the pairs up to a norm bound gives a
-finite stage of the full arrangement; exact rational grid scans then
-certify which hemispheres carry visible faces, and the visible faces
-can be divided by a horizontal plane t = t0.  Every classification is a
-rational comparison; floats appear only in the SVG emitter.
+finite stage of the full arrangement.
 
-A hemisphere is only ever reported as covered "up to" the scan pitch.
-Claiming more would need a completeness certificate for the truncated
-arrangement, which is out of scope here.
+The top hemisphere at a boundary point is the one of least power
+|z - c|^2 - r^2, so the visible faces are the cells of a power diagram
+cut out by rational lines.  Whether a face exists, and whether it
+reaches above or below a plane t = t0, are distance comparisons between
+its cell and its center; the same lines on a wall decide where the
+arrangement dips under the plane.  Contributes and Covered are exact
+for the truncated arrangement; floats appear only in the SVG emitter.
 """
 
 from __future__ import annotations
@@ -142,24 +143,31 @@ class HemiSet:
     window: FundPolygon
 
 
-def _segment_dist_sq(order: Order, a: Point, b: Point, p: Point) -> Fraction:
+def _uv_dist_sq(n: int, p: Point, q: Point) -> Fraction:
+    du, dv = p[0] - q[0], p[1] - q[1]
+    return du * du + n * dv * dv
+
+
+def _segment_nearest(order: Order, a: Point, b: Point, p: Point) -> tuple[Fraction, Point]:
+    """Exact squared distance from p to the segment ab, and the nearest point."""
     n = order.abs_delta
     du, dv = p[0] - a[0], p[1] - a[1]
     eu, ev = b[0] - a[0], b[1] - a[1]
-    t = (du * eu + n * dv * ev) / (eu * eu + n * ev * ev)
-    if t < 0:
-        t = Fraction(0)
-    elif t > 1:
-        t = Fraction(1)
-    ru, rv = du - t * eu, dv - t * ev
-    return ru * ru + n * rv * rv
+    t = min(max((du * eu + n * dv * ev) / (eu * eu + n * ev * ev), 0), 1)
+    q = (a[0] + t * eu, a[1] + t * ev)
+    return (_uv_dist_sq(n, p, q), q)
+
+
+def _nearest(order: Order, poly: FundPolygon, p: Point) -> tuple[Fraction, Point]:
+    """Exact squared distance from p to the closed polygon and a nearest point."""
+    if poly.contains(p):
+        return (Fraction(0), p)
+    return min((_segment_nearest(order, a, b, p) for a, b in poly.edges()), key=lambda dq: dq[0])
 
 
 def window_dist_sq(order: Order, window: FundPolygon, p: Point) -> Fraction:
     """Exact squared distance from p to the closed polygon; 0 inside."""
-    if window.contains(p):
-        return Fraction(0)
-    return min(_segment_dist_sq(order, a, b, p) for a, b in window.edges())
+    return _nearest(order, window, p)[0]
 
 
 def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) -> HemiSet:
@@ -210,151 +218,186 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
 
 @dataclass(frozen=True)
 class Contributes:
-    """Exact sample point where the owner is strictly the top hemisphere."""
+    """Exact point where the owner is strictly on top, and the extent of its power cell.
+
+    Over the cell the squared distance from the center runs from near_sq to far_sq.
+    """
 
     witness: KElem
+    near_sq: Fraction
+    far_sq: Fraction
 
 
 @dataclass(frozen=True)
-class CoveredUpTo:
-    """No dominance witness found on the scan grid of this pitch."""
-
-    resolution: Fraction
+class Covered:
+    """No point of the disc where the owner is strictly on top."""
 
 
-FaceStatus = Contributes | CoveredUpTo
+FaceStatus = Contributes | Covered
+
+# a*u + b*v <= c
+HalfPlane = tuple[Fraction, Fraction, Fraction]
 
 
-def _grid_points(order: Order, h: Hemisphere, pitch: Fraction) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Exact grid over h's open disc as (u, v, owner height^2), apex first."""
-    n = order.abs_delta
-    rsq = h.radius_sq
-    cu, cv = h.center.planar()
-    offsets = []
-    i = 0
-    while (i * pitch) ** 2 < rsq:
-        du_sq = (i * pitch) ** 2
-        j = 0
-        while du_sq + n * (j * pitch) ** 2 < rsq:
-            q = du_sq + n * (j * pitch) ** 2
-            for si in ((0,) if i == 0 else (i, -i)):
-                for sj in ((0,) if j == 0 else (j, -j)):
-                    offsets.append((q, si * pitch, sj * pitch))
-            j += 1
-        i += 1
-    offsets.sort()
-    return [(cu + du, cv + dv, rsq - q) for q, du, dv in offsets]
-
-
-def _rivals(h: Hemisphere, pool: Sequence[Hemisphere]) -> list[tuple[Fraction, Fraction, Fraction]] | None:
-    """Packed (radius_sq, cu, cv) for rivals whose disc meets h's disc.
+def _rivals(h: Hemisphere, pool: Sequence[Hemisphere]) -> list[HalfPlane] | None:
+    """Bisectors against the hemispheres of pool whose open disc meets h's.
 
     Returns None when the pool holds a duplicate of h: a tie at every
     point means no strict dominance anywhere.
     """
     n = h.center.order.abs_delta
-    hu, hv = h.center.planar()
-    packed = []
+    center = h.center.planar()
+    rivals = []
     for k in pool:
         if k.center == h.center and k.radius_sq == h.radius_sq:
             return None
-        ku, kv = k.center.planar()
-        d = (hu - ku) ** 2 + n * (hv - kv) ** 2
-        gap = d - h.radius_sq - k.radius_sq
+        gap = _uv_dist_sq(n, center, k.center.planar()) - h.radius_sq - k.radius_sq
         if gap >= 0 and gap * gap >= 4 * h.radius_sq * k.radius_sq:
             continue  # open discs disjoint: k is below the floor on all of h
-        packed.append((k.radius_sq, ku, kv))
-    return packed
+        rivals.append(k)
+    return _bisectors(h, rivals)
 
 
-def face_status(
-    h: Hemisphere,
-    rest: HemiSet | Sequence[Hemisphere],
-    grid_resolution: Fraction = Fraction(1, 64),
-) -> FaceStatus:
-    """Search h's disc for a point where h is strictly the top hemisphere.
+def _bisectors(h: Hemisphere, pool: Sequence[Hemisphere]) -> list[HalfPlane]:
+    """Closed half-planes where h is at least as high as each k of pool.
 
-    The grid is anchored at the center, so the apex is tested first,
-    and every height comparison is exact.  When rest is a HemiSet, h
-    itself is dropped from it; a sequence is taken literally, so a
-    duplicate of h in it means CoveredUpTo.
+    pow_h(z) <= pow_k(z) reads 2 (c_k - c_h).(u, |delta| v) <= pow_k(0) - pow_h(0).
+    """
+    n = h.center.order.abs_delta
+    hu, hv = h.center.planar()
+    h_pow = hu * hu + n * hv * hv - h.radius_sq
+    planes = []
+    for k in pool:
+        ku, kv = k.center.planar()
+        planes.append((2 * (ku - hu), 2 * n * (kv - hv), ku * ku + n * kv * kv - k.radius_sq - h_pow))
+    return planes
+
+
+def _clip(poly: list[Point], plane: HalfPlane) -> list[Point]:
+    """Sutherland-Hodgman step; only strict sign changes add a point, so none repeats."""
+    a, b, c = plane
+    side = [a * u + b * v - c for u, v in poly]
+    out = []
+    for i, q in enumerate(poly):
+        p, sp, sq = poly[i - 1], side[i - 1], side[i]
+        if sp < 0 < sq or sq < 0 < sp:
+            t = sp / (sp - sq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        if sq <= 0:
+            out.append(q)
+    return out
+
+
+def _power_cell(h: Hemisphere, planes: Sequence[HalfPlane]) -> FundPolygon | None:
+    """Closed power cell of h in the box center +-1, which holds its disc; None without area."""
+    cu, cv = h.center.planar()
+    poly = [(cu - 1, cv - 1), (cu + 1, cv - 1), (cu + 1, cv + 1), (cu - 1, cv + 1)]
+    for plane in planes:
+        poly = _clip(poly, plane)
+        if len(poly) < 3:
+            return None  # a point or a segment never regains area
+    cell = FundPolygon(tuple(poly), "power cell", (cu, cv))
+    return cell if cell.uv_area() > 0 else None
+
+
+def face_status(h: Hemisphere, rest: HemiSet | Sequence[Hemisphere]) -> FaceStatus:
+    """Contributes iff h's power cell against its rivals has area and meets h's open disc.
+
+    When rest is a HemiSet, h itself is dropped from it; a sequence is
+    taken literally, so a duplicate of h in it means Covered.
     """
     order = h.center.order
     n = order.abs_delta
     if isinstance(rest, HemiSet):
-        pool: Sequence[Hemisphere] = [
-            k for k in rest.hemispheres if not (k.center == h.center and k.radius_sq == h.radius_sq)
-        ]
-    else:
-        pool = rest
-    packed = _rivals(h, pool)
-    if packed is None:
-        return CoveredUpTo(grid_resolution)
-    for u, v, hh in _grid_points(order, h, grid_resolution):
-        for krsq, ku, kv in packed:
-            du = u - ku
-            dv = v - kv
-            if krsq - du * du - n * dv * dv >= hh:
-                break
-        else:
-            return Contributes(kelem_from_planar(order, u, v))
-    return CoveredUpTo(grid_resolution)
+        rest = [k for k in rest.hemispheres if (k.center, k.radius_sq) != (h.center, h.radius_sq)]
+    planes = _rivals(h, rest)
+    cell = None if planes is None else _power_cell(h, planes)
+    if cell is None:
+        return Covered()
+    center = cell.center
+    near_sq, nearest = _nearest(order, cell, center)
+    if near_sq >= h.radius_sq:
+        return Covered()
+    far_sq = max(_uv_dist_sq(n, p, center) for p in cell.vertices)
+    witness = nearest  # the center itself when the cell holds it
+    cu, cv = center
+    if not all(a * cu + b * cv < c for a, b, c in planes):
+        # the center is not strictly inside; points strictly between the
+        # nearest point and the vertex average are, so halve toward it
+        k = len(cell.vertices)
+        du, dv = (sum(p[i] for p in cell.vertices) / k - nearest[i] for i in (0, 1))
+        step = Fraction(1)
+        while _uv_dist_sq(n, (nearest[0] + step * du, nearest[1] + step * dv), center) >= h.radius_sq:
+            step /= 2
+        witness = (nearest[0] + step * du, nearest[1] + step * dv)
+    return Contributes(kelem_from_planar(order, *witness), near_sq, far_sq)
 
 
-def face_statuses(hs: HemiSet, grid_resolution: Fraction = Fraction(1, 64)) -> tuple[FaceStatus, ...]:
+def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:
     """Status of each hemisphere against all the others, in set order."""
     out = []
     for i, h in enumerate(hs.hemispheres):
         rest = hs.hemispheres[:i] + hs.hemispheres[i + 1 :]
-        out.append(face_status(h, rest, grid_resolution))
+        out.append(face_status(h, rest))
     return tuple(out)
 
 
 def plane_split(
-    hs: HemiSet,
-    statuses: Sequence[FaceStatus],
-    t0: Fraction = Fraction(2, 3),
-    grid_resolution: Fraction = Fraction(1, 64),
+    hs: HemiSet, statuses: Sequence[FaceStatus], t0: Fraction = Fraction(2, 3)
 ) -> tuple[list[Hemisphere], list[Hemisphere]]:
-    """Divide the contributing faces by the horizontal plane t = t0.
+    """Divide the contributing faces by the horizontal plane t = t0 > 0.
 
-    A face lands in `above` when some grid point it dominates lies
-    strictly higher than t0 on the hemisphere, in `below` when some
-    dominated point lies strictly lower; faces crossing the plane show
-    up in both lists.
+    A face lands in `above` when it has a point strictly higher than
+    t0, in `below` when it has one strictly lower; faces crossing the
+    plane show up in both lists.
     """
+    if t0 <= 0:
+        raise ValueError("the plane needs t0 > 0")
     t0sq = Fraction(t0) ** 2
-    above: list[Hemisphere] = []
-    below: list[Hemisphere] = []
-    for i, (h, status) in enumerate(zip(hs.hemispheres, statuses)):
-        if not isinstance(status, Contributes):
-            continue
-        order = h.center.order
-        n = order.abs_delta
-        pool = hs.hemispheres[:i] + hs.hemispheres[i + 1 :]
-        packed = _rivals(h, pool)
-        if packed is None:  # cannot happen for a contributing face
-            continue
-        can_reach_above = h.radius_sq > t0sq
-        is_above = is_below = False
-        for u, v, hh in _grid_points(order, h, grid_resolution):
-            if is_below and (is_above or not can_reach_above):
-                break
-            for krsq, ku, kv in packed:
-                du = u - ku
-                dv = v - kv
-                if krsq - du * du - n * dv * dv >= hh:
-                    break
-            else:
-                if hh > t0sq:
-                    is_above = True
-                elif hh < t0sq:
-                    is_below = True
-        if is_above:
-            above.append(h)
-        if is_below:
-            below.append(h)
+    # a face point at squared distance d from the center has height^2 radius_sq - d
+    faces = [(h, s) for h, s in zip(hs.hemispheres, statuses) if isinstance(s, Contributes)]
+    above = [h for h, s in faces if s.near_sq < h.radius_sq - t0sq]
+    below = [h for h, s in faces if s.far_sq > h.radius_sq - t0sq]
     return (above, below)
+
+
+def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> bool:
+    """Whether the top of the arrangement drops under t0 > 0 on the closed segment.
+
+    Each hemisphere reaching the segment is on top where its bisectors
+    hold, an interval whose ends are its lowest points there; where no
+    disc reaches, the height is the floor 0.
+    """
+    order = hs.order
+    n = order.abs_delta
+    reach = [
+        h for h in hs.hemispheres if _segment_nearest(order, start, end, h.center.planar())[0] < h.radius_sq
+    ]
+    if not reach:
+        return True
+    t0sq = Fraction(t0) ** 2
+    su, sv = start
+    eu, ev = end[0] - su, end[1] - sv
+    for i, h in enumerate(reach):
+        lo, hi = Fraction(0), Fraction(1)
+        for a, b, c in _bisectors(h, reach[:i] + reach[i + 1 :]):
+            # the bisector at start + s*(end - start): slope * s <= room
+            slope = a * eu + b * ev
+            room = c - a * su - b * sv
+            if slope > 0:
+                hi = min(hi, room / slope)
+            elif slope < 0:
+                lo = max(lo, room / slope)
+            elif room < 0:
+                break
+            if lo > hi:
+                break
+        else:
+            center = h.center.planar()
+            for s in (lo, hi):
+                if h.radius_sq - _uv_dist_sq(n, (su + s * eu, sv + s * ev), center) < t0sq:
+                    return True
+    return False
 
 
 _FILL_CONTRIBUTES = "#ffffff"

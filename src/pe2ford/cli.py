@@ -53,8 +53,20 @@ class UsageError(ValueError):
     """Raised for flag combinations argparse cannot express."""
 
 
-def _fraction_flag(text: str) -> Fraction:
-    return Fraction(text)
+def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -> Callable[[str], Any]:
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {need}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type when the text does not parse
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda x: x > 0, "positive")
+_NON_NEGATIVE_INT = _checked(int, lambda x: x >= 0, "non-negative")
+_POSITIVE_FRACTION = _checked(Fraction, lambda x: x > 0, "positive")
 
 
 def _oint_json(x: OInt) -> list[int]:
@@ -359,7 +371,7 @@ def _cmd_arrangement(args: argparse.Namespace) -> tuple[int, str]:
             if isinstance(s, Contributes):
                 status = {"kind": "contributes", "witness": _kelem_json(s.witness)}
             else:
-                status = {"kind": "covered", "resolution": str(s.resolution)}
+                status = {"kind": "covered"}
             recs.append(
                 {
                     "center": _kelem_json(h.center),
@@ -386,11 +398,7 @@ def _cmd_arrangement(args: argparse.Namespace) -> tuple[int, str]:
         f"covered: {len(hs.hemispheres) - contributing}",
     ]
     for h, s in zip(hs.hemispheres, statuses):
-        tag = (
-            f"contributes (witness {s.witness})"
-            if isinstance(s, Contributes)
-            else f"covered up to {s.resolution}"
-        )
+        tag = f"contributes (witness {s.witness})" if isinstance(s, Contributes) else "covered"
         lines.append(f"hemisphere at {h.center}, radius_sq {h.radius_sq}: {tag}")
     return 0, "\n".join(lines) + "\n"
 
@@ -411,7 +419,6 @@ def _cmd_amalgam(args: argparse.Namespace) -> tuple[int, str]:
                 "discriminant": order.delta,
                 "bound": rep.norm_bound,
                 "plane": str(rep.plane),
-                "grid_resolution": str(rep.grid_resolution),
                 "n_generators": [format_word(w) for w in rep.n_generators],
                 "overlap_matches_n": rep.overlap_matches_n,
                 "hom_check": rep.hom_check,
@@ -518,24 +525,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("membership", "search for an elementary-subgroup certificate", ("text", "json"))
     p.add_argument("--word", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--depth", type=int, default=64, help="search depth cap")
+    p.add_argument("--depth", type=_NON_NEGATIVE_INT, default=64, help="search depth cap")
 
     add("pe2-ford", "faces of the one-hemisphere Ford domain", ("text", "json"))
     add("presentation", "edge cycles and defining relations", ("text", "json"))
 
     p = add("cosets", "pairwise-distinct right-coset family", ("text", "json"))
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--depth", type=int, default=64)
+    p.add_argument("--count", type=_POSITIVE_INT, default=100)
+    p.add_argument("--depth", type=_NON_NEGATIVE_INT, default=64)
 
     p = add("arrangement", "hemisphere arrangement over the straddling rectangle", ("text", "json", "svg"))
-    p.add_argument("--bound", type=int, default=16, help="owner norm bound")
+    p.add_argument("--bound", type=_POSITIVE_INT, default=16, help="owner norm bound")
 
     p = add("amalgam", "plane split of the arrangement and generator pools", ("text", "json", "svg"))
-    p.add_argument("--bound", type=int, default=16)
-    p.add_argument("--plane", type=_fraction_flag, default=Fraction(2, 3), help="height, as p/q")
+    p.add_argument("--bound", type=_POSITIVE_INT, default=16)
+    p.add_argument("--plane", type=_POSITIVE_FRACTION, default=Fraction(2, 3), help="height, as p/q > 0")
 
     p = add("gap-points", "unimodular ratios outside all unit discs", ("text", "json"))
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_POSITIVE_INT, default=100)
 
     return parser
 

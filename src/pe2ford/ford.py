@@ -30,10 +30,10 @@ Point = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class FundPolygon:
-    """Convex fundamental cell in the (u, v) plane, counterclockwise vertices."""
+    """Convex cell in the (u, v) plane, counterclockwise vertices."""
 
     vertices: tuple[Point, ...]
-    kind: str  # "rectangle" or "hexagon"
+    kind: str  # "rectangle" or "hexagon", or "power cell" for an arrangement face
     center: Point
 
     def edges(self) -> tuple[tuple[Point, Point], ...]:

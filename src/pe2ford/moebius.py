@@ -11,7 +11,6 @@ a boundary point zeta maps to height t / (|alpha - beta*zeta|^2 + |beta|^2 t^2).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,9 +108,6 @@ class Hemisphere:
         """radius_sq - |z - center|^2; positive inside the open disc."""
         return self.radius_sq - (z - self.center).abs_sq()
 
-    def radius(self) -> float:
-        return math.sqrt(self.radius_sq)
-
     def sort_key(self) -> tuple:
         u, v = self.center.planar()
         return (-self.radius_sq, v, u)
@@ -172,15 +168,6 @@ def apply_interior(g: Mat, zeta: KElem, tsq: Fraction) -> tuple[KElem, Fraction]
     denom = w.abs_sq() + Fraction(c.norm()) * tsq
     num = (KElem.of(a, 1) * zeta + b) * w.conj() + KElem.of(a * c.conj(), 1) * tsq
     return (num / denom, tsq / (denom * denom))
-
-
-def height_after(g: Mat, point: tuple[complex, float]) -> float:
-    """Float height of g.(zeta, t); rendering/sanity use only."""
-    zeta, t = point
-    alpha = complex(KElem.of(g.alpha, 1))
-    beta = complex(KElem.of(g.beta, 1))
-    denom = abs(alpha - beta * zeta) ** 2 + abs(beta) ** 2 * t * t
-    return t / denom
 
 
 def order_in_psl(g: Mat, cap: int = 12) -> int | None:

@@ -188,10 +188,6 @@ class OInt:
             return (Fraction(self.a), Fraction(self.b, 2))
         return (Fraction(2 * self.a + self.b, 2), Fraction(self.b, 2))
 
-    def __complex__(self) -> complex:
-        u, v = self.planar()
-        return complex(float(u), float(v) * math.sqrt(self.order.abs_delta))
-
 
 class KElem:
     """Fraction-field element, kept as (a + b*t) / q with q a positive integer.
@@ -312,10 +308,6 @@ class KElem:
     def planar(self) -> tuple[Fraction, Fraction]:
         u, v = self.num.planar()
         return (u / self.den, v / self.den)
-
-    def __complex__(self) -> complex:
-        u, v = self.planar()
-        return complex(float(u), float(v) * math.sqrt(self.order.abs_delta))
 
 
 def _as_kelem(x: KElem | OInt | Fraction | int, order: Order) -> KElem | None:

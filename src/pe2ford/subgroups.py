@@ -20,9 +20,9 @@ from typing import Iterator
 
 from .arrangement import (
     Contributes,
-    HemiSet,
     UnimodularPair,
     enumerate_hemispheres,
+    envelope_dips_below,
     face_statuses,
     is_unimodular,
     plane_split,
@@ -175,7 +175,9 @@ def normalizer_witness(g: Mat, depth_cap: int = 64) -> OInt:
     order = g.order
     if order.abs_delta <= 12:
         raise OutOfScope("normalizer witnesses need |delta| > 12")
-    if not isinstance(membership(g, depth_cap), NonMember):
+    # membership descends from the right ratio, an arbitrary completion entry
+    # over mu for g but lambda/mu itself for g^-1, which is outside iff g is
+    if not isinstance(membership(g.inv(), depth_cap), NonMember):
         raise ValueError("g must certify NonMember")
     lam, mu = g.m11, g.m21
     if mu.is_zero():
@@ -262,33 +264,7 @@ class AmalgamReport:
     overlap_matches_n: bool
     hom_check: bool
     norm_bound: int
-    grid_resolution: Fraction
     notes: tuple[str, ...]
-
-
-def _wall_dips_below(hs: HemiSet, axis: str, fixed: Fraction, plane_sq: Fraction, pitch: Fraction) -> bool:
-    """Exact scan of one rectangle wall for a point under the plane.
-
-    A sample where the hemisphere envelope stays strictly below
-    plane_sq certifies wall points with heights below the plane; walls
-    are unbounded upward, so the above side never needs a witness.
-    """
-    order = hs.order
-    n = order.abs_delta
-    lo, hi = (Fraction(0), Fraction(1, 2)) if axis == "u" else (Fraction(-1, 2), Fraction(1, 2))
-    packed = [(h.radius_sq, *h.center.planar()) for h in hs.hemispheres]
-    steps = int((hi - lo) / pitch)
-    for k in range(steps + 1):
-        var = lo + k * pitch
-        u, v = (fixed, var) if axis == "u" else (var, fixed)
-        envelope = Fraction(0)
-        for rsq, cu, cv in packed:
-            hh = rsq - (u - cu) ** 2 - n * (v - cv) ** 2
-            if hh > envelope:
-                envelope = hh
-        if envelope < plane_sq:
-            return True
-    return False
 
 
 def _hemi_record(center: KElem, pair: UnimodularPair, above: bool, below: bool) -> FaceRecord:
@@ -326,25 +302,19 @@ def _overlap_matches_n(overlap: tuple[FaceRecord, ...], order: Order) -> bool:
     return saw == {"wall", "zero", "tau row"}
 
 
-def amalgam_report(
-    order: Order,
-    norm_bound: int,
-    plane: Fraction = Fraction(2, 3),
-    grid_resolution: Fraction = Fraction(1, 64),
-) -> AmalgamReport:
-    """Split the arrangement over the straddling rectangle at t = plane.
+def amalgam_report(order: Order, norm_bound: int, plane: Fraction = Fraction(2, 3)) -> AmalgamReport:
+    """Split the arrangement over the straddling rectangle at t = plane > 0.
 
-    Contributing hemisphere faces are classified by the exact grid scan
-    of the arrangement module; the four rectangle walls are classified
-    by scanning their hemisphere envelope for a dip below the plane.
-    Faces are reduced to window representatives with center coordinate
-    u in [-1/2, 1/2), since translated copies share a pairing up to an
-    integer shift.
+    Hemisphere faces and their sides come from the exact power cells.
+    Walls are unbounded upward, so a wall pair is above the plane, and
+    below it too when the arrangement dips under the plane on both
+    walls.  Faces are reduced to window representatives with center
+    u in [-1/2, 1/2), since translates share a pairing up to a shift.
     """
     window = amalgam_rectangle(order)
     hs = enumerate_hemispheres(order, norm_bound, window)
-    statuses = face_statuses(hs, grid_resolution)
-    above_hemis, below_hemis = plane_split(hs, statuses, plane, grid_resolution)
+    statuses = face_statuses(hs)
+    above_hemis, below_hemis = plane_split(hs, statuses, plane)
     above_set, below_set = set(above_hemis), set(below_hemis)
 
     half = Fraction(1, 2)
@@ -357,9 +327,9 @@ def amalgam_report(
             continue
         records.append(_hemi_record(h.center, pair, h in above_set, h in below_set))
 
-    plane_sq = Fraction(plane) ** 2
-    u_dips = [_wall_dips_below(hs, "u", s * half, plane_sq, grid_resolution) for s in (-1, 1)]
-    v_dips = [_wall_dips_below(hs, "v", v0, plane_sq, grid_resolution) for v0 in (Fraction(0), half)]
+    zero = Fraction(0)
+    u_dips = [envelope_dips_below(hs, (u0, zero), (u0, half), plane) for u0 in (-half, half)]
+    v_dips = [envelope_dips_below(hs, (-half, v0), (half, v0), plane) for v0 in (zero, half)]
     records.append(
         FaceRecord("wall", "walls u = -1/2, 1/2", None, (S(order.one),), gen_s(order.one), True, all(u_dips))
     )
@@ -380,11 +350,11 @@ def amalgam_report(
     if u_dips[0] != u_dips[1] or v_dips[0] != v_dips[1]:
         notes.append("wall pair sides disagreed; the window is not a period here")
     if not all(u_dips):
-        notes.append(f"no shift-wall point under the plane at pitch {grid_resolution}")
+        notes.append("no shift-wall point under the plane")
     if not any(v_dips):
         notes.append(
-            f"the v-walls never dip under the plane at pitch {grid_resolution}: "
-            "their envelope stays above it on every sample"
+            "the v-walls never dip under the plane: the top of the arrangement "
+            "stays above it along both"
         )
     return AmalgamReport(
         plane=Fraction(plane),
@@ -396,6 +366,5 @@ def amalgam_report(
         overlap_matches_n=_overlap_matches_n(overlap, order),
         hom_check=collapse_hom_check(order),
         norm_bound=norm_bound,
-        grid_resolution=grid_resolution,
         notes=tuple(notes),
     )

@@ -10,10 +10,11 @@ import pytest
 
 from pe2ford.arrangement import (
     Contributes,
-    CoveredUpTo,
+    Covered,
     HemiSet,
     UnimodularPair,
     enumerate_hemispheres,
+    envelope_dips_below,
     face_status,
     face_statuses,
     is_unimodular,
@@ -179,14 +180,14 @@ def test_face_status_unit_apex_witness():
 def test_face_status_duplicate_is_covered():
     h = Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1))
     status = face_status(h, [Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1))])
-    assert status == CoveredUpTo(Fraction(1, 64))
-    assert face_status(h, [h], Fraction(1, 8)) == CoveredUpTo(Fraction(1, 8))
+    assert status == Covered()
+    assert face_status(h, [h]) == Covered()
 
 
 def test_face_status_swallowed_hemisphere():
     small = Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1, 16))
     unit = Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1))
-    assert isinstance(face_status(small, [unit]), CoveredUpTo)
+    assert isinstance(face_status(small, [unit]), Covered)
     assert isinstance(face_status(unit, [small]), Contributes)
 
 
@@ -202,7 +203,7 @@ def test_rectangle_statuses_expected_faces():
         assert isinstance(by_center[KElem.of(num, 2)], Contributes)
     # half-integer points on the hemisphere rows are swallowed
     for num in (ORDER40.one, -ORDER40.one, 2 * t + 1, 2 * t - 1):
-        assert isinstance(by_center[KElem.of(num, 2)], CoveredUpTo)
+        assert isinstance(by_center[KElem.of(num, 2)], Covered)
 
 
 def test_contributes_witnesses_reverify():
@@ -241,6 +242,32 @@ def test_plane_split_at_height_one_has_no_above():
     above, below = plane_split(hs, face_statuses(hs), t0=Fraction(1))
     assert above == []
     assert len(below) == 6
+
+
+def test_plane_split_needs_a_positive_plane():
+    hs = _rect_set(1)
+    statuses = face_statuses(hs)
+    for t0 in (Fraction(0), Fraction(-2, 3)):
+        with pytest.raises(ValueError):
+            plane_split(hs, statuses, t0)
+
+
+def test_envelope_dips_below_on_hand_made_segments():
+    window = amalgam_rectangle(ORDER40)
+    unit_at = [Hemisphere(KElem.from_oint(g), Fraction(1)) for g in (ORDER40.zero, ORDER40.one)]
+    one = HemiSet(order=ORDER40, hemispheres=tuple(unit_at[:1]), pairs=(), norm_bound=1, window=window)
+    two = HemiSet(order=ORDER40, hemispheres=tuple(unit_at), pairs=(), norm_bound=1, window=window)
+    origin, mid, right = (Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)), (Fraction(1), Fraction(0))
+    # under the unit hemisphere at 0, height^2 falls from 1 to 3/4 between origin and mid,
+    # so only the segment's last or first point dips under t = 9/10
+    assert envelope_dips_below(one, origin, mid, Fraction(9, 10))
+    assert envelope_dips_below(one, mid, origin, Fraction(9, 10))
+    assert not envelope_dips_below(one, origin, mid, Fraction(4, 5))
+    # two unit hemispheres hand over at mid, the lowest point between their apexes
+    assert envelope_dips_below(two, origin, right, Fraction(9, 10))
+    assert not envelope_dips_below(two, origin, right, Fraction(4, 5))
+    # no disc reaches this segment, so its height is the floor
+    assert envelope_dips_below(two, (Fraction(3), Fraction(0)), (Fraction(4), Fraction(0)), Fraction(1, 100))
 
 
 def test_pe2_only_subarrangement_has_radius_one_faces():

@@ -110,6 +110,27 @@ def test_usage_errors_exit_2():
         assert code == 2, argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cosets", "--disc", "-40", "--count", "0"],
+        ["cosets", "--disc", "-40", "--depth", "-1"],
+        ["gap-points", "--disc", "-40", "--count", "-1"],
+        ["arrangement", "--disc", "-40", "--bound", "0"],
+        ["amalgam", "--disc", "-40", "--bound", "0"],
+        ["amalgam", "--disc", "-40", "--plane", "0"],
+        ["amalgam", "--disc", "-40", "--plane", "-1/2"],
+        ["membership", "--disc", "-40", "--word", "r", "--depth", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_range_numbers_exit_2(argv):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_out_of_scope_exits_3():
     cases = [
         ["gap-points", "--disc", "-12", "--count", "1"],

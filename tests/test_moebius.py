@@ -13,7 +13,6 @@ from pe2ford.moebius import (
     apply_interior,
     gen_r,
     gen_s,
-    height_after,
     isometric_hemisphere,
     order_in_psl,
     outside_test,
@@ -135,7 +134,7 @@ def test_apply_boundary_is_action():
             assert lhs == rhs
 
 
-def test_apply_interior_matches_float_height():
+def test_apply_interior_matches_height_formula():
     rng = random.Random(43)
     for delta in (-40, -15):
         d = make_order(delta)
@@ -144,8 +143,10 @@ def test_apply_interior_matches_float_height():
             zeta = KElem.of(d.elt(rng.randint(-4, 4), rng.randint(-4, 4)), rng.randint(1, 4))
             tsq = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             z2, t2 = apply_interior(g, zeta, tsq)
-            t_float = height_after(g, (complex(zeta), float(tsq) ** 0.5))
-            assert abs(float(t2) ** 0.5 - t_float) < 1e-9
+            # t^2 = tsq / (|alpha - beta*zeta|^2 + N(beta)*tsq)^2, exactly
+            alpha, beta = KElem.of(g.alpha, 1), KElem.of(g.beta, 1)
+            denom = (alpha - beta * zeta).abs_sq() + g.beta.norm() * tsq
+            assert t2 == tsq / (denom * denom)
             # exact action composes
             h = random_word_matrix(d, rng)
             za, ta = apply_interior(h, z2, t2)
@@ -162,7 +163,3 @@ def test_apply_interior_isometric_sphere_preserves_height():
     _, t2 = apply_interior(g, zeta, tsq)
     assert t2 == tsq
 
-
-def test_height_after_apex():
-    d = make_order(-40)
-    assert height_after(gen_r(d), (0j, 1.0)) == pytest.approx(1.0)

@@ -19,7 +19,16 @@ from pe2ford.subgroups import (
     n_generators,
     normalizer_witness,
 )
-from pe2ford.words import Member, NonMember, R, S, membership, random_pe2_word, word_to_matrix
+from pe2ford.words import (
+    Inconclusive,
+    Member,
+    NonMember,
+    R,
+    S,
+    membership,
+    random_pe2_word,
+    word_to_matrix,
+)
 
 DISCS = [-15, -16, -19, -20, -23, -24, -40]
 
@@ -180,6 +189,19 @@ def test_normalizer_witness_rejects_bad_inputs():
         normalizer_witness(gen_r(make_order(-12)))
 
 
+def test_normalizer_witness_certifies_through_the_inverse():
+    # at -23 membership of many completions g ends inconclusive, since it
+    # descends from the right ratio -x/mu of an arbitrary completion entry
+    # x; g^-1 carries lambda/mu there and is refuted at the root
+    d = make_order(-23)
+    points = gap_points(d, 20)
+    assert any(isinstance(membership(gp.pair.completion), Inconclusive) for gp in points)
+    for gp in points:
+        g = gp.pair.completion
+        alpha = normalizer_witness(g)
+        assert isinstance(membership(g * gen_s(alpha) * g.inv()), NonMember)
+
+
 def test_n_generator_words():
     d = ORDER40
     words = n_generators(d)
@@ -276,3 +298,9 @@ def test_amalgam_report_plane_above_all_hemispheres():
         else:
             assert rec.above  # walls are unbounded upward
     assert not rep.overlap_matches_n
+
+
+def test_amalgam_report_needs_a_positive_plane():
+    for plane in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            amalgam_report(ORDER40, 4, plane=plane)
