@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 from .errors import OutOfScope
@@ -123,13 +122,6 @@ class UnimodularPair:
 
     def hemisphere(self) -> Hemisphere:
         return Hemisphere(self.ratio(), Fraction(1, self.mu.norm()), owner=(self.lam, self.mu))
-
-
-def make_pair(lam: OInt, mu: OInt) -> UnimodularPair | None:
-    completion = is_unimodular(lam, mu)
-    if completion is None:
-        return None
-    return UnimodularPair(lam, mu, completion)
 
 
 @dataclass(frozen=True)
@@ -406,6 +398,7 @@ _STROKE_BOTH = "#c0392b"
 _STROKE_ABOVE = "#2471a3"
 _STROKE_BELOW = "#1e8449"
 _STROKE_NONE = "#7f8c8d"
+_SVG_SCALE = 100
 
 
 def _fmt(x: float) -> str:
@@ -416,20 +409,18 @@ def svg_topview(
     hs: HemiSet,
     statuses: Sequence[FaceStatus],
     split: tuple[Sequence[Hemisphere], Sequence[Hemisphere]],
-    path: str | Path | None = None,
-    scale: int = 100,
 ) -> str:
     """Top-down view of the arrangement; the imaginary axis runs left to right.
 
     Deterministic: the same inputs yield byte-identical output.  Fill
     encodes face status, stroke encodes the side of the plane split,
-    and the window outline is drawn on top.  Returns the SVG text and
-    writes it to `path` when given.
+    and the window outline is drawn on top.  One unit of u is
+    _SVG_SCALE pixels.
     """
     sqrt_n = math.sqrt(hs.order.abs_delta)
 
     def to_xy(u: Fraction, v: Fraction) -> tuple[float, float]:
-        return (float(v) * sqrt_n * scale, float(u) * scale)
+        return (float(v) * sqrt_n * _SVG_SCALE, float(u) * _SVG_SCALE)
 
     xs, ys = [], []
     for u, v in hs.window.vertices:
@@ -450,7 +441,7 @@ def svg_topview(
     for h, status in zip(hs.hemispheres, statuses):
         u, v = h.center.planar()
         cx, cy = to_xy(u, v)
-        r = math.sqrt(h.radius_sq) * scale
+        r = math.sqrt(h.radius_sq) * _SVG_SCALE
         fill = _FILL_CONTRIBUTES if isinstance(status, Contributes) else _FILL_COVERED
         in_above = h in above_set
         in_below = h in below_set
@@ -469,7 +460,4 @@ def svg_topview(
     outline = " ".join(_fmt(c) for u, v in hs.window.vertices for c in to_xy(u, v))
     lines.append(f'<polygon points="{outline}" fill="none" stroke="#000000" stroke-width="1"/>')
     lines.append("</svg>")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text, encoding="ascii")
-    return text
+    return "\n".join(lines) + "\n"

@@ -1,9 +1,15 @@
-"""Command-line front end for the package; deterministic text, JSON, and SVG.
+"""Command-line front end for the package: one payload per command.
+
+Each subcommand computes its result once and returns one payload, the
+dict that `--format json` prints and that the schemas under docs/schemas
+describe.  `--format text` renders the same payload one `key: value`
+line at a time, and `--format svg` (arrangement and amalgam) draws the
+arrangement the command already computed.
 
 Exit codes: 0 success, 2 usage error (including malformed words and
 invalid discriminants), 3 out-of-scope request, 4 inconclusive
-membership search.  Identical argument vectors produce byte-identical
-output; JSON payloads follow the schemas shipped under docs/schemas.
+membership search, whose payload is still printed.  Identical argument
+vectors produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,25 +22,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
 
-from .arrangement import (
-    Contributes,
-    enumerate_hemispheres,
-    face_statuses,
-    plane_split,
-    svg_topview,
-)
+from .arrangement import Contributes, enumerate_hemispheres, face_statuses, svg_topview
 from .errors import InvalidDiscriminant, OutOfScope, WordSyntaxError
-from .ford import (
-    HemiFace,
-    amalgam_rectangle,
-    edge_cycles,
-    pe2_ford_faces,
-    presentation,
-    voronoi_cell,
-)
+from .ford import HemiFace, amalgam_rectangle, pe2_ford_faces, presentation, voronoi_cell
 from .moebius import Mat
 from .orders import KElem, OInt, Order, make_order
-from .subgroups import amalgam_report, coset_family, gap_points
+from .subgroups import GapPoint, amalgam_report, coset_family, gap_points
 from .words import (
     Inconclusive,
     Member,
@@ -47,6 +40,9 @@ from .words import (
     random_pe2_word,
     word_to_matrix,
 )
+
+# exit code, payload, and the svg_topview arguments of the commands that offer --format svg
+_Result = tuple[int, dict[str, Any], tuple | None]
 
 
 class UsageError(ValueError):
@@ -93,8 +89,29 @@ def _polygon_json(poly) -> dict[str, Any]:
     }
 
 
-def _dump(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _text_value(value: Any) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, list):
+        return "(" + ", ".join(_text_value(v) for v in value) + ")"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}={_text_value(v)}" for k, v in value.items()) + "}"
+    return "none" if value is None else str(value)
+
+
+def _render_text(payload: dict[str, Any]) -> str:
+    """One `key: value` line per field, in payload order, and one per list item.
+
+    Underscores in keys read as spaces; an empty list reads `none`; the
+    `command` field is left out.
+    """
+    lines = []
+    for key, value in payload.items():
+        if key == "command":
+            continue
+        items = value if isinstance(value, list) else [value]
+        lines += [f"{key.replace('_', ' ')}: {_text_value(item)}" for item in items or [None]]
+    return "\n".join(lines) + "\n"
 
 
 def _input_word(args: argparse.Namespace, order: Order) -> Word:
@@ -105,69 +122,55 @@ def _input_word(args: argparse.Namespace, order: Order) -> Word:
     raise UsageError("provide --word or --seed")
 
 
-def _cmd_order_info(args: argparse.Namespace) -> tuple[int, str]:
+def _gap_point_json(gp: GapPoint) -> dict[str, Any]:
+    z = gp.ratio()
+    return {
+        "lam": _oint_json(gp.pair.lam),
+        "mu": _oint_json(gp.pair.mu),
+        "ratio": _kelem_json(z),
+        "uv": _uv_json(z.planar()),
+        "min_dist_sq": str(gp.min_dist_sq),
+    }
+
+
+def _cmd_order_info(args: argparse.Namespace) -> _Result:
     order = make_order(args.disc)
-    scope = order.abs_delta > 12
-    if args.format == "json":
-        return 0, _dump(
-            {
-                "command": "order-info",
-                "discriminant": order.delta,
-                "even": order.even,
-                "tau_trace": 0 if order.even else 1,
-                "tau_norm": order.tau_norm,
-                "covering_radius_sq": str(order.covering_radius_sq()),
-                "group_scope": scope,
-            }
-        )
-    lines = [
-        f"discriminant: {order.delta}",
-        f"parity: {'even' if order.even else 'odd'}",
-        f"tau trace: {0 if order.even else 1}",
-        f"tau norm: {order.tau_norm}",
-        f"covering radius squared: {order.covering_radius_sq()}",
-        f"group commands in scope: {'yes' if scope else 'no'}",
-    ]
-    return 0, "\n".join(lines) + "\n"
+    payload = {
+        "command": "order-info",
+        "discriminant": order.delta,
+        "even": order.even,
+        "tau_trace": 0 if order.even else 1,
+        "tau_norm": order.tau_norm,
+        "covering_radius_sq": str(order.covering_radius_sq()),
+        "group_scope": order.abs_delta > 12,
+    }
+    return 0, payload, None
 
 
-def _cmd_normal_form(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_normal_form(args: argparse.Namespace) -> _Result:
     order = make_order(args.disc)
     word = _input_word(args, order)
     sf = normal_form(word, order)
     mat = word_to_matrix(word, order)
-    preserved = word_to_matrix(sf.to_word(), order) == mat
-    interior_ok = all(not a.is_small() for a in sf.alphas[1:-1])
-    if args.format == "json":
-        return 0, _dump(
-            {
-                "command": "normal-form",
-                "discriminant": order.delta,
-                "input": format_word(word),
-                "normal": str(sf),
-                "n": sf.n,
-                "matrix": _mat_json(mat),
-                "preserved": preserved,
-                "interior_ok": interior_ok,
-            }
-        )
-    lines = [
-        f"input: {format_word(word)}",
-        f"normal: {sf}",
-        f"rotation letters: {sf.n}",
-        f"matrix: {mat!r}",
-        f"matrix preserved: {'yes' if preserved else 'no'}",
-        f"interior coefficients valid: {'yes' if interior_ok else 'no'}",
-    ]
-    return 0, "\n".join(lines) + "\n"
+    payload = {
+        "command": "normal-form",
+        "discriminant": order.delta,
+        "input": format_word(word),
+        "normal": str(sf),
+        "n": sf.n,
+        "matrix": _mat_json(mat),
+        "preserved": word_to_matrix(sf.to_word(), order) == mat,
+        "interior_ok": all(not a.is_small() for a in sf.alphas[1:-1]),
+    }
+    return 0, payload, None
 
 
-def _cmd_membership(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_membership(args: argparse.Namespace) -> _Result:
     order = make_order(args.disc)
     word = _input_word(args, order)
     mat = word_to_matrix(word, order)
     res = membership(mat, args.depth)
-    base: dict[str, Any] = {
+    payload: dict[str, Any] = {
         "command": "membership",
         "discriminant": order.delta,
         "word": format_word(word),
@@ -178,318 +181,167 @@ def _cmd_membership(args: argparse.Namespace) -> tuple[int, str]:
     if isinstance(res, Member):
         cert = res.certificate
         round_trip = word_to_matrix(cert.to_word(), order) == mat
-        if args.format == "json":
-            base.update(certificate=str(cert), n=cert.n, round_trip_exact=round_trip)
-            return 0, _dump(base)
-        lines = [
-            "verdict: member",
-            f"certificate: {cert}",
-            f"rotation letters: {cert.n}",
-            f"round trip exact: {'yes' if round_trip else 'no'}",
-            f"nodes explored: {res.stats.nodes_explored}",
-        ]
-        return 0, "\n".join(lines) + "\n"
-    if isinstance(res, NonMember):
-        if args.format == "json":
-            base.update(
-                witness_ratio=_kelem_json(res.ratio),
-                uv=_uv_json(res.ratio.planar()),
-                nearby=[
-                    {"point": _oint_json(g), "dist_sq": str(d)} for g, d in res.nearby
-                ],
-                path=format_word(res.path_word),
-            )
-            return 0, _dump(base)
-        lines = [
-            "verdict: non-member",
-            f"witness ratio: {res.ratio}",
-            f"path: {format_word(res.path_word)}",
-            f"nodes explored: {res.stats.nodes_explored}",
-        ]
-        return 0, "\n".join(lines) + "\n"
-    if args.format == "json":
-        base.update(depth_reached=res.depth_reached)
-        return 4, _dump(base)
-    lines = [
-        "verdict: inconclusive",
-        f"depth reached: {res.depth_reached}",
-        f"nodes explored: {res.stats.nodes_explored}",
-    ]
-    return 4, "\n".join(lines) + "\n"
-
-
-def _cmd_pe2_ford(args: argparse.Namespace) -> tuple[int, str]:
-    order = make_order(args.disc)
-    faces = pe2_ford_faces(order)
-    cell = voronoi_cell(order)
-    if args.format == "json":
-        recs = []
-        for f in faces:
-            if isinstance(f, HemiFace):
-                recs.append(
-                    {
-                        "kind": "hemi",
-                        "center": _oint_json(f.center),
-                        "pairing": _mat_json(f.pairing),
-                        "pairing_word": format_word(f.pairing_word),
-                    }
-                )
-            else:
-                recs.append(
-                    {
-                        "kind": "wall",
-                        "start": _uv_json(f.start),
-                        "end": _uv_json(f.end),
-                        "toward": _oint_json(f.toward),
-                        "pairing": _mat_json(f.pairing),
-                        "pairing_word": format_word(f.pairing_word),
-                    }
-                )
-        return 0, _dump(
-            {
-                "command": "pe2-ford",
-                "discriminant": order.delta,
-                "cell": _polygon_json(cell),
-                "faces": recs,
-            }
+        payload.update(certificate=str(cert), n=cert.n, round_trip_exact=round_trip)
+    elif isinstance(res, NonMember):
+        payload.update(
+            witness_ratio=_kelem_json(res.ratio),
+            uv=_uv_json(res.ratio.planar()),
+            nearby=[{"point": _oint_json(g), "dist_sq": str(d)} for g, d in res.nearby],
+            path=format_word(res.path_word),
         )
-    lines = [f"cell: {cell.kind} with {len(cell.vertices)} vertices"]
-    for u, v in cell.vertices:
-        lines.append(f"  vertex ({u}, {v})")
-    for f in faces:
+    else:
+        payload.update(depth_reached=res.depth_reached)
+    return (4 if isinstance(res, Inconclusive) else 0), payload, None
+
+
+def _cmd_pe2_ford(args: argparse.Namespace) -> _Result:
+    order = make_order(args.disc)
+    recs = []
+    for f in pe2_ford_faces(order):
+        rec: dict[str, Any]
         if isinstance(f, HemiFace):
-            lines.append(f"face: hemisphere at {f.center}, pairing {format_word(f.pairing_word)}")
+            rec = {"kind": "hemi", "center": _oint_json(f.center)}
         else:
-            lines.append(
-                f"face: wall ({f.start[0]}, {f.start[1]}) to ({f.end[0]}, {f.end[1]})"
-                f" toward {f.toward}, pairing {format_word(f.pairing_word)}"
-            )
-    return 0, "\n".join(lines) + "\n"
+            rec = {"kind": "wall", "start": _uv_json(f.start), "end": _uv_json(f.end), "toward": _oint_json(f.toward)}
+        rec.update(pairing=_mat_json(f.pairing), pairing_word=format_word(f.pairing_word))
+        recs.append(rec)
+    payload = {
+        "command": "pe2-ford",
+        "discriminant": order.delta,
+        "cell": _polygon_json(voronoi_cell(order)),
+        "faces": recs,
+    }
+    return 0, payload, None
 
 
-def _cmd_presentation(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_presentation(args: argparse.Namespace) -> _Result:
     order = make_order(args.disc)
     pres = presentation(order)
-    cycles = edge_cycles(pe2_ford_faces(order))
-    verified = [word_to_matrix(rel, order).is_identity() for rel in pres.relations]
-    if args.format == "json":
-        return 0, _dump(
+    payload = {
+        "command": "presentation",
+        "discriminant": order.delta,
+        "generators": [{"name": name, "word": format_word(w)} for name, w in pres.generators],
+        # re-verified here, independently of the checks inside presentation()
+        "relations": [
+            {"word": format_word(rel), "verified": word_to_matrix(rel, order).is_identity()}
+            for rel in pres.relations
+        ],
+        "cycles": [
             {
-                "command": "presentation",
-                "discriminant": order.delta,
-                "generators": [{"name": name, "word": format_word(w)} for name, w in pres.generators],
-                "relations": [
-                    {"word": format_word(rel), "verified": ok}
-                    for rel, ok in zip(pres.relations, verified)
-                ],
-                "cycles": [
-                    {
-                        "length": len(c.edges),
-                        "exponent": c.exponent,
-                        "word": format_word(c.word),
-                        "relation": format_word(c.relation),
-                        "derived_relation": format_word(c.derived_relation),
-                        "note": c.note,
-                    }
-                    for c in cycles
-                ],
-                "notes": list(pres.notes),
+                "length": len(c.edges),
+                "exponent": c.exponent,
+                "word": format_word(c.word),
+                "relation": format_word(c.relation),
+                "derived_relation": format_word(c.derived_relation),
+                "note": c.note,
             }
-        )
-    lines = ["generators: " + ", ".join(name for name, _ in pres.generators)]
-    for rel, ok in zip(pres.relations, verified):
-        lines.append(f"relation: {format_word(rel)}  verified: {'yes' if ok else 'no'}")
-    for c in cycles:
-        lines.append(
-            f"cycle: length {len(c.edges)}, transformation order {c.exponent},"
-            f" word {format_word(c.word)}"
-        )
-    for note in pres.notes:
-        lines.append(f"note: {note}")
-    return 0, "\n".join(lines) + "\n"
+            for c in pres.cycles
+        ],
+        "notes": list(pres.notes),
+    }
+    return 0, payload, None
 
 
-def _cmd_cosets(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_cosets(args: argparse.Namespace) -> _Result:
     order = make_order(args.disc)
     fam = coset_family(order, args.count, args.depth)
     keys = sorted(fam.distinctness_matrix)
-    all_non_member = all(
-        isinstance(fam.distinctness_matrix[k], NonMember) for k in keys
-    )
     digest = hashlib.sha256()
     for i, j in keys:
         res = fam.distinctness_matrix[(i, j)]
         digest.update(f"{i},{j}:{res.ratio}:{format_word(res.path_word)}\n".encode())
-    if args.format == "json":
-        return 0, _dump(
-            {
-                "command": "cosets",
-                "discriminant": order.delta,
-                "count": len(fam.members),
-                "depth_cap": fam.depth_cap,
-                "members": [
-                    {
-                        "matrix": _mat_json(m),
-                        "lam": _oint_json(gp.pair.lam),
-                        "mu": _oint_json(gp.pair.mu),
-                        "ratio": _kelem_json(gp.ratio()),
-                        "uv": _uv_json(gp.ratio().planar()),
-                        "min_dist_sq": str(gp.min_dist_sq),
-                    }
-                    for m, gp in zip(fam.members, fam.points)
-                ],
-                "pairs_checked": len(keys),
-                "all_non_member": all_non_member,
-                "replaced": [_kelem_json(z) for z in fam.replaced],
-                "certificates_sha256": digest.hexdigest(),
-            }
-        )
-    lines = [
-        f"members: {len(fam.members)}",
-        f"pairs checked: {len(keys)}",
-        f"all pairwise non-member: {'yes' if all_non_member else 'no'}",
-        f"replaced candidates: {len(fam.replaced)}",
-        f"certificates sha256: {digest.hexdigest()}",
-    ]
-    for m, gp in zip(fam.members, fam.points):
-        lines.append(f"member: ratio {gp.ratio()} min_dist_sq {gp.min_dist_sq} matrix {m!r}")
-    return 0, "\n".join(lines) + "\n"
+    payload = {
+        "command": "cosets",
+        "discriminant": order.delta,
+        "count": len(fam.members),
+        "depth_cap": fam.depth_cap,
+        "members": [{"matrix": _mat_json(m), **_gap_point_json(gp)} for m, gp in zip(fam.members, fam.points)],
+        "pairs_checked": len(keys),
+        "all_non_member": all(isinstance(fam.distinctness_matrix[k], NonMember) for k in keys),
+        "replaced": [_kelem_json(z) for z in fam.replaced],
+        "certificates_sha256": digest.hexdigest(),
+    }
+    return 0, payload, None
 
 
-def _cmd_arrangement(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_arrangement(args: argparse.Namespace) -> _Result:
     order = make_order(args.disc)
-    window = amalgam_rectangle(order)
-    hs = enumerate_hemispheres(order, args.bound, window)
+    hs = enumerate_hemispheres(order, args.bound, amalgam_rectangle(order))
     statuses = face_statuses(hs)
-    if args.format == "svg":
-        return 0, svg_topview(hs, statuses, ((), ()))
-    contributing = sum(1 for s in statuses if isinstance(s, Contributes))
-    if args.format == "json":
-        recs = []
-        for h, s in zip(hs.hemispheres, statuses):
-            status: dict[str, Any]
-            if isinstance(s, Contributes):
-                status = {"kind": "contributes", "witness": _kelem_json(s.witness)}
-            else:
-                status = {"kind": "covered"}
-            recs.append(
-                {
-                    "center": _kelem_json(h.center),
-                    "uv": _uv_json(h.center.planar()),
-                    "radius_sq": str(h.radius_sq),
-                    "owner": [_oint_json(h.owner[0]), _oint_json(h.owner[1])],
-                    "status": status,
-                }
-            )
-        return 0, _dump(
-            {
-                "command": "arrangement",
-                "discriminant": order.delta,
-                "bound": hs.norm_bound,
-                "window": _polygon_json(window),
-                "hemispheres": recs,
-                "contributing": contributing,
-                "covered": len(recs) - contributing,
-            }
-        )
-    lines = [
-        f"hemispheres: {len(hs.hemispheres)}",
-        f"contributing: {contributing}",
-        f"covered: {len(hs.hemispheres) - contributing}",
-    ]
+    recs = []
     for h, s in zip(hs.hemispheres, statuses):
-        tag = f"contributes (witness {s.witness})" if isinstance(s, Contributes) else "covered"
-        lines.append(f"hemisphere at {h.center}, radius_sq {h.radius_sq}: {tag}")
-    return 0, "\n".join(lines) + "\n"
-
-
-def _cmd_amalgam(args: argparse.Namespace) -> tuple[int, str]:
-    order = make_order(args.disc)
-    if args.format == "svg":
-        window = amalgam_rectangle(order)
-        hs = enumerate_hemispheres(order, args.bound, window)
-        statuses = face_statuses(hs)
-        split = plane_split(hs, statuses, args.plane)
-        return 0, svg_topview(hs, statuses, split)
-    rep = amalgam_report(order, args.bound, args.plane)
-    if args.format == "json":
-        return 0, _dump(
+        status: dict[str, Any] = {"kind": "covered"}
+        if isinstance(s, Contributes):
+            status = {"kind": "contributes", "witness": _kelem_json(s.witness)}
+        recs.append(
             {
-                "command": "amalgam",
-                "discriminant": order.delta,
-                "bound": rep.norm_bound,
-                "plane": str(rep.plane),
-                "n_generators": [format_word(w) for w in rep.n_generators],
-                "overlap_matches_n": rep.overlap_matches_n,
-                "hom_check": rep.hom_check,
-                "faces": [
-                    {
-                        "kind": r.kind,
-                        "label": r.label,
-                        "center": None if r.center is None else _kelem_json(r.center),
-                        "pairing_word": None
-                        if r.pairing_word is None
-                        else format_word(r.pairing_word),
-                        "pairing": _mat_json(r.pairing),
-                        "above": r.above,
-                        "below": r.below,
-                    }
-                    for r in rep.faces
-                ],
-                "above": [r.label for r in rep.above_generators],
-                "below": [r.label for r in rep.below_generators],
-                "overlap": [r.label for r in rep.overlap],
-                "notes": list(rep.notes),
+                "center": _kelem_json(h.center),
+                "uv": _uv_json(h.center.planar()),
+                "radius_sq": str(h.radius_sq),
+                "owner": [_oint_json(h.owner[0]), _oint_json(h.owner[1])],
+                "status": status,
             }
         )
-    lines = [
-        f"plane: t = {rep.plane}",
-        "subgroup generators: " + ", ".join(format_word(w) for w in rep.n_generators),
-        f"overlap matches subgroup generators: {'yes' if rep.overlap_matches_n else 'no'}",
-        f"collapse homomorphism check: {'yes' if rep.hom_check else 'no'}",
-    ]
-    for r in rep.faces:
-        side = "both" if r.above and r.below else ("above" if r.above else "below")
-        word = format_word(r.pairing_word) if r.pairing_word is not None else "(completion)"
-        lines.append(f"face: {r.label}  side: {side}  pairing: {word}")
-    for note in rep.notes:
-        lines.append(f"note: {note}")
-    return 0, "\n".join(lines) + "\n"
+    contributing = sum(isinstance(s, Contributes) for s in statuses)
+    payload = {
+        "command": "arrangement",
+        "discriminant": order.delta,
+        "bound": hs.norm_bound,
+        "window": _polygon_json(hs.window),
+        "hemispheres": recs,
+        "contributing": contributing,
+        "covered": len(recs) - contributing,
+    }
+    return 0, payload, (hs, statuses, ((), ()))
 
 
-def _cmd_gap_points(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_amalgam(args: argparse.Namespace) -> _Result:
+    order = make_order(args.disc)
+    rep = amalgam_report(order, args.bound, args.plane)
+    payload = {
+        "command": "amalgam",
+        "discriminant": order.delta,
+        "bound": rep.norm_bound,
+        "plane": str(rep.plane),
+        "n_generators": [format_word(w) for w in rep.n_generators],
+        "overlap_matches_n": rep.overlap_matches_n,
+        "hom_check": rep.hom_check,
+        "faces": [
+            {
+                "kind": r.kind,
+                "label": r.label,
+                "center": None if r.center is None else _kelem_json(r.center),
+                "pairing_word": None if r.pairing_word is None else format_word(r.pairing_word),
+                "pairing": _mat_json(r.pairing),
+                "above": r.above,
+                "below": r.below,
+            }
+            for r in rep.faces
+        ],
+        "above": [r.label for r in rep.above_generators],
+        "below": [r.label for r in rep.below_generators],
+        "overlap": [r.label for r in rep.overlap],
+        "notes": list(rep.notes),
+    }
+    return 0, payload, (rep.arrangement, rep.statuses, rep.split)
+
+
+def _cmd_gap_points(args: argparse.Namespace) -> _Result:
     order = make_order(args.disc)
     pts = gap_points(order, args.count)
-    if args.format == "json":
-        return 0, _dump(
-            {
-                "command": "gap-points",
-                "discriminant": order.delta,
-                "count": len(pts),
-                "points": [
-                    {
-                        "lam": _oint_json(gp.pair.lam),
-                        "mu": _oint_json(gp.pair.mu),
-                        "ratio": _kelem_json(gp.ratio()),
-                        "uv": _uv_json(gp.ratio().planar()),
-                        "min_dist_sq": str(gp.min_dist_sq),
-                        "checked": [_oint_json(g) for g in gp.checked_lattice_points],
-                        "completion": _mat_json(gp.pair.completion),
-                    }
-                    for gp in pts
-                ],
-            }
-        )
-    lines = []
-    for gp in pts:
-        lines.append(
-            f"gap point: ratio {gp.ratio()} = ({gp.pair.lam})/({gp.pair.mu}),"
-            f" min_dist_sq {gp.min_dist_sq}, checked {len(gp.checked_lattice_points)} points"
-        )
-    return 0, "\n".join(lines) + "\n"
+    points = [
+        {
+            **_gap_point_json(gp),
+            "checked": [_oint_json(g) for g in gp.checked_lattice_points],
+            "completion": _mat_json(gp.pair.completion),
+        }
+        for gp in pts
+    ]
+    payload = {"command": "gap-points", "discriminant": order.delta, "count": len(pts), "points": points}
+    return 0, payload, None
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[int, str]]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace], _Result]] = {
     "order-info": _cmd_order_info,
     "normal-form": _cmd_normal_form,
     "membership": _cmd_membership,
@@ -554,13 +406,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, text = _HANDLERS[args.command](args)
+        code, payload, view = _HANDLERS[args.command](args)
     except (WordSyntaxError, InvalidDiscriminant, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OutOfScope as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif args.format == "svg":  # offered only by the commands that return a view
+        text = svg_topview(*view)
+    else:
+        text = _render_text(payload)
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
     else:

@@ -326,6 +326,7 @@ class Presentation:
     generators: tuple[tuple[str, Word], ...]
     relations: tuple[Word, ...]
     notes: tuple[str, ...]
+    cycles: tuple[EdgeCycle, ...]  # the edge cycles the relations were read from
 
 
 def presentation(order: Order) -> Presentation:
@@ -357,4 +358,4 @@ def presentation(order: Order) -> Presentation:
         (format_word((S(tau),)), (S(tau),)),
     )
     notes = tuple(n for n in (hemi[0].note,) if n)
-    return Presentation(generators, relations, notes)
+    return Presentation(generators, relations, notes, cycles)

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import InvalidDiscriminant, OutOfScope
+from .errors import InvalidDiscriminant
 
 
 class Order:
@@ -57,12 +57,6 @@ class Order:
     @property
     def tau_norm(self) -> int:
         return self._tau_norm
-
-    def units(self) -> list[OInt]:
-        """Unit group; only +-1 once |delta| > 4."""
-        if self.abs_delta <= 4:
-            raise OutOfScope(f"|delta| = {self.abs_delta} has extra units")
-        return [self.one, -self.one]
 
     def covering_radius_sq(self) -> Fraction:
         """Largest squared distance from any point of C to the lattice."""
@@ -161,9 +155,6 @@ class OInt:
         if self.order.even:
             return a * a + m * b * b
         return a * a + a * b + m * b * b
-
-    def trace(self) -> int:
-        return 2 * self.a if self.order.even else 2 * self.a + self.b
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

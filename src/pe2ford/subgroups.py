@@ -20,6 +20,8 @@ from typing import Iterator
 
 from .arrangement import (
     Contributes,
+    FaceStatus,
+    HemiSet,
     UnimodularPair,
     enumerate_hemispheres,
     envelope_dips_below,
@@ -29,7 +31,7 @@ from .arrangement import (
 )
 from .errors import OutOfScope, SearchExhausted, WitnessNotFound
 from .ford import amalgam_rectangle, presentation
-from .moebius import Mat, gen_s
+from .moebius import Hemisphere, Mat, gen_s
 from .orders import (
     KElem,
     OInt,
@@ -113,7 +115,11 @@ def gap_points(order: Order, count: int) -> list[GapPoint]:
 
 @dataclass
 class CosetFamily:
-    """Matrices in pairwise distinct right cosets of the elementary subgroup."""
+    """Matrices in pairwise distinct right cosets of the elementary subgroup.
+
+    distinctness_matrix[(i, j)], for j < i, is the NonMember certificate
+    of M_j * M_i^{-1}.
+    """
 
     members: tuple[Mat, ...]
     points: tuple[GapPoint, ...]
@@ -125,10 +131,16 @@ class CosetFamily:
 def coset_family(order: Order, count: int, depth_cap: int = 64) -> CosetFamily:
     """Completions of gap points representing distinct right cosets.
 
-    Members i and j land in the same coset exactly when M_i * M_j^{-1}
-    is in the subgroup, so each pair is certified NonMember.  A
-    candidate whose product search does not certify (depth cap hit) is
-    dropped and reported in `replaced` rather than silently kept.
+    Members i and j land in the same coset exactly when M_j * M_i^{-1}
+    is in the subgroup, so each pair certifies that product NonMember.
+    Membership descends from the ratio -d/c of the bottom row (c, d); for
+    M_j * M_i^{-1} that is the gap ratio lambda_i/mu_i moved by
+    mu_j/(mu_i * c), whose squared length norm(mu_j)/(norm(mu_i) norm(c))
+    is at most 1 because candidates come by ascending norm(mu), while
+    the inverse product moves lambda_j/mu_j by the reciprocal norm
+    ratio.  A candidate whose product search does not certify (depth
+    cap hit) is dropped and reported in `replaced` rather than silently
+    kept.
     """
     if order.abs_delta <= 12:
         raise OutOfScope("coset families need |delta| > 12")
@@ -147,7 +159,7 @@ def coset_family(order: Order, count: int, depth_cap: int = 64) -> CosetFamily:
         results: dict[tuple[int, int], NonMember] = {}
         i = len(members)
         for j, other in enumerate(members):
-            res = membership(cand * other.inv(), depth_cap)
+            res = membership(other * cand.inv(), depth_cap)
             if not isinstance(res, NonMember):
                 break
             results[(i, j)] = res
@@ -255,6 +267,11 @@ class FaceRecord:
 
 @dataclass(frozen=True)
 class AmalgamReport:
+    """The plane split of the arrangement, with the arrangement it was read from."""
+
+    arrangement: HemiSet
+    statuses: tuple[FaceStatus, ...]
+    split: tuple[list[Hemisphere], list[Hemisphere]]
     plane: Fraction
     n_generators: tuple[Word, ...]
     faces: tuple[FaceRecord, ...]
@@ -314,8 +331,8 @@ def amalgam_report(order: Order, norm_bound: int, plane: Fraction = Fraction(2, 
     window = amalgam_rectangle(order)
     hs = enumerate_hemispheres(order, norm_bound, window)
     statuses = face_statuses(hs)
-    above_hemis, below_hemis = plane_split(hs, statuses, plane)
-    above_set, below_set = set(above_hemis), set(below_hemis)
+    split = plane_split(hs, statuses, plane)
+    above_set, below_set = set(split[0]), set(split[1])
 
     half = Fraction(1, 2)
     records: list[FaceRecord] = []
@@ -357,6 +374,9 @@ def amalgam_report(order: Order, norm_bound: int, plane: Fraction = Fraction(2, 
             "stays above it along both"
         )
     return AmalgamReport(
+        arrangement=hs,
+        statuses=statuses,
+        split=split,
         plane=Fraction(plane),
         n_generators=tuple(n_generators(order)),
         faces=faces,

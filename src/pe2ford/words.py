@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import DegenerateChain, OutOfScope, WordSyntaxError
 from .moebius import Mat, gen_r, gen_s
@@ -257,39 +258,34 @@ class ZetaChain:
         return out
 
 
+def _chain_numerators(alphas: tuple[OInt, ...], znum: OInt, zden: OInt) -> Iterator[OInt]:
+    """p_0 = zden, p_1 = znum + a_0*zden, p_{i+1} = a_i p_i - p_{i-1}, up to p_n.
+
+    The pivot z_i = p_i/p_{i-1}; raises DegenerateChain on the first
+    zero p_i with i >= 1.
+    """
+    prev, cur = -znum, zden  # p_{-1} = -znum puts p_1 on the same recurrence
+    yield cur
+    for step, a in enumerate(alphas[:-1], start=1):
+        prev, cur = cur, a * cur - prev
+        if cur.is_zero():
+            raise DegenerateChain(f"chain pivot hit zero at step {step}")
+        yield cur
+
+
 def zeta_chain(sf: StandardForm, z: KElem) -> ZetaChain:
     """Pivot chain z_1 = z + a_0, z_{i+1} = a_i - 1/z_i (i < n)."""
-    values: list[KElem] = []
-    if sf.n == 0:
-        return ZetaChain(())
-    cur = z + sf.alphas[0]
-    if cur.is_zero():
-        raise DegenerateChain("chain pivot hit zero at step 1")
-    values.append(cur)
-    for i in range(1, sf.n):
-        cur = KElem.of(sf.alphas[i], 1) - 1 / cur
-        if cur.is_zero():
-            raise DegenerateChain(f"chain pivot hit zero at step {i + 1}")
-        values.append(cur)
-    return ZetaChain(tuple(values))
+    ps = list(_chain_numerators(sf.alphas, z.num, OInt(z.order, z.den, 0)))
+    return ZetaChain(tuple(KElem.of(p, q) for q, p in zip(ps, ps[1:])))
 
 
 def chain_bottom(alphas: tuple[OInt, ...], znum: OInt, zden: OInt) -> OInt:
-    """Final chain numerator p_n for z = znum/zden, by the three-term recurrence.
+    """Final chain numerator p_n for z = znum/zden; the chain product is p_n/zden.
 
-    p_0 = zden, p_1 = znum + a_0*zden, p_{i+1} = a_i p_i - p_{i-1};
-    the chain product is p_n/zden.  Raises DegenerateChain on a zero pivot.
+    Raises DegenerateChain on a zero pivot.
     """
-    n = len(alphas) - 1
-    prev = zden
-    cur = znum + alphas[0] * zden
-    if n >= 1 and cur.is_zero():
-        raise DegenerateChain("chain pivot hit zero at step 1")
-    for i in range(1, n):
-        prev, cur = cur, alphas[i] * cur - prev
-        if cur.is_zero():
-            raise DegenerateChain(f"chain pivot hit zero at step {i + 1}")
-    return cur if n >= 1 else zden
+    *_, bottom = _chain_numerators(alphas, znum, zden)
+    return bottom
 
 
 def product_identity_check(sf: StandardForm, z: KElem, mat: Mat | None = None) -> bool:

@@ -52,6 +52,19 @@ def test_json_output_matches_schema(command, argv):
     validate(command, payload)
 
 
+@pytest.mark.parametrize("command,argv", JSON_CASES, ids=lambda c: str(c))
+def test_text_renders_the_json_payload(command, argv):
+    code, text, _ = run(argv)
+    assert code == 0
+    lines = text.splitlines()
+    payload = json.loads(run(argv + ["--format", "json"])[1])
+    for key, value in payload.items():
+        if key == "command" or isinstance(value, (list, dict)):
+            continue
+        shown = "yes" if value is True else "no" if value is False else str(value)
+        assert f"{key.replace('_', ' ')}: {shown}" in lines
+
+
 def test_inconclusive_json_matches_schema_and_exits_4():
     code, out, _ = run(
         ["membership", "--disc", "-40", "--seed", "5", "--depth", "1", "--format", "json"]
@@ -147,7 +160,7 @@ def test_out_of_scope_exits_3():
 def test_order_info_works_below_group_scope():
     code, out, _ = run(["order-info", "--disc", "-3"])
     assert code == 0
-    assert "group commands in scope: no" in out
+    assert "group scope: no" in out
     code, out, _ = run(["order-info", "--disc", "-4", "--format", "json"])
     assert code == 0
     assert json.loads(out)["group_scope"] is False

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pe2ford.errors import InvalidDiscriminant, OutOfScope
+from pe2ford.errors import InvalidDiscriminant
 from pe2ford.orders import (
     KElem,
     OInt,
@@ -62,15 +62,6 @@ def test_norm_is_multiplicative():
             assert (x * y).norm() == x.norm() * y.norm()
             assert x * x.conj() == d.elt(x.norm())
             assert (x * y).conj() == x.conj() * y.conj()
-
-
-def test_units():
-    for delta in DISCS:
-        d = make_order(delta)
-        assert d.units() == [d.one, -d.one]
-    for delta in (-3, -4):
-        with pytest.raises(OutOfScope):
-            make_order(delta).units()
 
 
 def test_small_elements_norm_gap():

@@ -115,26 +115,27 @@ def test_gap_points_scope_and_count():
 
 def test_coset_family_pairwise_distinct():
     d = ORDER40
-    fam = coset_family(d, 12)
-    assert len(fam.members) == 12
+    fam = coset_family(d, 20)
+    assert len(fam.members) == 20
     assert fam.replaced == ()
     assert fam.depth_cap == 64
     for k, gp in enumerate(fam.points):
         assert fam.members[k] == gp.pair.completion
-    for i in range(12):
+    for i in range(20):
         for j in range(i):
             res = fam.distinctness_matrix[(i, j)]
             assert isinstance(res, NonMember)
-    assert len(fam.distinctness_matrix) == 66
+    assert len(fam.distinctness_matrix) == 190
     # a member against itself is the identity, hence Member; only proper
     # pairs enter the matrix
     assert isinstance(membership(fam.members[0] * fam.members[0].inv()), Member)
-    # coset distinctness is symmetric; spot-check the reversed products
+    # coset distinctness is symmetric; spot-check the products the family
+    # did not certify, M_i * M_j^-1
     rng = random.Random(7)
     for _ in range(6):
-        i = rng.randrange(1, 12)
+        i = rng.randrange(1, 20)
         j = rng.randrange(i)
-        rev = membership(fam.members[j] * fam.members[i].inv())
+        rev = membership(fam.members[i] * fam.members[j].inv())
         assert isinstance(rev, NonMember)
 
 
