@@ -191,13 +191,11 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
             completion = is_unimodular(lam, mu)
             if completion is None:
                 continue
-            center = KElem.of(lam, mu)
-            if window_dist_sq(order, window, center.planar()) > rsq:
+            pair = UnimodularPair(lam, mu, completion)
+            h = pair.hemisphere()
+            if window_dist_sq(order, window, h.center.planar()) > rsq:
                 continue
-            key = (center, rsq)
-            if key not in seen:
-                pair = UnimodularPair(lam, mu, completion)
-                seen[key] = (Hemisphere(center, rsq, owner=(lam, mu)), pair)
+            seen.setdefault((h.center, rsq), (h, pair))
     ordered = sorted(seen.values(), key=lambda hp: hp[0].sort_key())
     return HemiSet(
         order=order,
@@ -292,16 +290,13 @@ def _power_cell(h: Hemisphere, planes: Sequence[HalfPlane]) -> FundPolygon | Non
     return cell if cell.uv_area() > 0 else None
 
 
-def face_status(h: Hemisphere, rest: HemiSet | Sequence[Hemisphere]) -> FaceStatus:
+def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     """Contributes iff h's power cell against its rivals has area and meets h's open disc.
 
-    When rest is a HemiSet, h itself is dropped from it; a sequence is
-    taken literally, so a duplicate of h in it means Covered.
+    rest is taken literally, so a duplicate of h in it means Covered.
     """
     order = h.center.order
     n = order.abs_delta
-    if isinstance(rest, HemiSet):
-        rest = [k for k in rest.hemispheres if (k.center, k.radius_sq) != (h.center, h.radius_sq)]
     planes = _rivals(h, rest)
     cell = None if planes is None else _power_cell(h, planes)
     if cell is None:

@@ -313,9 +313,9 @@ def _as_kelem(x: KElem | OInt | Fraction | int, order: Order) -> KElem | None:
     return None
 
 
-def dist_sq(z: KElem, g: OInt | KElem) -> Fraction:
+def dist_sq(z: KElem, g: OInt) -> Fraction:
     """Exact squared euclidean distance |z - g|^2."""
-    return (z - g).abs_sq()
+    return Fraction((z.num - g * z.den).norm(), z.den * z.den)
 
 
 def kelem_from_planar(order: Order, u: Fraction | int, v: Fraction | int) -> KElem:
@@ -329,51 +329,35 @@ def kelem_from_planar(order: Order, u: Fraction | int, v: Fraction | int) -> KEl
 
 
 def lattice_points_within(z: KElem, rsq: Fraction | int, closed: bool) -> list[OInt]:
-    """All lattice points g with |z - g|^2 < rsq (<= rsq when closed).
+    """All lattice points g with |z - g|^2 < rsq (<= rsq when closed), sorted by key().
 
-    The imaginary part pins down finitely many b-rows; each row then
-    bounds a.  No floating point is involved at any stage.
+    With z = (p + q*t)/Q, g = a + b*t, y = q - b*Q and w = 2(p - a*Q) + e*y
+    (e = 1 for odd delta, 0 for even), 4 Q^2 |z - g|^2 = w^2 + |delta| y^2.
+    So with rsq = P/S the rows b satisfy S |delta| y^2 <= 4 Q^2 P, and each
+    row bounds |w| by an integer square root; no rational arithmetic runs.
     """
     order = z.order
-    rsq = Fraction(rsq)
-    if rsq < 0 or (rsq == 0 and not closed):
+    p, q, den = z.num.a, z.num.b, z.den
+    top = 4 * den * den * rsq.numerator
+    s = rsq.denominator
+    if top < 0:
         return []
-    u, v = z.planar()
     n = order.abs_delta
+    e = 0 if order.even else 1
+    y_max = math.isqrt(top // (s * n))
     out: list[OInt] = []
-
-    def row_ok(b: int) -> bool:
-        return n * (Fraction(b, 2) - v) ** 2 <= rsq
-
-    def scan_row(b: int) -> None:
-        rem = rsq - n * (Fraction(b, 2) - v) ** 2
-        ua = u if order.even else u - Fraction(b, 2)
-        a0 = math.floor(ua)
-        a = a0
-        while (a - ua) ** 2 <= rem:
-            _keep(a, b)
-            a -= 1
-        a = a0 + 1
-        while (a - ua) ** 2 <= rem:
-            _keep(a, b)
-            a += 1
-
-    def _keep(a: int, b: int) -> None:
-        g = OInt(order, a, b)
-        d2 = dist_sq(z, g)
-        if d2 < rsq or (closed and d2 == rsq):
-            out.append(g)
-
-    b0 = math.floor(2 * v)
-    b = b0
-    while row_ok(b):
-        scan_row(b)
-        b -= 1
-    b = b0 + 1
-    while row_ok(b):
-        scan_row(b)
-        b += 1
-    out.sort(key=lambda g: g.key())
+    # b ascending, then a ascending: exactly the key() order
+    for b in range(-((y_max - q) // den), (q + y_max) // den + 1):
+        y = q - b * den
+        left = top - s * n * y * y
+        if not closed:
+            if left == 0:
+                continue
+            left -= 1
+        w_max = math.isqrt(left // s)
+        mid = 2 * p + e * y
+        for a in range(-((w_max - mid) // (2 * den)), (mid + w_max) // (2 * den) + 1):
+            out.append(OInt(order, a, b))
     return out
 
 

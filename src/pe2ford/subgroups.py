@@ -56,14 +56,14 @@ class GapPoint:
         return self.pair.ratio()
 
 
-def gap_check(z: KElem, extra_reach: Fraction | int = 1) -> tuple[Fraction, tuple[OInt, ...]] | None:
+def gap_check(z: KElem) -> tuple[Fraction, tuple[OInt, ...]] | None:
     """Minimum squared lattice distance and the points checked, if a gap.
 
-    The scanned neighborhood reaches covering_radius^2 + extra_reach,
-    so it always holds the nearest lattice point; z is a gap point when
-    the minimum over it exceeds 1.
+    The scanned neighborhood reaches covering_radius^2 + 1, so it always
+    holds the nearest lattice point; z is a gap point when the minimum
+    over it exceeds 1.
     """
-    reach = z.order.covering_radius_sq() + extra_reach
+    reach = z.order.covering_radius_sq() + 1
     pts = tuple(lattice_points_within(z, reach, closed=True))
     m = min(dist_sq(z, g) for g in pts)
     if m <= 1:

@@ -169,8 +169,8 @@ def test_enumerate_scope_and_bounds():
 def test_face_status_unit_apex_witness():
     hs = _rect_set(1)
     zero = KElem.from_oint(ORDER40.zero)
-    h = next(h for h in hs.hemispheres if h.center == zero)
-    status = face_status(h, hs)
+    i = next(i for i, h in enumerate(hs.hemispheres) if h.center == zero)
+    status = face_statuses(hs)[i]
     assert isinstance(status, Contributes)
     assert status.witness == zero
 

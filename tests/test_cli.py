@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -41,6 +42,45 @@ JSON_CASES = [
     ("amalgam", ["amalgam", "--disc", "-40", "--bound", "4"]),
     ("gap-points", ["gap-points", "--disc", "-40", "--count", "2"]),
 ]
+
+
+# sha256 of stdout for every JSON case in --format json and a few larger runs
+OUTPUT_DIGESTS = {
+    "order-info --disc -40 --format json":
+        "e5fe51848c0d91231c3634eca044bdf2385509f2501805ef7f750893a5f3ff5d",
+    "order-info --disc -15 --format json":
+        "14e03c529123e56db337dd9baf04f812f3b2ee1af28d2aab32124732de57d155",
+    "normal-form --disc -40 --seed 3 --format json":
+        "dd0b9ee2900963dfe1f419a18a48ae0e5b1276c35916bef4dc9d77d7bcaac401",
+    "normal-form --disc -19 --word r*s(2-t)*r*s(4) --format json":
+        "0fa60e0d26db8529e4201b9932c06aa87d0f340d7b0f654bb3b35cebd9540172",
+    "membership --disc -40 --word r*s(5+0*t)*r --format json":
+        "7e24c2a0ad9c92fa3daffd16087dd88a2975b290076385edc87b146ca5d03dbb",
+    "pe2-ford --disc -40 --format json":
+        "a2541bfc696ad3ae1baa55695ef9f574aa6e0cdb05916fd616765f8f0fa8847d",
+    "pe2-ford --disc -15 --format json":
+        "08fb904279c9be0dfda67d02e827197cb899454f97af3404c119d0496028fcb2",
+    "presentation --disc -40 --format json":
+        "ea833822268a62eda49e9f2fd628a8664c39dd12a917a7726070079399311891",
+    "cosets --disc -40 --count 3 --format json":
+        "8d925764077dadb2b213ed204992f18b8964e1bb24a61b0fe1ef068997686f7c",
+    "arrangement --disc -40 --bound 4 --format json":
+        "f621d5ab62c4d0cd3fcbd55fb810302b6f2ffd5c82291c03ee78d1264cc7709b",
+    "amalgam --disc -40 --bound 4 --format json":
+        "e8a71f786cf6f11509d892e2f18ec61eaef44078d8fc4991d90d3be3c1dea25b",
+    "gap-points --disc -40 --count 2 --format json":
+        "d32825a05641295ddea1414be329fc83d542de4e301b504e84a890e54056c658",
+    "cosets --disc -40 --count 100":
+        "9fb5aad6ac7c0348eb6d4be16d9c4d66228033994b3698324ff21d8ba5b4a3ce",
+    "gap-points --disc -40 --count 200":
+        "763dfded8a621ea01bb6e2a8c79658a83f2ea1ba57de1511aebed4b79dd1fb8a",
+    "membership --disc -40 --seed 9":
+        "90adc122ce10808f48739dd509896c838698a1d07e3a7cc17691b774e39ee75e",
+    "arrangement --disc -40 --bound 16 --format svg":
+        "7710245f1fd7aa9bc5f2b96c7c3555980645578bd9eeab49e7367df48f28421c",
+    "amalgam --disc -40 --bound 16":
+        "4bfea3efbe0dd8361ad1debfdf3842699e4db0345b9d7ae03063057ceac82a68",
+}
 
 
 @pytest.mark.parametrize("command,argv", JSON_CASES, ids=lambda c: str(c))
@@ -201,3 +241,12 @@ def test_plane_flag_parses_exactly():
     )
     assert code == 0
     assert json.loads(out)["plane"] == "1/2"
+
+
+def test_output_digests():
+    for _, argv in JSON_CASES:
+        assert " ".join(argv + ["--format", "json"]) in OUTPUT_DIGESTS
+    for command, digest in OUTPUT_DIGESTS.items():
+        code, out, err = run(command.split(" "))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

@@ -153,13 +153,23 @@ def _brute_points(z: KElem, rsq: Fraction, closed: bool) -> list[OInt]:
     u, v = z.planar()
     span = int(math.isqrt(int(4 * rsq) + 4)) + 3
     out = []
-    for b in range(int(2 * v) - span, int(2 * v) + span + 1):
-        for a in range(int(u) - span, int(u) + span + 1):
+    for b in range(math.floor(2 * v) - span, math.floor(2 * v) + span + 1):
+        # row b holds a + b/2 in planar u for odd delta
+        a0 = math.floor(u if d.even else u - Fraction(b, 2))
+        for a in range(a0 - span, a0 + span + 1):
             g = d.elt(a, b)
-            d2 = dist_sq(z, g)
+            d2 = (z - g).abs_sq()
             if d2 < rsq or (closed and d2 == rsq):
                 out.append(g)
     return sorted(out, key=lambda g: g.key())
+
+
+def _check_within(z: KElem, rsq: Fraction, closed: bool) -> list[OInt]:
+    pts = lattice_points_within(z, rsq, closed)
+    assert pts == _brute_points(z, rsq, closed)
+    for g in pts:
+        assert dist_sq(z, g) == (z - g).abs_sq()
+    return pts
 
 
 def test_lattice_points_within_matches_brute_force():
@@ -172,7 +182,21 @@ def test_lattice_points_within_matches_brute_force():
             z = KElem.of(num, den)
             rsq = Fraction(rng.randint(1, 40), rng.randint(1, 8))
             closed = rng.random() < 0.5
-            assert lattice_points_within(z, rsq, closed) == _brute_points(z, rsq, closed)
+            _check_within(z, rsq, closed)
+    # the edges of the row and column bounds: a disc whose boundary runs
+    # through a lattice point, the zero disc, and far-off large denominators
+    for delta in DISCS + [-7, -8]:
+        d = make_order(delta)
+        for _ in range(15):
+            z = KElem.of(d.elt(rng.randint(-200, 200), rng.randint(-200, 200)), rng.randint(1, 60))
+            u, v = z.planar()
+            b = math.floor(2 * v) + rng.randint(-1, 1)
+            g = d.elt(math.floor(u if d.even else u - Fraction(b, 2)) + rng.randint(-1, 1), b)
+            rsq = (z - g).abs_sq()
+            assert g in _check_within(z, rsq, closed=True)
+            assert g not in _check_within(z, rsq, closed=False)
+            _check_within(z, Fraction(0), closed=True)
+            assert _check_within(z, Fraction(0), closed=False) == []
 
 
 def test_lattice_points_norm_at_most():
