@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import OutOfScope
-from .ford import FundPolygon, Point
+from .ford import FundPolygon, Point, _nearest, _segment_nearest, _uv_dist_sq
 from .moebius import Hemisphere, Mat
 from .orders import (
     KElem,
@@ -121,12 +121,12 @@ class UnimodularPair:
         return KElem.of(self.lam, self.mu)
 
     def hemisphere(self) -> Hemisphere:
-        return Hemisphere(self.ratio(), Fraction(1, self.mu.norm()), owner=(self.lam, self.mu))
+        return Hemisphere(self.ratio(), Fraction(1, self.mu.norm()))
 
 
 @dataclass(frozen=True)
 class HemiSet:
-    """Hemispheres near a window, owners aligned index by index."""
+    """Hemispheres near a window and the pairs they come from, aligned index by index."""
 
     order: Order
     hemispheres: tuple[Hemisphere, ...]
@@ -135,35 +135,8 @@ class HemiSet:
     window: FundPolygon
 
 
-def _uv_dist_sq(n: int, p: Point, q: Point) -> Fraction:
-    du, dv = p[0] - q[0], p[1] - q[1]
-    return du * du + n * dv * dv
-
-
-def _segment_nearest(order: Order, a: Point, b: Point, p: Point) -> tuple[Fraction, Point]:
-    """Exact squared distance from p to the segment ab, and the nearest point."""
-    n = order.abs_delta
-    du, dv = p[0] - a[0], p[1] - a[1]
-    eu, ev = b[0] - a[0], b[1] - a[1]
-    t = min(max((du * eu + n * dv * ev) / (eu * eu + n * ev * ev), 0), 1)
-    q = (a[0] + t * eu, a[1] + t * ev)
-    return (_uv_dist_sq(n, p, q), q)
-
-
-def _nearest(order: Order, poly: FundPolygon, p: Point) -> tuple[Fraction, Point]:
-    """Exact squared distance from p to the closed polygon and a nearest point."""
-    if poly.contains(p):
-        return (Fraction(0), p)
-    return min((_segment_nearest(order, a, b, p) for a, b in poly.edges()), key=lambda dq: dq[0])
-
-
-def window_dist_sq(order: Order, window: FundPolygon, p: Point) -> Fraction:
-    """Exact squared distance from p to the closed polygon; 0 inside."""
-    return _nearest(order, window, p)[0]
-
-
 def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) -> HemiSet:
-    """All hemispheres with owner norm(mu) <= norm_bound near the window.
+    """All hemispheres of pairs with norm(mu) <= norm_bound near the window.
 
     A hemisphere makes the cut when its center lies within one radius
     of the window, so faces clipped at the boundary stay present.  The
@@ -193,7 +166,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
                 continue
             pair = UnimodularPair(lam, mu, completion)
             h = pair.hemisphere()
-            if window_dist_sq(order, window, h.center.planar()) > rsq:
+            if _nearest(order, window, h.center.planar())[0] > rsq:
                 continue
             seen.setdefault((h.center, rsq), (h, pair))
     ordered = sorted(seen.values(), key=lambda hp: hp[0].sort_key())
@@ -208,7 +181,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
 
 @dataclass(frozen=True)
 class Contributes:
-    """Exact point where the owner is strictly on top, and the extent of its power cell.
+    """Exact point where the hemisphere is strictly on top, and the extent of its power cell.
 
     Over the cell the squared distance from the center runs from near_sq to far_sq.
     """
@@ -220,7 +193,7 @@ class Contributes:
 
 @dataclass(frozen=True)
 class Covered:
-    """No point of the disc where the owner is strictly on top."""
+    """No point of the disc where the hemisphere is strictly on top."""
 
 
 FaceStatus = Contributes | Covered
@@ -264,7 +237,11 @@ def _bisectors(h: Hemisphere, pool: Sequence[Hemisphere]) -> list[HalfPlane]:
 
 
 def _clip(poly: list[Point], plane: HalfPlane) -> list[Point]:
-    """Sutherland-Hodgman step; only strict sign changes add a point, so none repeats."""
+    """Sutherland-Hodgman step; only strict sign changes add a point.
+
+    A polygon comes out without repeated points; a segment [start, end]
+    comes out as a list whose extreme points are the clipped segment's ends.
+    """
     a, b, c = plane
     side = [a * u + b * v - c for u, v in poly]
     out = []
@@ -351,9 +328,10 @@ def plane_split(
 def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> bool:
     """Whether the top of the arrangement drops under t0 > 0 on the closed segment.
 
-    Each hemisphere reaching the segment is on top where its bisectors
-    hold, an interval whose ends are its lowest points there; where no
-    disc reaches, the height is the floor 0.
+    Each hemisphere reaching the segment is on top on the part its
+    bisectors clip out of it; height is concave along the segment, so
+    the ends of that part are its lowest points.  Where no disc reaches,
+    the height is the floor 0.
     """
     order = hs.order
     n = order.abs_delta
@@ -363,27 +341,15 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
     if not reach:
         return True
     t0sq = Fraction(t0) ** 2
-    su, sv = start
-    eu, ev = end[0] - su, end[1] - sv
     for i, h in enumerate(reach):
-        lo, hi = Fraction(0), Fraction(1)
-        for a, b, c in _bisectors(h, reach[:i] + reach[i + 1 :]):
-            # the bisector at start + s*(end - start): slope * s <= room
-            slope = a * eu + b * ev
-            room = c - a * su - b * sv
-            if slope > 0:
-                hi = min(hi, room / slope)
-            elif slope < 0:
-                lo = max(lo, room / slope)
-            elif room < 0:
+        part = [start, end]
+        for plane in _bisectors(h, reach[:i] + reach[i + 1 :]):
+            part = _clip(part, plane)
+            if not part:
                 break
-            if lo > hi:
-                break
-        else:
-            center = h.center.planar()
-            for s in (lo, hi):
-                if h.radius_sq - _uv_dist_sq(n, (su + s * eu, sv + s * ev), center) < t0sq:
-                    return True
+        center = h.center.planar()
+        if any(h.radius_sq - _uv_dist_sq(n, p, center) < t0sq for p in part):
+            return True
     return False
 
 

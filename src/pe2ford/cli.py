@@ -6,10 +6,11 @@ describe.  `--format text` renders the same payload one `key: value`
 line at a time, and `--format svg` (arrangement and amalgam) draws the
 arrangement the command already computed.
 
-Exit codes: 0 success, 2 usage error (including malformed words and
-invalid discriminants), 3 out-of-scope request, 4 inconclusive
-membership search, whose payload is still printed.  Identical argument
-vectors produce byte-identical output.
+Exit codes: 0 success, 2 usage error (including malformed words,
+invalid discriminants and an `--out` file that cannot be written),
+3 out-of-scope request, 4 inconclusive membership search, whose
+payload is still printed.  Identical argument vectors produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ from .words import (
 
 # exit code, payload, and the svg_topview arguments of the commands that offer --format svg
 _Result = tuple[int, dict[str, Any], tuple | None]
-
-
-class UsageError(ValueError):
-    """Raised for flag combinations argparse cannot express."""
 
 
 def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -> Callable[[str], Any]:
@@ -117,9 +114,7 @@ def _render_text(payload: dict[str, Any]) -> str:
 def _input_word(args: argparse.Namespace, order: Order) -> Word:
     if args.word is not None:
         return parse_word(args.word, order)
-    if args.seed is not None:
-        return random_pe2_word(order, args.seed)
-    raise UsageError("provide --word or --seed")
+    return random_pe2_word(order, args.seed)
 
 
 def _gap_point_json(gp: GapPoint) -> dict[str, Any]:
@@ -269,7 +264,7 @@ def _cmd_arrangement(args: argparse.Namespace) -> _Result:
     hs = enumerate_hemispheres(order, args.bound, amalgam_rectangle(order))
     statuses = face_statuses(hs)
     recs = []
-    for h, s in zip(hs.hemispheres, statuses):
+    for h, pair, s in zip(hs.hemispheres, hs.pairs, statuses):
         status: dict[str, Any] = {"kind": "covered"}
         if isinstance(s, Contributes):
             status = {"kind": "contributes", "witness": _kelem_json(s.witness)}
@@ -278,7 +273,7 @@ def _cmd_arrangement(args: argparse.Namespace) -> _Result:
                 "center": _kelem_json(h.center),
                 "uv": _uv_json(h.center.planar()),
                 "radius_sq": str(h.radius_sq),
-                "owner": [_oint_json(h.owner[0]), _oint_json(h.owner[1])],
+                "owner": [_oint_json(pair.lam), _oint_json(pair.mu)],
                 "status": status,
             }
         )
@@ -370,13 +365,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("order-info", "basic invariants of the order", ("text", "json"))
 
-    p = add("normal-form", "rewrite a word into standard form", ("text", "json"))
-    p.add_argument("--word", default=None, help="word such as 'r*s(2-t)'")
-    p.add_argument("--seed", type=int, default=None, help="generate a random word instead")
+    def add_word(p: argparse.ArgumentParser) -> None:
+        given = p.add_mutually_exclusive_group(required=True)
+        given.add_argument("--word", default=None, help="word such as 'r*s(2-t)'")
+        given.add_argument("--seed", type=int, default=None, help="generate a random word instead")
+
+    add_word(add("normal-form", "rewrite a word into standard form", ("text", "json")))
 
     p = add("membership", "search for an elementary-subgroup certificate", ("text", "json"))
-    p.add_argument("--word", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    add_word(p)
     p.add_argument("--depth", type=_NON_NEGATIVE_INT, default=64, help="search depth cap")
 
     add("pe2-ford", "faces of the one-hemisphere Ford domain", ("text", "json"))
@@ -407,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, payload, view = _HANDLERS[args.command](args)
-    except (WordSyntaxError, InvalidDiscriminant, UsageError) as exc:
+    except (WordSyntaxError, InvalidDiscriminant) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OutOfScope as exc:
@@ -419,10 +416,14 @@ def main(argv: list[str] | None = None) -> int:
         text = svg_topview(*view)
     else:
         text = _render_text(payload)
-    if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
-    else:
+    if args.out is None:
         sys.stdout.write(text)
+        return code
+    try:
+        args.out.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

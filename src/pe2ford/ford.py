@@ -55,6 +55,28 @@ class FundPolygon:
         return abs(total) / 2
 
 
+def _uv_dist_sq(n: int, p: Point, q: Point) -> Fraction:
+    du, dv = p[0] - q[0], p[1] - q[1]
+    return du * du + n * dv * dv
+
+
+def _segment_nearest(order: Order, a: Point, b: Point, p: Point) -> tuple[Fraction, Point]:
+    """Exact squared distance from p to the segment ab, and the nearest point."""
+    n = order.abs_delta
+    du, dv = p[0] - a[0], p[1] - a[1]
+    eu, ev = b[0] - a[0], b[1] - a[1]
+    t = min(max((du * eu + n * dv * ev) / (eu * eu + n * ev * ev), 0), 1)
+    q = (a[0] + t * eu, a[1] + t * ev)
+    return (_uv_dist_sq(n, p, q), q)
+
+
+def _nearest(order: Order, poly: FundPolygon, p: Point) -> tuple[Fraction, Point]:
+    """Exact squared distance from p to the closed polygon and a nearest point."""
+    if poly.contains(p):
+        return (Fraction(0), p)
+    return min((_segment_nearest(order, a, b, p) for a, b in poly.edges()), key=lambda dq: dq[0])
+
+
 def _neighbour_ring(order: Order) -> tuple[OInt, ...]:
     # nearest lattice points around 0, counterclockwise from 1
     one, tau = order.one, order.tau
@@ -209,17 +231,10 @@ def _domain_edges(order: Order, faces: Sequence[Face]) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    (ax, ay), (bx, by), (px, py) = a, b, p
-    if (bx - ax) * (py - ay) - (by - ay) * (px - ax) != 0:
-        return False
-    dot = (px - ax) * (bx - ax) + (py - ay) * (by - ay)
-    return 0 <= dot <= (bx - ax) ** 2 + (by - ay) ** 2
-
-
 def _face_contains(face: Face, edge: Edge) -> bool:
     if isinstance(face, VerticalWall):
-        return _on_segment(face.start, face.end, edge.zeta.planar())
+        # the planar metric is positive definite, so distance 0 means on the segment
+        return _segment_nearest(edge.zeta.order, face.start, face.end, edge.zeta.planar())[0] == 0
     return dist_sq(edge.zeta, face.center) + edge.height_sq == 1
 
 

@@ -102,23 +102,10 @@ class Hemisphere:
 
     center: KElem
     radius_sq: Fraction
-    owner: tuple[OInt, OInt] | None = None  # (top-left, bottom-left) pair when known
-
-    def height_sq_at(self, z: KElem) -> Fraction:
-        """radius_sq - |z - center|^2; positive inside the open disc."""
-        return self.radius_sq - (z - self.center).abs_sq()
 
     def sort_key(self) -> tuple:
         u, v = self.center.planar()
         return (-self.radius_sq, v, u)
-
-
-def isometric_hemisphere(g: Mat) -> Hemisphere:
-    if g.fixes_infinity():
-        raise NoHemisphere("matrix fixes infinity")
-    beta = g.beta
-    center = KElem.of(g.alpha, beta)
-    return Hemisphere(center, Fraction(1, beta.norm()))
 
 
 class Side(enum.Enum):
@@ -141,18 +128,6 @@ def outside_test(g: Mat, z: KElem) -> Side:
     if lhs == rhs:
         return Side.ON
     return Side.INSIDE
-
-
-def apply_boundary(g: Mat, z: KElem | None) -> KElem | None:
-    """Moebius action on the boundary; None stands for infinity."""
-    if z is None:
-        if g.m21.is_zero():
-            return None
-        return KElem.of(g.m11, 1) / KElem.of(g.m21, 1)
-    den = KElem.of(g.m21, 1) * z + g.m22
-    if den.is_zero():
-        return None
-    return (KElem.of(g.m11, 1) * z + g.m12) / den
 
 
 def apply_interior(g: Mat, zeta: KElem, tsq: Fraction) -> tuple[KElem, Fraction]:

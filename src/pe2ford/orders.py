@@ -361,6 +361,16 @@ def lattice_points_within(z: KElem, rsq: Fraction | int, closed: bool) -> list[O
     return out
 
 
+def gap_neighbourhood(z: KElem) -> tuple[tuple[OInt, Fraction], ...]:
+    """Lattice points within covering_radius^2 + 1 of z, each with |z - g|^2, in key() order.
+
+    The reach always holds the nearest lattice point, so z clears every
+    closed unit lattice disc exactly when the least distance here exceeds 1.
+    """
+    reach = z.order.covering_radius_sq() + 1
+    return tuple((g, dist_sq(z, g)) for g in lattice_points_within(z, reach, closed=True))
+
+
 def lattice_points_norm_at_most(order: Order, bound: int, include_zero: bool = False) -> list[OInt]:
     """Lattice points with norm <= bound, canonically sorted."""
     pts = lattice_points_within(KElem(order.zero, 1), Fraction(bound), closed=True)
@@ -370,7 +380,7 @@ def lattice_points_norm_at_most(order: Order, bound: int, include_zero: bool = F
 
 
 def oints_by_norm(order: Order) -> Iterator[list[OInt]]:
-    """Yield nonzero lattice points grouped by strictly increasing norm."""
+    """Yield nonzero lattice points grouped by strictly increasing norm, each group in key() order."""
     done = 0
     bound = 4
     while True:
@@ -379,7 +389,8 @@ def oints_by_norm(order: Order) -> Iterator[list[OInt]]:
             n = g.norm()
             if n > done:
                 groups.setdefault(n, []).append(g)
+        # each group is a subsequence of the key()-ordered scan
         for nval in sorted(groups):
-            yield sorted(groups[nval], key=lambda g: g.key())
+            yield groups[nval]
         done = bound
         bound *= 4

@@ -36,7 +36,7 @@ from .orders import (
     KElem,
     OInt,
     Order,
-    dist_sq,
+    gap_neighbourhood,
     kelem_from_planar,
     lattice_points_within,
     oints_by_norm,
@@ -59,16 +59,15 @@ class GapPoint:
 def gap_check(z: KElem) -> tuple[Fraction, tuple[OInt, ...]] | None:
     """Minimum squared lattice distance and the points checked, if a gap.
 
-    The scanned neighborhood reaches covering_radius^2 + 1, so it always
-    holds the nearest lattice point; z is a gap point when the minimum
-    over it exceeds 1.
+    The points are the gap neighbourhood of z, which always holds the
+    nearest lattice point; z is a gap point when the minimum over it
+    exceeds 1.
     """
-    reach = z.order.covering_radius_sq() + 1
-    pts = tuple(lattice_points_within(z, reach, closed=True))
-    m = min(dist_sq(z, g) for g in pts)
+    nearby = gap_neighbourhood(z)
+    m = min(d for _, d in nearby)
     if m <= 1:
         return None
-    return (m, pts)
+    return (m, tuple(g for g, _ in nearby))
 
 
 def _gap_stream(order: Order) -> Iterator[GapPoint]:

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .errors import DegenerateChain, OutOfScope, WordSyntaxError
 from .moebius import Mat, gen_r, gen_s
-from .orders import KElem, OInt, Order, dist_sq, lattice_points_within
+from .orders import KElem, OInt, Order, dist_sq, gap_neighbourhood, lattice_points_within
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,9 @@ def parse_word(text: str, order: Order) -> Word:
         return j
 
     i = skip_ws(i)
-    if i < n and text[i] == "1":
+    if i == n:
+        raise WordSyntaxError("empty word text (use '1')", 0)
+    if text[i] == "1":
         j = skip_ws(i + 1)
         if j != n:
             raise WordSyntaxError("unexpected input after identity word", j)
@@ -112,8 +114,6 @@ def parse_word(text: str, order: Order) -> Word:
             expect_term = True
     if expect_term:
         raise WordSyntaxError("dangling '*' at end of word", n)
-    if not letters:
-        raise WordSyntaxError("empty word text (use '1')", 0)
     return tuple(letters)
 
 
@@ -371,12 +371,8 @@ def membership(g: Mat, depth_cap: int = 64) -> MembershipResult:
         ratio = KElem.of(h.m22, -h.m21)
         cands = lattice_points_within(ratio, 1, closed=True)
         if not cands:
-            bound = order.covering_radius_sq() + 1
-            nearby = tuple(
-                (p, dist_sq(ratio, p)) for p in lattice_points_within(ratio, bound, closed=True)
-            )
             word = tuple(_suffix_word(path))
-            return NonMember(h, ratio, nearby, word, SearchStats(nodes, plateau))
+            return NonMember(h, ratio, gap_neighbourhood(ratio), word, SearchStats(nodes, plateau))
         if depth >= depth_cap:
             continue
         dec = sorted(

@@ -20,11 +20,10 @@ from pe2ford.arrangement import (
     is_unimodular,
     plane_split,
     svg_topview,
-    window_dist_sq,
 )
 from pe2ford.errors import OutOfScope
 from pe2ford.ford import amalgam_rectangle, voronoi_cell
-from pe2ford.moebius import Hemisphere, Mat, isometric_hemisphere
+from pe2ford.moebius import Hemisphere, Mat
 from pe2ford.orders import KElem, OInt, make_order
 from pe2ford.words import Member, membership
 
@@ -96,8 +95,9 @@ def test_pair_hemisphere_matches_inverse_isometric_hemisphere():
     h = pair.hemisphere()
     assert h.center == KElem.of(order.elt(1, 1), 2)
     assert h.radius_sq == Fraction(1, 4)
-    mirror = isometric_hemisphere(pair.completion.inv())
-    assert (mirror.center, mirror.radius_sq) == (h.center, h.radius_sq)
+    # the isometric hemisphere of g sits at -m22/m21 with squared radius 1/norm(m21)
+    mirror = pair.completion.inv()
+    assert (KElem.of(-mirror.m22, mirror.m21), Fraction(1, mirror.m21.norm())) == (h.center, h.radius_sq)
 
 
 def test_pair_requires_nonzero_mu():
@@ -154,7 +154,11 @@ def test_enumerate_monotone_and_sound():
         assert _unimodular_oracle(p.lam, p.mu)
         assert h.center == p.ratio()
         assert h.radius_sq == Fraction(1, p.mu.norm())
-        assert window_dist_sq(ORDER40, big.window, h.center.planar()) <= h.radius_sq
+        # the window is the box [-1/2, 1/2] x [0, 1/2]; clamp to find the nearest point
+        u, v = h.center.planar()
+        du = u - min(max(u, Fraction(-1, 2)), Fraction(1, 2))
+        dv = v - min(max(v, Fraction(0)), Fraction(1, 2))
+        assert du * du + 40 * dv * dv <= h.radius_sq
 
 
 def test_enumerate_scope_and_bounds():
@@ -204,6 +208,11 @@ def test_rectangle_statuses_expected_faces():
         assert isinstance(by_center[KElem.of(num, 2)], Covered)
 
 
+def _height_sq(h, z):
+    # radius^2 - |z - center|^2, positive inside the open disc
+    return h.radius_sq - (z - h.center).abs_sq()
+
+
 def test_contributes_witnesses_reverify():
     hs = _rect_set()
     statuses = _rect_statuses()
@@ -211,12 +220,12 @@ def test_contributes_witnesses_reverify():
     for h, status in zip(hs.hemispheres, statuses):
         if not isinstance(status, Contributes):
             continue
-        mine = h.height_sq_at(status.witness)
+        mine = _height_sq(h, status.witness)
         assert mine > 0
         for k in hs.hemispheres:
             if k is h:
                 continue
-            assert k.height_sq_at(status.witness) < mine
+            assert _height_sq(k, status.witness) < mine
         checked += 1
     assert checked >= 8
 

@@ -142,6 +142,16 @@ def test_svg_output_and_out_flag(tmp_path):
     assert target2.read_bytes() == target.read_bytes()
 
 
+def test_unwritable_out_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(["membership", "--disc", "-40", "--word", "r", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_arrangement_svg_runs():
     code, out, _ = run(["arrangement", "--disc", "-40", "--bound", "4", "--format", "svg"])
     assert code == 0
@@ -154,6 +164,7 @@ def test_usage_errors_exit_2():
         ["membership", "--disc", "-13", "--word", "r"],  # -13 is 3 mod 4
         ["membership", "--disc", "-14", "--word", "r"],  # -14 is 2 mod 4
         ["membership", "--disc", "-40"],  # neither --word nor --seed
+        ["normal-form", "--disc", "-40", "--word", "s(1)", "--seed", "3"],  # both
         ["order-info", "--disc", "-40", "--format", "svg"],  # no svg here
         ["no-such-command"],
         ["membership", "--word", "r"],  # --disc is required

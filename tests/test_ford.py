@@ -15,7 +15,7 @@ from pe2ford.ford import (
     presentation,
     voronoi_cell,
 )
-from pe2ford.moebius import Side, gen_r, gen_s, order_in_psl, outside_test
+from pe2ford.moebius import Side, apply_interior, gen_r, gen_s, order_in_psl, outside_test
 from pe2ford.orders import (
     KElem,
     dist_sq,
@@ -182,8 +182,6 @@ def test_faces_scope():
 
 
 def test_wall_pairing_involution():
-    from pe2ford.moebius import apply_boundary
-
     for delta in DISCS:
         d = make_order(delta)
         faces = pe2_ford_faces(d)
@@ -193,7 +191,7 @@ def test_wall_pairing_involution():
             assert partner.pairing == w.pairing.inv()
             images = set()
             for u, v in (w.start, w.end):
-                z = apply_boundary(w.pairing, kelem_from_planar(d, u, v))
+                z, _ = apply_interior(w.pairing, kelem_from_planar(d, u, v), Fraction(1))
                 images.add(z.planar())
             assert images == {partner.start, partner.end}
         hemi = faces[0]

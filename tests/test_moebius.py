@@ -5,15 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from pe2ford.errors import NoHemisphere
 from pe2ford.moebius import (
     Mat,
     Side,
-    apply_boundary,
     apply_interior,
     gen_r,
     gen_s,
-    isometric_hemisphere,
     order_in_psl,
     outside_test,
 )
@@ -71,20 +68,6 @@ def test_rs1_has_order_three():
         assert order_in_psl(gen_s(d.tau), 12) is None
 
 
-def test_isometric_hemisphere():
-    d = make_order(-40)
-    r = gen_r(d)
-    hemi = isometric_hemisphere(r)
-    assert hemi.center == KElem.of(d.zero, 1)
-    assert hemi.radius_sq == 1
-    g = gen_r(d) * gen_s(-d.elt(2, 1))
-    hemi = isometric_hemisphere(g)
-    assert hemi.center == KElem.of(d.elt(2, 1), 1)
-    assert hemi.radius_sq == 1
-    with pytest.raises(NoHemisphere):
-        isometric_hemisphere(gen_s(d.one))
-
-
 def test_left_shift_moves_hemisphere_rigidly():
     # the hemisphere of g, shifted by a, is the hemisphere of g*s(-a)
     rng = random.Random(31)
@@ -95,10 +78,10 @@ def test_left_shift_moves_hemisphere_rigidly():
             if g.fixes_infinity():
                 continue
             a = d.elt(rng.randint(-4, 4), rng.randint(-4, 4))
-            moved = isometric_hemisphere(g * gen_s(-a))
-            base = isometric_hemisphere(g)
-            assert moved.radius_sq == base.radius_sq
-            assert moved.center == base.center + a
+            moved, base = g * gen_s(-a), g
+            # the isometric hemisphere of g sits at -m22/m21 with squared radius 1/norm(m21)
+            assert moved.m21.norm() == base.m21.norm()
+            assert KElem.of(-moved.m22, moved.m21) == KElem.of(-base.m22, base.m21) + a
 
 
 def test_outside_test_deep_hole():
@@ -107,31 +90,6 @@ def test_outside_test_deep_hole():
     assert outside_test(gen_r(d), z) == Side.OUTSIDE
     assert outside_test(gen_r(d), KElem.of(d.one, 1)) == Side.ON
     assert outside_test(gen_r(d), KElem.of(d.one, 2)) == Side.INSIDE
-
-
-def test_apply_boundary():
-    d = make_order(-40)
-    r = gen_r(d)
-    assert apply_boundary(r, KElem.of(d.zero, 1)) is None
-    assert apply_boundary(r, None) == KElem.of(d.zero, 1)
-    z = KElem.of(d.elt(1, 1), 2)
-    # r z = -1/z
-    assert apply_boundary(r, z) == -1 / z
-    s = gen_s(d.tau)
-    assert apply_boundary(s, z) == z + d.tau
-
-
-def test_apply_boundary_is_action():
-    rng = random.Random(41)
-    for delta in DISCS:
-        d = make_order(delta)
-        for _ in range(40):
-            g = random_word_matrix(d, rng)
-            h = random_word_matrix(d, rng)
-            z = KElem.of(d.elt(rng.randint(-5, 5), rng.randint(-5, 5)), rng.randint(1, 5))
-            lhs = apply_boundary(g * h, z)
-            rhs = apply_boundary(g, apply_boundary(h, z))
-            assert lhs == rhs
 
 
 def test_apply_interior_matches_height_formula():

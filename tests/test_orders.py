@@ -211,8 +211,20 @@ def test_oints_by_norm_groups():
     gen = oints_by_norm(d)
     groups = [next(gen) for _ in range(5)]
     assert [g[0].norm() for g in groups] == [1, 4, 9, 10, 11]
-    for group in groups:
-        assert group == sorted(group, key=lambda g: g.key())
+    # the first 60 groups against a box scan grouped by norm and sorted here
+    for delta in (-15, -40, -163):
+        d = make_order(delta)
+        gen = oints_by_norm(d)
+        groups = [next(gen) for _ in range(60)]
+        top = groups[-1][0].norm()
+        span = 2 * math.isqrt(top) + 2
+        brute: dict[int, list[OInt]] = {}
+        for a in range(-span, span + 1):
+            for b in range(-span, span + 1):
+                g = d.elt(a, b)
+                if 0 < g.norm() <= top:
+                    brute.setdefault(g.norm(), []).append(g)
+        assert groups == [sorted(brute[n], key=lambda g: g.key()) for n in sorted(brute)]
 
 
 def test_covering_radius():

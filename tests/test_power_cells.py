@@ -137,9 +137,10 @@ def test_power_cells_against_grid(delta, bound, t0):
     statuses = face_statuses(hs)
     for h, s in zip(hs.hemispheres, statuses):
         if isinstance(s, Contributes):
-            mine = h.height_sq_at(s.witness)
+            # radius^2 - |witness - center|^2: h strictly highest there
+            mine = h.radius_sq - (s.witness - h.center).abs_sq()
             assert mine > 0
-            assert all(k.height_sq_at(s.witness) < mine for k in hs.hemispheres if k is not h)
+            assert all(k.radius_sq - (s.witness - k.center).abs_sq() < mine for k in hs.hemispheres if k is not h)
     pitch = Fraction(1, 16)
     for grid, ex in zip(grid_verdicts(hs, pitch, t0), exact_verdicts(hs, t0)):
         assert _implies(grid, ex)

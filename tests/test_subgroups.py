@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pe2ford.errors import OutOfScope
-from pe2ford.moebius import Mat, Side, gen_r, gen_s, isometric_hemisphere, outside_test
+from pe2ford.moebius import Mat, Side, gen_r, gen_s, outside_test
 from pe2ford.orders import KElem, dist_sq, lattice_points_within, make_order
 from pe2ford.subgroups import (
     amalgam_report,
@@ -33,6 +33,11 @@ from pe2ford.words import (
 DISCS = [-15, -16, -19, -20, -23, -24, -40]
 
 ORDER40 = make_order(-40)
+
+
+def _hemisphere(g):
+    # isometric hemisphere of g: center -m22/m21, squared radius 1/norm(m21)
+    return (KElem.of(-g.m22, g.m21), Fraction(1, g.m21.norm()))
 
 
 def test_first_gap_point():
@@ -84,8 +89,7 @@ def test_gap_ratio_outside_unit_hemispheres():
     for gp in gap_points(d, 5):
         for g in gp.checked_lattice_points:
             m = gen_r(d) * gen_s(-g)
-            h = isometric_hemisphere(m)
-            assert h.center == KElem.from_oint(g) and h.radius_sq == 1
+            assert _hemisphere(m) == (KElem.from_oint(g), 1)
             assert outside_test(m, gp.ratio()) is Side.OUTSIDE
 
 
@@ -212,9 +216,7 @@ def test_n_generator_words():
     for w in words:
         assert isinstance(membership(word_to_matrix(w, d)), Member)
     conj = word_to_matrix(words[2], d)
-    h = isometric_hemisphere(conj)
-    assert h.center == KElem.from_oint(d.tau)
-    assert h.radius_sq == 1
+    assert _hemisphere(conj) == (KElem.from_oint(d.tau), 1)
     with pytest.raises(OutOfScope):
         n_generators(make_order(-11))
 
@@ -265,8 +267,7 @@ def test_amalgam_report_sides():
     hole = next(r for r in rep.faces if r.center == KElem.of(ORDER40.elt(-1, 1), 2))
     assert hole.below and not hole.above
     assert hole.pairing_word is None
-    assert isometric_hemisphere(hole.pairing).center == hole.center
-    assert isometric_hemisphere(hole.pairing).radius_sq == Fraction(1, 4)
+    assert _hemisphere(hole.pairing) == (hole.center, Fraction(1, 4))
     for rec in rep.faces:
         if rec.pairing_word is not None:
             assert word_to_matrix(rec.pairing_word, ORDER40) == rec.pairing

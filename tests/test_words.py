@@ -71,6 +71,10 @@ def test_parse_errors_carry_positions():
         with pytest.raises(WordSyntaxError) as exc:
             parse_word(text, d)
         assert exc.value.position == pos
+    for text in ("", "   "):
+        with pytest.raises(WordSyntaxError, match="empty word text") as exc:
+            parse_word(text, d)
+        assert exc.value.position == 0
 
 
 def test_word_inverse():
