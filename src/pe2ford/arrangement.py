@@ -13,6 +13,13 @@ reaches above or below a plane t = t0, are distance comparisons between
 its cell and its center; the same lines on a wall decide where the
 arrangement dips under the plane.  Contributes and Covered are exact
 for the truncated arrangement; floats appear only in the SVG emitter.
+
+The kernel runs in integers.  Each hemisphere is read once into its
+integer disc (Hemisphere.disc); the rival test, the window cut and the
+wall reach cross-multiply, the bisectors are integer half-planes, and
+cells are clipped in homogeneous integer points (x, y, w).  Fractions
+appear only when a clipped point is read back: the cell vertices, the
+witness, near_sq and far_sq of a face, and the heights on a wall.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import OutOfScope
-from .ford import FundPolygon, Point, _nearest, _segment_nearest, _uv_dist_sq
-from .moebius import Hemisphere, Mat
+from .ford import FundPolygon, Point, _dist_sq_int, _frame, _nearest, _uv_dist_sq
+from .moebius import Disc, Hemisphere, Mat
 from .orders import (
     KElem,
     OInt,
@@ -152,6 +159,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     wu, wv = window.center
     circum_sq = max((u - wu) ** 2 + n * (v - wv) ** 2 for u, v in window.vertices)
     wc = kelem_from_planar(order, wu, wv)
+    frame = _frame(window.vertices)
     seen: dict[tuple[KElem, Fraction], tuple[Hemisphere, UnimodularPair]] = {}
     for mu in lattice_points_norm_at_most(order, norm_bound):
         if not mu.is_canonical_positive():
@@ -166,7 +174,9 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
                 continue
             pair = UnimodularPair(lam, mu, completion)
             h = pair.hemisphere()
-            if _nearest(order, window, h.center.planar())[0] > rsq:
+            u, v, l, p, q = h.disc
+            num, den = _dist_sq_int(n, frame, (u, v, l))
+            if num * q > p * den:  # farther than the radius from the window
                 continue
             seen.setdefault((h.center, rsq), (h, pair))
     ordered = sorted(seen.values(), key=lambda hp: hp[0].sort_key())
@@ -198,72 +208,97 @@ class Covered:
 
 FaceStatus = Contributes | Covered
 
-# a*u + b*v <= c
-HalfPlane = tuple[Fraction, Fraction, Fraction]
+# a*u + b*v <= c, integer coefficients
+HalfPlane = tuple[int, int, int]
+
+# (x, y, w) with w > 0: the point (x/w, y/w)
+HPoint = tuple[int, int, int]
 
 
-def _rivals(h: Hemisphere, pool: Sequence[Hemisphere]) -> list[HalfPlane] | None:
-    """Bisectors against the hemispheres of pool whose open disc meets h's.
+def _rivals(n: int, hd: Disc, pool: Sequence[Hemisphere]) -> list[HalfPlane] | None:
+    """Bisectors against the hemispheres of pool whose open disc meets the disc hd.
 
-    Returns None when the pool holds a duplicate of h: a tie at every
+    Returns None when the pool holds a duplicate of hd: a tie at every
     point means no strict dominance anywhere.
     """
-    n = h.center.order.abs_delta
-    center = h.center.planar()
+    hu, hv, hl, hp, hq = hd
     rivals = []
     for k in pool:
-        if k.center == h.center and k.radius_sq == h.radius_sq:
+        kd = k.disc
+        if kd == hd:
             return None
-        gap = _uv_dist_sq(n, center, k.center.planar()) - h.radius_sq - k.radius_sq
-        if gap >= 0 and gap * gap >= 4 * h.radius_sq * k.radius_sq:
-            continue  # open discs disjoint: k is below the floor on all of h
-        rivals.append(k)
-    return _bisectors(h, rivals)
+        ku, kv, kl, kp, kq = kd
+        # gap = |c_h - c_k|^2 - r_h^2 - r_k^2, times (L_h L_k)^2 Q_h Q_k > 0
+        du, dv = hu * kl - ku * hl, hv * kl - kv * hl
+        qq = hq * kq
+        ll = (hl * kl) ** 2
+        g = (du * du + n * dv * dv) * qq - (hp * kq + kp * hq) * ll
+        if g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2:
+            continue  # gap^2 >= 4 r_h^2 r_k^2: open discs disjoint, k is below the floor on all of h
+        rivals.append(kd)
+    return _bisectors(n, hd, rivals)
 
 
-def _bisectors(h: Hemisphere, pool: Sequence[Hemisphere]) -> list[HalfPlane]:
-    """Closed half-planes where h is at least as high as each k of pool.
+def _bisectors(n: int, hd: Disc, pool: Sequence[Disc]) -> list[HalfPlane]:
+    """Closed half-planes where the disc hd is at least as high as each disc of pool.
 
-    pow_h(z) <= pow_k(z) reads 2 (c_k - c_h).(u, |delta| v) <= pow_k(0) - pow_h(0).
+    pow_h(z) <= pow_k(z) reads 2 (c_k - c_h).(u, |delta| v) <= pow_k(0) - pow_h(0);
+    times (L_h L_k)^2 Q_h Q_k, then divided by the content, it has integer
+    coefficients.  A positive rescale moves no clip point.
     """
-    n = h.center.order.abs_delta
-    hu, hv = h.center.planar()
-    h_pow = hu * hu + n * hv * hv - h.radius_sq
+    hu, hv, hl, hp, hq = hd
+    h_pow = hu * hu + n * hv * hv  # |c_h|^2 L_h^2
     planes = []
-    for k in pool:
-        ku, kv = k.center.planar()
-        planes.append((2 * (ku - hu), 2 * n * (kv - hv), ku * ku + n * kv * kv - k.radius_sq - h_pow))
+    for ku, kv, kl, kp, kq in pool:
+        lq = 2 * hl * kl * hq * kq
+        a = (ku * hl - hu * kl) * lq
+        b = n * (kv * hl - hv * kl) * lq
+        ll = (hl * kl) ** 2
+        c = ((ku * ku + n * kv * kv) * hl * hl - h_pow * kl * kl) * hq * kq - (kp * hq - hp * kq) * ll
+        g = math.gcd(a, b, c) or 1
+        planes.append((a // g, b // g, c // g))
     return planes
 
 
-def _clip(poly: list[Point], plane: HalfPlane) -> list[Point]:
-    """Sutherland-Hodgman step; only strict sign changes add a point.
+def _clip(poly: list[HPoint], plane: HalfPlane) -> list[HPoint]:
+    """Sutherland-Hodgman step on homogeneous points; only strict sign changes add a point.
 
-    A polygon comes out without repeated points; a segment [start, end]
-    comes out as a list whose extreme points are the clipped segment's ends.
+    A polygon comes out without repeated points.  A list of two points is
+    a segment, with no closing edge back to its start, so it comes out as
+    its clipped ends: two points, one, or none.
     """
     a, b, c = plane
-    side = [a * u + b * v - c for u, v in poly]
+    # a*u + b*v - c at (x/w, y/w), times w > 0
+    side = [a * x + b * y - c * w for x, y, w in poly]
+    closed = len(poly) > 2
     out = []
     for i, q in enumerate(poly):
         p, sp, sq = poly[i - 1], side[i - 1], side[i]
-        if sp < 0 < sq or sq < 0 < sp:
-            t = sp / (sp - sq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        if (i or closed) and (sp < 0 < sq or sq < 0 < sp):
+            # sq*p - sp*q is the crossing p + t(q - p) with t = sp/(sp - sq), up to scale
+            x, y, w = (sq * pc - sp * qc for pc, qc in zip(p, q))
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = math.gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
         if sq <= 0:
             out.append(q)
     return out
 
 
-def _power_cell(h: Hemisphere, planes: Sequence[HalfPlane]) -> FundPolygon | None:
-    """Closed power cell of h in the box center +-1, which holds its disc; None without area."""
-    cu, cv = h.center.planar()
-    poly = [(cu - 1, cv - 1), (cu + 1, cv - 1), (cu + 1, cv + 1), (cu - 1, cv + 1)]
+def _affine(p: HPoint) -> Point:
+    return (Fraction(p[0], p[2]), Fraction(p[1], p[2]))
+
+
+def _power_cell(hd: Disc, planes: Sequence[HalfPlane]) -> FundPolygon | None:
+    """Closed power cell of the disc in the box center +-1, which holds it; None without area."""
+    u, v, l = hd[:3]
+    poly = [(u - l, v - l, l), (u + l, v - l, l), (u + l, v + l, l), (u - l, v + l, l)]
     for plane in planes:
         poly = _clip(poly, plane)
         if len(poly) < 3:
             return None  # a point or a segment never regains area
-    cell = FundPolygon(tuple(poly), "power cell", (cu, cv))
+    cell = FundPolygon(tuple(_affine(p) for p in poly), "power cell", (Fraction(u, l), Fraction(v, l)))
     return cell if cell.uv_area() > 0 else None
 
 
@@ -274,8 +309,9 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     """
     order = h.center.order
     n = order.abs_delta
-    planes = _rivals(h, rest)
-    cell = None if planes is None else _power_cell(h, planes)
+    hd = h.disc
+    planes = _rivals(n, hd, rest)
+    cell = None if planes is None else _power_cell(hd, planes)
     if cell is None:
         return Covered()
     center = cell.center
@@ -284,8 +320,8 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
         return Covered()
     far_sq = max(_uv_dist_sq(n, p, center) for p in cell.vertices)
     witness = nearest  # the center itself when the cell holds it
-    cu, cv = center
-    if not all(a * cu + b * cv < c for a, b, c in planes):
+    hu, hv, hl = hd[:3]
+    if not all(a * hu + b * hv < c * hl for a, b, c in planes):
         # the center is not strictly inside; points strictly between the
         # nearest point and the vertex average are, so halve toward it
         k = len(cell.vertices)
@@ -333,22 +369,28 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
     the ends of that part are its lowest points.  Where no disc reaches,
     the height is the floor 0.
     """
-    order = hs.order
-    n = order.abs_delta
-    reach = [
-        h for h in hs.hemispheres if _segment_nearest(order, start, end, h.center.planar())[0] < h.radius_sq
-    ]
+    n = hs.order.abs_delta
+    frame = _frame((start, end))
+    reach = []
+    for h in hs.hemispheres:
+        u, v, l, p, q = h.disc
+        num, den = _dist_sq_int(n, frame, (u, v, l))
+        if num * q < p * den:
+            reach.append(h)
     if not reach:
         return True
     t0sq = Fraction(t0) ** 2
+    w, pts = frame
+    ends = [(x, y, w) for x, y in pts]
+    discs = [h.disc for h in reach]
     for i, h in enumerate(reach):
-        part = [start, end]
-        for plane in _bisectors(h, reach[:i] + reach[i + 1 :]):
+        part = ends
+        for plane in _bisectors(n, h.disc, discs[:i] + discs[i + 1 :]):
             part = _clip(part, plane)
             if not part:
                 break
         center = h.center.planar()
-        if any(h.radius_sq - _uv_dist_sq(n, p, center) < t0sq for p in part):
+        if any(h.radius_sq - _uv_dist_sq(n, _affine(p), center) < t0sq for p in part):
             return True
     return False
 

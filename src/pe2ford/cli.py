@@ -8,8 +8,10 @@ arrangement the command already computed.
 
 Exit codes: 0 success, 2 usage error (including malformed words,
 invalid discriminants and an `--out` file that cannot be written),
-3 out-of-scope request, 4 inconclusive membership search, whose
-payload is still printed.  Identical argument vectors produce
+3 out-of-scope request, 4 inconclusive: a membership search, whose
+payload is still printed, or a bounded search that ran out (an
+enumeration short of verified items, a witness search or an edge cycle
+that did not close), which prints only the error.  Identical argument vectors produce
 byte-identical output.
 """
 
@@ -24,7 +26,14 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .arrangement import Contributes, enumerate_hemispheres, face_statuses, svg_topview
-from .errors import InvalidDiscriminant, OutOfScope, WordSyntaxError
+from .errors import (
+    CycleNotClosed,
+    InvalidDiscriminant,
+    OutOfScope,
+    SearchExhausted,
+    WitnessNotFound,
+    WordSyntaxError,
+)
 from .ford import HemiFace, amalgam_rectangle, pe2_ford_faces, presentation, voronoi_cell
 from .moebius import Mat
 from .orders import KElem, OInt, Order, make_order
@@ -410,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
     except OutOfScope as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (SearchExhausted, WitnessNotFound, CycleNotClosed) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "svg":  # offered only by the commands that return a view

@@ -16,6 +16,7 @@ rational; no epsilon comparisons occur anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -75,6 +76,55 @@ def _nearest(order: Order, poly: FundPolygon, p: Point) -> tuple[Fraction, Point
     if poly.contains(p):
         return (Fraction(0), p)
     return min((_segment_nearest(order, a, b, p) for a, b in poly.edges()), key=lambda dq: dq[0])
+
+
+# a common denominator W > 0 and the points (X/W, Y/W) as integer pairs (X, Y)
+Frame = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _frame(points: Sequence[Point]) -> Frame:
+    """The points over one common denominator."""
+    w = math.lcm(*(c.denominator for p in points for c in p))
+    return (w, tuple((x.numerator * w // x.denominator, y.numerator * w // y.denominator) for x, y in points))
+
+
+def _segment_dist_sq_int(n: int, a: tuple[int, int], b: tuple[int, int], pu: int, pv: int) -> tuple[int, int]:
+    """Squared distance from (pu, pv) to the segment ab, all integers, as num/den with den > 0."""
+    du, dv = pu - a[0], pv - a[1]
+    eu, ev = b[0] - a[0], b[1] - a[1]
+    dot = du * eu + n * dv * ev
+    if dot <= 0:
+        return (du * du + n * dv * dv, 1)
+    ee = eu * eu + n * ev * ev
+    if dot >= ee:
+        du, dv = pu - b[0], pv - b[1]
+        return (du * du + n * dv * dv, 1)
+    # |d|^2 - (d.e)^2 / |e|^2, the foot strictly inside the segment
+    return ((du * du + n * dv * dv) * ee - dot * dot, ee)
+
+
+def _dist_sq_int(n: int, frame: Frame, p: tuple[int, int, int]) -> tuple[int, int]:
+    """Exact squared distance from (U/L, V/L) to the frame's closed polygon, as num/den with den > 0.
+
+    A frame of two points is the closed segment between them.  Points and
+    p meet over the denominator W*L, so every step is integer arithmetic.
+    """
+    w, verts = frame
+    u, v, l = p
+    pu, pv = u * w, v * w
+    pts = [(x * l, y * l) for x, y in verts]
+    k = len(pts)
+    if k > 2 and all(
+        (b[0] - a[0]) * (pv - a[1]) - (b[1] - a[1]) * (pu - a[0]) >= 0 for a, b in zip(pts[-1:] + pts, pts)
+    ):
+        return (0, 1)
+    best_num, best_den = _segment_dist_sq_int(n, pts[-1], pts[0], pu, pv)
+    for i in range(1, k if k > 2 else 0):
+        num, den = _segment_dist_sq_int(n, pts[i - 1], pts[i], pu, pv)
+        if num * best_den < best_num * den:
+            best_num, best_den = num, den
+    scale = w * l
+    return (best_num, best_den * scale * scale)
 
 
 def _neighbour_ring(order: Order) -> tuple[OInt, ...]:

@@ -11,7 +11,7 @@ a boundary point zeta maps to height t / (|alpha - beta*zeta|^2 + |beta|^2 t^2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NoHemisphere
@@ -96,12 +96,25 @@ def gen_s(a: OInt) -> Mat:
     return Mat(order.one, a, order.zero, order.one)
 
 
+# (U, V, L, P, Q): planar center (U/L, V/L) and squared radius P/Q, with L, Q > 0
+Disc = tuple[int, int, int, int, int]
+
+
 @dataclass(frozen=True)
 class Hemisphere:
-    """Euclidean hemisphere rooted on the boundary plane."""
+    """Euclidean hemisphere rooted on the boundary plane.
+
+    disc is the same hemisphere read once into integers, so the
+    arrangement compares hemispheres without building a Fraction.
+    """
 
     center: KElem
     radius_sq: Fraction
+    disc: Disc = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        u, v, l = self.center.planar_int()
+        object.__setattr__(self, "disc", (u, v, l, self.radius_sq.numerator, self.radius_sq.denominator))
 
     def sort_key(self) -> tuple:
         u, v = self.center.planar()

@@ -175,9 +175,7 @@ class OInt:
 
     def planar(self) -> tuple[Fraction, Fraction]:
         """Coordinates (u, v) with the element equal to u + v*sqrt(|delta|)*i."""
-        if self.order.even:
-            return (Fraction(self.a), Fraction(self.b, 2))
-        return (Fraction(2 * self.a + self.b, 2), Fraction(self.b, 2))
+        return KElem(self, 1).planar()
 
 
 class KElem:
@@ -296,9 +294,18 @@ class KElem:
         """Exact |z|^2."""
         return Fraction(self.num.norm(), self.den * self.den)
 
+    def planar_int(self) -> tuple[int, int, int]:
+        """Integers (U, V, L) with L > 0 and planar coordinates (U/L, V/L); builds no Fraction.
+
+        (U, V, L) = (2a + e*b, b, 2q) for (a + b*t)/q, e = 1 for odd delta and
+        0 for even, so equal elements give equal triples.
+        """
+        a, b = self.num.a, self.num.b
+        return (2 * a if self.num.order.even else 2 * a + b, b, 2 * self.den)
+
     def planar(self) -> tuple[Fraction, Fraction]:
-        u, v = self.num.planar()
-        return (u / self.den, v / self.den)
+        u, v, den = self.planar_int()
+        return (Fraction(u, den), Fraction(v, den))
 
 
 def _as_kelem(x: KElem | OInt | Fraction | int, order: Order) -> KElem | None:

@@ -7,12 +7,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pe2ford.arrangement import (
     Contributes,
     Covered,
     HemiSet,
     UnimodularPair,
+    _bisectors,
+    _clip,
+    _rivals,
     enumerate_hemispheres,
     envelope_dips_below,
     face_status,
@@ -22,9 +27,9 @@ from pe2ford.arrangement import (
     svg_topview,
 )
 from pe2ford.errors import OutOfScope
-from pe2ford.ford import amalgam_rectangle, voronoi_cell
+from pe2ford.ford import _dist_sq_int, _frame, _nearest, _segment_nearest, amalgam_rectangle, voronoi_cell
 from pe2ford.moebius import Hemisphere, Mat
-from pe2ford.orders import KElem, OInt, make_order
+from pe2ford.orders import KElem, OInt, kelem_from_planar, make_order
 from pe2ford.words import Member, membership
 
 
@@ -275,6 +280,112 @@ def test_envelope_dips_below_on_hand_made_segments():
     assert not envelope_dips_below(two, origin, right, Fraction(4, 5))
     # no disc reaches this segment, so its height is the floor
     assert envelope_dips_below(two, (Fraction(3), Fraction(0)), (Fraction(4), Fraction(0)), Fraction(1, 100))
+
+
+def test_clip_keeps_a_segment_as_its_two_ends():
+    # homogeneous points (x, y, w) = (x/w, y/w); the half-plane 2u <= 1 is u <= 1/2
+    origin, one, half = (0, 0, 1), (1, 0, 1), (1, 0, 2)
+    assert _clip([origin, one], (2, 0, 1)) == [origin, half]
+    assert _clip([one, origin], (2, 0, 1)) == [half, origin]
+    assert _clip([origin, one], (1, 0, 2)) == [origin, one]
+    assert _clip([origin, one], (-1, 0, -2)) == []
+    # touching the line at one end leaves that end alone
+    assert _clip([origin, half], (-2, 0, -1)) == [half]
+    # a triangle still gets its closing edge
+    assert _clip([origin, one, (0, 1, 1)], (2, 0, 1)) == [origin, half, (1, 1, 2), (0, 1, 1)]
+
+
+DISCS = [-m for m in range(13, 200) if m % 4 in (0, 3)]
+
+
+@st.composite
+def rationals(draw, bound=3, dens=12):
+    q = draw(st.integers(1, dens))
+    return Fraction(draw(st.integers(-bound * q, bound * q)), q)
+
+
+@st.composite
+def radii_sq(draw):
+    # 1/N as in the arrangement, any positive P/Q, or the square of a rational (for tangency)
+    kind = draw(st.sampled_from(["unit fraction", "ratio", "square"]))
+    if kind == "unit fraction":
+        return Fraction(1, draw(st.integers(1, 60)))
+    if kind == "ratio":
+        return Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+    return Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12))) ** 2
+
+
+def _power(n, rsq, center, z):
+    # |z - c|^2 - r^2 in the planar metric u^2 + |delta| v^2
+    return (z[0] - center[0]) ** 2 + n * (z[1] - center[1]) ** 2 - rsq
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(delta=st.sampled_from(DISCS), data=st.data())
+def test_integer_kernel_matches_fractions(delta, data):
+    # every reference below is the Fraction formula the integer kernel replaced
+    order = make_order(delta)
+    n = order.abs_delta
+    point = st.tuples(rationals(), rationals(1, 24))
+    for _ in range(8):
+        hc, kc = data.draw(point), data.draw(point)
+        hr, kr = data.draw(radii_sq()), data.draw(radii_sq())
+        h = Hemisphere(kelem_from_planar(order, *hc), hr)
+        pairs = [
+            (hc, hr),  # the same disc
+            (kc, kr),
+            (hc, kr),  # the same center
+            (kc, hr),
+        ]
+        r = Fraction(math.isqrt(hr.numerator), math.isqrt(hr.denominator))
+        if r * r == hr:
+            s = Fraction(1, 4)
+            # tangent from outside, from inside, and a hair apart
+            for du in (r + s, abs(r - s), r + s + Fraction(1, 10**6)):
+                pairs.append(((hc[0] + du, hc[1]), s * s))
+        for c, rsq in pairs:
+            k = Hemisphere(kelem_from_planar(order, *c), rsq)
+            hcp, kcp = h.center.planar(), k.center.planar()
+            gap = (hcp[0] - kcp[0]) ** 2 + n * (hcp[1] - kcp[1]) ** 2 - h.radius_sq - k.radius_sq
+            disjoint = gap >= 0 and gap * gap >= 4 * h.radius_sq * k.radius_sq
+            planes = _rivals(n, h.disc, [k])
+            if (hcp, hr) == (kcp, rsq):
+                assert planes is None
+                continue
+            assert planes is not None and len(planes) == (0 if disjoint else 1)
+            (plane,) = _bisectors(n, h.disc, [k.disc])
+            assert planes in ([], [plane])
+            a, b, cc = plane
+            assert isinstance(a, int) and isinstance(b, int) and isinstance(cc, int)
+            assert math.gcd(a, b, cc) in (0, 1)
+            zs = [data.draw(point) for _ in range(4)]
+            d2 = (kcp[0] - hcp[0]) ** 2 + n * (kcp[1] - hcp[1]) ** 2
+            if d2:
+                # the radical point on the line of centers, where the powers tie
+                t = (d2 + h.radius_sq - k.radius_sq) / (2 * d2)
+                zs.append((hcp[0] + t * (kcp[0] - hcp[0]), hcp[1] + t * (kcp[1] - hcp[1])))
+            for z in zs:
+                want = _sign(_power(n, h.radius_sq, hcp, z) - _power(n, k.radius_sq, kcp, z))
+                assert _sign(a * z[0] + b * z[1] - cc) == want
+    # the window cut: exact distance and decision against ford._nearest
+    windows = [amalgam_rectangle(order), voronoi_cell(order)]
+    for _ in range(8):
+        z = kelem_from_planar(order, data.draw(rationals(2, 30)), data.draw(rationals(1, 30)))
+        rsq = data.draw(radii_sq())
+        for window in windows:
+            num, den = _dist_sq_int(n, _frame(window.vertices), z.planar_int())
+            near = _nearest(order, window, z.planar())[0]
+            assert Fraction(num, den) == near
+            assert (num * rsq.denominator > rsq.numerator * den) == (near > rsq)
+        ends = (data.draw(point), data.draw(point))
+        if ends[0] == ends[1]:
+            continue  # the Fraction reference needs a segment of positive length
+        num, den = _dist_sq_int(n, _frame(ends), z.planar_int())
+        assert Fraction(num, den) == _segment_nearest(order, *ends, z.planar())[0]
 
 
 def test_pe2_only_subarrangement_has_radius_one_faces():

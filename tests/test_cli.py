@@ -9,7 +9,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from pe2ford import cli
 from pe2ford.cli import main
+from pe2ford.errors import CycleNotClosed, SearchExhausted, WitnessNotFound
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -206,6 +208,19 @@ def test_out_of_scope_exits_3():
         code, _, err = run(argv)
         assert code == 3, argv
         assert "error:" in err
+
+
+@pytest.mark.parametrize("error", [SearchExhausted, WitnessNotFound, CycleNotClosed])
+def test_bounded_search_errors_exit_4(monkeypatch, error):
+    def give_up(args):
+        raise error("gave up after 3 tries")
+
+    monkeypatch.setitem(cli._HANDLERS, "cosets", give_up)
+    code, out, err = run(["cosets", "--disc", "-40", "--count", "1"])
+    assert code == 4
+    assert out == ""
+    assert err == "error: gave up after 3 tries\n"
+    assert "Traceback" not in err
 
 
 def test_order_info_works_below_group_scope():
