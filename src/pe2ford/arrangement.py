@@ -17,20 +17,23 @@ for the truncated arrangement; floats appear only in the SVG emitter.
 The kernel runs in integers.  Each hemisphere is read once into its
 integer disc (Hemisphere.disc); the rival test, the window cut and the
 wall reach cross-multiply, the bisectors are integer half-planes, and
-cells are clipped in homogeneous integer points (x, y, w).  Fractions
-appear only when a clipped point is read back: the cell vertices, the
-witness, near_sq and far_sq of a face, and the heights on a wall.
+cells are clipped in homogeneous integer points (x, y, w).  The cell is
+measured from the center with ford._dist_sq_int, the one planar distance
+routine, and wall heights are compared by cross-multiplying.  Fractions
+appear only in the near_sq and far_sq of a Contributes and in the walk
+that moves an off-center witness into the open disc.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import OutOfScope
-from .ford import FundPolygon, Point, _dist_sq_int, _frame, _nearest, _uv_dist_sq
+from .ford import Frame, FundPolygon, HPoint, Point, _dist_sq_int, _frame
 from .moebius import Disc, Hemisphere, Mat
 from .orders import (
     KElem,
@@ -42,14 +45,14 @@ from .orders import (
 )
 
 
-def _one_in_span(gens: Sequence[OInt], order: Order) -> tuple[OInt, OInt] | None:
-    """Write 1 over the Z-span of (a, a*tau, b, b*tau), or None.
+def _one_in_span(gens: Sequence[OInt], order: Order) -> tuple[OInt, OInt]:
+    """Write 1 over the Z-span of (a, a*tau, b, b*tau), which must be all of Z^2.
 
     Rows carry coordinates in the basis (1, tau) plus a tracked
-    coefficient vector; a column-echelon reduction over Z decides
-    whether (1, 0) lies in the row lattice and, if so, reads off an
-    integer combination.  The tracked coefficients regroup into order
-    elements x, y with x*a + y*b = 1.
+    coefficient vector; a column-echelon reduction over Z leaves a row
+    (+-1, y) and a row (0, +-1), and the tracked coefficients of the
+    combination that gives (1, 0) regroup into order elements x, y with
+    x*a + y*b = 1.
     """
     rows = []
     for i, g in enumerate(gens):
@@ -57,7 +60,7 @@ def _one_in_span(gens: Sequence[OInt], order: Order) -> tuple[OInt, OInt] | None
         row[2 + i] = 1
         rows.append(row)
 
-    def clear_column(col: int, pool: list[list[int]]) -> tuple[list[int] | None, list[list[int]]]:
+    def clear_column(col: int, pool: list[list[int]]) -> tuple[list[int], list[list[int]]]:
         live = [r for r in pool if r[col] != 0]
         rest = [r for r in pool if r[col] == 0]
         while len(live) > 1:
@@ -69,23 +72,13 @@ def _one_in_span(gens: Sequence[OInt], order: Order) -> tuple[OInt, OInt] | None
                     r[j] -= q * pivot[j]
             rest.extend(r for r in live[1:] if r[col] == 0)
             live = [pivot] + [r for r in live[1:] if r[col] != 0]
-        return (live[0] if live else None, rest)
+        return (live[0], rest)
 
     p0, rest = clear_column(0, rows)
     p1, _ = clear_column(1, rest)
-    if p0 is None or abs(p0[0]) != 1:
-        return None
-    c0 = p0[0]  # c0 * p0 starts with 1
-    y_rem = -c0 * p0[1]
-    if p1 is None:
-        if y_rem != 0:
-            return None
-        c1 = 0
-        p1 = [0] * 6
-    elif y_rem % p1[1] != 0:
-        return None
-    else:
-        c1 = y_rem // p1[1]
+    # the lattice is Z^2, so p0[0] and p1[1] are +-1
+    c0 = p0[0]
+    c1 = -c0 * p0[1] * p1[1]
     combo = [c0 * p0[j] + c1 * p1[j] for j in range(6)]
     x = OInt(order, combo[2], combo[3])
     y = OInt(order, combo[4], combo[5])
@@ -95,8 +88,9 @@ def _one_in_span(gens: Sequence[OInt], order: Order) -> tuple[OInt, OInt] | None
 def is_unimodular(lam: OInt, mu: OInt) -> Mat | None:
     """Completion of (lam, mu) to a determinant-one first column, or None.
 
-    The pair generates the unit ideal iff 1 lies in the integer lattice
-    spanned by (lam, lam*tau, mu, mu*tau); the tracked reduction then
+    The pair generates the unit ideal iff the integer lattice spanned by
+    (lam, lam*tau, mu, mu*tau) is all of Z^2, that is iff the gcd of its
+    six 2x2 minors (the lattice index) is 1.  The tracked reduction then
     yields x, y with x*lam + y*mu = 1 and the completion
     [[lam, -y], [mu, x]].  Completions are deterministic but only
     canonical up to a right shift.
@@ -105,10 +99,10 @@ def is_unimodular(lam: OInt, mu: OInt) -> Mat | None:
         raise ValueError("(0, 0) is not a pair")
     order = lam.order
     tau = order.tau
-    combo = _one_in_span((lam, lam * tau, mu, mu * tau), order)
-    if combo is None:
+    gens = (lam, lam * tau, mu, mu * tau)
+    if math.gcd(*(g.a * k.b - g.b * k.a for g, k in itertools.combinations(gens, 2))) != 1:
         return None
-    x, y = combo
+    x, y = _one_in_span(gens, order)
     return Mat(lam, -y, mu, x)
 
 
@@ -146,10 +140,11 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     """All hemispheres of pairs with norm(mu) <= norm_bound near the window.
 
     A hemisphere makes the cut when its center lies within one radius
-    of the window, so faces clipped at the boundary stay present.  The
-    output is deduplicated by (center, radius_sq) and sorted by
-    descending radius, then center; (lam, mu) and (-lam, -mu) describe
-    the same hemisphere, so mu is normalized to the canonical sign.
+    of the window, so faces clipped at the boundary stay present.
+    (lam, mu) and (-lam, -mu) describe the same hemisphere, so mu is
+    normalized to the canonical sign; a unimodular pair is then fixed by
+    its ratio lam/mu, so no hemisphere comes twice.  The output is sorted
+    by descending radius, then center.
     """
     if order.abs_delta <= 12:
         raise OutOfScope("hemisphere arrangement needs |delta| > 12")
@@ -160,7 +155,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     circum_sq = max((u - wu) ** 2 + n * (v - wv) ** 2 for u, v in window.vertices)
     wc = kelem_from_planar(order, wu, wv)
     frame = _frame(window.vertices)
-    seen: dict[tuple[KElem, Fraction], tuple[Hemisphere, UnimodularPair]] = {}
+    found: list[tuple[Hemisphere, UnimodularPair]] = []
     for mu in lattice_points_norm_at_most(order, norm_bound):
         if not mu.is_canonical_positive():
             continue
@@ -175,11 +170,11 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
             pair = UnimodularPair(lam, mu, completion)
             h = pair.hemisphere()
             u, v, l, p, q = h.disc
-            num, den = _dist_sq_int(n, frame, (u, v, l))
+            num, den, _ = _dist_sq_int(n, frame, (u, v, l))
             if num * q > p * den:  # farther than the radius from the window
                 continue
-            seen.setdefault((h.center, rsq), (h, pair))
-    ordered = sorted(seen.values(), key=lambda hp: hp[0].sort_key())
+            found.append((h, pair))
+    ordered = sorted(found, key=lambda hp: hp[0].sort_key())
     return HemiSet(
         order=order,
         hemispheres=tuple(h for h, _ in ordered),
@@ -210,9 +205,6 @@ FaceStatus = Contributes | Covered
 
 # a*u + b*v <= c, integer coefficients
 HalfPlane = tuple[int, int, int]
-
-# (x, y, w) with w > 0: the point (x/w, y/w)
-HPoint = tuple[int, int, int]
 
 
 def _rivals(n: int, hd: Disc, pool: Sequence[Hemisphere]) -> list[HalfPlane] | None:
@@ -286,20 +278,22 @@ def _clip(poly: list[HPoint], plane: HalfPlane) -> list[HPoint]:
     return out
 
 
-def _affine(p: HPoint) -> Point:
-    return (Fraction(p[0], p[2]), Fraction(p[1], p[2]))
+def _power_cell(hd: Disc, planes: Sequence[HalfPlane]) -> Frame | None:
+    """Closed power cell of the disc in the box center +-1, which holds it; None without area.
 
-
-def _power_cell(hd: Disc, planes: Sequence[HalfPlane]) -> FundPolygon | None:
-    """Closed power cell of the disc in the box center +-1, which holds it; None without area."""
+    The cell comes over one common denominator, counterclockwise.
+    """
     u, v, l = hd[:3]
     poly = [(u - l, v - l, l), (u + l, v - l, l), (u + l, v + l, l), (u - l, v + l, l)]
     for plane in planes:
         poly = _clip(poly, plane)
         if len(poly) < 3:
             return None  # a point or a segment never regains area
-    cell = FundPolygon(tuple(_affine(p) for p in poly), "power cell", (Fraction(u, l), Fraction(v, l)))
-    return cell if cell.uv_area() > 0 else None
+    w = math.lcm(*(p[2] for p in poly))
+    verts = tuple((x * (w // pw), y * (w // pw)) for x, y, pw in poly)
+    # twice the area, by the shoelace sum
+    area2 = sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(verts[-1:] + verts, verts))
+    return (w, verts) if area2 > 0 else None
 
 
 def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
@@ -314,23 +308,29 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     cell = None if planes is None else _power_cell(hd, planes)
     if cell is None:
         return Covered()
-    center = cell.center
-    near_sq, nearest = _nearest(order, cell, center)
-    if near_sq >= h.radius_sq:
+    hu, hv, hl, hp, hq = hd
+    near_num, near_den, (x, y, w) = _dist_sq_int(n, cell, (hu, hv, hl))
+    if near_num * hq >= hp * near_den:  # no cell point inside the open disc
         return Covered()
-    far_sq = max(_uv_dist_sq(n, p, center) for p in cell.vertices)
-    witness = nearest  # the center itself when the cell holds it
-    hu, hv, hl = hd[:3]
+    cw, verts = cell
+    # |vertex - center|^2 times (W L)^2
+    far_num = max((vx * hl - hu * cw) ** 2 + n * (vy * hl - hv * cw) ** 2 for vx, vy in verts)
+    witness = nearest = (Fraction(x, w), Fraction(y, w))  # the center itself when the cell holds it
     if not all(a * hu + b * hv < c * hl for a, b, c in planes):
         # the center is not strictly inside; points strictly between the
         # nearest point and the vertex average are, so halve toward it
-        k = len(cell.vertices)
-        du, dv = (sum(p[i] for p in cell.vertices) / k - nearest[i] for i in (0, 1))
+        cu, cv = Fraction(hu, hl), Fraction(hv, hl)
+        k = len(verts)
+        du, dv = (Fraction(sum(p[i] for p in verts), k * cw) - nearest[i] for i in (0, 1))
         step = Fraction(1)
-        while _uv_dist_sq(n, (nearest[0] + step * du, nearest[1] + step * dv), center) >= h.radius_sq:
+        while True:
+            witness = (nearest[0] + step * du, nearest[1] + step * dv)
+            if (witness[0] - cu) ** 2 + n * (witness[1] - cv) ** 2 < h.radius_sq:
+                break
             step /= 2
-        witness = (nearest[0] + step * du, nearest[1] + step * dv)
-    return Contributes(kelem_from_planar(order, *witness), near_sq, far_sq)
+    return Contributes(
+        kelem_from_planar(order, *witness), Fraction(near_num, near_den), Fraction(far_num, (cw * hl) ** 2)
+    )
 
 
 def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:
@@ -371,27 +371,31 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
     """
     n = hs.order.abs_delta
     frame = _frame((start, end))
-    reach = []
+    discs = []  # the discs that reach the segment
     for h in hs.hemispheres:
         u, v, l, p, q = h.disc
-        num, den = _dist_sq_int(n, frame, (u, v, l))
+        num, den, _ = _dist_sq_int(n, frame, (u, v, l))
         if num * q < p * den:
-            reach.append(h)
-    if not reach:
+            discs.append(h.disc)
+    if not discs:
         return True
     t0sq = Fraction(t0) ** 2
+    ta, tb = t0sq.numerator, t0sq.denominator
     w, pts = frame
     ends = [(x, y, w) for x, y in pts]
-    discs = [h.disc for h in reach]
-    for i, h in enumerate(reach):
+    for i, hd in enumerate(discs):
         part = ends
-        for plane in _bisectors(n, h.disc, discs[:i] + discs[i + 1 :]):
+        for plane in _bisectors(n, hd, discs[:i] + discs[i + 1 :]):
             part = _clip(part, plane)
             if not part:
                 break
-        center = h.center.planar()
-        if any(h.radius_sq - _uv_dist_sq(n, _affine(p), center) < t0sq for p in part):
-            return True
+        u, v, l, p, q = hd
+        for x, y, pw in part:
+            # height^2 = P/Q - D/S < ta/tb at (x/pw, y/pw), times Q S tb > 0
+            s = (pw * l) ** 2
+            d = (x * l - u * pw) ** 2 + n * (y * l - v * pw) ** 2
+            if (p * s - d * q) * tb < ta * q * s:
+                return True
     return False
 
 

@@ -34,48 +34,12 @@ class FundPolygon:
     """Convex cell in the (u, v) plane, counterclockwise vertices."""
 
     vertices: tuple[Point, ...]
-    kind: str  # "rectangle" or "hexagon", or "power cell" for an arrangement face
+    kind: str  # "rectangle" or "hexagon"
     center: Point
 
     def edges(self) -> tuple[tuple[Point, Point], ...]:
         vs = self.vertices
         return tuple((vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
-
-    def contains(self, point: Point) -> bool:
-        """Closed containment test."""
-        px, py = point
-        for (ax, ay), (bx, by) in self.edges():
-            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0:
-                return False
-        return True
-
-    def uv_area(self) -> Fraction:
-        total = Fraction(0)
-        for (ax, ay), (bx, by) in self.edges():
-            total += ax * by - bx * ay
-        return abs(total) / 2
-
-
-def _uv_dist_sq(n: int, p: Point, q: Point) -> Fraction:
-    du, dv = p[0] - q[0], p[1] - q[1]
-    return du * du + n * dv * dv
-
-
-def _segment_nearest(order: Order, a: Point, b: Point, p: Point) -> tuple[Fraction, Point]:
-    """Exact squared distance from p to the segment ab, and the nearest point."""
-    n = order.abs_delta
-    du, dv = p[0] - a[0], p[1] - a[1]
-    eu, ev = b[0] - a[0], b[1] - a[1]
-    t = min(max((du * eu + n * dv * ev) / (eu * eu + n * ev * ev), 0), 1)
-    q = (a[0] + t * eu, a[1] + t * ev)
-    return (_uv_dist_sq(n, p, q), q)
-
-
-def _nearest(order: Order, poly: FundPolygon, p: Point) -> tuple[Fraction, Point]:
-    """Exact squared distance from p to the closed polygon and a nearest point."""
-    if poly.contains(p):
-        return (Fraction(0), p)
-    return min((_segment_nearest(order, a, b, p) for a, b in poly.edges()), key=lambda dq: dq[0])
 
 
 # a common denominator W > 0 and the points (X/W, Y/W) as integer pairs (X, Y)
@@ -88,26 +52,37 @@ def _frame(points: Sequence[Point]) -> Frame:
     return (w, tuple((x.numerator * w // x.denominator, y.numerator * w // y.denominator) for x, y in points))
 
 
-def _segment_dist_sq_int(n: int, a: tuple[int, int], b: tuple[int, int], pu: int, pv: int) -> tuple[int, int]:
-    """Squared distance from (pu, pv) to the segment ab, all integers, as num/den with den > 0."""
+# (x, y, w) with w > 0: the point (x/w, y/w)
+HPoint = tuple[int, int, int]
+
+
+def _segment_dist_sq_int(
+    n: int, a: tuple[int, int], b: tuple[int, int], pu: int, pv: int
+) -> tuple[int, int, HPoint]:
+    """Squared distance from (pu, pv) to the segment ab as num/den with den > 0, and the nearest point.
+
+    All integers; a segment of length 0 is its one point.
+    """
     du, dv = pu - a[0], pv - a[1]
     eu, ev = b[0] - a[0], b[1] - a[1]
     dot = du * eu + n * dv * ev
     if dot <= 0:
-        return (du * du + n * dv * dv, 1)
+        return (du * du + n * dv * dv, 1, (a[0], a[1], 1))
     ee = eu * eu + n * ev * ev
     if dot >= ee:
         du, dv = pu - b[0], pv - b[1]
-        return (du * du + n * dv * dv, 1)
-    # |d|^2 - (d.e)^2 / |e|^2, the foot strictly inside the segment
-    return ((du * du + n * dv * dv) * ee - dot * dot, ee)
+        return (du * du + n * dv * dv, 1, (b[0], b[1], 1))
+    # |d|^2 - (d.e)^2 / |e|^2, the foot a + (d.e / |e|^2) e strictly inside the segment
+    return ((du * du + n * dv * dv) * ee - dot * dot, ee, (a[0] * ee + dot * eu, a[1] * ee + dot * ev, ee))
 
 
-def _dist_sq_int(n: int, frame: Frame, p: tuple[int, int, int]) -> tuple[int, int]:
-    """Exact squared distance from (U/L, V/L) to the frame's closed polygon, as num/den with den > 0.
+def _dist_sq_int(n: int, frame: Frame, p: HPoint) -> tuple[int, int, HPoint]:
+    """Squared distance from p to the frame's closed polygon as num/den with den > 0, and the nearest point.
 
     A frame of two points is the closed segment between them.  Points and
     p meet over the denominator W*L, so every step is integer arithmetic.
+    The nearest point of a convex set is unique, so ties between edges
+    name the same point.
     """
     w, verts = frame
     u, v, l = p
@@ -117,14 +92,15 @@ def _dist_sq_int(n: int, frame: Frame, p: tuple[int, int, int]) -> tuple[int, in
     if k > 2 and all(
         (b[0] - a[0]) * (pv - a[1]) - (b[1] - a[1]) * (pu - a[0]) >= 0 for a, b in zip(pts[-1:] + pts, pts)
     ):
-        return (0, 1)
-    best_num, best_den = _segment_dist_sq_int(n, pts[-1], pts[0], pu, pv)
+        return (0, 1, p)
+    best = _segment_dist_sq_int(n, pts[-1], pts[0], pu, pv)
     for i in range(1, k if k > 2 else 0):
-        num, den = _segment_dist_sq_int(n, pts[i - 1], pts[i], pu, pv)
-        if num * best_den < best_num * den:
-            best_num, best_den = num, den
+        near = _segment_dist_sq_int(n, pts[i - 1], pts[i], pu, pv)
+        if near[0] * best[1] < best[0] * near[1]:
+            best = near
+    num, den, (x, y, h) = best
     scale = w * l
-    return (best_num, best_den * scale * scale)
+    return (num, den * scale * scale, (x, y, h * scale))
 
 
 def _neighbour_ring(order: Order) -> tuple[OInt, ...]:
@@ -284,7 +260,8 @@ def _domain_edges(order: Order, faces: Sequence[Face]) -> tuple[Edge, ...]:
 def _face_contains(face: Face, edge: Edge) -> bool:
     if isinstance(face, VerticalWall):
         # the planar metric is positive definite, so distance 0 means on the segment
-        return _segment_nearest(edge.zeta.order, face.start, face.end, edge.zeta.planar())[0] == 0
+        n = edge.zeta.order.abs_delta
+        return _dist_sq_int(n, _frame((face.start, face.end)), edge.zeta.planar_int())[0] == 0
     return dist_sq(edge.zeta, face.center) + edge.height_sq == 1
 
 

@@ -27,7 +27,7 @@ from pe2ford.arrangement import (
     svg_topview,
 )
 from pe2ford.errors import OutOfScope
-from pe2ford.ford import _dist_sq_int, _frame, _nearest, _segment_nearest, amalgam_rectangle, voronoi_cell
+from pe2ford.ford import _dist_sq_int, _frame, amalgam_rectangle, voronoi_cell
 from pe2ford.moebius import Hemisphere, Mat
 from pe2ford.orders import KElem, OInt, kelem_from_planar, make_order
 from pe2ford.words import Member, membership
@@ -166,6 +166,16 @@ def test_enumerate_monotone_and_sound():
         assert du * du + 40 * dv * dv <= h.radius_sq
 
 
+@pytest.mark.parametrize("delta, bound", [(-15, 12), (-40, 24), (-43, 16), (-163, 8)])
+def test_enumerate_gives_each_hemisphere_once(delta, bound):
+    # a unimodular pair with canonical mu is fixed by its ratio, so no center (and
+    # hence no (center, radius_sq)) comes twice
+    order = make_order(delta)
+    for window in (amalgam_rectangle(order), voronoi_cell(order)):
+        hs = enumerate_hemispheres(order, bound, window)
+        assert len({h.center for h in hs.hemispheres}) == len(hs.hemispheres)
+
+
 def test_enumerate_scope_and_bounds():
     window = amalgam_rectangle(ORDER40)
     for delta in (-11, -12):
@@ -196,6 +206,20 @@ def test_face_status_swallowed_hemisphere():
     unit = Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1))
     assert isinstance(face_status(small, [unit]), Covered)
     assert isinstance(face_status(unit, [small]), Contributes)
+
+
+def test_face_status_off_center_cell_by_hand():
+    # against a disc of radius^2 3/4 at (1/2, 0), the disc of radius^2 1/4 at 0 wins
+    # on u <= -1/4; its cell is the box [-1, -1/4] x [-1, 1] with nearest point (-1/4, 0)
+    # and farthest vertices (-1, +-1), and the witness walk halves once toward the
+    # vertex average (-5/8, 0)
+    h = Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1, 4))
+    k = Hemisphere(kelem_from_planar(ORDER40, Fraction(1, 2), 0), Fraction(3, 4))
+    want = Contributes(kelem_from_planar(ORDER40, Fraction(-7, 16), 0), Fraction(1, 16), Fraction(41))
+    assert face_status(h, [k]) == want
+    # a rival of radius^2 1 moves the cut to u <= -1/2, at the distance of the radius
+    k = Hemisphere(kelem_from_planar(ORDER40, Fraction(1, 2), 0), Fraction(1))
+    assert face_status(h, [k]) == Covered()
 
 
 def test_rectangle_statuses_expected_faces():
@@ -280,6 +304,14 @@ def test_envelope_dips_below_on_hand_made_segments():
     assert not envelope_dips_below(two, origin, right, Fraction(4, 5))
     # no disc reaches this segment, so its height is the floor
     assert envelope_dips_below(two, (Fraction(3), Fraction(0)), (Fraction(4), Fraction(0)), Fraction(1, 100))
+    # at (3/5, 0) the height is exactly 4/5, which is not strictly lower
+    assert not envelope_dips_below(one, origin, (Fraction(3, 5), Fraction(0)), Fraction(4, 5))
+    assert envelope_dips_below(one, origin, (Fraction(3, 5), Fraction(0)), Fraction(4, 5) + Fraction(1, 10**6))
+    # a segment of length 0 is its one point, of height^2 3/4 at mid
+    assert envelope_dips_below(one, mid, mid, Fraction(9, 10))
+    assert not envelope_dips_below(one, mid, mid, Fraction(4, 5))
+    assert not envelope_dips_below(one, origin, origin, Fraction(9, 10))
+    assert envelope_dips_below(one, (Fraction(3), Fraction(0)), (Fraction(3), Fraction(0)), Fraction(1, 100))
 
 
 def test_clip_keeps_a_segment_as_its_two_ends():
@@ -324,10 +356,34 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
+def _segment_nearest_ref(n, a, b, z):
+    # project z onto the line ab and clamp to the segment; a segment of length 0 is the point a
+    eu, ev = b[0] - a[0], b[1] - a[1]
+    ee = eu * eu + n * ev * ev
+    t = min(max(((z[0] - a[0]) * eu + n * (z[1] - a[1]) * ev) / ee, 0), 1) if ee else 0
+    q = (a[0] + t * eu, a[1] + t * ev)
+    return ((z[0] - q[0]) ** 2 + n * (z[1] - q[1]) ** 2, q)
+
+
+def _polygon_nearest_ref(n, verts, z):
+    # closed containment against the counterclockwise edges, else the nearest edge point
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+    if all((b[0] - a[0]) * (z[1] - a[1]) - (b[1] - a[1]) * (z[0] - a[0]) >= 0 for a, b in edges):
+        return (Fraction(0), z)
+    return min((_segment_nearest_ref(n, a, b, z) for a, b in edges), key=lambda dq: dq[0])
+
+
+def _read(dist):
+    # the kernel's (num, den, (x, y, w)) as a distance and a point; both denominators are positive
+    num, den, (x, y, w) = dist
+    assert den > 0 and w > 0
+    return (Fraction(num, den), (Fraction(x, w), Fraction(y, w)))
+
+
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(delta=st.sampled_from(DISCS), data=st.data())
 def test_integer_kernel_matches_fractions(delta, data):
-    # every reference below is the Fraction formula the integer kernel replaced
+    # every reference below is a Fraction formula written here, sharing no code with the kernel
     order = make_order(delta)
     n = order.abs_delta
     point = st.tuples(rationals(), rationals(1, 24))
@@ -371,21 +427,20 @@ def test_integer_kernel_matches_fractions(delta, data):
             for z in zs:
                 want = _sign(_power(n, h.radius_sq, hcp, z) - _power(n, k.radius_sq, kcp, z))
                 assert _sign(a * z[0] + b * z[1] - cc) == want
-    # the window cut: exact distance and decision against ford._nearest
+    # the window cut and the wall reach: exact distance, nearest point and decision
     windows = [amalgam_rectangle(order), voronoi_cell(order)]
     for _ in range(8):
         z = kelem_from_planar(order, data.draw(rationals(2, 30)), data.draw(rationals(1, 30)))
         rsq = data.draw(radii_sq())
         for window in windows:
-            num, den = _dist_sq_int(n, _frame(window.vertices), z.planar_int())
-            near = _nearest(order, window, z.planar())[0]
-            assert Fraction(num, den) == near
-            assert (num * rsq.denominator > rsq.numerator * den) == (near > rsq)
+            dist = _dist_sq_int(n, _frame(window.vertices), z.planar_int())
+            near = _read(dist)
+            assert near == _polygon_nearest_ref(n, list(window.vertices), z.planar())
+            assert (dist[0] * rsq.denominator > rsq.numerator * dist[1]) == (near[0] > rsq)
         ends = (data.draw(point), data.draw(point))
-        if ends[0] == ends[1]:
-            continue  # the Fraction reference needs a segment of positive length
-        num, den = _dist_sq_int(n, _frame(ends), z.planar_int())
-        assert Fraction(num, den) == _segment_nearest(order, *ends, z.planar())[0]
+        for seg in (ends, (ends[0], ends[0])):
+            near = _read(_dist_sq_int(n, _frame(seg), z.planar_int()))
+            assert near == _segment_nearest_ref(n, *seg, z.planar())
 
 
 def test_pe2_only_subarrangement_has_radius_one_faces():
