@@ -37,10 +37,6 @@ class FundPolygon:
     kind: str  # "rectangle" or "hexagon"
     center: Point
 
-    def edges(self) -> tuple[tuple[Point, Point], ...]:
-        vs = self.vertices
-        return tuple((vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
-
 
 # a common denominator W > 0 and the points (X/W, Y/W) as integer pairs (X, Y)
 Frame = tuple[int, tuple[tuple[int, int], ...]]

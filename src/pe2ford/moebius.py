@@ -27,6 +27,16 @@ class Mat:
         det = m11 * m22 - m12 * m21
         if det != m11.order.one:
             raise ValueError(f"determinant {det} is not 1")
+        self._set(m11, m12, m21, m22)
+
+    @classmethod
+    def _trusted(cls, m11: OInt, m12: OInt, m21: OInt, m22: OInt) -> Mat:
+        """A product or inverse of Mats: determinant 1 already, so only the sign is canonicalised."""
+        out = object.__new__(cls)
+        out._set(m11, m12, m21, m22)
+        return out
+
+    def _set(self, m11: OInt, m12: OInt, m21: OInt, m22: OInt) -> None:
         for entry in (m11, m12, m21, m22):
             if not entry.is_zero():
                 if not entry.is_canonical_positive():
@@ -54,12 +64,13 @@ class Mat:
         return self.entries() == other.entries()
 
     def __hash__(self) -> int:
-        return hash(self.entries())
+        m11, m12, m21, m22 = self.m11, self.m12, self.m21, self.m22
+        return hash((m11.a, m11.b, m12.a, m12.b, m21.a, m21.b, m22.a, m22.b))
 
     def __mul__(self, other: Mat) -> Mat:
         if not isinstance(other, Mat):
             return NotImplemented
-        return Mat(
+        return Mat._trusted(
             self.m11 * other.m11 + self.m12 * other.m21,
             self.m11 * other.m12 + self.m12 * other.m22,
             self.m21 * other.m11 + self.m22 * other.m21,
@@ -67,7 +78,7 @@ class Mat:
         )
 
     def inv(self) -> Mat:
-        return Mat(self.m22, -self.m12, -self.m21, self.m11)
+        return Mat._trusted(self.m22, -self.m12, -self.m21, self.m11)
 
     def is_identity(self) -> bool:
         return self == Mat.identity(self.order)

@@ -368,14 +368,22 @@ def lattice_points_within(z: KElem, rsq: Fraction | int, closed: bool) -> list[O
     return out
 
 
-def gap_neighbourhood(z: KElem) -> tuple[tuple[OInt, Fraction], ...]:
-    """Lattice points within covering_radius^2 + 1 of z, each with |z - g|^2, in key() order.
+def gap_neighbourhood(z: KElem) -> tuple[tuple[OInt, int], ...]:
+    """Lattice points within covering_radius^2 + 1 of z, each with den^2 |z - g|^2, in key() order.
 
     The reach always holds the nearest lattice point, so z clears every
-    closed unit lattice disc exactly when the least distance here exceeds 1.
+    closed unit lattice disc exactly when the least distance here exceeds
+    den^2.  The distances stay integers: den*(z - g) = x + y*t has norm
+    x^2 + e*x*y + N(t)*y^2.
     """
-    reach = z.order.covering_radius_sq() + 1
-    return tuple((g, dist_sq(z, g)) for g in lattice_points_within(z, reach, closed=True))
+    order = z.order
+    p, q, den = z.num.a, z.num.b, z.den
+    e, m = (0 if order.even else 1), order.tau_norm
+    out = []
+    for g in lattice_points_within(z, order.covering_radius_sq() + 1, closed=True):
+        x, y = p - g.a * den, q - g.b * den
+        out.append((g, x * x + e * x * y + m * y * y))
+    return tuple(out)
 
 
 def lattice_points_norm_at_most(order: Order, bound: int, include_zero: bool = False) -> list[OInt]:

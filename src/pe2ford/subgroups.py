@@ -59,33 +59,39 @@ class GapPoint:
 def gap_check(z: KElem) -> tuple[Fraction, tuple[OInt, ...]] | None:
     """Minimum squared lattice distance and the points checked, if a gap.
 
-    The points are the gap neighbourhood of z, which always holds the
-    nearest lattice point; z is a gap point when the minimum over it
-    exceeds 1.
+    z is a gap point exactly when no lattice point lies in the closed
+    unit disc about it, the test membership uses for NonMember.  Only
+    then is the gap neighbourhood scanned; it always holds the nearest
+    lattice point, and its integer distances give the one Fraction built,
+    the minimum.
     """
-    nearby = gap_neighbourhood(z)
-    m = min(d for _, d in nearby)
-    if m <= 1:
+    if lattice_points_within(z, 1, closed=True):
         return None
-    return (m, tuple(g for g, _ in nearby))
+    nearby = gap_neighbourhood(z)
+    return (Fraction(min(d for _, d in nearby), z.den * z.den), tuple(g for g, _ in nearby))
 
 
 def _gap_stream(order: Order) -> Iterator[GapPoint]:
     # mu by increasing norm; ratios confined to the half-open cell band
-    # u in [0, 1), v in [0, 1/2), which meets every translation orbit once
+    # u in [0, 1), v in [0, 1/2), which meets every translation orbit once;
+    # with x = lam*conj(mu) the ratio is x/N(mu), so the band is
+    # 0 <= 2*x.a + e*x.b < 2N and 0 <= x.b < N in integers
     n = order.abs_delta
+    e = 0 if order.even else 1
     band_center = kelem_from_planar(order, Fraction(1, 2), Fraction(1, 4))
     band_circum = Fraction(1, 4) + Fraction(n, 16)
-    half = Fraction(1, 2)
     seen: set[KElem] = set()
     for group in oints_by_norm(order):
         for mu in group:
             if not mu.is_canonical_positive():
                 continue
-            for lam in lattice_points_within(band_center * mu, band_circum * mu.norm(), closed=True):
+            norm, mu_bar = mu.norm(), mu.conj()
+            for lam in lattice_points_within(band_center * mu, band_circum * norm, closed=True):
+                x = lam * mu_bar
+                if not (0 <= 2 * x.a + e * x.b < 2 * norm and 0 <= x.b < norm):
+                    continue
                 ratio = KElem.of(lam, mu)
-                u, v = ratio.planar()
-                if not (0 <= u < 1 and 0 <= v < half) or ratio in seen:
+                if ratio in seen:
                     continue
                 found = gap_check(ratio)
                 if found is None:
@@ -137,9 +143,11 @@ def coset_family(order: Order, count: int, depth_cap: int = 64) -> CosetFamily:
     mu_j/(mu_i * c), whose squared length norm(mu_j)/(norm(mu_i) norm(c))
     is at most 1 because candidates come by ascending norm(mu), while
     the inverse product moves lambda_j/mu_j by the reciprocal norm
-    ratio.  A candidate whose product search does not certify (depth
-    cap hit) is dropped and reported in `replaced` rather than silently
-    kept.
+    ratio.  A product is certified once its descent reaches a ratio with
+    no lattice point in the closed unit disc about it, the same unit-disc
+    test gap_check makes; each candidate is inverted once.  A candidate
+    whose product search does not certify (depth cap hit) is dropped and
+    reported in `replaced` rather than silently kept.
     """
     if order.abs_delta <= 12:
         raise OutOfScope("coset families need |delta| > 12")
@@ -155,10 +163,11 @@ def coset_family(order: Order, count: int, depth_cap: int = 64) -> CosetFamily:
         if budget < 0:
             raise SearchExhausted(f"no family of {count} within the candidate budget")
         cand = gp.pair.completion
+        cand_inv = cand.inv()
         results: dict[tuple[int, int], NonMember] = {}
         i = len(members)
         for j, other in enumerate(members):
-            res = membership(other * cand.inv(), depth_cap)
+            res = membership(other * cand_inv, depth_cap)
             if not isinstance(res, NonMember):
                 break
             results[(i, j)] = res
@@ -188,7 +197,8 @@ def normalizer_witness(g: Mat, depth_cap: int = 64) -> OInt:
         raise OutOfScope("normalizer witnesses need |delta| > 12")
     # membership descends from the right ratio, an arbitrary completion entry
     # over mu for g but lambda/mu itself for g^-1, which is outside iff g is
-    if not isinstance(membership(g.inv(), depth_cap), NonMember):
+    g_inv = g.inv()
+    if not isinstance(membership(g_inv, depth_cap), NonMember):
         raise ValueError("g must certify NonMember")
     lam, mu = g.m11, g.m21
     if mu.is_zero():
@@ -203,7 +213,7 @@ def normalizer_witness(g: Mat, depth_cap: int = 64) -> OInt:
             shifted = ratio - KElem.of(order.one, alpha * mu * mu)
             if gap_check(shifted) is None:
                 continue
-            conj = g * gen_s(alpha) * g.inv()
+            conj = g * gen_s(alpha) * g_inv
             if isinstance(membership(conj, depth_cap), NonMember):
                 return alpha
     raise WitnessNotFound("alpha enumeration ended")  # pragma: no cover

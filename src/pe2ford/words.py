@@ -314,12 +314,23 @@ class Member:
 
 @dataclass(frozen=True)
 class NonMember:
+    """The descent reached node, whose ratio clears every closed unit lattice disc.
+
+    nearby, the gap neighbourhood of ratio with each squared distance,
+    is derived from ratio on demand, so a refutation that is never shown
+    does not build it.
+    """
+
     node: Mat
     ratio: KElem
-    nearby: tuple[tuple[OInt, Fraction], ...]
     path_word: Word
     stats: SearchStats
     kind: str = field(default="non_member", init=False)
+
+    @property
+    def nearby(self) -> tuple[tuple[OInt, Fraction], ...]:
+        sq = self.ratio.den * self.ratio.den
+        return tuple((g, Fraction(d, sq)) for g, d in gap_neighbourhood(self.ratio))
 
 
 @dataclass(frozen=True)
@@ -372,7 +383,7 @@ def membership(g: Mat, depth_cap: int = 64) -> MembershipResult:
         cands = lattice_points_within(ratio, 1, closed=True)
         if not cands:
             word = tuple(_suffix_word(path))
-            return NonMember(h, ratio, gap_neighbourhood(ratio), word, SearchStats(nodes, plateau))
+            return NonMember(h, ratio, word, SearchStats(nodes, plateau))
         if depth >= depth_cap:
             continue
         dec = sorted(

@@ -1,8 +1,8 @@
-"""The gap neighbourhood read by membership and gap_check, against a box scan.
+"""The gap neighbourhood read by membership and gap_check, and the gap stream, against box scans.
 
-The box scan shares no formula with the lattice code it checks: it
-walks a square of lattice coordinates and measures each point with
-field arithmetic, (z - g).abs_sq().
+The box scans share no formula with the lattice code they check: they
+walk a box of lattice coordinates and measure each point with field
+arithmetic, (z - g).abs_sq(), and read the band off planar().
 """
 
 from __future__ import annotations
@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pe2ford.arrangement import is_unimodular
 from pe2ford.orders import KElem, make_order
 from pe2ford.subgroups import gap_check, gap_points
 from pe2ford.words import NonMember, membership, random_pe2_word, word_to_matrix
@@ -69,3 +71,60 @@ def test_gap_check_is_the_box_scan(delta, a, b, den):
     assert (found is not None) == (least > 1)
     if found is not None:
         assert found == (least, tuple(g for g, _ in scan))
+
+
+def _norm_box(d, bound):
+    """Every a + b*t of norm <= bound, by key(): |b| <= 2*sqrt(bound/|delta|), |a + e*b/2| <= sqrt(bound)."""
+    s = math.isqrt(bound) + 1
+    sb = math.isqrt(4 * bound // d.abs_delta) + 1
+    box = [d.elt(a, b) for b in range(-sb, sb + 1) for a in range(-s - sb, s + sb + 1)]
+    return [g for g in box if g.norm() <= bound]
+
+
+def _meets_unit_disc(z):
+    """Whether some lattice point lies within closed distance 1 of z.
+
+    Such a point a + b*t has |b/2 - v| <= 1/sqrt(|delta|) < 1/2 and
+    |a + e*b/2 - u| <= 1, which leaves two rows of four.
+    """
+    d = z.order
+    u, v = z.planar()
+    for b in (math.floor(2 * v), math.floor(2 * v) + 1):
+        a0 = math.floor(u if d.even else u - Fraction(b, 2))
+        if any((z - d.elt(a, b)).abs_sq() <= 1 for a in range(a0 - 1, a0 + 3)):
+            return True
+    return False
+
+
+def brute_gap_points(d, count, mu_bound):
+    """(lam, mu, min_dist_sq, checked) of the first count gap points with norm(mu) <= mu_bound.
+
+    mu canonical-positive by (norm, key()), lam by key(), ratio in the
+    band u in [0, 1), v in [0, 1/2), clear of every closed unit disc,
+    unimodular, and not seen before.
+    """
+    half = Fraction(1, 2)
+    mus = [g for g in _norm_box(d, mu_bound) if g.b > 0 or (g.b == 0 and g.a > 0)]
+    out, seen = [], set()
+    for mu in sorted(mus, key=lambda g: (g.norm(), g.b, g.a)):
+        # a band ratio has |z|^2 = u^2 + |delta| v^2 < 1 + |delta|/4
+        for lam in _norm_box(d, (4 + d.abs_delta) * mu.norm() // 4):
+            z = KElem.of(lam, mu)
+            u, v = z.planar()
+            if not (0 <= u < 1 and 0 <= v < half) or z in seen:
+                continue
+            if _meets_unit_disc(z) or is_unimodular(lam, mu) is None:
+                continue
+            seen.add(z)
+            scan = box_scan(z)
+            out.append((lam, mu, min(d2 for _, d2 in scan), tuple(g for g, _ in scan)))
+            if len(out) == count:
+                return out
+    raise AssertionError(f"fewer than {count} gap points with norm(mu) <= {mu_bound}")
+
+
+@pytest.mark.parametrize("delta, mu_bound", [(-15, 160), (-20, 50), (-23, 50), (-40, 30), (-163, 40)])
+def test_gap_points_are_the_brute_force_stream(delta, mu_bound):
+    d = make_order(delta)
+    got = [(gp.pair.lam, gp.pair.mu, gp.min_dist_sq, gp.checked_lattice_points) for gp in gap_points(d, 40)]
+    assert got == brute_gap_points(d, 40, mu_bound)

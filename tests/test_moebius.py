@@ -45,6 +45,21 @@ def test_sign_canonical_equality():
     assert entry.is_canonical_positive()
 
 
+@pytest.mark.parametrize("delta", [-15, -40, -163])
+def test_products_and_inverses_match_the_checked_constructor(delta):
+    # products and inverses skip the determinant check; rebuilt through
+    # Mat(...), from either sign, they must pass it with the same entries and hash
+    d = make_order(delta)
+    rng = random.Random(delta)
+    for _ in range(100):
+        g, h = random_word_matrix(d, rng), random_word_matrix(d, rng)
+        for m in (g * h, g.inv(), h.inv() * g):
+            entries = m.entries()
+            for rebuilt in (Mat(*entries), Mat(*(-e for e in entries))):
+                assert rebuilt.entries() == entries
+                assert rebuilt == m and hash(rebuilt) == hash(m)
+
+
 def test_group_axioms_random():
     rng = random.Random(23)
     for delta in DISCS:

@@ -68,12 +68,18 @@ def grid_verdicts(hs, pitch, t0):
     return out
 
 
+def _window_edges(hs):
+    """The window's edges as (start, end) pairs, counterclockwise."""
+    vs = hs.window.vertices
+    return list(zip(vs, vs[1:] + vs[:1]))
+
+
 def grid_wall_dips(hs, pitch, t0):
     """Per window edge: whether a sample of the pitch has its envelope under t0."""
     n = hs.order.abs_delta
     discs = [(h.radius_sq, *h.center.planar()) for h in hs.hemispheres]
     out = []
-    for (au, av), (bu, bv) in hs.window.edges():
+    for (au, av), (bu, bv) in _window_edges(hs):
         steps = int(max(abs(bu - au), abs(bv - av)) / pitch)
         dips = False
         for k in range(steps + 1):
@@ -91,7 +97,7 @@ def exact_verdicts(hs, t0):
 
 
 def exact_wall_dips(hs, t0):
-    return [envelope_dips_below(hs, a, b, t0) for a, b in hs.window.edges()]
+    return [envelope_dips_below(hs, a, b, t0) for a, b in _window_edges(hs)]
 
 
 @functools.cache
