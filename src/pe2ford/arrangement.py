@@ -163,7 +163,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
         # centers live within circumradius + radius of the window center;
         # overshoot via (a + b)^2 <= 2a^2 + 2b^2, then filter exactly
         reach = (2 * circum_sq + 2 * rsq) * mu.norm()
-        for lam in lattice_points_within(wc * mu, reach, closed=True):
+        for lam in lattice_points_within(wc * mu, reach):
             completion = is_unimodular(lam, mu)
             if completion is None:
                 continue
@@ -343,7 +343,7 @@ def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:
 
 
 def plane_split(
-    hs: HemiSet, statuses: Sequence[FaceStatus], t0: Fraction = Fraction(2, 3)
+    hs: HemiSet, statuses: Sequence[FaceStatus], t0: Fraction
 ) -> tuple[list[Hemisphere], list[Hemisphere]]:
     """Divide the contributing faces by the horizontal plane t = t0 > 0.
 

@@ -37,8 +37,9 @@ from .errors import (
 from .ford import HemiFace, amalgam_rectangle, pe2_ford_faces, presentation, voronoi_cell
 from .moebius import Mat
 from .orders import KElem, OInt, Order, make_order
-from .subgroups import GapPoint, amalgam_report, coset_family, gap_points
+from .subgroups import PLANE, GapPoint, amalgam_report, coset_family, gap_points
 from .words import (
+    DEPTH_CAP,
     Inconclusive,
     Member,
     NonMember,
@@ -57,7 +58,10 @@ _Result = tuple[int, dict[str, Any], tuple | None]
 
 def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -> Callable[[str], Any]:
     def parse(text: str) -> Any:
-        value = kind(text)
+        try:
+            value = kind(text)
+        except ZeroDivisionError:  # Fraction("1/0"); argparse reports only ValueError and TypeError
+            raise ValueError(text) from None
         if not ok(value):
             raise argparse.ArgumentTypeError(f"{text} is not {need}")
         return value
@@ -383,21 +387,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("membership", "search for an elementary-subgroup certificate", ("text", "json"))
     add_word(p)
-    p.add_argument("--depth", type=_NON_NEGATIVE_INT, default=64, help="search depth cap")
+    p.add_argument("--depth", type=_NON_NEGATIVE_INT, default=DEPTH_CAP, help="search depth cap")
 
     add("pe2-ford", "faces of the one-hemisphere Ford domain", ("text", "json"))
     add("presentation", "edge cycles and defining relations", ("text", "json"))
 
     p = add("cosets", "pairwise-distinct right-coset family", ("text", "json"))
     p.add_argument("--count", type=_POSITIVE_INT, default=100)
-    p.add_argument("--depth", type=_NON_NEGATIVE_INT, default=64)
+    p.add_argument("--depth", type=_NON_NEGATIVE_INT, default=DEPTH_CAP)
 
     p = add("arrangement", "hemisphere arrangement over the straddling rectangle", ("text", "json", "svg"))
     p.add_argument("--bound", type=_POSITIVE_INT, default=16, help="owner norm bound")
 
     p = add("amalgam", "plane split of the arrangement and generator pools", ("text", "json", "svg"))
     p.add_argument("--bound", type=_POSITIVE_INT, default=16)
-    p.add_argument("--plane", type=_POSITIVE_FRACTION, default=Fraction(2, 3), help="height, as p/q > 0")
+    p.add_argument("--plane", type=_POSITIVE_FRACTION, default=PLANE, help="height, as p/q > 0")
 
     p = add("gap-points", "unimodular ratios outside all unit discs", ("text", "json"))
     p.add_argument("--count", type=_POSITIVE_INT, default=100)

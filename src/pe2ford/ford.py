@@ -121,8 +121,8 @@ def _bisector_intersection(order: Order, p: OInt, q: OInt) -> Point:
     return ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
 
 
-def voronoi_cell(order: Order, center: OInt | None = None) -> FundPolygon:
-    """Voronoi cell of the lattice around a lattice point.
+def voronoi_cell(order: Order) -> FundPolygon:
+    """Voronoi cell of the lattice around 0.
 
     A rectangle for even deltas and a hexagon for odd ones, cut out by
     the perpendicular bisectors toward the nearest lattice points (in
@@ -132,17 +132,11 @@ def voronoi_cell(order: Order, center: OInt | None = None) -> FundPolygon:
     """
     if order.abs_delta <= 4:
         raise OutOfScope("voronoi cell needs |delta| > 4")
-    if center is None:
-        center = order.zero
     ring = _neighbour_ring(order)
     k = len(ring)
-    cu, cv = center.planar()
-    verts = []
-    for i in range(k):
-        u, v = _bisector_intersection(order, ring[i], ring[(i + 1) % k])
-        verts.append((cu + u, cv + v))
-    kind = "rectangle" if order.even else "hexagon"
-    return FundPolygon(tuple(verts), kind, (cu, cv))
+    verts = tuple(_bisector_intersection(order, ring[i], ring[(i + 1) % k]) for i in range(k))
+    zero = Fraction(0)
+    return FundPolygon(verts, "rectangle" if order.even else "hexagon", (zero, zero))
 
 
 def amalgam_rectangle(order: Order) -> FundPolygon:
@@ -332,7 +326,7 @@ def edge_cycles(faces: Sequence[Face]) -> tuple[EdgeCycle, ...]:
                 break
         else:
             raise CycleNotClosed("pairings never returned to the starting edge")
-        exponent = order_in_psl(transform, cap=12)
+        exponent = order_in_psl(transform)
         if exponent is None:
             raise CycleNotClosed("cycle transformation is not of small finite order")
         cycles.append(_finish_cycle(order, tuple(seq), letters, transform, exponent))

@@ -169,10 +169,10 @@ def apply_interior(g: Mat, zeta: KElem, tsq: Fraction) -> tuple[KElem, Fraction]
     return (num / denom, tsq / (denom * denom))
 
 
-def order_in_psl(g: Mat, cap: int = 12) -> int | None:
-    """Least k <= cap with g^k = 1 in PSL2, else None."""
+def order_in_psl(g: Mat) -> int | None:
+    """Least k <= 12 with g^k = 1 in PSL2, else None."""
     h = g
-    for k in range(1, cap + 1):
+    for k in range(1, 13):
         if h.is_identity():
             return k
         h = h * g

@@ -320,9 +320,16 @@ def _as_kelem(x: KElem | OInt | Fraction | int, order: Order) -> KElem | None:
     return None
 
 
+def scaled_dist_sq(z: KElem, g: OInt) -> int:
+    """den^2 |z - g|^2 for z with denominator den: den*(z - g) = x + y*t has norm x^2 + e*x*y + N(t)*y^2."""
+    order, den = z.num.order, z.den
+    x, y = z.num.a - g.a * den, z.num.b - g.b * den
+    return x * x + (0 if order.even else x * y) + order.tau_norm * y * y
+
+
 def dist_sq(z: KElem, g: OInt) -> Fraction:
     """Exact squared euclidean distance |z - g|^2."""
-    return Fraction((z.num - g * z.den).norm(), z.den * z.den)
+    return Fraction(scaled_dist_sq(z, g), z.den * z.den)
 
 
 def kelem_from_planar(order: Order, u: Fraction | int, v: Fraction | int) -> KElem:
@@ -335,8 +342,8 @@ def kelem_from_planar(order: Order, u: Fraction | int, v: Fraction | int) -> KEl
     return KElem.of(OInt(order, int(a * den), int(b * den)), den)
 
 
-def lattice_points_within(z: KElem, rsq: Fraction | int, closed: bool) -> list[OInt]:
-    """All lattice points g with |z - g|^2 < rsq (<= rsq when closed), sorted by key().
+def lattice_points_within(z: KElem, rsq: Fraction | int) -> list[OInt]:
+    """All lattice points g with |z - g|^2 <= rsq, sorted by key().
 
     With z = (p + q*t)/Q, g = a + b*t, y = q - b*Q and w = 2(p - a*Q) + e*y
     (e = 1 for odd delta, 0 for even), 4 Q^2 |z - g|^2 = w^2 + |delta| y^2.
@@ -356,12 +363,7 @@ def lattice_points_within(z: KElem, rsq: Fraction | int, closed: bool) -> list[O
     # b ascending, then a ascending: exactly the key() order
     for b in range(-((y_max - q) // den), (q + y_max) // den + 1):
         y = q - b * den
-        left = top - s * n * y * y
-        if not closed:
-            if left == 0:
-                continue
-            left -= 1
-        w_max = math.isqrt(left // s)
+        w_max = math.isqrt((top - s * n * y * y) // s)
         mid = 2 * p + e * y
         for a in range(-((w_max - mid) // (2 * den)), (mid + w_max) // (2 * den) + 1):
             out.append(OInt(order, a, b))
@@ -369,26 +371,18 @@ def lattice_points_within(z: KElem, rsq: Fraction | int, closed: bool) -> list[O
 
 
 def gap_neighbourhood(z: KElem) -> tuple[tuple[OInt, int], ...]:
-    """Lattice points within covering_radius^2 + 1 of z, each with den^2 |z - g|^2, in key() order.
+    """Lattice points within covering_radius^2 + 1 of z, each with its scaled_dist_sq, in key() order.
 
     The reach always holds the nearest lattice point, so z clears every
-    closed unit lattice disc exactly when the least distance here exceeds
-    den^2.  The distances stay integers: den*(z - g) = x + y*t has norm
-    x^2 + e*x*y + N(t)*y^2.
+    closed unit lattice disc exactly when the least distance here exceeds den^2.
     """
-    order = z.order
-    p, q, den = z.num.a, z.num.b, z.den
-    e, m = (0 if order.even else 1), order.tau_norm
-    out = []
-    for g in lattice_points_within(z, order.covering_radius_sq() + 1, closed=True):
-        x, y = p - g.a * den, q - g.b * den
-        out.append((g, x * x + e * x * y + m * y * y))
-    return tuple(out)
+    reach = z.order.covering_radius_sq() + 1
+    return tuple((g, scaled_dist_sq(z, g)) for g in lattice_points_within(z, reach))
 
 
 def lattice_points_norm_at_most(order: Order, bound: int, include_zero: bool = False) -> list[OInt]:
     """Lattice points with norm <= bound, canonically sorted."""
-    pts = lattice_points_within(KElem(order.zero, 1), Fraction(bound), closed=True)
+    pts = lattice_points_within(KElem(order.zero, 1), Fraction(bound))
     if not include_zero:
         pts = [g for g in pts if not g.is_zero()]
     return pts

@@ -41,7 +41,9 @@ from .orders import (
     lattice_points_within,
     oints_by_norm,
 )
-from .words import NonMember, R, S, Word, membership, word_to_matrix
+from .words import DEPTH_CAP, NonMember, R, S, Word, membership, word_to_matrix
+
+PLANE = Fraction(2, 3)  # the default height t0 of the plane that splits the arrangement
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ def gap_check(z: KElem) -> tuple[Fraction, tuple[OInt, ...]] | None:
     lattice point, and its integer distances give the one Fraction built,
     the minimum.
     """
-    if lattice_points_within(z, 1, closed=True):
+    if lattice_points_within(z, 1):
         return None
     nearby = gap_neighbourhood(z)
     return (Fraction(min(d for _, d in nearby), z.den * z.den), tuple(g for g, _ in nearby))
@@ -86,7 +88,7 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
             if not mu.is_canonical_positive():
                 continue
             norm, mu_bar = mu.norm(), mu.conj()
-            for lam in lattice_points_within(band_center * mu, band_circum * norm, closed=True):
+            for lam in lattice_points_within(band_center * mu, band_circum * norm):
                 x = lam * mu_bar
                 if not (0 <= 2 * x.a + e * x.b < 2 * norm and 0 <= x.b < norm):
                     continue
@@ -133,7 +135,7 @@ class CosetFamily:
     depth_cap: int
 
 
-def coset_family(order: Order, count: int, depth_cap: int = 64) -> CosetFamily:
+def coset_family(order: Order, count: int, depth_cap: int = DEPTH_CAP) -> CosetFamily:
     """Completions of gap points representing distinct right cosets.
 
     Members i and j land in the same coset exactly when M_j * M_i^{-1}
@@ -182,7 +184,7 @@ def coset_family(order: Order, count: int, depth_cap: int = 64) -> CosetFamily:
     raise SearchExhausted("gap point stream dried up")  # pragma: no cover
 
 
-def normalizer_witness(g: Mat, depth_cap: int = 64) -> OInt:
+def normalizer_witness(g: Mat) -> OInt:
     """Smallest-norm shift coefficient whose conjugate re-certifies g.
 
     Requires (and verifies) that g is NonMember with a gap-point ratio.
@@ -198,7 +200,7 @@ def normalizer_witness(g: Mat, depth_cap: int = 64) -> OInt:
     # membership descends from the right ratio, an arbitrary completion entry
     # over mu for g but lambda/mu itself for g^-1, which is outside iff g is
     g_inv = g.inv()
-    if not isinstance(membership(g_inv, depth_cap), NonMember):
+    if not isinstance(membership(g_inv), NonMember):
         raise ValueError("g must certify NonMember")
     lam, mu = g.m11, g.m21
     if mu.is_zero():
@@ -214,7 +216,7 @@ def normalizer_witness(g: Mat, depth_cap: int = 64) -> OInt:
             if gap_check(shifted) is None:
                 continue
             conj = g * gen_s(alpha) * g_inv
-            if isinstance(membership(conj, depth_cap), NonMember):
+            if isinstance(membership(conj), NonMember):
                 return alpha
     raise WitnessNotFound("alpha enumeration ended")  # pragma: no cover
 
@@ -328,7 +330,7 @@ def _overlap_matches_n(overlap: tuple[FaceRecord, ...], order: Order) -> bool:
     return saw == {"wall", "zero", "tau row"}
 
 
-def amalgam_report(order: Order, norm_bound: int, plane: Fraction = Fraction(2, 3)) -> AmalgamReport:
+def amalgam_report(order: Order, norm_bound: int, plane: Fraction = PLANE) -> AmalgamReport:
     """Split the arrangement over the straddling rectangle at t = plane > 0.
 
     Hemisphere faces and their sides come from the exact power cells.

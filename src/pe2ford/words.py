@@ -26,7 +26,9 @@ from typing import Iterator
 
 from .errors import DegenerateChain, OutOfScope, WordSyntaxError
 from .moebius import Mat, gen_r, gen_s
-from .orders import KElem, OInt, Order, dist_sq, gap_neighbourhood, lattice_points_within
+from .orders import KElem, OInt, Order, gap_neighbourhood, lattice_points_within, scaled_dist_sq
+
+DEPTH_CAP = 64  # the default cap on the descent depth of membership
 
 
 @dataclass(frozen=True)
@@ -69,25 +71,18 @@ def format_word(word: Word) -> str:
 def parse_word(text: str, order: Order) -> Word:
     """Parse word text like ``s(2-1*t)*r*s(3)``; ``1`` is the empty word."""
     letters: list[Letter] = []
-    i = 0
     n = len(text)
-
-    def skip_ws(j: int) -> int:
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    i = skip_ws(i)
+    i = _skip_ws(text, 0, n)
     if i == n:
         raise WordSyntaxError("empty word text (use '1')", 0)
     if text[i] == "1":
-        j = skip_ws(i + 1)
+        j = _skip_ws(text, i + 1, n)
         if j != n:
             raise WordSyntaxError("unexpected input after identity word", j)
         return ()
     expect_term = True
     while i < n:
-        i = skip_ws(i)
+        i = _skip_ws(text, i, n)
         if i >= n:
             break
         ch = text[i]
@@ -96,7 +91,7 @@ def parse_word(text: str, order: Order) -> Word:
                 letters.append(R())
                 i += 1
             elif ch == "s":
-                i = skip_ws(i + 1)
+                i = _skip_ws(text, i + 1, n)
                 if i >= n or text[i] != "(":
                     raise WordSyntaxError("expected '(' after 's'", i)
                 close = text.find(")", i)
@@ -117,36 +112,36 @@ def parse_word(text: str, order: Order) -> Word:
     return tuple(letters)
 
 
+def _skip_ws(text: str, i: int, end: int) -> int:
+    while i < end and text[i].isspace():
+        i += 1
+    return i
+
+
 def _parse_coeff(text: str, start: int, end: int, order: Order) -> OInt:
     a = b = 0
     i = start
     sign = 1
     saw_part = False
     while i < end:
-        while i < end and text[i].isspace():
-            i += 1
+        i = _skip_ws(text, i, end)
         if i >= end:
             break
         if text[i] in "+-":
             if not saw_part and text[i] == "+":
                 raise WordSyntaxError("leading '+' in coefficient", i)
             sign = -1 if text[i] == "-" else 1
-            i += 1
-            while i < end and text[i].isspace():
-                i += 1
+            i = _skip_ws(text, i + 1, end)
         elif saw_part:
             raise WordSyntaxError("expected '+' or '-' between parts", i)
         digits = ""
-        while i < end and text[i].isdigit():
+        while i < end and "0" <= text[i] <= "9":  # ASCII only: str.isdigit takes "²", which int() rejects
             digits += text[i]
             i += 1
-        while i < end and text[i].isspace():
-            i += 1
+        i = _skip_ws(text, i, end)
         if i < end and text[i] in "*t":
             if text[i] == "*":
-                i += 1
-                while i < end and text[i].isspace():
-                    i += 1
+                i = _skip_ws(text, i + 1, end)
                 if i >= end or text[i] != "t":
                     raise WordSyntaxError("expected 't' after '*'", i)
             i += 1
@@ -343,17 +338,27 @@ class Inconclusive:
 MembershipResult = Member | NonMember | Inconclusive
 
 
-def _suffix_word(path: tuple[OInt, ...]) -> list[Letter]:
-    # g = node * r s(-c_k) * ... * r s(-c_1) for the recorded moves c_i
+# A descent path as links (c, parent): the last move first, None at g itself.
+Path = tuple[OInt, "Path"] | None
+
+
+def _suffix_word(path: Path) -> Word:
+    # g = node * r s(-c_k) * ... * r s(-c_1) for the moves c_1, ..., c_k
     out: list[Letter] = []
-    for c in reversed(path):
-        out.append(R())
-        out.append(S(-c))
-    return out
+    while path is not None:
+        c, path = path
+        out += (R(), S(-c))
+    return tuple(out)
 
 
-def membership(g: Mat, depth_cap: int = 64) -> MembershipResult:
+def membership(g: Mat, depth_cap: int = DEPTH_CAP) -> MembershipResult:
     """Decide membership in the elementary subgroup by bottom-row descent.
+
+    The children of h are h*s(c)*r for the lattice points c in the closed
+    unit disc about its ratio; a move multiplies norm(beta) by |ratio - c|^2,
+    so the strongest drop, least scaled_dist_sq then key(), is explored
+    first, and a plateau edge is one at distance 1.  Nodes keep a link to
+    their parent; the path word is spelled once, when a verdict returns.
 
     Member and NonMember answers are definitive; Inconclusive only
     reports an exhausted search budget.  Needs |delta| > 12: soundness
@@ -363,7 +368,7 @@ def membership(g: Mat, depth_cap: int = 64) -> MembershipResult:
     if order.abs_delta <= 12:
         raise OutOfScope("membership certificates need |delta| > 12")
     visited: set[Mat] = set()
-    stack: list[tuple[Mat, int, tuple[OInt, ...]]] = [(g, 0, ())]
+    stack: list[tuple[Mat, int, Path]] = [(g, 0, None)]
     max_depth = 0
     nodes = 0
     plateau = 0
@@ -376,26 +381,26 @@ def membership(g: Mat, depth_cap: int = 64) -> MembershipResult:
         max_depth = max(max_depth, depth)
         if h.fixes_infinity():
             # sign canonicalization leaves a plain shift s(x)
-            word = tuple([S(h.m12)] + _suffix_word(path))
-            cert = normal_form(word, order)
+            cert = normal_form((S(h.m12),) + _suffix_word(path), order)
             return Member(cert, SearchStats(nodes, plateau))
         ratio = KElem.of(h.m22, -h.m21)
-        cands = lattice_points_within(ratio, 1, closed=True)
+        cands = lattice_points_within(ratio, 1)
         if not cands:
-            word = tuple(_suffix_word(path))
-            return NonMember(h, ratio, word, SearchStats(nodes, plateau))
+            return NonMember(h, ratio, _suffix_word(path), SearchStats(nodes, plateau))
         if depth >= depth_cap:
             continue
-        dec = sorted(
-            ((dist_sq(ratio, c), c) for c in cands), key=lambda t: (t[0], t[1].key())
-        )
+        # a stable sort of the key()-ordered scan, so ties stay in key() order
+        ranked = sorted(((scaled_dist_sq(ratio, c), c) for c in cands), key=lambda dc: dc[0])
+        unit = ratio.den * ratio.den
+        m11, m12, m21, m22 = h.m11, h.m12, h.m21, h.m22
         # push in reverse so the strongest norm drop is explored first
-        for d2, c in reversed(dec):
-            child = h * gen_s(c) * gen_r(order)
+        for d, c in reversed(ranked):
+            # h * s(c) * r, one column step
+            child = Mat._trusted(m11 * c + m12, -m11, m21 * c + m22, -m21)
             if child not in visited:
-                if d2 == 1:
+                if d == unit:
                     plateau += 1
-                stack.append((child, depth + 1, path + (c,)))
+                stack.append((child, depth + 1, (c, path)))
     # either the cap cut a branch, or the finite reachable component held
     # no shift node; stay conservative in both cases
     return Inconclusive(max_depth, SearchStats(nodes, plateau))

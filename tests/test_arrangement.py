@@ -261,7 +261,7 @@ def test_contributes_witnesses_reverify():
 
 def test_plane_split_two_thirds():
     hs = _rect_set()
-    above, below = plane_split(hs, _rect_statuses())
+    above, below = plane_split(hs, _rect_statuses(), Fraction(2, 3))
     assert {h.radius_sq for h in above} == {Fraction(1)}
     assert len(above) == 6
     unit_centers = {h.center for h in above}
@@ -468,7 +468,7 @@ def test_pe2_only_subarrangement_has_radius_one_faces():
 def test_svg_topview_deterministic():
     hs = _rect_set(4)
     statuses = face_statuses(hs)
-    split = plane_split(hs, statuses)
+    split = plane_split(hs, statuses, Fraction(2, 3))
     first = svg_topview(hs, statuses, split)
     assert svg_topview(hs, statuses, split) == first
     assert first.count("<circle") == len(hs.hemispheres)

@@ -163,6 +163,7 @@ def test_arrangement_svg_runs():
 def test_usage_errors_exit_2():
     cases = [
         ["membership", "--disc", "-40", "--word", "q"],  # malformed word
+        ["membership", "--disc", "-40", "--word", "s(²)"],  # a digit, but not ASCII 0-9
         ["membership", "--disc", "-13", "--word", "r"],  # -13 is 3 mod 4
         ["membership", "--disc", "-14", "--word", "r"],  # -14 is 2 mod 4
         ["membership", "--disc", "-40"],  # neither --word nor --seed
@@ -186,6 +187,7 @@ def test_usage_errors_exit_2():
         ["amalgam", "--disc", "-40", "--bound", "0"],
         ["amalgam", "--disc", "-40", "--plane", "0"],
         ["amalgam", "--disc", "-40", "--plane", "-1/2"],
+        ["amalgam", "--disc", "-40", "--plane", "1/0"],
         ["membership", "--disc", "-40", "--word", "r", "--depth", "-1"],
     ],
     ids=lambda argv: " ".join(argv),

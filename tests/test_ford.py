@@ -66,9 +66,10 @@ def test_voronoi_cell_even():
         (Fraction(1, 2), Fraction(-1, 4)),
     }
     assert _area(cell) == Fraction(1, 2)
-    shifted = voronoi_cell(d, d.elt(1, 1))
-    assert shifted.center == (1, Fraction(1, 2))
-    assert (Fraction(3, 2), Fraction(3, 4)) in shifted.vertices
+    # the cell about 1 + tau is the cell about 0 moved there
+    cu, cv = d.elt(1, 1).planar()
+    assert (cu, cv) == (1, Fraction(1, 2))
+    assert (Fraction(3, 2), Fraction(3, 4)) in {(u + cu, v + cv) for u, v in cell.vertices}
 
 
 def test_voronoi_cell_odd():
@@ -102,7 +103,7 @@ def test_voronoi_vertices_are_deep_points():
         for u, v in voronoi_cell(d).vertices:
             z = kelem_from_planar(d, u, v)
             d0 = dist_sq(z, d.zero)
-            pts = lattice_points_within(z, d0, closed=True)
+            pts = lattice_points_within(z, d0)
             assert d.zero in pts
             assert len(pts) >= 3
             assert all(dist_sq(z, p) == d0 for p in pts)
@@ -111,13 +112,14 @@ def test_voronoi_vertices_are_deep_points():
 def test_polygon_convex_and_centrally_symmetric():
     for delta in CELL_DISCS:
         d = make_order(delta)
-        for cell in (voronoi_cell(d), voronoi_cell(d, d.tau)):
-            vs = cell.vertices
+        cell = voronoi_cell(d)
+        # the cell about tau is the cell about 0 moved by tau
+        for cu, cv in (cell.center, d.tau.planar()):
+            vs = tuple((u + cu, v + cv) for u, v in cell.vertices)
             k = len(vs)
             for i in range(k):
                 (ax, ay), (bx, by), (cx, cy) = vs[i], vs[(i + 1) % k], vs[(i + 2) % k]
                 assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
-            cu, cv = cell.center
             assert {(2 * cu - u, 2 * cv - v) for u, v in vs} == set(vs)
 
 

@@ -141,14 +141,14 @@ def test_dist_sq_deep_hole():
 def test_lattice_points_within_examples():
     for delta in DISCS:
         d = make_order(delta)
-        pts = lattice_points_within(KElem.of(d.zero, 1), 1, closed=True)
+        pts = lattice_points_within(KElem.of(d.zero, 1), 1)
         assert pts == [-d.one, d.zero, d.one]
     d = make_order(-40)
-    pts = lattice_points_within(KElem.of(d.one, 2), 1, closed=False)
+    pts = lattice_points_within(KElem.of(d.one, 2), Fraction(1, 4))
     assert pts == [d.zero, d.one]
 
 
-def _brute_points(z: KElem, rsq: Fraction, closed: bool) -> list[OInt]:
+def _brute_points(z: KElem, rsq: Fraction) -> list[OInt]:
     d = z.order
     u, v = z.planar()
     span = int(math.isqrt(int(4 * rsq) + 4)) + 3
@@ -159,14 +159,14 @@ def _brute_points(z: KElem, rsq: Fraction, closed: bool) -> list[OInt]:
         for a in range(a0 - span, a0 + span + 1):
             g = d.elt(a, b)
             d2 = (z - g).abs_sq()
-            if d2 < rsq or (closed and d2 == rsq):
+            if d2 <= rsq:
                 out.append(g)
     return sorted(out, key=lambda g: g.key())
 
 
-def _check_within(z: KElem, rsq: Fraction, closed: bool) -> list[OInt]:
-    pts = lattice_points_within(z, rsq, closed)
-    assert pts == _brute_points(z, rsq, closed)
+def _check_within(z: KElem, rsq: Fraction) -> list[OInt]:
+    pts = lattice_points_within(z, rsq)
+    assert pts == _brute_points(z, rsq)
     for g in pts:
         assert dist_sq(z, g) == (z - g).abs_sq()
     return pts
@@ -181,8 +181,7 @@ def test_lattice_points_within_matches_brute_force():
             den = rng.randint(1, 6)
             z = KElem.of(num, den)
             rsq = Fraction(rng.randint(1, 40), rng.randint(1, 8))
-            closed = rng.random() < 0.5
-            _check_within(z, rsq, closed)
+            _check_within(z, rsq)
     # the edges of the row and column bounds: a disc whose boundary runs
     # through a lattice point, the zero disc, and far-off large denominators
     for delta in DISCS + [-7, -8]:
@@ -193,10 +192,8 @@ def test_lattice_points_within_matches_brute_force():
             b = math.floor(2 * v) + rng.randint(-1, 1)
             g = d.elt(math.floor(u if d.even else u - Fraction(b, 2)) + rng.randint(-1, 1), b)
             rsq = (z - g).abs_sq()
-            assert g in _check_within(z, rsq, closed=True)
-            assert g not in _check_within(z, rsq, closed=False)
-            _check_within(z, Fraction(0), closed=True)
-            assert _check_within(z, Fraction(0), closed=False) == []
+            assert g in _check_within(z, rsq)
+            _check_within(z, Fraction(0))
 
 
 def test_lattice_points_norm_at_most():
@@ -237,4 +234,4 @@ def test_covering_radius():
         cov = d.covering_radius_sq()
         for _ in range(60):
             z = KElem.of(d.elt(rng.randint(-8, 8), rng.randint(-8, 8)), rng.randint(1, 7))
-            assert lattice_points_within(z, cov, closed=True)
+            assert lattice_points_within(z, cov)

@@ -75,7 +75,7 @@ def test_gap_points_recheck_in_larger_box():
     for delta, count in ((-40, 8), (-19, 4)):
         d = make_order(delta)
         for gp in gap_points(d, count):
-            wide = lattice_points_within(gp.ratio(), d.covering_radius_sq() + 9, closed=True)
+            wide = lattice_points_within(gp.ratio(), d.covering_radius_sq() + 9)
             assert set(gp.checked_lattice_points) <= set(wide)
             m = min(dist_sq(gp.ratio(), g) for g in wide)
             assert m == gp.min_dist_sq

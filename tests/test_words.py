@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pe2ford.errors import DegenerateChain, OutOfScope, WordSyntaxError
 from pe2ford.moebius import Mat, gen_r, gen_s
 from pe2ford.orders import KElem, make_order
+from pe2ford.subgroups import gap_points
 from pe2ford.words import (
     Inconclusive,
     Member,
@@ -66,6 +69,9 @@ def test_parse_errors_carry_positions():
         ("s(2 3)", 4),
         ("s(+2)", 2),
         ("1*r", 1),
+        ("s(²)", 2),  # digits are ASCII 0-9 only
+        ("s(1²)", 3),
+        ("s(٣*t)", 2),
     ]
     for text, pos in cases:
         with pytest.raises(WordSyntaxError) as exc:
@@ -282,7 +288,7 @@ def test_descent_step_scales_bottom_norm():
             if h.fixes_infinity():
                 continue
             ratio = KElem.of(h.m22, -h.m21)
-            for c in lattice_points_within(ratio, 1, closed=True):
+            for c in lattice_points_within(ratio, 1):
                 child = h * gen_s(c) * gen_r(d)
                 assert child.beta.norm() == h.beta.norm() * dist_sq(ratio, c)
 
@@ -293,3 +299,56 @@ def test_random_pe2_word_deterministic():
     assert random_pe2_word(d, 99) != random_pe2_word(d, 100)
     for letter in random_pe2_word(d, 7):
         assert letter.kind in ("r", "s")
+
+
+# every discriminant that membership accepts, up to 200
+PROPERTY_DISCS = [-m for m in range(13, 200) if m % 4 in (0, 3)]
+
+
+@st.composite
+def order_and_word(draw, max_shifts=12):
+    """An order and a word s(a_k) r ... r s(a_0) with a_i = a + b*t, |a| <= 2 and |b| <= 1.
+
+    Zero and the units are common among the a_i, so every rewriting rule
+    of normal_form comes into play.
+    """
+    d = make_order(draw(st.sampled_from(PROPERTY_DISCS)))
+    coeff = st.builds(d.elt, st.integers(-2, 2), st.integers(-1, 1))
+    word: list = []
+    for a in draw(st.lists(coeff, min_size=1, max_size=max_shifts)):
+        word += [R(), S(a)]
+    return d, tuple(word[1:])
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(order_and_word())
+def test_normal_form_keeps_the_matrix_property(dw):
+    d, w = dw
+    sf = normal_form(w, d)
+    assert word_to_matrix(sf.to_word(), d) == word_to_matrix(w, d)
+    assert not any(a.is_small() for a in sf.alphas[1:-1])
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(order_and_word())
+def test_member_certificate_rebuilds_g_property(dw):
+    d, w = dw
+    g = word_to_matrix(w, d)
+    res = membership(g)
+    assert isinstance(res, Member)
+    assert word_to_matrix(res.certificate.to_word(), d) == g
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(order_and_word(max_shifts=4), st.integers(0, 3))
+def test_non_member_path_rebuilds_g_property(dw, k):
+    # the inverse completion of a gap point is outside the subgroup, and so is
+    # its product with any word; the descent spells g as node * path_word.
+    # These descents end within three moves; the cap of 8 keeps a wrong
+    # column step, whose descent climbs, from searching for minutes.
+    d, w = dw
+    g = gap_points(d, k + 1)[k].pair.completion.inv() * word_to_matrix(w, d)
+    res = membership(g, 8)
+    assert not isinstance(res, Member)
+    if isinstance(res, NonMember):
+        assert res.node * word_to_matrix(res.path_word, d) == g
