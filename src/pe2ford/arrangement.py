@@ -14,14 +14,9 @@ its cell and its center; the same lines on a wall decide where the
 arrangement dips under the plane.  Contributes and Covered are exact
 for the truncated arrangement; floats appear only in the SVG emitter.
 
-The kernel runs in integers.  Each hemisphere is read once into its
-integer disc (Hemisphere.disc); the rival test, the window cut and the
-wall reach cross-multiply, the bisectors are integer half-planes, and
-cells are clipped in homogeneous integer points (x, y, w).  The cell is
-measured from the center with ford._dist_sq_int, the one planar distance
-routine, and wall heights are compared by cross-multiplying.  Fractions
-appear only in the near_sq and far_sq of a Contributes and in the walk
-that moves an off-center witness into the open disc.
+The cells come from the integer kernel in cells.py.  Fractions appear
+only in the near_sq and far_sq of a Contributes and in the walk that
+moves an off-center witness into the open disc.
 """
 
 from __future__ import annotations
@@ -32,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .cells import HalfPlane, Point, bisectors, clip, dist_sq_int, frame_of, power_cell
 from .errors import OutOfScope
-from .ford import Frame, FundPolygon, HPoint, Point, _dist_sq_int, _frame
+from .ford import FundPolygon
 from .moebius import Disc, Hemisphere, Mat
 from .orders import (
     KElem,
@@ -154,7 +150,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     wu, wv = window.center
     circum_sq = max((u - wu) ** 2 + n * (v - wv) ** 2 for u, v in window.vertices)
     wc = kelem_from_planar(order, wu, wv)
-    frame = _frame(window.vertices)
+    frame = frame_of(window.vertices)
     found: list[tuple[Hemisphere, UnimodularPair]] = []
     for mu in lattice_points_norm_at_most(order, norm_bound):
         if not mu.is_canonical_positive():
@@ -170,7 +166,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
             pair = UnimodularPair(lam, mu, completion)
             h = pair.hemisphere()
             u, v, l, p, q = h.disc
-            num, den, _ = _dist_sq_int(n, frame, (u, v, l))
+            num, den, _ = dist_sq_int(n, frame, (u, v, l))
             if num * q > p * den:  # farther than the radius from the window
                 continue
             found.append((h, pair))
@@ -203,9 +199,6 @@ class Covered:
 
 FaceStatus = Contributes | Covered
 
-# a*u + b*v <= c, integer coefficients
-HalfPlane = tuple[int, int, int]
-
 
 def _rivals(n: int, hd: Disc, pool: Sequence[Hemisphere]) -> list[HalfPlane] | None:
     """Bisectors against the hemispheres of pool whose open disc meets the disc hd.
@@ -228,72 +221,7 @@ def _rivals(n: int, hd: Disc, pool: Sequence[Hemisphere]) -> list[HalfPlane] | N
         if g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2:
             continue  # gap^2 >= 4 r_h^2 r_k^2: open discs disjoint, k is below the floor on all of h
         rivals.append(kd)
-    return _bisectors(n, hd, rivals)
-
-
-def _bisectors(n: int, hd: Disc, pool: Sequence[Disc]) -> list[HalfPlane]:
-    """Closed half-planes where the disc hd is at least as high as each disc of pool.
-
-    pow_h(z) <= pow_k(z) reads 2 (c_k - c_h).(u, |delta| v) <= pow_k(0) - pow_h(0);
-    times (L_h L_k)^2 Q_h Q_k, then divided by the content, it has integer
-    coefficients.  A positive rescale moves no clip point.
-    """
-    hu, hv, hl, hp, hq = hd
-    h_pow = hu * hu + n * hv * hv  # |c_h|^2 L_h^2
-    planes = []
-    for ku, kv, kl, kp, kq in pool:
-        lq = 2 * hl * kl * hq * kq
-        a = (ku * hl - hu * kl) * lq
-        b = n * (kv * hl - hv * kl) * lq
-        ll = (hl * kl) ** 2
-        c = ((ku * ku + n * kv * kv) * hl * hl - h_pow * kl * kl) * hq * kq - (kp * hq - hp * kq) * ll
-        g = math.gcd(a, b, c) or 1
-        planes.append((a // g, b // g, c // g))
-    return planes
-
-
-def _clip(poly: list[HPoint], plane: HalfPlane) -> list[HPoint]:
-    """Sutherland-Hodgman step on homogeneous points; only strict sign changes add a point.
-
-    A polygon comes out without repeated points.  A list of two points is
-    a segment, with no closing edge back to its start, so it comes out as
-    its clipped ends: two points, one, or none.
-    """
-    a, b, c = plane
-    # a*u + b*v - c at (x/w, y/w), times w > 0
-    side = [a * x + b * y - c * w for x, y, w in poly]
-    closed = len(poly) > 2
-    out = []
-    for i, q in enumerate(poly):
-        p, sp, sq = poly[i - 1], side[i - 1], side[i]
-        if (i or closed) and (sp < 0 < sq or sq < 0 < sp):
-            # sq*p - sp*q is the crossing p + t(q - p) with t = sp/(sp - sq), up to scale
-            x, y, w = (sq * pc - sp * qc for pc, qc in zip(p, q))
-            if w < 0:
-                x, y, w = -x, -y, -w
-            g = math.gcd(x, y, w)
-            out.append((x // g, y // g, w // g))
-        if sq <= 0:
-            out.append(q)
-    return out
-
-
-def _power_cell(hd: Disc, planes: Sequence[HalfPlane]) -> Frame | None:
-    """Closed power cell of the disc in the box center +-1, which holds it; None without area.
-
-    The cell comes over one common denominator, counterclockwise.
-    """
-    u, v, l = hd[:3]
-    poly = [(u - l, v - l, l), (u + l, v - l, l), (u + l, v + l, l), (u - l, v + l, l)]
-    for plane in planes:
-        poly = _clip(poly, plane)
-        if len(poly) < 3:
-            return None  # a point or a segment never regains area
-    w = math.lcm(*(p[2] for p in poly))
-    verts = tuple((x * (w // pw), y * (w // pw)) for x, y, pw in poly)
-    # twice the area, by the shoelace sum
-    area2 = sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(verts[-1:] + verts, verts))
-    return (w, verts) if area2 > 0 else None
+    return bisectors(n, hd, rivals)
 
 
 def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
@@ -305,11 +233,11 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     n = order.abs_delta
     hd = h.disc
     planes = _rivals(n, hd, rest)
-    cell = None if planes is None else _power_cell(hd, planes)
+    cell = None if planes is None else power_cell(hd, planes)
     if cell is None:
         return Covered()
     hu, hv, hl, hp, hq = hd
-    near_num, near_den, (x, y, w) = _dist_sq_int(n, cell, (hu, hv, hl))
+    near_num, near_den, (x, y, w) = dist_sq_int(n, cell, (hu, hv, hl))
     if near_num * hq >= hp * near_den:  # no cell point inside the open disc
         return Covered()
     cw, verts = cell
@@ -370,11 +298,11 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
     the height is the floor 0.
     """
     n = hs.order.abs_delta
-    frame = _frame((start, end))
+    frame = frame_of((start, end))
     discs = []  # the discs that reach the segment
     for h in hs.hemispheres:
         u, v, l, p, q = h.disc
-        num, den, _ = _dist_sq_int(n, frame, (u, v, l))
+        num, den, _ = dist_sq_int(n, frame, (u, v, l))
         if num * q < p * den:
             discs.append(h.disc)
     if not discs:
@@ -385,8 +313,8 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
     ends = [(x, y, w) for x, y in pts]
     for i, hd in enumerate(discs):
         part = ends
-        for plane in _bisectors(n, hd, discs[:i] + discs[i + 1 :]):
-            part = _clip(part, plane)
+        for plane in bisectors(n, hd, discs[:i] + discs[i + 1 :]):
+            part = clip(part, plane)
             if not part:
                 break
         u, v, l, p, q = hd

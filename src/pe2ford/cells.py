@@ -1,0 +1,142 @@
+"""The planar integer cell kernel: bisectors, clipping, power cells, distances.
+
+Points are (u, v) for u + v*sqrt(|delta|)*i, in the metric u^2 + |delta| v^2.
+Each disc is read once into integers (Hemisphere.disc); the bisectors are
+integer half-planes, cells are clipped in homogeneous integer points
+(x, y, w), and dist_sq_int, the one planar distance routine, measures a
+point against a cell over one common denominator (a Frame).  The Voronoi
+cell of the lattice is the power cell of the unit disc at 0.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Sequence
+
+from .moebius import Disc
+
+Point = tuple[Fraction, Fraction]
+Frame = tuple[int, tuple[tuple[int, int], ...]]  # W > 0 and the points (X/W, Y/W) as integer pairs (X, Y)
+HPoint = tuple[int, int, int]  # (x, y, w) with w > 0: the point (x/w, y/w)
+HalfPlane = tuple[int, int, int]  # a*u + b*v <= c, integer coefficients
+
+
+def frame_of(points: Sequence[Point]) -> Frame:
+    """The points over one common denominator."""
+    w = math.lcm(*(c.denominator for p in points for c in p))
+    return (w, tuple((x.numerator * w // x.denominator, y.numerator * w // y.denominator) for x, y in points))
+
+
+def segment_dist_sq_int(n: int, a: tuple[int, int], b: tuple[int, int], pu: int, pv: int) -> tuple[int, int, HPoint]:
+    """Squared distance from (pu, pv) to the segment ab as num/den with den > 0, and the nearest point.
+
+    All integers; a segment of length 0 is its one point.
+    """
+    du, dv = pu - a[0], pv - a[1]
+    eu, ev = b[0] - a[0], b[1] - a[1]
+    dot = du * eu + n * dv * ev
+    if dot <= 0:
+        return (du * du + n * dv * dv, 1, (a[0], a[1], 1))
+    ee = eu * eu + n * ev * ev
+    if dot >= ee:
+        du, dv = pu - b[0], pv - b[1]
+        return (du * du + n * dv * dv, 1, (b[0], b[1], 1))
+    # |d|^2 - (d.e)^2 / |e|^2, the foot a + (d.e / |e|^2) e strictly inside the segment
+    return ((du * du + n * dv * dv) * ee - dot * dot, ee, (a[0] * ee + dot * eu, a[1] * ee + dot * ev, ee))
+
+
+def dist_sq_int(n: int, frame: Frame, p: HPoint) -> tuple[int, int, HPoint]:
+    """Squared distance from p to the frame's closed polygon as num/den with den > 0, and the nearest point.
+
+    A frame of two points is the closed segment between them.  Points and
+    p meet over the denominator W*L, so every step is integer arithmetic.
+    The nearest point of a convex set is unique, so ties between edges
+    name the same point.
+    """
+    w, verts = frame
+    u, v, l = p
+    pu, pv = u * w, v * w
+    pts = [(x * l, y * l) for x, y in verts]
+    k = len(pts)
+    if k > 2 and all(
+        (b[0] - a[0]) * (pv - a[1]) - (b[1] - a[1]) * (pu - a[0]) >= 0 for a, b in zip(pts[-1:] + pts, pts)
+    ):
+        return (0, 1, p)
+    best = segment_dist_sq_int(n, pts[-1], pts[0], pu, pv)
+    for i in range(1, k if k > 2 else 0):
+        near = segment_dist_sq_int(n, pts[i - 1], pts[i], pu, pv)
+        if near[0] * best[1] < best[0] * near[1]:
+            best = near
+    num, den, (x, y, h) = best
+    scale = w * l
+    return (num, den * scale * scale, (x, y, h * scale))
+
+
+def bisectors(n: int, hd: Disc, pool: Sequence[Disc]) -> list[HalfPlane]:
+    """Closed half-planes where the disc hd is at least as high as each disc of pool.
+
+    pow_h(z) <= pow_k(z) reads 2 (c_k - c_h).(u, |delta| v) <= pow_k(0) - pow_h(0);
+    times (L_h L_k)^2 Q_h Q_k, then divided by the content, it has integer
+    coefficients.  A positive rescale moves no clip point.
+    """
+    hu, hv, hl, hp, hq = hd
+    h_pow = hu * hu + n * hv * hv  # |c_h|^2 L_h^2
+    planes = []
+    for ku, kv, kl, kp, kq in pool:
+        lq = 2 * hl * kl * hq * kq
+        a = (ku * hl - hu * kl) * lq
+        b = n * (kv * hl - hv * kl) * lq
+        ll = (hl * kl) ** 2
+        c = ((ku * ku + n * kv * kv) * hl * hl - h_pow * kl * kl) * hq * kq - (kp * hq - hp * kq) * ll
+        g = math.gcd(a, b, c) or 1
+        planes.append((a // g, b // g, c // g))
+    return planes
+
+
+def clip(poly: list[HPoint], plane: HalfPlane) -> list[HPoint]:
+    """Sutherland-Hodgman step on homogeneous points; only strict sign changes add a point.
+
+    A polygon comes out without repeated points.  A list of two points is
+    a segment, with no closing edge back to its start, so it comes out as
+    its clipped ends: two points, one, or none.
+    """
+    a, b, c = plane
+    # a*u + b*v - c at (x/w, y/w), times w > 0
+    side = [a * x + b * y - c * w for x, y, w in poly]
+    closed = len(poly) > 2
+    out = []
+    for i, q in enumerate(poly):
+        p, sp, sq = poly[i - 1], side[i - 1], side[i]
+        if (i or closed) and (sp < 0 < sq or sq < 0 < sp):
+            # sq*p - sp*q is the crossing p + t(q - p) with t = sp/(sp - sq), up to scale
+            x, y, w = (sq * pc - sp * qc for pc, qc in zip(p, q))
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = math.gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
+        if sq <= 0:
+            out.append(q)
+    return out
+
+
+def power_cell(hd: Disc, planes: Sequence[HalfPlane]) -> Frame | None:
+    """Closed power cell of the disc in the box center +-1; None without area.
+
+    The box holds every cell that is asked for.  A hemisphere's disc has
+    radius at most 1, so the box holds the disc, and with it every point
+    where the hemisphere can be on top.  A Voronoi cell of the lattice
+    has |u| <= 1/2 and |v| <= (n+1)/(4n) <= 1/2.  The cell comes over
+    one common denominator, counterclockwise.
+    """
+    u, v, l = hd[:3]
+    poly = [(u - l, v - l, l), (u + l, v - l, l), (u + l, v + l, l), (u - l, v + l, l)]
+    for plane in planes:
+        poly = clip(poly, plane)
+        if len(poly) < 3:
+            return None  # a point or a segment never regains area
+    w = math.lcm(*(p[2] for p in poly))
+    verts = tuple((x * (w // pw), y * (w // pw)) for x, y, pw in poly)
+    # twice the area, by the shoelace sum
+    area2 = sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(verts[-1:] + verts, verts))
+    return (w, verts) if area2 > 0 else None

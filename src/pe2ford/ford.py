@@ -16,17 +16,15 @@ rational; no epsilon comparisons occur anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .cells import Point, bisectors, dist_sq_int, frame_of, power_cell
 from .errors import CycleNotClosed, OutOfScope
 from .moebius import Mat, apply_interior, gen_r, gen_s, order_in_psl
 from .orders import KElem, OInt, Order, dist_sq, kelem_from_planar
 from .words import R, S, Word, format_word, word_inverse, word_to_matrix
-
-Point = tuple[Fraction, Fraction]
 
 
 @dataclass(frozen=True)
@@ -38,67 +36,6 @@ class FundPolygon:
     center: Point
 
 
-# a common denominator W > 0 and the points (X/W, Y/W) as integer pairs (X, Y)
-Frame = tuple[int, tuple[tuple[int, int], ...]]
-
-
-def _frame(points: Sequence[Point]) -> Frame:
-    """The points over one common denominator."""
-    w = math.lcm(*(c.denominator for p in points for c in p))
-    return (w, tuple((x.numerator * w // x.denominator, y.numerator * w // y.denominator) for x, y in points))
-
-
-# (x, y, w) with w > 0: the point (x/w, y/w)
-HPoint = tuple[int, int, int]
-
-
-def _segment_dist_sq_int(
-    n: int, a: tuple[int, int], b: tuple[int, int], pu: int, pv: int
-) -> tuple[int, int, HPoint]:
-    """Squared distance from (pu, pv) to the segment ab as num/den with den > 0, and the nearest point.
-
-    All integers; a segment of length 0 is its one point.
-    """
-    du, dv = pu - a[0], pv - a[1]
-    eu, ev = b[0] - a[0], b[1] - a[1]
-    dot = du * eu + n * dv * ev
-    if dot <= 0:
-        return (du * du + n * dv * dv, 1, (a[0], a[1], 1))
-    ee = eu * eu + n * ev * ev
-    if dot >= ee:
-        du, dv = pu - b[0], pv - b[1]
-        return (du * du + n * dv * dv, 1, (b[0], b[1], 1))
-    # |d|^2 - (d.e)^2 / |e|^2, the foot a + (d.e / |e|^2) e strictly inside the segment
-    return ((du * du + n * dv * dv) * ee - dot * dot, ee, (a[0] * ee + dot * eu, a[1] * ee + dot * ev, ee))
-
-
-def _dist_sq_int(n: int, frame: Frame, p: HPoint) -> tuple[int, int, HPoint]:
-    """Squared distance from p to the frame's closed polygon as num/den with den > 0, and the nearest point.
-
-    A frame of two points is the closed segment between them.  Points and
-    p meet over the denominator W*L, so every step is integer arithmetic.
-    The nearest point of a convex set is unique, so ties between edges
-    name the same point.
-    """
-    w, verts = frame
-    u, v, l = p
-    pu, pv = u * w, v * w
-    pts = [(x * l, y * l) for x, y in verts]
-    k = len(pts)
-    if k > 2 and all(
-        (b[0] - a[0]) * (pv - a[1]) - (b[1] - a[1]) * (pu - a[0]) >= 0 for a, b in zip(pts[-1:] + pts, pts)
-    ):
-        return (0, 1, p)
-    best = _segment_dist_sq_int(n, pts[-1], pts[0], pu, pv)
-    for i in range(1, k if k > 2 else 0):
-        near = _segment_dist_sq_int(n, pts[i - 1], pts[i], pu, pv)
-        if near[0] * best[1] < best[0] * near[1]:
-            best = near
-    num, den, (x, y, h) = best
-    scale = w * l
-    return (num, den * scale * scale, (x, y, h * scale))
-
-
 def _neighbour_ring(order: Order) -> tuple[OInt, ...]:
     # nearest lattice points around 0, counterclockwise from 1
     one, tau = order.one, order.tau
@@ -107,36 +44,27 @@ def _neighbour_ring(order: Order) -> tuple[OInt, ...]:
     return (one, tau, tau - one, -one, -tau, one - tau)
 
 
-def _bisector(order: Order, p: OInt) -> tuple[Fraction, Fraction, Fraction]:
-    # {x : |x|^2 = |x - p|^2} as the line A*u + B*v = C
-    pu, pv = p.planar()
-    n = order.abs_delta
-    return (2 * pu, 2 * n * pv, pu * pu + n * pv * pv)
-
-
-def _bisector_intersection(order: Order, p: OInt, q: OInt) -> Point:
-    a1, b1, c1 = _bisector(order, p)
-    a2, b2, c2 = _bisector(order, q)
-    det = a1 * b2 - a2 * b1
-    return ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
-
-
 def voronoi_cell(order: Order) -> FundPolygon:
     """Voronoi cell of the lattice around 0.
 
-    A rectangle for even deltas and a hexagon for odd ones, cut out by
-    the perpendicular bisectors toward the nearest lattice points (in
-    the metric u^2 + |delta| v^2 of the embedding).  Needs |delta| > 4
-    so that the hexagon really has the six neighbours +-1, +-tau,
-    +-(tau - 1).
+    Unit discs all have one radius, so their power diagram is the
+    Voronoi diagram: the cell is the power cell of the unit disc at 0
+    against the unit discs at the nearest lattice points (in the metric
+    u^2 + |delta| v^2 of the embedding).  A rectangle for even deltas and
+    a hexagon for odd ones.  It starts at its greatest (u, v) vertex,
+    where the bisectors toward 1 and tau meet, so vertex i lies on the
+    bisectors toward ring[i] and ring[i + 1].  Needs |delta| > 4 so that
+    the hexagon really has the six neighbours +-1, +-tau, +-(tau - 1).
     """
     if order.abs_delta <= 4:
         raise OutOfScope("voronoi cell needs |delta| > 4")
-    ring = _neighbour_ring(order)
-    k = len(ring)
-    verts = tuple(_bisector_intersection(order, ring[i], ring[(i + 1) % k]) for i in range(k))
+    unit = (0, 0, 1, 1, 1)
+    discs = [(*KElem.of(p, 1).planar_int(), 1, 1) for p in _neighbour_ring(order)]
+    w, verts = power_cell(unit, bisectors(order.abs_delta, unit, discs))
+    top = verts.index(max(verts))
+    cell = tuple((Fraction(x, w), Fraction(y, w)) for x, y in verts[top:] + verts[:top])
     zero = Fraction(0)
-    return FundPolygon(verts, "rectangle" if order.even else "hexagon", (zero, zero))
+    return FundPolygon(cell, "rectangle" if order.even else "hexagon", (zero, zero))
 
 
 def amalgam_rectangle(order: Order) -> FundPolygon:
@@ -232,18 +160,14 @@ class Edge:
 
 
 def _domain_edges(order: Order, faces: Sequence[Face]) -> tuple[Edge, ...]:
-    cell = voronoi_cell(order)
-    edges = [
-        Edge("vertical", kelem_from_planar(order, u, v), Fraction(1))
-        for u, v in cell.vertices
-    ]
-    for f in faces:
+    # wall i ends at cell vertex i, so the vertical edges keep the cell's order
+    walls = [f for f in faces if isinstance(f, VerticalWall)]
+    edges = [Edge("vertical", kelem_from_planar(order, *w.end), Fraction(1)) for w in walls]
+    for w in walls:
         # the hemisphere reaches a wall only when the neighbour sits at
         # norm < 4; the midpoint of the bisector is then on the arc
-        if isinstance(f, VerticalWall) and f.toward.norm() < 4:
-            edges.append(
-                Edge("arc", KElem.of(f.toward, 2), 1 - Fraction(f.toward.norm(), 4))
-            )
+        if w.toward.norm() < 4:
+            edges.append(Edge("arc", KElem.of(w.toward, 2), 1 - Fraction(w.toward.norm(), 4)))
     return tuple(edges)
 
 
@@ -251,7 +175,7 @@ def _face_contains(face: Face, edge: Edge) -> bool:
     if isinstance(face, VerticalWall):
         # the planar metric is positive definite, so distance 0 means on the segment
         n = edge.zeta.order.abs_delta
-        return _dist_sq_int(n, _frame((face.start, face.end)), edge.zeta.planar_int())[0] == 0
+        return dist_sq_int(n, frame_of((face.start, face.end)), edge.zeta.planar_int())[0] == 0
     return dist_sq(edge.zeta, face.center) + edge.height_sq == 1
 
 

@@ -15,8 +15,6 @@ from pe2ford.arrangement import (
     Covered,
     HemiSet,
     UnimodularPair,
-    _bisectors,
-    _clip,
     _rivals,
     enumerate_hemispheres,
     envelope_dips_below,
@@ -26,8 +24,9 @@ from pe2ford.arrangement import (
     plane_split,
     svg_topview,
 )
+from pe2ford.cells import bisectors, clip, dist_sq_int, frame_of
 from pe2ford.errors import OutOfScope
-from pe2ford.ford import _dist_sq_int, _frame, amalgam_rectangle, voronoi_cell
+from pe2ford.ford import amalgam_rectangle, voronoi_cell
 from pe2ford.moebius import Hemisphere, Mat
 from pe2ford.orders import KElem, OInt, kelem_from_planar, make_order
 from pe2ford.words import Member, membership
@@ -317,14 +316,14 @@ def test_envelope_dips_below_on_hand_made_segments():
 def test_clip_keeps_a_segment_as_its_two_ends():
     # homogeneous points (x, y, w) = (x/w, y/w); the half-plane 2u <= 1 is u <= 1/2
     origin, one, half = (0, 0, 1), (1, 0, 1), (1, 0, 2)
-    assert _clip([origin, one], (2, 0, 1)) == [origin, half]
-    assert _clip([one, origin], (2, 0, 1)) == [half, origin]
-    assert _clip([origin, one], (1, 0, 2)) == [origin, one]
-    assert _clip([origin, one], (-1, 0, -2)) == []
+    assert clip([origin, one], (2, 0, 1)) == [origin, half]
+    assert clip([one, origin], (2, 0, 1)) == [half, origin]
+    assert clip([origin, one], (1, 0, 2)) == [origin, one]
+    assert clip([origin, one], (-1, 0, -2)) == []
     # touching the line at one end leaves that end alone
-    assert _clip([origin, half], (-2, 0, -1)) == [half]
+    assert clip([origin, half], (-2, 0, -1)) == [half]
     # a triangle still gets its closing edge
-    assert _clip([origin, one, (0, 1, 1)], (2, 0, 1)) == [origin, half, (1, 1, 2), (0, 1, 1)]
+    assert clip([origin, one, (0, 1, 1)], (2, 0, 1)) == [origin, half, (1, 1, 2), (0, 1, 1)]
 
 
 DISCS = [-m for m in range(13, 200) if m % 4 in (0, 3)]
@@ -413,7 +412,7 @@ def test_integer_kernel_matches_fractions(delta, data):
                 assert planes is None
                 continue
             assert planes is not None and len(planes) == (0 if disjoint else 1)
-            (plane,) = _bisectors(n, h.disc, [k.disc])
+            (plane,) = bisectors(n, h.disc, [k.disc])
             assert planes in ([], [plane])
             a, b, cc = plane
             assert isinstance(a, int) and isinstance(b, int) and isinstance(cc, int)
@@ -433,13 +432,13 @@ def test_integer_kernel_matches_fractions(delta, data):
         z = kelem_from_planar(order, data.draw(rationals(2, 30)), data.draw(rationals(1, 30)))
         rsq = data.draw(radii_sq())
         for window in windows:
-            dist = _dist_sq_int(n, _frame(window.vertices), z.planar_int())
+            dist = dist_sq_int(n, frame_of(window.vertices), z.planar_int())
             near = _read(dist)
             assert near == _polygon_nearest_ref(n, list(window.vertices), z.planar())
             assert (dist[0] * rsq.denominator > rsq.numerator * dist[1]) == (near[0] > rsq)
         ends = (data.draw(point), data.draw(point))
         for seg in (ends, (ends[0], ends[0])):
-            near = _read(_dist_sq_int(n, _frame(seg), z.planar_int()))
+            near = _read(dist_sq_int(n, frame_of(seg), z.planar_int()))
             assert near == _segment_nearest_ref(n, *seg, z.planar())
 
 

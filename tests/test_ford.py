@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from pe2ford.cells import dist_sq_int, frame_of
 from pe2ford.errors import CycleNotClosed, OutOfScope
 from pe2ford.ford import (
     HemiFace,
     VerticalWall,
-    _dist_sq_int,
-    _frame,
+    _neighbour_ring,
     amalgam_rectangle,
     edge_cycles,
     pe2_ford_faces,
@@ -30,6 +30,8 @@ from pe2ford.words import R, S, word_to_matrix
 
 DISCS = [-15, -16, -19, -20, -23, -24, -40]
 CELL_DISCS = [-7, -8, -11] + DISCS
+# every valid discriminant from -5 to -400, and one far out
+SWEEP_DISCS = [delta for delta in range(-5, -401, -1) if delta % 4 in (0, 1)] + [-1003]
 
 
 def _area(cell):
@@ -40,7 +42,7 @@ def _area(cell):
 
 def _in_closed(d, cell, u, v):
     # distance 0 from the closed polygon
-    return _dist_sq_int(d.abs_delta, _frame(cell.vertices), kelem_from_planar(d, u, v).planar_int())[0] == 0
+    return dist_sq_int(d.abs_delta, frame_of(cell.vertices), kelem_from_planar(d, u, v).planar_int())[0] == 0
 
 
 def test_kelem_from_planar_roundtrip():
@@ -121,6 +123,34 @@ def test_polygon_convex_and_centrally_symmetric():
                 (ax, ay), (bx, by), (cx, cy) = vs[i], vs[(i + 1) % k], vs[(i + 2) % k]
                 assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
             assert {(2 * cu - u, 2 * cv - v) for u, v in vs} == set(vs)
+
+
+def test_vertex_order_follows_the_ring():
+    # vertex i is where the bisectors toward ring[i] and ring[i + 1] meet,
+    # and wall i runs from vertex i - 1 to vertex i on the bisector toward ring[i]
+    for delta in SWEEP_DISCS:
+        d = make_order(delta)
+        ring = _neighbour_ring(d)
+        vertices = voronoi_cell(d).vertices
+        assert len(vertices) == len(ring)
+        for i, (u, v) in enumerate(vertices):
+            z = kelem_from_planar(d, u, v)
+            assert dist_sq(z, d.zero) == dist_sq(z, ring[i]) == dist_sq(z, ring[(i + 1) % len(ring)])
+        if d.abs_delta <= 12:
+            continue
+        walls = [f for f in pe2_ford_faces(d) if isinstance(f, VerticalWall)]
+        assert [w.toward for w in walls] == list(ring)
+        for w in walls:
+            for u, v in (w.start, w.end):
+                z = kelem_from_planar(d, u, v)
+                assert dist_sq(z, d.zero) == dist_sq(z, w.toward)
+
+
+def test_covering_radius_is_the_farthest_cell_vertex():
+    for delta in SWEEP_DISCS:
+        d = make_order(delta)
+        far = max(dist_sq(kelem_from_planar(d, u, v), d.zero) for u, v in voronoi_cell(d).vertices)
+        assert d.covering_radius_sq() == far
 
 
 def test_polygon_contains():
