@@ -41,17 +41,18 @@ from .orders import (
 )
 
 
-def _one_in_span(gens: Sequence[OInt], order: Order) -> tuple[OInt, OInt]:
-    """Write 1 over the Z-span of (a, a*tau, b, b*tau), which must be all of Z^2.
+def _one_in_span(lam: OInt, mu: OInt) -> tuple[OInt, OInt]:
+    """Write 1 over the Z-span of (lam, lam*tau, mu, mu*tau), which must be all of Z^2.
 
     Rows carry coordinates in the basis (1, tau) plus a tracked
     coefficient vector; a column-echelon reduction over Z leaves a row
     (+-1, y) and a row (0, +-1), and the tracked coefficients of the
     combination that gives (1, 0) regroup into order elements x, y with
-    x*a + y*b = 1.
+    x*lam + y*mu = 1.
     """
+    order = lam.order
     rows = []
-    for i, g in enumerate(gens):
+    for i, g in enumerate((lam, lam * order.tau, mu, mu * order.tau)):
         row = [g.a, g.b, 0, 0, 0, 0]
         row[2 + i] = 1
         rows.append(row)
@@ -81,38 +82,49 @@ def _one_in_span(gens: Sequence[OInt], order: Order) -> tuple[OInt, OInt]:
     return (x, y)
 
 
+def unit_ideal(lam: OInt, mu: OInt) -> bool:
+    """Whether (lam, mu) generates the unit ideal; builds no matrix.
+
+    It does iff (lam, lam*tau, mu, mu*tau) span Z^2, that is iff the gcd of their six 2x2 minors is 1.
+    """
+    gens = (lam, lam * lam.order.tau, mu, mu * mu.order.tau)
+    return math.gcd(*(g.a * k.b - g.b * k.a for g, k in itertools.combinations(gens, 2))) == 1
+
+
 def is_unimodular(lam: OInt, mu: OInt) -> Mat | None:
     """Completion of (lam, mu) to a determinant-one first column, or None.
 
-    The pair generates the unit ideal iff the integer lattice spanned by
-    (lam, lam*tau, mu, mu*tau) is all of Z^2, that is iff the gcd of its
-    six 2x2 minors (the lattice index) is 1.  The tracked reduction then
-    yields x, y with x*lam + y*mu = 1 and the completion
-    [[lam, -y], [mu, x]].  Completions are deterministic but only
-    canonical up to a right shift.
+    unit_ideal decides first, and only a pair that passes is reduced:
+    the tracked reduction yields x, y with x*lam + y*mu = 1 and the
+    completion [[lam, -y], [mu, x]], deterministic but only canonical
+    up to a right shift.
     """
     if lam.is_zero() and mu.is_zero():
         raise ValueError("(0, 0) is not a pair")
-    order = lam.order
-    tau = order.tau
-    gens = (lam, lam * tau, mu, mu * tau)
-    if math.gcd(*(g.a * k.b - g.b * k.a for g, k in itertools.combinations(gens, 2))) != 1:
+    if not unit_ideal(lam, mu):
         return None
-    x, y = _one_in_span(gens, order)
+    x, y = _one_in_span(lam, mu)
     return Mat(lam, -y, mu, x)
 
 
 @dataclass(frozen=True)
 class UnimodularPair:
-    """Pair (lam, mu) generating the unit ideal, with mu != 0."""
+    """Pair (lam, mu) generating the unit ideal, with mu != 0; the completion is built on each read."""
 
     lam: OInt
     mu: OInt
-    completion: Mat
 
     def __post_init__(self) -> None:
         if self.mu.is_zero():
             raise ValueError("mu must be nonzero")
+
+    @property
+    def completion(self) -> Mat:
+        """A determinant-one matrix with first column (lam, mu); ValueError if there is none."""
+        m = is_unimodular(self.lam, self.mu)
+        if m is None:
+            raise ValueError("(lam, mu) does not generate the unit ideal")
+        return m
 
     def ratio(self) -> KElem:
         return KElem.of(self.lam, self.mu)
@@ -136,11 +148,12 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     """All hemispheres of pairs with norm(mu) <= norm_bound near the window.
 
     A hemisphere makes the cut when its center lies within one radius
-    of the window, so faces clipped at the boundary stay present.
-    (lam, mu) and (-lam, -mu) describe the same hemisphere, so mu is
-    normalized to the canonical sign; a unimodular pair is then fixed by
-    its ratio lam/mu, so no hemisphere comes twice.  The output is sorted
-    by descending radius, then center.
+    of the window, so faces clipped at the boundary stay present.  The
+    disc is tested first, since most miss the window, then unit_ideal;
+    no completion is built.  mu has the canonical sign, as (lam, mu) and
+    (-lam, -mu) give one hemisphere, and unimodular pairs of one ratio
+    differ by a unit, so no hemisphere comes twice.  The output is
+    sorted by descending radius, then center.
     """
     if order.abs_delta <= 12:
         raise OutOfScope("hemisphere arrangement needs |delta| > 12")
@@ -160,16 +173,12 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
         # overshoot via (a + b)^2 <= 2a^2 + 2b^2, then filter exactly
         reach = (2 * circum_sq + 2 * rsq) * mu.norm()
         for lam in lattice_points_within(wc * mu, reach):
-            completion = is_unimodular(lam, mu)
-            if completion is None:
-                continue
-            pair = UnimodularPair(lam, mu, completion)
-            h = pair.hemisphere()
+            h = Hemisphere(KElem.of(lam, mu), rsq)
             u, v, l, p, q = h.disc
             num, den, _ = dist_sq_int(n, frame, (u, v, l))
-            if num * q > p * den:  # farther than the radius from the window
+            if num * q > p * den or not unit_ideal(lam, mu):  # misses the window, or not unimodular
                 continue
-            found.append((h, pair))
+            found.append((h, UnimodularPair(lam, mu)))
     ordered = sorted(found, key=lambda hp: hp[0].sort_key())
     return HemiSet(
         order=order,

@@ -252,7 +252,7 @@ def _cmd_presentation(args: argparse.Namespace) -> _Result:
 
 def _cmd_cosets(args: argparse.Namespace) -> _Result:
     order = make_order(args.disc)
-    fam = coset_family(order, args.count, args.depth)
+    fam = coset_family(order, args.count)
     keys = sorted(fam.distinctness_matrix)
     digest = hashlib.sha256()
     for i, j in keys:
@@ -262,7 +262,7 @@ def _cmd_cosets(args: argparse.Namespace) -> _Result:
         "command": "cosets",
         "discriminant": order.delta,
         "count": len(fam.members),
-        "depth_cap": fam.depth_cap,
+        "depth_cap": DEPTH_CAP,
         "members": [{"matrix": _mat_json(m), **_gap_point_json(gp)} for m, gp in zip(fam.members, fam.points)],
         "pairs_checked": len(keys),
         "all_non_member": all(isinstance(fam.distinctness_matrix[k], NonMember) for k in keys),
@@ -394,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("cosets", "pairwise-distinct right-coset family", ("text", "json"))
     p.add_argument("--count", type=_POSITIVE_INT, default=100)
-    p.add_argument("--depth", type=_NON_NEGATIVE_INT, default=DEPTH_CAP)
 
     p = add("arrangement", "hemisphere arrangement over the straddling rectangle", ("text", "json", "svg"))
     p.add_argument("--bound", type=_POSITIVE_INT, default=16, help="owner norm bound")

@@ -26,8 +26,8 @@ from .arrangement import (
     enumerate_hemispheres,
     envelope_dips_below,
     face_statuses,
-    is_unimodular,
     plane_split,
+    unit_ideal,
 )
 from .errors import OutOfScope, SearchExhausted, WitnessNotFound
 from .ford import amalgam_rectangle, presentation
@@ -41,7 +41,7 @@ from .orders import (
     lattice_points_within,
     oints_by_norm,
 )
-from .words import DEPTH_CAP, NonMember, R, S, Word, membership, word_to_matrix
+from .words import NonMember, R, S, Word, membership, word_to_matrix
 
 PLANE = Fraction(2, 3)  # the default height t0 of the plane that splits the arrangement
 
@@ -77,12 +77,13 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
     # mu by increasing norm; ratios confined to the half-open cell band
     # u in [0, 1), v in [0, 1/2), which meets every translation orbit once;
     # with x = lam*conj(mu) the ratio is x/N(mu), so the band is
-    # 0 <= 2*x.a + e*x.b < 2N and 0 <= x.b < N in integers
+    # 0 <= 2*x.a + e*x.b < 2N and 0 <= x.b < N in integers.  gap_check, then
+    # unit_ideal; no ratio repeats, as unimodular pairs of one ratio differ by
+    # a unit, the units are +-1, and mu's canonical sign leaves only 1.
     n = order.abs_delta
     e = 0 if order.even else 1
     band_center = kelem_from_planar(order, Fraction(1, 2), Fraction(1, 4))
     band_circum = Fraction(1, 4) + Fraction(n, 16)
-    seen: set[KElem] = set()
     for group in oints_by_norm(order):
         for mu in group:
             if not mu.is_canonical_positive():
@@ -92,18 +93,10 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
                 x = lam * mu_bar
                 if not (0 <= 2 * x.a + e * x.b < 2 * norm and 0 <= x.b < norm):
                     continue
-                ratio = KElem.of(lam, mu)
-                if ratio in seen:
+                found = gap_check(KElem.of(lam, mu))
+                if found is None or not unit_ideal(lam, mu):
                     continue
-                found = gap_check(ratio)
-                if found is None:
-                    continue
-                completion = is_unimodular(lam, mu)
-                if completion is None:
-                    continue
-                seen.add(ratio)
-                min_dist, checked = found
-                yield GapPoint(UnimodularPair(lam, mu, completion), min_dist, checked)
+                yield GapPoint(UnimodularPair(lam, mu), *found)
 
 
 def gap_points(order: Order, count: int) -> list[GapPoint]:
@@ -132,10 +125,9 @@ class CosetFamily:
     points: tuple[GapPoint, ...]
     distinctness_matrix: dict[tuple[int, int], NonMember]
     replaced: tuple[KElem, ...]
-    depth_cap: int
 
 
-def coset_family(order: Order, count: int, depth_cap: int = DEPTH_CAP) -> CosetFamily:
+def coset_family(order: Order, count: int) -> CosetFamily:
     """Completions of gap points representing distinct right cosets.
 
     Members i and j land in the same coset exactly when M_j * M_i^{-1}
@@ -148,7 +140,7 @@ def coset_family(order: Order, count: int, depth_cap: int = DEPTH_CAP) -> CosetF
     ratio.  A product is certified once its descent reaches a ratio with
     no lattice point in the closed unit disc about it, the same unit-disc
     test gap_check makes; each candidate is inverted once.  A candidate
-    whose product search does not certify (depth cap hit) is dropped and
+    whose product search does not certify (a search cap hit) is dropped and
     reported in `replaced` rather than silently kept.
     """
     if order.abs_delta <= 12:
@@ -169,7 +161,7 @@ def coset_family(order: Order, count: int, depth_cap: int = DEPTH_CAP) -> CosetF
         results: dict[tuple[int, int], NonMember] = {}
         i = len(members)
         for j, other in enumerate(members):
-            res = membership(other * cand_inv, depth_cap)
+            res = membership(other * cand_inv)
             if not isinstance(res, NonMember):
                 break
             results[(i, j)] = res
@@ -178,7 +170,7 @@ def coset_family(order: Order, count: int, depth_cap: int = DEPTH_CAP) -> CosetF
             points.append(gp)
             matrix.update(results)
             if len(members) == count:
-                return CosetFamily(tuple(members), tuple(points), matrix, tuple(replaced), depth_cap)
+                return CosetFamily(tuple(members), tuple(points), matrix, tuple(replaced))
             continue
         replaced.append(gp.ratio())
     raise SearchExhausted("gap point stream dried up")  # pragma: no cover
@@ -187,7 +179,8 @@ def coset_family(order: Order, count: int, depth_cap: int = DEPTH_CAP) -> CosetF
 def normalizer_witness(g: Mat) -> OInt:
     """Smallest-norm shift coefficient whose conjugate re-certifies g.
 
-    Requires (and verifies) that g is NonMember with a gap-point ratio.
+    Requires (and verifies) that g moves infinity and that its ratio
+    lambda/mu is a gap point, which makes g NonMember.
     Conjugating the shift s(alpha) by g moves the ratio to
     lambda/mu - 1/(alpha*mu^2); candidates failing the exact gap test
     on that value are skipped before any membership search runs.  The
@@ -197,17 +190,14 @@ def normalizer_witness(g: Mat) -> OInt:
     order = g.order
     if order.abs_delta <= 12:
         raise OutOfScope("normalizer witnesses need |delta| > 12")
-    # membership descends from the right ratio, an arbitrary completion entry
-    # over mu for g but lambda/mu itself for g^-1, which is outside iff g is
-    g_inv = g.inv()
-    if not isinstance(membership(g_inv), NonMember):
-        raise ValueError("g must certify NonMember")
     lam, mu = g.m11, g.m21
     if mu.is_zero():
         raise ValueError("g must move infinity")
+    # the descent on g^-1 starts at lambda/mu, so a gap ratio refutes g at the root
     ratio = KElem.of(lam, mu)
     if gap_check(ratio) is None:
         raise ValueError("the ratio of g must be a gap point")
+    g_inv = g.inv()
     for group in oints_by_norm(order):
         if group[0].norm() > 10_000:
             raise WitnessNotFound("no witness with norm(alpha) <= 10^4")

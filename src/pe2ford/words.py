@@ -29,6 +29,7 @@ from .moebius import Mat, gen_r, gen_s
 from .orders import KElem, OInt, Order, gap_neighbourhood, lattice_points_within, scaled_dist_sq
 
 DEPTH_CAP = 64  # the default cap on the descent depth of membership
+NODE_CAP = 20_000  # the nodes one membership descent may expand; read at call time
 
 
 @dataclass(frozen=True)
@@ -361,8 +362,8 @@ def membership(g: Mat, depth_cap: int = DEPTH_CAP) -> MembershipResult:
     their parent; the path word is spelled once, when a verdict returns.
 
     Member and NonMember answers are definitive; Inconclusive only
-    reports an exhausted search budget.  Needs |delta| > 12: soundness
-    of the empty-candidate criterion rests on the norm gap.
+    reports an exhausted budget, depth_cap or NODE_CAP expanded nodes.
+    Needs |delta| > 12: soundness of the empty-candidate criterion rests on the norm gap.
     """
     order = g.order
     if order.abs_delta <= 12:
@@ -372,7 +373,7 @@ def membership(g: Mat, depth_cap: int = DEPTH_CAP) -> MembershipResult:
     max_depth = 0
     nodes = 0
     plateau = 0
-    while stack:
+    while stack and nodes < NODE_CAP:
         h, depth, path = stack.pop()
         if h in visited:
             continue
@@ -401,8 +402,8 @@ def membership(g: Mat, depth_cap: int = DEPTH_CAP) -> MembershipResult:
                 if d == unit:
                     plateau += 1
                 stack.append((child, depth + 1, (c, path)))
-    # either the cap cut a branch, or the finite reachable component held
-    # no shift node; stay conservative in both cases
+    # a cap cut the search, or the finite reachable component held no
+    # shift node; stay conservative in every case
     return Inconclusive(max_depth, SearchStats(nodes, plateau))
 
 

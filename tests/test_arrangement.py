@@ -95,7 +95,7 @@ def test_is_unimodular_matches_minor_gcd_oracle(delta):
 def test_pair_hemisphere_matches_inverse_isometric_hemisphere():
     order = make_order(-40)
     lam, mu = order.elt(1, 1), order.elt(2)
-    pair = UnimodularPair(lam, mu, is_unimodular(lam, mu))
+    pair = UnimodularPair(lam, mu)
     h = pair.hemisphere()
     assert h.center == KElem.of(order.elt(1, 1), 2)
     assert h.radius_sq == Fraction(1, 4)
@@ -107,7 +107,7 @@ def test_pair_hemisphere_matches_inverse_isometric_hemisphere():
 def test_pair_requires_nonzero_mu():
     order = make_order(-40)
     with pytest.raises(ValueError):
-        UnimodularPair(order.one, order.zero, Mat.identity(order))
+        UnimodularPair(order.one, order.zero)
 
 
 ORDER40 = make_order(-40)
@@ -173,6 +173,59 @@ def test_enumerate_gives_each_hemisphere_once(delta, bound):
     for window in (amalgam_rectangle(order), voronoi_cell(order)):
         hs = enumerate_hemispheres(order, bound, window)
         assert len({h.center for h in hs.hemispheres}) == len(hs.hemispheres)
+
+
+@pytest.mark.parametrize("delta, bound", [(-15, 8), (-20, 8), (-40, 16), (-43, 8), (-163, 16)])
+def test_enumerate_is_complete(delta, bound):
+    # reference: a box scan of every canonical mu with norm <= bound and every lam in
+    # a box, kept when the pair is unimodular and lam/mu lies within the radius of
+    # the window, by the Fraction distance of _polygon_nearest_ref
+    order = make_order(delta)
+    n = order.abs_delta
+
+    def box(norm_bound):
+        # N(a + b*tau) >= |delta| b^2 / 4 and |a| <= sqrt(N) + |b|/2, so these edges
+        # hold every element of norm <= norm_bound strictly inside
+        eb = math.isqrt(4 * norm_bound // n) + 1
+        ea = math.isqrt(norm_bound) + eb
+        return (ea, eb), [order.elt(a, b) for a in range(-ea, ea + 1) for b in range(-eb, eb + 1)]
+
+    def inside(g, edges):
+        return abs(g.a) < edges[0] and abs(g.b) < edges[1]
+
+    edges, grid = box(bound)
+    mus = [mu for mu in grid if 0 < mu.norm() <= bound and mu.is_canonical_positive()]
+    assert all(inside(mu, edges) for mu in mus)
+    for window in (amalgam_rectangle(order), voronoi_cell(order)):
+        verts = list(window.vertices)
+        us, vs = [u for u, _ in verts], [v for _, v in verts]
+        reach_sq = math.ceil(max(u * u + n * v * v for u, v in verts)) + 1
+        want = set()
+        for mu in mus:
+            rsq = Fraction(1, mu.norm())
+            # |lam|^2 = |lam/mu|^2 N(mu) <= (|window| + 1)^2 N(mu) <= 2 reach_sq N(mu)
+            lam_edges, lams = box(2 * reach_sq * mu.norm())
+            for lam in lams:
+                u, v = KElem.of(lam, mu).planar()
+                du = max(min(us) - u, u - max(us), 0)
+                dv = max(min(vs) - v, v - max(vs), 0)
+                if du * du + n * dv * dv > rsq:  # farther than the radius from the bounding box
+                    continue
+                if _polygon_nearest_ref(n, verts, (u, v))[0] <= rsq and _unimodular_oracle(lam, mu):
+                    assert inside(lam, lam_edges)
+                    want.add((lam, mu))
+        hs = enumerate_hemispheres(order, bound, window)
+        assert {(p.lam, p.mu) for p in hs.pairs} == want
+        for p in hs.pairs:
+            m = p.completion
+            assert m.m11 * m.m22 - m.m12 * m.m21 == order.one
+            assert (m.m11, m.m21) in {(p.lam, p.mu), (-p.lam, -p.mu)}
+
+
+def test_completion_needs_the_unit_ideal():
+    order = make_order(-40)
+    with pytest.raises(ValueError):
+        UnimodularPair(order.elt(2), order.tau).completion
 
 
 def test_enumerate_scope_and_bounds():

@@ -181,7 +181,6 @@ def test_usage_errors_exit_2():
     "argv",
     [
         ["cosets", "--disc", "-40", "--count", "0"],
-        ["cosets", "--disc", "-40", "--depth", "-1"],
         ["gap-points", "--disc", "-40", "--count", "-1"],
         ["arrangement", "--disc", "-40", "--bound", "0"],
         ["amalgam", "--disc", "-40", "--bound", "0"],

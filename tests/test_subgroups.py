@@ -117,12 +117,20 @@ def test_gap_points_scope_and_count():
         gap_points(ORDER40, 0)
 
 
+@pytest.mark.parametrize("delta", [-15, -16, -20, -23, -40, -163])
+def test_gap_ratios_pairwise_distinct(delta):
+    # the stream keeps no set of seen ratios: unimodular pairs of one ratio differ
+    # by a unit, and the canonical sign of mu leaves only 1; -15 and -20 have class
+    # number 2, and -16 is a non-maximal order
+    points = gap_points(make_order(delta), 200)
+    assert len({gp.ratio() for gp in points}) == 200
+
+
 def test_coset_family_pairwise_distinct():
     d = ORDER40
     fam = coset_family(d, 20)
     assert len(fam.members) == 20
     assert fam.replaced == ()
-    assert fam.depth_cap == 64
     for k, gp in enumerate(fam.points):
         assert fam.members[k] == gp.pair.completion
     for i in range(20):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pe2ford import words
 from pe2ford.errors import DegenerateChain, OutOfScope, WordSyntaxError
 from pe2ford.moebius import Mat, gen_r, gen_s
 from pe2ford.orders import KElem, make_order
@@ -273,6 +274,18 @@ def test_membership_budget_exhaustion():
     assert isinstance(res, Inconclusive)
     assert res.depth_reached == 0
     assert res.stats.nodes_explored == 1
+
+
+def test_membership_node_budget(monkeypatch):
+    # a descent that has expanded NODE_CAP nodes stops Inconclusive, whatever its depth
+    d = make_order(-40)
+    g = word_to_matrix(random_pe2_word(d, 7, length=200), d)
+    full = membership(g)
+    assert isinstance(full, Member) and full.stats.nodes_explored > 3
+    monkeypatch.setattr(words, "NODE_CAP", 3)
+    res = membership(g)
+    assert isinstance(res, Inconclusive)
+    assert res.stats.nodes_explored == 3
 
 
 def test_descent_step_scales_bottom_norm():
