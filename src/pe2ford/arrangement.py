@@ -173,12 +173,15 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
         # overshoot via (a + b)^2 <= 2a^2 + 2b^2, then filter exactly
         reach = (2 * circum_sq + 2 * rsq) * mu.norm()
         for lam in lattice_points_within(wc * mu, reach):
-            h = Hemisphere(KElem.of(lam, mu), rsq)
+            pair = UnimodularPair(lam, mu)
+            h = pair.hemisphere()
             u, v, l, p, q = h.disc
             num, den, _ = dist_sq_int(n, frame, (u, v, l))
-            if num * q > p * den or not unit_ideal(lam, mu):  # misses the window, or not unimodular
+            if num * q > p * den:  # farther than the radius from the window
                 continue
-            found.append((h, UnimodularPair(lam, mu)))
+            if not unit_ideal(lam, mu):
+                continue
+            found.append((h, pair))
     ordered = sorted(found, key=lambda hp: hp[0].sort_key())
     return HemiSet(
         order=order,

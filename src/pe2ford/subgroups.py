@@ -14,6 +14,7 @@ All gap and split certificates are exact rational comparisons.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -94,9 +95,12 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
                 if not (0 <= 2 * x.a + e * x.b < 2 * norm and 0 <= x.b < norm):
                     continue
                 found = gap_check(KElem.of(lam, mu))
-                if found is None or not unit_ideal(lam, mu):
+                if found is None:
                     continue
-                yield GapPoint(UnimodularPair(lam, mu), *found)
+                if not unit_ideal(lam, mu):
+                    continue
+                min_dist, checked = found
+                yield GapPoint(UnimodularPair(lam, mu), min_dist, checked)
 
 
 def gap_points(order: Order, count: int) -> list[GapPoint]:
@@ -105,12 +109,7 @@ def gap_points(order: Order, count: int) -> list[GapPoint]:
         raise OutOfScope("gap points need |delta| > 12")
     if count < 1:
         raise ValueError("count must be >= 1")
-    out: list[GapPoint] = []
-    for gp in _gap_stream(order):
-        out.append(gp)
-        if len(out) == count:
-            return out
-    raise SearchExhausted("gap point stream dried up")  # pragma: no cover
+    return list(itertools.islice(_gap_stream(order), count))
 
 
 @dataclass
@@ -179,8 +178,7 @@ def coset_family(order: Order, count: int) -> CosetFamily:
 def normalizer_witness(g: Mat) -> OInt:
     """Smallest-norm shift coefficient whose conjugate re-certifies g.
 
-    Requires (and verifies) that g moves infinity and that its ratio
-    lambda/mu is a gap point, which makes g NonMember.
+    Requires (and verifies) that g is NonMember with a gap-point ratio.
     Conjugating the shift s(alpha) by g moves the ratio to
     lambda/mu - 1/(alpha*mu^2); candidates failing the exact gap test
     on that value are skipped before any membership search runs.  The
@@ -190,14 +188,17 @@ def normalizer_witness(g: Mat) -> OInt:
     order = g.order
     if order.abs_delta <= 12:
         raise OutOfScope("normalizer witnesses need |delta| > 12")
+    # membership descends from the right ratio, an arbitrary completion entry
+    # over mu for g but lambda/mu itself for g^-1, which is outside iff g is
+    g_inv = g.inv()
+    if not isinstance(membership(g_inv), NonMember):
+        raise ValueError("g must certify NonMember")
     lam, mu = g.m11, g.m21
     if mu.is_zero():
         raise ValueError("g must move infinity")
-    # the descent on g^-1 starts at lambda/mu, so a gap ratio refutes g at the root
     ratio = KElem.of(lam, mu)
     if gap_check(ratio) is None:
         raise ValueError("the ratio of g must be a gap point")
-    g_inv = g.inv()
     for group in oints_by_norm(order):
         if group[0].norm() > 10_000:
             raise WitnessNotFound("no witness with norm(alpha) <= 10^4")
