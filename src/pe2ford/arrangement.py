@@ -155,7 +155,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     differ by a unit, so no hemisphere comes twice.  The output is
     sorted by descending radius, then center.
     """
-    if order.abs_delta <= 12:
+    if not order.group_scope:
         raise OutOfScope("hemisphere arrangement needs |delta| > 12")
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")

@@ -1,10 +1,13 @@
 """Command-line front end for the package: one payload per command.
 
-Each subcommand computes its result once and returns one payload, the
-dict that `--format json` prints and that the schemas under docs/schemas
-describe.  `--format text` renders the same payload one `key: value`
-line at a time, and `--format svg` (arrangement and amalgam) draws the
-arrangement the command already computed.
+`main` parses the arguments with one parser built at import, makes the
+order once, and hands both to the subcommand's handler.  The handler
+computes its result once and returns the body of one payload, its own
+fields only; `main` puts the `command` and `discriminant` header in
+front.  The payload is the dict that `--format json` prints and that the
+schemas under docs/schemas describe.  `--format text` renders the same
+payload one `key: value` line at a time, and `--format svg` (arrangement
+and amalgam) draws the arrangement the command already computed.
 
 Exit codes: 0 success, 2 usage error (including malformed words,
 invalid discriminants and an `--out` file that cannot be written),
@@ -52,7 +55,7 @@ from .words import (
     word_to_matrix,
 )
 
-# exit code, payload, and the svg_topview arguments of the commands that offer --format svg
+# exit code, payload body, and the svg_topview arguments of the commands that offer --format svg
 _Result = tuple[int, dict[str, Any], tuple | None]
 
 
@@ -141,28 +144,22 @@ def _gap_point_json(gp: GapPoint) -> dict[str, Any]:
     }
 
 
-def _cmd_order_info(args: argparse.Namespace) -> _Result:
-    order = make_order(args.disc)
-    payload = {
-        "command": "order-info",
-        "discriminant": order.delta,
+def _cmd_order_info(args: argparse.Namespace, order: Order) -> _Result:
+    body = {
         "even": order.even,
         "tau_trace": 0 if order.even else 1,
         "tau_norm": order.tau_norm,
         "covering_radius_sq": str(order.covering_radius_sq()),
-        "group_scope": order.abs_delta > 12,
+        "group_scope": order.group_scope,
     }
-    return 0, payload, None
+    return 0, body, None
 
 
-def _cmd_normal_form(args: argparse.Namespace) -> _Result:
-    order = make_order(args.disc)
+def _cmd_normal_form(args: argparse.Namespace, order: Order) -> _Result:
     word = _input_word(args, order)
     sf = normal_form(word, order)
     mat = word_to_matrix(word, order)
-    payload = {
-        "command": "normal-form",
-        "discriminant": order.delta,
+    body = {
         "input": format_word(word),
         "normal": str(sf),
         "n": sf.n,
@@ -170,17 +167,14 @@ def _cmd_normal_form(args: argparse.Namespace) -> _Result:
         "preserved": word_to_matrix(sf.to_word(), order) == mat,
         "interior_ok": all(not a.is_small() for a in sf.alphas[1:-1]),
     }
-    return 0, payload, None
+    return 0, body, None
 
 
-def _cmd_membership(args: argparse.Namespace) -> _Result:
-    order = make_order(args.disc)
+def _cmd_membership(args: argparse.Namespace, order: Order) -> _Result:
     word = _input_word(args, order)
     mat = word_to_matrix(word, order)
     res = membership(mat, args.depth)
-    payload: dict[str, Any] = {
-        "command": "membership",
-        "discriminant": order.delta,
+    body: dict[str, Any] = {
         "word": format_word(word),
         "verdict": res.kind,
         "nodes_explored": res.stats.nodes_explored,
@@ -189,21 +183,20 @@ def _cmd_membership(args: argparse.Namespace) -> _Result:
     if isinstance(res, Member):
         cert = res.certificate
         round_trip = word_to_matrix(cert.to_word(), order) == mat
-        payload.update(certificate=str(cert), n=cert.n, round_trip_exact=round_trip)
+        body.update(certificate=str(cert), n=cert.n, round_trip_exact=round_trip)
     elif isinstance(res, NonMember):
-        payload.update(
+        body.update(
             witness_ratio=_kelem_json(res.ratio),
             uv=_uv_json(res.ratio.planar()),
             nearby=[{"point": _oint_json(g), "dist_sq": str(d)} for g, d in res.nearby],
             path=format_word(res.path_word),
         )
     else:
-        payload.update(depth_reached=res.depth_reached)
-    return (4 if isinstance(res, Inconclusive) else 0), payload, None
+        body.update(depth_reached=res.depth_reached)
+    return (4 if isinstance(res, Inconclusive) else 0), body, None
 
 
-def _cmd_pe2_ford(args: argparse.Namespace) -> _Result:
-    order = make_order(args.disc)
+def _cmd_pe2_ford(args: argparse.Namespace, order: Order) -> _Result:
     recs = []
     for f in pe2_ford_faces(order):
         rec: dict[str, Any]
@@ -213,21 +206,12 @@ def _cmd_pe2_ford(args: argparse.Namespace) -> _Result:
             rec = {"kind": "wall", "start": _uv_json(f.start), "end": _uv_json(f.end), "toward": _oint_json(f.toward)}
         rec.update(pairing=_mat_json(f.pairing), pairing_word=format_word(f.pairing_word))
         recs.append(rec)
-    payload = {
-        "command": "pe2-ford",
-        "discriminant": order.delta,
-        "cell": _polygon_json(voronoi_cell(order)),
-        "faces": recs,
-    }
-    return 0, payload, None
+    return 0, {"cell": _polygon_json(voronoi_cell(order)), "faces": recs}, None
 
 
-def _cmd_presentation(args: argparse.Namespace) -> _Result:
-    order = make_order(args.disc)
+def _cmd_presentation(args: argparse.Namespace, order: Order) -> _Result:
     pres = presentation(order)
-    payload = {
-        "command": "presentation",
-        "discriminant": order.delta,
+    body = {
         "generators": [{"name": name, "word": format_word(w)} for name, w in pres.generators],
         # re-verified here, independently of the checks inside presentation()
         "relations": [
@@ -247,20 +231,17 @@ def _cmd_presentation(args: argparse.Namespace) -> _Result:
         ],
         "notes": list(pres.notes),
     }
-    return 0, payload, None
+    return 0, body, None
 
 
-def _cmd_cosets(args: argparse.Namespace) -> _Result:
-    order = make_order(args.disc)
+def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
     fam = coset_family(order, args.count)
     keys = sorted(fam.distinctness_matrix)
     digest = hashlib.sha256()
     for i, j in keys:
         res = fam.distinctness_matrix[(i, j)]
         digest.update(f"{i},{j}:{res.ratio}:{format_word(res.path_word)}\n".encode())
-    payload = {
-        "command": "cosets",
-        "discriminant": order.delta,
+    body = {
         "count": len(fam.members),
         "depth_cap": DEPTH_CAP,
         "members": [{"matrix": _mat_json(m), **_gap_point_json(gp)} for m, gp in zip(fam.members, fam.points)],
@@ -269,11 +250,10 @@ def _cmd_cosets(args: argparse.Namespace) -> _Result:
         "replaced": [_kelem_json(z) for z in fam.replaced],
         "certificates_sha256": digest.hexdigest(),
     }
-    return 0, payload, None
+    return 0, body, None
 
 
-def _cmd_arrangement(args: argparse.Namespace) -> _Result:
-    order = make_order(args.disc)
+def _cmd_arrangement(args: argparse.Namespace, order: Order) -> _Result:
     hs = enumerate_hemispheres(order, args.bound, amalgam_rectangle(order))
     statuses = face_statuses(hs)
     recs = []
@@ -291,24 +271,19 @@ def _cmd_arrangement(args: argparse.Namespace) -> _Result:
             }
         )
     contributing = sum(isinstance(s, Contributes) for s in statuses)
-    payload = {
-        "command": "arrangement",
-        "discriminant": order.delta,
+    body = {
         "bound": hs.norm_bound,
         "window": _polygon_json(hs.window),
         "hemispheres": recs,
         "contributing": contributing,
         "covered": len(recs) - contributing,
     }
-    return 0, payload, (hs, statuses, ((), ()))
+    return 0, body, (hs, statuses, ((), ()))
 
 
-def _cmd_amalgam(args: argparse.Namespace) -> _Result:
-    order = make_order(args.disc)
+def _cmd_amalgam(args: argparse.Namespace, order: Order) -> _Result:
     rep = amalgam_report(order, args.bound, args.plane)
-    payload = {
-        "command": "amalgam",
-        "discriminant": order.delta,
+    body = {
         "bound": rep.norm_bound,
         "plane": str(rep.plane),
         "n_generators": [format_word(w) for w in rep.n_generators],
@@ -331,11 +306,10 @@ def _cmd_amalgam(args: argparse.Namespace) -> _Result:
         "overlap": [r.label for r in rep.overlap],
         "notes": list(rep.notes),
     }
-    return 0, payload, (rep.arrangement, rep.statuses, rep.split)
+    return 0, body, (rep.arrangement, rep.statuses, rep.split)
 
 
-def _cmd_gap_points(args: argparse.Namespace) -> _Result:
-    order = make_order(args.disc)
+def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
     pts = gap_points(order, args.count)
     points = [
         {
@@ -345,11 +319,10 @@ def _cmd_gap_points(args: argparse.Namespace) -> _Result:
         }
         for gp in pts
     ]
-    payload = {"command": "gap-points", "discriminant": order.delta, "count": len(pts), "points": points}
-    return 0, payload, None
+    return 0, {"count": len(pts), "points": points}, None
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace], _Result]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace, Order], _Result]] = {
     "order-info": _cmd_order_info,
     "normal-form": _cmd_normal_form,
     "membership": _cmd_membership,
@@ -408,14 +381,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parse_args calls, so one parser serves every call
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, payload, view = _HANDLERS[args.command](args)
+        order = make_order(args.disc)
+        code, body, view = _HANDLERS[args.command](args, order)
     except (WordSyntaxError, InvalidDiscriminant) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -425,6 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SearchExhausted, WitnessNotFound, CycleNotClosed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    payload = {"command": args.command, "discriminant": order.delta, **body}
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "svg":  # offered only by the commands that return a view

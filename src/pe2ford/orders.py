@@ -17,9 +17,17 @@ from .errors import InvalidDiscriminant
 
 
 class Order:
-    """An imaginary quadratic order of discriminant ``delta`` < 0."""
+    """An imaginary quadratic order of discriminant ``delta`` < 0.
 
-    __slots__ = ("delta", "abs_delta", "even", "_tau_norm")
+    Every scope check reads one of two facts named here.
+    ``units_are_signs`` (|delta| > 4): the units are exactly +-1, as normal
+    forms and the hexagonal Voronoi cell need.  ``group_scope``
+    (|delta| > 12): no element has norm 2 or 3 (Cohn's discretely normed
+    case), which the one-hemisphere Ford domain and the norm gap of the
+    membership descent rest on, and with them every group-level result.
+    """
+
+    __slots__ = ("delta", "abs_delta", "even", "units_are_signs", "group_scope", "_tau_norm")
 
     def __init__(self, delta: int) -> None:
         if delta >= 0 or delta % 4 not in (0, 1):
@@ -27,6 +35,8 @@ class Order:
         self.delta = delta
         self.abs_delta = -delta
         self.even = delta % 2 == 0
+        self.units_are_signs = self.abs_delta > 4
+        self.group_scope = self.abs_delta > 12
         # norm of t: |d|/4 when d is even, (1+|d|)/4 when d is odd
         self._tau_norm = self.abs_delta // 4 if self.even else (1 + self.abs_delta) // 4
 

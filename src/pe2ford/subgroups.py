@@ -105,7 +105,7 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
 
 def gap_points(order: Order, count: int) -> list[GapPoint]:
     """The first `count` gap points, mu-norm ascending, ratios distinct."""
-    if order.abs_delta <= 12:
+    if not order.group_scope:
         raise OutOfScope("gap points need |delta| > 12")
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -142,7 +142,7 @@ def coset_family(order: Order, count: int) -> CosetFamily:
     whose product search does not certify (a search cap hit) is dropped and
     reported in `replaced` rather than silently kept.
     """
-    if order.abs_delta <= 12:
+    if not order.group_scope:
         raise OutOfScope("coset families need |delta| > 12")
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -186,7 +186,7 @@ def normalizer_witness(g: Mat) -> OInt:
     widening.
     """
     order = g.order
-    if order.abs_delta <= 12:
+    if not order.group_scope:
         raise OutOfScope("normalizer witnesses need |delta| > 12")
     # membership descends from the right ratio, an arbitrary completion entry
     # over mu for g but lambda/mu itself for g^-1, which is outside iff g is
@@ -214,7 +214,7 @@ def normalizer_witness(g: Mat) -> OInt:
 
 def n_generators(order: Order) -> list[Word]:
     """The three words r, s(1), s(tau) r s(tau)^-1."""
-    if order.abs_delta <= 12:
+    if not order.group_scope:
         raise OutOfScope("the subgroup N needs |delta| > 12")
     t = order.tau
     return [(R(),), (S(order.one),), (S(t), R(), S(-t))]
@@ -327,8 +327,9 @@ def amalgam_report(order: Order, norm_bound: int, plane: Fraction = PLANE) -> Am
     Hemisphere faces and their sides come from the exact power cells.
     Walls are unbounded upward, so a wall pair is above the plane, and
     below it too when the arrangement dips under the plane on both
-    walls.  Faces are reduced to window representatives with center
-    u in [-1/2, 1/2), since translates share a pairing up to a shift.
+    walls.  Faces are reduced to window representatives, centers in the
+    window's box taken half-open in u, since translates share a pairing
+    up to a shift; the wall records and their labels come from the same box.
     """
     window = amalgam_rectangle(order)
     hs = enumerate_hemispheres(order, norm_bound, window)
@@ -336,25 +337,22 @@ def amalgam_report(order: Order, norm_bound: int, plane: Fraction = PLANE) -> Am
     split = plane_split(hs, statuses, plane)
     above_set, below_set = set(split[0]), set(split[1])
 
-    half = Fraction(1, 2)
+    # an axis-parallel box: its least and greatest vertices are opposite corners
+    (u_lo, v_lo), (u_hi, v_hi) = min(window.vertices), max(window.vertices)
     records: list[FaceRecord] = []
     for h, pair, status in zip(hs.hemispheres, hs.pairs, statuses):
         if not isinstance(status, Contributes):
             continue
         u, v = h.center.planar()
-        if not (-half <= u < half and 0 <= v <= half):
+        if not (u_lo <= u < u_hi and v_lo <= v <= v_hi):
             continue
         records.append(_hemi_record(h.center, pair, h in above_set, h in below_set))
 
-    zero = Fraction(0)
-    u_dips = [envelope_dips_below(hs, (u0, zero), (u0, half), plane) for u0 in (-half, half)]
-    v_dips = [envelope_dips_below(hs, (-half, v0), (half, v0), plane) for v0 in (zero, half)]
-    records.append(
-        FaceRecord("wall", "walls u = -1/2, 1/2", None, (S(order.one),), gen_s(order.one), True, all(u_dips))
-    )
-    records.append(
-        FaceRecord("wall", "walls v = 0, 1/2", None, (S(order.tau),), gen_s(order.tau), True, all(v_dips))
-    )
+    u_dips = [envelope_dips_below(hs, (u0, v_lo), (u0, v_hi), plane) for u0 in (u_lo, u_hi)]
+    v_dips = [envelope_dips_below(hs, (u_lo, v0), (u_hi, v0), plane) for v0 in (v_lo, v_hi)]
+    one, tau = order.one, order.tau
+    records.append(FaceRecord("wall", f"walls u = {u_lo}, {u_hi}", None, (S(one),), gen_s(one), True, all(u_dips)))
+    records.append(FaceRecord("wall", f"walls v = {v_lo}, {v_hi}", None, (S(tau),), gen_s(tau), True, all(v_dips)))
 
     faces = tuple(records)
     above = tuple(r for r in faces if r.above)

@@ -210,7 +210,7 @@ def normal_form(word: Word, order: Order) -> StandardForm:
 
     Needs |delta| > 4 so the units are exactly +-1.
     """
-    if order.abs_delta <= 4:
+    if not order.units_are_signs:
         raise OutOfScope("normal forms need |delta| > 4")
     # fold right-to-left into an alternating coefficient list
     alphas: list[OInt] = [order.zero]
@@ -366,7 +366,7 @@ def membership(g: Mat, depth_cap: int = DEPTH_CAP) -> MembershipResult:
     Needs |delta| > 12: soundness of the empty-candidate criterion rests on the norm gap.
     """
     order = g.order
-    if order.abs_delta <= 12:
+    if not order.group_scope:
         raise OutOfScope("membership certificates need |delta| > 12")
     visited: set[Mat] = set()
     stack: list[tuple[Mat, int, Path]] = [(g, 0, None)]

@@ -211,9 +211,52 @@ def test_out_of_scope_exits_3():
         assert "error:" in err
 
 
+# every scoped subcommand just outside its scope, with its exact stderr line
+SCOPE_ERRORS = [
+    (["normal-form", "--disc", "-4", "--word", "r"], "normal forms need |delta| > 4"),
+    (["membership", "--disc", "-12", "--word", "r"], "membership certificates need |delta| > 12"),
+    (["pe2-ford", "--disc", "-11"], "the one-hemisphere face list needs |delta| > 12"),
+    (["presentation", "--disc", "-8"], "the three-relation presentation needs |delta| > 12"),
+    (["cosets", "--disc", "-4", "--count", "1"], "coset families need |delta| > 12"),
+    (["arrangement", "--disc", "-12"], "amalgam rectangle needs |delta| > 12"),
+    (["amalgam", "--disc", "-11"], "amalgam rectangle needs |delta| > 12"),
+    (["gap-points", "--disc", "-12", "--count", "1"], "gap points need |delta| > 12"),
+]
+
+
+@pytest.mark.parametrize("argv,message", SCOPE_ERRORS, ids=[" ".join(argv) for argv, _ in SCOPE_ERRORS])
+def test_out_of_scope_message_is_exact(argv, message):
+    for fmt in ("text", "json"):
+        assert run(argv + ["--format", fmt]) == (3, "", f"error: {message}\n")
+
+
+def test_order_info_group_scope_boundary():
+    for disc, scope in (("-12", False), ("-15", True), ("-16", True)):
+        code, out, _ = run(["order-info", "--disc", disc, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["group_scope"] is scope
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    # main never builds a parser of its own, and the shared one carries
+    # nothing from a call to the next: a failed parse that set --word and
+    # --seed comes first, then pinned runs that set neither, one or the other
+    monkeypatch.setattr(cli, "_build_parser", None)
+    assert run(["normal-form", "--disc", "-40", "--word", "s(1)", "--seed", "3"])[0] == 2
+    for command in (
+        "membership --disc -40 --word r*s(5+0*t)*r --format json",
+        "membership --disc -40 --seed 9",
+        "cosets --disc -40 --count 3 --format json",
+        "amalgam --disc -40 --bound 16",
+    ):
+        code, out, err = run(command.split(" "))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[command], command
+
+
 @pytest.mark.parametrize("error", [SearchExhausted, WitnessNotFound, CycleNotClosed])
 def test_bounded_search_errors_exit_4(monkeypatch, error):
-    def give_up(args):
+    def give_up(args, order):
         raise error("gave up after 3 tries")
 
     monkeypatch.setitem(cli._HANDLERS, "cosets", give_up)

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from pe2ford.errors import InvalidDiscriminant
+from pe2ford.arrangement import enumerate_hemispheres
+from pe2ford.errors import InvalidDiscriminant, OutOfScope
+from pe2ford.ford import amalgam_rectangle, pe2_ford_faces, presentation, voronoi_cell
+from pe2ford.moebius import gen_r
 from pe2ford.orders import (
     KElem,
     OInt,
@@ -16,6 +19,8 @@ from pe2ford.orders import (
     make_order,
     oints_by_norm,
 )
+from pe2ford.subgroups import coset_family, gap_points, n_generators, normalizer_witness
+from pe2ford.words import R, membership, normal_form
 
 DISCS = [-15, -16, -19, -20, -23, -24, -40]
 
@@ -235,3 +240,43 @@ def test_covering_radius():
         for _ in range(60):
             z = KElem.of(d.elt(rng.randint(-8, 8), rng.randint(-8, 8)), rng.randint(1, 7))
             assert lattice_points_within(z, cov)
+
+
+def test_scope_names_say_what_the_norms_say():
+    # units_are_signs: norm 1 only at +-1; group_scope: no element of norm 2 or 3
+    for delta in range(-3, -201, -1):
+        if delta % 4 not in (0, 1):
+            continue
+        d = make_order(delta)
+        norms = [d.elt(a, b).norm() for a in range(-4, 5) for b in range(-2, 3)]
+        assert d.units_are_signs == (norms.count(1) == 2), delta
+        assert d.group_scope == (2 not in norms and 3 not in norms), delta
+    assert [make_order(x).group_scope for x in (-11, -12, -15, -16)] == [False, False, True, True]
+    assert [make_order(x).units_are_signs for x in (-3, -4, -7, -8)] == [False, False, True, True]
+
+
+# every library scope check: a call, the largest |delta| it refuses, its exact message
+SCOPE_CALLS = [
+    (lambda d: normal_form((R(),), d), -4, "normal forms need |delta| > 4"),
+    (voronoi_cell, -4, "voronoi cell needs |delta| > 4"),
+    (lambda d: membership(gen_r(d)), -12, "membership certificates need |delta| > 12"),
+    (amalgam_rectangle, -12, "amalgam rectangle needs |delta| > 12"),
+    (pe2_ford_faces, -12, "the one-hemisphere face list needs |delta| > 12"),
+    (presentation, -12, "the three-relation presentation needs |delta| > 12"),
+    (
+        lambda d: enumerate_hemispheres(d, 4, amalgam_rectangle(make_order(-40))),
+        -12,
+        "hemisphere arrangement needs |delta| > 12",
+    ),
+    (lambda d: gap_points(d, 1), -12, "gap points need |delta| > 12"),
+    (lambda d: coset_family(d, 1), -12, "coset families need |delta| > 12"),
+    (lambda d: normalizer_witness(gen_r(d)), -12, "normalizer witnesses need |delta| > 12"),
+    (n_generators, -12, "the subgroup N needs |delta| > 12"),
+]
+
+
+def test_every_scope_check_keeps_its_message():
+    for call, delta, message in SCOPE_CALLS:
+        with pytest.raises(OutOfScope) as info:
+            call(make_order(delta))
+        assert str(info.value) == message

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pe2ford import words
 from pe2ford.errors import DegenerateChain, OutOfScope, WordSyntaxError
 from pe2ford.moebius import Mat, gen_r, gen_s
-from pe2ford.orders import KElem, make_order
+from pe2ford.orders import KElem, lattice_points_within, make_order, scaled_dist_sq
 from pe2ford.subgroups import gap_points
 from pe2ford.words import (
     Inconclusive,
@@ -365,3 +365,38 @@ def test_non_member_path_rebuilds_g_property(dw, k):
     assert not isinstance(res, Member)
     if isinstance(res, NonMember):
         assert res.node * word_to_matrix(res.path_word, d) == g
+
+
+@st.composite
+def descent_node(draw):
+    """A node that moves infinity: a short word, or an inverse gap-point completion times one."""
+    d, w = draw(order_and_word(max_shifts=6))
+    h = word_to_matrix(w, d)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        h = gap_points(d, k + 1)[k].pair.completion.inv() * h
+    assume(not h.fixes_infinity())
+    return h
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(descent_node())
+def test_column_step_scales_the_bottom_norm_property(h):
+    # the descent's move by c multiplies norm(m21) by |ratio - c|^2, which is
+    # what ranks the children and makes every step a drop or a plateau edge
+    d = h.order
+    ratio = KElem.of(h.m22, -h.m21)
+    for c in lattice_points_within(ratio, 1):
+        child = h * gen_s(c) * gen_r(d)
+        assert child.m21.norm() * ratio.den**2 == h.m21.norm() * scaled_dist_sq(ratio, c)
+
+
+def test_short_words_are_members_within_a_small_node_budget(monkeypatch):
+    # the descents of short words expand at most a handful of nodes; one that
+    # climbs instead of dropping (a wrong column step) meets this cap within a second
+    monkeypatch.setattr(words, "NODE_CAP", 500)
+    rng = random.Random(17)
+    for i in range(30):
+        d = make_order(DISCS[i % len(DISCS)])
+        g = word_to_matrix(random_pe2_word(d, rng.randrange(10**6), length=12), d)
+        assert isinstance(membership(g), Member), (d, i)
