@@ -149,11 +149,12 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
 
     A hemisphere makes the cut when its center lies within one radius
     of the window, so faces clipped at the boundary stay present.  The
-    disc is tested first, since most miss the window, then unit_ideal;
-    no completion is built.  mu has the canonical sign, as (lam, mu) and
-    (-lam, -mu) give one hemisphere, and unimodular pairs of one ratio
-    differ by a unit, so no hemisphere comes twice.  The output is
-    sorted by descending radius, then center.
+    disc is tested first, in integers, since most miss the window, then
+    unit_ideal; only a pair that passes both is built, and no completion
+    is.  mu has the canonical sign, as (lam, mu) and (-lam, -mu) give one
+    hemisphere, and unimodular pairs of one ratio differ by a unit, so
+    no hemisphere comes twice.  The output is sorted by descending
+    radius, then center.
     """
     if not order.group_scope:
         raise OutOfScope("hemisphere arrangement needs |delta| > 12")
@@ -164,24 +165,24 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     circum_sq = max((u - wu) ** 2 + n * (v - wv) ** 2 for u, v in window.vertices)
     wc = kelem_from_planar(order, wu, wv)
     frame = frame_of(window.vertices)
+    e = 0 if order.even else 1
     found: list[tuple[Hemisphere, UnimodularPair]] = []
     for mu in lattice_points_norm_at_most(order, norm_bound):
         if not mu.is_canonical_positive():
             continue
-        rsq = Fraction(1, mu.norm())
+        norm, mu_bar = mu.norm(), mu.conj()
         # centers live within circumradius + radius of the window center;
         # overshoot via (a + b)^2 <= 2a^2 + 2b^2, then filter exactly
-        reach = (2 * circum_sq + 2 * rsq) * mu.norm()
-        for lam in lattice_points_within(wc * mu, reach):
-            pair = UnimodularPair(lam, mu)
-            h = pair.hemisphere()
-            u, v, l, p, q = h.disc
-            num, den, _ = dist_sq_int(n, frame, (u, v, l))
-            if num * q > p * den:  # farther than the radius from the window
+        for lam in lattice_points_within(wc * mu, 2 * circum_sq * norm + 2):
+            # with x = lam*conj(mu) the center is x/N(mu), planar (2*x.a + e*x.b, x.b) / 2N
+            x = lam * mu_bar
+            num, den, _ = dist_sq_int(n, frame, (2 * x.a + e * x.b, x.b, 2 * norm))
+            if num * norm > den:  # farther than the radius 1/sqrt(N(mu)) from the window
                 continue
             if not unit_ideal(lam, mu):
                 continue
-            found.append((h, pair))
+            pair = UnimodularPair(lam, mu)
+            found.append((pair.hemisphere(), pair))
     ordered = sorted(found, key=lambda hp: hp[0].sort_key())
     return HemiSet(
         order=order,

@@ -253,22 +253,18 @@ def edge_cycles(faces: Sequence[Face]) -> tuple[EdgeCycle, ...]:
     return tuple(cycles)
 
 
-def _commutator_relation(order: Order) -> Word:
-    one, tau = order.one, order.tau
-    return (S(one), S(tau), S(-one), S(-tau))
-
-
 def _finish_cycle(
     order: Order, seq: tuple[Edge, ...], word: Word, transform: Mat, exponent: int
 ) -> EdgeCycle:
     relation = word * exponent
-    if any(letter.kind == "r" for letter in word):
+    if None in word:
         derived = (R(), S(order.one)) * exponent
         note = f"cycle of length {len(seq)}; its transformation has order {exponent}"
     else:
         # a wall cycle: the shifts close up, which is exactly the
         # commutation of the two generating translations
-        derived = _commutator_relation(order)
+        one, tau = order.one, order.tau
+        derived = (S(one), S(tau), S(-one), S(-tau))
         note = ""
     return EdgeCycle(seq, word, transform, exponent, relation, derived, note)
 
@@ -284,23 +280,23 @@ class Presentation:
 def presentation(order: Order) -> Presentation:
     """Defining presentation on r, s(1), s(tau), read off the edge cycles.
 
-    Relations: the commutator of the two shifts, r^2, and (r s(1))^k
-    with k the order of the hemisphere-cycle transformation (k = 3).
+    Relations: the commutator of the two shifts, which a wall cycle
+    derives, r^2, and (r s(1))^k, which the hemisphere cycle derives
+    with k the order of its transformation (k = 3).
     Every relation is re-verified as a matrix identity.
     """
     if not order.group_scope:
         raise OutOfScope("the three-relation presentation needs |delta| > 12")
     cycles = edge_cycles(pe2_ford_faces(order))
-    commutator = _commutator_relation(order)
-    hemi = [c for c in cycles if any(letter.kind == "r" for letter in c.word)]
-    wall = [c for c in cycles if not any(letter.kind == "r" for letter in c.word)]
+    hemi = [c for c in cycles if None in c.word]
+    wall = [c for c in cycles if None not in c.word]
     if len(hemi) != 1 or not wall:
         raise CycleNotClosed("unexpected cycle structure for the Ford domain")
     for c in wall:
         if not c.cycle_transform.is_identity():
             raise CycleNotClosed("a wall cycle failed to impose the commutation")
     one, tau = order.one, order.tau
-    relations = (commutator, (R(), R()), (R(), S(one)) * hemi[0].exponent)
+    relations = (wall[0].derived_relation, (R(), R()), hemi[0].derived_relation)
     for rel in relations:
         if not word_to_matrix(rel, order).is_identity():
             raise CycleNotClosed(f"relation {format_word(rel)} is not the identity")

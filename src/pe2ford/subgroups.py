@@ -226,11 +226,7 @@ def collapse_word(word: Word, order: Order) -> Word:
     A shift s(a + b*tau) factors as s(a)s(b*tau), so only the tau part
     of each coefficient survives; r-letters vanish.
     """
-    out = []
-    for letter in word:
-        if letter.kind == "s" and letter.coeff.b != 0:
-            out.append(S(OInt(order, 0, letter.coeff.b)))
-    return tuple(out)
+    return tuple(OInt(order, 0, a.b) for a in word if a is not None and a.b != 0)
 
 
 def collapse_hom_check(order: Order) -> bool:

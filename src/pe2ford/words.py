@@ -11,6 +11,9 @@ s(a_n) r s(a_{n-1}) r ... r s(a_0) whose interior coefficients avoid
 
 each of which drops at least one r, so the process terminates.
 
+A word is a tuple of letters, and a letter is its coefficient: the
+OInt a for s(a), or None for r.  So r*s(2-t)*r is (None, 2-t, None).
+
 Membership of a general matrix is decided by a descent on the bottom
 row: the ratio alpha/beta is examined for nearby lattice points, every
 candidate move divides norm(beta) by at least 1, and a node whose ratio
@@ -32,26 +35,16 @@ DEPTH_CAP = 64  # the default cap on the descent depth of membership
 NODE_CAP = 20_000  # the nodes one membership descent may expand; read at call time
 
 
-@dataclass(frozen=True)
-class Letter:
-    kind: str  # "r" or "s"
-    coeff: OInt | None = None
-
-    def __str__(self) -> str:
-        if self.kind == "r":
-            return "r"
-        return f"s({_coeff_str(self.coeff)})"
+Letter = OInt | None  # a for s(a), None for r
+Word = tuple[Letter, ...]
 
 
 def R() -> Letter:
-    return Letter("r")
+    return None
 
 
 def S(a: OInt) -> Letter:
-    return Letter("s", a)
-
-
-Word = tuple[Letter, ...]
+    return a
 
 
 def _coeff_str(a: OInt) -> str:
@@ -66,7 +59,7 @@ def _coeff_str(a: OInt) -> str:
 def format_word(word: Word) -> str:
     if not word:
         return "1"
-    return "*".join(str(letter) for letter in word)
+    return "*".join("r" if a is None else f"s({_coeff_str(a)})" for a in word)
 
 
 def parse_word(text: str, order: Order) -> Word:
@@ -159,20 +152,14 @@ def _parse_coeff(text: str, start: int, end: int, order: Order) -> OInt:
 
 
 def word_inverse(word: Word) -> Word:
-    out: list[Letter] = []
-    for letter in reversed(word):
-        if letter.kind == "r":
-            out.append(letter)
-        else:
-            out.append(S(-letter.coeff))
-    return tuple(out)
+    return tuple(None if a is None else -a for a in reversed(word))
 
 
 def word_to_matrix(word: Word, order: Order) -> Mat:
     """Leftmost letter is the leftmost factor."""
     g = Mat.identity(order)
-    for letter in word:
-        g = g * (gen_r(order) if letter.kind == "r" else gen_s(letter.coeff))
+    for a in word:
+        g = g * (gen_r(order) if a is None else gen_s(a))
     return g
 
 
@@ -214,11 +201,11 @@ def normal_form(word: Word, order: Order) -> StandardForm:
         raise OutOfScope("normal forms need |delta| > 4")
     # fold right-to-left into an alternating coefficient list
     alphas: list[OInt] = [order.zero]
-    for letter in reversed(word):
-        if letter.kind == "s":
-            alphas[-1] = alphas[-1] + letter.coeff
-        else:
+    for a in reversed(word):
+        if a is None:
             alphas.append(order.zero)
+        else:
+            alphas[-1] = alphas[-1] + a
     changed = True
     while changed:
         changed = False

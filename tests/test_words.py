@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from pe2ford import words
 from pe2ford.errors import DegenerateChain, OutOfScope, WordSyntaxError
 from pe2ford.moebius import Mat, gen_r, gen_s
 from pe2ford.orders import KElem, lattice_points_within, make_order, scaled_dist_sq
-from pe2ford.subgroups import gap_points
+from pe2ford.subgroups import collapse_word, gap_points
 from pe2ford.words import (
     Inconclusive,
     Member,
@@ -48,6 +49,34 @@ def test_parse_word_examples():
     assert parse_word("1", d) == ()
     assert parse_word(" s( 2 - 1 * t ) * r ", d) == (S(d.elt(2, -1)), R())
     assert parse_word("s(t)*s(-3*t)", d) == (S(d.elt(0, 1)), S(d.elt(0, -3)))
+
+
+def test_words_are_plain_data():
+    # a letter is the coefficient a of s(a), or None for r
+    d = make_order(-40)
+    assert parse_word("r*s(2-t)*r", d) == (None, d.elt(2, -1), None)
+    assert R() is None and S(d.tau) == d.tau
+    mixed = (d.elt(2, -1), None, d.elt(0, 3), d.elt(1), None)
+    assert word_inverse(mixed) == (None, d.elt(-1), d.elt(0, -3), None, d.elt(-2, 1))
+    assert format_word(mixed) == "s(2-t)*r*s(3*t)*s(1)*r"
+    assert format_word(word_inverse(mixed)) == "r*s(-1)*s(-3*t)*r*s(-2+t)"
+    assert collapse_word(mixed, d) == (d.elt(0, -1), d.elt(0, 3))
+    assert collapse_word((None, d.elt(4), None), d) == ()
+
+
+def test_parsed_words_stay_small():
+    # 16 letters, 8 of them shifts: the tuple and eight OInts, no object per letter
+    d = make_order(-40)
+    text = "*".join(["s(2-t)*r", "s(3*t)*r", "s(-4+2*t)*r", "s(5)*r"] * 2)
+    assert len(parse_word(text, d)) == 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [parse_word(text, d) for _ in range(1000)]
+        per_word = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_word <= 1024, f"{per_word:.0f} B per parsed word"
 
 
 def test_parse_format_roundtrip():
@@ -311,7 +340,7 @@ def test_random_pe2_word_deterministic():
     assert random_pe2_word(d, 99) == random_pe2_word(d, 99)
     assert random_pe2_word(d, 99) != random_pe2_word(d, 100)
     for letter in random_pe2_word(d, 7):
-        assert letter.kind in ("r", "s")
+        assert letter is None or letter.order is d
 
 
 # every discriminant that membership accepts, up to 200
