@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cells import HalfPlane, Point, bisectors, clip, dist_sq_int, frame_of, power_cell
+from .cells import Disc, HalfPlane, Point, bisectors, clip, dist_sq_int, frame_of, power_cell
 from .errors import OutOfScope
 from .ford import FundPolygon
-from .moebius import Disc, Hemisphere, Mat
+from .moebius import Hemisphere, Mat
 from .orders import (
     KElem,
     OInt,
@@ -165,7 +165,6 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     circum_sq = max((u - wu) ** 2 + n * (v - wv) ** 2 for u, v in window.vertices)
     wc = kelem_from_planar(order, wu, wv)
     frame = frame_of(window.vertices)
-    e = 0 if order.even else 1
     found: list[tuple[Hemisphere, UnimodularPair]] = []
     for mu in lattice_points_norm_at_most(order, norm_bound):
         if not mu.is_canonical_positive():
@@ -174,9 +173,8 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
         # centers live within circumradius + radius of the window center;
         # overshoot via (a + b)^2 <= 2a^2 + 2b^2, then filter exactly
         for lam in lattice_points_within(wc * mu, 2 * circum_sq * norm + 2):
-            # with x = lam*conj(mu) the center is x/N(mu), planar (2*x.a + e*x.b, x.b) / 2N
-            x = lam * mu_bar
-            num, den, _ = dist_sq_int(n, frame, (2 * x.a + e * x.b, x.b, 2 * norm))
+            # the center is lam*conj(mu)/N(mu)
+            num, den, _ = dist_sq_int(n, frame, (lam * mu_bar).planar_int(norm))
             if num * norm > den:  # farther than the radius 1/sqrt(N(mu)) from the window
                 continue
             if not unit_ideal(lam, mu):

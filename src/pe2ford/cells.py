@@ -14,8 +14,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .moebius import Disc
-
+# (U, V, L, P, Q): planar center (U/L, V/L) and squared radius P/Q, with L, Q > 0
+Disc = tuple[int, int, int, int, int]
 Point = tuple[Fraction, Fraction]
 Frame = tuple[int, tuple[tuple[int, int], ...]]  # W > 0 and the points (X/W, Y/W) as integer pairs (X, Y)
 HPoint = tuple[int, int, int]  # (x, y, w) with w > 0: the point (x/w, y/w)

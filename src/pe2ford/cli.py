@@ -147,7 +147,7 @@ def _gap_point_json(gp: GapPoint) -> dict[str, Any]:
 def _cmd_order_info(args: argparse.Namespace, order: Order) -> _Result:
     body = {
         "even": order.even,
-        "tau_trace": 0 if order.even else 1,
+        "tau_trace": order.trace,
         "tau_norm": order.tau_norm,
         "covering_radius_sq": str(order.covering_radius_sq()),
         "group_scope": order.group_scope,

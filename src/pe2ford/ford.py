@@ -59,7 +59,7 @@ def voronoi_cell(order: Order) -> FundPolygon:
     if not order.units_are_signs:
         raise OutOfScope("voronoi cell needs |delta| > 4")
     unit = (0, 0, 1, 1, 1)
-    discs = [(*KElem.of(p, 1).planar_int(), 1, 1) for p in _neighbour_ring(order)]
+    discs = [(*p.planar_int(1), 1, 1) for p in _neighbour_ring(order)]
     w, verts = power_cell(unit, bisectors(order.abs_delta, unit, discs))
     top = verts.index(max(verts))
     cell = tuple((Fraction(x, w), Fraction(y, w)) for x, y in verts[top:] + verts[:top])

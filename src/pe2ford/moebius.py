@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cells import Disc
 from .errors import NoHemisphere
 from .orders import KElem, OInt, Order
 
@@ -105,10 +106,6 @@ def gen_r(order: Order) -> Mat:
 def gen_s(a: OInt) -> Mat:
     order = a.order
     return Mat(order.one, a, order.zero, order.one)
-
-
-# (U, V, L, P, Q): planar center (U/L, V/L) and squared radius P/Q, with L, Q > 0
-Disc = tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)

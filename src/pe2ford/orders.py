@@ -1,8 +1,11 @@
 """Exact arithmetic in imaginary quadratic orders and their fraction fields.
 
 An order is determined by a negative discriminant d congruent to 0 or 1
-mod 4.  Elements are written a + b*t where t = sqrt(d)/2 for even d and
-t = (1 + sqrt(d))/2 for odd d.  All arithmetic is integer-exact; field
+mod 4, and is Z[t] for the root t = (trace + sqrt(d))/2 of its minimal
+polynomial t^2 = trace*t - tau_norm, where trace = d mod 2 and
+d = trace^2 - 4*tau_norm.  Elements are written a + b*t, and every
+formula below reads trace and tau_norm: the norm form is
+a^2 + trace*a*b + tau_norm*b^2.  All arithmetic is integer-exact; field
 elements keep a positive rational-integer denominator so that equality
 is structural and values hash.
 """
@@ -25,9 +28,16 @@ class Order:
     (|delta| > 12): no element has norm 2 or 3 (Cohn's discretely normed
     case), which the one-hemisphere Ford domain and the norm gap of the
     membership descent rest on, and with them every group-level result.
+
+    ``trace`` and ``tau_norm`` (t^2 = trace*t - tau_norm), and the elements
+    ``zero``, ``one`` and ``tau``, are constants of the order set once in
+    ``__init__``.  ``even`` is read only where the geometry differs: the
+    covering radius, the neighbour ring and the Voronoi cell's kind.
     """
 
-    __slots__ = ("delta", "abs_delta", "even", "units_are_signs", "group_scope", "_tau_norm")
+    __slots__ = (
+        "delta", "abs_delta", "even", "units_are_signs", "group_scope", "trace", "tau_norm", "zero", "one", "tau"
+    )
 
     def __init__(self, delta: int) -> None:
         if delta >= 0 or delta % 4 not in (0, 1):
@@ -37,8 +47,11 @@ class Order:
         self.even = delta % 2 == 0
         self.units_are_signs = self.abs_delta > 4
         self.group_scope = self.abs_delta > 12
-        # norm of t: |d|/4 when d is even, (1+|d|)/4 when d is odd
-        self._tau_norm = self.abs_delta // 4 if self.even else (1 + self.abs_delta) // 4
+        self.trace = delta % 2
+        self.tau_norm = (self.trace - delta) // 4
+        self.zero = OInt(self, 0, 0)
+        self.one = OInt(self, 1, 0)
+        self.tau = OInt(self, 0, 1)
 
     def __repr__(self) -> str:
         return f"Order({self.delta})"
@@ -51,22 +64,6 @@ class Order:
 
     def elt(self, a: int, b: int = 0) -> OInt:
         return OInt(self, a, b)
-
-    @property
-    def zero(self) -> OInt:
-        return OInt(self, 0, 0)
-
-    @property
-    def one(self) -> OInt:
-        return OInt(self, 1, 0)
-
-    @property
-    def tau(self) -> OInt:
-        return OInt(self, 0, 1)
-
-    @property
-    def tau_norm(self) -> int:
-        return self._tau_norm
 
     def covering_radius_sq(self) -> Fraction:
         """Largest squared distance from any point of C to the lattice."""
@@ -146,25 +143,17 @@ class OInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.a, self.b, o.a, o.b
-        m = self.order._tau_norm
-        if self.order.even:
-            return OInt(self.order, a * c - m * b * d, a * d + b * c)
-        return OInt(self.order, a * c - m * b * d, a * d + b * c + b * d)
+        a, b, c, d, order = self.a, self.b, o.a, o.b, self.order
+        return OInt(order, a * c - order.tau_norm * b * d, a * d + b * c + order.trace * b * d)
 
     __rmul__ = __mul__
 
     def conj(self) -> OInt:
-        if self.order.even:
-            return OInt(self.order, self.a, -self.b)
-        return OInt(self.order, self.a + self.b, -self.b)
+        return OInt(self.order, self.a + self.order.trace * self.b, -self.b)
 
     def norm(self) -> int:
-        a, b = self.a, self.b
-        m = self.order._tau_norm
-        if self.order.even:
-            return a * a + m * b * b
-        return a * a + a * b + m * b * b
+        a, b, order = self.a, self.b, self.order
+        return a * a + order.trace * a * b + order.tau_norm * b * b
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -183,9 +172,9 @@ class OInt:
             return self.b > 0
         return self.a > 0
 
-    def planar(self) -> tuple[Fraction, Fraction]:
-        """Coordinates (u, v) with the element equal to u + v*sqrt(|delta|)*i."""
-        return KElem(self, 1).planar()
+    def planar_int(self, den: int) -> tuple[int, int, int]:
+        """(U, V, L) = (2a + trace*b, b, 2*den): self/den = U/L + (V/L)*sqrt(|delta|)*i for den > 0."""
+        return (2 * self.a + self.order.trace * self.b, self.b, 2 * den)
 
 
 class KElem:
@@ -305,13 +294,8 @@ class KElem:
         return Fraction(self.num.norm(), self.den * self.den)
 
     def planar_int(self) -> tuple[int, int, int]:
-        """Integers (U, V, L) with L > 0 and planar coordinates (U/L, V/L); builds no Fraction.
-
-        (U, V, L) = (2a + e*b, b, 2q) for (a + b*t)/q, e = 1 for odd delta and
-        0 for even, so equal elements give equal triples.
-        """
-        a, b = self.num.a, self.num.b
-        return (2 * a if self.num.order.even else 2 * a + b, b, 2 * self.den)
+        """Integers (U, V, L) with L > 0 and planar coordinates (U/L, V/L); equal elements give equal triples."""
+        return self.num.planar_int(self.den)
 
     def planar(self) -> tuple[Fraction, Fraction]:
         u, v, den = self.planar_int()
@@ -331,10 +315,10 @@ def _as_kelem(x: KElem | OInt | Fraction | int, order: Order) -> KElem | None:
 
 
 def scaled_dist_sq(z: KElem, g: OInt) -> int:
-    """den^2 |z - g|^2 for z with denominator den: den*(z - g) = x + y*t has norm x^2 + e*x*y + N(t)*y^2."""
+    """den^2 |z - g|^2 for z with denominator den: den*(z - g) = x + y*t has norm x^2 + trace*x*y + tau_norm*y^2."""
     order, den = z.num.order, z.den
     x, y = z.num.a - g.a * den, z.num.b - g.b * den
-    return x * x + (0 if order.even else x * y) + order.tau_norm * y * y
+    return x * x + order.trace * x * y + order.tau_norm * y * y
 
 
 def dist_sq(z: KElem, g: OInt) -> Fraction:
@@ -347,7 +331,7 @@ def kelem_from_planar(order: Order, u: Fraction | int, v: Fraction | int) -> KEl
     u = Fraction(u)
     v = Fraction(v)
     b = 2 * v
-    a = u if order.even else u - v
+    a = u - order.trace * v
     den = math.lcm(a.denominator, b.denominator)
     return KElem.of(OInt(order, int(a * den), int(b * den)), den)
 
@@ -355,8 +339,8 @@ def kelem_from_planar(order: Order, u: Fraction | int, v: Fraction | int) -> KEl
 def lattice_points_within(z: KElem, rsq: Fraction | int) -> list[OInt]:
     """All lattice points g with |z - g|^2 <= rsq, sorted by key().
 
-    With z = (p + q*t)/Q, g = a + b*t, y = q - b*Q and w = 2(p - a*Q) + e*y
-    (e = 1 for odd delta, 0 for even), 4 Q^2 |z - g|^2 = w^2 + |delta| y^2.
+    With z = (p + q*t)/Q, g = a + b*t, y = q - b*Q and w = 2(p - a*Q) + trace*y,
+    4 Q^2 |z - g|^2 = w^2 + |delta| y^2.
     So with rsq = P/S the rows b satisfy S |delta| y^2 <= 4 Q^2 P, and each
     row bounds |w| by an integer square root; no rational arithmetic runs.
     """
@@ -367,14 +351,13 @@ def lattice_points_within(z: KElem, rsq: Fraction | int) -> list[OInt]:
     if top < 0:
         return []
     n = order.abs_delta
-    e = 0 if order.even else 1
     y_max = math.isqrt(top // (s * n))
     out: list[OInt] = []
     # b ascending, then a ascending: exactly the key() order
     for b in range(-((y_max - q) // den), (q + y_max) // den + 1):
         y = q - b * den
         w_max = math.isqrt((top - s * n * y * y) // s)
-        mid = 2 * p + e * y
+        mid = 2 * p + order.trace * y
         for a in range(-((w_max - mid) // (2 * den)), (mid + w_max) // (2 * den) + 1):
             out.append(OInt(order, a, b))
     return out

@@ -77,12 +77,12 @@ def gap_check(z: KElem) -> tuple[Fraction, tuple[OInt, ...]] | None:
 def _gap_stream(order: Order) -> Iterator[GapPoint]:
     # mu by increasing norm; ratios confined to the half-open cell band
     # u in [0, 1), v in [0, 1/2), which meets every translation orbit once;
-    # with x = lam*conj(mu) the ratio is x/N(mu), so the band is
-    # 0 <= 2*x.a + e*x.b < 2N and 0 <= x.b < N in integers.  gap_check, then
+    # the ratio is x/N(mu) with x = lam*conj(mu), so with (U, V, L) =
+    # x.planar_int(N) = (2*x.a + trace*x.b, x.b, 2N) the band is
+    # 0 <= U < L and 0 <= 2V < L in integers.  gap_check, then
     # unit_ideal; no ratio repeats, as unimodular pairs of one ratio differ by
     # a unit, the units are +-1, and mu's canonical sign leaves only 1.
     n = order.abs_delta
-    e = 0 if order.even else 1
     band_center = kelem_from_planar(order, Fraction(1, 2), Fraction(1, 4))
     band_circum = Fraction(1, 4) + Fraction(n, 16)
     for group in oints_by_norm(order):
@@ -91,8 +91,8 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
                 continue
             norm, mu_bar = mu.norm(), mu.conj()
             for lam in lattice_points_within(band_center * mu, band_circum * norm):
-                x = lam * mu_bar
-                if not (0 <= 2 * x.a + e * x.b < 2 * norm and 0 <= x.b < norm):
+                u, v, l = (lam * mu_bar).planar_int(norm)
+                if not (0 <= u < l and 0 <= 2 * v < l):
                     continue
                 found = gap_check(KElem.of(lam, mu))
                 if found is None:

@@ -22,3 +22,20 @@ def test_no_private_name_is_imported_from_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert not private, "private names imported across modules:\n" + "\n".join(private)
+
+
+def _pe2ford_imports(name: str) -> list[str]:
+    tree = ast.parse((SRC / name).read_text(), name)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("pe2ford")):
+            out.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names if alias.name.startswith("pe2ford")]
+    return sorted(set(out))
+
+
+def test_the_arithmetic_and_the_cell_kernel_import_nothing_above_them():
+    for name, allowed in (("orders.py", [".errors"]), ("cells.py", [])):
+        found = _pe2ford_imports(name)
+        assert found == allowed, f"{name} imports {found}"

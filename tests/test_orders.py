@@ -57,6 +57,30 @@ def test_conj():
     assert odd.tau.conj() == odd.one - odd.tau
 
 
+def test_order_is_its_minimal_polynomial():
+    # t^2 = trace*t - tau_norm, and every product, conjugate, norm and
+    # planar embedding follows from those two integers alone
+    rng = random.Random(15)
+    for delta in range(-3, -401, -1):
+        if delta % 4 not in (0, 1):
+            continue
+        d = make_order(delta)
+        e, m = d.trace, d.tau_norm
+        assert (e, m) == (delta % 2, (delta % 2 - delta) // 4), delta
+        assert d.one is d.one and d.zero is d.zero and d.tau is d.tau
+        assert (d.zero, d.one, d.tau) == (d.elt(0, 0), d.elt(1, 0), d.elt(0, 1))
+        assert d.tau * d.tau == d.tau * e - m
+        for _ in range(5):
+            a, b, c, f = (rng.randint(-30, 30) for _ in range(4))
+            x, y = d.elt(a, b), d.elt(c, f)
+            assert x * y == d.elt(a * c - m * b * f, a * f + b * c + e * b * f)
+            assert x.conj().conj() == x
+            assert x * x.conj() == x.norm()
+            den = rng.randint(1, 9)
+            u, v, l = x.planar_int(den)
+            assert (Fraction(u, l), Fraction(v, l)) == KElem.of(x, den).planar()
+
+
 def test_norm_is_multiplicative():
     rng = random.Random(7)
     for delta in DISCS:
@@ -90,7 +114,7 @@ def test_planar_matches_norm():
         d = make_order(delta)
         for _ in range(100):
             x = d.elt(rng.randint(-8, 8), rng.randint(-8, 8))
-            u, v = x.planar()
+            u, v = KElem.from_oint(x).planar()
             assert u * u + d.abs_delta * v * v == x.norm()
 
 
