@@ -14,9 +14,12 @@ its cell and its center; the same lines on a wall decide where the
 arrangement dips under the plane.  Contributes and Covered are exact
 for the truncated arrangement; floats appear only in the SVG emitter.
 
-The cells come from the integer kernel in cells.py.  Fractions appear
-only in the near_sq and far_sq of a Contributes and in the walk that
-moves an off-center witness into the open disc.
+The cells come from the integer kernel in cells.py.  A face is clipped
+only by the hemispheres whose discs meet its own, and one integer sweep
+(box_neighbours) lists those candidates instead of a test of every pair.
+The enumeration scans lambda at exactly the reach a kept center can
+have.  Fractions appear only in the near_sq and far_sq of a Contributes
+and in the walk that moves an off-center witness into the open disc.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cells import Disc, HalfPlane, Point, bisectors, clip, dist_sq_int, frame_of, power_cell
+from .cells import Disc, HalfPlane, Point, bisectors, box_neighbours, clip, dist_sq_int, frame_of, power_cell
 from .errors import OutOfScope
 from .ford import FundPolygon
 from .moebius import Hemisphere, Mat
@@ -148,13 +151,16 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     """All hemispheres of pairs with norm(mu) <= norm_bound near the window.
 
     A hemisphere makes the cut when its center lies within one radius
-    of the window, so faces clipped at the boundary stay present.  The
-    disc is tested first, in integers, since most miss the window, then
-    unit_ideal; only a pair that passes both is built, and no completion
-    is.  mu has the canonical sign, as (lam, mu) and (-lam, -mu) give one
-    hemisphere, and unimodular pairs of one ratio differ by a unit, so
-    no hemisphere comes twice.  The output is sorted by descending
-    radius, then center.
+    of the window, so faces clipped at the boundary stay present.  Such
+    a center lies within R + 1/sqrt(N) of the window center wc, R the
+    circumradius, so lambda is scanned where |lambda - wc*mu|^2 <=
+    (R sqrt(N) + 1)^2, with R sqrt(N) rounded up by an integer square
+    root.  The disc is tested first, in integers, since most miss the
+    window, then unit_ideal; only a pair that passes both is built, and
+    no completion is.  mu has the canonical sign, as (lam, mu) and
+    (-lam, -mu) give one hemisphere, and unimodular pairs of one ratio
+    differ by a unit, so no hemisphere comes twice.  The output is
+    sorted by descending radius, then center.
     """
     if not order.group_scope:
         raise OutOfScope("hemisphere arrangement needs |delta| > 12")
@@ -170,9 +176,12 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
         if not mu.is_canonical_positive():
             continue
         norm, mu_bar = mu.norm(), mu.conj()
-        # centers live within circumradius + radius of the window center;
-        # overshoot via (a + b)^2 <= 2a^2 + 2b^2, then filter exactly
-        for lam in lattice_points_within(wc * mu, 2 * circum_sq * norm + 2):
+        # a kept center lam/mu lies within R + 1/sqrt(N) of the window
+        # center, R^2 = circum_sq, so |lam - wc*mu| <= R sqrt(N) + 1 and
+        # |lam - wc*mu|^2 <= (R sqrt(N) + 1)^2 = R^2 N + 2 R sqrt(N) + 1;
+        # and R sqrt(N) < isqrt(floor(R^2 N)) + 1 bounds the middle term
+        rn = circum_sq * norm
+        for lam in lattice_points_within(wc * mu, rn + 2 * (math.isqrt(math.floor(rn)) + 1) + 1):
             # the center is lam*conj(mu)/N(mu)
             num, den, _ = dist_sq_int(n, frame, (lam * mu_bar).planar_int(norm))
             if num * norm > den:  # farther than the radius 1/sqrt(N(mu)) from the window
@@ -273,12 +282,16 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
 
 
 def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:
-    """Status of each hemisphere against all the others, in set order."""
-    out = []
-    for i, h in enumerate(hs.hemispheres):
-        rest = hs.hemispheres[:i] + hs.hemispheres[i + 1 :]
-        out.append(face_status(h, rest))
-    return tuple(out)
+    """Status of each hemisphere against all the others, in set order.
+
+    Only a hemisphere whose disc meets h's can be a rival, so h is
+    tested against its box_neighbours.  They come in set order, a
+    subsequence of all the others, so _rivals keeps the same bisectors
+    in the same order as it would from the full set.
+    """
+    hemis = hs.hemispheres
+    near = box_neighbours(hs.order.abs_delta, [h.disc for h in hemis])
+    return tuple(face_status(h, [hemis[k] for k in ks]) for h, ks in zip(hemis, near))
 
 
 def plane_split(
@@ -306,7 +319,9 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
     Each hemisphere reaching the segment is on top on the part its
     bisectors clip out of it; height is concave along the segment, so
     the ends of that part are its lowest points.  Where no disc reaches,
-    the height is the floor 0.
+    the height is the floor 0.  Every disc that reaches the segment
+    clips every other, even one whose disc it does not meet: a disjoint
+    rival still moves where a part ends.
     """
     n = hs.order.abs_delta
     frame = frame_of((start, end))

@@ -6,6 +6,11 @@ integer half-planes, cells are clipped in homogeneous integer points
 (x, y, w), and dist_sq_int, the one planar distance routine, measures a
 point against a cell over one common denominator (a Frame).  The Voronoi
 cell of the lattice is the power cell of the unit disc at 0.
+
+box_neighbours finds which discs can meet with one sweep instead of a
+test of every pair: each disc is read into an integer box in
+(u, sqrt(|delta|)*v) of cells 1/_BOX_SCALE wide, rounded outward, so the
+boxes of two discs that meet always meet.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ Point = tuple[Fraction, Fraction]
 Frame = tuple[int, tuple[tuple[int, int], ...]]  # W > 0 and the points (X/W, Y/W) as integer pairs (X, Y)
 HPoint = tuple[int, int, int]  # (x, y, w) with w > 0: the point (x/w, y/w)
 HalfPlane = tuple[int, int, int]  # a*u + b*v <= c, integer coefficients
+
+_BOX_SCALE = 64  # box_neighbours' cells per unit of u and of sqrt(|delta|)*v
 
 
 def frame_of(points: Sequence[Point]) -> Frame:
@@ -71,6 +78,40 @@ def dist_sq_int(n: int, frame: Frame, p: HPoint) -> tuple[int, int, HPoint]:
     num, den, (x, y, h) = best
     scale = w * l
     return (num, den * scale * scale, (x, y, h * scale))
+
+
+def box_neighbours(n: int, discs: Sequence[Disc]) -> list[list[int]]:
+    """For each disc, in ascending index order, the others whose integer boxes meet its own.
+
+    At scale s = _BOX_SCALE a disc reads as an integer center c, with
+    s*u and s*y in [c, c + 1] for y = sqrt(|delta|)*v, and the radius
+    r = floor(s*radius) + 1 > s*radius; its box runs from c - r to
+    c + r + 1 on each axis.  So the box holds the closed disc, and two
+    closed discs that meet, down to a tangent or a duplicate, have boxes
+    that meet.  One sweep by the lower y edge stops each disc's walk at
+    the first box wholly above it.
+    """
+    s = _BOX_SCALE
+    boxes = []  # (y_lo, y_hi, u_lo, u_hi, index)
+    for i, (u, v, l, p, q) in enumerate(discs):
+        r = math.isqrt(s * s * p // q) + 1
+        cu = s * u // l
+        cy = math.isqrt(s * s * n * v * v // (l * l))  # floor(s*|y|)
+        if v < 0:
+            cy = -cy - 1  # s*y lies in [-cy - 1, -cy]
+        boxes.append((cy - r, cy + r + 1, cu - r, cu + r + 1, i))
+    boxes.sort()
+    near: list[list[int]] = [[] for _ in boxes]
+    for a, (_, y_hi, u_lo, u_hi, i) in enumerate(boxes):
+        for y_lo_j, _, u_lo_j, u_hi_j, j in boxes[a + 1 :]:
+            if y_lo_j > y_hi:
+                break
+            if u_lo_j <= u_hi and u_lo <= u_hi_j:
+                near[i].append(j)
+                near[j].append(i)
+    for ks in near:
+        ks.sort()
+    return near
 
 
 def bisectors(n: int, hd: Disc, pool: Sequence[Disc]) -> list[HalfPlane]:

@@ -24,7 +24,7 @@ from pe2ford.arrangement import (
     plane_split,
     svg_topview,
 )
-from pe2ford.cells import bisectors, clip, dist_sq_int, frame_of
+from pe2ford.cells import bisectors, box_neighbours, clip, dist_sq_int, frame_of
 from pe2ford.errors import OutOfScope
 from pe2ford.ford import amalgam_rectangle, voronoi_cell
 from pe2ford.moebius import Hemisphere, Mat
@@ -175,7 +175,9 @@ def test_enumerate_gives_each_hemisphere_once(delta, bound):
         assert len({h.center for h in hs.hemispheres}) == len(hs.hemispheres)
 
 
-@pytest.mark.parametrize("delta, bound", [(-15, 8), (-20, 8), (-40, 16), (-43, 8), (-163, 16)])
+@pytest.mark.parametrize(
+    "delta, bound", [(-15, 8), (-19, 16), (-20, 8), (-40, 16), (-43, 8), (-67, 24), (-163, 16)]
+)
 def test_enumerate_is_complete(delta, bound):
     # reference: a box scan of every canonical mu with norm <= bound and every lam in
     # a box, kept when the pair is unimodular and lam/mu lies within the radius of
@@ -272,6 +274,67 @@ def test_face_status_off_center_cell_by_hand():
     # a rival of radius^2 1 moves the cut to u <= -1/2, at the distance of the radius
     k = Hemisphere(kelem_from_planar(ORDER40, Fraction(1, 2), 0), Fraction(1))
     assert face_status(h, [k]) == Covered()
+
+
+def _closed_discs_meet(h, k):
+    # |c_h - c_k| <= r_h + r_k, squared twice over Fractions
+    gap = (h.center - k.center).abs_sq() - h.radius_sq - k.radius_sq
+    return gap <= 0 or gap * gap <= 4 * h.radius_sq * k.radius_sq
+
+
+def _check_box_neighbours(hs):
+    # the sweep lists each pair both ways, keeps every rival that _rivals keeps
+    # from the full pool, and leaves every face status as the full pool gives it
+    n = hs.order.abs_delta
+    hemis = hs.hemispheres
+    near = box_neighbours(n, [h.disc for h in hemis])
+    assert all(ks == sorted(set(ks)) and i not in ks for i, ks in enumerate(near))
+    assert all(i in near[k] for i, ks in enumerate(near) for k in ks)
+    full = []
+    for i, h in enumerate(hemis):
+        rest = hemis[:i] + hemis[i + 1 :]
+        # a duplicate (None) counts as kept
+        kept = {j for j, k in enumerate(hemis) if j != i and _rivals(n, h.disc, [k]) != []}
+        assert kept <= set(near[i])
+        full.append(face_status(h, rest))
+    assert face_statuses(hs) == tuple(full)
+    return near
+
+
+@pytest.mark.parametrize("delta, bound", [(-15, 12), (-40, 24), (-67, 24), (-163, 16)])
+def test_box_neighbours_keep_every_rival(delta, bound):
+    order = make_order(delta)
+    for window in (amalgam_rectangle(order), voronoi_cell(order)):
+        _check_box_neighbours(enumerate_hemispheres(order, bound, window))
+
+
+def test_box_neighbours_at_tangency():
+    # each pair A, B below is exactly tangent and A, C overlap by a hair, along u
+    # and along v with A below v = 0; the fractional parts of their 64ths sum
+    # past 2, so a box radius one cell thinner misses both
+    hair = Fraction(1, 10**6)
+    discs = [
+        ((Fraction(-1, 7), 0), Fraction(25, 49)),
+        ((Fraction(10, 7), 0), Fraction(36, 49)),
+        ((Fraction(10, 7) - hair, 0), Fraction(36, 49)),
+        ((6, Fraction(-1, 40)), Fraction(1, 10)),
+        ((6, Fraction(49, 360)), Fraction(40, 81)),
+        ((6, Fraction(49, 360) - hair), Fraction(40, 81)),
+        ((3, 0), Fraction(1, 4)),  # a duplicate pair: both Covered
+        ((3, 0), Fraction(1, 4)),
+    ]
+    hemis = tuple(Hemisphere(kelem_from_planar(ORDER40, *c), rsq) for c, rsq in discs)
+    hs = HemiSet(order=ORDER40, hemispheres=hemis, pairs=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
+    near = _check_box_neighbours(hs)
+    for i, j in itertools.combinations(range(len(hemis)), 2):
+        if _closed_discs_meet(hemis[i], hemis[j]):
+            assert j in near[i]
+    for h, k in ((hemis[0], hemis[1]), (hemis[3], hemis[4])):
+        gap = (h.center - k.center).abs_sq() - h.radius_sq - k.radius_sq
+        assert gap > 0 and gap * gap == 4 * h.radius_sq * k.radius_sq  # tangent from outside
+    statuses = face_statuses(hs)
+    assert statuses[6] == statuses[7] == Covered()
+    assert all(isinstance(statuses[i], Contributes) for i in (0, 3))
 
 
 def test_rectangle_statuses_expected_faces():

@@ -82,6 +82,10 @@ OUTPUT_DIGESTS = {
         "7710245f1fd7aa9bc5f2b96c7c3555980645578bd9eeab49e7367df48f28421c",
     "amalgam --disc -40 --bound 16":
         "4bfea3efbe0dd8361ad1debfdf3842699e4db0345b9d7ae03063057ceac82a68",
+    "arrangement --disc -40 --bound 64 --format json":
+        "f5ad9a22928f875fc58a03e84c42d6ebb82c6961f6c694652e9b296290dae585",
+    "amalgam --disc -67 --bound 48 --format json":
+        "a503086ee6fcd9a05325d504f8e4f39f17cb1883c21386c4b1ac6bd45d117bd5",
 }
 
 
