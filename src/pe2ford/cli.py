@@ -9,12 +9,12 @@ schemas under docs/schemas describe.  `--format text` renders the same
 payload one `key: value` line at a time, and `--format svg` (arrangement
 and amalgam) draws the arrangement the command already computed.
 
-Exit codes: 0 success, 2 usage error (including malformed words,
-invalid discriminants and an `--out` file that cannot be written),
-3 out-of-scope request, 4 inconclusive: a membership search, whose
-payload is still printed, or a bounded search that ran out (an
-enumeration short of verified items, a witness search or an edge cycle
-that did not close), which prints only the error.  Identical argument vectors produce
+Exit codes: 0 success (a membership verdict, Member or NonMember,
+included), 2 usage error (including malformed words, invalid
+discriminants and an `--out` file that cannot be written), 3
+out-of-scope request, 4 a bounded search that ran out (an enumeration
+short of verified items, a witness search or an edge cycle that did not
+close), which prints only the error.  Identical argument vectors produce
 byte-identical output.
 """
 
@@ -42,8 +42,6 @@ from .moebius import Mat
 from .orders import KElem, OInt, Order, make_order
 from .subgroups import PLANE, GapPoint, amalgam_report, coset_family, gap_points
 from .words import (
-    DEPTH_CAP,
-    Inconclusive,
     Member,
     NonMember,
     Word,
@@ -74,7 +72,6 @@ def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -
 
 
 _POSITIVE_INT = _checked(int, lambda x: x > 0, "positive")
-_NON_NEGATIVE_INT = _checked(int, lambda x: x >= 0, "non-negative")
 _POSITIVE_FRACTION = _checked(Fraction, lambda x: x > 0, "positive")
 
 
@@ -173,27 +170,26 @@ def _cmd_normal_form(args: argparse.Namespace, order: Order) -> _Result:
 def _cmd_membership(args: argparse.Namespace, order: Order) -> _Result:
     word = _input_word(args, order)
     mat = word_to_matrix(word, order)
-    res = membership(mat, args.depth)
+    res = membership(mat)
     body: dict[str, Any] = {
         "word": format_word(word),
         "verdict": res.kind,
         "nodes_explored": res.stats.nodes_explored,
-        "plateau_edges": res.stats.plateau_edges,
     }
     if isinstance(res, Member):
         cert = res.certificate
         round_trip = word_to_matrix(cert.to_word(), order) == mat
         body.update(certificate=str(cert), n=cert.n, round_trip_exact=round_trip)
-    elif isinstance(res, NonMember):
+    else:
         body.update(
+            s=res.s,
+            point=_kelem_json(res.point),
             witness_ratio=_kelem_json(res.ratio),
             uv=_uv_json(res.ratio.planar()),
             nearby=[{"point": _oint_json(g), "dist_sq": str(d)} for g, d in res.nearby],
             path=format_word(res.path_word),
         )
-    else:
-        body.update(depth_reached=res.depth_reached)
-    return (4 if isinstance(res, Inconclusive) else 0), body, None
+    return 0, body, None
 
 
 def _cmd_pe2_ford(args: argparse.Namespace, order: Order) -> _Result:
@@ -243,7 +239,6 @@ def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
         digest.update(f"{i},{j}:{res.ratio}:{format_word(res.path_word)}\n".encode())
     body = {
         "count": len(fam.members),
-        "depth_cap": DEPTH_CAP,
         "members": [{"matrix": _mat_json(m), **_gap_point_json(gp)} for m, gp in zip(fam.members, fam.points)],
         "pairs_checked": len(keys),
         "all_non_member": all(isinstance(fam.distinctness_matrix[k], NonMember) for k in keys),
@@ -358,9 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_word(add("normal-form", "rewrite a word into standard form", ("text", "json")))
 
-    p = add("membership", "search for an elementary-subgroup certificate", ("text", "json"))
-    add_word(p)
-    p.add_argument("--depth", type=_NON_NEGATIVE_INT, default=DEPTH_CAP, help="search depth cap")
+    add_word(add("membership", "decide elementary-subgroup membership, with a certificate", ("text", "json")))
 
     add("pe2-ford", "faces of the one-hemisphere Ford domain", ("text", "json"))
     add("presentation", "edge cycles and defining relations", ("text", "json"))

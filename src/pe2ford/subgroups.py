@@ -130,17 +130,11 @@ def coset_family(order: Order, count: int) -> CosetFamily:
     """Completions of gap points representing distinct right cosets.
 
     Members i and j land in the same coset exactly when M_j * M_i^{-1}
-    is in the subgroup, so each pair certifies that product NonMember.
-    Membership descends from the ratio -d/c of the bottom row (c, d); for
-    M_j * M_i^{-1} that is the gap ratio lambda_i/mu_i moved by
-    mu_j/(mu_i * c), whose squared length norm(mu_j)/(norm(mu_i) norm(c))
-    is at most 1 because candidates come by ascending norm(mu), while
-    the inverse product moves lambda_j/mu_j by the reciprocal norm
-    ratio.  A product is certified once its descent reaches a ratio with
-    no lattice point in the closed unit disc about it, the same unit-disc
-    test gap_check makes; each candidate is inverted once.  A candidate
-    whose product search does not certify (a search cap hit) is dropped and
-    reported in `replaced` rather than silently kept.
+    is in the subgroup, so each pair certifies that product NonMember
+    with membership, whose reduction decides every case; each candidate
+    is inverted once.  Distinct gap ratios give distinct cosets, so no
+    product comes back Member; a candidate with a Member product would be
+    dropped and reported in `replaced` rather than silently kept.
     """
     if not order.group_scope:
         raise OutOfScope("coset families need |delta| > 12")
@@ -188,8 +182,8 @@ def normalizer_witness(g: Mat) -> OInt:
     order = g.order
     if not order.group_scope:
         raise OutOfScope("normalizer witnesses need |delta| > 12")
-    # membership descends from the right ratio, an arbitrary completion entry
-    # over mu for g but lambda/mu itself for g^-1, which is outside iff g is
+    # g is outside the subgroup exactly when g^-1 is; g^-1 is checked, as
+    # every conjugate below needs it anyway
     g_inv = g.inv()
     if not isinstance(membership(g_inv), NonMember):
         raise ValueError("g must certify NonMember")

@@ -14,14 +14,16 @@ each of which drops at least one r, so the process terminates.
 A word is a tuple of letters, and a letter is its coefficient: the
 OInt a for s(a), or None for r.  So r*s(2-t)*r is (None, 2-t, None).
 
-Membership of a general matrix is decided by a descent on the bottom
-row: the ratio alpha/beta is examined for nearby lattice points, every
-candidate move divides norm(beta) by at least 1, and a node whose ratio
-clears all closed unit discs is a certified non-member.
+Membership of a general matrix h is decided by reduction into the
+one-hemisphere Ford domain: one integer loop pushes h^-1 j, j = (0, 1),
+through the unit hemispheres at lattice points until it reaches height 1
+(a member, spelled as a word) or stops in the closed domain below height
+1 (a certified non-member).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,11 +31,7 @@ from typing import Iterator
 
 from .errors import DegenerateChain, OutOfScope, WordSyntaxError
 from .moebius import Mat, gen_r, gen_s
-from .orders import KElem, OInt, Order, gap_neighbourhood, lattice_points_within, scaled_dist_sq
-
-DEPTH_CAP = 64  # the default cap on the descent depth of membership
-NODE_CAP = 20_000  # the nodes one membership descent may expand; read at call time
-
+from .orders import KElem, OInt, Order, gap_neighbourhood
 
 Letter = OInt | None  # a for s(a), None for r
 Word = tuple[Letter, ...]
@@ -284,8 +282,7 @@ def product_identity_check(sf: StandardForm, z: KElem, mat: Mat | None = None) -
 
 @dataclass(frozen=True)
 class SearchStats:
-    nodes_explored: int
-    plateau_edges: int
+    nodes_explored: int  # the nodes the reduction visited: its steps, plus one for g
 
 
 @dataclass(frozen=True)
@@ -297,101 +294,113 @@ class Member:
 
 @dataclass(frozen=True)
 class NonMember:
-    """The descent reached node, whose ratio clears every closed unit lattice disc.
+    """The reduction stopped at node, with g = node * path_word.
 
-    nearby, the gap neighbourhood of ratio with each squared distance,
-    is derived from ratio on demand, so a refutation that is never shown
-    does not build it.
+    Its certificate is s = norm(m11) + norm(m21) > 1 and point: node^-1 j
+    sits at height 1/s over point, and every lattice point c has
+    |point - c|^2 >= 1 - 1/s^2, so node^-1 j lies in the closed Ford domain
+    below height 1, where the subgroup takes no image of j.  ratio, the
+    cusp -m22/m21 of node, and nearby, its gap neighbourhood, are derived
+    on read; ratio may lie in a closed unit lattice disc.
     """
 
     node: Mat
-    ratio: KElem
     path_word: Word
     stats: SearchStats
     kind: str = field(default="non_member", init=False)
 
     @property
+    def s(self) -> int:
+        return self.node.m11.norm() + self.node.m21.norm()
+
+    @property
+    def point(self) -> KElem:
+        h = self.node
+        return KElem.of(-(h.m12 * h.m11.conj() + h.m22 * h.m21.conj()), self.s)
+
+    @property
+    def ratio(self) -> KElem:
+        return KElem.of(self.node.m22, -self.node.m21)
+
+    @property
     def nearby(self) -> tuple[tuple[OInt, Fraction], ...]:
-        sq = self.ratio.den * self.ratio.den
-        return tuple((g, Fraction(d, sq)) for g, d in gap_neighbourhood(self.ratio))
+        ratio = self.ratio
+        sq = ratio.den * ratio.den
+        return tuple((g, Fraction(d, sq)) for g, d in gap_neighbourhood(ratio))
 
 
-@dataclass(frozen=True)
-class Inconclusive:
-    depth_reached: int
-    stats: SearchStats
-    kind: str = field(default="inconclusive", init=False)
+MembershipResult = Member | NonMember
 
 
-MembershipResult = Member | NonMember | Inconclusive
+def _nearest_move(p: int, q: int, s: int, order: Order) -> tuple[int, int, int] | None:
+    """(d, a, b) for the lattice point c = a + b*t nearest z = (p + q*t)/s, first by key(),
+    with d = s^2 |z - c|^2 <= s^2 - 2, or None if there is none.
+
+    4d = w^2 + |delta| y^2 with y = q - b*s and w = 2(p - a*s) + trace*y,
+    so at most two rows b qualify, and each rounds (2p + trace*y)/(2s) for a.
+    """
+    top = 4 * (s * s - 2)
+    n = order.abs_delta
+    y_max = math.isqrt(top // n)
+    best = None
+    for b in range(-((y_max - q) // s), (q + y_max) // s + 1):
+        y = q - b * s
+        a, w = divmod(2 * p + order.trace * y, 2 * s)
+        if w > s:  # round half down, so the lesser a wins a tie
+            a, w = a + 1, w - 2 * s
+        d4 = w * w + n * y * y
+        if d4 <= top and (best is None or d4 < best[0]):
+            best = (d4, a, b)
+    return None if best is None else (best[0] // 4, best[1], best[2])
 
 
-# A descent path as links (c, parent): the last move first, None at g itself.
-Path = tuple[OInt, "Path"] | None
+def membership(g: Mat, cap: int | None = None) -> MembershipResult:
+    """Decide membership in the elementary subgroup by reduction into its Ford domain.
 
+    h^-1 j, for j = (0, 1), has height 1/S over z, where S = norm(m11) +
+    norm(m21) and S*z = -(m12*conj(m11) + m22*conj(m21)).  As det h = 1, the
+    column step h*s(c)*r gives S*S' = d + 1 with the integer d = S^2 |z - c|^2.
+    While S > 1 the loop steps to the lattice point c nearest z, first by
+    key(), if d <= S^2 - 2.  With none, h^-1 j lies in the closed
+    one-hemisphere Ford domain below height 1, which the subgroup's images
+    of j never reach: NonMember.  At S = 1, h is s(x) or r*s(x): Member.
+    S = (d + 1) // S falls at every step, so the loop ends within S steps.
+    It runs on the entries' integers; OInt and Mat are built for the verdict.
 
-def _suffix_word(path: Path) -> Word:
-    # g = node * r s(-c_k) * ... * r s(-c_1) for the moves c_1, ..., c_k
-    out: list[Letter] = []
-    while path is not None:
-        c, path = path
-        out += (R(), S(-c))
-    return tuple(out)
-
-
-def membership(g: Mat, depth_cap: int = DEPTH_CAP) -> MembershipResult:
-    """Decide membership in the elementary subgroup by bottom-row descent.
-
-    The children of h are h*s(c)*r for the lattice points c in the closed
-    unit disc about its ratio; a move multiplies norm(beta) by |ratio - c|^2,
-    so the strongest drop, least scaled_dist_sq then key(), is explored
-    first, and a plateau edge is one at distance 1.  Nodes keep a link to
-    their parent; the path word is spelled once, when a verdict returns.
-
-    Member and NonMember answers are definitive; Inconclusive only
-    reports an exhausted budget, depth_cap or NODE_CAP expanded nodes.
-    Needs |delta| > 12: soundness of the empty-candidate criterion rests on the norm gap.
+    cap is accepted and ignored, because perfbench/workloads.py still passes
+    one positionally.  Needs |delta| > 12, for the one-hemisphere domain.
     """
     order = g.order
     if not order.group_scope:
         raise OutOfScope("membership certificates need |delta| > 12")
-    visited: set[Mat] = set()
-    stack: list[tuple[Mat, int, Path]] = [(g, 0, None)]
-    max_depth = 0
-    nodes = 0
-    plateau = 0
-    while stack and nodes < NODE_CAP:
-        h, depth, path = stack.pop()
-        if h in visited:
-            continue
-        visited.add(h)
-        nodes += 1
-        max_depth = max(max_depth, depth)
-        if h.fixes_infinity():
-            # sign canonicalization leaves a plain shift s(x)
-            cert = normal_form((S(h.m12),) + _suffix_word(path), order)
-            return Member(cert, SearchStats(nodes, plateau))
-        ratio = KElem.of(h.m22, -h.m21)
-        cands = lattice_points_within(ratio, 1)
-        if not cands:
-            return NonMember(h, ratio, _suffix_word(path), SearchStats(nodes, plateau))
-        if depth >= depth_cap:
-            continue
-        # a stable sort of the key()-ordered scan, so ties stay in key() order
-        ranked = sorted(((scaled_dist_sq(ratio, c), c) for c in cands), key=lambda dc: dc[0])
-        unit = ratio.den * ratio.den
-        m11, m12, m21, m22 = h.m11, h.m12, h.m21, h.m22
-        # push in reverse so the strongest norm drop is explored first
-        for d, c in reversed(ranked):
-            # h * s(c) * r, one column step
-            child = Mat._trusted(m11 * c + m12, -m11, m21 * c + m22, -m21)
-            if child not in visited:
-                if d == unit:
-                    plateau += 1
-                stack.append((child, depth + 1, (c, path)))
-    # a cap cut the search, or the finite reachable component held no
-    # shift node; stay conservative in every case
-    return Inconclusive(max_depth, SearchStats(nodes, plateau))
+    e, m = order.trace, order.tau_norm
+    a11, b11, a12, b12 = g.m11.a, g.m11.b, g.m12.a, g.m12.b
+    a21, b21, a22, b22 = g.m21.a, g.m21.b, g.m22.a, g.m22.b
+    s = a11 * a11 + e * a11 * b11 + m * b11 * b11 + a21 * a21 + e * a21 * b21 + m * b21 * b21
+    moves: list[tuple[int, int]] = []
+    while s > 1:
+        # s*z = p + q*t = -(m12*conj(m11) + m22*conj(m21))
+        p = -(a12 * a11 + e * a12 * b11 + m * b12 * b11 + a22 * a21 + e * a22 * b21 + m * b22 * b21)
+        q = a12 * b11 - b12 * a11 + a22 * b21 - b22 * a21
+        move = _nearest_move(p, q, s, order)
+        if move is None:
+            break
+        d, ca, cb = move
+        # h*s(c)*r: first column m11*c + m12 and m21*c + m22, second -m11 and -m21
+        a11, b11, a12, b12 = a11 * ca - m * b11 * cb + a12, a11 * cb + b11 * ca + e * b11 * cb + b12, -a11, -b11
+        a21, b21, a22, b22 = a21 * ca - m * b21 * cb + a22, a21 * cb + b21 * ca + e * b21 * cb + b22, -a21, -b21
+        s = (d + 1) // s
+        moves.append((ca, cb))
+    node = g
+    if moves:
+        node = Mat._trusted(OInt(order, a11, b11), OInt(order, a12, b12), OInt(order, a21, b21), OInt(order, a22, b22))
+    # g = node * r s(-c_k) * ... * r s(-c_1) for the moves c_1, ..., c_k
+    path = tuple(x for a, b in reversed(moves) for x in (R(), S(OInt(order, -a, -b))))
+    if s > 1:
+        return NonMember(node, path, SearchStats(len(moves) + 1))
+    # sign canonicalisation leaves s(x) = [[1, x], [0, 1]] or r*s(x) = [[0, 1], [-1, -x]]
+    head = (S(node.m12),) if node.fixes_infinity() else (R(), S(-node.m22))
+    return Member(normal_form(head + path, order), SearchStats(len(moves) + 1))
 
 
 def random_pe2_word(

@@ -57,7 +57,7 @@ OUTPUT_DIGESTS = {
     "normal-form --disc -19 --word r*s(2-t)*r*s(4) --format json":
         "0fa60e0d26db8529e4201b9932c06aa87d0f340d7b0f654bb3b35cebd9540172",
     "membership --disc -40 --word r*s(5+0*t)*r --format json":
-        "7e24c2a0ad9c92fa3daffd16087dd88a2975b290076385edc87b146ca5d03dbb",
+        "8476a385df20a2e4cdfcee017a4f92b2e87898d017a19e7f05f9cb412758838e",
     "pe2-ford --disc -40 --format json":
         "a2541bfc696ad3ae1baa55695ef9f574aa6e0cdb05916fd616765f8f0fa8847d",
     "pe2-ford --disc -15 --format json":
@@ -65,7 +65,7 @@ OUTPUT_DIGESTS = {
     "presentation --disc -40 --format json":
         "ea833822268a62eda49e9f2fd628a8664c39dd12a917a7726070079399311891",
     "cosets --disc -40 --count 3 --format json":
-        "8d925764077dadb2b213ed204992f18b8964e1bb24a61b0fe1ef068997686f7c",
+        "55ad956fca026d442348871c76e2a3d01bfdc7de870bc9a8fe7a51d6df2b4cd3",
     "arrangement --disc -40 --bound 4 --format json":
         "f621d5ab62c4d0cd3fcbd55fb810302b6f2ffd5c82291c03ee78d1264cc7709b",
     "amalgam --disc -40 --bound 4 --format json":
@@ -73,11 +73,11 @@ OUTPUT_DIGESTS = {
     "gap-points --disc -40 --count 2 --format json":
         "d32825a05641295ddea1414be329fc83d542de4e301b504e84a890e54056c658",
     "cosets --disc -40 --count 100":
-        "9fb5aad6ac7c0348eb6d4be16d9c4d66228033994b3698324ff21d8ba5b4a3ce",
+        "962c0137aa9fe3effba9e6ebf592b352282cc8276a0a5d950fc14c44a90560f4",
     "gap-points --disc -40 --count 200":
         "763dfded8a621ea01bb6e2a8c79658a83f2ea1ba57de1511aebed4b79dd1fb8a",
     "membership --disc -40 --seed 9":
-        "90adc122ce10808f48739dd509896c838698a1d07e3a7cc17691b774e39ee75e",
+        "60e3f4d30b301c0bced4f41087f546a7334ad7d4abd00dcbd1763c4ee15a6b6e",
     "arrangement --disc -40 --bound 16 --format svg":
         "7710245f1fd7aa9bc5f2b96c7c3555980645578bd9eeab49e7367df48f28421c",
     "amalgam --disc -40 --bound 16":
@@ -109,16 +109,6 @@ def test_text_renders_the_json_payload(command, argv):
             continue
         shown = "yes" if value is True else "no" if value is False else str(value)
         assert f"{key.replace('_', ' ')}: {shown}" in lines
-
-
-def test_inconclusive_json_matches_schema_and_exits_4():
-    code, out, _ = run(
-        ["membership", "--disc", "-40", "--seed", "5", "--depth", "1", "--format", "json"]
-    )
-    assert code == 4
-    payload = json.loads(out)
-    assert payload["verdict"] == "inconclusive"
-    validate("membership", payload)
 
 
 def test_byte_determinism():
@@ -191,7 +181,6 @@ def test_usage_errors_exit_2():
         ["amalgam", "--disc", "-40", "--plane", "0"],
         ["amalgam", "--disc", "-40", "--plane", "-1/2"],
         ["amalgam", "--disc", "-40", "--plane", "1/0"],
-        ["membership", "--disc", "-40", "--word", "r", "--depth", "-1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -278,6 +267,19 @@ def test_order_info_works_below_group_scope():
     code, out, _ = run(["order-info", "--disc", "-4", "--format", "json"])
     assert code == 0
     assert json.loads(out)["group_scope"] is False
+
+
+def test_non_member_json_prints_the_certificate(monkeypatch):
+    # a word is always a member, so the outsider of criterion 4 stands in for the word's matrix
+    outsider = [[1, 1], [5, 0], [2, 0], [1, -1]]
+    monkeypatch.setattr(cli, "word_to_matrix", lambda word, order: cli.Mat(*(order.elt(*e) for e in outsider)))
+    code, out, _ = run(["membership", "--disc", "-40", "--word", "r", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    validate("membership", payload)
+    assert payload["verdict"] == "non_member"
+    assert (payload["s"], payload["point"]) == (15, {"num": [-7, 7], "den": 15})
+    assert payload["path"] == "1"
 
 
 def test_membership_member_text():

@@ -1,4 +1,4 @@
-"""The gap neighbourhood read by membership and gap_check, and the gap stream, against box scans.
+"""The gap neighbourhood, membership certificates, gap_check and the gap stream, against box scans.
 
 The box scans share no formula with the lattice code they check: they
 walk a box of lattice coordinates and measure each point with field
@@ -43,16 +43,39 @@ def box_scan(z: KElem) -> list:
 @given(delta=st.sampled_from(DISCS), k=st.integers(0, 3), seed=st.integers(0, 10**6))
 def test_non_member_nearby_is_the_box_scan(delta, k, seed):
     # g0 is the inverse completion of a gap point, so every g0 * w with w
-    # in the subgroup is outside it; the descent ends NonMember or Inconclusive
+    # in the subgroup is outside it; the box scan re-checks each
+    # refutation's certificate: s > 1 and no lattice point within 1 - 1/s^2 of its point
     d = make_order(delta)
     g0 = gap_points(d, k + 1)[k].pair.completion.inv()
     w = random_pe2_word(d, seed, length=8, coeff_bound=3)
-    results = [membership(g0), membership(g0 * word_to_matrix(w, d), 32)]
-    assert isinstance(results[0], NonMember)
-    for res in results:
-        if isinstance(res, NonMember):
-            assert list(res.nearby) == box_scan(res.ratio)
-            assert gap_check(res.ratio) is not None
+    for res in (membership(g0), membership(g0 * word_to_matrix(w, d))):
+        assert isinstance(res, NonMember)
+        assert list(res.nearby) == box_scan(res.ratio)
+        assert res.s > 1
+        assert min(d2 for _, d2 in box_scan(res.point)) >= 1 - Fraction(1, res.s**2)
+
+
+# ten orders in group scope, dense and sparse, even and odd
+THEOREM_DISCS = [-15, -19, -20, -23, -24, -40, -43, -67, -84, -163]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(delta=st.sampled_from(THEOREM_DISCS), seed=st.integers(0, 10**6))
+def test_isometric_spheres_lie_under_the_ford_domain(delta, seed):
+    # the theorem that both certificate kinds rest on: every element g of
+    # the subgroup with m21 != 0 has its isometric sphere, of squared
+    # radius 1/norm(m21) about -m22/m21, under some unit hemisphere at a
+    # lattice point, min_c |-m22/m21 - c|^2 + 1/norm(m21) <= 1.  Checked on
+    # every prefix of a word and its inverse, with the box scan as oracle.
+    d = make_order(delta)
+    w = random_pe2_word(d, seed, length=12, coeff_bound=3)
+    for k in range(1, len(w) + 1):
+        h = word_to_matrix(w[:k], d)
+        for g in (h, h.inv()):
+            if g.m21.is_zero():
+                continue
+            least = min(d2 for _, d2 in box_scan(KElem.of(g.m22, -g.m21)))
+            assert least + Fraction(1, g.m21.norm()) <= 1
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)

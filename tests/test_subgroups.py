@@ -20,7 +20,6 @@ from pe2ford.subgroups import (
     normalizer_witness,
 )
 from pe2ford.words import (
-    Inconclusive,
     Member,
     NonMember,
     R,
@@ -203,12 +202,11 @@ def test_normalizer_witness_rejects_bad_inputs():
 
 
 def test_normalizer_witness_certifies_through_the_inverse():
-    # at -23 membership of many completions g ends inconclusive, since it
-    # descends from the right ratio -x/mu of an arbitrary completion entry
-    # x; g^-1 carries lambda/mu there and is refuted at the root
+    # at -23 every completion g is refuted, as is the inverse that
+    # normalizer_witness checks, and each has a witness
     d = make_order(-23)
     points = gap_points(d, 20)
-    assert any(isinstance(membership(gp.pair.completion), Inconclusive) for gp in points)
+    assert all(isinstance(membership(gp.pair.completion), NonMember) for gp in points)
     for gp in points:
         g = gp.pair.completion
         alpha = normalizer_witness(g)

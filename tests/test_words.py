@@ -8,13 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pe2ford import words
 from pe2ford.errors import DegenerateChain, OutOfScope, WordSyntaxError
 from pe2ford.moebius import Mat, gen_r, gen_s
-from pe2ford.orders import KElem, lattice_points_within, make_order, scaled_dist_sq
+from pe2ford.orders import KElem, dist_sq, lattice_points_within, make_order, scaled_dist_sq
 from pe2ford.subgroups import collapse_word, gap_points
 from pe2ford.words import (
-    Inconclusive,
     Member,
     NonMember,
     R,
@@ -256,7 +254,7 @@ def test_membership_member_example():
     assert isinstance(res, Member)
     assert res.certificate.alphas == (d.zero, d.elt(5), d.zero)
     assert word_to_matrix(res.certificate.to_word(), d) == g
-    assert res.stats.nodes_explored == 3
+    assert res.stats.nodes_explored == 2
 
 
 def test_membership_members_random():
@@ -280,6 +278,10 @@ def test_membership_nonmember_example():
     assert res.node == g
     assert res.path_word == ()
     assert res.ratio == KElem.of(t - d.one, 2)
+    # the certificate: S = 15 > 1 and the nearest lattice point to z lies at 539/225 >= 1 - 1/S^2
+    assert res.s == 15
+    assert res.point == KElem.of(7 * t - d.elt(7), 15)
+    assert min(dist_sq(res.point, c) for c in lattice_points_within(res.point, 3)) == Fraction(539, 225)
     assert len(res.nearby) == 4
     assert all(dist == Fraction(11, 4) for _, dist in res.nearby)
     assert min(dist for _, dist in res.nearby) > 1
@@ -293,35 +295,14 @@ def test_membership_nonmember_down_a_branch():
     res = membership(g)
     assert isinstance(res, NonMember)
     assert g == res.node * word_to_matrix(res.path_word, d)
-    assert all(dist > 1 for _, dist in res.nearby)
-
-
-def test_membership_budget_exhaustion():
-    d = make_order(-40)
-    g = gen_r(d) * gen_s(d.elt(5)) * gen_r(d)
-    res = membership(g, depth_cap=0)
-    assert isinstance(res, Inconclusive)
-    assert res.depth_reached == 0
-    assert res.stats.nodes_explored == 1
-
-
-def test_membership_node_budget(monkeypatch):
-    # a descent that has expanded NODE_CAP nodes stops Inconclusive, whatever its depth
-    d = make_order(-40)
-    g = word_to_matrix(random_pe2_word(d, 7, length=200), d)
-    full = membership(g)
-    assert isinstance(full, Member) and full.stats.nodes_explored > 3
-    monkeypatch.setattr(words, "NODE_CAP", 3)
-    res = membership(g)
-    assert isinstance(res, Inconclusive)
-    assert res.stats.nodes_explored == 3
+    # the certificate is the point, which covering_radius^2 = 11/4 < 3 keeps in reach of its nearest lattice point
+    assert res.s > 1
+    assert min(dist_sq(res.point, c) for c in lattice_points_within(res.point, 3)) >= 1 - Fraction(1, res.s**2)
 
 
 def test_descent_step_scales_bottom_norm():
     # a move by c multiplies norm(beta) by the squared distance |ratio - c|^2
     rng = random.Random(41)
-    from pe2ford.orders import dist_sq, lattice_points_within
-
     for delta in DISCS:
         d = make_order(delta)
         for _ in range(10):
@@ -385,15 +366,13 @@ def test_member_certificate_rebuilds_g_property(dw):
 @given(order_and_word(max_shifts=4), st.integers(0, 3))
 def test_non_member_path_rebuilds_g_property(dw, k):
     # the inverse completion of a gap point is outside the subgroup, and so is
-    # its product with any word; the descent spells g as node * path_word.
-    # These descents end within three moves; the cap of 8 keeps a wrong
-    # column step, whose descent climbs, from searching for minutes.
+    # its product with any word; the reduction spells g as node * path_word
     d, w = dw
     g = gap_points(d, k + 1)[k].pair.completion.inv() * word_to_matrix(w, d)
-    res = membership(g, 8)
-    assert not isinstance(res, Member)
-    if isinstance(res, NonMember):
-        assert res.node * word_to_matrix(res.path_word, d) == g
+    res = membership(g)
+    assert isinstance(res, NonMember)
+    assert res.node * word_to_matrix(res.path_word, d) == g
+    assert res.stats.nodes_explored == len(res.path_word) // 2 + 1
 
 
 @st.composite
@@ -410,22 +389,28 @@ def descent_node(draw):
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(descent_node())
-def test_column_step_scales_the_bottom_norm_property(h):
-    # the descent's move by c multiplies norm(m21) by |ratio - c|^2, which is
-    # what ranks the children and makes every step a drop or a plateau edge
+def test_column_step_invariant_property(h):
+    # h^-1 j has height 1/S over z; the step h*s(c)*r to any lattice point c
+    # gives S*S' = d + 1 with the integer d = S^2 |z - c|^2, so S falls
+    # exactly when d <= S^2 - 2
     d = h.order
-    ratio = KElem.of(h.m22, -h.m21)
-    for c in lattice_points_within(ratio, 1):
+    s = h.m11.norm() + h.m21.norm()
+    z = KElem.of(-(h.m12 * h.m11.conj() + h.m22 * h.m21.conj()), s)
+    for c in lattice_points_within(z, 2):
         child = h * gen_s(c) * gen_r(d)
-        assert child.m21.norm() * ratio.den**2 == h.m21.norm() * scaled_dist_sq(ratio, c)
+        s_new = child.m11.norm() + child.m21.norm()
+        assert (s * s_new - 1) * z.den**2 == s * s * scaled_dist_sq(z, c)
 
 
-def test_short_words_are_members_within_a_small_node_budget(monkeypatch):
-    # the descents of short words expand at most a handful of nodes; one that
-    # climbs instead of dropping (a wrong column step) meets this cap within a second
-    monkeypatch.setattr(words, "NODE_CAP", 500)
+def test_reduction_step_bound_is_the_r_letters():
+    # each step of the reduction undoes at most one r of a word, so a wrong
+    # column step shows here as a certificate that does not rebuild the word
     rng = random.Random(17)
-    for i in range(30):
+    for i in range(60):
         d = make_order(DISCS[i % len(DISCS)])
-        g = word_to_matrix(random_pe2_word(d, rng.randrange(10**6), length=12), d)
-        assert isinstance(membership(g), Member), (d, i)
+        w = random_pe2_word(d, rng.randrange(10**6), length=12, coeff_bound=1 + i % 4)
+        g = word_to_matrix(w, d)
+        res = membership(g)
+        assert isinstance(res, Member), (d, i)
+        assert word_to_matrix(res.certificate.to_word(), d) == g
+        assert res.stats.nodes_explored - 1 <= w.count(None), (d, i)
