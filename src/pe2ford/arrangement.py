@@ -18,8 +18,8 @@ The cells come from the integer kernel in cells.py.  A face is clipped
 only by the hemispheres whose discs meet its own, and one integer sweep
 (box_neighbours) lists those candidates instead of a test of every pair.
 The enumeration scans lambda at exactly the reach a kept center can
-have.  Fractions appear only in the near_sq and far_sq of a Contributes
-and in the walk that moves an off-center witness into the open disc.
+have, and it sorts on integers.  The witness walk runs in integers too,
+so Fractions appear only in the near_sq and far_sq of a Contributes.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     no completion is.  mu has the canonical sign, as (lam, mu) and
     (-lam, -mu) give one hemisphere, and unimodular pairs of one ratio
     differ by a unit, so no hemisphere comes twice.  The output is
-    sorted by descending radius, then center.
+    sorted by descending radius, then v, then u, on the integers (N, V, U).
     """
     if not order.group_scope:
         raise OutOfScope("hemisphere arrangement needs |delta| > 12")
@@ -171,7 +171,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     circum_sq = max((u - wu) ** 2 + n * (v - wv) ** 2 for u, v in window.vertices)
     wc = kelem_from_planar(order, wu, wv)
     frame = frame_of(window.vertices)
-    found: list[tuple[Hemisphere, UnimodularPair]] = []
+    found: list[tuple[tuple[int, int, int], UnimodularPair]] = []
     for mu in lattice_points_norm_at_most(order, norm_bound):
         if not mu.is_canonical_positive():
             continue
@@ -183,18 +183,20 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
         rn = circum_sq * norm
         for lam in lattice_points_within(wc * mu, rn + 2 * (math.isqrt(math.floor(rn)) + 1) + 1):
             # the center is lam*conj(mu)/N(mu)
-            num, den, _ = dist_sq_int(n, frame, (lam * mu_bar).planar_int(norm))
+            u, v, l = (lam * mu_bar).planar_int(norm)
+            num, den, _ = dist_sq_int(n, frame, (u, v, l))
             if num * norm > den:  # farther than the radius 1/sqrt(N(mu)) from the window
                 continue
             if not unit_ideal(lam, mu):
                 continue
-            pair = UnimodularPair(lam, mu)
-            found.append((pair.hemisphere(), pair))
-    ordered = sorted(found, key=lambda hp: hp[0].sort_key())
+            found.append(((norm, v, u), UnimodularPair(lam, mu)))
+    # radius^2 = 1/N(mu), and centers of one norm share the denominator 2 N(mu)
+    found.sort(key=lambda kp: kp[0])
+    pairs = tuple(p for _, p in found)
     return HemiSet(
         order=order,
-        hemispheres=tuple(h for h, _ in ordered),
-        pairs=tuple(p for _, p in ordered),
+        hemispheres=tuple(p.hemisphere() for p in pairs),
+        pairs=pairs,
         norm_bound=norm_bound,
         window=window,
     )
@@ -263,22 +265,22 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     cw, verts = cell
     # |vertex - center|^2 times (W L)^2
     far_num = max((vx * hl - hu * cw) ** 2 + n * (vy * hl - hv * cw) ** 2 for vx, vy in verts)
-    witness = nearest = (Fraction(x, w), Fraction(y, w))  # the center itself when the cell holds it
+    witness = h.center
     if not all(a * hu + b * hv < c * hl for a, b, c in planes):
-        # the center is not strictly inside; points strictly between the
-        # nearest point and the vertex average are, so halve toward it
-        cu, cv = Fraction(hu, hl), Fraction(hv, hl)
-        k = len(verts)
-        du, dv = (Fraction(sum(p[i] for p in verts), k * cw) - nearest[i] for i in (0, 1))
-        step = Fraction(1)
+        # the center is not strictly inside; points strictly between the nearest point
+        # (x, y)/w and the vertex average (sx, sy)/kw are, so halve toward it
+        kw = len(verts) * cw
+        sx, sy = (sum(p[i] for p in verts) for i in (0, 1))
+        j = 1
         while True:
-            witness = (nearest[0] + step * du, nearest[1] + step * dv)
-            if (witness[0] - cu) ** 2 + n * (witness[1] - cv) ** 2 < h.radius_sq:
+            ww = j * w * kw  # ((j - 1) kw (x, y) + w (sx, sy)) / (j w kw)
+            wx, wy = (j - 1) * kw * x + w * sx, (j - 1) * kw * y + w * sy
+            if ((wx * hl - hu * ww) ** 2 + n * (wy * hl - hv * ww) ** 2) * hq < hp * (ww * hl) ** 2:
                 break
-            step /= 2
-    return Contributes(
-        kelem_from_planar(order, *witness), Fraction(near_num, near_den), Fraction(far_num, (cw * hl) ** 2)
-    )
+            j *= 2
+        # the inverse of OInt.planar_int: (wx, wy)/ww is (wx - e wy + 2 wy t)/ww
+        witness = KElem.of(OInt(order, wx - order.trace * wy, 2 * wy), ww)
+    return Contributes(witness, Fraction(near_num, near_den), Fraction(far_num, (cw * hl) ** 2))
 
 
 def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:

@@ -13,9 +13,9 @@ Exit codes: 0 success (a membership verdict, Member or NonMember,
 included), 2 usage error (including malformed words, invalid
 discriminants and an `--out` file that cannot be written), 3
 out-of-scope request, 4 a bounded search that ran out (an enumeration
-short of verified items, a witness search or an edge cycle that did not
-close), which prints only the error.  Identical argument vectors produce
-byte-identical output.
+short of verified items or an edge cycle that did not close; no command
+runs a witness search, but WitnessNotFound maps to 4 too), which prints
+only the error.  Identical argument vectors produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .words import (
     word_to_matrix,
 )
 
-# exit code, payload body, and the svg_topview arguments of the commands that offer --format svg
-_Result = tuple[int, dict[str, Any], tuple | None]
+# payload body, and the svg_topview arguments of the commands that offer --format svg
+_Result = tuple[dict[str, Any], tuple | None]
 
 
 def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -> Callable[[str], Any]:
@@ -149,7 +149,7 @@ def _cmd_order_info(args: argparse.Namespace, order: Order) -> _Result:
         "covering_radius_sq": str(order.covering_radius_sq()),
         "group_scope": order.group_scope,
     }
-    return 0, body, None
+    return body, None
 
 
 def _cmd_normal_form(args: argparse.Namespace, order: Order) -> _Result:
@@ -164,7 +164,7 @@ def _cmd_normal_form(args: argparse.Namespace, order: Order) -> _Result:
         "preserved": word_to_matrix(sf.to_word(), order) == mat,
         "interior_ok": all(not a.is_small() for a in sf.alphas[1:-1]),
     }
-    return 0, body, None
+    return body, None
 
 
 def _cmd_membership(args: argparse.Namespace, order: Order) -> _Result:
@@ -189,7 +189,7 @@ def _cmd_membership(args: argparse.Namespace, order: Order) -> _Result:
             nearby=[{"point": _oint_json(g), "dist_sq": str(d)} for g, d in res.nearby],
             path=format_word(res.path_word),
         )
-    return 0, body, None
+    return body, None
 
 
 def _cmd_pe2_ford(args: argparse.Namespace, order: Order) -> _Result:
@@ -202,7 +202,7 @@ def _cmd_pe2_ford(args: argparse.Namespace, order: Order) -> _Result:
             rec = {"kind": "wall", "start": _uv_json(f.start), "end": _uv_json(f.end), "toward": _oint_json(f.toward)}
         rec.update(pairing=_mat_json(f.pairing), pairing_word=format_word(f.pairing_word))
         recs.append(rec)
-    return 0, {"cell": _polygon_json(voronoi_cell(order)), "faces": recs}, None
+    return {"cell": _polygon_json(voronoi_cell(order)), "faces": recs}, None
 
 
 def _cmd_presentation(args: argparse.Namespace, order: Order) -> _Result:
@@ -227,7 +227,7 @@ def _cmd_presentation(args: argparse.Namespace, order: Order) -> _Result:
         ],
         "notes": list(pres.notes),
     }
-    return 0, body, None
+    return body, None
 
 
 def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
@@ -245,7 +245,7 @@ def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
         "replaced": [_kelem_json(z) for z in fam.replaced],
         "certificates_sha256": digest.hexdigest(),
     }
-    return 0, body, None
+    return body, None
 
 
 def _cmd_arrangement(args: argparse.Namespace, order: Order) -> _Result:
@@ -273,7 +273,7 @@ def _cmd_arrangement(args: argparse.Namespace, order: Order) -> _Result:
         "contributing": contributing,
         "covered": len(recs) - contributing,
     }
-    return 0, body, (hs, statuses, ((), ()))
+    return body, (hs, statuses, ((), ()))
 
 
 def _cmd_amalgam(args: argparse.Namespace, order: Order) -> _Result:
@@ -301,7 +301,7 @@ def _cmd_amalgam(args: argparse.Namespace, order: Order) -> _Result:
         "overlap": [r.label for r in rep.overlap],
         "notes": list(rep.notes),
     }
-    return 0, body, (rep.arrangement, rep.statuses, rep.split)
+    return body, (rep.arrangement, rep.statuses, rep.split)
 
 
 def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
@@ -314,7 +314,7 @@ def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
         }
         for gp in pts
     ]
-    return 0, {"count": len(pts), "points": points}, None
+    return {"count": len(pts), "points": points}, None
 
 
 _HANDLERS: dict[str, Callable[[argparse.Namespace, Order], _Result]] = {
@@ -385,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         order = make_order(args.disc)
-        code, body, view = _HANDLERS[args.command](args, order)
+        body, view = _HANDLERS[args.command](args, order)
     except (WordSyntaxError, InvalidDiscriminant) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -404,13 +404,13 @@ def main(argv: list[str] | None = None) -> int:
         text = _render_text(payload)
     if args.out is None:
         sys.stdout.write(text)
-        return code
+        return 0
     try:
         args.out.write_text(text, encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -124,10 +124,6 @@ class Hemisphere:
         u, v, l = self.center.planar_int()
         object.__setattr__(self, "disc", (u, v, l, self.radius_sq.numerator, self.radius_sq.denominator))
 
-    def sort_key(self) -> tuple:
-        u, v = self.center.planar()
-        return (-self.radius_sq, v, u)
-
 
 class Side(enum.Enum):
     INSIDE = -1

@@ -9,7 +9,7 @@ s(a_n) r s(a_{n-1}) r ... r s(a_0) whose interior coefficients avoid
     s(a) r s(0) r s(b)  = s(a+b),
     s(a) r s(e) r s(b)  = s(a-e) r s(b-e)   for e = +-1,
 
-each of which drops at least one r, so the process terminates.
+each of which drops at least one r; normal_form applies them in one pass.
 
 A word is a tuple of letters, and a letter is its coefficient: the
 OInt a for s(a), or None for r.  So r*s(2-t)*r is (None, 2-t, None).
@@ -191,39 +191,39 @@ class StandardForm:
 
 
 def normal_form(word: Word, order: Order) -> StandardForm:
-    """Rewrite an arbitrary word into standard form.
+    """Rewrite an arbitrary word into standard form in one pass, left to right.
 
+    Shifts add into the current coefficient x.  At each r, and once at
+    the end, x goes onto a stack that holds a_n, a_{n-1}, ... from the
+    bottom.  Before the push, while the top t has a left neighbour p and
+    is 0 or a unit, the rules above remove it: s(p) r s(0) r s(x) becomes
+    s(p + x), and s(p) r s(t) r s(x) becomes s(p - t) r s(x - t), whose
+    new top p - t is tested again.  Each rewrite drops an r, so the pass
+    is linear in the word's length.
+
+    Standard forms are not unique, and a pass from the right can end at
+    another one, so the direction is part of the output.
     Needs |delta| > 4 so the units are exactly +-1.
     """
     if not order.units_are_signs:
         raise OutOfScope("normal forms need |delta| > 4")
-    # fold right-to-left into an alternating coefficient list
-    alphas: list[OInt] = [order.zero]
-    for a in reversed(word):
-        if a is None:
-            alphas.append(order.zero)
-        else:
-            alphas[-1] = alphas[-1] + a
-    changed = True
-    while changed:
-        changed = False
-        i = len(alphas) - 2
-        while i >= 1:
-            a = alphas[i]
-            if a.is_zero():
-                alphas[i - 1 : i + 2] = [alphas[i - 1] + alphas[i + 1]]
-                changed = True
-                i = min(i, len(alphas) - 2)
-                continue
-            if a.is_small():  # a unit: shift both neighbours
-                alphas[i - 1] = alphas[i - 1] - a
-                alphas[i + 1] = alphas[i + 1] - a
-                del alphas[i]
-                changed = True
-                i = min(i, len(alphas) - 2)
-                continue
-            i -= 1
-    return StandardForm(tuple(alphas))
+    stack: list[OInt] = []
+    x = order.zero
+    for a in (*word, None):
+        if a is not None:
+            x = x + a
+            continue
+        while len(stack) > 1 and stack[-1].is_small():
+            t = stack.pop()
+            p = stack.pop()
+            if t.is_zero():
+                x = p + x
+            else:
+                stack.append(p - t)
+                x = x - t
+        stack.append(x)
+        x = order.zero
+    return StandardForm(tuple(reversed(stack)))
 
 
 @dataclass(frozen=True)

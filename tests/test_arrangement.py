@@ -123,6 +123,15 @@ def _rect_statuses():
     return face_statuses(_rect_set())
 
 
+def _sorted_by_radius_then_center(hs):
+    # the key (-radius^2, v, u), in Fractions
+    keys = []
+    for h in hs.hemispheres:
+        u, v = h.center.planar()
+        keys.append((-h.radius_sq, v, u))
+    return keys == sorted(keys)
+
+
 def test_enumerate_bound_one_rectangle():
     hs = _rect_set(1)
     t = ORDER40.tau
@@ -130,8 +139,7 @@ def test_enumerate_bound_one_rectangle():
     assert {h.center for h in hs.hemispheres} == want
     assert all(h.radius_sq == 1 for h in hs.hemispheres)
     assert all(p.mu.norm() == 1 for p in hs.pairs)
-    keys = [h.sort_key() for h in hs.hemispheres]
-    assert keys == sorted(keys)
+    assert _sorted_by_radius_then_center(hs)
 
 
 def test_enumerate_bound_one_voronoi():
@@ -173,6 +181,7 @@ def test_enumerate_gives_each_hemisphere_once(delta, bound):
     for window in (amalgam_rectangle(order), voronoi_cell(order)):
         hs = enumerate_hemispheres(order, bound, window)
         assert len({h.center for h in hs.hemispheres}) == len(hs.hemispheres)
+        assert _sorted_by_radius_then_center(hs)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Module layout: no pe2ford module reaches into a sibling's private names."""
+"""Module layout: no pe2ford module reaches into a sibling's private names, and no float leaves the SVG emitter."""
 
 from __future__ import annotations
 
@@ -39,3 +39,25 @@ def test_the_arithmetic_and_the_cell_kernel_import_nothing_above_them():
     for name, allowed in (("orders.py", [".errors"]), ("cells.py", [])):
         found = _pe2ford_imports(name)
         assert found == allowed, f"{name} imports {found}"
+
+
+def test_floats_appear_only_in_the_svg_emitter():
+    # no float(...) call and no math.sqrt outside arrangement.svg_topview
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "arrangement.py":
+            svg = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "svg_topview"]
+            assert len(svg) == 1
+            allowed = {id(n) for n in ast.walk(svg[0])}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                found.append(f"{path.name}:{node.lineno} float(...)")
+            elif isinstance(node, ast.Attribute) and node.attr == "sqrt":
+                found.append(f"{path.name}:{node.lineno} .sqrt")
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "sqrt" for a in node.names):
+                found.append(f"{path.name}:{node.lineno} import sqrt")
+    assert not found, "floats outside svg_topview:\n" + "\n".join(found)

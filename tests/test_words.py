@@ -156,6 +156,17 @@ def test_normal_form_examples():
     nf = normal_form(w, d)
     assert nf.alphas == (d.elt(2), d.elt(1))
     assert word_to_matrix(nf.to_word(), d) == word_to_matrix(w, d)
+    # standard forms are not unique: read left to right, the first word gives the
+    # form below, and a pass from the right gives s(0)*r*s(-2)*r*s(-1); in the
+    # second, removing the 1 turns the 2 into a 1, which is tested again
+    for text, want in (
+        ("r*s(-1)*s(-1+t)*s(1-t)*r*s(1)*r*r*r*r*r", "s(1)*r*s(2)*r*s(0)"),
+        ("s(4)*r*s(2)*r*s(1)*r*s(6)", "s(3)*r*s(4)"),
+    ):
+        w = parse_word(text, d)
+        nf = normal_form(w, d)
+        assert str(nf) == want
+        assert word_to_matrix(nf.to_word(), d) == word_to_matrix(w, d)
 
 
 def test_normal_form_preserves_matrix():
