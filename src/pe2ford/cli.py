@@ -379,6 +379,19 @@ _PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    # integers are arbitrary-precision, so they parse and print in full: lift
+    # the int/str digit limit for this call (Pythons without one have no limit)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:

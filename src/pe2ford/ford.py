@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cells import Point, bisectors, dist_sq_int, frame_of, power_cell
+from .cells import Point, bisectors, power_cell
 from .errors import CycleNotClosed, OutOfScope
 from .moebius import Mat, apply_interior, gen_r, gen_s, order_in_psl
-from .orders import KElem, OInt, Order, dist_sq, kelem_from_planar
+from .orders import KElem, OInt, Order, kelem_from_planar
 from .words import R, S, Word, format_word, word_inverse, word_to_matrix
 
 
@@ -155,24 +155,24 @@ class Edge:
     height_sq: Fraction
 
 
-def _domain_edges(order: Order, faces: Sequence[Face]) -> tuple[Edge, ...]:
-    # wall i ends at cell vertex i, so the vertical edges keep the cell's order
+def _domain_edges(order: Order, faces: Sequence[Face]) -> dict[Edge, tuple[Face, Face]]:
+    """Each edge with its two faces, in the order of faces (pe2_ford_faces): vertical edges, then arcs.
+
+    Wall i runs from cell vertex i - 1 to vertex i, so the vertical edge at
+    vertex i lies on walls i and i + 1; arc edge i lies on the hemisphere and wall i.
+    """
     walls = [f for f in faces if isinstance(f, VerticalWall)]
-    edges = [Edge("vertical", kelem_from_planar(order, *w.end), Fraction(1)) for w in walls]
+    hemi = next(f for f in faces if isinstance(f, HemiFace))
+    edges: dict[Edge, tuple[Face, Face]] = {}
+    for i, w in enumerate(walls):
+        pair = (w, walls[i + 1]) if i + 1 < len(walls) else (walls[0], w)
+        edges[Edge("vertical", kelem_from_planar(order, *w.end), Fraction(1))] = pair
     for w in walls:
         # the hemisphere reaches a wall only when the neighbour sits at
         # norm < 4; the midpoint of the bisector is then on the arc
         if w.toward.norm() < 4:
-            edges.append(Edge("arc", KElem.of(w.toward, 2), 1 - Fraction(w.toward.norm(), 4)))
-    return tuple(edges)
-
-
-def _face_contains(face: Face, edge: Edge) -> bool:
-    if isinstance(face, VerticalWall):
-        # the planar metric is positive definite, so distance 0 means on the segment
-        n = edge.zeta.order.abs_delta
-        return dist_sq_int(n, frame_of((face.start, face.end)), edge.zeta.planar_int())[0] == 0
-    return dist_sq(edge.zeta, face.center) + edge.height_sq == 1
+            edges[Edge("arc", KElem.of(w.toward, 2), 1 - Fraction(w.toward.norm(), 4))] = (hemi, w)
+    return edges
 
 
 @dataclass(frozen=True)
@@ -203,23 +203,19 @@ def edge_cycles(faces: Sequence[Face]) -> tuple[EdgeCycle, ...]:
     each stop returns to the start after finitely many steps.  The
     product of the pairings is the cycle transformation, elliptic of
     small order here, and (cycle word)^order is a defining relation.
+    Each edge's two faces are the ones _domain_edges built it from, so no
+    distance test runs; a pairing image that is no edge, or that misses
+    the partner face, raises CycleNotClosed.
     """
     order = faces[0].pairing.order
     walls = [f for f in faces if isinstance(f, VerticalWall)]
     partner: dict[Face, Face] = {f: f for f in faces if isinstance(f, HemiFace)}
     for w in walls:
         partner[w] = next(x for x in walls if x.toward == -w.toward)
-    edges = _domain_edges(order, faces)
-    containing: dict[Edge, tuple[Face, ...]] = {}
-    for e in edges:
-        fs = tuple(f for f in faces if _face_contains(f, e))
-        if len(fs) != 2:
-            raise CycleNotClosed(f"edge at {e.zeta} lies on {len(fs)} faces, not 2")
-        containing[e] = fs
-
+    containing = _domain_edges(order, faces)
     cycles: list[EdgeCycle] = []
     used: set[Edge] = set()
-    for e0 in edges:
+    for e0 in containing:
         if e0 in used:
             continue
         f0 = containing[e0][0]
@@ -227,7 +223,7 @@ def edge_cycles(faces: Sequence[Face]) -> tuple[EdgeCycle, ...]:
         seq: list[Edge] = []
         letters: Word = ()
         transform = Mat.identity(order)
-        for _ in range(4 * len(edges)):
+        for _ in range(4 * len(containing)):
             seq.append(e)
             used.add(e)
             transform = f.pairing * transform

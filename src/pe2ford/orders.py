@@ -122,19 +122,11 @@ class OInt:
             return NotImplemented
         return OInt(self.order, self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __sub__(self, other: OInt | int) -> OInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return OInt(self.order, self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other: OInt | int) -> OInt:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self) -> OInt:
         return OInt(self.order, -self.a, -self.b)
@@ -244,19 +236,11 @@ class KElem:
             return NotImplemented
         return KElem.of(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
     def __sub__(self, other: KElem | OInt | int) -> KElem:
         o = _as_kelem(other, self.order)
         if o is None:
             return NotImplemented
         return KElem.of(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other: KElem | OInt | int) -> KElem:
-        o = _as_kelem(other, self.order)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self) -> KElem:
         return KElem(-self.num, self.den)
@@ -267,8 +251,6 @@ class KElem:
             return NotImplemented
         return KElem.of(self.num * o.num, self.den * o.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other: KElem | OInt | int) -> KElem:
         o = _as_kelem(other, self.order)
         if o is None:
@@ -276,12 +258,6 @@ class KElem:
         if o.is_zero():
             raise ZeroDivisionError("division by zero in K")
         return KElem.of(self.num * o.num.conj() * o.den, self.den * o.num.norm())
-
-    def __rtruediv__(self, other: KElem | OInt | int) -> KElem:
-        o = _as_kelem(other, self.order)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def conj(self) -> KElem:
         return KElem(self.num.conj(), self.den)
@@ -363,12 +339,27 @@ def lattice_points_within(z: KElem, rsq: Fraction | int) -> list[OInt]:
     return out
 
 
-def gap_neighbourhood(z: KElem) -> tuple[tuple[OInt, int], ...]:
-    """Lattice points within covering_radius^2 + 1 of z, each with its scaled_dist_sq, in key() order.
+def nearest_lattice_point(order: Order, p: int, q: int, s: int) -> tuple[int, int, int]:
+    """(d, a, b) for the lattice point c = a + b*t nearest z = (p + q*t)/s, first by key(), with d = s^2 |z - c|^2.
 
-    The reach always holds the nearest lattice point, so z clears every
-    closed unit lattice disc exactly when the least distance here exceeds den^2.
+    4d = w^2 + |delta| y^2 with y = q - b*s and w = 2(p - a*s) + trace*y.  The
+    rows b = q // s and q // s + 1 bracket z; in any other |y| >= s, so
+    |z - c|^2 >= |delta|/4, past the covering radius for every |delta| >= 3.
     """
+    n, e = order.abs_delta, order.trace
+    rows = []
+    for b in (q // s, q // s + 1):
+        y = q - b * s
+        a, w = divmod(2 * p + e * y, 2 * s)
+        if w > s:  # round half down, so the lesser a wins a tie
+            a, w = a + 1, w - 2 * s
+        rows.append((w * w + n * y * y, b, a))
+    d4, b, a = min(rows)  # a tie across rows goes to the lesser b, as key() orders
+    return d4 // 4, a, b
+
+
+def gap_neighbourhood(z: KElem) -> tuple[tuple[OInt, int], ...]:
+    """Lattice points within covering_radius^2 + 1 of z, each with its scaled_dist_sq, in key() order."""
     reach = z.order.covering_radius_sq() + 1
     return tuple((g, scaled_dist_sq(z, g)) for g in lattice_points_within(z, reach))
 

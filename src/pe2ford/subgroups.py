@@ -40,6 +40,7 @@ from .orders import (
     gap_neighbourhood,
     kelem_from_planar,
     lattice_points_within,
+    nearest_lattice_point,
     oints_by_norm,
 )
 from .words import NonMember, R, S, Word, membership, word_to_matrix
@@ -49,29 +50,32 @@ PLANE = Fraction(2, 3)  # the default height t0 of the plane that splits the arr
 
 @dataclass(frozen=True)
 class GapPoint:
-    """Unimodular ratio exactly outside every closed unit lattice disc."""
+    """Unimodular ratio exactly outside every closed unit lattice disc.
+
+    checked_lattice_points, the ratio's gap neighbourhood, is derived on read.
+    """
 
     pair: UnimodularPair
     min_dist_sq: Fraction
-    checked_lattice_points: tuple[OInt, ...]
 
     def ratio(self) -> KElem:
         return self.pair.ratio()
 
+    @property
+    def checked_lattice_points(self) -> tuple[OInt, ...]:
+        return tuple(g for g, _ in gap_neighbourhood(self.ratio()))
 
-def gap_check(z: KElem) -> tuple[Fraction, tuple[OInt, ...]] | None:
-    """Minimum squared lattice distance and the points checked, if a gap.
+
+def gap_check(z: KElem) -> Fraction | None:
+    """Squared distance from z to the nearest lattice point, if z is a gap point, else None.
 
     z is a gap point exactly when no lattice point lies in the closed
-    unit disc about it, the test membership uses for NonMember.  Only
-    then is the gap neighbourhood scanned; it always holds the nearest
-    lattice point, and its integer distances give the one Fraction built,
-    the minimum.
+    unit disc about it, the test membership uses for NonMember; both read
+    nearest_lattice_point, and a gap point builds the one Fraction.
     """
-    if lattice_points_within(z, 1):
-        return None
-    nearby = gap_neighbourhood(z)
-    return (Fraction(min(d for _, d in nearby), z.den * z.den), tuple(g for g, _ in nearby))
+    d, _, _ = nearest_lattice_point(z.order, z.num.a, z.num.b, z.den)
+    sq = z.den * z.den
+    return None if d <= sq else Fraction(d, sq)
 
 
 def _gap_stream(order: Order) -> Iterator[GapPoint]:
@@ -94,13 +98,12 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
                 u, v, l = (lam * mu_bar).planar_int(norm)
                 if not (0 <= u < l and 0 <= 2 * v < l):
                     continue
-                found = gap_check(KElem.of(lam, mu))
-                if found is None:
+                min_dist = gap_check(KElem.of(lam, mu))
+                if min_dist is None:
                     continue
                 if not unit_ideal(lam, mu):
                     continue
-                min_dist, checked = found
-                yield GapPoint(UnimodularPair(lam, mu), min_dist, checked)
+                yield GapPoint(UnimodularPair(lam, mu), min_dist)
 
 
 def gap_points(order: Order, count: int) -> list[GapPoint]:

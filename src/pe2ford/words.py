@@ -23,7 +23,6 @@ through the unit hemispheres at lattice points until it reaches height 1
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +30,7 @@ from typing import Iterator
 
 from .errors import DegenerateChain, OutOfScope, WordSyntaxError
 from .moebius import Mat, gen_r, gen_s
-from .orders import KElem, OInt, Order, gap_neighbourhood
+from .orders import KElem, OInt, Order, gap_neighbourhood, nearest_lattice_point
 
 Letter = OInt | None  # a for s(a), None for r
 Word = tuple[Letter, ...]
@@ -332,38 +331,17 @@ class NonMember:
 MembershipResult = Member | NonMember
 
 
-def _nearest_move(p: int, q: int, s: int, order: Order) -> tuple[int, int, int] | None:
-    """(d, a, b) for the lattice point c = a + b*t nearest z = (p + q*t)/s, first by key(),
-    with d = s^2 |z - c|^2 <= s^2 - 2, or None if there is none.
-
-    4d = w^2 + |delta| y^2 with y = q - b*s and w = 2(p - a*s) + trace*y,
-    so at most two rows b qualify, and each rounds (2p + trace*y)/(2s) for a.
-    """
-    top = 4 * (s * s - 2)
-    n = order.abs_delta
-    y_max = math.isqrt(top // n)
-    best = None
-    for b in range(-((y_max - q) // s), (q + y_max) // s + 1):
-        y = q - b * s
-        a, w = divmod(2 * p + order.trace * y, 2 * s)
-        if w > s:  # round half down, so the lesser a wins a tie
-            a, w = a + 1, w - 2 * s
-        d4 = w * w + n * y * y
-        if d4 <= top and (best is None or d4 < best[0]):
-            best = (d4, a, b)
-    return None if best is None else (best[0] // 4, best[1], best[2])
-
-
 def membership(g: Mat, cap: int | None = None) -> MembershipResult:
     """Decide membership in the elementary subgroup by reduction into its Ford domain.
 
     h^-1 j, for j = (0, 1), has height 1/S over z, where S = norm(m11) +
     norm(m21) and S*z = -(m12*conj(m11) + m22*conj(m21)).  As det h = 1, the
     column step h*s(c)*r gives S*S' = d + 1 with the integer d = S^2 |z - c|^2.
-    While S > 1 the loop steps to the lattice point c nearest z, first by
-    key(), if d <= S^2 - 2.  With none, h^-1 j lies in the closed
-    one-hemisphere Ford domain below height 1, which the subgroup's images
-    of j never reach: NonMember.  At S = 1, h is s(x) or r*s(x): Member.
+    While S > 1 the loop asks nearest_lattice_point for the lattice point c
+    nearest z, first by key(), and steps to it if d <= S^2 - 2.  Otherwise
+    h^-1 j lies in the closed one-hemisphere Ford domain below height 1,
+    which the subgroup's images of j never reach: NonMember.  At S = 1, h
+    is s(x) or r*s(x): Member.
     S = (d + 1) // S falls at every step, so the loop ends within S steps.
     It runs on the entries' integers; OInt and Mat are built for the verdict.
 
@@ -382,10 +360,9 @@ def membership(g: Mat, cap: int | None = None) -> MembershipResult:
         # s*z = p + q*t = -(m12*conj(m11) + m22*conj(m21))
         p = -(a12 * a11 + e * a12 * b11 + m * b12 * b11 + a22 * a21 + e * a22 * b21 + m * b22 * b21)
         q = a12 * b11 - b12 * a11 + a22 * b21 - b22 * a21
-        move = _nearest_move(p, q, s, order)
-        if move is None:
+        d, ca, cb = nearest_lattice_point(order, p, q, s)
+        if d > s * s - 2:
             break
-        d, ca, cb = move
         # h*s(c)*r: first column m11*c + m12 and m21*c + m22, second -m11 and -m21
         a11, b11, a12, b12 = a11 * ca - m * b11 * cb + a12, a11 * cb + b11 * ca + e * b11 * cb + b12, -a11, -b11
         a21, b21, a22, b22 = a21 * ca - m * b21 * cb + a22, a21 * cb + b21 * ca + e * b21 * cb + b22, -a21, -b21

@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
+from decimal import Decimal
 from pathlib import Path
 
 import jsonschema
@@ -12,6 +14,8 @@ import pytest
 from pe2ford import cli
 from pe2ford.cli import main
 from pe2ford.errors import CycleNotClosed, SearchExhausted, WitnessNotFound
+from pe2ford.orders import make_order
+from pe2ford.words import R, S, word_to_matrix
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -287,6 +291,37 @@ def test_membership_member_text():
     assert code == 0
     assert "verdict: member" in out
     assert "round trip exact: yes" in out
+
+
+def _digit_limit():
+    # the interpreter's int/str digit limit, None on Pythons that have none
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_huge_integers_print_in_full(fmt):
+    # a 5,000-digit shift, and 30 shifts of 200 digits whose product has
+    # 6,000-digit entries: both pass the int/str digit limit, exit 0 with
+    # every digit, and main leaves the limit as it found it
+    d = make_order(-40)
+    big = d.elt(10**200 - 1)
+    cases = {
+        f"s({'9' * 5000})": (S(d.elt(10**5000 - 1)),),
+        f"s({'9' * 200})*r*" * 30 + "s(1)": (S(big), R()) * 30 + (S(d.one),),
+    }
+    for text, word in cases.items():
+        limit = _digit_limit()
+        code, out, err = run(["normal-form", "--disc", "-40", "--word", text, "--format", fmt])
+        assert (code, err, _digit_limit()) == (0, "", limit)
+        # str(Decimal(x)) writes every digit of x without reading the limit
+        entries = [[str(Decimal(x)) for x in e] for e in word_to_matrix(word, d).coords()]
+        if fmt == "json":
+            payload = json.loads(out, parse_int=str)
+            assert payload["input"] == payload["normal"] == text
+            assert payload["matrix"]["entries"] == entries
+        else:
+            assert f"input: {text}\n" in out and f"normal: {text}\n" in out
+            assert all(x in out for e in entries for x in e)
 
 
 def test_presentation_reports_cycle_flag():

@@ -293,12 +293,23 @@ def test_edge_cycles_odd():
     assert arc.derived_relation == (R(), S(d.one)) * 3
 
 
+def _on_face(face, edge):
+    # the reference incidence test: segment distance 0 on a wall, |zeta|^2 + t^2 = 1 on the hemisphere
+    if isinstance(face, VerticalWall):
+        n = edge.zeta.order.abs_delta
+        return dist_sq_int(n, frame_of((face.start, face.end)), edge.zeta.planar_int())[0] == 0
+    return dist_sq(edge.zeta, face.center) + edge.height_sq == 1
+
+
 def test_edge_cycles_consistency():
     from pe2ford.ford import _domain_edges
 
     for delta in DISCS:
         d = make_order(delta)
         faces = pe2_ford_faces(d)
+        # each edge lies on exactly its two faces, listed in the order of faces
+        for e, pair in _domain_edges(d, faces).items():
+            assert tuple(f for f in faces if _on_face(f, e)) == pair
         cycles = edge_cycles(faces)
         lengths = sorted(len(c.edges) for c in cycles)
         assert lengths == ([2, 4] if d.even else [2, 3, 3])

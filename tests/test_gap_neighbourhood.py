@@ -1,4 +1,4 @@
-"""The gap neighbourhood, membership certificates, gap_check and the gap stream, against box scans.
+"""The nearest lattice point, gap neighbourhood, membership certificates and gap stream, against box scans.
 
 The box scans share no formula with the lattice code they check: they
 walk a box of lattice coordinates and measure each point with field
@@ -11,11 +11,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pe2ford.arrangement import is_unimodular
-from pe2ford.orders import KElem, make_order
+from pe2ford.orders import KElem, make_order, nearest_lattice_point
 from pe2ford.subgroups import gap_check, gap_points
 from pe2ford.words import NonMember, membership, random_pe2_word, word_to_matrix
 
@@ -85,15 +85,19 @@ def test_isometric_spheres_lie_under_the_ford_domain(delta, seed):
     b=st.integers(-40, 40),
     den=st.integers(1, 12),
 )
+# ties: z = 1/2 is as near 0 as 1, and must give 0, at an even and an odd
+# order; z = t/2 at -15 is as near 0 as t, in the next row
+@example(delta=-40, a=1, b=0, den=2)
+@example(delta=-15, a=1, b=0, den=2)
+@example(delta=-15, a=0, b=1, den=2)
 def test_gap_check_is_the_box_scan(delta, a, b, den):
     d = make_order(delta)
     z = KElem.of(d.elt(a, b), den)
-    scan = box_scan(z)
-    least = min(d2 for _, d2 in scan)
-    found = gap_check(z)
-    assert (found is not None) == (least > 1)
-    if found is not None:
-        assert found == (least, tuple(g for g, _ in scan))
+    # min keeps the first of equals, so over the key()-ordered scan it is the key()-first nearest point
+    g, least = min(box_scan(z), key=lambda gd: gd[1])
+    dist, ga, gb = nearest_lattice_point(d, z.num.a, z.num.b, z.den)
+    assert (d.elt(ga, gb), Fraction(dist, z.den**2)) == (g, least)
+    assert gap_check(z) == (least if least > 1 else None)
 
 
 def _norm_box(d, bound):

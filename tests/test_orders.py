@@ -153,7 +153,7 @@ def test_kelem_field_ops():
     assert (z + w) - w == z
     assert (z * w) / w == z
     assert z + (-z) == KElem.of(d.zero, 1)
-    assert (1 / w) * w == KElem.of(d.one, 1)
+    assert (KElem.of(d.one, 1) / w) * w == KElem.of(d.one, 1)
     with pytest.raises(ZeroDivisionError):
         z / KElem.of(d.zero, 1)
 
