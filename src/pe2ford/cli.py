@@ -1,13 +1,15 @@
 """Command-line front end for the package: one payload per command.
 
 `main` parses the arguments with one parser built at import, makes the
-order once, and hands both to the subcommand's handler.  The handler
-computes its result once and returns the body of one payload, its own
-fields only; `main` puts the `command` and `discriminant` header in
-front.  The payload is the dict that `--format json` prints and that the
-schemas under docs/schemas describe.  `--format text` renders the same
-payload one `key: value` line at a time, and `--format svg` (arrangement
-and amalgam) draws the arrangement the command already computed.
+order once, and hands both to the subcommand's handler.  The parser is
+the one command table: each subcommand names its handler there.  The
+handler computes its result once and returns the body of one payload,
+its own fields only; `main` puts the `command` and `discriminant` header
+in front.  The payload is the dict that `--format json` prints and that
+the schemas under docs/schemas describe.  `--format text` renders the
+same payload one `key: value` line at a time, and `--format svg`
+(arrangement and amalgam) draws the arrangement the command already
+computed.
 
 Exit codes: 0 success (a membership verdict, Member or NonMember,
 included), 2 usage error (including malformed words, invalid
@@ -55,6 +57,7 @@ from .words import (
 
 # payload body, and the svg_topview arguments of the commands that offer --format svg
 _Result = tuple[dict[str, Any], tuple | None]
+_Handler = Callable[[argparse.Namespace, Order], _Result]
 
 
 def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -> Callable[[str], Any]:
@@ -279,7 +282,7 @@ def _cmd_arrangement(args: argparse.Namespace, order: Order) -> _Result:
 def _cmd_amalgam(args: argparse.Namespace, order: Order) -> _Result:
     rep = amalgam_report(order, args.bound, args.plane)
     body = {
-        "bound": rep.norm_bound,
+        "bound": rep.arrangement.norm_bound,
         "plane": str(rep.plane),
         "n_generators": [format_word(w) for w in rep.n_generators],
         "overlap_matches_n": rep.overlap_matches_n,
@@ -317,19 +320,6 @@ def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
     return {"count": len(pts), "points": points}, None
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace, Order], _Result]] = {
-    "order-info": _cmd_order_info,
-    "normal-form": _cmd_normal_form,
-    "membership": _cmd_membership,
-    "pe2-ford": _cmd_pe2_ford,
-    "presentation": _cmd_presentation,
-    "cosets": _cmd_cosets,
-    "arrangement": _cmd_arrangement,
-    "amalgam": _cmd_amalgam,
-    "gap-points": _cmd_gap_points,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pe2ford",
@@ -337,38 +327,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, formats: tuple[str, ...]) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, formats: tuple[str, ...], handler: _Handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--disc", type=int, required=True, help="order discriminant (negative)")
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", type=Path, default=None, help="write output to this file")
         return p
 
-    add("order-info", "basic invariants of the order", ("text", "json"))
+    add("order-info", "basic invariants of the order", ("text", "json"), _cmd_order_info)
 
     def add_word(p: argparse.ArgumentParser) -> None:
         given = p.add_mutually_exclusive_group(required=True)
         given.add_argument("--word", default=None, help="word such as 'r*s(2-t)'")
         given.add_argument("--seed", type=int, default=None, help="generate a random word instead")
 
-    add_word(add("normal-form", "rewrite a word into standard form", ("text", "json")))
+    add_word(add("normal-form", "rewrite a word into standard form", ("text", "json"), _cmd_normal_form))
 
-    add_word(add("membership", "decide elementary-subgroup membership, with a certificate", ("text", "json")))
+    p = add("membership", "decide elementary-subgroup membership, with a certificate", ("text", "json"), _cmd_membership)
+    add_word(p)
 
-    add("pe2-ford", "faces of the one-hemisphere Ford domain", ("text", "json"))
-    add("presentation", "edge cycles and defining relations", ("text", "json"))
+    add("pe2-ford", "faces of the one-hemisphere Ford domain", ("text", "json"), _cmd_pe2_ford)
+    add("presentation", "edge cycles and defining relations", ("text", "json"), _cmd_presentation)
 
-    p = add("cosets", "pairwise-distinct right-coset family", ("text", "json"))
+    p = add("cosets", "pairwise-distinct right-coset family", ("text", "json"), _cmd_cosets)
     p.add_argument("--count", type=_POSITIVE_INT, default=100)
 
-    p = add("arrangement", "hemisphere arrangement over the straddling rectangle", ("text", "json", "svg"))
+    p = add("arrangement", "hemisphere arrangement over the straddling rectangle", ("text", "json", "svg"), _cmd_arrangement)
     p.add_argument("--bound", type=_POSITIVE_INT, default=16, help="owner norm bound")
 
-    p = add("amalgam", "plane split of the arrangement and generator pools", ("text", "json", "svg"))
+    p = add("amalgam", "plane split of the arrangement and generator pools", ("text", "json", "svg"), _cmd_amalgam)
     p.add_argument("--bound", type=_POSITIVE_INT, default=16)
     p.add_argument("--plane", type=_POSITIVE_FRACTION, default=PLANE, help="height, as p/q > 0")
 
-    p = add("gap-points", "unimodular ratios outside all unit discs", ("text", "json"))
+    p = add("gap-points", "unimodular ratios outside all unit discs", ("text", "json"), _cmd_gap_points)
     p.add_argument("--count", type=_POSITIVE_INT, default=100)
 
     return parser
@@ -398,7 +390,7 @@ def _run(argv: list[str] | None) -> int:
         return int(exc.code or 0)
     try:
         order = make_order(args.disc)
-        body, view = _HANDLERS[args.command](args, order)
+        body, view = args.handler(args, order)
     except (WordSyntaxError, InvalidDiscriminant) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

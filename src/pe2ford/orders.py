@@ -297,11 +297,6 @@ def scaled_dist_sq(z: KElem, g: OInt) -> int:
     return x * x + order.trace * x * y + order.tau_norm * y * y
 
 
-def dist_sq(z: KElem, g: OInt) -> Fraction:
-    """Exact squared euclidean distance |z - g|^2."""
-    return Fraction(scaled_dist_sq(z, g), z.den * z.den)
-
-
 def kelem_from_planar(order: Order, u: Fraction | int, v: Fraction | int) -> KElem:
     """The field element whose planar coordinates are (u, v); inverse of planar()."""
     u = Fraction(u)

@@ -190,9 +190,9 @@ def normalizer_witness(g: Mat) -> OInt:
     g_inv = g.inv()
     if not isinstance(membership(g_inv), NonMember):
         raise ValueError("g must certify NonMember")
+    # a NonMember g has mu != 0: m21 = 0 makes the diagonal units, +-1 in
+    # scope, so g = +-s(x), a member
     lam, mu = g.m11, g.m21
-    if mu.is_zero():
-        raise ValueError("g must move infinity")
     ratio = KElem.of(lam, mu)
     if gap_check(ratio) is None:
         raise ValueError("the ratio of g must be a gap point")
@@ -275,7 +275,6 @@ class AmalgamReport:
     overlap: tuple[FaceRecord, ...]
     overlap_matches_n: bool
     hom_check: bool
-    norm_bound: int
     notes: tuple[str, ...]
 
 
@@ -378,6 +377,5 @@ def amalgam_report(order: Order, norm_bound: int, plane: Fraction = PLANE) -> Am
         overlap=overlap,
         overlap_matches_n=_overlap_matches_n(overlap, order),
         hom_check=collapse_hom_check(order),
-        norm_bound=norm_bound,
         notes=tuple(notes),
     )

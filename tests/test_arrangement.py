@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pe2ford.arrangement import (
+    _STROKE_ABOVE,
+    _STROKE_BELOW,
+    _STROKE_BOTH,
+    _STROKE_NONE,
     Contributes,
     Covered,
     HemiSet,
@@ -597,6 +602,12 @@ def test_svg_topview_deterministic():
     assert svg_topview(hs, statuses, split) == first
     assert first.count("<circle") == len(hs.hemispheres)
     assert "<polygon" in first
+    # a hand-built split: the stroke tells above only, below only, both and neither apart
+    h0, h1, h2, *rest = hs.hemispheres
+    text = svg_topview(hs, statuses, ([h0, h2], [h1, h2]))
+    strokes = re.findall(r'stroke="(#[0-9a-f]{6})" stroke-width="1.5"', text)
+    assert strokes == [_STROKE_ABOVE, _STROKE_BELOW, _STROKE_BOTH] + [_STROKE_NONE] * len(rest)
+    assert len({_STROKE_ABOVE, _STROKE_BELOW, _STROKE_BOTH, _STROKE_NONE}) == 4
 
 
 def test_svg_topview_empty_set_draws_window_only():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -91,6 +92,15 @@ OUTPUT_DIGESTS = {
     "amalgam --disc -67 --bound 48 --format json":
         "a503086ee6fcd9a05325d504f8e4f39f17cb1883c21386c4b1ac6bd45d117bd5",
 }
+
+
+def test_every_command_has_a_handler_a_schema_and_a_json_case():
+    # the parser is the command table: a command added there without its
+    # handler, schema or JSON case fails here, as does a schema without a command
+    (sub,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    assert all(callable(p.get_default("handler")) for p in sub.choices.values())
+    schemas = {p.name.removesuffix(".schema.json") for p in SCHEMA_DIR.glob("*.schema.json")}
+    assert set(sub.choices) == schemas == {command for command, _ in JSON_CASES}
 
 
 @pytest.mark.parametrize("command,argv", JSON_CASES, ids=lambda c: str(c))
@@ -253,10 +263,10 @@ def test_one_parser_serves_every_call(monkeypatch):
 
 @pytest.mark.parametrize("error", [SearchExhausted, WitnessNotFound, CycleNotClosed])
 def test_bounded_search_errors_exit_4(monkeypatch, error):
-    def give_up(args, order):
+    def give_up(order, count):
         raise error("gave up after 3 tries")
 
-    monkeypatch.setitem(cli._HANDLERS, "cosets", give_up)
+    monkeypatch.setattr(cli, "coset_family", give_up)
     code, out, err = run(["cosets", "--disc", "-40", "--count", "1"])
     assert code == 4
     assert out == ""

@@ -20,7 +20,6 @@ from pe2ford.ford import (
 from pe2ford.moebius import Side, apply_interior, gen_r, gen_s, order_in_psl, outside_test
 from pe2ford.orders import (
     KElem,
-    dist_sq,
     kelem_from_planar,
     lattice_points_norm_at_most,
     lattice_points_within,
@@ -104,11 +103,11 @@ def test_voronoi_vertices_are_deep_points():
         d = make_order(delta)
         for u, v in voronoi_cell(d).vertices:
             z = kelem_from_planar(d, u, v)
-            d0 = dist_sq(z, d.zero)
+            d0 = (z - d.zero).abs_sq()
             pts = lattice_points_within(z, d0)
             assert d.zero in pts
             assert len(pts) >= 3
-            assert all(dist_sq(z, p) == d0 for p in pts)
+            assert all((z - p).abs_sq() == d0 for p in pts)
 
 
 def test_polygon_convex_and_centrally_symmetric():
@@ -135,7 +134,7 @@ def test_vertex_order_follows_the_ring():
         assert len(vertices) == len(ring)
         for i, (u, v) in enumerate(vertices):
             z = kelem_from_planar(d, u, v)
-            assert dist_sq(z, d.zero) == dist_sq(z, ring[i]) == dist_sq(z, ring[(i + 1) % len(ring)])
+            assert (z - d.zero).abs_sq() == (z - ring[i]).abs_sq() == (z - ring[(i + 1) % len(ring)]).abs_sq()
         if d.abs_delta <= 12:
             continue
         walls = [f for f in pe2_ford_faces(d) if isinstance(f, VerticalWall)]
@@ -143,13 +142,13 @@ def test_vertex_order_follows_the_ring():
         for w in walls:
             for u, v in (w.start, w.end):
                 z = kelem_from_planar(d, u, v)
-                assert dist_sq(z, d.zero) == dist_sq(z, w.toward)
+                assert (z - d.zero).abs_sq() == (z - w.toward).abs_sq()
 
 
 def test_covering_radius_is_the_farthest_cell_vertex():
     for delta in SWEEP_DISCS:
         d = make_order(delta)
-        far = max(dist_sq(kelem_from_planar(d, u, v), d.zero) for u, v in voronoi_cell(d).vertices)
+        far = max((kelem_from_planar(d, u, v) - d.zero).abs_sq() for u, v in voronoi_cell(d).vertices)
         assert d.covering_radius_sq() == far
 
 
@@ -298,7 +297,7 @@ def _on_face(face, edge):
     if isinstance(face, VerticalWall):
         n = edge.zeta.order.abs_delta
         return dist_sq_int(n, frame_of((face.start, face.end)), edge.zeta.planar_int())[0] == 0
-    return dist_sq(edge.zeta, face.center) + edge.height_sq == 1
+    return (edge.zeta - face.center).abs_sq() + edge.height_sq == 1
 
 
 def test_edge_cycles_consistency():

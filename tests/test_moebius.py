@@ -14,7 +14,7 @@ from pe2ford.moebius import (
     order_in_psl,
     outside_test,
 )
-from pe2ford.orders import KElem, dist_sq, make_order
+from pe2ford.orders import KElem, make_order
 
 DISCS = [-15, -16, -19, -20, -23, -24, -40]
 
@@ -132,7 +132,7 @@ def test_apply_interior_isometric_sphere_preserves_height():
     d = make_order(-40)
     g = gen_r(d)
     zeta = KElem.of(d.one, 2)
-    tsq = 1 - dist_sq(zeta, d.zero)  # on the unit sphere over 0
+    tsq = 1 - (zeta - d.zero).abs_sq()  # on the unit sphere over 0
     _, t2 = apply_interior(g, zeta, tsq)
     assert t2 == tsq
 

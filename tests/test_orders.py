@@ -13,11 +13,11 @@ from pe2ford.moebius import gen_r
 from pe2ford.orders import (
     KElem,
     OInt,
-    dist_sq,
     lattice_points_within,
     lattice_points_norm_at_most,
     make_order,
     oints_by_norm,
+    scaled_dist_sq,
 )
 from pe2ford.subgroups import coset_family, gap_points, n_generators, normalizer_witness
 from pe2ford.words import R, membership, normal_form
@@ -161,10 +161,10 @@ def test_kelem_field_ops():
 def test_dist_sq_deep_hole():
     d = make_order(-40)
     z = KElem.of(d.elt(1, 1), 2)
-    assert dist_sq(z, d.zero) == Fraction(11, 4)
-    assert dist_sq(z, d.elt(1)) == Fraction(11, 4)
-    assert dist_sq(z, d.tau) == Fraction(11, 4)
-    assert dist_sq(z, d.elt(1, 1)) == Fraction(11, 4)
+    assert (z - d.zero).abs_sq() == Fraction(11, 4)
+    assert (z - d.elt(1)).abs_sq() == Fraction(11, 4)
+    assert (z - d.tau).abs_sq() == Fraction(11, 4)
+    assert (z - d.elt(1, 1)).abs_sq() == Fraction(11, 4)
 
 
 def test_lattice_points_within_examples():
@@ -197,7 +197,7 @@ def _check_within(z: KElem, rsq: Fraction) -> list[OInt]:
     pts = lattice_points_within(z, rsq)
     assert pts == _brute_points(z, rsq)
     for g in pts:
-        assert dist_sq(z, g) == (z - g).abs_sq()
+        assert Fraction(scaled_dist_sq(z, g), z.den**2) == (z - g).abs_sq()
     return pts
 
 

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from pe2ford.errors import OutOfScope
+from pe2ford import subgroups
+from pe2ford.errors import OutOfScope, SearchExhausted
 from pe2ford.moebius import Mat, Side, gen_r, gen_s, outside_test
-from pe2ford.orders import KElem, dist_sq, lattice_points_within, make_order
+from pe2ford.orders import KElem, lattice_points_within, make_order
 from pe2ford.subgroups import (
     amalgam_report,
     collapse_hom_check,
@@ -48,7 +49,7 @@ def test_first_gap_point():
     assert gp.min_dist_sq == Fraction(11, 4)
     # the four nearest lattice points are the corners of the deep hole
     assert gp.checked_lattice_points == (d.elt(0), d.elt(1), d.elt(0, 1), d.elt(1, 1))
-    assert all(dist_sq(gp.ratio(), g) == Fraction(11, 4) for g in gp.checked_lattice_points)
+    assert all((gp.ratio() - g).abs_sq() == Fraction(11, 4) for g in gp.checked_lattice_points)
 
 
 def test_gap_points_order_and_distinctness():
@@ -76,7 +77,7 @@ def test_gap_points_recheck_in_larger_box():
         for gp in gap_points(d, count):
             wide = lattice_points_within(gp.ratio(), d.covering_radius_sq() + 9)
             assert set(gp.checked_lattice_points) <= set(wide)
-            m = min(dist_sq(gp.ratio(), g) for g in wide)
+            m = min((gp.ratio() - g).abs_sq() for g in wide)
             assert m == gp.min_dist_sq
             assert m > 1
 
@@ -148,6 +149,28 @@ def test_coset_family_pairwise_distinct():
         j = rng.randrange(i)
         rev = membership(fam.members[i] * fam.members[j].inv())
         assert isinstance(rev, NonMember)
+
+
+def test_coset_family_replaces_member_candidates(monkeypatch):
+    d = ORDER40
+    first, second, third, fourth = gap_points(d, 4)
+    member = membership(gen_r(d))
+    assert isinstance(member, Member)
+    # only the product with the second completion comes back Member: that
+    # candidate is dropped and reported, and the next one takes its place
+    clash = first.pair.completion * second.pair.completion.inv()
+    real = subgroups.membership
+    monkeypatch.setattr(subgroups, "membership", lambda g: member if g == clash else real(g))
+    fam = coset_family(d, 3)
+    assert fam.replaced == (second.ratio(),)
+    assert fam.points == (first, third, fourth)
+    assert len(fam.members) == 3
+    assert sorted(fam.distinctness_matrix) == [(1, 0), (2, 0), (2, 1)]
+    assert all(isinstance(res, NonMember) for res in fam.distinctness_matrix.values())
+    # every product Member: no second member ever joins, and the budget runs out
+    monkeypatch.setattr(subgroups, "membership", lambda g: member)
+    with pytest.raises(SearchExhausted):
+        coset_family(d, 2)
 
 
 def test_coset_family_scope_and_count():
@@ -249,7 +272,7 @@ def _report40():
 def test_amalgam_report_overlap_is_n():
     rep = _report40()
     assert rep.plane == Fraction(2, 3)
-    assert rep.norm_bound == 16
+    assert rep.arrangement.norm_bound == 16
     assert rep.overlap_matches_n
     assert rep.hom_check
     assert rep.n_generators == tuple(n_generators(ORDER40))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pe2ford.errors import DegenerateChain, OutOfScope, WordSyntaxError
 from pe2ford.moebius import Mat, gen_r, gen_s
-from pe2ford.orders import KElem, dist_sq, lattice_points_within, make_order, scaled_dist_sq
+from pe2ford.orders import KElem, lattice_points_within, make_order, scaled_dist_sq
 from pe2ford.subgroups import collapse_word, gap_points
 from pe2ford.words import (
     Member,
@@ -92,9 +92,13 @@ def test_parse_errors_carry_positions():
         ("q", 0),
         ("r r", 2),
         ("r*", 2),
+        ("s 2", 2),
+        ("s", 1),
         ("s(2", 1),
         ("s()", 2),
         ("s(2 3)", 4),
+        ("s(2*3)", 4),
+        ("s(2*)", 4),
         ("s(+2)", 2),
         ("1*r", 1),
         ("s(²)", 2),  # digits are ASCII 0-9 only
@@ -292,7 +296,7 @@ def test_membership_nonmember_example():
     # the certificate: S = 15 > 1 and the nearest lattice point to z lies at 539/225 >= 1 - 1/S^2
     assert res.s == 15
     assert res.point == KElem.of(7 * t - d.elt(7), 15)
-    assert min(dist_sq(res.point, c) for c in lattice_points_within(res.point, 3)) == Fraction(539, 225)
+    assert min((res.point - c).abs_sq() for c in lattice_points_within(res.point, 3)) == Fraction(539, 225)
     assert len(res.nearby) == 4
     assert all(dist == Fraction(11, 4) for _, dist in res.nearby)
     assert min(dist for _, dist in res.nearby) > 1
@@ -308,7 +312,7 @@ def test_membership_nonmember_down_a_branch():
     assert g == res.node * word_to_matrix(res.path_word, d)
     # the certificate is the point, which covering_radius^2 = 11/4 < 3 keeps in reach of its nearest lattice point
     assert res.s > 1
-    assert min(dist_sq(res.point, c) for c in lattice_points_within(res.point, 3)) >= 1 - Fraction(1, res.s**2)
+    assert min((res.point - c).abs_sq() for c in lattice_points_within(res.point, 3)) >= 1 - Fraction(1, res.s**2)
 
 
 def test_descent_step_scales_bottom_norm():
@@ -324,7 +328,7 @@ def test_descent_step_scales_bottom_norm():
             ratio = KElem.of(h.m22, -h.m21)
             for c in lattice_points_within(ratio, 1):
                 child = h * gen_s(c) * gen_r(d)
-                assert child.beta.norm() == h.beta.norm() * dist_sq(ratio, c)
+                assert child.beta.norm() == h.beta.norm() * (ratio - c).abs_sq()
 
 
 def test_random_pe2_word_deterministic():
