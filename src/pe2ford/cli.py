@@ -45,7 +45,6 @@ from .orders import KElem, OInt, Order, make_order
 from .subgroups import PLANE, GapPoint, amalgam_report, coset_family, gap_points
 from .words import (
     Member,
-    NonMember,
     Word,
     format_word,
     membership,
@@ -235,16 +234,19 @@ def _cmd_presentation(args: argparse.Namespace, order: Order) -> _Result:
 
 def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
     fam = coset_family(order, args.count)
-    keys = sorted(fam.distinctness_matrix)
+    n = len(fam.members)
     digest = hashlib.sha256()
-    for i, j in keys:
-        res = fam.distinctness_matrix[(i, j)]
-        digest.update(f"{i},{j}:{res.ratio}:{format_word(res.path_word)}\n".encode())
+    for s, p, q in fam.keys:
+        digest.update(f"{s}:{p},{q}\n".encode())
     body = {
-        "count": len(fam.members),
-        "members": [{"matrix": _mat_json(m), **_gap_point_json(gp)} for m, gp in zip(fam.members, fam.points)],
-        "pairs_checked": len(keys),
-        "all_non_member": all(isinstance(fam.distinctness_matrix[k], NonMember) for k in keys),
+        "count": n,
+        "members": [
+            {"matrix": _mat_json(m), **_gap_point_json(gp), "coset_point": {"s": s, "num": [p, q]}}
+            for m, gp, (s, p, q) in zip(fam.members, fam.points, fam.keys)
+        ],
+        # distinct keys separate every pair of members
+        "pairs_checked": n * (n - 1) // 2,
+        "all_non_member": len(set(fam.keys)) == n,
         "replaced": [_kelem_json(z) for z in fam.replaced],
         "certificates_sha256": digest.hexdigest(),
     }

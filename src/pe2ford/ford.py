@@ -23,8 +23,8 @@ from typing import Sequence
 from .cells import Point, bisectors, power_cell
 from .errors import CycleNotClosed, OutOfScope
 from .moebius import Mat, apply_interior, gen_r, gen_s, order_in_psl
-from .orders import KElem, OInt, Order, kelem_from_planar
-from .words import R, S, Word, format_word, word_inverse, word_to_matrix
+from .orders import KElem, OInt, Order, kelem_from_planar, nearest_lattice_point
+from .words import NonMember, R, S, Word, format_word, word_inverse, word_to_matrix
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,43 @@ def pe2_ford_faces(order: Order) -> tuple[Face, ...]:
             )
         )
     return tuple(faces)
+
+
+CosetKey = tuple[int, int, int]
+
+
+def coset_key(res: NonMember) -> CosetKey:
+    """The least (S, p mod S, q mod S) over the face-pairing closure of res.node.
+
+    x = node^-1 j, for j = (0, 1), sits at height 1/S over z = (p + q*t)/S
+    in the closed one-hemisphere Ford domain D (NonMember's certificate).
+    Let x' = h x be a second point of D in the subgroup orbit of x.
+    Either h fixes infinity, so it is a shift (the units are +-1), and
+    z' = z mod O.  Or h sends the outside of its isometric sphere into the
+    inside of that of h^-1, so x lies on the sphere and h x on its image.
+    For |delta| > 12 the only isometric spheres that meet D are the unit
+    hemispheres at lattice points, so m21 = +-1 and h = s(a) r s(b), which
+    sends x on the unit hemisphere at -b to (a - conj(z + b), 1/S).  So the
+    orbit meets D at height 1/S in the class of z mod O and, when x lies on
+    a unit hemisphere, in the class of -conj(z): the face-pairing closure.
+    The least of the classes in integers is the key.  If H M = H M', then
+    M' j lies in the orbit of M j, and membership(M^-1) stops at a node with
+    node^-1 j = path * M j, so members with different keys lie in different
+    right cosets.
+
+    Taking p and q mod S reduces z mod O exactly.  x lies on the unit
+    hemisphere at c exactly when S^2 |z - c|^2 = S^2 - 1, membership's
+    d = S^2 - 1; then the pairing step node * s(c) * r sends z to
+    conj(c) - conj(z), whose class -conj(z), with S*conj(z) = (p + trace*q)
+    - q*t, is the same for every such c, ties included.
+    """
+    s, z = res.s, res.point
+    p, q = z.num.a * (s // z.den), z.num.b * (s // z.den)  # z = (p + q*t)/S, unreduced
+    key = (s, p % s, q % s)
+    d, _, _ = nearest_lattice_point(z.order, p, q, s)
+    if d == s * s - 1:
+        key = min(key, (s, -(p + z.order.trace * q) % s, q % s))
+    return key
 
 
 @dataclass(frozen=True)

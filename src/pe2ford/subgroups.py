@@ -5,9 +5,12 @@ once |delta| > 12: ratios lambda/mu of unimodular pairs that stay
 strictly outside every closed unit disc centered on a lattice point
 ("gap points") pin down pairwise distinct right cosets, and shifting a
 gap ratio by 1/(alpha*mu^2) leaves the gap, which makes the subgroup
-its own normalizer.  Splitting the hemisphere arrangement over the
-straddling rectangle by the plane t = t0 exhibits the full group as an
-amalgam over the subgroup N = <r, s(1), s(tau) r s(tau)^-1>.
+its own normalizer.  A coset family tells its members apart by their
+coset keys, the canonical points of their orbits in the Ford domain
+(ford.coset_key): one reduction per candidate, no pairwise products.
+Splitting the hemisphere arrangement over the straddling rectangle by
+the plane t = t0 exhibits the full group as an amalgam over the
+subgroup N = <r, s(1), s(tau) r s(tau)^-1>.
 
 All gap and split certificates are exact rational comparisons.
 """
@@ -31,7 +34,7 @@ from .arrangement import (
     unit_ideal,
 )
 from .errors import OutOfScope, SearchExhausted, WitnessNotFound
-from .ford import amalgam_rectangle, presentation
+from .ford import CosetKey, amalgam_rectangle, coset_key, presentation
 from .moebius import Hemisphere, Mat, gen_s
 from .orders import (
     KElem,
@@ -43,7 +46,7 @@ from .orders import (
     nearest_lattice_point,
     oints_by_norm,
 )
-from .words import NonMember, R, S, Word, membership, word_to_matrix
+from .words import MembershipResult, NonMember, R, S, Word, membership, word_to_matrix
 
 PLANE = Fraction(2, 3)  # the default height t0 of the plane that splits the arrangement
 
@@ -115,29 +118,35 @@ def gap_points(order: Order, count: int) -> list[GapPoint]:
     return list(itertools.islice(_gap_stream(order), count))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CosetFamily:
     """Matrices in pairwise distinct right cosets of the elementary subgroup.
 
-    distinctness_matrix[(i, j)], for j < i, is the NonMember certificate
-    of M_j * M_i^{-1}.
+    keys[i] is coset_key of membership(members[i]^-1); the keys are pairwise
+    distinct, which separates every pair.  distinctness_matrix, derived on
+    read, recomputes the pairwise certificates.
     """
 
     members: tuple[Mat, ...]
     points: tuple[GapPoint, ...]
-    distinctness_matrix: dict[tuple[int, int], NonMember]
+    keys: tuple[CosetKey, ...]
     replaced: tuple[KElem, ...]
+
+    @property
+    def distinctness_matrix(self) -> dict[tuple[int, int], MembershipResult]:
+        """membership(M_j * M_i^-1) for j < i, computed afresh on every read."""
+        invs = [m.inv() for m in self.members]
+        return {(i, j): membership(self.members[j] * invs[i]) for i in range(len(invs)) for j in range(i)}
 
 
 def coset_family(order: Order, count: int) -> CosetFamily:
     """Completions of gap points representing distinct right cosets.
 
-    Members i and j land in the same coset exactly when M_j * M_i^{-1}
-    is in the subgroup, so each pair certifies that product NonMember
-    with membership, whose reduction decides every case; each candidate
-    is inverted once.  Distinct gap ratios give distinct cosets, so no
-    product comes back Member; a candidate with a Member product would be
-    dropped and reported in `replaced` rather than silently kept.
+    Each candidate's inverse is reduced once, and a NonMember gives the
+    candidate its coset_key: candidates with different keys lie in
+    different right cosets, so a candidate whose key is new joins, and n
+    members cost n reductions.  A candidate whose key repeats, or whose
+    inverse comes back Member, is dropped and reported in `replaced`.
     """
     if not order.group_scope:
         raise OutOfScope("coset families need |delta| > 12")
@@ -145,7 +154,7 @@ def coset_family(order: Order, count: int) -> CosetFamily:
         raise ValueError("count must be >= 1")
     members: list[Mat] = []
     points: list[GapPoint] = []
-    matrix: dict[tuple[int, int], NonMember] = {}
+    keys: dict[CosetKey, None] = {}
     replaced: list[KElem] = []
     budget = 10 * count + 50
     for gp in _gap_stream(order):
@@ -153,22 +162,16 @@ def coset_family(order: Order, count: int) -> CosetFamily:
         if budget < 0:
             raise SearchExhausted(f"no family of {count} within the candidate budget")
         cand = gp.pair.completion
-        cand_inv = cand.inv()
-        results: dict[tuple[int, int], NonMember] = {}
-        i = len(members)
-        for j, other in enumerate(members):
-            res = membership(other * cand_inv)
-            if not isinstance(res, NonMember):
-                break
-            results[(i, j)] = res
-        else:
-            members.append(cand)
-            points.append(gp)
-            matrix.update(results)
-            if len(members) == count:
-                return CosetFamily(tuple(members), tuple(points), matrix, tuple(replaced))
+        res = membership(cand.inv())
+        key = coset_key(res) if isinstance(res, NonMember) else None
+        if key is None or key in keys:
+            replaced.append(gp.ratio())
             continue
-        replaced.append(gp.ratio())
+        members.append(cand)
+        points.append(gp)
+        keys[key] = None
+        if len(members) == count:
+            return CosetFamily(tuple(members), tuple(points), tuple(keys), tuple(replaced))
     raise SearchExhausted("gap point stream dried up")  # pragma: no cover
 
 

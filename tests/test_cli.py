@@ -70,7 +70,7 @@ OUTPUT_DIGESTS = {
     "presentation --disc -40 --format json":
         "ea833822268a62eda49e9f2fd628a8664c39dd12a917a7726070079399311891",
     "cosets --disc -40 --count 3 --format json":
-        "55ad956fca026d442348871c76e2a3d01bfdc7de870bc9a8fe7a51d6df2b4cd3",
+        "c38fa87c19858e8b7579924afc67834192fb790b11b18fe3311b786edfc79afa",
     "arrangement --disc -40 --bound 4 --format json":
         "f621d5ab62c4d0cd3fcbd55fb810302b6f2ffd5c82291c03ee78d1264cc7709b",
     "amalgam --disc -40 --bound 4 --format json":
@@ -78,7 +78,7 @@ OUTPUT_DIGESTS = {
     "gap-points --disc -40 --count 2 --format json":
         "d32825a05641295ddea1414be329fc83d542de4e301b504e84a890e54056c658",
     "cosets --disc -40 --count 100":
-        "962c0137aa9fe3effba9e6ebf592b352282cc8276a0a5d950fc14c44a90560f4",
+        "e10f4d900a037c66c3d55d0ddbf865593dfc1fe1fc8d6d6ca09fc290d4fea1f2",
     "gap-points --disc -40 --count 200":
         "763dfded8a621ea01bb6e2a8c79658a83f2ea1ba57de1511aebed4b79dd1fb8a",
     "membership --disc -40 --seed 9":
@@ -272,6 +272,20 @@ def test_bounded_search_errors_exit_4(monkeypatch, error):
     assert out == ""
     assert err == "error: gave up after 3 tries\n"
     assert "Traceback" not in err
+
+
+def test_cosets_count_one():
+    # one member: no pair to separate, one coset point, and the digest of its key
+    code, out, err = run(["cosets", "--disc", "-40", "--count", "1", "--format", "json"])
+    assert code == 0, err
+    payload = json.loads(out)
+    validate("cosets", payload)
+    assert (payload["count"], payload["pairs_checked"], payload["all_non_member"]) == (1, 0, True)
+    (member,) = payload["members"]
+    point = member["coset_point"]
+    s, (p, q) = point["s"], point["num"]
+    assert s > 1 and 0 <= p < s and 0 <= q < s
+    assert payload["certificates_sha256"] == hashlib.sha256(f"{s}:{p},{q}\n".encode()).hexdigest()
 
 
 def test_order_info_works_below_group_scope():

@@ -12,12 +12,13 @@ from pe2ford.ford import (
     VerticalWall,
     _neighbour_ring,
     amalgam_rectangle,
+    coset_key,
     edge_cycles,
     pe2_ford_faces,
     presentation,
     voronoi_cell,
 )
-from pe2ford.moebius import Side, apply_interior, gen_r, gen_s, order_in_psl, outside_test
+from pe2ford.moebius import Mat, Side, apply_interior, gen_r, gen_s, order_in_psl, outside_test
 from pe2ford.orders import (
     KElem,
     kelem_from_planar,
@@ -25,7 +26,8 @@ from pe2ford.orders import (
     lattice_points_within,
     make_order,
 )
-from pe2ford.words import R, S, word_to_matrix
+from pe2ford.subgroups import gap_points
+from pe2ford.words import NonMember, R, S, membership, random_pe2_word, word_to_matrix
 
 DISCS = [-15, -16, -19, -20, -23, -24, -40]
 CELL_DISCS = [-7, -8, -11] + DISCS
@@ -388,3 +390,60 @@ def test_no_enumerated_hemisphere_invades_the_domain():
     for g in mats:
         for z in points:
             assert outside_test(g, z) == Side.OUTSIDE
+
+
+KEY_DISCS = [-15, -20, -23, -40, -163]
+
+# matrices M, entries as (a, b) for a + b*t, whose point M j lies on a unit
+# hemisphere face of the one-hemisphere domain, where the face pairing gives
+# it a second class mod O
+FACE_MATRICES = {
+    -15: [((-1, 2), (-4, 1), (3, 1), (-1, 2)), ((3, 1), (-1, 2), (1, -2), (4, -1))],
+    -20: [((-4, 1), (0, -2), (0, 2), (-4, -1)), ((5, 1), (3, 2), (3, -2), (5, -1))],
+}
+
+
+def _face_matrices(d):
+    return [Mat(*(d.elt(a, b) for a, b in m)) for m in FACE_MATRICES.get(d.delta, ())]
+
+
+def _point_class(res):
+    # (S, p mod S, q mod S) for the point (p + q*t)/S of node^-1 j, from the node's entries
+    h, s = res.node, res.s
+    x = -(h.m12 * h.m11.conj() + h.m22 * h.m21.conj())
+    return (s, x.a % s, x.b % s)
+
+
+@pytest.mark.parametrize("delta", sorted(FACE_MATRICES))
+def test_coset_key_face_pairings(delta):
+    # M j is already in the domain, on the unit hemisphere at every lattice
+    # point c with |z - c|^2 = 1 - 1/S^2; each pairing step node * s(c) * r
+    # keeps S and moves z to the second class, and the key is the lesser one
+    d = make_order(delta)
+    for m in _face_matrices(d):
+        res = membership(m.inv())
+        assert isinstance(res, NonMember) and res.path_word == ()
+        s, z = res.s, res.point
+        on = [c for c in lattice_points_within(z, 1) if (z - c).abs_sq() == 1 - Fraction(1, s * s)]
+        assert on
+        for c in on:
+            step = membership(res.node * gen_s(c) * gen_r(d))
+            assert isinstance(step, NonMember) and step.path_word == ()
+            classes = {_point_class(res), _point_class(step)}
+            assert len(classes) == 2
+            assert coset_key(step) == coset_key(res) == min(classes)
+
+
+def test_coset_key_is_an_orbit_invariant():
+    # key(w * M) = key(M) for w in the subgroup: w * M reduces to another
+    # point of the orbit of M j in the domain, on the same face class
+    rng = random.Random(21)
+    for delta in KEY_DISCS:
+        d = make_order(delta)
+        cases = [gp.pair.completion for gp in gap_points(d, 8)] + _face_matrices(d)
+        for m in cases:
+            key = coset_key(membership(m.inv()))
+            for _ in range(12):
+                word = random_pe2_word(d, rng.randrange(10**6), length=rng.randrange(1, 10), coeff_bound=3)
+                res = membership((word_to_matrix(word, d) * m).inv())
+                assert coset_key(res) == key, (delta, m, word)

@@ -133,11 +133,13 @@ def test_coset_family_pairwise_distinct():
     assert fam.replaced == ()
     for k, gp in enumerate(fam.points):
         assert fam.members[k] == gp.pair.completion
+    matrix = fam.distinctness_matrix  # recomputed on every read
     for i in range(20):
         for j in range(i):
-            res = fam.distinctness_matrix[(i, j)]
+            res = matrix[(i, j)]
             assert isinstance(res, NonMember)
-    assert len(fam.distinctness_matrix) == 190
+    assert len(matrix) == 190
+    assert len(set(fam.keys)) == 20
     # a member against itself is the identity, hence Member; only proper
     # pairs enter the matrix
     assert isinstance(membership(fam.members[0] * fam.members[0].inv()), Member)
@@ -153,24 +155,46 @@ def test_coset_family_pairwise_distinct():
 
 def test_coset_family_replaces_member_candidates(monkeypatch):
     d = ORDER40
-    first, second, third, fourth = gap_points(d, 4)
+    first, second, third, fourth, fifth = gap_points(d, 5)
     member = membership(gen_r(d))
     assert isinstance(member, Member)
-    # only the product with the second completion comes back Member: that
-    # candidate is dropped and reported, and the next one takes its place
-    clash = first.pair.completion * second.pair.completion.inv()
+    # the second candidate's inverse comes back Member, and the third reduces
+    # as the first does, so its key repeats: both are dropped and reported,
+    # and the next two take their places
     real = subgroups.membership
-    monkeypatch.setattr(subgroups, "membership", lambda g: member if g == clash else real(g))
+    forced = {second.pair.completion.inv(): member, third.pair.completion.inv(): real(first.pair.completion.inv())}
+    monkeypatch.setattr(subgroups, "membership", lambda g: forced.get(g) or real(g))
     fam = coset_family(d, 3)
-    assert fam.replaced == (second.ratio(),)
-    assert fam.points == (first, third, fourth)
-    assert len(fam.members) == 3
-    assert sorted(fam.distinctness_matrix) == [(1, 0), (2, 0), (2, 1)]
-    assert all(isinstance(res, NonMember) for res in fam.distinctness_matrix.values())
+    assert fam.replaced == (second.ratio(), third.ratio())
+    assert fam.points == (first, fourth, fifth)
+    assert fam.members == tuple(gp.pair.completion for gp in fam.points)
+    assert len(set(fam.keys)) == 3
     # every product Member: no second member ever joins, and the budget runs out
     monkeypatch.setattr(subgroups, "membership", lambda g: member)
     with pytest.raises(SearchExhausted):
         coset_family(d, 2)
+
+
+def _pairwise_family(d, count):
+    # the reference: keep a candidate when its product with every kept member
+    # is NonMember, one membership per pair
+    members, replaced = [], []
+    for gp in gap_points(d, 10 * count):
+        cand_inv = gp.pair.completion.inv()
+        if all(isinstance(membership(m * cand_inv), NonMember) for m in members):
+            members.append(gp.pair.completion)
+            if len(members) == count:
+                return tuple(members), tuple(replaced)
+        else:
+            replaced.append(gp.ratio())
+    raise AssertionError("reference family ran out of candidates")
+
+
+@pytest.mark.parametrize("delta", [-15, -20, -23, -40, -163])
+def test_coset_family_equals_the_pairwise_family(delta):
+    d = make_order(delta)
+    fam = coset_family(d, 30)
+    assert (fam.members, fam.replaced) == _pairwise_family(d, 30)
 
 
 def test_coset_family_scope_and_count():
