@@ -15,9 +15,9 @@ Exit codes: 0 success (a membership verdict, Member or NonMember,
 included), 2 usage error (including malformed words, invalid
 discriminants and an `--out` file that cannot be written), 3
 out-of-scope request, 4 a bounded search that ran out (an enumeration
-short of verified items or an edge cycle that did not close; no command
-runs a witness search, but WitnessNotFound maps to 4 too), which prints
-only the error.  Identical argument vectors produce byte-identical output.
+short of verified items or an edge cycle that did not close), which
+prints only the error.  Identical argument vectors produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
     InvalidDiscriminant,
     OutOfScope,
     SearchExhausted,
-    WitnessNotFound,
     WordSyntaxError,
 )
 from .ford import HemiFace, amalgam_rectangle, pe2_ford_faces, presentation, voronoi_cell
@@ -399,7 +398,7 @@ def _run(argv: list[str] | None) -> int:
     except OutOfScope as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SearchExhausted, WitnessNotFound, CycleNotClosed) as exc:
+    except (SearchExhausted, CycleNotClosed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     payload = {"command": args.command, "discriminant": order.delta, **body}

@@ -31,9 +31,5 @@ class CycleNotClosed(RuntimeError):
     """Raised when edge-cycle traversal fails to return to its start."""
 
 
-class WitnessNotFound(RuntimeError):
-    """Raised when a bounded witness search exhausts its budget."""
-
-
 class SearchExhausted(RuntimeError):
     """Raised when an enumeration cannot supply enough verified items."""

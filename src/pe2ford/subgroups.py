@@ -3,11 +3,12 @@
 The shift-and-rotation subgroup has infinite index in the full group
 once |delta| > 12: ratios lambda/mu of unimodular pairs that stay
 strictly outside every closed unit disc centered on a lattice point
-("gap points") pin down pairwise distinct right cosets, and shifting a
-gap ratio by 1/(alpha*mu^2) leaves the gap, which makes the subgroup
-its own normalizer.  A coset family tells its members apart by their
-coset keys, the canonical points of their orbits in the Ford domain
-(ford.coset_key): one reduction per candidate, no pairwise products.
+("gap points") pin down pairwise distinct right cosets.  The subgroup
+is its own normalizer: for every g outside it, g conjugates the shift
+s(1) or s(-1) to a matrix outside it.  A coset family tells its members
+apart by their coset keys, the canonical points of their orbits in the
+Ford domain (ford.coset_key): one reduction per candidate, no pairwise
+products.
 Splitting the hemisphere arrangement over the straddling rectangle by
 the plane t = t0 exhibits the full group as an amalgam over the
 subgroup N = <r, s(1), s(tau) r s(tau)^-1>.
@@ -33,7 +34,7 @@ from .arrangement import (
     plane_split,
     unit_ideal,
 )
-from .errors import OutOfScope, SearchExhausted, WitnessNotFound
+from .errors import OutOfScope, SearchExhausted
 from .ford import CosetKey, amalgam_rectangle, coset_key, presentation
 from .moebius import Hemisphere, Mat, gen_s
 from .orders import (
@@ -176,40 +177,36 @@ def coset_family(order: Order, count: int) -> CosetFamily:
 
 
 def normalizer_witness(g: Mat) -> OInt:
-    """Smallest-norm shift coefficient whose conjugate re-certifies g.
+    """The shift coefficient alpha = -1 or 1 whose conjugate g*s(alpha)*g^-1 leaves the subgroup.
 
-    Requires (and verifies) that g is NonMember with a gap-point ratio.
-    Conjugating the shift s(alpha) by g moves the ratio to
-    lambda/mu - 1/(alpha*mu^2); candidates failing the exact gap test
-    on that value are skipped before any membership search runs.  The
-    search is capped at norm(alpha) = 10^4 and reports rather than
-    widening.
+    Needs (and verifies) only that g is NonMember.  Every alpha != 0 works:
+    x = g*s(alpha)*g^-1 is parabolic and fixes g(inf).  If x were in the
+    subgroup H, g(inf) would be a parabolic fixed point of H, hence
+    H-equivalent to a cusp of H's one-hemisphere polyhedron, as for any
+    group with a finite-sided fundamental polyhedron.  Its only cusp is
+    inf: elsewhere it reaches the boundary plane only in the closed gap,
+    the closure of its free faces.  So g(inf) = p(inf) for some p in H,
+    and p^-1*g fixes inf; its diagonal entries are units, +-1 when
+    |delta| > 12, so p^-1*g = +-s(y) and g = p*s(y) would be a member.
+    Of -1 and 1, first by key(), alpha is the one whose conjugate ratio
+    lambda/mu - 1/(alpha*mu^2) = (alpha*lambda*mu - 1)/(alpha*mu^2) is a
+    gap point, and 1 when neither is; the conjugate is re-checked.
     """
     order = g.order
     if not order.group_scope:
         raise OutOfScope("normalizer witnesses need |delta| > 12")
     # g is outside the subgroup exactly when g^-1 is; g^-1 is checked, as
-    # every conjugate below needs it anyway
+    # the conjugate below needs it anyway
     g_inv = g.inv()
     if not isinstance(membership(g_inv), NonMember):
         raise ValueError("g must certify NonMember")
     # a NonMember g has mu != 0: m21 = 0 makes the diagonal units, +-1 in
     # scope, so g = +-s(x), a member
-    lam, mu = g.m11, g.m21
-    ratio = KElem.of(lam, mu)
-    if gap_check(ratio) is None:
-        raise ValueError("the ratio of g must be a gap point")
-    for group in oints_by_norm(order):
-        if group[0].norm() > 10_000:
-            raise WitnessNotFound("no witness with norm(alpha) <= 10^4")
-        for alpha in group:
-            shifted = ratio - KElem.of(order.one, alpha * mu * mu)
-            if gap_check(shifted) is None:
-                continue
-            conj = g * gen_s(alpha) * g_inv
-            if isinstance(membership(conj), NonMember):
-                return alpha
-    raise WitnessNotFound("alpha enumeration ended")  # pragma: no cover
+    one, lam_mu, mu_sq = order.one, g.m11 * g.m21, g.m21 * g.m21
+    alpha = next((a for a in (-one, one) if gap_check(KElem.of(a * lam_mu - one, a * mu_sq)) is not None), one)
+    if not isinstance(membership(g * gen_s(alpha) * g_inv), NonMember):  # pragma: no cover
+        raise ArithmeticError("g s(alpha) g^-1 came back Member, against the proof above")
+    return alpha
 
 
 def n_generators(order: Order) -> list[Word]:

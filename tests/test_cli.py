@@ -14,7 +14,7 @@ import pytest
 
 from pe2ford import cli
 from pe2ford.cli import main
-from pe2ford.errors import CycleNotClosed, SearchExhausted, WitnessNotFound
+from pe2ford.errors import CycleNotClosed, SearchExhausted
 from pe2ford.orders import make_order
 from pe2ford.words import R, S, word_to_matrix
 
@@ -261,7 +261,7 @@ def test_one_parser_serves_every_call(monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[command], command
 
 
-@pytest.mark.parametrize("error", [SearchExhausted, WitnessNotFound, CycleNotClosed])
+@pytest.mark.parametrize("error", [SearchExhausted, CycleNotClosed])
 def test_bounded_search_errors_exit_4(monkeypatch, error):
     def give_up(order, count):
         raise error("gave up after 3 tries")

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pe2ford import subgroups
+from pe2ford.arrangement import UnimodularPair, unit_ideal
 from pe2ford.errors import OutOfScope, SearchExhausted
 from pe2ford.moebius import Mat, Side, gen_r, gen_s, outside_test
 from pe2ford.orders import KElem, lattice_points_within, make_order
@@ -238,14 +239,15 @@ def test_normalizer_witness_rejects_bad_inputs():
         normalizer_witness(gen_s(d.tau))
     with pytest.raises(ValueError):
         normalizer_witness(word_to_matrix(random_pe2_word(d, 99, length=8), d))
-    # certified non-member whose own ratio is inside the unit disc at 0
-    bad = gen_r(d) * gap_points(d, 1)[0].pair.completion
-    assert isinstance(membership(bad), NonMember)
-    assert gap_check(KElem.of(bad.m11, bad.m21)) is None
-    with pytest.raises(ValueError):
-        normalizer_witness(bad)
     with pytest.raises(OutOfScope):
         normalizer_witness(gen_r(make_order(-12)))
+    # a non-member whose own ratio is inside the unit disc at 0 is a valid input
+    g = gen_r(d) * gap_points(d, 1)[0].pair.completion
+    assert isinstance(membership(g), NonMember)
+    assert gap_check(KElem.of(g.m11, g.m21)) is None
+    alpha = normalizer_witness(g)
+    assert alpha in (d.one, -d.one)
+    assert isinstance(membership(g * gen_s(alpha) * g.inv()), NonMember)
 
 
 def test_normalizer_witness_certifies_through_the_inverse():
@@ -258,6 +260,54 @@ def test_normalizer_witness_certifies_through_the_inverse():
         g = gp.pair.completion
         alpha = normalizer_witness(g)
         assert isinstance(membership(g * gen_s(alpha) * g.inv()), NonMember)
+
+
+def _non_members_around_completions(delta, count, seed):
+    # g = w1*C*w2 with C the completion of a random unimodular pair and w1, w2
+    # random words of 20 letters; the members among them are skipped
+    d = make_order(delta)
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        lam = d.elt(rng.randint(-9, 9), rng.randint(-9, 9))
+        mu = d.elt(rng.randint(-9, 9), rng.randint(-9, 9))
+        if mu.is_zero() or not unit_ideal(lam, mu):
+            continue
+        w1, w2 = (word_to_matrix(random_pe2_word(d, rng.randrange(10**9), length=20), d) for _ in range(2))
+        g = w1 * UnimodularPair(lam, mu).completion * w2
+        if isinstance(membership(g), NonMember):
+            found.append(g)
+    return found
+
+
+def test_normalizer_witness_needs_no_gap_ratio():
+    # the witness needs only a non-member: most of these have no gap-point ratio
+    no_gap_ratio = 0
+    for delta in (-15, -20, -23, -40, -67, -163, -1003):
+        d = make_order(delta)
+        for g in _non_members_around_completions(delta, 20, seed=-delta):
+            alpha = normalizer_witness(g)
+            assert alpha in (d.one, -d.one)
+            assert isinstance(membership(g * gen_s(alpha) * g.inv()), NonMember)
+            no_gap_ratio += gap_check(KElem.of(g.m11, g.m21)) is None
+    assert no_gap_ratio > 0
+
+
+def test_normalizer_witness_sweep_over_orders():
+    # 20 coset members at each of the 194 in-scope discriminants -15 ... -400
+    deltas = [delta for delta in range(-15, -401, -1) if delta % 4 in (0, 1)]
+    assert len(deltas) == 194
+    for delta in deltas:
+        d = make_order(delta)
+        one = d.one
+        for g in coset_family(d, 20).members:
+            alpha = normalizer_witness(g)
+            assert isinstance(membership(g * gen_s(alpha) * g.inv()), NonMember), (delta, g)
+            if delta in (-15, -20, -23):
+                # here one sign's conjugate ratio leaves the gap for some
+                # member, and the witness takes the other
+                lam_mu, mu_sq = g.m11 * g.m21, g.m21 * g.m21
+                assert gap_check(KElem.of(alpha * lam_mu - one, alpha * mu_sq)) is not None, (delta, g)
 
 
 def test_n_generator_words():
