@@ -23,7 +23,7 @@ from typing import Sequence
 from .cells import Point, bisectors, power_cell
 from .errors import CycleNotClosed, OutOfScope
 from .moebius import Mat, apply_interior, gen_r, gen_s, order_in_psl
-from .orders import KElem, OInt, Order, kelem_from_planar, nearest_lattice_point
+from .orders import KElem, OInt, Order, kelem_from_planar
 from .words import NonMember, R, S, Word, format_word, word_inverse, word_to_matrix
 
 
@@ -163,18 +163,17 @@ def coset_key(res: NonMember) -> CosetKey:
     node^-1 j = path * M j, so members with different keys lie in different
     right cosets.
 
-    Taking p and q mod S reduces z mod O exactly.  x lies on the unit
-    hemisphere at c exactly when S^2 |z - c|^2 = S^2 - 1, membership's
-    d = S^2 - 1; then the pairing step node * s(c) * r sends z to
-    conj(c) - conj(z), whose class -conj(z), with S*conj(z) = (p + trace*q)
-    - q*t, is the same for every such c, ties included.
+    The key reads the (S, p, q, d) that membership kept on res.  Taking p
+    and q mod S reduces z mod O exactly.  x lies on the unit hemisphere at
+    c exactly when S^2 |z - c|^2 = S^2 - 1, which no c goes below, so on
+    one exactly when d = S^2 - 1; then the pairing step node * s(c) * r
+    sends z to conj(c) - conj(z), whose class -conj(z), with S*conj(z) =
+    (p + trace*q) - q*t, is the same for every such c, ties included.
     """
-    s, z = res.s, res.point
-    p, q = z.num.a * (s // z.den), z.num.b * (s // z.den)  # z = (p + q*t)/S, unreduced
+    s, p, q = res.s, res.p, res.q
     key = (s, p % s, q % s)
-    d, _, _ = nearest_lattice_point(z.order, p, q, s)
-    if d == s * s - 1:
-        key = min(key, (s, -(p + z.order.trace * q) % s, q % s))
+    if res.d == s * s - 1:
+        key = min(key, (s, -(p + res.node.order.trace * q) % s, q % s))
     return key
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import InvalidDiscriminant
 
@@ -366,19 +365,3 @@ def lattice_points_norm_at_most(order: Order, bound: int, include_zero: bool = F
         pts = [g for g in pts if not g.is_zero()]
     return pts
 
-
-def oints_by_norm(order: Order) -> Iterator[list[OInt]]:
-    """Yield nonzero lattice points grouped by strictly increasing norm, each group in key() order."""
-    done = 0
-    bound = 4
-    while True:
-        groups: dict[int, list[OInt]] = {}
-        for g in lattice_points_norm_at_most(order, bound):
-            n = g.norm()
-            if n > done:
-                groups.setdefault(n, []).append(g)
-        # each group is a subsequence of the key()-ordered scan
-        for nval in sorted(groups):
-            yield groups[nval]
-        done = bound
-        bound *= 4

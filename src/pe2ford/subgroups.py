@@ -43,9 +43,9 @@ from .orders import (
     Order,
     gap_neighbourhood,
     kelem_from_planar,
+    lattice_points_norm_at_most,
     lattice_points_within,
     nearest_lattice_point,
-    oints_by_norm,
 )
 from .words import MembershipResult, NonMember, R, S, Word, membership, word_to_matrix
 
@@ -83,7 +83,10 @@ def gap_check(z: KElem) -> Fraction | None:
 
 
 def _gap_stream(order: Order) -> Iterator[GapPoint]:
-    # mu by increasing norm; ratios confined to the half-open cell band
+    # mu with its canonical sign, by norm and then key(): each pass rescans
+    # norm <= bound from the origin, keeps the shell past the previous bound,
+    # and quadruples the bound; the stable sort by norm keeps the scan's key()
+    # order within one norm.  Ratios are confined to the half-open cell band
     # u in [0, 1), v in [0, 1/2), which meets every translation orbit once;
     # the ratio is x/N(mu) with x = lam*conj(mu), so with (U, V, L) =
     # x.planar_int(N) = (2*x.a + trace*x.b, x.b, 2N) the band is
@@ -93,10 +96,11 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
     n = order.abs_delta
     band_center = kelem_from_planar(order, Fraction(1, 2), Fraction(1, 4))
     band_circum = Fraction(1, 4) + Fraction(n, 16)
-    for group in oints_by_norm(order):
-        for mu in group:
-            if not mu.is_canonical_positive():
-                continue
+    done, bound = 0, 4
+    while True:
+        scan = lattice_points_norm_at_most(order, bound)
+        shell = [mu for mu in scan if mu.norm() > done and mu.is_canonical_positive()]
+        for mu in sorted(shell, key=OInt.norm):
             norm, mu_bar = mu.norm(), mu.conj()
             for lam in lattice_points_within(band_center * mu, band_circum * norm):
                 u, v, l = (lam * mu_bar).planar_int(norm)
@@ -108,6 +112,7 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
                 if not unit_ideal(lam, mu):
                     continue
                 yield GapPoint(UnimodularPair(lam, mu), min_dist)
+        done, bound = bound, 4 * bound
 
 
 def gap_points(order: Order, count: int) -> list[GapPoint]:

@@ -61,7 +61,6 @@ def format_word(word: Word) -> str:
 
 def parse_word(text: str, order: Order) -> Word:
     """Parse word text like ``s(2-1*t)*r*s(3)``; ``1`` is the empty word."""
-    letters: list[Letter] = []
     n = len(text)
     i = _skip_ws(text, 0, n)
     if i == n:
@@ -71,36 +70,30 @@ def parse_word(text: str, order: Order) -> Word:
         if j != n:
             raise WordSyntaxError("unexpected input after identity word", j)
         return ()
-    expect_term = True
-    while i < n:
-        i = _skip_ws(text, i, n)
-        if i >= n:
-            break
-        ch = text[i]
-        if expect_term:
-            if ch == "r":
-                letters.append(R())
-                i += 1
-            elif ch == "s":
-                i = _skip_ws(text, i + 1, n)
-                if i >= n or text[i] != "(":
-                    raise WordSyntaxError("expected '(' after 's'", i)
-                close = text.find(")", i)
-                if close < 0:
-                    raise WordSyntaxError("missing ')'", i)
-                letters.append(S(_parse_coeff(text, i + 1, close, order)))
-                i = close + 1
-            else:
-                raise WordSyntaxError(f"expected 'r' or 's', got {ch!r}", i)
-            expect_term = False
-        else:
-            if ch != "*":
-                raise WordSyntaxError(f"expected '*', got {ch!r}", i)
+    letters: list[Letter] = []
+    while True:  # a letter, then the end or '*'
+        if i == n:
+            raise WordSyntaxError("dangling '*' at end of word", n)
+        if text[i] == "r":
+            letters.append(R())
             i += 1
-            expect_term = True
-    if expect_term:
-        raise WordSyntaxError("dangling '*' at end of word", n)
-    return tuple(letters)
+        elif text[i] == "s":
+            i = _skip_ws(text, i + 1, n)
+            if i >= n or text[i] != "(":
+                raise WordSyntaxError("expected '(' after 's'", i)
+            close = text.find(")", i)
+            if close < 0:
+                raise WordSyntaxError("missing ')'", i)
+            letters.append(S(_parse_coeff(text, i + 1, close, order)))
+            i = close + 1
+        else:
+            raise WordSyntaxError(f"expected 'r' or 's', got {text[i]!r}", i)
+        i = _skip_ws(text, i, n)
+        if i == n:
+            return tuple(letters)
+        if text[i] != "*":
+            raise WordSyntaxError(f"expected '*', got {text[i]!r}", i)
+        i = _skip_ws(text, i + 1, n)
 
 
 def _skip_ws(text: str, i: int, end: int) -> int:
@@ -110,41 +103,36 @@ def _skip_ws(text: str, i: int, end: int) -> int:
 
 
 def _parse_coeff(text: str, start: int, end: int, order: Order) -> OInt:
+    """One part per step: an optional sign (none before the first part), digits, and an optional '*t' or 't'."""
     a = b = 0
-    i = start
-    sign = 1
-    saw_part = False
+    first = i = _skip_ws(text, start, end)
+    if i == end:
+        raise WordSyntaxError("empty coefficient", start)
     while i < end:
-        i = _skip_ws(text, i, end)
-        if i >= end:
-            break
+        sign = 1
         if text[i] in "+-":
-            if not saw_part and text[i] == "+":
+            if text[i] == "+" and i == first:
                 raise WordSyntaxError("leading '+' in coefficient", i)
             sign = -1 if text[i] == "-" else 1
             i = _skip_ws(text, i + 1, end)
-        elif saw_part:
+        elif i != first:
             raise WordSyntaxError("expected '+' or '-' between parts", i)
-        digits = ""
-        while i < end and "0" <= text[i] <= "9":  # ASCII only: str.isdigit takes "²", which int() rejects
-            digits += text[i]
-            i += 1
-        i = _skip_ws(text, i, end)
+        j = i
+        while j < end and "0" <= text[j] <= "9":  # ASCII only: str.isdigit takes "²", which int() rejects
+            j += 1
+        digits = text[i:j]
+        i = _skip_ws(text, j, end)
         if i < end and text[i] in "*t":
             if text[i] == "*":
                 i = _skip_ws(text, i + 1, end)
                 if i >= end or text[i] != "t":
                     raise WordSyntaxError("expected 't' after '*'", i)
-            i += 1
             b += sign * (int(digits) if digits else 1)
+            i = _skip_ws(text, i + 1, end)
         elif digits:
             a += sign * int(digits)
         else:
             raise WordSyntaxError("expected digits or 't' in coefficient", i)
-        saw_part = True
-        sign = 1
-    if not saw_part:
-        raise WordSyntaxError("empty coefficient", start)
     return OInt(order, a, b)
 
 
@@ -295,8 +283,10 @@ class Member:
 class NonMember:
     """The reduction stopped at node, with g = node * path_word.
 
-    Its certificate is s = norm(m11) + norm(m21) > 1 and point: node^-1 j
-    sits at height 1/s over point, and every lattice point c has
+    s, p, q and d are the loop's integers at the stop: node^-1 j sits at
+    height 1/s over point = (p + q*t)/s, and d = s^2 |point - c|^2 for the
+    lattice point c nearest it.  The certificate is s = norm(m11) +
+    norm(m21) > 1 and d >= s^2 - 1: every lattice point c has
     |point - c|^2 >= 1 - 1/s^2, so node^-1 j lies in the closed Ford domain
     below height 1, where the subgroup takes no image of j.  ratio, the
     cusp -m22/m21 of node, and nearby, its gap neighbourhood, are derived
@@ -306,16 +296,15 @@ class NonMember:
     node: Mat
     path_word: Word
     stats: SearchStats
+    s: int
+    p: int
+    q: int
+    d: int
     kind: str = field(default="non_member", init=False)
 
     @property
-    def s(self) -> int:
-        return self.node.m11.norm() + self.node.m21.norm()
-
-    @property
     def point(self) -> KElem:
-        h = self.node
-        return KElem.of(-(h.m12 * h.m11.conj() + h.m22 * h.m21.conj()), self.s)
+        return KElem.of(OInt(self.node.order, self.p, self.q), self.s)
 
     @property
     def ratio(self) -> KElem:
@@ -343,7 +332,8 @@ def membership(g: Mat, cap: int | None = None) -> MembershipResult:
     which the subgroup's images of j never reach: NonMember.  At S = 1, h
     is s(x) or r*s(x): Member.
     S = (d + 1) // S falls at every step, so the loop ends within S steps.
-    It runs on the entries' integers; OInt and Mat are built for the verdict.
+    It runs on the entries' integers; OInt and Mat are built for the verdict,
+    and a NonMember keeps the integers S, p, q and d of the stop.
 
     cap is accepted and ignored, because perfbench/workloads.py still passes
     one positionally.  Needs |delta| > 12, for the one-hemisphere domain.
@@ -374,7 +364,7 @@ def membership(g: Mat, cap: int | None = None) -> MembershipResult:
     # g = node * r s(-c_k) * ... * r s(-c_1) for the moves c_1, ..., c_k
     path = tuple(x for a, b in reversed(moves) for x in (R(), S(OInt(order, -a, -b))))
     if s > 1:
-        return NonMember(node, path, SearchStats(len(moves) + 1))
+        return NonMember(node, path, SearchStats(len(moves) + 1), s, p, q, d)
     # sign canonicalisation leaves s(x) = [[1, x], [0, 1]] or r*s(x) = [[0, 1], [-1, -x]]
     head = (S(node.m12),) if node.fixes_infinity() else (R(), S(-node.m22))
     return Member(normal_form(head + path, order), SearchStats(len(moves) + 1))

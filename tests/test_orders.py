@@ -16,7 +16,6 @@ from pe2ford.orders import (
     lattice_points_within,
     lattice_points_norm_at_most,
     make_order,
-    oints_by_norm,
     scaled_dist_sq,
 )
 from pe2ford.subgroups import coset_family, gap_points, n_generators, normalizer_witness
@@ -230,27 +229,6 @@ def test_lattice_points_norm_at_most():
     pts = lattice_points_norm_at_most(d, 11)
     norms = sorted(g.norm() for g in pts)
     assert norms == [1, 1, 4, 4, 9, 9, 10, 10, 11, 11, 11, 11]
-
-
-def test_oints_by_norm_groups():
-    d = make_order(-40)
-    gen = oints_by_norm(d)
-    groups = [next(gen) for _ in range(5)]
-    assert [g[0].norm() for g in groups] == [1, 4, 9, 10, 11]
-    # the first 60 groups against a box scan grouped by norm and sorted here
-    for delta in (-15, -40, -163):
-        d = make_order(delta)
-        gen = oints_by_norm(d)
-        groups = [next(gen) for _ in range(60)]
-        top = groups[-1][0].norm()
-        span = 2 * math.isqrt(top) + 2
-        brute: dict[int, list[OInt]] = {}
-        for a in range(-span, span + 1):
-            for b in range(-span, span + 1):
-                g = d.elt(a, b)
-                if 0 < g.norm() <= top:
-                    brute.setdefault(g.norm(), []).append(g)
-        assert groups == [sorted(brute[n], key=lambda g: g.key()) for n in sorted(brute)]
 
 
 def test_covering_radius():

@@ -89,30 +89,29 @@ def test_parse_format_roundtrip():
 def test_parse_errors_carry_positions():
     d = make_order(-40)
     cases = [
-        ("q", 0),
-        ("r r", 2),
-        ("r*", 2),
-        ("s 2", 2),
-        ("s", 1),
-        ("s(2", 1),
-        ("s()", 2),
-        ("s(2 3)", 4),
-        ("s(2*3)", 4),
-        ("s(2*)", 4),
-        ("s(+2)", 2),
-        ("1*r", 1),
-        ("s(²)", 2),  # digits are ASCII 0-9 only
-        ("s(1²)", 3),
-        ("s(٣*t)", 2),
+        ("q", "expected 'r' or 's', got 'q'", 0),
+        ("r r", "expected '*', got 'r'", 2),
+        ("r*", "dangling '*' at end of word", 2),
+        ("s 2", "expected '(' after 's'", 2),
+        ("s", "expected '(' after 's'", 1),
+        ("s(2", "missing ')'", 1),
+        ("s()", "empty coefficient", 2),
+        ("s(2 3)", "expected '+' or '-' between parts", 4),
+        ("s(2*3)", "expected 't' after '*'", 4),
+        ("s(2*)", "expected 't' after '*'", 4),
+        ("s(+2)", "leading '+' in coefficient", 2),
+        ("1*r", "unexpected input after identity word", 1),
+        ("s(²)", "expected digits or 't' in coefficient", 2),  # digits are ASCII 0-9 only
+        ("s(1²)", "expected '+' or '-' between parts", 3),
+        ("s(٣*t)", "expected digits or 't' in coefficient", 2),
+        ("", "empty word text (use '1')", 0),
+        ("   ", "empty word text (use '1')", 0),
     ]
-    for text, pos in cases:
+    for text, message, pos in cases:
         with pytest.raises(WordSyntaxError) as exc:
             parse_word(text, d)
         assert exc.value.position == pos
-    for text in ("", "   "):
-        with pytest.raises(WordSyntaxError, match="empty word text") as exc:
-            parse_word(text, d)
-        assert exc.value.position == 0
+        assert str(exc.value) == f"{message} (at position {pos})"
 
 
 def test_word_inverse():
@@ -388,6 +387,15 @@ def test_non_member_path_rebuilds_g_property(dw, k):
     assert isinstance(res, NonMember)
     assert res.node * word_to_matrix(res.path_word, d) == g
     assert res.stats.nodes_explored == len(res.path_word) // 2 + 1
+    # the stored integers of the stop, re-derived in OInt arithmetic from the node
+    h = res.node
+    assert res.s == h.m11.norm() + h.m21.norm() > 1
+    x = -(h.m12 * h.m11.conj() + h.m22 * h.m21.conj())
+    assert (res.p, res.q) == (x.a, x.b)
+    # the nearest lattice point lies within the covering radius
+    z = KElem.of(x, res.s)
+    assert res.d == min((z - c).abs_sq() for c in lattice_points_within(z, d.covering_radius_sq())) * res.s**2
+    assert res.d >= res.s**2 - 1
 
 
 @st.composite
