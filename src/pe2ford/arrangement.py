@@ -51,27 +51,29 @@ def _one_in_span(lam: OInt, mu: OInt) -> tuple[OInt, OInt]:
     coefficient vector; a column-echelon reduction over Z leaves a row
     (+-1, y) and a row (0, +-1), and the tracked coefficients of the
     combination that gives (1, 0) regroup into order elements x, y with
-    x*lam + y*mu = 1.
+    x*lam + y*mu = 1.  The rows are plain ints: g*tau = -m*g.b + (g.a + e*g.b)*tau.
     """
     order = lam.order
-    rows = []
-    for i, g in enumerate((lam, lam * order.tau, mu, mu * order.tau)):
-        row = [g.a, g.b, 0, 0, 0, 0]
-        row[2 + i] = 1
-        rows.append(row)
+    e, m = order.trace, order.tau_norm
+    la, lb, ma, mb = lam.a, lam.b, mu.a, mu.b
+    rows = [
+        [la, lb, 1, 0, 0, 0],
+        [-m * lb, la + e * lb, 0, 1, 0, 0],
+        [ma, mb, 0, 0, 1, 0],
+        [-m * mb, ma + e * mb, 0, 0, 0, 1],
+    ]
 
     def clear_column(col: int, pool: list[list[int]]) -> tuple[list[int], list[list[int]]]:
         live = [r for r in pool if r[col] != 0]
         rest = [r for r in pool if r[col] == 0]
         while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            pivot = live[0]
+            live.sort(key=lambda r: abs(r[col]))  # stable: equal sizes keep their order
+            pivot, kept = live[0], []
             for r in live[1:]:
                 q = r[col] // pivot[col]
-                for j in range(6):
-                    r[j] -= q * pivot[j]
-            rest.extend(r for r in live[1:] if r[col] == 0)
-            live = [pivot] + [r for r in live[1:] if r[col] != 0]
+                r = [x - q * y for x, y in zip(r, pivot)]
+                (kept if r[col] != 0 else rest).append(r)
+            live = [pivot] + kept
         return (live[0], rest)
 
     p0, rest = clear_column(0, rows)
@@ -79,10 +81,8 @@ def _one_in_span(lam: OInt, mu: OInt) -> tuple[OInt, OInt]:
     # the lattice is Z^2, so p0[0] and p1[1] are +-1
     c0 = p0[0]
     c1 = -c0 * p0[1] * p1[1]
-    combo = [c0 * p0[j] + c1 * p1[j] for j in range(6)]
-    x = OInt(order, combo[2], combo[3])
-    y = OInt(order, combo[4], combo[5])
-    return (x, y)
+    x0, x1, y0, y1 = (c0 * u + c1 * w for u, w in zip(p0[2:], p1[2:]))
+    return (OInt(order, x0, x1), OInt(order, y0, y1))
 
 
 def unit_ideal(lam: OInt, mu: OInt) -> bool:

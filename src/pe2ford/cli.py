@@ -6,10 +6,12 @@ the one command table: each subcommand names its handler there.  The
 handler computes its result once and returns the body of one payload,
 its own fields only; `main` puts the `command` and `discriminant` header
 in front.  The payload is the dict that `--format json` prints and that
-the schemas under docs/schemas describe.  `--format text` renders the
-same payload one `key: value` line at a time, and `--format svg`
-(arrangement and amalgam) draws the arrangement the command already
-computed.
+the schemas under docs/schemas describe; `_json_text` prints it with the
+bytes of `json.dumps(payload, indent=2, sort_keys=True)`, through the C
+string escaper instead of the stdlib's pure-Python indenting encoder.
+`--format text` renders the same payload one `key: value` line at a
+time, and `--format svg` (arrangement and amalgam) draws the
+arrangement the command already computed.
 
 Exit codes: 0 success (a membership verdict, Member or NonMember,
 included), 2 usage error (including malformed words, invalid
@@ -24,9 +26,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
 
@@ -108,6 +110,32 @@ def _text_value(value: Any) -> str:
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}={_text_value(v)}" for k, v in value.items()) + "}"
     return "none" if value is None else str(value)
+
+
+def _json_text(value: Any, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for payload values, without its pure-Python encoder.
+
+    Strings and keys go through the stdlib's C escaper, ints through
+    int.__repr__, lists and tuples become arrays.  Any other type, floats
+    and subclasses included, and a non-str key raise TypeError.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if kind is dict:
+        if not all(type(k) is str for k in value):
+            raise TypeError("payload keys must be str")
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"{kind.__name__} is not a payload value")
 
 
 def _render_text(payload: dict[str, Any]) -> str:
@@ -403,7 +431,7 @@ def _run(argv: list[str] | None) -> int:
         return 4
     payload = {"command": args.command, "discriminant": order.delta, **body}
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload) + "\n"
     elif args.format == "svg":  # offered only by the commands that return a view
         text = svg_topview(*view)
     else:

@@ -18,7 +18,6 @@ All gap and split certificates are exact rational comparisons.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -70,6 +69,14 @@ class GapPoint:
         return tuple(g for g, _ in gap_neighbourhood(self.ratio()))
 
 
+def _gap_dist(order: Order, p: int, q: int, s: int) -> Fraction | None:
+    # the one gap rule: (p + q*t)/s is a gap point when its nearest lattice
+    # point lies past distance 1, d > s^2; d/s^2 does not depend on the scale
+    d, _, _ = nearest_lattice_point(order, p, q, s)
+    sq = s * s
+    return None if d <= sq else Fraction(d, sq)
+
+
 def gap_check(z: KElem) -> Fraction | None:
     """Squared distance from z to the nearest lattice point, if z is a gap point, else None.
 
@@ -77,9 +84,7 @@ def gap_check(z: KElem) -> Fraction | None:
     unit disc about it, the test membership uses for NonMember; both read
     nearest_lattice_point, and a gap point builds the one Fraction.
     """
-    d, _, _ = nearest_lattice_point(z.order, z.num.a, z.num.b, z.den)
-    sq = z.den * z.den
-    return None if d <= sq else Fraction(d, sq)
+    return _gap_dist(z.order, z.num.a, z.num.b, z.den)
 
 
 def _gap_stream(order: Order) -> Iterator[GapPoint]:
@@ -87,13 +92,13 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
     # norm <= bound from the origin, keeps the shell past the previous bound,
     # and quadruples the bound; the stable sort by norm keeps the scan's key()
     # order within one norm.  Ratios are confined to the half-open cell band
-    # u in [0, 1), v in [0, 1/2), which meets every translation orbit once;
-    # the ratio is x/N(mu) with x = lam*conj(mu), so with (U, V, L) =
-    # x.planar_int(N) = (2*x.a + trace*x.b, x.b, 2N) the band is
-    # 0 <= U < L and 0 <= 2V < L in integers.  gap_check, then
-    # unit_ideal; no ratio repeats, as unimodular pairs of one ratio differ by
-    # a unit, the units are +-1, and mu's canonical sign leaves only 1.
-    n = order.abs_delta
+    # u in [0, 1), v in [0, 1/2), which meets every translation orbit once.
+    # The ratio is (xa + xb*t)/N with xa + xb*t = lam*conj(mu) and N = norm(mu),
+    # at planar ((2*xa + trace*xb)/(2N), xb/(2N)): the band test and the gap
+    # rule read these ints, unreduced, and unit_ideal runs only on gap ratios.
+    # No ratio repeats, as unimodular pairs of one ratio differ by a unit, the
+    # units are +-1, and mu's canonical sign leaves only 1.
+    n, e, m = order.abs_delta, order.trace, order.tau_norm
     band_center = kelem_from_planar(order, Fraction(1, 2), Fraction(1, 4))
     band_circum = Fraction(1, 4) + Fraction(n, 16)
     done, bound = 0, 4
@@ -101,15 +106,14 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
         scan = lattice_points_norm_at_most(order, bound)
         shell = [mu for mu in scan if mu.norm() > done and mu.is_canonical_positive()]
         for mu in sorted(shell, key=OInt.norm):
-            norm, mu_bar = mu.norm(), mu.conj()
+            norm, ca, cb = mu.norm(), mu.a + e * mu.b, -mu.b  # conj(mu) = ca + cb*t
             for lam in lattice_points_within(band_center * mu, band_circum * norm):
-                u, v, l = (lam * mu_bar).planar_int(norm)
-                if not (0 <= u < l and 0 <= 2 * v < l):
+                la, lb = lam.a, lam.b
+                xa, xb = la * ca - m * lb * cb, la * cb + lb * ca + e * lb * cb
+                if not (0 <= 2 * xa + e * xb < 2 * norm and 0 <= xb < norm):
                     continue
-                min_dist = gap_check(KElem.of(lam, mu))
-                if min_dist is None:
-                    continue
-                if not unit_ideal(lam, mu):
+                min_dist = _gap_dist(order, xa, xb, norm)
+                if min_dist is None or not unit_ideal(lam, mu):
                     continue
                 yield GapPoint(UnimodularPair(lam, mu), min_dist)
         done, bound = bound, 4 * bound
@@ -121,7 +125,8 @@ def gap_points(order: Order, count: int) -> list[GapPoint]:
         raise OutOfScope("gap points need |delta| > 12")
     if count < 1:
         raise ValueError("count must be >= 1")
-    return list(itertools.islice(_gap_stream(order), count))
+    # zip stops the stream after count points, with no cap on count
+    return [gp for _, gp in zip(range(count), _gap_stream(order))]
 
 
 @dataclass(frozen=True)

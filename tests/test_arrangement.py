@@ -20,6 +20,7 @@ from pe2ford.arrangement import (
     Covered,
     HemiSet,
     UnimodularPair,
+    _one_in_span,
     _rivals,
     enumerate_hemispheres,
     envelope_dips_below,
@@ -28,12 +29,14 @@ from pe2ford.arrangement import (
     is_unimodular,
     plane_split,
     svg_topview,
+    unit_ideal,
 )
 from pe2ford.cells import bisectors, box_neighbours, clip, dist_sq_int, frame_of
 from pe2ford.errors import OutOfScope
 from pe2ford.ford import amalgam_rectangle, voronoi_cell
 from pe2ford.moebius import Hemisphere, Mat
 from pe2ford.orders import KElem, OInt, kelem_from_planar, make_order
+from pe2ford.subgroups import gap_points
 from pe2ford.words import Member, membership
 
 
@@ -81,20 +84,73 @@ def test_two_tau_is_not_unimodular():
     assert not _unimodular_oracle(order.elt(2), order.tau)
 
 
-@pytest.mark.parametrize("delta", [-40, -15])
-def test_is_unimodular_matches_minor_gcd_oracle(delta):
+def _random_pairs(delta):
+    """300 seeded draws of small (lam, mu), less the zero pair."""
     order = make_order(delta)
     rng = random.Random(delta)
     for _ in range(300):
         lam = order.elt(rng.randint(-6, 6), rng.randint(-3, 3))
         mu = order.elt(rng.randint(-6, 6), rng.randint(-3, 3))
-        if lam.is_zero() and mu.is_zero():
-            continue
+        if not (lam.is_zero() and mu.is_zero()):
+            yield lam, mu
+
+
+@pytest.mark.parametrize("delta", [-40, -15])
+def test_is_unimodular_matches_minor_gcd_oracle(delta):
+    for lam, mu in _random_pairs(delta):
         m = is_unimodular(lam, mu)
         assert (m is not None) == _unimodular_oracle(lam, mu)
         if m is not None:
             assert (m.m11, m.m21) in {(lam, mu), (-lam, -mu)}
             assert is_unimodular(lam, mu) == m
+
+
+def _oint_one_in_span(lam, mu):
+    """The column echelon on rows built with OInt products: the reference _one_in_span must match entry for entry."""
+    order = lam.order
+    rows = []
+    for i, g in enumerate((lam, lam * order.tau, mu, mu * order.tau)):
+        row = [g.a, g.b, 0, 0, 0, 0]
+        row[2 + i] = 1
+        rows.append(row)
+
+    def clear_column(col, pool):
+        live = [r for r in pool if r[col] != 0]
+        rest = [r for r in pool if r[col] == 0]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            pivot = live[0]
+            for r in live[1:]:
+                q = r[col] // pivot[col]
+                for j in range(6):
+                    r[j] -= q * pivot[j]
+            rest.extend(r for r in live[1:] if r[col] == 0)
+            live = [pivot] + [r for r in live[1:] if r[col] != 0]
+        return (live[0], rest)
+
+    p0, rest = clear_column(0, rows)
+    p1, _ = clear_column(1, rest)
+    c0 = p0[0]
+    c1 = -c0 * p0[1] * p1[1]
+    combo = [c0 * p0[j] + c1 * p1[j] for j in range(6)]
+    return (OInt(order, combo[2], combo[3]), OInt(order, combo[4], combo[5]))
+
+
+@pytest.mark.parametrize("delta", [-20, -31, -40, -163])
+def test_one_in_span_is_the_oint_echelon_on_gap_pairs(delta):
+    # the completion's x and y, not only x*lam + y*mu = 1: the gap-point
+    # and cosets digests pin the completion entries
+    for gp in gap_points(make_order(delta), 200):
+        lam, mu = gp.pair.lam, gp.pair.mu
+        assert _one_in_span(lam, mu) == _oint_one_in_span(lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("delta", [-40, -15])
+def test_one_in_span_is_the_oint_echelon_on_random_pairs(delta):
+    pairs = [(lam, mu) for lam, mu in _random_pairs(delta) if unit_ideal(lam, mu)]
+    assert len(pairs) > 50
+    for lam, mu in pairs:
+        assert _one_in_span(lam, mu) == _oint_one_in_span(lam, mu), (lam, mu)
 
 
 def test_pair_hemisphere_matches_inverse_isometric_hemisphere():

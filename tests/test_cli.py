@@ -378,6 +378,54 @@ def test_plane_flag_parses_exactly():
     assert json.loads(out)["plane"] == "1/2"
 
 
+def _payload(argv):
+    # the dict that main prints for argv, built as main builds it
+    args = cli._PARSER.parse_args(argv)
+    order = make_order(args.disc)
+    body, _ = args.handler(args, order)
+    return {"command": args.command, "discriminant": order.delta, **body}
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    limit = _digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+WRITER_VALUES = [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[{}]]], {"b": {"c": []}, "a": [{}]},
+    "", "caf\u00e9 \u2203 \U0001d53b \ufeff", "\x00\x01\x1f\x7f\t\n\r\b\f \" \\ / </script>",
+    {"\u00e9": 1, "\n": "\u2028", "": None},
+    [True, 1, False, 0, None], {"true": True, "one": 1, "false": False, "zero": 0, "null": None},
+    0, -1, -(10**5999), 10**6000 - 1, [10**5999, [-(10**5999)]],
+    ("a", (1, ("b", [])), ()), {"z": 1, "a": 2, "m": {"y": [3, (4,)], "b": "x"}},
+]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in JSON_CASES], ids=" ".join)
+def test_json_writer_is_the_stdlib_encoder_on_payloads(argv):
+    payload = _payload(argv)
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", WRITER_VALUES, ids=lambda v: type(v).__name__)
+def test_json_writer_is_the_stdlib_encoder_on_edge_values(value):
+    with _no_digit_limit():
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, [0.0], {"a": float("nan")}, {1: "a"}, {"a": {None: 1}}, {"a", "b"}, b"x"])
+def test_json_writer_refuses_what_payloads_never_hold(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
 def test_output_digests():
     for _, argv in JSON_CASES:
         assert " ".join(argv + ["--format", "json"]) in OUTPUT_DIGESTS

@@ -150,7 +150,7 @@ def brute_gap_points(d, count, mu_bound):
     raise AssertionError(f"fewer than {count} gap points with norm(mu) <= {mu_bound}")
 
 
-@pytest.mark.parametrize("delta, mu_bound", [(-15, 160), (-20, 50), (-23, 50), (-40, 30), (-163, 40)])
+@pytest.mark.parametrize("delta, mu_bound", [(-15, 160), (-20, 50), (-23, 50), (-31, 40), (-40, 30), (-163, 40)])
 def test_gap_points_are_the_brute_force_stream(delta, mu_bound):
     d = make_order(delta)
     got = [(gp.pair.lam, gp.pair.mu, gp.min_dist_sq, gp.checked_lattice_points) for gp in gap_points(d, 40)]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,13 @@ def test_gap_points_scope_and_count():
             gap_points(make_order(delta), 1)
     with pytest.raises(ValueError):
         gap_points(ORDER40, 0)
+
+
+def test_gap_points_take_a_count_past_sys_maxsize(monkeypatch):
+    # a count past sys.maxsize stops the stream where it ends, with no error of its own
+    three = gap_points(ORDER40, 3)
+    monkeypatch.setattr(subgroups, "_gap_stream", lambda order: iter(three))
+    assert gap_points(ORDER40, sys.maxsize + 1) == three
 
 
 @pytest.mark.parametrize("delta", [-15, -16, -20, -23, -40, -163])
