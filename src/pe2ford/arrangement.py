@@ -17,18 +17,18 @@ for the truncated arrangement; floats appear only in the SVG emitter.
 The cells come from the integer kernel in cells.py.  A face is clipped
 only by the hemispheres whose discs meet its own, and one integer sweep
 (box_neighbours) lists those candidates instead of a test of every pair.
-The enumeration scans lambda at exactly the reach a kept center can
-have, and it sorts on integers.  The witness walk runs in integers too,
+The enumeration reads pair_scan, the candidate loop that the gap stream
+shares, at exactly the reach a kept center can have, and it sorts on
+integers.  The witness walk runs in integers too,
 so Fractions appear only in the near_sq and far_sq of a Contributes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .cells import Disc, HalfPlane, Point, bisectors, box_neighbours, clip, dist_sq_int, frame_of, power_cell
 from .errors import OutOfScope
@@ -88,10 +88,13 @@ def _one_in_span(lam: OInt, mu: OInt) -> tuple[OInt, OInt]:
 def unit_ideal(lam: OInt, mu: OInt) -> bool:
     """Whether (lam, mu) generates the unit ideal; builds no matrix.
 
-    It does iff (lam, lam*tau, mu, mu*tau) span Z^2, that is iff the gcd of their six 2x2 minors is 1.
+    It does iff (lam, lam*tau, mu, mu*tau) span Z^2, that is iff the gcd of
+    their six 2x2 minors is 1.  With x = lam*conj(mu), those minors are, up to
+    sign, N(lam), N(mu), x.b, x.a, x.a + trace*x.b and tau_norm*x.b, so the
+    gcd is that of N(lam), N(mu), x.a and x.b.
     """
-    gens = (lam, lam * lam.order.tau, mu, mu * mu.order.tau)
-    return math.gcd(*(g.a * k.b - g.b * k.a for g, k in itertools.combinations(gens, 2))) == 1
+    x = lam * mu.conj()
+    return math.gcd(lam.norm(), mu.norm(), x.a, x.b) == 1
 
 
 def is_unimodular(lam: OInt, mu: OInt) -> Mat | None:
@@ -147,52 +150,74 @@ class HemiSet:
     window: FundPolygon
 
 
+def pair_scan(
+    order: Order, centre: KElem, reach: Callable[[int], Fraction]
+) -> Iterator[tuple[OInt, OInt, int, int, int]]:
+    """Candidate pairs (lam, mu, xa, xb, N), mu by its norm N and then key(), with no end.
+
+    mu is nonzero with the canonical sign.  Each pass rescans norm <= bound
+    from the origin, keeps the shell past the previous bound and quadruples
+    the bound; the stable sort by norm keeps key() order within one norm.
+    lam runs over lattice_points_within(centre*mu, reach(N)), and lam*conj(mu)
+    = xa + xb*t, so lam/mu lies at planar ((2*xa + trace*xb)/(2N), xb/(2N)).
+    No ratio comes twice among unimodular pairs: pairs of one ratio differ by
+    a unit, the units are +-1 when |delta| > 4, and mu's canonical sign leaves 1.
+    """
+    e, m = order.trace, order.tau_norm
+    done, bound = 0, 4
+    while True:
+        scan = lattice_points_norm_at_most(order, bound)
+        shell = [mu for mu in scan if mu.norm() > done and mu.is_canonical_positive()]
+        for mu in sorted(shell, key=OInt.norm):
+            norm, ca, cb = mu.norm(), mu.a + e * mu.b, -mu.b  # conj(mu) = ca + cb*t
+            for lam in lattice_points_within(centre * mu, reach(norm)):
+                la, lb = lam.a, lam.b
+                yield lam, mu, la * ca - m * lb * cb, la * cb + lb * ca + e * lb * cb, norm
+        done, bound = bound, 4 * bound
+
+
 def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) -> HemiSet:
     """All hemispheres of pairs with norm(mu) <= norm_bound near the window.
 
     A hemisphere makes the cut when its center lies within one radius
     of the window, so faces clipped at the boundary stay present.  Such
     a center lies within R + 1/sqrt(N) of the window center wc, R the
-    circumradius, so lambda is scanned where |lambda - wc*mu|^2 <=
+    circumradius, so pair_scan reads lambda where |lambda - wc*mu|^2 <=
     (R sqrt(N) + 1)^2, with R sqrt(N) rounded up by an integer square
-    root.  The disc is tested first, in integers, since most miss the
-    window, then unit_ideal; only a pair that passes both is built, and
-    no completion is.  mu has the canonical sign, as (lam, mu) and
-    (-lam, -mu) give one hemisphere, and unimodular pairs of one ratio
-    differ by a unit, so no hemisphere comes twice.  The output is
+    root, and stops past the bound.  The disc is tested first, in
+    integers, since most miss the window, then unit_ideal; only a pair
+    that passes both is built, and no completion is.  The output is
     sorted by descending radius, then v, then u, on the integers (N, V, U).
     """
     if not order.group_scope:
         raise OutOfScope("hemisphere arrangement needs |delta| > 12")
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
-    n = order.abs_delta
+    n, e = order.abs_delta, order.trace
     wu, wv = window.center
     circum_sq = max((u - wu) ** 2 + n * (v - wv) ** 2 for u, v in window.vertices)
-    wc = kelem_from_planar(order, wu, wv)
     frame = frame_of(window.vertices)
-    found: list[tuple[tuple[int, int, int], UnimodularPair]] = []
-    for mu in lattice_points_norm_at_most(order, norm_bound):
-        if not mu.is_canonical_positive():
-            continue
-        norm, mu_bar = mu.norm(), mu.conj()
+
+    def reach(norm: int) -> Fraction:
         # a kept center lam/mu lies within R + 1/sqrt(N) of the window
         # center, R^2 = circum_sq, so |lam - wc*mu| <= R sqrt(N) + 1 and
         # |lam - wc*mu|^2 <= (R sqrt(N) + 1)^2 = R^2 N + 2 R sqrt(N) + 1;
         # and R sqrt(N) < isqrt(floor(R^2 N)) + 1 bounds the middle term
-        rn = circum_sq * norm
-        for lam in lattice_points_within(wc * mu, rn + 2 * (math.isqrt(math.floor(rn)) + 1) + 1):
-            # the center is lam*conj(mu)/N(mu)
-            u, v, l = (lam * mu_bar).planar_int(norm)
-            num, den, _ = dist_sq_int(n, frame, (u, v, l))
-            if num * norm > den:  # farther than the radius 1/sqrt(N(mu)) from the window
-                continue
-            if not unit_ideal(lam, mu):
-                continue
-            found.append(((norm, v, u), UnimodularPair(lam, mu)))
+        return circum_sq * norm + 2 * (math.isqrt(math.floor(circum_sq * norm)) + 1) + 1
+
+    found: list[tuple[tuple[int, int, int], UnimodularPair]] = []
+    for lam, mu, xa, xb, norm in pair_scan(order, kelem_from_planar(order, wu, wv), reach):
+        if norm > norm_bound:
+            break
+        # the center, at planar (u, v)/(2N)
+        u, v = 2 * xa + e * xb, xb
+        num, den, _ = dist_sq_int(n, frame, (u, v, 2 * norm))
+        # farther than the radius 1/sqrt(N(mu)) from the window, or not unimodular
+        if num * norm > den or not unit_ideal(lam, mu):
+            continue
+        found.append(((norm, v, u), UnimodularPair(lam, mu)))
     # radius^2 = 1/N(mu), and centers of one norm share the denominator 2 N(mu)
-    found.sort(key=lambda kp: kp[0])
-    pairs = tuple(p for _, p in found)
+    pairs = tuple(p for _, p in sorted(found, key=lambda kp: kp[0]))
     return HemiSet(
         order=order,
         hemispheres=tuple(p.hemisphere() for p in pairs),
@@ -325,6 +350,8 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
     clips every other, even one whose disc it does not meet: a disjoint
     rival still moves where a part ends.
     """
+    if t0 <= 0:
+        raise ValueError("the plane needs t0 > 0")
     n = hs.order.abs_delta
     frame = frame_of((start, end))
     discs = []  # the discs that reach the segment

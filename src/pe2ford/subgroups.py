@@ -30,6 +30,7 @@ from .arrangement import (
     enumerate_hemispheres,
     envelope_dips_below,
     face_statuses,
+    pair_scan,
     plane_split,
     unit_ideal,
 )
@@ -42,8 +43,6 @@ from .orders import (
     Order,
     gap_neighbourhood,
     kelem_from_planar,
-    lattice_points_norm_at_most,
-    lattice_points_within,
     nearest_lattice_point,
 )
 from .words import MembershipResult, NonMember, R, S, Word, membership, word_to_matrix
@@ -88,35 +87,18 @@ def gap_check(z: KElem) -> Fraction | None:
 
 
 def _gap_stream(order: Order) -> Iterator[GapPoint]:
-    # mu with its canonical sign, by norm and then key(): each pass rescans
-    # norm <= bound from the origin, keeps the shell past the previous bound,
-    # and quadruples the bound; the stable sort by norm keeps the scan's key()
-    # order within one norm.  Ratios are confined to the half-open cell band
-    # u in [0, 1), v in [0, 1/2), which meets every translation orbit once.
-    # The ratio is (xa + xb*t)/N with xa + xb*t = lam*conj(mu) and N = norm(mu),
-    # at planar ((2*xa + trace*xb)/(2N), xb/(2N)): the band test and the gap
-    # rule read these ints, unreduced, and unit_ideal runs only on gap ratios.
-    # No ratio repeats, as unimodular pairs of one ratio differ by a unit, the
-    # units are +-1, and mu's canonical sign leaves only 1.
-    n, e, m = order.abs_delta, order.trace, order.tau_norm
+    # the ratios of pair_scan in the half-open cell band u in [0, 1), v in [0, 1/2),
+    # which meets every translation orbit once; the band test and the gap rule
+    # read the scan's ints, and unit_ideal runs only on gap ratios
+    e = order.trace
     band_center = kelem_from_planar(order, Fraction(1, 2), Fraction(1, 4))
-    band_circum = Fraction(1, 4) + Fraction(n, 16)
-    done, bound = 0, 4
-    while True:
-        scan = lattice_points_norm_at_most(order, bound)
-        shell = [mu for mu in scan if mu.norm() > done and mu.is_canonical_positive()]
-        for mu in sorted(shell, key=OInt.norm):
-            norm, ca, cb = mu.norm(), mu.a + e * mu.b, -mu.b  # conj(mu) = ca + cb*t
-            for lam in lattice_points_within(band_center * mu, band_circum * norm):
-                la, lb = lam.a, lam.b
-                xa, xb = la * ca - m * lb * cb, la * cb + lb * ca + e * lb * cb
-                if not (0 <= 2 * xa + e * xb < 2 * norm and 0 <= xb < norm):
-                    continue
-                min_dist = _gap_dist(order, xa, xb, norm)
-                if min_dist is None or not unit_ideal(lam, mu):
-                    continue
-                yield GapPoint(UnimodularPair(lam, mu), min_dist)
-        done, bound = bound, 4 * bound
+    band_circum = Fraction(1, 4) + Fraction(order.abs_delta, 16)
+    for lam, mu, xa, xb, norm in pair_scan(order, band_center, lambda norm: band_circum * norm):
+        if not (0 <= 2 * xa + e * xb < 2 * norm and 0 <= xb < norm):
+            continue
+        min_dist = _gap_dist(order, xa, xb, norm)
+        if min_dist is not None and unit_ideal(lam, mu):
+            yield GapPoint(UnimodularPair(lam, mu), min_dist)
 
 
 def gap_points(order: Order, count: int) -> list[GapPoint]:

@@ -95,9 +95,11 @@ def _random_pairs(delta):
             yield lam, mu
 
 
-@pytest.mark.parametrize("delta", [-40, -15])
+@pytest.mark.parametrize("delta", [-3, -4, -7, -8, -11, -12, -15, -20, -40, -163, -1003])
 def test_is_unimodular_matches_minor_gcd_oracle(delta):
+    # unit_ideal reads four integers, N(lam), N(mu) and lam*conj(mu); the oracle, all six minors
     for lam, mu in _random_pairs(delta):
+        assert unit_ideal(lam, mu) == _unimodular_oracle(lam, mu)
         m = is_unimodular(lam, mu)
         assert (m is not None) == _unimodular_oracle(lam, mu)
         if m is not None:
@@ -246,7 +248,10 @@ def test_enumerate_gives_each_hemisphere_once(delta, bound):
 
 
 @pytest.mark.parametrize(
-    "delta, bound", [(-15, 8), (-19, 16), (-20, 8), (-40, 16), (-43, 8), (-67, 24), (-163, 16)]
+    "delta, bound",
+    [(-15, 8), (-19, 16), (-20, 8), (-40, 16), (-43, 8), (-67, 24), (-163, 16)]
+    # the mu shells end at norms 4, 16, 64, ...: bounds on a shell edge and one past it
+    + [(delta, bound) for delta in (-15, -20) for bound in (4, 5, 16, 17)],
 )
 def test_enumerate_is_complete(delta, bound):
     # reference: a box scan of every canonical mu with norm <= bound and every lam in
@@ -288,6 +293,7 @@ def test_enumerate_is_complete(delta, bound):
                     want.add((lam, mu))
         hs = enumerate_hemispheres(order, bound, window)
         assert {(p.lam, p.mu) for p in hs.pairs} == want
+        assert len(hs.pairs) == len(want)  # and no pair twice
         for p in hs.pairs:
             m = p.completion
             assert m.m11 * m.m22 - m.m12 * m.m21 == order.one
@@ -471,6 +477,17 @@ def test_plane_split_needs_a_positive_plane():
     for t0 in (Fraction(0), Fraction(-2, 3)):
         with pytest.raises(ValueError):
             plane_split(hs, statuses, t0)
+    # and so do the wall dips: on the -40/16 arrangement the u-wall dips under
+    # t = 2/3 and the v-wall does not, and a squared t0 gives the same at -2/3
+    hs = _rect_set()
+    (u_lo, v_lo), (u_hi, v_hi) = min(hs.window.vertices), max(hs.window.vertices)
+    u_wall, v_wall = ((u_lo, v_lo), (u_lo, v_hi)), ((u_lo, v_lo), (u_hi, v_lo))
+    assert envelope_dips_below(hs, *u_wall, Fraction(2, 3))
+    assert not envelope_dips_below(hs, *v_wall, Fraction(2, 3))
+    for wall in (u_wall, v_wall):
+        for t0 in (Fraction(0), Fraction(-2, 3)):
+            with pytest.raises(ValueError, match="t0 > 0"):
+                envelope_dips_below(hs, *wall, t0)
 
 
 def test_envelope_dips_below_on_hand_made_segments():
