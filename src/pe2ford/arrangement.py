@@ -17,10 +17,13 @@ for the truncated arrangement; floats appear only in the SVG emitter.
 The cells come from the integer kernel in cells.py.  A face is clipped
 only by the hemispheres whose discs meet its own, and one integer sweep
 (box_neighbours) lists those candidates instead of a test of every pair.
-The enumeration reads pair_scan, the candidate loop that the gap stream
-shares, at exactly the reach a kept center can have, and it sorts on
-integers.  The witness walk runs in integers too,
-so Fractions appear only in the near_sq and far_sq of a Contributes.
+The face clips as each rival's bisector comes and stops at its first
+rival that covers it alone, or as soon as its cell is empty.  The
+enumeration reads pair_scan, the candidate loop that the gap stream
+shares, at exactly the reach a kept center can have, drops a far center
+on the window's bounding box before the exact window distance, and
+sorts on integers.  The witness walk runs in integers too, so Fractions
+appear only in the near_sq and far_sq of a Contributes.
 """
 
 from __future__ import annotations
@@ -185,8 +188,10 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     circumradius, so pair_scan reads lambda where |lambda - wc*mu|^2 <=
     (R sqrt(N) + 1)^2, with R sqrt(N) rounded up by an integer square
     root, and stops past the bound.  The disc is tested first, in
-    integers, since most miss the window, then unit_ideal; only a pair
-    that passes both is built, and no completion is.  The output is
+    integers, since most miss the window: against the window's bounding
+    box, which decides a rectangle and drops most far centers of any
+    window, then by dist_sq_int; then unit_ideal.  Only a pair that
+    passes all three is built, and no completion is.  The output is
     sorted by descending radius, then v, then u, on the integers (N, V, U).
     """
     if not order.group_scope:
@@ -197,6 +202,9 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     wu, wv = window.center
     circum_sq = max((u - wu) ** 2 + n * (v - wv) ** 2 for u, v in window.vertices)
     frame = frame_of(window.vertices)
+    w, pts = frame
+    xlo, xhi = min(x for x, _ in pts), max(x for x, _ in pts)
+    ylo, yhi = min(y for _, y in pts), max(y for _, y in pts)
 
     def reach(norm: int) -> Fraction:
         # a kept center lam/mu lies within R + 1/sqrt(N) of the window
@@ -209,9 +217,14 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     for lam, mu, xa, xb, norm in pair_scan(order, kelem_from_planar(order, wu, wv), reach):
         if norm > norm_bound:
             break
-        # the center, at planar (u, v)/(2N)
-        u, v = 2 * xa + e * xb, xb
-        num, den, _ = dist_sq_int(n, frame, (u, v, 2 * norm))
+        # the center, at planar (u, v)/(2N); first its distance to the
+        # frame's bounding box, times W*2N, which is at most the window's
+        u, v, l = 2 * xa + e * xb, xb, 2 * norm
+        du = max(xlo * l - u * w, u * w - xhi * l, 0)
+        dv = max(ylo * l - v * w, v * w - yhi * l, 0)
+        if (du * du + n * dv * dv) * norm > (w * l) ** 2:
+            continue
+        num, den, _ = dist_sq_int(n, frame, (u, v, l))
         # farther than the radius 1/sqrt(N(mu)) from the window, or not unimodular
         if num * norm > den or not unit_ideal(lam, mu):
             continue
@@ -247,18 +260,23 @@ class Covered:
 FaceStatus = Contributes | Covered
 
 
-def _rivals(n: int, hd: Disc, pool: Sequence[Hemisphere]) -> list[HalfPlane] | None:
-    """Bisectors against the hemispheres of pool whose open disc meets the disc hd.
+_EMPTY: HalfPlane = (0, 0, -1)  # 0 <= -1 holds nowhere, so it clips any cell away
 
-    Returns None when the pool holds a duplicate of hd: a tie at every
-    point means no strict dominance anywhere.
+
+def _rivals(n: int, hd: Disc, pool: Sequence[Hemisphere], kept: list[HalfPlane]) -> Iterator[HalfPlane]:
+    """Bisectors against the hemispheres of pool whose open disc meets the disc hd, in pool order.
+
+    Each is appended to kept as it is yielded.  A duplicate of hd (a tie at
+    every point means no strict dominance anywhere), or a rival that covers
+    hd's open disc by itself (the lemma in face_status), ends the walk with
+    _EMPTY instead.
     """
     hu, hv, hl, hp, hq = hd
-    rivals = []
     for k in pool:
         kd = k.disc
         if kd == hd:
-            return None
+            yield _EMPTY
+            return
         ku, kv, kl, kp, kq = kd
         # gap = |c_h - c_k|^2 - r_h^2 - r_k^2, times (L_h L_k)^2 Q_h Q_k > 0
         du, dv = hu * kl - ku * hl, hv * kl - kv * hl
@@ -267,20 +285,43 @@ def _rivals(n: int, hd: Disc, pool: Sequence[Hemisphere]) -> list[HalfPlane] | N
         g = (du * du + n * dv * dv) * qq - (hp * kq + kp * hq) * ll
         if g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2:
             continue  # gap^2 >= 4 r_h^2 r_k^2: open discs disjoint, k is below the floor on all of h
-        rivals.append(kd)
-    return bisectors(n, hd, rivals)
+        ((a, b, c),) = bisectors(n, hd, (kd,))
+        s = a * hu + b * hv - c * hl
+        if s > 0 and s * s * n * hq >= hp * hl * hl * (n * a * a + b * b):
+            yield _EMPTY
+            return
+        kept.append((a, b, c))
+        yield (a, b, c)
 
 
 def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     """Contributes iff h's power cell against its rivals has area and meets h's open disc.
 
-    rest is taken literally, so a duplicate of h in it means Covered.
+    rest is taken literally, so a duplicate of h in it means Covered.  One
+    walk over rest, in its order, clips the cell by each rival's bisector
+    as it comes and stops as soon as the face is Covered: at a duplicate,
+    at a cell of fewer than 3 points, or at a rival that covers h alone.
+    A face that contributes is clipped by every rival in order, so its
+    cell, witness, near_sq and far_sq do not depend on where a walk stops.
+
+    One-rival cover.  Let a*u + b*v <= c be the bisector against one
+    rival, the closed half-plane where h is at least as high; h has
+    center (hu, hv)/hl and squared radius hp/hq, and s = a*hu + b*hv - c*hl.
+    If s > 0 and s^2 n hq >= hp hl^2 (n a^2 + b^2), with n = |delta|, the
+    half-plane misses h's open disc.  Proof: a point z of the half-plane
+    has a*(hu/hl - z_u) + b*(hv/hl - z_v) >= s/hl > 0.  When a = b = 0 no
+    z has, so the half-plane is empty.  Otherwise, by Cauchy-Schwarz, the
+    left side is at most sqrt(a^2 + b^2/n) times |z - center| in the
+    metric u^2 + n v^2, so |z - center|^2 >= s^2 n / (hl^2 (n a^2 + b^2))
+    >= hp/hq, the squared radius.  The cell lies in the half-plane, so no
+    point of it is in the open disc, and the face is Covered whatever the
+    other rivals do.
     """
     order = h.center.order
     n = order.abs_delta
     hd = h.disc
-    planes = _rivals(n, hd, rest)
-    cell = None if planes is None else power_cell(hd, planes)
+    planes: list[HalfPlane] = []
+    cell = power_cell(hd, _rivals(n, hd, rest, planes))
     if cell is None:
         return Covered()
     hu, hv, hl, hp, hq = hd
@@ -313,8 +354,8 @@ def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:
 
     Only a hemisphere whose disc meets h's can be a rival, so h is
     tested against its box_neighbours.  They come in set order, a
-    subsequence of all the others, so _rivals keeps the same bisectors
-    in the same order as it would from the full set.
+    subsequence of all the others, so the walk meets the same rivals in
+    the same order as it would in the full set.
     """
     hemis = hs.hemispheres
     near = box_neighbours(hs.order.abs_delta, [h.disc for h in hemis])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # (U, V, L, P, Q): planar center (U/L, V/L) and squared radius P/Q, with L, Q > 0
 Disc = tuple[int, int, int, int, int]
@@ -161,8 +161,11 @@ def clip(poly: list[HPoint], plane: HalfPlane) -> list[HPoint]:
     return out
 
 
-def power_cell(hd: Disc, planes: Sequence[HalfPlane]) -> Frame | None:
+def power_cell(hd: Disc, planes: Iterable[HalfPlane]) -> Frame | None:
     """Closed power cell of the disc in the box center +-1; None without area.
+
+    The planes are read one at a time, and none is read after the cell
+    drops below 3 points, so a lazy caller can stop building them.
 
     The box holds every cell that is asked for.  A hemisphere's disc has
     radius at most 1, so the box holds the disc, and with it every point

@@ -20,6 +20,7 @@ from pe2ford.arrangement import (
     Covered,
     HemiSet,
     UnimodularPair,
+    _EMPTY,
     _one_in_span,
     _rivals,
     enumerate_hemispheres,
@@ -31,7 +32,7 @@ from pe2ford.arrangement import (
     svg_topview,
     unit_ideal,
 )
-from pe2ford.cells import bisectors, box_neighbours, clip, dist_sq_int, frame_of
+from pe2ford.cells import bisectors, box_neighbours, clip, dist_sq_int, frame_of, power_cell
 from pe2ford.errors import OutOfScope
 from pe2ford.ford import amalgam_rectangle, voronoi_cell
 from pe2ford.moebius import Hemisphere, Mat
@@ -369,8 +370,8 @@ def _check_box_neighbours(hs):
     full = []
     for i, h in enumerate(hemis):
         rest = hemis[:i] + hemis[i + 1 :]
-        # a duplicate (None) counts as kept
-        kept = {j for j, k in enumerate(hemis) if j != i and _rivals(n, h.disc, [k]) != []}
+        # a duplicate or a one-rival cover (_EMPTY) counts as kept
+        kept = {j for j, k in enumerate(hemis) if j != i and list(_rivals(n, h.disc, [k], [])) != []}
         assert kept <= set(near[i])
         full.append(face_status(h, rest))
     assert face_statuses(hs) == tuple(full)
@@ -610,13 +611,20 @@ def test_integer_kernel_matches_fractions(delta, data):
             hcp, kcp = h.center.planar(), k.center.planar()
             gap = (hcp[0] - kcp[0]) ** 2 + n * (hcp[1] - kcp[1]) ** 2 - h.radius_sq - k.radius_sq
             disjoint = gap >= 0 and gap * gap >= 4 * h.radius_sq * k.radius_sq
-            planes = _rivals(n, h.disc, [k])
+            kept = []
+            walk = list(_rivals(n, h.disc, [k], kept))
             if (hcp, hr) == (kcp, rsq):
-                assert planes is None
+                assert walk == [_EMPTY] and kept == []
                 continue
-            assert planes is not None and len(planes) == (0 if disjoint else 1)
             (plane,) = bisectors(n, h.disc, [k.disc])
-            assert planes in ([], [plane])
+            # the one-rival cover, on the Fraction bisector A u + B v <= C where h is at least
+            # as high: h's center strictly outside it and at least one radius from its line
+            ca, cb = 2 * (kcp[0] - hcp[0]), 2 * n * (kcp[1] - hcp[1])
+            cc = kcp[0] ** 2 + n * kcp[1] ** 2 - rsq - (hcp[0] ** 2 + n * hcp[1] ** 2 - hr)
+            sd = ca * hcp[0] + cb * hcp[1] - cc
+            covers = sd > 0 and sd * sd * n >= hr * (n * ca * ca + cb * cb)
+            assert walk == ([] if disjoint else [_EMPTY] if covers else [plane])
+            assert kept == ([] if disjoint or covers else [plane])
             a, b, cc = plane
             assert isinstance(a, int) and isinstance(b, int) and isinstance(cc, int)
             assert math.gcd(a, b, cc) in (0, 1)
@@ -644,6 +652,96 @@ def test_integer_kernel_matches_fractions(delta, data):
             near = _read(dist_sq_int(n, frame_of(seg), z.planar_int()))
             assert near == _segment_nearest_ref(n, *seg, z.planar())
 
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(delta=st.sampled_from(DISCS), data=st.data())
+def test_one_rival_cover_leaves_no_cell_point_in_the_disc(delta, data):
+    # whenever the walk ends on one rival's cover, that rival's power cell alone keeps no
+    # point in h's open disc, by the Fraction distance of _polygon_nearest_ref
+    order = make_order(delta)
+    n = order.abs_delta
+    point = st.tuples(rationals(), rationals(1, 24))
+    fired = 0
+    for _ in range(8):
+        hc, hr = data.draw(point), data.draw(radii_sq())
+        h = Hemisphere(kelem_from_planar(order, *hc), hr)
+        rivals = [(data.draw(point), data.draw(radii_sq())), (hc, data.draw(radii_sq()))]  # the same center
+        r = Fraction(math.isqrt(hr.numerator), math.isqrt(hr.denominator))
+        if r * r == hr:
+            d = Fraction(data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24)))
+            # rivals that hold h's disc tangent inside (at distance exactly r_k - r), then
+            # ones a hair smaller, and a rival tangent outside
+            for rk in (r + d, r + d - Fraction(1, 10**6)):
+                rivals += [((hc[0] + d, hc[1]), rk * rk), ((hc[0] - d, hc[1]), rk * rk)]
+            rivals.append(((hc[0] + r + d, hc[1]), d * d))
+        for c, rsq in rivals:
+            k = Hemisphere(kelem_from_planar(order, *c), rsq)
+            if k == h or list(_rivals(n, h.disc, [k], [])) != [_EMPTY]:
+                continue
+            fired += 1
+            cell = power_cell(h.disc, bisectors(n, h.disc, [k.disc]))
+            if cell is not None:
+                w, verts = cell
+                poly = [(Fraction(x, w), Fraction(y, w)) for x, y in verts]
+                assert _polygon_nearest_ref(n, poly, h.center.planar())[0] >= hr
+    assert fired
+
+
+def _all_rivals_status(h, rest):
+    # the all-rivals classifier: every rival the disjointness rule keeps, all of their
+    # bisectors, then one power cell, the near test and the witness walk
+    order = h.center.order
+    n = order.abs_delta
+    hd = h.disc
+    hu, hv, hl, hp, hq = hd
+    if any(k.disc == hd for k in rest):
+        return Covered()
+    rivals = []
+    for k in rest:
+        ku, kv, kl, kp, kq = k.disc
+        du, dv = hu * kl - ku * hl, hv * kl - kv * hl
+        qq, ll = hq * kq, (hl * kl) ** 2
+        g = (du * du + n * dv * dv) * qq - (hp * kq + kp * hq) * ll
+        if not (g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2):
+            rivals.append(k.disc)
+    planes = bisectors(n, hd, rivals)
+    cell = power_cell(hd, planes)
+    if cell is None:
+        return Covered()
+    near_num, near_den, (x, y, w) = dist_sq_int(n, cell, (hu, hv, hl))
+    if near_num * hq >= hp * near_den:
+        return Covered()
+    cw, verts = cell
+    far_num = max((vx * hl - hu * cw) ** 2 + n * (vy * hl - hv * cw) ** 2 for vx, vy in verts)
+    witness = h.center
+    if not all(a * hu + b * hv < c * hl for a, b, c in planes):
+        kw = len(verts) * cw
+        sx, sy = (sum(p[i] for p in verts) for i in (0, 1))
+        j = 1
+        while True:
+            ww = j * w * kw
+            wx, wy = (j - 1) * kw * x + w * sx, (j - 1) * kw * y + w * sy
+            if ((wx * hl - hu * ww) ** 2 + n * (wy * hl - hv * ww) ** 2) * hq < hp * (ww * hl) ** 2:
+                break
+            j *= 2
+        witness = KElem.of(OInt(order, wx - order.trace * wy, 2 * wy), ww)
+    return Contributes(witness, Fraction(near_num, near_den), Fraction(far_num, (cw * hl) ** 2))
+
+
+@pytest.mark.parametrize(
+    "delta, bound",
+    list(itertools.product((-15, -19, -20, -40, -43, -67, -163, -1003), (1, 4, 5, 16, 17))) + [(-40, 64)],
+)
+def test_one_pass_classifier_matches_all_rivals(delta, bound):
+    # the walk stops at a duplicate, an empty cell or a one-rival cover; every status,
+    # witness, near_sq and far_sq is still the all-rivals classifier's
+    order = make_order(delta)
+    for window in (amalgam_rectangle(order), voronoi_cell(order)):
+        hs = enumerate_hemispheres(order, bound, window)
+        hemis = hs.hemispheres
+        near = box_neighbours(order.abs_delta, [h.disc for h in hemis])
+        want = tuple(_all_rivals_status(h, [hemis[k] for k in ks]) for h, ks in zip(hemis, near))
+        assert face_statuses(hs) == want, window.kind
 
 def test_pe2_only_subarrangement_has_radius_one_faces():
     full = _rect_set()

@@ -190,6 +190,10 @@ def test_usage_errors_exit_2():
     [
         ["cosets", "--disc", "-40", "--count", "0"],
         ["gap-points", "--disc", "-40", "--count", "-1"],
+        # one past MAX_COUNT: refused while parsing, so nothing runs
+        ["cosets", "--disc", "-40", "--count", str(cli.MAX_COUNT + 1)],
+        ["gap-points", "--disc", "-40", "--count", str(cli.MAX_COUNT + 1)],
+        ["gap-points", "--disc", "-40", "--count", "99999999999999999999"],
         ["arrangement", "--disc", "-40", "--bound", "0"],
         ["amalgam", "--disc", "-40", "--bound", "0"],
         ["amalgam", "--disc", "-40", "--plane", "0"],
