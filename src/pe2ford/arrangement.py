@@ -18,7 +18,8 @@ The cells come from the integer kernel in cells.py.  A face is clipped
 only by the hemispheres whose discs meet its own, and one integer sweep
 (box_neighbours) lists those candidates instead of a test of every pair.
 The face clips as each rival's bisector comes and stops at its first
-rival that covers it alone, or as soon as its cell is empty.  The
+rival that covers it alone, or as soon as its cell is empty; a wall
+clips each disc's part of it the same way, bisector by bisector.  The
 enumeration reads pair_scan, the candidate loop that the gap stream
 shares, at exactly the reach a kept center can have, drops a far center
 on the window's bounding box before the exact window distance, and
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .cells import Disc, HalfPlane, Point, bisectors, box_neighbours, clip, dist_sq_int, frame_of, power_cell
+from .cells import Disc, HalfPlane, Point, bisector, box_neighbours, clip, dist_sq_int, frame_of, power_cell
 from .errors import OutOfScope
 from .ford import FundPolygon
 from .moebius import Hemisphere, Mat
@@ -263,13 +264,12 @@ FaceStatus = Contributes | Covered
 _EMPTY: HalfPlane = (0, 0, -1)  # 0 <= -1 holds nowhere, so it clips any cell away
 
 
-def _rivals(n: int, hd: Disc, pool: Sequence[Hemisphere], kept: list[HalfPlane]) -> Iterator[HalfPlane]:
+def _rivals(n: int, hd: Disc, pool: Sequence[Hemisphere]) -> Iterator[HalfPlane]:
     """Bisectors against the hemispheres of pool whose open disc meets the disc hd, in pool order.
 
-    Each is appended to kept as it is yielded.  A duplicate of hd (a tie at
-    every point means no strict dominance anywhere), or a rival that covers
-    hd's open disc by itself (the lemma in face_status), ends the walk with
-    _EMPTY instead.
+    A duplicate of hd (a tie at every point means no strict dominance
+    anywhere), or a rival that covers hd's open disc by itself (the lemma
+    in face_status), ends the walk with _EMPTY instead.
     """
     hu, hv, hl, hp, hq = hd
     for k in pool:
@@ -285,12 +285,11 @@ def _rivals(n: int, hd: Disc, pool: Sequence[Hemisphere], kept: list[HalfPlane])
         g = (du * du + n * dv * dv) * qq - (hp * kq + kp * hq) * ll
         if g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2:
             continue  # gap^2 >= 4 r_h^2 r_k^2: open discs disjoint, k is below the floor on all of h
-        ((a, b, c),) = bisectors(n, hd, (kd,))
+        a, b, c = bisector(n, hd, kd)
         s = a * hu + b * hv - c * hl
         if s > 0 and s * s * n * hq >= hp * hl * hl * (n * a * a + b * b):
             yield _EMPTY
             return
-        kept.append((a, b, c))
         yield (a, b, c)
 
 
@@ -320,8 +319,7 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     order = h.center.order
     n = order.abs_delta
     hd = h.disc
-    planes: list[HalfPlane] = []
-    cell = power_cell(hd, _rivals(n, hd, rest, planes))
+    cell = power_cell(hd, _rivals(n, hd, rest))
     if cell is None:
         return Covered()
     hu, hv, hl, hp, hq = hd
@@ -332,7 +330,11 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     # |vertex - center|^2 times (W L)^2
     far_num = max((vx * hl - hu * cw) ** 2 + n * (vy * hl - hv * cw) ** 2 for vx, vy in verts)
     witness = h.center
-    if not all(a * hu + b * hv < c * hl for a, b, c in planes):
+    # the cell is the box around the center cut by the yielded planes and has area,
+    # so the center is strictly inside every plane iff it is strictly left of
+    # every counterclockwise edge of the cell, collinear vertices included
+    edges = zip(verts[-1:] + verts, verts)
+    if not all((bx - ax) * (hv * cw - ay * hl) > (by - ay) * (hu * cw - ax * hl) for (ax, ay), (bx, by) in edges):
         # the center is not strictly inside; points strictly between the nearest point
         # (x, y)/w and the vertex average (sx, sy)/kw are, so halve toward it
         kw = len(verts) * cw
@@ -389,7 +391,13 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
     the ends of that part are its lowest points.  Where no disc reaches,
     the height is the floor 0.  Every disc that reaches the segment
     clips every other, even one whose disc it does not meet: a disjoint
-    rival still moves where a part ends.
+    rival still moves where a part ends.  Each bisector is built only
+    when its clip comes, and the walk stops once the part is empty, so
+    the clips up to that stop are those of a walk over every other disc.
+
+    The face walk's disjointness skip is not used here: it would be exact
+    only with one more test, whether the part meets h's closed disc, and
+    a proof of it, and on the amalgam walls it saves no time.
     """
     if t0 <= 0:
         raise ValueError("the plane needs t0 > 0")
@@ -409,8 +417,8 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
     ends = [(x, y, w) for x, y in pts]
     for i, hd in enumerate(discs):
         part = ends
-        for plane in bisectors(n, hd, discs[:i] + discs[i + 1 :]):
-            part = clip(part, plane)
+        for kd in discs[:i] + discs[i + 1 :]:
+            part = clip(part, bisector(n, hd, kd))
             if not part:
                 break
         u, v, l, p, q = hd

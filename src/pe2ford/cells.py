@@ -1,11 +1,13 @@
 """The planar integer cell kernel: bisectors, clipping, power cells, distances.
 
 Points are (u, v) for u + v*sqrt(|delta|)*i, in the metric u^2 + |delta| v^2.
-Each disc is read once into integers (Hemisphere.disc); the bisectors are
-integer half-planes, cells are clipped in homogeneous integer points
-(x, y, w), and dist_sq_int, the one planar distance routine, measures a
-point against a cell over one common denominator (a Frame).  The Voronoi
-cell of the lattice is the power cell of the unit disc at 0.
+Each disc is read once into integers (Hemisphere.disc).  bisector, the one
+routine that builds a bisector, gives the integer half-plane of one pair
+of discs, so a caller builds each plane only when its clip needs it.
+Cells are clipped in homogeneous integer points (x, y, w), and
+dist_sq_int, the one planar distance routine, measures a point against a
+cell over one common denominator (a Frame).  The Voronoi cell of the
+lattice is the power cell of the unit disc at 0.
 
 box_neighbours finds which discs can meet with one sweep instead of a
 test of every pair: each disc is read into an integer box in
@@ -114,25 +116,22 @@ def box_neighbours(n: int, discs: Sequence[Disc]) -> list[list[int]]:
     return near
 
 
-def bisectors(n: int, hd: Disc, pool: Sequence[Disc]) -> list[HalfPlane]:
-    """Closed half-planes where the disc hd is at least as high as each disc of pool.
+def bisector(n: int, hd: Disc, kd: Disc) -> HalfPlane:
+    """Closed half-plane where the disc hd is at least as high as the disc kd.
 
     pow_h(z) <= pow_k(z) reads 2 (c_k - c_h).(u, |delta| v) <= pow_k(0) - pow_h(0);
     times (L_h L_k)^2 Q_h Q_k, then divided by the content, it has integer
     coefficients.  A positive rescale moves no clip point.
     """
     hu, hv, hl, hp, hq = hd
-    h_pow = hu * hu + n * hv * hv  # |c_h|^2 L_h^2
-    planes = []
-    for ku, kv, kl, kp, kq in pool:
-        lq = 2 * hl * kl * hq * kq
-        a = (ku * hl - hu * kl) * lq
-        b = n * (kv * hl - hv * kl) * lq
-        ll = (hl * kl) ** 2
-        c = ((ku * ku + n * kv * kv) * hl * hl - h_pow * kl * kl) * hq * kq - (kp * hq - hp * kq) * ll
-        g = math.gcd(a, b, c) or 1
-        planes.append((a // g, b // g, c // g))
-    return planes
+    ku, kv, kl, kp, kq = kd
+    lq = 2 * hl * kl * hq * kq
+    a = (ku * hl - hu * kl) * lq
+    b = n * (kv * hl - hv * kl) * lq
+    ll = (hl * kl) ** 2
+    c = ((ku * ku + n * kv * kv) * hl * hl - (hu * hu + n * hv * hv) * kl * kl) * hq * kq - (kp * hq - hp * kq) * ll
+    g = math.gcd(a, b, c) or 1
+    return (a // g, b // g, c // g)
 
 
 def clip(poly: list[HPoint], plane: HalfPlane) -> list[HPoint]:

@@ -32,7 +32,7 @@ from pe2ford.arrangement import (
     svg_topview,
     unit_ideal,
 )
-from pe2ford.cells import bisectors, box_neighbours, clip, dist_sq_int, frame_of, power_cell
+from pe2ford.cells import bisector, box_neighbours, clip, dist_sq_int, frame_of, power_cell
 from pe2ford.errors import OutOfScope
 from pe2ford.ford import amalgam_rectangle, voronoi_cell
 from pe2ford.moebius import Hemisphere, Mat
@@ -371,7 +371,7 @@ def _check_box_neighbours(hs):
     for i, h in enumerate(hemis):
         rest = hemis[:i] + hemis[i + 1 :]
         # a duplicate or a one-rival cover (_EMPTY) counts as kept
-        kept = {j for j, k in enumerate(hemis) if j != i and list(_rivals(n, h.disc, [k], [])) != []}
+        kept = {j for j, k in enumerate(hemis) if j != i and list(_rivals(n, h.disc, [k])) != []}
         assert kept <= set(near[i])
         full.append(face_status(h, rest))
     assert face_statuses(hs) == tuple(full)
@@ -517,6 +517,80 @@ def test_envelope_dips_below_on_hand_made_segments():
     assert envelope_dips_below(one, (Fraction(3), Fraction(0)), (Fraction(3), Fraction(0)), Fraction(1, 100))
 
 
+def _all_pairs_dips(hs, start, end, t0):
+    # the eager wall walk: each reaching disc builds its bisectors against every other
+    # reaching disc before its first clip, then clips until the part is empty
+    n = hs.order.abs_delta
+    frame = frame_of((start, end))
+    discs = []
+    for h in hs.hemispheres:
+        u, v, l, p, q = h.disc
+        num, den, _ = dist_sq_int(n, frame, (u, v, l))
+        if num * q < p * den:
+            discs.append(h.disc)
+    if not discs:
+        return True
+    t0sq = Fraction(t0) ** 2
+    ta, tb = t0sq.numerator, t0sq.denominator
+    w, pts = frame
+    ends = [(x, y, w) for x, y in pts]
+    for i, hd in enumerate(discs):
+        part = ends
+        for plane in [bisector(n, hd, kd) for kd in discs[:i] + discs[i + 1 :]]:
+            part = clip(part, plane)
+            if not part:
+                break
+        u, v, l, p, q = hd
+        for x, y, pw in part:
+            s = (pw * l) ** 2
+            d = (x * l - u * pw) ** 2 + n * (y * l - v * pw) ** 2
+            if (p * s - d * q) * tb < ta * q * s:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("delta", [-15, -19, -20, -24, -40, -43, -67, -163, -1003])
+def test_lazy_wall_walk_matches_all_pairs(delta):
+    # the walk that builds each bisector as its clip comes gives the eager walk's answer
+    # on the window sides and on random segments, reversed ones and points included
+    order = make_order(delta)
+    rng = random.Random(delta)
+    window = amalgam_rectangle(order)
+    (u_lo, v_lo), (u_hi, v_hi) = min(window.vertices), max(window.vertices)
+    segments = [
+        ((u_lo, v_lo), (u_lo, v_hi)),
+        ((u_hi, v_lo), (u_hi, v_hi)),
+        ((u_lo, v_lo), (u_hi, v_lo)),
+        ((u_lo, v_hi), (u_hi, v_hi)),
+    ]
+    for _ in range(5):
+        a, b = ((Fraction(rng.randint(-18, 18), 24), Fraction(rng.randint(-6, 18), 24)) for _ in range(2))
+        segments += [(a, b), (b, a), (a, a)]
+    seen = set()
+    for bound in (1, 4, 5, 16, 17):
+        hs = enumerate_hemispheres(order, bound, window)
+        for seg in segments:
+            for t0 in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
+                want = _all_pairs_dips(hs, *seg, t0)
+                assert envelope_dips_below(hs, *seg, t0) == want, (bound, seg, t0)
+                seen.add(want)
+    assert seen == {True, False}
+
+
+def test_lazy_wall_walk_clips_by_a_disjoint_rival():
+    # h (center -1/2, radius 1/4) lies inside m (center 0, radius 1), so h is below m
+    # everywhere but on u <= -19/16, outside m, where j (center -3/2, radius^2 1/2) is on
+    # top; j's disc misses h's, yet only j's bisector empties h's part.  On the segment
+    # the top is lowest where m and j tie, at u = -11/12 with height^2 23/144
+    discs = [((Fraction(-1, 2), 0), Fraction(1, 16)), ((0, 0), Fraction(1)), ((Fraction(-3, 2), 0), Fraction(1, 2))]
+    hemis = tuple(Hemisphere(kelem_from_planar(ORDER40, *c), rsq) for c, rsq in discs)
+    hs = HemiSet(order=ORDER40, hemispheres=hemis, pairs=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
+    seg = ((Fraction(-3, 2), Fraction(0)), (Fraction(0), Fraction(0)))
+    for t0, dips in ((Fraction(1, 3), False), (Fraction(2, 5), True)):
+        assert envelope_dips_below(hs, *seg, t0) is dips
+        assert _all_pairs_dips(hs, *seg, t0) is dips
+
+
 def test_clip_keeps_a_segment_as_its_two_ends():
     # homogeneous points (x, y, w) = (x/w, y/w); the half-plane 2u <= 1 is u <= 1/2
     origin, one, half = (0, 0, 1), (1, 0, 1), (1, 0, 2)
@@ -611,12 +685,11 @@ def test_integer_kernel_matches_fractions(delta, data):
             hcp, kcp = h.center.planar(), k.center.planar()
             gap = (hcp[0] - kcp[0]) ** 2 + n * (hcp[1] - kcp[1]) ** 2 - h.radius_sq - k.radius_sq
             disjoint = gap >= 0 and gap * gap >= 4 * h.radius_sq * k.radius_sq
-            kept = []
-            walk = list(_rivals(n, h.disc, [k], kept))
+            walk = list(_rivals(n, h.disc, [k]))
             if (hcp, hr) == (kcp, rsq):
-                assert walk == [_EMPTY] and kept == []
+                assert walk == [_EMPTY]
                 continue
-            (plane,) = bisectors(n, h.disc, [k.disc])
+            plane = bisector(n, h.disc, k.disc)
             # the one-rival cover, on the Fraction bisector A u + B v <= C where h is at least
             # as high: h's center strictly outside it and at least one radius from its line
             ca, cb = 2 * (kcp[0] - hcp[0]), 2 * n * (kcp[1] - hcp[1])
@@ -624,7 +697,6 @@ def test_integer_kernel_matches_fractions(delta, data):
             sd = ca * hcp[0] + cb * hcp[1] - cc
             covers = sd > 0 and sd * sd * n >= hr * (n * ca * ca + cb * cb)
             assert walk == ([] if disjoint else [_EMPTY] if covers else [plane])
-            assert kept == ([] if disjoint or covers else [plane])
             a, b, cc = plane
             assert isinstance(a, int) and isinstance(b, int) and isinstance(cc, int)
             assert math.gcd(a, b, cc) in (0, 1)
@@ -676,10 +748,10 @@ def test_one_rival_cover_leaves_no_cell_point_in_the_disc(delta, data):
             rivals.append(((hc[0] + r + d, hc[1]), d * d))
         for c, rsq in rivals:
             k = Hemisphere(kelem_from_planar(order, *c), rsq)
-            if k == h or list(_rivals(n, h.disc, [k], [])) != [_EMPTY]:
+            if k == h or list(_rivals(n, h.disc, [k])) != [_EMPTY]:
                 continue
             fired += 1
-            cell = power_cell(h.disc, bisectors(n, h.disc, [k.disc]))
+            cell = power_cell(h.disc, [bisector(n, h.disc, k.disc)])
             if cell is not None:
                 w, verts = cell
                 poly = [(Fraction(x, w), Fraction(y, w)) for x, y in verts]
@@ -704,7 +776,7 @@ def _all_rivals_status(h, rest):
         g = (du * du + n * dv * dv) * qq - (hp * kq + kp * hq) * ll
         if not (g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2):
             rivals.append(k.disc)
-    planes = bisectors(n, hd, rivals)
+    planes = [bisector(n, hd, kd) for kd in rivals]
     cell = power_cell(hd, planes)
     if cell is None:
         return Covered()

@@ -197,7 +197,8 @@ def test_usage_errors_exit_2():
         ["arrangement", "--disc", "-40", "--bound", "0"],
         ["amalgam", "--disc", "-40", "--bound", "0"],
         ["amalgam", "--disc", "-40", "--plane", "0"],
-        ["amalgam", "--disc", "-40", "--plane", "-1/2"],
+        # "=" hands -1/2 to the plane's parser; split off, argparse reads it as an option
+        ["amalgam", "--disc", "-40", "--plane=-1/2"],
         ["amalgam", "--disc", "-40", "--plane", "1/0"],
     ],
     ids=lambda argv: " ".join(argv),
@@ -207,6 +208,8 @@ def test_out_of_range_numbers_exit_2(argv):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
+    if "--plane=-1/2" in argv:
+        assert err.endswith("error: argument --plane: -1/2 is not positive\n")
 
 
 def test_out_of_scope_exits_3():

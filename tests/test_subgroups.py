@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from pe2ford import subgroups
-from pe2ford.arrangement import UnimodularPair, unit_ideal
+from pe2ford.arrangement import UnimodularPair, envelope_dips_below, enumerate_hemispheres, unit_ideal
 from pe2ford.errors import OutOfScope, SearchExhausted
+from pe2ford.ford import amalgam_rectangle
 from pe2ford.moebius import Mat, Side, gen_r, gen_s, outside_test
 from pe2ford.orders import KElem, lattice_points_within, make_order
 from pe2ford.subgroups import (
@@ -411,6 +412,60 @@ def test_amalgam_report_plane_above_all_hemispheres():
         else:
             assert rec.above  # walls are unbounded upward
     assert not rep.overlap_matches_n
+
+
+WALL_PLANES = (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10))
+
+
+def _four_side_dips(hs, plane):
+    # the dip on both u-sides and both v-sides of the window
+    (u_lo, v_lo), (u_hi, v_hi) = min(hs.window.vertices), max(hs.window.vertices)
+    u_sides = [envelope_dips_below(hs, (u0, v_lo), (u0, v_hi), plane) for u0 in (u_lo, u_hi)]
+    v_sides = [envelope_dips_below(hs, (u_lo, v0), (u_hi, v0), plane) for v0 in (v_lo, v_hi)]
+    return (u_sides, v_sides)
+
+
+def _wall_below(rep, tau_wall):
+    order = rep.arrangement.order
+    pairing = gen_s(order.tau if tau_wall else order.one)
+    (wall,) = (r for r in rep.faces if r.kind == "wall" and r.pairing == pairing)
+    assert wall.above  # walls are unbounded upward
+    return wall.below
+
+
+def test_one_answer_per_wall_pairing():
+    # the top of the arrangement is invariant under the shifts 1 and tau, so both walls of
+    # a pair dip alike (the proof is in amalgam_report); the report reads one wall per pair
+    deltas = [delta for delta in range(-15, -201, -1) if delta % 4 in (0, 1)]
+    assert len(deltas) == 94
+    seen = set()
+    for delta in deltas:
+        order = make_order(delta)
+        window = amalgam_rectangle(order)
+        for bound in (1, 4, 8, 16):
+            hs = enumerate_hemispheres(order, bound, window)
+            for plane in WALL_PLANES:
+                u_sides, v_sides = _four_side_dips(hs, plane)
+                assert u_sides[0] == u_sides[1] and v_sides[0] == v_sides[1], (delta, bound, plane)
+                seen.add((u_sides[0], v_sides[0]))
+    assert {v for _, v in seen} == {u for u, _ in seen} == {True, False}
+    for delta in (-15, -19, -20, -40, -43, -67, -163):
+        for plane in WALL_PLANES:
+            rep = amalgam_report(make_order(delta), 16, plane)
+            u_sides, v_sides = _four_side_dips(rep.arrangement, plane)
+            assert (_wall_below(rep, False), _wall_below(rep, True)) == (all(u_sides), all(v_sides))
+
+
+@pytest.mark.parametrize(
+    "plane, below", [(Fraction(13, 15), True), (Fraction(7, 8), True), (Fraction(6, 7), False), (Fraction(4, 5), False)]
+)
+def test_v_wall_pairing_dips_where_unit_hemispheres_meet(plane, below):
+    # at -40/16 the side v = 0 bottoms out at height^2 3/4, at u = +-1/2 where the unit
+    # hemispheres at 0 and +-1 meet: (13/15)^2 and (7/8)^2 are above 3/4, (6/7)^2 and (4/5)^2 below
+    rep = amalgam_report(ORDER40, 16, plane)
+    assert _wall_below(rep, True) is below
+    assert _four_side_dips(rep.arrangement, plane)[1] == [below, below]
+    assert any("v-walls" in s for s in rep.notes) is not below
 
 
 def test_amalgam_report_needs_a_positive_plane():
