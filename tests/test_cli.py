@@ -197,7 +197,9 @@ def test_usage_errors_exit_2():
         ["arrangement", "--disc", "-40", "--bound", "0"],
         ["amalgam", "--disc", "-40", "--bound", "0"],
         ["amalgam", "--disc", "-40", "--plane", "0"],
-        # "=" hands -1/2 to the plane's parser; split off, argparse reads it as an option
+        # split off, argparse reads -1/2 as an option and refuses it
+        ["amalgam", "--disc", "-40", "--plane", "-1/2"],
+        # "=" hands -1/2 to the plane's parser, which reaches the positivity check
         ["amalgam", "--disc", "-40", "--plane=-1/2"],
         ["amalgam", "--disc", "-40", "--plane", "1/0"],
     ],
