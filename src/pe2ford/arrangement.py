@@ -20,11 +20,14 @@ only by the hemispheres whose discs meet its own, and one integer sweep
 The face clips as each rival's bisector comes and stops at its first
 rival that covers it alone, or as soon as its cell is empty; a wall
 clips each disc's part of it the same way, bisector by bisector.  The
-enumeration reads pair_scan, the candidate loop that the gap stream
-shares, at exactly the reach a kept center can have, drops a far center
-on the window's bounding box before the exact window distance, and
-sorts on integers.  The witness walk runs in integers too, so Fractions
-appear only in the near_sq and far_sq of a Contributes.
+enumeration reads pair_scan, the pair loop that the gap stream shares,
+at exactly the reach a kept center can have.  The scan computes
+lam*conj(mu) as two ints and yields only unimodular pairs, by one gcd
+of four integers (unit_ideal); the enumeration drops a far center on
+the window's bounding box before the exact window distance, builds each
+kept hemisphere from the same ints, and sorts on integers.  The witness
+walk runs in integers too, so Fractions appear only in the near_sq and
+far_sq of a Contributes.
 """
 
 from __future__ import annotations
@@ -89,29 +92,30 @@ def _one_in_span(lam: OInt, mu: OInt) -> tuple[OInt, OInt]:
     return (OInt(order, x0, x1), OInt(order, y0, y1))
 
 
-def unit_ideal(lam: OInt, mu: OInt) -> bool:
-    """Whether (lam, mu) generates the unit ideal; builds no matrix.
+def unit_ideal(norm_lam: int, norm_mu: int, xa: int, xb: int) -> bool:
+    """Whether (lam, mu) generates the unit ideal, read off four integers.
 
     It does iff (lam, lam*tau, mu, mu*tau) span Z^2, that is iff the gcd of
-    their six 2x2 minors is 1.  With x = lam*conj(mu), those minors are, up to
-    sign, N(lam), N(mu), x.b, x.a, x.a + trace*x.b and tau_norm*x.b, so the
-    gcd is that of N(lam), N(mu), x.a and x.b.
+    their six 2x2 minors is 1.  With x = lam*conj(mu) = xa + xb*tau, those
+    minors are, up to sign, N(lam), N(mu), xb, xa, xa + trace*xb and
+    tau_norm*xb, so the gcd is that of N(lam), N(mu), xa and xb.  This is
+    the one unimodularity rule: pair_scan and is_unimodular both call it.
     """
-    x = lam * mu.conj()
-    return math.gcd(lam.norm(), mu.norm(), x.a, x.b) == 1
+    return math.gcd(norm_lam, norm_mu, xa, xb) == 1
 
 
 def is_unimodular(lam: OInt, mu: OInt) -> Mat | None:
     """Completion of (lam, mu) to a determinant-one first column, or None.
 
-    unit_ideal decides first, and only a pair that passes is reduced:
-    the tracked reduction yields x, y with x*lam + y*mu = 1 and the
-    completion [[lam, -y], [mu, x]], deterministic but only canonical
-    up to a right shift.
+    unit_ideal decides first, on N(lam), N(mu) and lam*conj(mu), and only
+    a pair that passes is reduced: the tracked reduction yields x, y with
+    x*lam + y*mu = 1 and the completion [[lam, -y], [mu, x]],
+    deterministic but only canonical up to a right shift.
     """
     if lam.is_zero() and mu.is_zero():
         raise ValueError("(0, 0) is not a pair")
-    if not unit_ideal(lam, mu):
+    c = lam * mu.conj()
+    if not unit_ideal(lam.norm(), mu.norm(), c.a, c.b):
         return None
     x, y = _one_in_span(lam, mu)
     return Mat(lam, -y, mu, x)
@@ -139,9 +143,6 @@ class UnimodularPair:
     def ratio(self) -> KElem:
         return KElem.of(self.lam, self.mu)
 
-    def hemisphere(self) -> Hemisphere:
-        return Hemisphere(self.ratio(), Fraction(1, self.mu.norm()))
-
 
 @dataclass(frozen=True)
 class HemiSet:
@@ -157,15 +158,17 @@ class HemiSet:
 def pair_scan(
     order: Order, centre: KElem, reach: Callable[[int], Fraction]
 ) -> Iterator[tuple[OInt, OInt, int, int, int]]:
-    """Candidate pairs (lam, mu, xa, xb, N), mu by its norm N and then key(), with no end.
+    """Unimodular pairs (lam, mu, xa, xb, N) of distinct ratios, mu by norm N, then key(); no end.
 
     mu is nonzero with the canonical sign.  Each pass rescans norm <= bound
     from the origin, keeps the shell past the previous bound and quadruples
     the bound; the stable sort by norm keeps key() order within one norm.
     lam runs over lattice_points_within(centre*mu, reach(N)), and lam*conj(mu)
-    = xa + xb*t, so lam/mu lies at planar ((2*xa + trace*xb)/(2N), xb/(2N)).
-    No ratio comes twice among unimodular pairs: pairs of one ratio differ by
-    a unit, the units are +-1 when |delta| > 4, and mu's canonical sign leaves 1.
+    = xa + xb*t, so lam/mu = (xa + xb*t)/N lies at planar
+    ((2*xa + trace*xb)/(2N), xb/(2N)).  A pair is yielded when unit_ideal
+    passes on N(lam), N, xa and xb, the integers the scan already has.
+    No ratio comes twice: unimodular pairs of one ratio differ by a unit,
+    the units are +-1 when |delta| > 4, and mu's canonical sign leaves 1.
     """
     e, m = order.trace, order.tau_norm
     done, bound = 0, 4
@@ -176,24 +179,28 @@ def pair_scan(
             norm, ca, cb = mu.norm(), mu.a + e * mu.b, -mu.b  # conj(mu) = ca + cb*t
             for lam in lattice_points_within(centre * mu, reach(norm)):
                 la, lb = lam.a, lam.b
-                yield lam, mu, la * ca - m * lb * cb, la * cb + lb * ca + e * lb * cb, norm
+                xa, xb = la * ca - m * lb * cb, la * cb + lb * ca + e * lb * cb
+                if unit_ideal(lam.norm(), norm, xa, xb):
+                    yield lam, mu, xa, xb, norm
         done, bound = bound, 4 * bound
 
 
 def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) -> HemiSet:
-    """All hemispheres of pairs with norm(mu) <= norm_bound near the window.
+    """All hemispheres of unimodular pairs with norm(mu) <= norm_bound near the window.
 
     A hemisphere makes the cut when its center lies within one radius
     of the window, so faces clipped at the boundary stay present.  Such
     a center lies within R + 1/sqrt(N) of the window center wc, R the
     circumradius, so pair_scan reads lambda where |lambda - wc*mu|^2 <=
     (R sqrt(N) + 1)^2, with R sqrt(N) rounded up by an integer square
-    root, and stops past the bound.  The disc is tested first, in
-    integers, since most miss the window: against the window's bounding
-    box, which decides a rectangle and drops most far centers of any
-    window, then by dist_sq_int; then unit_ideal.  Only a pair that
-    passes all three is built, and no completion is.  The output is
-    sorted by descending radius, then v, then u, on the integers (N, V, U).
+    root, and stops past the bound.  The scan yields only unimodular
+    pairs.  Each center is tested in integers, since most miss the
+    window: against the window's bounding box, which decides a rectangle
+    and drops most far centers of any window, then by dist_sq_int.  A
+    pair that passes both gets its Hemisphere from the scan's integers,
+    center (xa + xb*t)/N reduced by gcd(xa, xb, N) and squared radius
+    1/N, and no completion is built.  The output is sorted by descending
+    radius, then v, then u, on the integers (N, V, U).
     """
     if not order.group_scope:
         raise OutOfScope("hemisphere arrangement needs |delta| > 12")
@@ -214,7 +221,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
         # and R sqrt(N) < isqrt(floor(R^2 N)) + 1 bounds the middle term
         return circum_sq * norm + 2 * (math.isqrt(math.floor(circum_sq * norm)) + 1) + 1
 
-    found: list[tuple[tuple[int, int, int], UnimodularPair]] = []
+    found: list[tuple[tuple[int, int, int], UnimodularPair, Hemisphere]] = []
     for lam, mu, xa, xb, norm in pair_scan(order, kelem_from_planar(order, wu, wv), reach):
         if norm > norm_bound:
             break
@@ -226,16 +233,17 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
         if (du * du + n * dv * dv) * norm > (w * l) ** 2:
             continue
         num, den, _ = dist_sq_int(n, frame, (u, v, l))
-        # farther than the radius 1/sqrt(N(mu)) from the window, or not unimodular
-        if num * norm > den or not unit_ideal(lam, mu):
+        if num * norm > den:  # farther than the radius 1/sqrt(N(mu)) from the window
             continue
-        found.append(((norm, v, u), UnimodularPair(lam, mu)))
+        # lam/mu = (xa + xb*t)/N, which KElem.of reduces by gcd(xa, xb, N)
+        hemi = Hemisphere(KElem.of(OInt(order, xa, xb), norm), Fraction(1, norm))
+        found.append(((norm, v, u), UnimodularPair(lam, mu), hemi))
     # radius^2 = 1/N(mu), and centers of one norm share the denominator 2 N(mu)
-    pairs = tuple(p for _, p in sorted(found, key=lambda kp: kp[0]))
+    found.sort(key=lambda f: f[0])
     return HemiSet(
         order=order,
-        hemispheres=tuple(p.hemisphere() for p in pairs),
-        pairs=pairs,
+        hemispheres=tuple(h for _, _, h in found),
+        pairs=tuple(p for _, p, _ in found),
         norm_bound=norm_bound,
         window=window,
     )

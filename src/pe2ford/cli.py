@@ -15,11 +15,11 @@ arrangement the command already computed.
 
 Exit codes: 0 success (a membership verdict, Member or NonMember,
 included), 2 usage error (including malformed words, invalid
-discriminants, a `--count` past MAX_COUNT and an `--out` file that
-cannot be written), 3 out-of-scope request, 4 a bounded search that ran
-out (an enumeration short of verified items or an edge cycle that did
-not close), which prints only the error.  Identical argument vectors
-produce byte-identical output.
+discriminants, a `--count` past MAX_COUNT, a `--bound` past MAX_BOUND
+and an `--out` file that cannot be written), 3 out-of-scope request,
+4 a bounded search that ran out (an enumeration short of verified items
+or an edge cycle that did not close), which prints only the error.
+Identical argument vectors produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -74,11 +74,14 @@ def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -
     return parse
 
 
-_POSITIVE_INT = _checked(int, lambda x: x > 0, "positive")
 # --count of cosets and gap-points; the streams have no end, so a count past
 # this is refused (coset_family(-40, 10000) takes about a second)
 MAX_COUNT = 10_000
 _COUNT = _checked(int, lambda x: 0 < x <= MAX_COUNT, f"a count from 1 to {MAX_COUNT}")
+# --bound of arrangement and amalgam; amalgam_report(-40, 512) takes 35-40 s
+# CPU and about 570 MB, and the cost grows faster than bound^2
+MAX_BOUND = 512
+_BOUND = _checked(int, lambda x: 0 < x <= MAX_BOUND, f"a bound from 1 to {MAX_BOUND}")
 _POSITIVE_FRACTION = _checked(Fraction, lambda x: x > 0, "positive")
 
 
@@ -387,10 +390,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_COUNT, default=100, help=f"how many, at most {MAX_COUNT}")
 
     p = add("arrangement", "hemisphere arrangement over the straddling rectangle", ("text", "json", "svg"), _cmd_arrangement)
-    p.add_argument("--bound", type=_POSITIVE_INT, default=16, help="owner norm bound")
+    p.add_argument("--bound", type=_BOUND, default=16, help=f"owner norm bound, at most {MAX_BOUND}")
 
     p = add("amalgam", "plane split of the arrangement and generator pools", ("text", "json", "svg"), _cmd_amalgam)
-    p.add_argument("--bound", type=_POSITIVE_INT, default=16)
+    p.add_argument("--bound", type=_BOUND, default=16, help=f"owner norm bound, at most {MAX_BOUND}")
     p.add_argument("--plane", type=_POSITIVE_FRACTION, default=PLANE, help="height, as p/q > 0")
 
     p = add("gap-points", "unimodular ratios outside all unit discs", ("text", "json"), _cmd_gap_points)

@@ -32,7 +32,6 @@ from .arrangement import (
     face_statuses,
     pair_scan,
     plane_split,
-    unit_ideal,
 )
 from .errors import OutOfScope, SearchExhausted
 from .ford import CosetKey, amalgam_rectangle, coset_key, presentation
@@ -87,9 +86,9 @@ def gap_check(z: KElem) -> Fraction | None:
 
 
 def _gap_stream(order: Order) -> Iterator[GapPoint]:
-    # the ratios of pair_scan in the half-open cell band u in [0, 1), v in [0, 1/2),
-    # which meets every translation orbit once; the band test and the gap rule
-    # read the scan's ints, and unit_ideal runs only on gap ratios
+    # the ratios of pair_scan, all unimodular, in the half-open cell band u in
+    # [0, 1), v in [0, 1/2), which meets every translation orbit once; the band
+    # test and the gap rule read the scan's ints
     e = order.trace
     band_center = kelem_from_planar(order, Fraction(1, 2), Fraction(1, 4))
     band_circum = Fraction(1, 4) + Fraction(order.abs_delta, 16)
@@ -97,7 +96,7 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
         if not (0 <= 2 * xa + e * xb < 2 * norm and 0 <= xb < norm):
             continue
         min_dist = _gap_dist(order, xa, xb, norm)
-        if min_dist is not None and unit_ideal(lam, mu):
+        if min_dist is not None:
             yield GapPoint(UnimodularPair(lam, mu), min_dist)
 
 
@@ -209,25 +208,19 @@ def n_generators(order: Order) -> list[Word]:
     return [(R(),), (S(order.one),), (S(t), R(), S(-t))]
 
 
-def collapse_word(word: Word, order: Order) -> Word:
-    """Image of a word under r, s(1) -> identity and s(tau) -> s(tau).
-
-    A shift s(a + b*tau) factors as s(a)s(b*tau), so only the tau part
-    of each coefficient survives; r-letters vanish.
-    """
-    return tuple(OInt(order, 0, a.b) for a in word if a is not None and a.b != 0)
-
-
 def collapse_hom_check(order: Order) -> bool:
     """Collapsing onto the tau-shift subgroup kills N but not s(tau).
 
     True when every defining relation and every generator of N maps to
     the identity while s(tau) itself does not; the collapse is then a
-    well-defined surjection whose kernel contains N strictly.
+    well-defined surjection whose kernel contains N strictly.  The map
+    r, s(1) -> 1, s(tau) -> s(tau) sends s(a + b*tau) = s(1)^a s(tau)^b to
+    s(b*tau), so a word goes to s(B*tau), B the sum of the tau-coordinates
+    b of its shift letters, and dies exactly when B = 0.
     """
 
     def dies(word: Word) -> bool:
-        return word_to_matrix(collapse_word(word, order), order).is_identity()
+        return sum(a.b for a in word if a is not None) == 0
 
     rels_ok = all(dies(rel) for rel in presentation(order).relations)
     n_ok = all(dies(w) for w in n_generators(order))

@@ -28,6 +28,7 @@ from pe2ford.arrangement import (
     face_status,
     face_statuses,
     is_unimodular,
+    pair_scan,
     plane_split,
     svg_topview,
     unit_ideal,
@@ -36,7 +37,14 @@ from pe2ford.cells import bisector, box_neighbours, clip, dist_sq_int, frame_of,
 from pe2ford.errors import OutOfScope
 from pe2ford.ford import amalgam_rectangle, voronoi_cell
 from pe2ford.moebius import Hemisphere, Mat
-from pe2ford.orders import KElem, OInt, kelem_from_planar, make_order
+from pe2ford.orders import (
+    KElem,
+    OInt,
+    kelem_from_planar,
+    lattice_points_norm_at_most,
+    lattice_points_within,
+    make_order,
+)
 from pe2ford.subgroups import gap_points
 from pe2ford.words import Member, membership
 
@@ -100,7 +108,8 @@ def _random_pairs(delta):
 def test_is_unimodular_matches_minor_gcd_oracle(delta):
     # unit_ideal reads four integers, N(lam), N(mu) and lam*conj(mu); the oracle, all six minors
     for lam, mu in _random_pairs(delta):
-        assert unit_ideal(lam, mu) == _unimodular_oracle(lam, mu)
+        x = lam * mu.conj()
+        assert unit_ideal(lam.norm(), mu.norm(), x.a, x.b) == _unimodular_oracle(lam, mu)
         m = is_unimodular(lam, mu)
         assert (m is not None) == _unimodular_oracle(lam, mu)
         if m is not None:
@@ -150,22 +159,69 @@ def test_one_in_span_is_the_oint_echelon_on_gap_pairs(delta):
 
 @pytest.mark.parametrize("delta", [-40, -15])
 def test_one_in_span_is_the_oint_echelon_on_random_pairs(delta):
-    pairs = [(lam, mu) for lam, mu in _random_pairs(delta) if unit_ideal(lam, mu)]
+    pairs = [(lam, mu) for lam, mu in _random_pairs(delta) if _unimodular_oracle(lam, mu)]
     assert len(pairs) > 50
     for lam, mu in pairs:
         assert _one_in_span(lam, mu) == _oint_one_in_span(lam, mu), (lam, mu)
 
 
-def test_pair_hemisphere_matches_inverse_isometric_hemisphere():
-    order = make_order(-40)
-    lam, mu = order.elt(1, 1), order.elt(2)
-    pair = UnimodularPair(lam, mu)
-    h = pair.hemisphere()
-    assert h.center == KElem.of(order.elt(1, 1), 2)
-    assert h.radius_sq == Fraction(1, 4)
-    # the isometric hemisphere of g sits at -m22/m21 with squared radius 1/norm(m21)
-    mirror = pair.completion.inv()
-    assert (KElem.of(-mirror.m22, mirror.m21), Fraction(1, mirror.m21.norm())) == (h.center, h.radius_sq)
+def _candidate_scan(order, centre, reach):
+    """The disc scan with no unit-ideal test: every candidate (lam, mu, xa, xb, N), with no end.
+
+    The reference for pair_scan, which must yield exactly the unimodular ones.
+    """
+    e, m = order.trace, order.tau_norm
+    done, bound = 0, 4
+    while True:
+        scan = lattice_points_norm_at_most(order, bound)
+        shell = [mu for mu in scan if mu.norm() > done and mu.is_canonical_positive()]
+        for mu in sorted(shell, key=OInt.norm):
+            norm, ca, cb = mu.norm(), mu.a + e * mu.b, -mu.b
+            for lam in lattice_points_within(centre * mu, reach(norm)):
+                la, lb = lam.a, lam.b
+                yield lam, mu, la * ca - m * lb * cb, la * cb + lb * ca + e * lb * cb, norm
+        done, bound = bound, 4 * bound
+
+
+PAIR_SCAN_DISCS = [-15, -19, -20, -23, -40, -163, -1003]
+
+
+@pytest.mark.parametrize("delta", PAIR_SCAN_DISCS)
+def test_pair_scan_is_the_candidate_scan_filtered_by_the_oracle(delta):
+    # through the first three mu shells (norms up to 4, 16 and 64), about the
+    # gap stream's band centre and about the rectangle's centre
+    order = make_order(delta)
+    n = order.abs_delta
+
+    def upto_64(scan):
+        return list(itertools.takewhile(lambda c: c[4] <= 64, scan))
+
+    band_circum = Fraction(1, 4) + Fraction(n, 16)
+    band = (kelem_from_planar(order, Fraction(1, 2), Fraction(1, 4)), lambda norm: band_circum * norm)
+    rect = (kelem_from_planar(order, *amalgam_rectangle(order).center), lambda norm: Fraction(n, 8) * norm + 2)
+    for centre, reach in (band, rect):
+        candidates = upto_64(_candidate_scan(order, centre, reach))
+        got = upto_64(pair_scan(order, centre, reach))
+        assert got == [c for c in candidates if _unimodular_oracle(c[0], c[1])]
+        assert 0 < len(got) < len(candidates)
+        assert {c[4] for c in got} > {1, 4}  # past the first shell
+        for lam, mu, xa, xb, norm in got:
+            assert lam * mu.conj() == order.elt(xa, xb) and mu.norm() == norm
+        assert len({KElem.of(lam, mu) for lam, mu, *_ in got}) == len(got)  # distinct ratios
+
+
+@pytest.mark.parametrize("delta", PAIR_SCAN_DISCS)
+def test_enumerated_hemisphere_is_the_inverse_completion_hemisphere(delta):
+    # the isometric hemisphere of g sits at -m22/m21 with squared radius
+    # 1/N(m21); the enumeration builds each one from pair_scan's integers
+    order = make_order(delta)
+    for window in (amalgam_rectangle(order), voronoi_cell(order)):
+        hs = enumerate_hemispheres(order, 16, window)
+        assert len(hs.hemispheres) == len(hs.pairs) > 0
+        for h, pair in zip(hs.hemispheres, hs.pairs):
+            g = pair.completion.inv()
+            assert (h.center, h.radius_sq) == (KElem.of(-g.m22, g.m21), Fraction(1, g.m21.norm()))
+            assert h.disc == h.center.planar_int() + (1, g.m21.norm())
 
 
 def test_pair_requires_nonzero_mu():

@@ -196,6 +196,10 @@ def test_usage_errors_exit_2():
         ["gap-points", "--disc", "-40", "--count", "99999999999999999999"],
         ["arrangement", "--disc", "-40", "--bound", "0"],
         ["amalgam", "--disc", "-40", "--bound", "0"],
+        # one past MAX_BOUND, and a bound that would run until killed
+        ["arrangement", "--disc", "-40", "--bound", str(cli.MAX_BOUND + 1)],
+        ["amalgam", "--disc", "-40", "--bound", str(cli.MAX_BOUND + 1)],
+        ["amalgam", "--disc", "-40", "--bound", "99999999999999999999"],
         ["amalgam", "--disc", "-40", "--plane", "0"],
         # split off, argparse reads -1/2 as an option and refuses it
         ["amalgam", "--disc", "-40", "--plane", "-1/2"],
@@ -212,6 +216,14 @@ def test_out_of_range_numbers_exit_2(argv):
     assert "Traceback" not in err
     if "--plane=-1/2" in argv:
         assert err.endswith("error: argument --plane: -1/2 is not positive\n")
+    if "--bound" in argv:
+        assert err.endswith(f"error: argument --bound: {argv[-1]} is not a bound from 1 to {cli.MAX_BOUND}\n")
+
+
+def test_max_bound_itself_parses():
+    # parsed only, nothing runs: MAX_BOUND is the last bound accepted
+    args = cli._PARSER.parse_args(["amalgam", "--disc", "-40", "--bound", str(cli.MAX_BOUND)])
+    assert args.bound == cli.MAX_BOUND
 
 
 def test_out_of_scope_exits_3():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 import sys
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pe2ford import subgroups
-from pe2ford.arrangement import UnimodularPair, envelope_dips_below, enumerate_hemispheres, unit_ideal
+from pe2ford.arrangement import envelope_dips_below, enumerate_hemispheres, is_unimodular
 from pe2ford.errors import OutOfScope, SearchExhausted
 from pe2ford.ford import amalgam_rectangle
 from pe2ford.moebius import Mat, Side, gen_r, gen_s, outside_test
@@ -16,7 +17,6 @@ from pe2ford.orders import KElem, lattice_points_within, make_order
 from pe2ford.subgroups import (
     amalgam_report,
     collapse_hom_check,
-    collapse_word,
     coset_family,
     gap_check,
     gap_points,
@@ -280,10 +280,10 @@ def _non_members_around_completions(delta, count, seed):
     while len(found) < count:
         lam = d.elt(rng.randint(-9, 9), rng.randint(-9, 9))
         mu = d.elt(rng.randint(-9, 9), rng.randint(-9, 9))
-        if mu.is_zero() or not unit_ideal(lam, mu):
+        if mu.is_zero() or (completion := is_unimodular(lam, mu)) is None:
             continue
         w1, w2 = (word_to_matrix(random_pe2_word(d, rng.randrange(10**9), length=20), d) for _ in range(2))
-        g = w1 * UnimodularPair(lam, mu).completion * w2
+        g = w1 * completion * w2
         if isinstance(membership(g), NonMember):
             found.append(g)
     return found
@@ -333,13 +333,36 @@ def test_n_generator_words():
         n_generators(make_order(-11))
 
 
-def test_collapse_word_keeps_only_tau_shifts():
+def test_collapsed_word_dies_iff_its_tau_sum_is_zero():
+    # the claim in collapse_hom_check's docstring, against the matrix of the
+    # collapsed word: r goes, and each shift s(a + b*tau) becomes s(b*tau)
     d = ORDER40
-    w = (S(d.elt(2, -1)), R(), S(d.elt(3)), R(), S(d.elt(0, 2)))
-    assert collapse_word(w, d) == (S(d.elt(0, -1)), S(d.elt(0, 2)))
-    for w in n_generators(d):
-        assert word_to_matrix(collapse_word(w, d), d).is_identity()
-    assert not word_to_matrix(collapse_word((S(d.tau),), d), d).is_identity()
+    rng = random.Random(40)
+    words = [random_pe2_word(d, rng.randrange(10**9), length=rng.randint(1, 12), coeff_bound=2) for _ in range(200)]
+    words += n_generators(d) + list(subgroups.presentation(d).relations) + [(S(d.tau),)]
+    seen = set()
+    for w in words:
+        collapsed = tuple(S(d.elt(0, a.b)) for a in w if a is not None)
+        dies = sum(a.b for a in w if a is not None) == 0
+        assert word_to_matrix(collapsed, d).is_identity() == dies, w
+        seen.add(dies)
+    assert seen == {True, False}
+
+
+def test_collapse_hom_check_refuses_a_relation_with_a_tau_sum(monkeypatch):
+    d = ORDER40
+    pres = subgroups.presentation(d)
+    assert collapse_hom_check(d)
+
+    def check_with(rel):
+        extra = dataclasses.replace(pres, relations=pres.relations + (rel,))
+        monkeypatch.setattr(subgroups, "presentation", lambda order: extra)
+        return collapse_hom_check(d)
+
+    # s(1)-coordinates collapse away, so a relation with tau-sum 0 still passes
+    assert check_with((S(d.elt(3, 2)), R(), S(d.elt(1, -2))))
+    # tau-sum 2 - 1 = 1: the relation's image is s(tau), not the identity
+    assert not check_with((S(d.elt(1, 2)), R(), S(d.elt(0, -1))))
 
 
 def test_collapse_hom_check_all_discs():

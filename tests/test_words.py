@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pe2ford.errors import DegenerateChain, OutOfScope, WordSyntaxError
 from pe2ford.moebius import Mat, gen_r, gen_s
 from pe2ford.orders import KElem, lattice_points_within, make_order, scaled_dist_sq
-from pe2ford.subgroups import collapse_word, gap_points
+from pe2ford.subgroups import gap_points
 from pe2ford.words import (
     Member,
     NonMember,
@@ -58,8 +58,6 @@ def test_words_are_plain_data():
     assert word_inverse(mixed) == (None, d.elt(-1), d.elt(0, -3), None, d.elt(-2, 1))
     assert format_word(mixed) == "s(2-t)*r*s(3*t)*s(1)*r"
     assert format_word(word_inverse(mixed)) == "r*s(-1)*s(-3*t)*r*s(-2+t)"
-    assert collapse_word(mixed, d) == (d.elt(0, -1), d.elt(0, 3))
-    assert collapse_word((None, d.elt(4), None), d) == ()
 
 
 def test_parsed_words_stay_small():
