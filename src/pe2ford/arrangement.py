@@ -17,17 +17,21 @@ for the truncated arrangement; floats appear only in the SVG emitter.
 The cells come from the integer kernel in cells.py.  A face is clipped
 only by the hemispheres whose discs meet its own, and one integer sweep
 (box_neighbours) lists those candidates instead of a test of every pair.
-The face clips as each rival's bisector comes and stops at its first
-rival that covers it alone, or as soon as its cell is empty; a wall
-clips each disc's part of it the same way, bisector by bisector.  The
-enumeration reads pair_scan, the pair loop that the gap stream shares,
-at exactly the reach a kept center can have.  The scan computes
-lam*conj(mu) as two ints and yields only unimodular pairs, by one gcd
-of four integers (unit_ideal); the enumeration drops a far center on
-the window's bounding box before the exact window distance, builds each
-kept hemisphere from the same ints, and sorts on integers.  The witness
-walk runs in integers too, so Fractions appear only in the near_sq and
-far_sq of a Contributes.
+One loop in face_status walks the rivals, clips the cell as each
+rival's bisector comes and stops at its first rival that covers it
+alone, or as soon as its cell is empty; a wall clips each disc's part
+of it the same way, bisector by bisector.  A clip that cuts nothing
+costs one side test per point.  The enumeration reads pair_scan, the
+pair loop that the gap stream shares: lam runs row by row over exactly
+the planar box a kept ratio can reach, and the scan ends after the norm
+bound.  The scan computes lam*conj(mu) as two ints and yields only
+unimodular pairs, by one gcd of four integers (unit_ideal).  The
+enumeration tests each center against the window's bounding box, which
+decides alone when the window is that box (the amalgam rectangle and
+the even Voronoi cell) and leaves dist_sq_int to the hexagon; it builds
+each kept hemisphere from the scan's ints and sorts on integers.  The
+witness walk runs in integers too, so Fractions appear only in the
+near_sq and far_sq of a Contributes.
 """
 
 from __future__ import annotations
@@ -37,18 +41,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .cells import Disc, HalfPlane, Point, bisector, box_neighbours, clip, dist_sq_int, frame_of, power_cell
+from .cells import (
+    Box,
+    Point,
+    bisector,
+    box_dist_sq_int,
+    box_neighbours,
+    box_of,
+    cell_frame,
+    cell_square,
+    clip,
+    dist_sq_int,
+    frame_of,
+)
 from .errors import OutOfScope
 from .ford import FundPolygon
 from .moebius import Hemisphere, Mat
-from .orders import (
-    KElem,
-    OInt,
-    Order,
-    kelem_from_planar,
-    lattice_points_norm_at_most,
-    lattice_points_within,
-)
+from .orders import KElem, OInt, Order, lattice_points_norm_at_most
 
 
 def _one_in_span(lam: OInt, mu: OInt) -> tuple[OInt, OInt]:
@@ -156,85 +165,106 @@ class HemiSet:
 
 
 def pair_scan(
-    order: Order, centre: KElem, reach: Callable[[int], Fraction]
+    order: Order, box: Callable[[int], Box], bound: int | None = None
 ) -> Iterator[tuple[OInt, OInt, int, int, int]]:
-    """Unimodular pairs (lam, mu, xa, xb, N) of distinct ratios, mu by norm N, then key(); no end.
+    """Unimodular pairs (lam, mu, xa, xb, N) with lam/mu in the closed box(N), mu by norm N, then key().
 
-    mu is nonzero with the canonical sign.  Each pass rescans norm <= bound
-    from the origin, keeps the shell past the previous bound and quadruples
-    the bound; the stable sort by norm keeps key() order within one norm.
-    lam runs over lattice_points_within(centre*mu, reach(N)), and lam*conj(mu)
-    = xa + xb*t, so lam/mu = (xa + xb*t)/N lies at planar
-    ((2*xa + trace*xb)/(2N), xb/(2N)).  A pair is yielded when unit_ideal
-    passes on N(lam), N, xa and xb, the integers the scan already has.
-    No ratio comes twice: unimodular pairs of one ratio differ by a unit,
-    the units are +-1 when |delta| > 4, and mu's canonical sign leaves 1.
+    mu is nonzero with the canonical sign.  Each pass rescans norm <= top
+    from the origin, keeps the shell past the previous top and quadruples
+    top; the stable sort by norm keeps key() order within one norm.  With
+    a bound the last pass scans norm <= bound and the scan ends after it,
+    so no N past the bound is read; with none the scan has no end.
+
+    lam*conj(mu) = xa + xb*t, so lam/mu = (xa + xb*t)/N lies at planar
+    (U, V)/(2N) with U = 2*xa + trace*xb.  For lam = a + b*t and
+    mu = c + d*t both are linear: U = (2c + trace*d) a + (trace*c +
+    2*tau_norm*d) b and V = xb = c*b - d*a, and inverting, b = d*u +
+    (2c + trace*d) v.  So the rows b run between the least and greatest
+    b over the box's corners, and each row's a between the exact floor
+    and ceiling divisions of the box's four sides; b ascending, then a
+    ascending, is key() order.  A side whose coefficient of a is 0 bounds
+    b alone, and the row range is exactly that bound.  A pair is yielded
+    when unit_ideal passes on N(lam), N, xa and xb, the integers the scan
+    already has, and only then is lam built.  No ratio comes twice:
+    unimodular pairs of one ratio differ by a unit, the units are +-1
+    when |delta| > 4, and mu's canonical sign leaves 1.
     """
     e, m = order.trace, order.tau_norm
-    done, bound = 0, 4
+    done, top = 0, 4
     while True:
-        scan = lattice_points_norm_at_most(order, bound)
+        if bound is not None:
+            top = min(top, bound)
+        scan = lattice_points_norm_at_most(order, top)
         shell = [mu for mu in scan if mu.norm() > done and mu.is_canonical_positive()]
         for mu in sorted(shell, key=OInt.norm):
-            norm, ca, cb = mu.norm(), mu.a + e * mu.b, -mu.b  # conj(mu) = ca + cb*t
-            for lam in lattice_points_within(centre * mu, reach(norm)):
-                la, lb = lam.a, lam.b
-                xa, xb = la * ca - m * lb * cb, la * cb + lb * ca + e * lb * cb
-                if unit_ideal(lam.norm(), norm, xa, xb):
-                    yield lam, mu, xa, xb, norm
-        done, bound = bound, 4 * bound
+            c, d = mu.a, mu.b
+            norm, ca = mu.norm(), c + e * d  # conj(mu) = ca - d*t
+            w, u_lo, u_hi, v_lo, v_hi = box(norm)
+            p = 2 * c + e * d
+            lo = min(d * u_lo, d * u_hi) + min(p * v_lo, p * v_hi)
+            hi = max(d * u_lo, d * u_hi) + max(p * v_lo, p * v_hi)
+            # W*U and W*V, as k*a + r*b, between 2N times the box's sides; k > 0
+            sides = []
+            for k, r, s_lo, s_hi in ((w * p, w * (e * c + 2 * m * d), u_lo, u_hi), (-w * d, w * c, v_lo, v_hi)):
+                if k < 0:
+                    k, r, s_lo, s_hi = -k, -r, -s_hi, -s_lo
+                if k:
+                    sides.append((k, r, 2 * norm * s_lo, 2 * norm * s_hi))
+            for b in range(-(-lo // w), hi // w + 1):
+                a_lo = max(-((r * b - s_lo) // k) for k, r, s_lo, _ in sides)
+                a_hi = min((s_hi - r * b) // k for k, r, _, s_hi in sides)
+                nb, xa0, xb0 = m * b * b, m * b * d, c * b
+                for a in range(a_lo, a_hi + 1):
+                    xa, xb = a * ca + xa0, xb0 - a * d
+                    if unit_ideal(a * a + e * a * b + nb, norm, xa, xb):
+                        yield OInt(order, a, b), mu, xa, xb, norm
+        if top == bound:
+            return
+        done, top = top, 4 * top
 
 
 def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) -> HemiSet:
     """All hemispheres of unimodular pairs with norm(mu) <= norm_bound near the window.
 
     A hemisphere makes the cut when its center lies within one radius
-    of the window, so faces clipped at the boundary stay present.  Such
-    a center lies within R + 1/sqrt(N) of the window center wc, R the
-    circumradius, so pair_scan reads lambda where |lambda - wc*mu|^2 <=
-    (R sqrt(N) + 1)^2, with R sqrt(N) rounded up by an integer square
-    root, and stops past the bound.  The scan yields only unimodular
-    pairs.  Each center is tested in integers, since most miss the
-    window: against the window's bounding box, which decides a rectangle
-    and drops most far centers of any window, then by dist_sq_int.  A
-    pair that passes both gets its Hemisphere from the scan's integers,
-    center (xa + xb*t)/N reduced by gcd(xa, xb, N) and squared radius
-    1/N, and no completion is built.  The output is sorted by descending
-    radius, then v, then u, on the integers (N, V, U).
+    1/sqrt(N) of the window, so faces clipped at the boundary stay
+    present.  Such a center lies in the window's bounding box padded by
+    1/sqrt(N) in u and by 1/sqrt(|delta| N) in v, so pair_scan reads
+    lambda over that box, padded by the larger 1/isqrt(N) and
+    1/isqrt(|delta| N), and stops after the bound.  The scan yields only
+    unimodular pairs.  Each center is tested in integers, since many miss
+    the window: box_dist_sq_int against the bounding box, which decides
+    alone when the window is that box (a rectangle), then dist_sq_int
+    against the hexagon.  A pair that passes gets its Hemisphere from the
+    scan's integers, center (xa + xb*t)/N reduced by gcd(xa, xb, N) and
+    squared radius 1/N, and no completion is built.  The output is sorted
+    by descending radius, then v, then u, on the integers (N, V, U).
     """
     if not order.group_scope:
         raise OutOfScope("hemisphere arrangement needs |delta| > 12")
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
     n, e = order.abs_delta, order.trace
-    wu, wv = window.center
-    circum_sq = max((u - wu) ** 2 + n * (v - wv) ** 2 for u, v in window.vertices)
     frame = frame_of(window.vertices)
-    w, pts = frame
-    xlo, xhi = min(x for x, _ in pts), max(x for x, _ in pts)
-    ylo, yhi = min(y for _, y in pts), max(y for _, y in pts)
+    wbox, is_box = box_of(frame)
+    w, xlo, xhi, ylo, yhi = wbox
 
-    def reach(norm: int) -> Fraction:
-        # a kept center lam/mu lies within R + 1/sqrt(N) of the window
-        # center, R^2 = circum_sq, so |lam - wc*mu| <= R sqrt(N) + 1 and
-        # |lam - wc*mu|^2 <= (R sqrt(N) + 1)^2 = R^2 N + 2 R sqrt(N) + 1;
-        # and R sqrt(N) < isqrt(floor(R^2 N)) + 1 bounds the middle term
-        return circum_sq * norm + 2 * (math.isqrt(math.floor(circum_sq * norm)) + 1) + 1
+    def scan_box(norm: int) -> Box:
+        # the bounding box padded by 1/r >= 1/sqrt(N) in u and 1/s >= 1/sqrt(|delta| N) in v
+        r, s = math.isqrt(norm), math.isqrt(n * norm)
+        return (w * r * s, xlo * r * s - w * s, xhi * r * s + w * s, ylo * r * s - w * r, yhi * r * s + w * r)
 
     found: list[tuple[tuple[int, int, int], UnimodularPair, Hemisphere]] = []
-    for lam, mu, xa, xb, norm in pair_scan(order, kelem_from_planar(order, wu, wv), reach):
-        if norm > norm_bound:
-            break
-        # the center, at planar (u, v)/(2N); first its distance to the
-        # frame's bounding box, times W*2N, which is at most the window's
+    for lam, mu, xa, xb, norm in pair_scan(order, scan_box, norm_bound):
+        # the center, at planar (u, v)/(2N), against the radius 1/sqrt(N(mu))
         u, v, l = 2 * xa + e * xb, xb, 2 * norm
-        du = max(xlo * l - u * w, u * w - xhi * l, 0)
-        dv = max(ylo * l - v * w, v * w - yhi * l, 0)
-        if (du * du + n * dv * dv) * norm > (w * l) ** 2:
+        num, den = box_dist_sq_int(n, wbox, (u, v, l))
+        if num * norm > den:
             continue
-        num, den, _ = dist_sq_int(n, frame, (u, v, l))
-        if num * norm > den:  # farther than the radius 1/sqrt(N(mu)) from the window
-            continue
+        if not is_box:
+            num, den, _ = dist_sq_int(n, frame, (u, v, l))
+            if num * norm > den:
+                continue
         # lam/mu = (xa + xb*t)/N, which KElem.of reduces by gcd(xa, xb, N)
         hemi = Hemisphere(KElem.of(OInt(order, xa, xb), norm), Fraction(1, norm))
         found.append(((norm, v, u), UnimodularPair(lam, mu), hemi))
@@ -269,44 +299,14 @@ class Covered:
 FaceStatus = Contributes | Covered
 
 
-_EMPTY: HalfPlane = (0, 0, -1)  # 0 <= -1 holds nowhere, so it clips any cell away
-
-
-def _rivals(n: int, hd: Disc, pool: Sequence[Hemisphere]) -> Iterator[HalfPlane]:
-    """Bisectors against the hemispheres of pool whose open disc meets the disc hd, in pool order.
-
-    A duplicate of hd (a tie at every point means no strict dominance
-    anywhere), or a rival that covers hd's open disc by itself (the lemma
-    in face_status), ends the walk with _EMPTY instead.
-    """
-    hu, hv, hl, hp, hq = hd
-    for k in pool:
-        kd = k.disc
-        if kd == hd:
-            yield _EMPTY
-            return
-        ku, kv, kl, kp, kq = kd
-        # gap = |c_h - c_k|^2 - r_h^2 - r_k^2, times (L_h L_k)^2 Q_h Q_k > 0
-        du, dv = hu * kl - ku * hl, hv * kl - kv * hl
-        qq = hq * kq
-        ll = (hl * kl) ** 2
-        g = (du * du + n * dv * dv) * qq - (hp * kq + kp * hq) * ll
-        if g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2:
-            continue  # gap^2 >= 4 r_h^2 r_k^2: open discs disjoint, k is below the floor on all of h
-        a, b, c = bisector(n, hd, kd)
-        s = a * hu + b * hv - c * hl
-        if s > 0 and s * s * n * hq >= hp * hl * hl * (n * a * a + b * b):
-            yield _EMPTY
-            return
-        yield (a, b, c)
-
-
 def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     """Contributes iff h's power cell against its rivals has area and meets h's open disc.
 
     rest is taken literally, so a duplicate of h in it means Covered.  One
-    walk over rest, in its order, clips the cell by each rival's bisector
-    as it comes and stops as soon as the face is Covered: at a duplicate,
+    loop over rest, in its order, skips each rival whose open disc misses
+    h's, clips the cell from cell_square by the bisector of each other
+    rival as it comes, and stops as soon as the face is Covered: at a
+    duplicate (a tie at every point means no strict dominance anywhere),
     at a cell of fewer than 3 points, or at a rival that covers h alone.
     A face that contributes is clipped by every rival in order, so its
     cell, witness, near_sq and far_sq do not depend on where a walk stops.
@@ -327,10 +327,30 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     order = h.center.order
     n = order.abs_delta
     hd = h.disc
-    cell = power_cell(hd, _rivals(n, hd, rest))
+    hu, hv, hl, hp, hq = hd
+    poly = cell_square(hd)
+    for k in rest:
+        kd = k.disc
+        if kd == hd:
+            return Covered()
+        ku, kv, kl, kp, kq = kd
+        # gap = |c_h - c_k|^2 - r_h^2 - r_k^2, times (L_h L_k)^2 Q_h Q_k > 0
+        du, dv = hu * kl - ku * hl, hv * kl - kv * hl
+        qq = hq * kq
+        ll = (hl * kl) ** 2
+        g = (du * du + n * dv * dv) * qq - (hp * kq + kp * hq) * ll
+        if g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2:
+            continue  # gap^2 >= 4 r_h^2 r_k^2: open discs disjoint, k is below the floor on all of h
+        plane = a, b, c = bisector(n, hd, kd)
+        s = a * hu + b * hv - c * hl
+        if s > 0 and s * s * n * hq >= hp * hl * hl * (n * a * a + b * b):
+            return Covered()
+        poly = clip(poly, plane)
+        if len(poly) < 3:
+            return Covered()  # a point or a segment never regains area
+    cell = cell_frame(poly)
     if cell is None:
         return Covered()
-    hu, hv, hl, hp, hq = hd
     near_num, near_den, (x, y, w) = dist_sq_int(n, cell, (hu, hv, hl))
     if near_num * hq >= hp * near_den:  # no cell point inside the open disc
         return Covered()
@@ -338,7 +358,7 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     # |vertex - center|^2 times (W L)^2
     far_num = max((vx * hl - hu * cw) ** 2 + n * (vy * hl - hv * cw) ** 2 for vx, vy in verts)
     witness = h.center
-    # the cell is the box around the center cut by the yielded planes and has area,
+    # the cell is the square around the center cut by the clipping planes and has area,
     # so the center is strictly inside every plane iff it is strictly left of
     # every counterclockwise edge of the cell, collinear vertices included
     edges = zip(verts[-1:] + verts, verts)
@@ -402,6 +422,9 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
     rival still moves where a part ends.  Each bisector is built only
     when its clip comes, and the walk stops once the part is empty, so
     the clips up to that stop are those of a walk over every other disc.
+    A disc reaches the segment when its center is nearer than its radius:
+    box_dist_sq_int decides alone on an axis-parallel segment, which is
+    its own bounding box, and dist_sq_int measures a slanted one.
 
     The face walk's disjointness skip is not used here: it would be exact
     only with one more test, whether the part meets h's closed disc, and
@@ -411,10 +434,11 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
         raise ValueError("the plane needs t0 > 0")
     n = hs.order.abs_delta
     frame = frame_of((start, end))
+    box, is_box = box_of(frame)
     discs = []  # the discs that reach the segment
     for h in hs.hemispheres:
         u, v, l, p, q = h.disc
-        num, den, _ = dist_sq_int(n, frame, (u, v, l))
+        num, den = box_dist_sq_int(n, box, (u, v, l)) if is_box else dist_sq_int(n, frame, (u, v, l))[:2]
         if num * q < p * den:
             discs.append(h.disc)
     if not discs:

@@ -4,10 +4,14 @@ Points are (u, v) for u + v*sqrt(|delta|)*i, in the metric u^2 + |delta| v^2.
 Each disc is read once into integers (Hemisphere.disc).  bisector, the one
 routine that builds a bisector, gives the integer half-plane of one pair
 of discs, so a caller builds each plane only when its clip needs it.
-Cells are clipped in homogeneous integer points (x, y, w), and
-dist_sq_int, the one planar distance routine, measures a point against a
-cell over one common denominator (a Frame).  The Voronoi cell of the
-lattice is the power cell of the unit disc at 0.
+Cells are clipped in homogeneous integer points (x, y, w); a clip that
+cuts nothing hands its polygon back at once.  dist_sq_int, the one planar
+distance routine, measures a point against a cell over one common
+denominator (a Frame).  box_dist_sq_int measures against a frame's
+bounding box (box_of) in a few products: never more than dist_sq_int,
+and the same number when the frame is its own box, a rectangle or an
+axis-parallel segment, so there it decides alone.  The Voronoi cell of
+the lattice is the power cell of the unit disc at 0.
 
 box_neighbours finds which discs can meet with one sweep instead of a
 test of every pair: each disc is read into an integer box in
@@ -27,6 +31,7 @@ Point = tuple[Fraction, Fraction]
 Frame = tuple[int, tuple[tuple[int, int], ...]]  # W > 0 and the points (X/W, Y/W) as integer pairs (X, Y)
 HPoint = tuple[int, int, int]  # (x, y, w) with w > 0: the point (x/w, y/w)
 HalfPlane = tuple[int, int, int]  # a*u + b*v <= c, integer coefficients
+Box = tuple[int, int, int, int, int]  # (W, X_lo, X_hi, Y_lo, Y_hi): [X_lo/W, X_hi/W] x [Y_lo/W, Y_hi/W], W > 0
 
 _BOX_SCALE = 64  # box_neighbours' cells per unit of u and of sqrt(|delta|)*v
 
@@ -35,6 +40,34 @@ def frame_of(points: Sequence[Point]) -> Frame:
     """The points over one common denominator."""
     w = math.lcm(*(c.denominator for p in points for c in p))
     return (w, tuple((x.numerator * w // x.denominator, y.numerator * w // y.denominator) for x, y in points))
+
+
+def box_of(frame: Frame) -> tuple[Box, bool]:
+    """The frame's bounding box, and whether the frame is that box.
+
+    It is iff every corner of the box is a frame point: a convex polygon
+    through the four corners holds the box and lies in it.  So a rectangle
+    and an axis-parallel segment (or one point) are their own boxes, and a
+    hexagon or a slanted segment is not.
+    """
+    w, pts = frame
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    box = (w, min(xs), max(xs), min(ys), max(ys))
+    return (box, {(x, y) for x in box[1:3] for y in box[3:]} <= set(pts))
+
+
+def box_dist_sq_int(n: int, box: Box, p: HPoint) -> tuple[int, int]:
+    """Squared distance from p to the closed box as num/den with den > 0.
+
+    In the metric u^2 + |delta| v^2 the nearest point of an axis-parallel
+    box clamps each coordinate, so the squared distance is the sum of the
+    squared excesses past the box, over the denominator W*L.
+    """
+    w, xlo, xhi, ylo, yhi = box
+    u, v, l = p
+    du = max(xlo * l - u * w, u * w - xhi * l, 0)
+    dv = max(ylo * l - v * w, v * w - yhi * l, 0)
+    return (du * du + n * dv * dv, (w * l) ** 2)
 
 
 def segment_dist_sq_int(n: int, a: tuple[int, int], b: tuple[int, int], pu: int, pv: int) -> tuple[int, int, HPoint]:
@@ -137,49 +170,65 @@ def bisector(n: int, hd: Disc, kd: Disc) -> HalfPlane:
 def clip(poly: list[HPoint], plane: HalfPlane) -> list[HPoint]:
     """Sutherland-Hodgman step on homogeneous points; only strict sign changes add a point.
 
-    A polygon comes out without repeated points.  A list of two points is
+    When every point lies on the plane's closed inner side the step would
+    keep them all, in order, so the input list itself comes back.  A
+    polygon comes out without repeated points.  A list of two points is
     a segment, with no closing edge back to its start, so it comes out as
     its clipped ends: two points, one, or none.
     """
     a, b, c = plane
     # a*u + b*v - c at (x/w, y/w), times w > 0
     side = [a * x + b * y - c * w for x, y, w in poly]
-    closed = len(poly) > 2
+    if max(side, default=0) <= 0:
+        return poly
     out = []
-    for i, q in enumerate(poly):
-        p, sp, sq = poly[i - 1], side[i - 1], side[i]
-        if (i or closed) and (sp < 0 < sq or sq < 0 < sp):
+    # the edge into the first point closes a polygon; a segment has none, and sp = 0 adds no crossing
+    p, sp = (poly[-1], side[-1]) if len(poly) > 2 else (poly[0], 0)
+    for q, sq in zip(poly, side):
+        if sp < 0 < sq or sq < 0 < sp:
             # sq*p - sp*q is the crossing p + t(q - p) with t = sp/(sp - sq), up to scale
-            x, y, w = (sq * pc - sp * qc for pc, qc in zip(p, q))
+            (px, py, pw), (qx, qy, qw) = p, q
+            x, y, w = sq * px - sp * qx, sq * py - sp * qy, sq * pw - sp * qw
             if w < 0:
                 x, y, w = -x, -y, -w
             g = math.gcd(x, y, w)
             out.append((x // g, y // g, w // g))
         if sq <= 0:
             out.append(q)
+        p, sp = q, sq
     return out
 
 
-def power_cell(hd: Disc, planes: Iterable[HalfPlane]) -> Frame | None:
-    """Closed power cell of the disc in the box center +-1; None without area.
+def cell_square(hd: Disc) -> list[HPoint]:
+    """The square center +-1 of the disc, counterclockwise: where its power cell is clipped from.
 
-    The planes are read one at a time, and none is read after the cell
-    drops below 3 points, so a lazy caller can stop building them.
-
-    The box holds every cell that is asked for.  A hemisphere's disc has
-    radius at most 1, so the box holds the disc, and with it every point
+    The square holds every cell that is asked for.  A hemisphere's disc has
+    radius at most 1, so the square holds the disc, and with it every point
     where the hemisphere can be on top.  A Voronoi cell of the lattice
-    has |u| <= 1/2 and |v| <= (n+1)/(4n) <= 1/2.  The cell comes over
-    one common denominator, counterclockwise.
+    has |u| <= 1/2 and |v| <= (n+1)/(4n) <= 1/2.
     """
     u, v, l = hd[:3]
-    poly = [(u - l, v - l, l), (u + l, v - l, l), (u + l, v + l, l), (u - l, v + l, l)]
-    for plane in planes:
-        poly = clip(poly, plane)
-        if len(poly) < 3:
-            return None  # a point or a segment never regains area
+    return [(u - l, v - l, l), (u + l, v - l, l), (u + l, v + l, l), (u - l, v + l, l)]
+
+
+def cell_frame(poly: Sequence[HPoint]) -> Frame | None:
+    """A clipped cell over one common denominator, counterclockwise; None without area."""
     w = math.lcm(*(p[2] for p in poly))
     verts = tuple((x * (w // pw), y * (w // pw)) for x, y, pw in poly)
     # twice the area, by the shoelace sum
     area2 = sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(verts[-1:] + verts, verts))
     return (w, verts) if area2 > 0 else None
+
+
+def power_cell(hd: Disc, planes: Iterable[HalfPlane]) -> Frame | None:
+    """Closed power cell of the disc in its cell_square, by cell_frame; None without area.
+
+    The planes are read one at a time, and none is read after the cell
+    drops below 3 points, so a lazy caller can stop building them.
+    """
+    poly = cell_square(hd)
+    for plane in planes:
+        poly = clip(poly, plane)
+        if len(poly) < 3:
+            return None  # a point or a segment never regains area
+    return cell_frame(poly)

@@ -119,28 +119,41 @@ def _text_value(value: Any) -> str:
     return "none" if value is None else str(value)
 
 
+# the JSON text of each leaf type, looked up by exact type, so a subclass is no leaf
+_JSON_LEAF: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _json_text(value: Any, newline: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True) for payload values, without its pure-Python encoder.
 
     Strings and keys go through the stdlib's C escaper, ints through
-    int.__repr__, lists and tuples become arrays.  Any other type, floats
-    and subclasses included, and a non-str key raise TypeError.
+    int.__repr__, lists and tuples become arrays.  A str, int, bool or None
+    item is rendered in place by its _JSON_LEAF entry, so only a list,
+    tuple or dict item costs a recursive call.  Any other type, floats and
+    subclasses included, and a non-str key raise TypeError.
     """
+    leaf = _JSON_LEAF.get(type(value))
+    if leaf is not None:
+        return leaf(value)
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
     inner = newline + "  "
+    items = []
     if kind is list or kind is tuple:
-        items = [_json_text(v, inner) for v in value]
+        for v in value:
+            leaf = _JSON_LEAF.get(type(v))
+            items.append(leaf(v) if leaf is not None else _json_text(v, inner))
         return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
     if kind is dict:
         if not all(type(k) is str for k in value):
             raise TypeError("payload keys must be str")
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        for k, v in sorted(value.items()):
+            leaf = _JSON_LEAF.get(type(v))
+            items.append(encode_basestring_ascii(k) + ": " + (leaf(v) if leaf is not None else _json_text(v, inner)))
         return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
     raise TypeError(f"{kind.__name__} is not a payload value")
 

@@ -41,7 +41,6 @@ from .orders import (
     OInt,
     Order,
     gap_neighbourhood,
-    kelem_from_planar,
     nearest_lattice_point,
 )
 from .words import MembershipResult, NonMember, R, S, Word, membership, word_to_matrix
@@ -86,13 +85,12 @@ def gap_check(z: KElem) -> Fraction | None:
 
 
 def _gap_stream(order: Order) -> Iterator[GapPoint]:
-    # the ratios of pair_scan, all unimodular, in the half-open cell band u in
-    # [0, 1), v in [0, 1/2), which meets every translation orbit once; the band
-    # test and the gap rule read the scan's ints
+    # the ratios of pair_scan, all unimodular, over the closed band [0, 1] x
+    # [0, 1/2], kept in the half-open band u in [0, 1), v in [0, 1/2), which
+    # meets every translation orbit once; the band test and the gap rule read
+    # the scan's ints
     e = order.trace
-    band_center = kelem_from_planar(order, Fraction(1, 2), Fraction(1, 4))
-    band_circum = Fraction(1, 4) + Fraction(order.abs_delta, 16)
-    for lam, mu, xa, xb, norm in pair_scan(order, band_center, lambda norm: band_circum * norm):
+    for lam, mu, xa, xb, norm in pair_scan(order, lambda norm: (2, 0, 2, 0, 1)):
         if not (0 <= 2 * xa + e * xb < 2 * norm and 0 <= xb < norm):
             continue
         min_dist = _gap_dist(order, xa, xb, norm)

@@ -6,6 +6,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,7 @@ from pe2ford.arrangement import (
     Covered,
     HemiSet,
     UnimodularPair,
-    _EMPTY,
     _one_in_span,
-    _rivals,
     enumerate_hemispheres,
     envelope_dips_below,
     face_status,
@@ -33,7 +32,17 @@ from pe2ford.arrangement import (
     svg_topview,
     unit_ideal,
 )
-from pe2ford.cells import bisector, box_neighbours, clip, dist_sq_int, frame_of, power_cell
+from pe2ford import arrangement
+from pe2ford.cells import (
+    bisector,
+    box_dist_sq_int,
+    box_neighbours,
+    box_of,
+    clip,
+    dist_sq_int,
+    frame_of,
+    power_cell,
+)
 from pe2ford.errors import OutOfScope
 from pe2ford.ford import amalgam_rectangle, voronoi_cell
 from pe2ford.moebius import Hemisphere, Mat
@@ -165,49 +174,102 @@ def test_one_in_span_is_the_oint_echelon_on_random_pairs(delta):
         assert _one_in_span(lam, mu) == _oint_one_in_span(lam, mu), (lam, mu)
 
 
-def _candidate_scan(order, centre, reach):
-    """The disc scan with no unit-ideal test: every candidate (lam, mu, xa, xb, N), with no end.
+def _candidate_scan(order, box):
+    """Every candidate (lam, mu, xa, xb, N) of a disc scan that encloses box(N), with no end.
 
-    The reference for pair_scan, which must yield exactly the unimodular ones.
+    The disc about the box's center has the box's circumradius, times sqrt(N)
+    about centre*mu, so it holds every lam with lam/mu in the box.  Filtered by
+    the oracle and the closed box, it is the reference for pair_scan.
     """
     e, m = order.trace, order.tau_norm
+    n = order.abs_delta
     done, bound = 0, 4
     while True:
         scan = lattice_points_norm_at_most(order, bound)
         shell = [mu for mu in scan if mu.norm() > done and mu.is_canonical_positive()]
         for mu in sorted(shell, key=OInt.norm):
             norm, ca, cb = mu.norm(), mu.a + e * mu.b, -mu.b
-            for lam in lattice_points_within(centre * mu, reach(norm)):
+            w, u_lo, u_hi, v_lo, v_hi = box(norm)
+            centre = kelem_from_planar(order, Fraction(u_lo + u_hi, 2 * w), Fraction(v_lo + v_hi, 2 * w))
+            circum_sq = Fraction(u_hi - u_lo, 2 * w) ** 2 + n * Fraction(v_hi - v_lo, 2 * w) ** 2
+            for lam in lattice_points_within(centre * mu, circum_sq * norm):
                 la, lb = lam.a, lam.b
                 yield lam, mu, la * ca - m * lb * cb, la * cb + lb * ca + e * lb * cb, norm
         done, bound = bound, 4 * bound
 
 
+def _in_closed_box(box, ratio):
+    w, u_lo, u_hi, v_lo, v_hi = box
+    u, v = ratio.planar()
+    return Fraction(u_lo, w) <= u <= Fraction(u_hi, w) and Fraction(v_lo, w) <= v <= Fraction(v_hi, w)
+
+
+def _ratio_in_closed_box(order, box, candidate):
+    # lam/mu = (xa + xb*t)/N sits at planar ((2 xa + trace xb)/(2N), xb/(2N)); compared over W*2N
+    _, _, xa, xb, norm = candidate
+    w, u_lo, u_hi, v_lo, v_hi = box(norm)
+    u, v = w * (2 * xa + order.trace * xb), w * xb
+    return 2 * norm * u_lo <= u <= 2 * norm * u_hi and 2 * norm * v_lo <= v <= 2 * norm * v_hi
+
+
+def _padded_box(order, window):
+    """The box pair_scan reads for enumerate_hemispheres: the window's, padded by 1/isqrt(N) and 1/isqrt(|delta| N)."""
+    us, vs = [u for u, _ in window.vertices], [v for _, v in window.vertices]
+
+    def box(norm):
+        pu, pv = Fraction(1, math.isqrt(norm)), Fraction(1, math.isqrt(order.abs_delta * norm))
+        edges = (min(us) - pu, max(us) + pu, min(vs) - pv, max(vs) + pv)
+        w = math.lcm(*(x.denominator for x in edges))
+        return (w, *(int(x * w) for x in edges))
+
+    return box
+
+
 PAIR_SCAN_DISCS = [-15, -19, -20, -23, -40, -163, -1003]
+BAND = (2, 0, 2, 0, 1)  # the gap stream's closed band [0, 1] x [0, 1/2]
 
 
-@pytest.mark.parametrize("delta", PAIR_SCAN_DISCS)
+@pytest.mark.parametrize("delta", PAIR_SCAN_DISCS + [-100000003])
 def test_pair_scan_is_the_candidate_scan_filtered_by_the_oracle(delta):
-    # through the first three mu shells (norms up to 4, 16 and 64), about the
-    # gap stream's band centre and about the rectangle's centre
+    # through the first three mu shells (norms up to 4, 16 and 64), over the gap
+    # stream's band and over the padded boxes of the rectangle and the Voronoi cell
     order = make_order(delta)
-    n = order.abs_delta
 
     def upto_64(scan):
         return list(itertools.takewhile(lambda c: c[4] <= 64, scan))
 
-    band_circum = Fraction(1, 4) + Fraction(n, 16)
-    band = (kelem_from_planar(order, Fraction(1, 2), Fraction(1, 4)), lambda norm: band_circum * norm)
-    rect = (kelem_from_planar(order, *amalgam_rectangle(order).center), lambda norm: Fraction(n, 8) * norm + 2)
-    for centre, reach in (band, rect):
-        candidates = upto_64(_candidate_scan(order, centre, reach))
-        got = upto_64(pair_scan(order, centre, reach))
-        assert got == [c for c in candidates if _unimodular_oracle(c[0], c[1])]
-        assert 0 < len(got) < len(candidates)
+    boxes = [lambda norm: BAND, _padded_box(order, amalgam_rectangle(order))]
+    if abs(delta) < 10**4:  # at -100000003 the reference disc is about 10^4 times the box
+        boxes.append(_padded_box(order, voronoi_cell(order)))
+    for box in map(functools.cache, boxes):
+        candidates = upto_64(_candidate_scan(order, box))
+        got = upto_64(pair_scan(order, box))
+        want = [c for c in candidates if _ratio_in_closed_box(order, box, c)]
+        assert got == [c for c in want if _unimodular_oracle(c[0], c[1])]
+        assert 0 < len(got) < len(want)
         assert {c[4] for c in got} > {1, 4}  # past the first shell
         for lam, mu, xa, xb, norm in got:
             assert lam * mu.conj() == order.elt(xa, xb) and mu.norm() == norm
+            assert _in_closed_box(box(norm), KElem.of(lam, mu))
         assert len({KElem.of(lam, mu) for lam, mu, *_ in got}) == len(got)  # distinct ratios
+
+
+@pytest.mark.parametrize("delta", [-15, -20, -40, -100000003])
+def test_pair_scan_ends_after_the_bound(delta):
+    # the scan reads every canonical mu of norm up to the bound, once each and in
+    # norm order, yields the unbounded scan's pairs up to it, and stops there
+    order = make_order(delta)
+    every = [mu for mu in lattice_points_norm_at_most(order, 64) if mu.is_canonical_positive()]
+    for bound in (1, 3, 4, 5, 16, 17, 63, 64):
+        read = []
+
+        def box(norm):
+            read.append(norm)
+            return BAND
+
+        got = list(pair_scan(order, box, bound))
+        assert read == sorted(mu.norm() for mu in every if mu.norm() <= bound)
+        assert got == list(itertools.takewhile(lambda c: c[4] <= bound, pair_scan(order, lambda norm: BAND)))
 
 
 @pytest.mark.parametrize("delta", PAIR_SCAN_DISCS)
@@ -409,6 +471,29 @@ def test_face_status_off_center_cell_by_hand():
     assert face_status(h, [k]) == Covered()
 
 
+COVER = "cover"  # face_status's walk ended on the rival alone
+
+
+def _one_rival_walk(h, k):
+    """What face_status's walk does with k as h's only rival, seen through its clips.
+
+    [] when it skips k (h alone contributes), [COVER] when k ends the walk
+    before any clip (a duplicate or a one-rival cover), else [the bisector
+    it clips by].
+    """
+    planes = []
+
+    def recording_clip(poly, plane):
+        planes.append(plane)
+        return clip(poly, plane)
+
+    with mock.patch.object(arrangement, "clip", recording_clip):
+        status = face_status(h, [k])
+    if planes:
+        return planes
+    return [COVER] if status == Covered() else []
+
+
 def _closed_discs_meet(h, k):
     # |c_h - c_k| <= r_h + r_k, squared twice over Fractions
     gap = (h.center - k.center).abs_sq() - h.radius_sq - k.radius_sq
@@ -416,7 +501,7 @@ def _closed_discs_meet(h, k):
 
 
 def _check_box_neighbours(hs):
-    # the sweep lists each pair both ways, keeps every rival that _rivals keeps
+    # the sweep lists each pair both ways, keeps every rival that face_status does not skip
     # from the full pool, and leaves every face status as the full pool gives it
     n = hs.order.abs_delta
     hemis = hs.hemispheres
@@ -426,8 +511,8 @@ def _check_box_neighbours(hs):
     full = []
     for i, h in enumerate(hemis):
         rest = hemis[:i] + hemis[i + 1 :]
-        # a duplicate or a one-rival cover (_EMPTY) counts as kept
-        kept = {j for j, k in enumerate(hemis) if j != i and list(_rivals(n, h.disc, [k])) != []}
+        # a duplicate or a one-rival cover counts as kept
+        kept = {j for j, k in enumerate(hemis) if j != i and _one_rival_walk(h, k) != []}
         assert kept <= set(near[i])
         full.append(face_status(h, rest))
     assert face_statuses(hs) == tuple(full)
@@ -660,6 +745,131 @@ def test_clip_keeps_a_segment_as_its_two_ends():
     assert clip([origin, one, (0, 1, 1)], (2, 0, 1)) == [origin, half, (1, 1, 2), (0, 1, 1)]
 
 
+def _sutherland_hodgman(poly, plane):
+    # the full loop with no shortcut: a strict sign change adds the reduced crossing,
+    # and every point on the closed inner side is kept
+    a, b, c = plane
+    side = [a * x + b * y - c * w for x, y, w in poly]
+    out = []
+    for i, q in enumerate(poly):
+        p, sp, sq = poly[i - 1], side[i - 1], side[i]
+        if (i or len(poly) > 2) and (sp < 0 < sq or sq < 0 < sp):
+            x, y, w = (sq * pc - sp * qc for pc, qc in zip(p, q))
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = math.gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
+        if sq <= 0:
+            out.append(q)
+    return out
+
+
+def _random_convex_polygon(rng):
+    # the hull of random homogeneous points, counterclockwise with no three collinear
+    pts = {(rng.randint(-12, 12), rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rng.randint(3, 9))}
+    pts = sorted(pts, key=lambda p: (Fraction(p[0], p[2]), Fraction(p[1], p[2])))
+
+    def turn(o, p, q):
+        # sign of the cross product (p - o) x (q - o), over o.w p.w q.w > 0
+        (ox, oy, ow), (px, py, pw), (qx, qy, qw) = o, p, q
+        return (px * ow - ox * pw) * (qy * ow - oy * qw) - (py * ow - oy * pw) * (qx * ow - ox * qw)
+
+    hull = []
+    for sweep in (pts, pts[::-1]):
+        part = []
+        for p in sweep:
+            while len(part) > 1 and turn(part[-2], part[-1], p) <= 0:
+                part.pop()
+            part.append(p)
+        hull += part[:-1]
+    return hull
+
+
+def test_clip_is_sutherland_hodgman():
+    # seeded convex polygons against random planes, planes through a vertex and planes
+    # along an edge, both ways round; a plane that holds the polygon hands it back
+    rng = random.Random(29)
+    held = cut = 0
+    for _ in range(400):
+        poly = _random_convex_polygon(rng)
+        if len(poly) < 3:
+            continue
+        (x, y, w), (x2, y2, w2) = rng.sample(poly, 2)
+        a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+        planes = [
+            (a, b, rng.randint(-40, 40)),
+            (a * w, b * w, a * x + b * y),  # through the vertex (x, y)/w
+            # the line through two vertices, an edge when they are neighbours
+            (y * w2 - w * y2, w * x2 - x * w2, y * x2 - x * y2),
+        ]
+        i = rng.randrange(len(poly))
+        (x, y, w), (x2, y2, w2) = poly[i - 1], poly[i]
+        planes.append((y * w2 - w * y2, w * x2 - x * w2, y * x2 - x * y2))  # along the edge
+        for a, b, c in planes:
+            for plane in ((a, b, c), (-a, -b, -c)):
+                got = clip(poly, plane)
+                assert got == _sutherland_hodgman(poly, plane), (poly, plane)
+                if all(plane[0] * x + plane[1] * y <= plane[2] * w for x, y, w in poly):
+                    assert got is poly
+                    held += 1
+                else:
+                    cut += 1
+    assert held > 100 and cut > 100
+
+
+def _box_and_exact_verdicts(order, window, bound):
+    # each center (U, V, L) the scan yields for the enumeration, its norm, and whether
+    # it is within the radius by the box alone and by dist_sq_int
+    n, e = order.abs_delta, order.trace
+    frame = frame_of(window.vertices)
+    box, _ = box_of(frame)
+    for _, _, xa, xb, norm in pair_scan(order, _padded_box(order, window), bound):
+        p = (2 * xa + e * xb, xb, 2 * norm)
+        num, den = box_dist_sq_int(n, box, p)
+        exact, exact_den, _ = dist_sq_int(n, frame, p)
+        yield p, norm, num * norm <= den, exact * norm <= exact_den
+
+
+@pytest.mark.parametrize("delta", [-15, -19, -20, -24, -40, -43, -52, -163, -1003])
+def test_box_decides_exactly_on_rectangles(delta):
+    # the amalgam rectangle, and the Voronoi cell at even delta, are their own bounding
+    # boxes, so the box verdict is dist_sq_int's for every center the scan yields
+    order = make_order(delta)
+    for window in [amalgam_rectangle(order)] + [voronoi_cell(order)] * order.even:
+        assert box_of(frame_of(window.vertices))[1]
+        verdicts = [(box, exact) for _, _, box, exact in _box_and_exact_verdicts(order, window, 64)]
+        assert all(box == exact for box, exact in verdicts)
+        if abs(delta) < 1000:  # at -1003 every scanned center is within its radius
+            assert {box for box, _ in verdicts} == {True, False}
+
+
+@pytest.mark.parametrize("delta, dropped", [(-19, 16), (-15, 8)])
+def test_box_does_not_decide_on_the_hexagon(delta, dropped):
+    # at bound 16 the box alone keeps centers that miss the hexagon by more than
+    # their radius (by the Fraction distance of _polygon_nearest_ref), so the
+    # enumeration must ask dist_sq_int there
+    order = make_order(delta)
+    window = voronoi_cell(order)
+    assert not box_of(frame_of(window.vertices))[1]
+    verdicts = list(_box_and_exact_verdicts(order, window, 16))
+    assert all(box for _, _, box, exact in verdicts if exact)  # the box never drops a kept center
+    misses = [(p, norm) for p, norm, box, exact in verdicts if box and not exact]
+    assert len(misses) == dropped
+    for (u, v, l), norm in misses:
+        z = (Fraction(u, l), Fraction(v, l))
+        assert _polygon_nearest_ref(order.abs_delta, list(window.vertices), z)[0] > Fraction(1, norm)
+
+
+def test_box_of_knows_its_own_boxes():
+    half, zero = Fraction(1, 2), Fraction(0)
+    corners = ((half, zero), (half, half), (-half, half), (-half, zero))
+    assert box_of(frame_of(corners)) == ((2, -1, 1, 0, 1), True)
+    assert box_of(frame_of(corners[:2]))[1] and box_of(frame_of(corners[1:3]))[1]  # axis-parallel sides
+    assert box_of(frame_of(corners[:1] * 2))[1]  # a point
+    assert not box_of(frame_of((corners[0], corners[2])))[1]  # a diagonal
+    assert not box_of(frame_of(corners[:3]))[1]  # a triangle with three of the corners
+
+
 DISCS = [-m for m in range(13, 200) if m % 4 in (0, 3)]
 
 
@@ -741,9 +951,9 @@ def test_integer_kernel_matches_fractions(delta, data):
             hcp, kcp = h.center.planar(), k.center.planar()
             gap = (hcp[0] - kcp[0]) ** 2 + n * (hcp[1] - kcp[1]) ** 2 - h.radius_sq - k.radius_sq
             disjoint = gap >= 0 and gap * gap >= 4 * h.radius_sq * k.radius_sq
-            walk = list(_rivals(n, h.disc, [k]))
+            walk = _one_rival_walk(h, k)
             if (hcp, hr) == (kcp, rsq):
-                assert walk == [_EMPTY]
+                assert walk == [COVER]
                 continue
             plane = bisector(n, h.disc, k.disc)
             # the one-rival cover, on the Fraction bisector A u + B v <= C where h is at least
@@ -752,7 +962,7 @@ def test_integer_kernel_matches_fractions(delta, data):
             cc = kcp[0] ** 2 + n * kcp[1] ** 2 - rsq - (hcp[0] ** 2 + n * hcp[1] ** 2 - hr)
             sd = ca * hcp[0] + cb * hcp[1] - cc
             covers = sd > 0 and sd * sd * n >= hr * (n * ca * ca + cb * cb)
-            assert walk == ([] if disjoint else [_EMPTY] if covers else [plane])
+            assert walk == ([] if disjoint else [COVER] if covers else [plane])
             a, b, cc = plane
             assert isinstance(a, int) and isinstance(b, int) and isinstance(cc, int)
             assert math.gcd(a, b, cc) in (0, 1)
@@ -804,7 +1014,7 @@ def test_one_rival_cover_leaves_no_cell_point_in_the_disc(delta, data):
             rivals.append(((hc[0] + r + d, hc[1]), d * d))
         for c, rsq in rivals:
             k = Hemisphere(kelem_from_planar(order, *c), rsq)
-            if k == h or list(_rivals(n, h.disc, [k])) != [_EMPTY]:
+            if k == h or _one_rival_walk(h, k) != [COVER]:
                 continue
             fired += 1
             cell = power_cell(h.disc, [bisector(n, h.disc, k.disc)])

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -307,6 +308,19 @@ def test_cosets_count_one():
     s, (p, q) = point["s"], point["num"]
     assert s > 1 and 0 <= p < s and 0 <= q < s
     assert payload["certificates_sha256"] == hashlib.sha256(f"{s}:{p},{q}\n".encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv", [["arrangement", "--bound", "1"], ["amalgam", "--bound", "16"], ["cosets", "--count", "1"]], ids=" ".join
+)
+def test_huge_discriminant_runs_in_seconds(argv):
+    # the pair scans read only the rows of their boxes, so the cost does not grow
+    # with sqrt(|delta|); a disc scan took 8-15 s CPU and about 1 GB here
+    start = time.process_time()
+    code, out, err = run([argv[0], "--disc", "-100000000000003", *argv[1:], "--format", "json"])
+    assert code == 0, err
+    validate(argv[0], json.loads(out))
+    assert time.process_time() - start < 5
 
 
 def test_order_info_works_below_group_scope():
