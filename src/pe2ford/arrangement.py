@@ -422,9 +422,13 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
     rival still moves where a part ends.  Each bisector is built only
     when its clip comes, and the walk stops once the part is empty, so
     the clips up to that stop are those of a walk over every other disc.
-    A disc reaches the segment when its center is nearer than its radius:
-    box_dist_sq_int decides alone on an axis-parallel segment, which is
-    its own bounding box, and dist_sq_int measures a slanted one.
+    A disc is kept when its center is nearer than its radius to the
+    segment's bounding box, by box_dist_sq_int.  On an axis-parallel
+    segment, which is its own box, those are exactly the discs that reach
+    it.  On a slanted one a kept disc may miss the segment, and then its
+    height^2 is below 0 all along it: it can raise the top only where no
+    disc covers, and there the top stays below 0 < t0^2.  So the answer
+    is that of the discs that reach the segment.
 
     The face walk's disjointness skip is not used here: it would be exact
     only with one more test, whether the part meets h's closed disc, and
@@ -434,11 +438,11 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
         raise ValueError("the plane needs t0 > 0")
     n = hs.order.abs_delta
     frame = frame_of((start, end))
-    box, is_box = box_of(frame)
-    discs = []  # the discs that reach the segment
+    box, _ = box_of(frame)
+    discs = []  # the discs that reach the segment's box
     for h in hs.hemispheres:
         u, v, l, p, q = h.disc
-        num, den = box_dist_sq_int(n, box, (u, v, l)) if is_box else dist_sq_int(n, frame, (u, v, l))[:2]
+        num, den = box_dist_sq_int(n, box, (u, v, l))
         if num * q < p * den:
             discs.append(h.disc)
     if not discs:

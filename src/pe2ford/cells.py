@@ -4,8 +4,9 @@ Points are (u, v) for u + v*sqrt(|delta|)*i, in the metric u^2 + |delta| v^2.
 Each disc is read once into integers (Hemisphere.disc).  bisector, the one
 routine that builds a bisector, gives the integer half-plane of one pair
 of discs, so a caller builds each plane only when its clip needs it.
-Cells are clipped in homogeneous integer points (x, y, w); a clip that
-cuts nothing hands its polygon back at once.  dist_sq_int, the one planar
+A power cell is clipped from the disc's cell_square in homogeneous
+integer points (x, y, w) and closed by cell_frame; a clip that cuts
+nothing hands its polygon back at once.  dist_sq_int, the one planar
 distance routine, measures a point against a cell over one common
 denominator (a Frame).  box_dist_sq_int measures against a frame's
 bounding box (box_of) in a few products: never more than dist_sq_int,
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # (U, V, L, P, Q): planar center (U/L, V/L) and squared radius P/Q, with L, Q > 0
 Disc = tuple[int, int, int, int, int]
@@ -212,23 +213,14 @@ def cell_square(hd: Disc) -> list[HPoint]:
 
 
 def cell_frame(poly: Sequence[HPoint]) -> Frame | None:
-    """A clipped cell over one common denominator, counterclockwise; None without area."""
+    """A clipped cell over one common denominator, counterclockwise; None without area.
+
+    Fewer than 3 points have no area, and a clip never regains area, so a
+    caller may stop clipping as soon as its cell drops below 3 points.
+    """
     w = math.lcm(*(p[2] for p in poly))
     verts = tuple((x * (w // pw), y * (w // pw)) for x, y, pw in poly)
     # twice the area, by the shoelace sum
     area2 = sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(verts[-1:] + verts, verts))
     return (w, verts) if area2 > 0 else None
 
-
-def power_cell(hd: Disc, planes: Iterable[HalfPlane]) -> Frame | None:
-    """Closed power cell of the disc in its cell_square, by cell_frame; None without area.
-
-    The planes are read one at a time, and none is read after the cell
-    drops below 3 points, so a lazy caller can stop building them.
-    """
-    poly = cell_square(hd)
-    for plane in planes:
-        poly = clip(poly, plane)
-        if len(poly) < 3:
-            return None  # a point or a segment never regains area
-    return cell_frame(poly)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cells import Point, bisector, power_cell
+from .cells import Point, bisector, cell_frame, cell_square, clip
 from .errors import CycleNotClosed, OutOfScope
 from .moebius import Mat, apply_interior, gen_r, gen_s, order_in_psl
 from .orders import KElem, OInt, Order, kelem_from_planar
@@ -60,7 +60,10 @@ def voronoi_cell(order: Order) -> FundPolygon:
         raise OutOfScope("voronoi cell needs |delta| > 4")
     unit = (0, 0, 1, 1, 1)
     discs = [(*p.planar_int(1), 1, 1) for p in _neighbour_ring(order)]
-    w, verts = power_cell(unit, (bisector(order.abs_delta, unit, d) for d in discs))
+    poly = cell_square(unit)
+    for d in discs:
+        poly = clip(poly, bisector(order.abs_delta, unit, d))
+    w, verts = cell_frame(poly)
     top = verts.index(max(verts))
     cell = tuple((Fraction(x, w), Fraction(y, w)) for x, y in verts[top:] + verts[:top])
     zero = Fraction(0)

@@ -38,10 +38,11 @@ from pe2ford.cells import (
     box_dist_sq_int,
     box_neighbours,
     box_of,
+    cell_frame,
+    cell_square,
     clip,
     dist_sq_int,
     frame_of,
-    power_cell,
 )
 from pe2ford.errors import OutOfScope
 from pe2ford.ford import amalgam_rectangle, voronoi_cell
@@ -1017,12 +1018,17 @@ def test_one_rival_cover_leaves_no_cell_point_in_the_disc(delta, data):
             if k == h or _one_rival_walk(h, k) != [COVER]:
                 continue
             fired += 1
-            cell = power_cell(h.disc, [bisector(n, h.disc, k.disc)])
+            cell = _power_cell(h.disc, [bisector(n, h.disc, k.disc)])
             if cell is not None:
                 w, verts = cell
                 poly = [(Fraction(x, w), Fraction(y, w)) for x, y in verts]
                 assert _polygon_nearest_ref(n, poly, h.center.planar())[0] >= hr
     assert fired
+
+
+def _power_cell(hd, planes):
+    # the power cell clipped by every plane, with no stop on an empty cell
+    return cell_frame(functools.reduce(clip, planes, cell_square(hd)))
 
 
 def _all_rivals_status(h, rest):
@@ -1043,7 +1049,7 @@ def _all_rivals_status(h, rest):
         if not (g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2):
             rivals.append(k.disc)
     planes = [bisector(n, hd, kd) for kd in rivals]
-    cell = power_cell(hd, planes)
+    cell = _power_cell(hd, planes)
     if cell is None:
         return Covered()
     near_num, near_den, (x, y, w) = dist_sq_int(n, cell, (hu, hv, hl))
