@@ -17,10 +17,15 @@ for the truncated arrangement; floats appear only in the SVG emitter.
 The cells come from the integer kernel in cells.py.  A face is clipped
 only by the hemispheres whose discs meet its own, and one integer sweep
 (box_neighbours) lists those candidates instead of a test of every pair.
-One loop in face_status walks the rivals, clips the cell as each
+One loop in face_status walks the rivals.  It tests h's center against
+each first, and a center strictly on top of every rival is the witness,
+with no bisector built; otherwise the walk clips the cell as each
 rival's bisector comes and stops at its first rival that covers it
-alone, or as soon as its cell is empty; a wall clips each disc's part
-of it the same way, bisector by bisector.  A clip that cuts nothing
+alone, or as soon as its cell is empty.  The upper envelope of a finite
+set of hemispheres is that of its contributing faces, so plane_split
+clips each contributor's cell by the contributors alone, and the walls
+of amalgam_report read the contributors alone; a wall clips each disc's
+part of it the same way, bisector by bisector.  A clip that cuts nothing
 costs one side test per point.  The enumeration reads pair_scan, the
 pair loop that the gap stream shares: lam runs row by row over exactly
 the planar box a kept ratio can reach, and the scan ends after the norm
@@ -30,8 +35,7 @@ enumeration tests each center against the window's bounding box, which
 decides alone when the window is that box (the amalgam rectangle and
 the even Voronoi cell) and leaves dist_sq_int to the hexagon; it builds
 each kept hemisphere from the scan's ints and sorts on integers.  The
-witness walk runs in integers too, so Fractions appear only in the
-near_sq and far_sq of a Contributes.
+witness walk and the plane sides run in integers too.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from typing import Callable, Iterator, Sequence
 
 from .cells import (
     Box,
+    Disc,
     Point,
     bisector,
     box_dist_sq_int,
@@ -281,14 +286,9 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
 
 @dataclass(frozen=True)
 class Contributes:
-    """Exact point where the hemisphere is strictly on top, and the extent of its power cell.
-
-    Over the cell the squared distance from the center runs from near_sq to far_sq.
-    """
+    """Exact point where the hemisphere is strictly on top of every other."""
 
     witness: KElem
-    near_sq: Fraction
-    far_sq: Fraction
 
 
 @dataclass(frozen=True)
@@ -304,12 +304,28 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
 
     rest is taken literally, so a duplicate of h in it means Covered.  One
     loop over rest, in its order, skips each rival whose open disc misses
-    h's, clips the cell from cell_square by the bisector of each other
-    rival as it comes, and stops as soon as the face is Covered: at a
-    duplicate (a tie at every point means no strict dominance anywhere),
-    at a cell of fewer than 3 points, or at a rival that covers h alone.
-    A face that contributes is clipped by every rival in order, so its
-    cell, witness, near_sq and far_sq do not depend on where a walk stops.
+    h's: such a rival is below the floor all over h's open disc.  Each
+    other rival meets the center test first, whether h is strictly higher
+    than it at h's center.  If the center passes every rival, it is the
+    witness, strictly inside every bisector and in h's open disc, and no
+    bisector is built.  At the first rival it does not pass, the walk
+    starts: it clips the cell from cell_square by the bisectors of the
+    rivals passed so far, then by each rival's bisector as it comes, and
+    stops as soon as the face is Covered: at a duplicate (a tie at every
+    point means no strict dominance anywhere), at a cell of fewer than 3
+    points, or at a rival that covers h alone.  No passed rival could have
+    stopped it, since the center is strictly inside their bisectors, so
+    this is the walk that clips every rival from the first.  A face that
+    contributes is clipped by every rival in order, so its cell and
+    witness do not depend on where a walk stops; the center is not
+    strictly inside the bisector of the rival that started the walk, so
+    the witness is off the center.
+
+    Center test.  h is strictly higher than k at h's center iff
+    r_h^2 > r_k^2 - |c_h - c_k|^2, that is iff gap + 2 r_h^2 > 0 with the
+    gap = |c_h - c_k|^2 - r_h^2 - r_k^2 of the disjointness test.  Times
+    (L_h L_k)^2 Q_h Q_k, 2 r_h^2 is 2 P_h Q_k (L_h L_k)^2.  A tie, where k's
+    bisector passes through the center, does not pass.
 
     One-rival cover.  Let a*u + b*v <= c be the bisector against one
     rival, the closed half-plane where h is at least as high; h has
@@ -329,10 +345,9 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     hd = h.disc
     hu, hv, hl, hp, hq = hd
     poly = cell_square(hd)
+    passed: list[Disc] | None = []  # the rivals the center is strictly on top of, until the walk starts
     for k in rest:
         kd = k.disc
-        if kd == hd:
-            return Covered()
         ku, kv, kl, kp, kq = kd
         # gap = |c_h - c_k|^2 - r_h^2 - r_k^2, times (L_h L_k)^2 Q_h Q_k > 0
         du, dv = hu * kl - ku * hl, hv * kl - kv * hl
@@ -341,6 +356,15 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
         g = (du * du + n * dv * dv) * qq - (hp * kq + kp * hq) * ll
         if g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2:
             continue  # gap^2 >= 4 r_h^2 r_k^2: open discs disjoint, k is below the floor on all of h
+        if passed is not None:
+            if g + 2 * hp * kq * ll > 0:  # the center test
+                passed.append(kd)
+                continue
+            for jd in passed:
+                poly = clip(poly, bisector(n, hd, jd))
+            passed = None
+        if kd == hd:
+            return Covered()
         plane = a, b, c = bisector(n, hd, kd)
         s = a * hu + b * hv - c * hl
         if s > 0 and s * s * n * hq >= hp * hl * hl * (n * a * a + b * b):
@@ -348,35 +372,30 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
         poly = clip(poly, plane)
         if len(poly) < 3:
             return Covered()  # a point or a segment never regains area
+    if passed is not None:
+        return Contributes(h.center)
     cell = cell_frame(poly)
     if cell is None:
         return Covered()
     near_num, near_den, (x, y, w) = dist_sq_int(n, cell, (hu, hv, hl))
     if near_num * hq >= hp * near_den:  # no cell point inside the open disc
         return Covered()
+    # the walk started at a rival whose bisector the center is not strictly inside, so
+    # neither is the cell; points strictly between the nearest point (x, y)/w and the
+    # vertex average (sx, sy)/kw are, so halve toward it
     cw, verts = cell
-    # |vertex - center|^2 times (W L)^2
-    far_num = max((vx * hl - hu * cw) ** 2 + n * (vy * hl - hv * cw) ** 2 for vx, vy in verts)
-    witness = h.center
-    # the cell is the square around the center cut by the clipping planes and has area,
-    # so the center is strictly inside every plane iff it is strictly left of
-    # every counterclockwise edge of the cell, collinear vertices included
-    edges = zip(verts[-1:] + verts, verts)
-    if not all((bx - ax) * (hv * cw - ay * hl) > (by - ay) * (hu * cw - ax * hl) for (ax, ay), (bx, by) in edges):
-        # the center is not strictly inside; points strictly between the nearest point
-        # (x, y)/w and the vertex average (sx, sy)/kw are, so halve toward it
-        kw = len(verts) * cw
-        sx, sy = (sum(p[i] for p in verts) for i in (0, 1))
-        j = 1
-        while True:
-            ww = j * w * kw  # ((j - 1) kw (x, y) + w (sx, sy)) / (j w kw)
-            wx, wy = (j - 1) * kw * x + w * sx, (j - 1) * kw * y + w * sy
-            if ((wx * hl - hu * ww) ** 2 + n * (wy * hl - hv * ww) ** 2) * hq < hp * (ww * hl) ** 2:
-                break
-            j *= 2
-        # the inverse of OInt.planar_int: (wx, wy)/ww is (wx - e wy + 2 wy t)/ww
-        witness = KElem.of(OInt(order, wx - order.trace * wy, 2 * wy), ww)
-    return Contributes(witness, Fraction(near_num, near_den), Fraction(far_num, (cw * hl) ** 2))
+    kw = len(verts) * cw
+    sx, sy = (sum(p[i] for p in verts) for i in (0, 1))
+    j = 1
+    while True:
+        ww = j * w * kw  # ((j - 1) kw (x, y) + w (sx, sy)) / (j w kw)
+        wx, wy = (j - 1) * kw * x + w * sx, (j - 1) * kw * y + w * sy
+        if ((wx * hl - hu * ww) ** 2 + n * (wy * hl - hv * ww) ** 2) * hq < hp * (ww * hl) ** 2:
+            break
+        j *= 2
+    # the inverse of OInt.planar_int: (wx, wy)/ww is (wx - e wy + 2 wy t)/ww
+    witness = KElem.of(OInt(order, wx - order.trace * wy, 2 * wy), ww)
+    return Contributes(witness)
 
 
 def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:
@@ -399,15 +418,66 @@ def plane_split(
 
     A face lands in `above` when it has a point strictly higher than
     t0, in `below` when it has one strictly lower; faces crossing the
-    plane show up in both lists.
+    plane show up in both lists.  statuses must be face_statuses(hs).
+
+    A face point at squared distance d from h's center has height^2
+    r^2 - d.  With R^2 = r^2 - t0^2, a face with R^2 <= 0 reaches no
+    higher than t0 and, having area, lower: it is below only.  Otherwise
+    h is above when its cell comes nearer the center than R, and below
+    when the cell leaves the closed disc B of radius R about the center.
+    The cell read here, X, is cell_square clipped by the bisectors of h's
+    box_neighbours among the contributors' discs alone: every contributor
+    whose disc meets h's, and maybe some whose discs miss it.
+
+    Proof that X gives the answers of the cell A against every rival whose
+    open disc meets h's open disc D, the cell of face_status.  First, X
+    and A agree on D.  A point z of A in D lies in the half-plane of each
+    neighbour j: of one whose open disc meets D, since j is a rival of A,
+    and of one whose open disc misses D, since j is below the floor at z
+    and h above it.  Conversely, let z be a point of X in D where some
+    rival k is strictly higher than h.  The upper envelope of a finite set
+    of hemispheres is that of its contributing faces (below), so some
+    contributor j is at least as high as k at z, so strictly higher than
+    h.  Then z lies in both open discs, so j is a neighbour, and z is
+    outside j's half-plane, so not in X.  Second, a convex set Y with
+    Z = Y & D not empty has its point nearest the center in D, so in Z,
+    and Y leaves B iff Z does: if Y has a point q past R, the segment from
+    the nearest point, nearer than r, to q lies in Y and passes a point
+    strictly between R and r, which is in Z.  Both answers depend on Z
+    alone, and Z is the same for X and A.
+
+    The envelope fact.  Were the top of all the hemispheres higher than
+    the top of the contributors at a point, it would be higher on an open
+    set, by continuity.  Off the finitely many curves where two
+    hemispheres tie, one of them would be strictly on top there, above the
+    floor, so it would contribute.  (Two hemispheres that agree on an open
+    set are equal, and a HemiSet has no duplicates.)
     """
     if t0 <= 0:
         raise ValueError("the plane needs t0 > 0")
+    n = hs.order.abs_delta
     t0sq = Fraction(t0) ** 2
-    # a face point at squared distance d from the center has height^2 radius_sq - d
-    faces = [(h, s) for h, s in zip(hs.hemispheres, statuses) if isinstance(s, Contributes)]
-    above = [h for h, s in faces if s.near_sq < h.radius_sq - t0sq]
-    below = [h for h, s in faces if s.far_sq > h.radius_sq - t0sq]
+    ta, tb = t0sq.numerator, t0sq.denominator
+    faces = [h for h, s in zip(hs.hemispheres, statuses) if isinstance(s, Contributes)]
+    discs = [h.disc for h in faces]
+    above, below = [], []
+    for h, hd, ks in zip(faces, discs, box_neighbours(n, discs)):
+        hu, hv, hl, hp, hq = hd
+        rr = hp * tb - ta * hq  # R^2 = r^2 - t0^2, times Q tb > 0
+        if rr <= 0:
+            below.append(h)  # h is nowhere higher than t0, and its face has area, so is lower somewhere
+            continue
+        poly = cell_square(hd)
+        for k in ks:
+            poly = clip(poly, bisector(n, hd, discs[k]))
+        # the cell holds a contributing face, so it has area
+        cw, verts = cell = cell_frame(poly)
+        near_num, near_den, _ = dist_sq_int(n, cell, (hu, hv, hl))
+        far_num = max((vx * hl - hu * cw) ** 2 + n * (vy * hl - hv * cw) ** 2 for vx, vy in verts)
+        if near_num * hq * tb < rr * near_den:
+            above.append(h)
+        if far_num * hq * tb > rr * (cw * hl) ** 2:
+            below.append(h)
     return (above, below)
 
 

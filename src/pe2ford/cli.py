@@ -16,7 +16,9 @@ arrangement the command already computed.
 Exit codes: 0 success (a membership verdict, Member or NonMember,
 included), 2 usage error (including malformed words, invalid
 discriminants, a `--count` past MAX_COUNT, a `--bound` past MAX_BOUND
-and an `--out` file that cannot be written), 3 out-of-scope request,
+and an `--out` file that cannot be written), 3 out-of-scope request
+(including gap points whose `checked` lists would hold more than
+MAX_CHECKED lattice points in all),
 4 a bounded search that ran out (an enumeration short of verified items
 or an edge cycle that did not close), which prints only the error.
 Identical argument vectors produce byte-identical output.
@@ -42,7 +44,7 @@ from .errors import (
 )
 from .ford import HemiFace, amalgam_rectangle, pe2_ford_faces, presentation, voronoi_cell
 from .moebius import Mat
-from .orders import KElem, OInt, Order, make_order
+from .orders import KElem, OInt, Order, gap_neighbourhood_sizes, make_order
 from .subgroups import PLANE, GapPoint, amalgam_report, coset_family, gap_points
 from .words import (
     Member,
@@ -78,10 +80,17 @@ def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -
 # this is refused (coset_family(-40, 10000) takes about a second)
 MAX_COUNT = 10_000
 _COUNT = _checked(int, lambda x: 0 < x <= MAX_COUNT, f"a count from 1 to {MAX_COUNT}")
-# --bound of arrangement and amalgam; amalgam_report(-40, 512) takes 35-40 s
-# CPU and about 570 MB, and the cost grows faster than bound^2
+# --bound of arrangement and amalgam; amalgam_report(-40, 512) takes 35-37 s
+# CPU and about 570 MB on a shared 2-vCPU VM, mostly box_neighbours' lists, and
+# the cost grows faster than bound^2
 MAX_BOUND = 512
 _BOUND = _checked(int, lambda x: 0 < x <= MAX_BOUND, f"a bound from 1 to {MAX_BOUND}")
+# lattice points that one gap-points payload may list under `checked`, summed
+# over its points; each list grows with sqrt(|delta|), so a request past this
+# exits 3.  At -100000000003, --count 10 lists about 944,000 points in 4.6 s
+# CPU and 300 MB on a shared 2-vCPU VM; at -100000000000003 the third point
+# alone has 3.7 million
+MAX_CHECKED = 1_000_000
 _POSITIVE_FRACTION = _checked(Fraction, lambda x: x > 0, "positive")
 
 
@@ -358,6 +367,9 @@ def _cmd_amalgam(args: argparse.Namespace, order: Order) -> _Result:
 
 def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
     pts = gap_points(order, args.count)
+    # counted from the rows before any list is built
+    if sum(gap_neighbourhood_sizes(order, (gp.ratio() for gp in pts))) > MAX_CHECKED:
+        raise OutOfScope(f"the checked lists of {args.count} gap points would hold more than {MAX_CHECKED} lattice points")
     points = [
         {
             **_gap_point_json(gp),

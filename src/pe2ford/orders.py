@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .errors import InvalidDiscriminant
 
@@ -356,6 +357,27 @@ def gap_neighbourhood(z: KElem) -> tuple[tuple[OInt, int], ...]:
     """Lattice points within covering_radius^2 + 1 of z, each with its scaled_dist_sq, in key() order."""
     reach = z.order.covering_radius_sq() + 1
     return tuple((g, scaled_dist_sq(z, g)) for g in lattice_points_within(z, reach))
+
+
+def gap_neighbourhood_sizes(order: Order, zs: Iterable[KElem]) -> Iterator[int]:
+    """len(gap_neighbourhood(z)) for each z of the order, from the row bounds of lattice_points_within alone.
+
+    Each row b holds the a from -((w_max - mid) // 2Q) to (mid + w_max) // 2Q,
+    so a size costs O(rows), however many points the rows hold.
+    """
+    reach = order.covering_radius_sq() + 1
+    top, s, n, e = reach.numerator, reach.denominator, order.abs_delta, order.trace
+    for z in zs:
+        p, q, den = z.num.a, z.num.b, z.den
+        top_z = 4 * den * den * top
+        y_max = math.isqrt(top_z // (s * n))
+        size = 0
+        for b in range(-((y_max - q) // den), (q + y_max) // den + 1):
+            y = q - b * den
+            w_max = math.isqrt((top_z - s * n * y * y) // s)
+            mid = 2 * p + e * y
+            size += (mid + w_max) // (2 * den) + (w_max - mid) // (2 * den) + 1
+        yield size
 
 
 def lattice_points_norm_at_most(order: Order, bound: int, include_zero: bool = False) -> list[OInt]:

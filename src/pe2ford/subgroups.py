@@ -18,7 +18,7 @@ All gap and split certificates are exact rational comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator
 
@@ -299,7 +299,8 @@ def _overlap_matches_n(overlap: tuple[FaceRecord, ...], order: Order) -> bool:
 def amalgam_report(order: Order, norm_bound: int, plane: Fraction = PLANE) -> AmalgamReport:
     """Split the arrangement over the straddling rectangle at t = plane > 0.
 
-    Hemisphere faces and their sides come from the exact power cells.
+    Hemisphere faces come from face_statuses, and their sides from
+    plane_split, which clips each contributor by the contributors alone.
     Walls are unbounded upward, so a wall pair is above the plane, and
     below it too when the arrangement dips under the plane on its walls.
     Faces are reduced to window representatives, centers in the window's
@@ -315,11 +316,15 @@ def amalgam_report(order: Order, norm_bound: int, plane: Fraction = PLANE) -> Am
     under z -> z + 1 and z -> z + tau.  The enumeration keeps every
     center within one radius of the window, so every disc that reaches
     a side of the window is in the set, and envelope_dips_below on that
-    side decides whether E drops under the plane there.  The u-sides
-    differ by the shift 1.  The tau-translate of the side v = 0 is a
-    full u-period of the line v = 1/2, moved by 1/2 in u when delta is
-    odd; E is 1-periodic in u, so E takes the same values on it as on
-    the whole line, and so on the side v = 1/2.  So both walls of a pair
+    side decides whether E drops under the plane there.  It is handed the
+    contributors alone, which gives the same answer: the top of a finite
+    set of hemispheres is the top of its contributing faces at every
+    point (the envelope fact, proved at plane_split), and
+    envelope_dips_below reads only the top of the discs it is given along
+    the segment.  The u-sides differ by the shift 1.  The tau-translate
+    of the side v = 0 is a full u-period of the line v = 1/2, moved by
+    1/2 in u when delta is odd; E is 1-periodic in u, so E takes the same
+    values on it as on the whole line, and so on the side v = 1/2.  So both walls of a pair
     see the same heights of E.
     """
     window = amalgam_rectangle(order)
@@ -330,17 +335,17 @@ def amalgam_report(order: Order, norm_bound: int, plane: Fraction = PLANE) -> Am
 
     # an axis-parallel box: its least and greatest vertices are opposite corners
     (u_lo, v_lo), (u_hi, v_hi) = min(window.vertices), max(window.vertices)
+    top = [(h, pair) for h, pair, s in zip(hs.hemispheres, hs.pairs, statuses) if isinstance(s, Contributes)]
     records: list[FaceRecord] = []
-    for h, pair, status in zip(hs.hemispheres, hs.pairs, statuses):
-        if not isinstance(status, Contributes):
-            continue
+    for h, pair in top:
         u, v = h.center.planar()
         if not (u_lo <= u < u_hi and v_lo <= v <= v_hi):
             continue
         records.append(_hemi_record(h.center, pair, h in above_set, h in below_set))
 
-    u_dips = envelope_dips_below(hs, (u_lo, v_lo), (u_lo, v_hi), plane)
-    v_dips = envelope_dips_below(hs, (u_lo, v_lo), (u_hi, v_lo), plane)
+    top_hs = replace(hs, hemispheres=tuple(h for h, _ in top), pairs=tuple(p for _, p in top))
+    u_dips = envelope_dips_below(top_hs, (u_lo, v_lo), (u_lo, v_hi), plane)
+    v_dips = envelope_dips_below(top_hs, (u_lo, v_lo), (u_hi, v_lo), plane)
     one, tau = order.one, order.tau
     records.append(FaceRecord("wall", f"walls u = {u_lo}, {u_hi}", None, (S(one),), gen_s(one), True, u_dips))
     records.append(FaceRecord("wall", f"walls v = {v_lo}, {v_hi}", None, (S(tau),), gen_s(tau), True, v_dips))

@@ -1,5 +1,6 @@
 """Unimodular pairs, hemisphere enumeration, face certificates, plane split."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -465,22 +466,34 @@ def test_face_status_off_center_cell_by_hand():
     # vertex average (-5/8, 0)
     h = Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1, 4))
     k = Hemisphere(kelem_from_planar(ORDER40, Fraction(1, 2), 0), Fraction(3, 4))
-    want = Contributes(kelem_from_planar(ORDER40, Fraction(-7, 16), 0), Fraction(1, 16), Fraction(41))
-    assert face_status(h, [k]) == want
+    assert face_status(h, [k]) == Contributes(kelem_from_planar(ORDER40, Fraction(-7, 16), 0))
+    # plane_split reads the cell: near_sq 1/16, so h reaches above t0 iff t0^2 < 1/4 - 1/16,
+    # and far_sq 41, past h's radius, so h dips below every t0.  k's cell u >= -1/4 holds
+    # k's center, and its far vertices (3/2, +-1) are at squared distance 41 too
+    hs = HemiSet(order=ORDER40, hemispheres=(h, k), pairs=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
+    statuses = face_statuses(hs)
+    assert statuses == (face_status(h, [k]), Contributes(k.center))
+    assert plane_split(hs, statuses, Fraction(2, 5)) == ([h, k], [h, k])  # 4/25 < 3/16
+    assert plane_split(hs, statuses, Fraction(9, 20)) == ([k], [h, k])  # 81/400 > 3/16
+    assert plane_split(hs, statuses, Fraction(1)) == ([], [h, k])
     # a rival of radius^2 1 moves the cut to u <= -1/2, at the distance of the radius
     k = Hemisphere(kelem_from_planar(ORDER40, Fraction(1, 2), 0), Fraction(1))
     assert face_status(h, [k]) == Covered()
 
 
 COVER = "cover"  # face_status's walk ended on the rival alone
+CENTER = "center"  # h's center is strictly on top of the rival, so no walk clipped by it
 
 
 def _one_rival_walk(h, k):
     """What face_status's walk does with k as h's only rival, seen through its clips.
 
-    [] when it skips k (h alone contributes), [COVER] when k ends the walk
-    before any clip (a duplicate or a one-rival cover), else [the bisector
-    it clips by].
+    [] when it skips k (h alone contributes), [CENTER] when the center test
+    passes k, [COVER] when k ends the walk before any clip (a duplicate or
+    a one-rival cover), else [the bisector it clips by].  A skipped rival
+    and a passed one both leave Contributes at the center with no clip, so
+    a duplicate of h after k tells them apart: it starts the walk, which
+    clips by every rival passed before it.
     """
     planes = []
 
@@ -490,9 +503,14 @@ def _one_rival_walk(h, k):
 
     with mock.patch.object(arrangement, "clip", recording_clip):
         status = face_status(h, [k])
-    if planes:
-        return planes
-    return [COVER] if status == Covered() else []
+        alone, planes[:] = planes[:], []
+        face_status(h, [k, h])
+    if alone:
+        return alone
+    if status == Covered():
+        return [COVER]
+    assert status == Contributes(h.center)
+    return [CENTER] if planes else []
 
 
 def _closed_discs_meet(h, k):
@@ -715,6 +733,42 @@ def test_lazy_wall_walk_matches_all_pairs(delta):
             for t0 in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
                 want = _all_pairs_dips(hs, *seg, t0)
                 assert envelope_dips_below(hs, *seg, t0) == want, (bound, seg, t0)
+                seen.add(want)
+    assert seen == {True, False}
+
+
+def _contributors(hs):
+    # the HemiSet of hs's contributing faces, as amalgam_report hands it to the walls
+    kept = [(h, p) for h, p, s in zip(hs.hemispheres, hs.pairs, face_statuses(hs)) if isinstance(s, Contributes)]
+    return dataclasses.replace(hs, hemispheres=tuple(h for h, _ in kept), pairs=tuple(p for _, p in kept))
+
+
+@pytest.mark.parametrize("delta", [-15, -19, -20, -24, -40, -43, -67, -163, -1003])
+def test_walls_on_contributors_match_walls_on_all_discs(delta):
+    # the contributors have the envelope of all the discs, so they dip alike on the window
+    # sides and on random segments, slanted, reversed and single points included
+    order = make_order(delta)
+    rng = random.Random(1000 - delta)
+    window = amalgam_rectangle(order)
+    (u_lo, v_lo), (u_hi, v_hi) = min(window.vertices), max(window.vertices)
+    segments = [
+        ((u_lo, v_lo), (u_lo, v_hi)),
+        ((u_hi, v_lo), (u_hi, v_hi)),
+        ((u_lo, v_lo), (u_hi, v_lo)),
+        ((u_lo, v_hi), (u_hi, v_hi)),
+    ]
+    for _ in range(6):
+        a, b = ((Fraction(rng.randint(-18, 18), 24), Fraction(rng.randint(-6, 18), 24)) for _ in range(2))
+        segments += [(a, b), (b, a), (a, a)]
+    seen = set()
+    for bound in (1, 4, 5, 16, 17, 32):
+        hs = enumerate_hemispheres(order, bound, window)
+        top = _contributors(hs)
+        assert len(top.hemispheres) < len(hs.hemispheres) or bound == 1
+        for seg in segments:
+            for t0 in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
+                want = envelope_dips_below(hs, *seg, t0)
+                assert envelope_dips_below(top, *seg, t0) == want, (bound, seg, t0)
                 seen.add(want)
     assert seen == {True, False}
 
@@ -956,6 +1010,8 @@ def test_integer_kernel_matches_fractions(delta, data):
             if (hcp, hr) == (kcp, rsq):
                 assert walk == [COVER]
                 continue
+            d2 = (kcp[0] - hcp[0]) ** 2 + n * (kcp[1] - hcp[1]) ** 2
+            on_top = d2 + hr - rsq > 0  # h strictly higher than k at h's center
             plane = bisector(n, h.disc, k.disc)
             # the one-rival cover, on the Fraction bisector A u + B v <= C where h is at least
             # as high: h's center strictly outside it and at least one radius from its line
@@ -963,12 +1019,11 @@ def test_integer_kernel_matches_fractions(delta, data):
             cc = kcp[0] ** 2 + n * kcp[1] ** 2 - rsq - (hcp[0] ** 2 + n * hcp[1] ** 2 - hr)
             sd = ca * hcp[0] + cb * hcp[1] - cc
             covers = sd > 0 and sd * sd * n >= hr * (n * ca * ca + cb * cb)
-            assert walk == ([] if disjoint else [COVER] if covers else [plane])
+            assert walk == ([] if disjoint else [CENTER] if on_top else [COVER] if covers else [plane])
             a, b, cc = plane
             assert isinstance(a, int) and isinstance(b, int) and isinstance(cc, int)
             assert math.gcd(a, b, cc) in (0, 1)
             zs = [data.draw(point) for _ in range(4)]
-            d2 = (kcp[0] - hcp[0]) ** 2 + n * (kcp[1] - hcp[1]) ** 2
             if d2:
                 # the radical point on the line of centers, where the powers tie
                 t = (d2 + h.radius_sq - k.radius_sq) / (2 * d2)
@@ -1031,15 +1086,12 @@ def _power_cell(hd, planes):
     return cell_frame(functools.reduce(clip, planes, cell_square(hd)))
 
 
-def _all_rivals_status(h, rest):
-    # the all-rivals classifier: every rival the disjointness rule keeps, all of their
-    # bisectors, then one power cell, the near test and the witness walk
-    order = h.center.order
-    n = order.abs_delta
+def _all_rivals_cell(h, rest):
+    # every rival the disjointness rule keeps, all of their bisectors, and the one power cell
+    # they clip
+    n = h.center.order.abs_delta
     hd = h.disc
     hu, hv, hl, hp, hq = hd
-    if any(k.disc == hd for k in rest):
-        return Covered()
     rivals = []
     for k in rest:
         ku, kv, kl, kp, kq = k.disc
@@ -1049,14 +1101,24 @@ def _all_rivals_status(h, rest):
         if not (g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2):
             rivals.append(k.disc)
     planes = [bisector(n, hd, kd) for kd in rivals]
-    cell = _power_cell(hd, planes)
+    return (planes, _power_cell(hd, planes))
+
+
+def _all_rivals_status(h, rest):
+    # the all-rivals classifier: the all-rivals cell, the near test and the witness walk
+    order = h.center.order
+    n = order.abs_delta
+    hd = h.disc
+    hu, hv, hl, hp, hq = hd
+    if any(k.disc == hd for k in rest):
+        return Covered()
+    planes, cell = _all_rivals_cell(h, rest)
     if cell is None:
         return Covered()
     near_num, near_den, (x, y, w) = dist_sq_int(n, cell, (hu, hv, hl))
     if near_num * hq >= hp * near_den:
         return Covered()
     cw, verts = cell
-    far_num = max((vx * hl - hu * cw) ** 2 + n * (vy * hl - hv * cw) ** 2 for vx, vy in verts)
     witness = h.center
     if not all(a * hu + b * hv < c * hl for a, b, c in planes):
         kw = len(verts) * cw
@@ -1069,7 +1131,7 @@ def _all_rivals_status(h, rest):
                 break
             j *= 2
         witness = KElem.of(OInt(order, wx - order.trace * wy, 2 * wy), ww)
-    return Contributes(witness, Fraction(near_num, near_den), Fraction(far_num, (cw * hl) ** 2))
+    return Contributes(witness)
 
 
 @pytest.mark.parametrize(
@@ -1077,8 +1139,9 @@ def _all_rivals_status(h, rest):
     list(itertools.product((-15, -19, -20, -40, -43, -67, -163, -1003), (1, 4, 5, 16, 17))) + [(-40, 64)],
 )
 def test_one_pass_classifier_matches_all_rivals(delta, bound):
-    # the walk stops at a duplicate, an empty cell or a one-rival cover; every status,
-    # witness, near_sq and far_sq is still the all-rivals classifier's
+    # the center test passes the rivals that h's center is strictly on top of, and the
+    # walk stops at a duplicate, an empty cell or a one-rival cover; every status kind
+    # and witness is still the all-rivals classifier's
     order = make_order(delta)
     for window in (amalgam_rectangle(order), voronoi_cell(order)):
         hs = enumerate_hemispheres(order, bound, window)
@@ -1086,6 +1149,66 @@ def test_one_pass_classifier_matches_all_rivals(delta, bound):
         near = box_neighbours(order.abs_delta, [h.disc for h in hemis])
         want = tuple(_all_rivals_status(h, [hemis[k] for k in ks]) for h, ks in zip(hemis, near))
         assert face_statuses(hs) == want, window.kind
+
+# the ten (delta, bound) cases at which the envelope was first read off its contributors
+ENVELOPE_CASES = [(-40, 16), (-40, 64), (-40, 128), (-40, 256), (-67, 48), (-163, 128), (-163, 256), (-19, 16), (-15, 32), (-1003, 64)]
+SPLIT_PLANES = (Fraction(2, 3), Fraction(1, 2), Fraction(1, 5), Fraction(9, 10), Fraction(1))
+
+
+@pytest.mark.parametrize("delta, bound", ENVELOPE_CASES)
+def test_plane_split_matches_all_rivals_extents(delta, bound):
+    # plane_split clips each contributor by the contributors alone; its sides are still
+    # those of near_sq and far_sq over the cell against every rival, measured here in
+    # Fractions by _polygon_nearest_ref
+    order = make_order(delta)
+    n = order.abs_delta
+    seen = set()
+    for window in (amalgam_rectangle(order), voronoi_cell(order)):
+        hs = enumerate_hemispheres(order, bound, window)
+        hemis = hs.hemispheres
+        near = box_neighbours(n, [h.disc for h in hemis])
+        # face_statuses(hs), read off the same neighbour lists
+        statuses = tuple(face_status(h, [hemis[k] for k in ks]) for h, ks in zip(hemis, near))
+        extents = []
+        for h, status, ks in zip(hemis, statuses, near):
+            if isinstance(status, Contributes):
+                _, (w, verts) = _all_rivals_cell(h, [hemis[k] for k in ks])
+                poly = [(Fraction(x, w), Fraction(y, w)) for x, y in verts]
+                cu, cv = h.center.planar()
+                far_sq = max((x - cu) ** 2 + n * (y - cv) ** 2 for x, y in poly)
+                extents.append((h, _polygon_nearest_ref(n, poly, (cu, cv))[0], far_sq))
+        for t0 in SPLIT_PLANES:
+            above = [h for h, near_sq, _ in extents if near_sq < h.radius_sq - t0 * t0]
+            below = [h for h, _, far_sq in extents if far_sq > h.radius_sq - t0 * t0]
+            assert plane_split(hs, statuses, t0) == (above, below), (window.kind, t0)
+            seen |= {(h in above, h in below) for h, _, _ in extents}
+    # every case has faces above and faces not above; a face stays off `below` only at
+    # -19/16 with t0 = 1/5
+    assert {(True, True), (False, True)} <= seen
+    assert ((True, False) in seen) == ((delta, bound) == (-19, 16))
+
+
+def test_center_on_a_bisector_is_no_witness():
+    # k's bisector against h, u <= 0, passes through h's center 0: there h and k have
+    # height^2 1/4 each, so the center test must not pass k, and the walk gives the cell
+    # [-1, 0] x [-1, 1], whose vertex average (-1/2, 0) is on h's circle; one halving
+    # toward the nearest point 0 gives (-1/4, 0).  j, whose bisector is u >= -3/8, is
+    # passed by the center test and clipped once the walk starts at k, in either order
+    h = Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1, 4))
+    k = Hemisphere(kelem_from_planar(ORDER40, Fraction(1, 2), 0), Fraction(1, 2))
+    j = Hemisphere(kelem_from_planar(ORDER40, Fraction(-3, 4), 0), Fraction(1, 4))
+    assert _height_sq(h, h.center) == _height_sq(k, h.center) == Fraction(1, 4)
+    assert _one_rival_walk(h, k) == [bisector(ORDER40.abs_delta, h.disc, k.disc)]
+    assert _one_rival_walk(h, j) == [CENTER]
+    assert face_status(h, [k]) == Contributes(kelem_from_planar(ORDER40, Fraction(-1, 4), 0))
+    # [-3/8, 0] x [-1, 1] has its vertex average (-3/16, 0) inside h's disc
+    want = Contributes(kelem_from_planar(ORDER40, Fraction(-3, 16), 0))
+    assert face_status(h, [j, k]) == face_status(h, [k, j]) == want
+    for rest in ([k], [j, k]):
+        w = face_status(h, rest).witness
+        assert all(_height_sq(h, w) > _height_sq(r, w) for r in rest)
+    assert face_status(h, [j]) == Contributes(h.center)
+
 
 def test_pe2_only_subarrangement_has_radius_one_faces():
     full = _rect_set()

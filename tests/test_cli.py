@@ -311,7 +311,9 @@ def test_cosets_count_one():
 
 
 @pytest.mark.parametrize(
-    "argv", [["arrangement", "--bound", "1"], ["amalgam", "--bound", "16"], ["cosets", "--count", "1"]], ids=" ".join
+    "argv",
+    [["arrangement", "--bound", "1"], ["amalgam", "--bound", "16"], ["cosets", "--count", "1"], ["gap-points", "--count", "1"]],
+    ids=" ".join,
 )
 def test_huge_discriminant_runs_in_seconds(argv):
     # the pair scans read only the rows of their boxes, so the cost does not grow
@@ -321,6 +323,24 @@ def test_huge_discriminant_runs_in_seconds(argv):
     assert code == 0, err
     validate(argv[0], json.loads(out))
     assert time.process_time() - start < 5
+
+
+@pytest.mark.parametrize("count", ["3", "10", str(cli.MAX_COUNT)])
+def test_gap_points_past_the_checked_cap_exit_3(count):
+    # at this order the third gap point, (1t)/3, has 3,726,780 lattice points within
+    # covering radius^2 + 1; the sizes are counted from the rows, before any list is built
+    start = time.process_time()
+    code, out, err = run(["gap-points", "--disc", "-100000000000003", "--count", count])
+    assert (code, out) == (3, "")
+    assert err == f"error: the checked lists of {count} gap points would hold more than 1000000 lattice points\n"
+    assert cli.MAX_CHECKED == 1_000_000
+    assert time.process_time() - start < 5
+    # the first two points have 4 each, well under the cap
+    code, out, err = run(["gap-points", "--disc", "-100000000000003", "--count", "2", "--format", "json"])
+    assert code == 0, err
+    payload = json.loads(out)
+    validate("gap-points", payload)
+    assert [len(p["checked"]) for p in payload["points"]] == [4, 4]
 
 
 def test_order_info_works_below_group_scope():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pe2ford import subgroups
-from pe2ford.arrangement import envelope_dips_below, enumerate_hemispheres, is_unimodular
+from pe2ford.arrangement import Contributes, envelope_dips_below, enumerate_hemispheres, is_unimodular
 from pe2ford.errors import OutOfScope, SearchExhausted
 from pe2ford.ford import amalgam_rectangle
 from pe2ford.moebius import Mat, Side, gen_r, gen_s, outside_test
@@ -477,6 +477,26 @@ def test_one_answer_per_wall_pairing():
             rep = amalgam_report(make_order(delta), 16, plane)
             u_sides, v_sides = _four_side_dips(rep.arrangement, plane)
             assert (_wall_below(rep, False), _wall_below(rep, True)) == (all(u_sides), all(v_sides))
+
+
+def test_walls_read_every_contributor_and_nothing_else(monkeypatch):
+    # amalgam_report hands each wall the contributing faces, with their pairs, and no
+    # covered one; test_one_answer_per_wall_pairing checks the answers against all discs
+    walls = []
+
+    def spy(hs, start, end, t0):
+        walls.append((hs.hemispheres, hs.pairs))
+        return envelope_dips_below(hs, start, end, t0)
+
+    monkeypatch.setattr(subgroups, "envelope_dips_below", spy)
+    for delta, bound in ((-15, 12), (-40, 16), (-163, 16)):
+        rep = amalgam_report(make_order(delta), bound)
+        hs = rep.arrangement
+        top = [(h, p) for h, p, s in zip(hs.hemispheres, hs.pairs, rep.statuses) if isinstance(s, Contributes)]
+        assert 0 < len(top) < len(hs.hemispheres)
+        want = (tuple(h for h, _ in top), tuple(p for _, p in top))
+        assert walls == [want, want]
+        walls.clear()
 
 
 @pytest.mark.parametrize(
