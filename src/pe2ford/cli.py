@@ -44,7 +44,7 @@ from .errors import (
 )
 from .ford import HemiFace, amalgam_rectangle, pe2_ford_faces, presentation, voronoi_cell
 from .moebius import Mat
-from .orders import KElem, OInt, Order, gap_neighbourhood_sizes, make_order
+from .orders import KElem, OInt, Order, lattice_points_count, lattice_points_within, make_order
 from .subgroups import PLANE, GapPoint, amalgam_report, coset_family, gap_points
 from .words import (
     Member,
@@ -87,8 +87,9 @@ MAX_BOUND = 512
 _BOUND = _checked(int, lambda x: 0 < x <= MAX_BOUND, f"a bound from 1 to {MAX_BOUND}")
 # lattice points that one gap-points payload may list under `checked`, summed
 # over its points; each list grows with sqrt(|delta|), so a request past this
-# exits 3.  At -100000000003, --count 10 lists about 944,000 points in 4.6 s
-# CPU and 300 MB on a shared 2-vCPU VM; at -100000000000003 the third point
+# exits 3.  lattice_points_count finds each list's size in O(rows) before any
+# list is built.  At -100000000003, --count 10 lists about 944,000 points in
+# 4.6 s CPU and 300 MB on a shared 2-vCPU VM; at -100000000000003 the third point
 # alone has 3.7 million
 MAX_CHECKED = 1_000_000
 _POSITIVE_FRACTION = _checked(Fraction, lambda x: x > 0, "positive")
@@ -188,8 +189,8 @@ def _input_word(args: argparse.Namespace, order: Order) -> Word:
     return random_pe2_word(order, args.seed)
 
 
-def _gap_point_json(gp: GapPoint) -> dict[str, Any]:
-    z = gp.ratio()
+def _gap_point_json(gp: GapPoint, z: KElem) -> dict[str, Any]:
+    # z is gp.ratio(), built once by the caller
     return {
         "lam": _oint_json(gp.pair.lam),
         "mu": _oint_json(gp.pair.mu),
@@ -267,7 +268,9 @@ def _cmd_presentation(args: argparse.Namespace, order: Order) -> _Result:
     pres = presentation(order)
     body = {
         "generators": [{"name": name, "word": format_word(w)} for name, w in pres.generators],
-        # re-verified here, independently of the checks inside presentation()
+        # presentation()'s own test, word_to_matrix(rel).is_identity(), run
+        # again to print one flag per relation; presentation() raises
+        # CycleNotClosed when it fails, so every printed flag is true
         "relations": [
             {"word": format_word(rel), "verified": word_to_matrix(rel, order).is_identity()}
             for rel in pres.relations
@@ -297,7 +300,7 @@ def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
     body = {
         "count": n,
         "members": [
-            {"matrix": _mat_json(m), **_gap_point_json(gp), "coset_point": {"s": s, "num": [p, q]}}
+            {"matrix": _mat_json(m), **_gap_point_json(gp, gp.ratio()), "coset_point": {"s": s, "num": [p, q]}}
             for m, gp, (s, p, q) in zip(fam.members, fam.points, fam.keys)
         ],
         # distinct keys separate every pair of members
@@ -367,16 +370,18 @@ def _cmd_amalgam(args: argparse.Namespace, order: Order) -> _Result:
 
 def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
     pts = gap_points(order, args.count)
+    ratios = [gp.ratio() for gp in pts]
+    reach = order.gap_reach()
     # counted from the rows before any list is built
-    if sum(gap_neighbourhood_sizes(order, (gp.ratio() for gp in pts))) > MAX_CHECKED:
+    if sum(lattice_points_count(z, reach) for z in ratios) > MAX_CHECKED:
         raise OutOfScope(f"the checked lists of {args.count} gap points would hold more than {MAX_CHECKED} lattice points")
     points = [
         {
-            **_gap_point_json(gp),
-            "checked": [_oint_json(g) for g in gp.checked_lattice_points],
+            **_gap_point_json(gp, z),
+            "checked": [_oint_json(g) for g in lattice_points_within(z, reach)],
             "completion": _mat_json(gp.pair.completion),
         }
-        for gp in pts
+        for gp, z in zip(pts, ratios)
     ]
     return {"count": len(pts), "points": points}, None
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import InvalidDiscriminant
 
@@ -73,6 +73,14 @@ class Order:
             return Fraction(1, 4) + Fraction(n, 16)
         # hexagon circumradius, attained at (0, (n+1)/(4n)) in planar coords
         return Fraction((n + 1) ** 2, 16 * n)
+
+    def gap_reach(self) -> Fraction:
+        """Squared radius of a gap point's neighbourhood: the covering radius squared, plus 1.
+
+        `gap-points` lists the lattice points within it under `checked`,
+        and NonMember.nearby reads them through gap_neighbourhood.
+        """
+        return self.covering_radius_sq() + 1
 
 
 def make_order(delta: int) -> Order:
@@ -307,31 +315,41 @@ def kelem_from_planar(order: Order, u: Fraction | int, v: Fraction | int) -> KEl
     return KElem.of(OInt(order, int(a * den), int(b * den)), den)
 
 
-def lattice_points_within(z: KElem, rsq: Fraction | int) -> list[OInt]:
-    """All lattice points g with |z - g|^2 <= rsq, sorted by key().
+def _rows(z: KElem, rsq: Fraction | int) -> Iterator[tuple[int, int, int]]:
+    """(b, least a, greatest a) for each row b of the closed disc |z - g|^2 <= rsq, b ascending.
 
     With z = (p + q*t)/Q, g = a + b*t, y = q - b*Q and w = 2(p - a*Q) + trace*y,
     4 Q^2 |z - g|^2 = w^2 + |delta| y^2.
     So with rsq = P/S the rows b satisfy S |delta| y^2 <= 4 Q^2 P, and each
     row bounds |w| by an integer square root; no rational arithmetic runs.
+    A row may hold no point, with least a = greatest a + 1, so its width
+    greatest a - least a + 1 is never negative.
     """
     order = z.order
     p, q, den = z.num.a, z.num.b, z.den
     top = 4 * den * den * rsq.numerator
     s = rsq.denominator
     if top < 0:
-        return []
+        return
     n = order.abs_delta
     y_max = math.isqrt(top // (s * n))
-    out: list[OInt] = []
-    # b ascending, then a ascending: exactly the key() order
     for b in range(-((y_max - q) // den), (q + y_max) // den + 1):
         y = q - b * den
         w_max = math.isqrt((top - s * n * y * y) // s)
         mid = 2 * p + order.trace * y
-        for a in range(-((w_max - mid) // (2 * den)), (mid + w_max) // (2 * den) + 1):
-            out.append(OInt(order, a, b))
-    return out
+        yield b, -((w_max - mid) // (2 * den)), (mid + w_max) // (2 * den)
+
+
+def lattice_points_within(z: KElem, rsq: Fraction | int) -> list[OInt]:
+    """All lattice points g with |z - g|^2 <= rsq, sorted by key(): the rows of _rows, expanded."""
+    order = z.order
+    # b ascending, then a ascending: exactly the key() order
+    return [OInt(order, a, b) for b, lo, hi in _rows(z, rsq) for a in range(lo, hi + 1)]
+
+
+def lattice_points_count(z: KElem, rsq: Fraction | int) -> int:
+    """len(lattice_points_within(z, rsq)) in O(rows), however many points the rows hold."""
+    return sum(hi - lo + 1 for _, lo, hi in _rows(z, rsq))
 
 
 def nearest_lattice_point(order: Order, p: int, q: int, s: int) -> tuple[int, int, int]:
@@ -354,30 +372,8 @@ def nearest_lattice_point(order: Order, p: int, q: int, s: int) -> tuple[int, in
 
 
 def gap_neighbourhood(z: KElem) -> tuple[tuple[OInt, int], ...]:
-    """Lattice points within covering_radius^2 + 1 of z, each with its scaled_dist_sq, in key() order."""
-    reach = z.order.covering_radius_sq() + 1
-    return tuple((g, scaled_dist_sq(z, g)) for g in lattice_points_within(z, reach))
-
-
-def gap_neighbourhood_sizes(order: Order, zs: Iterable[KElem]) -> Iterator[int]:
-    """len(gap_neighbourhood(z)) for each z of the order, from the row bounds of lattice_points_within alone.
-
-    Each row b holds the a from -((w_max - mid) // 2Q) to (mid + w_max) // 2Q,
-    so a size costs O(rows), however many points the rows hold.
-    """
-    reach = order.covering_radius_sq() + 1
-    top, s, n, e = reach.numerator, reach.denominator, order.abs_delta, order.trace
-    for z in zs:
-        p, q, den = z.num.a, z.num.b, z.den
-        top_z = 4 * den * den * top
-        y_max = math.isqrt(top_z // (s * n))
-        size = 0
-        for b in range(-((y_max - q) // den), (q + y_max) // den + 1):
-            y = q - b * den
-            w_max = math.isqrt((top_z - s * n * y * y) // s)
-            mid = 2 * p + e * y
-            size += (mid + w_max) // (2 * den) + (w_max - mid) // (2 * den) + 1
-        yield size
+    """Lattice points within z.order.gap_reach() of z, each with its scaled_dist_sq, in key() order."""
+    return tuple((g, scaled_dist_sq(z, g)) for g in lattice_points_within(z, z.order.gap_reach()))
 
 
 def lattice_points_norm_at_most(order: Order, bound: int, include_zero: bool = False) -> list[OInt]:

@@ -36,13 +36,7 @@ from .arrangement import (
 from .errors import OutOfScope, SearchExhausted
 from .ford import CosetKey, amalgam_rectangle, coset_key, presentation
 from .moebius import Hemisphere, Mat, gen_s
-from .orders import (
-    KElem,
-    OInt,
-    Order,
-    gap_neighbourhood,
-    nearest_lattice_point,
-)
+from .orders import KElem, OInt, Order, nearest_lattice_point
 from .words import MembershipResult, NonMember, R, S, Word, membership, word_to_matrix
 
 PLANE = Fraction(2, 3)  # the default height t0 of the plane that splits the arrangement
@@ -50,20 +44,13 @@ PLANE = Fraction(2, 3)  # the default height t0 of the plane that splits the arr
 
 @dataclass(frozen=True)
 class GapPoint:
-    """Unimodular ratio exactly outside every closed unit lattice disc.
-
-    checked_lattice_points, the ratio's gap neighbourhood, is derived on read.
-    """
+    """Unimodular ratio exactly outside every closed unit lattice disc; ratio() is built from the pair on each call."""
 
     pair: UnimodularPair
     min_dist_sq: Fraction
 
     def ratio(self) -> KElem:
         return self.pair.ratio()
-
-    @property
-    def checked_lattice_points(self) -> tuple[OInt, ...]:
-        return tuple(g for g, _ in gap_neighbourhood(self.ratio()))
 
 
 def _gap_dist(order: Order, p: int, q: int, s: int) -> Fraction | None:

@@ -14,6 +14,7 @@ import jsonschema
 import pytest
 
 from pe2ford import cli
+from pe2ford.arrangement import UnimodularPair
 from pe2ford.cli import main
 from pe2ford.errors import CycleNotClosed, SearchExhausted
 from pe2ford.orders import make_order
@@ -341,6 +342,17 @@ def test_gap_points_past_the_checked_cap_exit_3(count):
     payload = json.loads(out)
     validate("gap-points", payload)
     assert [len(p["checked"]) for p in payload["points"]] == [4, 4]
+
+
+def test_gap_points_build_each_ratio_once(monkeypatch):
+    # the size check, the printed ratio and the `checked` list read one ratio per point
+    built = []
+    build = UnimodularPair.ratio
+    monkeypatch.setattr(UnimodularPair, "ratio", lambda pair: built.append(pair) or build(pair))
+    code, out, err = run(["gap-points", "--disc", "-40", "--count", "25", "--format", "json"])
+    assert code == 0, err
+    assert len(built) == 25
+    assert [[p.lam.a, p.lam.b] for p in built] == [p["lam"] for p in json.loads(out)["points"]]
 
 
 def test_order_info_works_below_group_scope():

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pe2ford.arrangement import is_unimodular
-from pe2ford.orders import KElem, gap_neighbourhood, gap_neighbourhood_sizes, make_order, nearest_lattice_point
+from pe2ford.orders import KElem, gap_neighbourhood, lattice_points_count, make_order, nearest_lattice_point
 from pe2ford.subgroups import gap_check, gap_points
 from pe2ford.words import NonMember, membership, random_pe2_word, word_to_matrix
 
@@ -151,19 +151,21 @@ def brute_gap_points(d, count, mu_bound):
 
 
 @pytest.mark.parametrize("delta, mu_bound", [(-15, 160), (-20, 50), (-23, 50), (-31, 40), (-40, 30), (-163, 40)])
-def test_gap_points_are_the_brute_force_stream(delta, mu_bound):
+def test_gap_points_are_the_brute_force_stream(delta, mu_bound, printed_checked):
+    # the library's stream, and the lattice points the CLI prints under `checked`
     d = make_order(delta)
-    got = [(gp.pair.lam, gp.pair.mu, gp.min_dist_sq, gp.checked_lattice_points) for gp in gap_points(d, 40)]
+    checked = printed_checked(delta, 40)
+    got = [(gp.pair.lam, gp.pair.mu, gp.min_dist_sq, c) for gp, c in zip(gap_points(d, 40), checked, strict=True)]
     assert got == brute_gap_points(d, 40, mu_bound)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(delta=st.sampled_from(DISCS + [-100003, -100000000003]), a=st.integers(-60, 60), b=st.integers(-60, 60), s=st.integers(1, 40))
 def test_gap_neighbourhood_size_is_the_list_length(delta, a, b, s):
-    # the size read off the row bounds, against the list itself and, at small |delta|, the box scan
+    # the count read off the row bounds, against the list itself and, at small |delta|, the box scan
     order = make_order(delta)
     z = KElem.of(order.elt(a, b), s)
-    (size,) = gap_neighbourhood_sizes(order, [z])
+    size = lattice_points_count(z, order.gap_reach())
     assert size == len(gap_neighbourhood(z))
     if -delta < 200:
         assert size == len(box_scan(z))

@@ -13,6 +13,7 @@ from pe2ford.moebius import gen_r
 from pe2ford.orders import (
     KElem,
     OInt,
+    lattice_points_count,
     lattice_points_within,
     lattice_points_norm_at_most,
     make_order,
@@ -222,6 +223,28 @@ def test_lattice_points_within_matches_brute_force():
             rsq = (z - g).abs_sq()
             assert g in _check_within(z, rsq)
             _check_within(z, Fraction(0))
+
+
+@pytest.mark.parametrize("rsq", [-1, Fraction(-1, 3), 0, Fraction(1, 7), Fraction(3, 2), 600], ids=str)
+def test_lattice_points_count_at_any_reach(rsq):
+    # the count and the list read the same rows, so the brute-force box scan
+    # checks the rows themselves; reach 0 keeps only a z on the lattice, a
+    # negative reach keeps nothing, and reach 600 holds thousands of points
+    rng = random.Random(23)
+    for delta in (-3, -4) if rsq == 600 else (-3, -4, -15, -40):
+        d = make_order(delta)
+        zs = [KElem.of(d.elt(3, -2), 1), KElem.of(d.elt(1, 1), 2)]
+        zs += [KElem.of(d.elt(rng.randint(-50, 50), rng.randint(-50, 50)), rng.randint(1, 9)) for _ in range(2)]
+        sizes = []
+        for z in zs:
+            sizes.append(len(_check_within(z, Fraction(rsq))))
+            assert lattice_points_count(z, rsq) == sizes[-1]
+        if rsq < 0:
+            assert sizes == [0] * 4
+        elif rsq == 0:
+            assert sizes[0] == 1
+        elif rsq == 600:
+            assert min(sizes) > 1800
 
 
 def test_lattice_points_norm_at_most():

@@ -43,16 +43,17 @@ def _hemisphere(g):
     return (KElem.of(-g.m22, g.m21), Fraction(1, g.m21.norm()))
 
 
-def test_first_gap_point():
+def test_first_gap_point(printed_checked):
     d = ORDER40
     gp = gap_points(d, 1)[0]
+    (checked,) = printed_checked(-40, 1)
     assert (gp.pair.lam, gp.pair.mu) == (d.elt(1, 1), d.elt(2))
     assert gp.ratio() == KElem.of(d.elt(1, 1), 2)
     assert gp.ratio().planar() == (Fraction(1, 2), Fraction(1, 4))
     assert gp.min_dist_sq == Fraction(11, 4)
     # the four nearest lattice points are the corners of the deep hole
-    assert gp.checked_lattice_points == (d.elt(0), d.elt(1), d.elt(0, 1), d.elt(1, 1))
-    assert all((gp.ratio() - g).abs_sq() == Fraction(11, 4) for g in gp.checked_lattice_points)
+    assert checked == (d.elt(0), d.elt(1), d.elt(0, 1), d.elt(1, 1))
+    assert all((gp.ratio() - g).abs_sq() == Fraction(11, 4) for g in checked)
 
 
 def test_gap_points_order_and_distinctness():
@@ -73,24 +74,24 @@ def test_gap_points_order_and_distinctness():
         assert (m.m11, m.m21) in {(gp.pair.lam, gp.pair.mu), (-gp.pair.lam, -gp.pair.mu)}
 
 
-def test_gap_points_recheck_in_larger_box():
+def test_gap_points_recheck_in_larger_box(printed_checked):
     # the scanned neighborhood is not an accident of its cutoff
     for delta, count in ((-40, 8), (-19, 4)):
         d = make_order(delta)
-        for gp in gap_points(d, count):
+        for gp, checked in zip(gap_points(d, count), printed_checked(delta, count), strict=True):
             wide = lattice_points_within(gp.ratio(), d.covering_radius_sq() + 9)
-            assert set(gp.checked_lattice_points) <= set(wide)
+            assert set(checked) <= set(wide)
             m = min((gp.ratio() - g).abs_sq() for g in wide)
             assert m == gp.min_dist_sq
             assert m > 1
 
 
-def test_gap_ratio_outside_unit_hemispheres():
+def test_gap_ratio_outside_unit_hemispheres(printed_checked):
     # r*s(-g) owns the unit hemisphere at g, so the exact side test must
     # place every gap ratio strictly outside
     d = ORDER40
-    for gp in gap_points(d, 5):
-        for g in gp.checked_lattice_points:
+    for gp, checked in zip(gap_points(d, 5), printed_checked(-40, 5), strict=True):
+        for g in checked:
             m = gen_r(d) * gen_s(-g)
             assert _hemisphere(m) == (KElem.from_oint(g), 1)
             assert outside_test(m, gp.ratio()) is Side.OUTSIDE
