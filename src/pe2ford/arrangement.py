@@ -33,9 +33,12 @@ bound.  The scan computes lam*conj(mu) as two ints and yields only
 unimodular pairs, by one gcd of four integers (unit_ideal).  The
 enumeration tests each center against the window's bounding box, which
 decides alone when the window is that box (the amalgam rectangle and
-the even Voronoi cell) and leaves dist_sq_int to the hexagon; it builds
-each kept hemisphere from the scan's ints and sorts on integers.  The
-witness walk and the plane sides run in integers too.
+the even Voronoi cell) and leaves dist_sq_int to the hexagon; it keeps
+each hemisphere as the scan's ints, an integer disc and an owner row,
+and sorts on integers.  The face walk, the plane sides and the walls
+read those discs; a KElem is built only for a witness, and a Hemisphere
+only where plane_split returns one, for a contributor.  HemiSet's
+hemispheres and pairs are views built on first read.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .cells import (
@@ -62,7 +66,7 @@ from .cells import (
 from .errors import OutOfScope
 from .ford import FundPolygon
 from .moebius import Hemisphere, Mat
-from .orders import KElem, OInt, Order, lattice_points_norm_at_most
+from .orders import KElem, OInt, Order, kelem_from_planar_int, lattice_points_norm_at_most
 
 
 def _one_in_span(lam: OInt, mu: OInt) -> tuple[OInt, OInt]:
@@ -158,15 +162,43 @@ class UnimodularPair:
         return KElem.of(self.lam, self.mu)
 
 
+Owner = tuple[int, int, int, int]  # a pair (lam, mu) as (lam.a, lam.b, mu.a, mu.b)
+
+
+def _disc_hemisphere(order: Order, hd: Disc) -> Hemisphere:
+    """The hemisphere whose disc is hd."""
+    u, v, l, p, q = hd
+    return Hemisphere(kelem_from_planar_int(order, u, v, l), Fraction(p, q))
+
+
 @dataclass(frozen=True)
 class HemiSet:
-    """Hemispheres near a window and the pairs they come from, aligned index by index."""
+    """Hemispheres near a window, as integer discs, and the pairs they come from, aligned index by index.
+
+    discs[i] is hemisphere i read into integers, as Hemisphere.disc reads
+    it: its center is (a + b*t)/den in lowest terms, at planar (U/L, V/L)
+    with U = 2a + trace*b, V = b and L = 2*den, and its squared radius is
+    P/Q in lowest terms.  owners[i] is its pair (lam, mu) as the four
+    integers (lam.a, lam.b, mu.a, mu.b); a set built from bare discs may
+    have none.  The arrangement reads only these integers.  The views
+    hemispheres and pairs are built on their first read, once per set,
+    and every later read returns the same objects.
+    """
 
     order: Order
-    hemispheres: tuple[Hemisphere, ...]
-    pairs: tuple[UnimodularPair, ...]
+    discs: tuple[Disc, ...]
+    owners: tuple[Owner, ...]
     norm_bound: int
     window: FundPolygon
+
+    @cached_property
+    def hemispheres(self) -> tuple[Hemisphere, ...]:
+        return tuple(_disc_hemisphere(self.order, hd) for hd in self.discs)
+
+    @cached_property
+    def pairs(self) -> tuple[UnimodularPair, ...]:
+        order = self.order
+        return tuple(UnimodularPair(OInt(order, la, lb), OInt(order, ma, mb)) for la, lb, ma, mb in self.owners)
 
 
 def pair_scan(
@@ -240,10 +272,12 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     unimodular pairs.  Each center is tested in integers, since many miss
     the window: box_dist_sq_int against the bounding box, which decides
     alone when the window is that box (a rectangle), then dist_sq_int
-    against the hexagon.  A pair that passes gets its Hemisphere from the
-    scan's integers, center (xa + xb*t)/N reduced by gcd(xa, xb, N) and
-    squared radius 1/N, and no completion is built.  The output is sorted
-    by descending radius, then v, then u, on the integers (N, V, U).
+    against the hexagon.  A pair that passes gets its disc from the scan's
+    integers, center (xa + xb*t)/N reduced by g = gcd(xa, xb, N), so
+    (U, V, 2N)/g, and squared radius 1/N, and its owner row from lam and
+    mu; no Hemisphere, KElem, Fraction or completion is built.  The output
+    is sorted by descending radius, then v, then u, on the integers
+    (N, V, U).
     """
     if not order.group_scope:
         raise OutOfScope("hemisphere arrangement needs |delta| > 12")
@@ -259,7 +293,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
         r, s = math.isqrt(norm), math.isqrt(n * norm)
         return (w * r * s, xlo * r * s - w * s, xhi * r * s + w * s, ylo * r * s - w * r, yhi * r * s + w * r)
 
-    found: list[tuple[tuple[int, int, int], UnimodularPair, Hemisphere]] = []
+    found: list[tuple[int, int, int, Disc, Owner]] = []
     for lam, mu, xa, xb, norm in pair_scan(order, scan_box, norm_bound):
         # the center, at planar (u, v)/(2N), against the radius 1/sqrt(N(mu))
         u, v, l = 2 * xa + e * xb, xb, 2 * norm
@@ -270,15 +304,15 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
             num, den, _ = dist_sq_int(n, frame, (u, v, l))
             if num * norm > den:
                 continue
-        # lam/mu = (xa + xb*t)/N, which KElem.of reduces by gcd(xa, xb, N)
-        hemi = Hemisphere(KElem.of(OInt(order, xa, xb), norm), Fraction(1, norm))
-        found.append(((norm, v, u), UnimodularPair(lam, mu), hemi))
-    # radius^2 = 1/N(mu), and centers of one norm share the denominator 2 N(mu)
-    found.sort(key=lambda f: f[0])
+        g = math.gcd(xa, xb, norm)
+        found.append((norm, v, u, (u // g, v // g, l // g, 1, norm), (lam.a, lam.b, mu.a, mu.b)))
+    # radius^2 = 1/N(mu), and centers of one norm share the denominator 2 N(mu); no
+    # ratio comes twice, so the keys (N, V, U) are distinct and decide the sort alone
+    found.sort()
     return HemiSet(
         order=order,
-        hemispheres=tuple(h for _, _, h in found),
-        pairs=tuple(p for _, p, _ in found),
+        discs=tuple(f[3] for f in found),
+        owners=tuple(f[4] for f in found),
         norm_bound=norm_bound,
         window=window,
     )
@@ -299,10 +333,12 @@ class Covered:
 FaceStatus = Contributes | Covered
 
 
-def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
-    """Contributes iff h's power cell against its rivals has area and meets h's open disc.
+def face_status(order: Order, hd: Disc, rest: Sequence[Disc]) -> FaceStatus:
+    """Contributes iff the power cell of h, the disc hd, against its rivals has area and meets h's open disc.
 
-    rest is taken literally, so a duplicate of h in it means Covered.  One
+    The discs are read as HemiSet.discs are, and only a witness becomes a
+    field element.  rest is taken literally, so a duplicate of h in it
+    means Covered.  One
     loop over rest, in its order, skips each rival whose open disc misses
     h's: such a rival is below the floor all over h's open disc.  Each
     other rival meets the center test first, whether h is strictly higher
@@ -340,14 +376,11 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
     point of it is in the open disc, and the face is Covered whatever the
     other rivals do.
     """
-    order = h.center.order
     n = order.abs_delta
-    hd = h.disc
     hu, hv, hl, hp, hq = hd
     poly = cell_square(hd)
     passed: list[Disc] | None = []  # the rivals the center is strictly on top of, until the walk starts
-    for k in rest:
-        kd = k.disc
+    for kd in rest:
         ku, kv, kl, kp, kq = kd
         # gap = |c_h - c_k|^2 - r_h^2 - r_k^2, times (L_h L_k)^2 Q_h Q_k > 0
         du, dv = hu * kl - ku * hl, hv * kl - kv * hl
@@ -373,7 +406,7 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
         if len(poly) < 3:
             return Covered()  # a point or a segment never regains area
     if passed is not None:
-        return Contributes(h.center)
+        return Contributes(kelem_from_planar_int(order, hu, hv, hl))
     cell = cell_frame(poly)
     if cell is None:
         return Covered()
@@ -393,9 +426,7 @@ def face_status(h: Hemisphere, rest: Sequence[Hemisphere]) -> FaceStatus:
         if ((wx * hl - hu * ww) ** 2 + n * (wy * hl - hv * ww) ** 2) * hq < hp * (ww * hl) ** 2:
             break
         j *= 2
-    # the inverse of OInt.planar_int: (wx, wy)/ww is (wx - e wy + 2 wy t)/ww
-    witness = KElem.of(OInt(order, wx - order.trace * wy, 2 * wy), ww)
-    return Contributes(witness)
+    return Contributes(kelem_from_planar_int(order, wx, wy, ww))
 
 
 def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:
@@ -406,9 +437,9 @@ def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:
     subsequence of all the others, so the walk meets the same rivals in
     the same order as it would in the full set.
     """
-    hemis = hs.hemispheres
-    near = box_neighbours(hs.order.abs_delta, [h.disc for h in hemis])
-    return tuple(face_status(h, [hemis[k] for k in ks]) for h, ks in zip(hemis, near))
+    order, discs = hs.order, hs.discs
+    near = box_neighbours(order.abs_delta, discs)
+    return tuple(face_status(order, hd, [discs[k] for k in ks]) for hd, ks in zip(discs, near))
 
 
 def plane_split(
@@ -419,6 +450,9 @@ def plane_split(
     A face lands in `above` when it has a point strictly higher than
     t0, in `below` when it has one strictly lower; faces crossing the
     plane show up in both lists.  statuses must be face_statuses(hs).
+    The sides are decided on the discs; each contributor then gets one
+    Hemisphere, the same object in both lists when it crosses, and no
+    other hemisphere is built.
 
     A face point at squared distance d from h's center has height^2
     r^2 - d.  With R^2 = r^2 - t0^2, a face with R^2 <= 0 reaches no
@@ -455,14 +489,15 @@ def plane_split(
     """
     if t0 <= 0:
         raise ValueError("the plane needs t0 > 0")
-    n = hs.order.abs_delta
+    order = hs.order
+    n = order.abs_delta
     t0sq = Fraction(t0) ** 2
     ta, tb = t0sq.numerator, t0sq.denominator
-    faces = [h for h, s in zip(hs.hemispheres, statuses) if isinstance(s, Contributes)]
-    discs = [h.disc for h in faces]
+    discs = [hd for hd, s in zip(hs.discs, statuses) if isinstance(s, Contributes)]
     above, below = [], []
-    for h, hd, ks in zip(faces, discs, box_neighbours(n, discs)):
+    for hd, ks in zip(discs, box_neighbours(n, discs)):
         hu, hv, hl, hp, hq = hd
+        h = _disc_hemisphere(order, hd)
         rr = hp * tb - ta * hq  # R^2 = r^2 - t0^2, times Q tb > 0
         if rr <= 0:
             below.append(h)  # h is nowhere higher than t0, and its face has area, so is lower somewhere
@@ -510,11 +545,11 @@ def envelope_dips_below(hs: HemiSet, start: Point, end: Point, t0: Fraction) -> 
     frame = frame_of((start, end))
     box, _ = box_of(frame)
     discs = []  # the discs that reach the segment's box
-    for h in hs.hemispheres:
-        u, v, l, p, q = h.disc
+    for hd in hs.discs:
+        u, v, l, p, q = hd
         num, den = box_dist_sq_int(n, box, (u, v, l))
         if num * q < p * den:
-            discs.append(h.disc)
+            discs.append(hd)
     if not discs:
         return True
     t0sq = Fraction(t0) ** 2
@@ -560,7 +595,10 @@ def svg_topview(
     Deterministic: the same inputs yield byte-identical output.  Fill
     encodes face status, stroke encodes the side of the plane split,
     and the window outline is drawn on top.  One unit of u is
-    _SVG_SCALE pixels.
+    _SVG_SCALE pixels.  The circles are drawn from hs.discs, and the
+    split's hemispheres are matched to them by their discs; each float
+    is an int quotient, which rounds correctly, so U / L is float(U/L)
+    as a Fraction gives it.
     """
     sqrt_n = math.sqrt(hs.order.abs_delta)
 
@@ -576,20 +614,20 @@ def svg_topview(
     miny, maxy = min(ys), max(ys)
     width, height = maxx - minx, maxy - miny
     above, below = split
-    above_set = set(above)
-    below_set = set(below)
+    above_set = {h.disc for h in above}
+    below_set = {h.disc for h in below}
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(minx)} {_fmt(miny)} '
         f'{_fmt(width)} {_fmt(height)}" width="{_fmt(width)}" height="{_fmt(height)}">',
     ]
-    for h, status in zip(hs.hemispheres, statuses):
-        u, v = h.center.planar()
-        cx, cy = to_xy(u, v)
-        r = math.sqrt(h.radius_sq) * _SVG_SCALE
+    for hd, status in zip(hs.discs, statuses):
+        u, v, l, p, q = hd
+        cx, cy = v / l * sqrt_n * _SVG_SCALE, u / l * _SVG_SCALE
+        r = math.sqrt(p / q) * _SVG_SCALE
         fill = _FILL_CONTRIBUTES if isinstance(status, Contributes) else _FILL_COVERED
-        in_above = h in above_set
-        in_below = h in below_set
+        in_above = hd in above_set
+        in_below = hd in below_set
         if in_above and in_below:
             stroke = _STROKE_BOTH
         elif in_above:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -111,6 +112,12 @@ def _uv_json(p: tuple[Fraction, Fraction]) -> list[str]:
     return [str(p[0]), str(p[1])]
 
 
+def _ratio_text(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, from the integers."""
+    g = math.gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
 def _polygon_json(poly) -> dict[str, Any]:
     return {
         "kind": poly.kind,
@@ -159,9 +166,10 @@ def _json_text(value: Any, newline: str = "\n") -> str:
             items.append(leaf(v) if leaf is not None else _json_text(v, inner))
         return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
     if kind is dict:
-        if not all(type(k) is str for k in value):
-            raise TypeError("payload keys must be str")
+        # keys that do not sort raise TypeError in sorted(), and keys that do, such as ints, here
         for k, v in sorted(value.items()):
+            if type(k) is not str:
+                raise TypeError("payload keys must be str")
             leaf = _JSON_LEAF.get(type(v))
             items.append(encode_basestring_ascii(k) + ": " + (leaf(v) if leaf is not None else _json_text(v, inner)))
         return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
@@ -315,17 +323,20 @@ def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
 def _cmd_arrangement(args: argparse.Namespace, order: Order) -> _Result:
     hs = enumerate_hemispheres(order, args.bound, amalgam_rectangle(order))
     statuses = face_statuses(hs)
+    e = order.trace
     recs = []
-    for h, pair, s in zip(hs.hemispheres, hs.pairs, statuses):
+    # each record is written from the HemiSet's integers: a disc's center (U/L, V/L) is
+    # (a + b*t)/den in lowest terms with b = V, 2a = U - trace*V and 2*den = L
+    for (u, v, l, p, q), (la, lb, ma, mb), s in zip(hs.discs, hs.owners, statuses):
         status: dict[str, Any] = {"kind": "covered"}
         if isinstance(s, Contributes):
             status = {"kind": "contributes", "witness": _kelem_json(s.witness)}
         recs.append(
             {
-                "center": _kelem_json(h.center),
-                "uv": _uv_json(h.center.planar()),
-                "radius_sq": str(h.radius_sq),
-                "owner": [_oint_json(pair.lam), _oint_json(pair.mu)],
+                "center": {"num": [(u - e * v) // 2, v], "den": l // 2},
+                "uv": [_ratio_text(u, l), _ratio_text(v, l)],
+                "radius_sq": _ratio_text(p, q),
+                "owner": [[la, lb], [ma, mb]],
                 "status": status,
             }
         )

@@ -113,7 +113,10 @@ class Hemisphere:
     """Euclidean hemisphere rooted on the boundary plane.
 
     disc is the same hemisphere read once into integers, so the
-    arrangement compares hemispheres without building a Fraction.
+    arrangement compares hemispheres without building a Fraction.  The
+    hash is that of the disc: equal hemispheres have equal reduced
+    centers and radii, so equal discs, and a set or dict lookup hashes a
+    tuple of ints instead of a Fraction.
     """
 
     center: KElem
@@ -123,6 +126,9 @@ class Hemisphere:
     def __post_init__(self) -> None:
         u, v, l = self.center.planar_int()
         object.__setattr__(self, "disc", (u, v, l, self.radius_sq.numerator, self.radius_sq.denominator))
+
+    def __hash__(self) -> int:
+        return hash(self.disc)
 
 
 class Side(enum.Enum):

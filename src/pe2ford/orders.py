@@ -305,14 +305,17 @@ def scaled_dist_sq(z: KElem, g: OInt) -> int:
     return x * x + order.trace * x * y + order.tau_norm * y * y
 
 
+def kelem_from_planar_int(order: Order, u: int, v: int, l: int) -> KElem:
+    """The field element at planar (u/l, v/l), l > 0; inverse of planar_int: (u - trace*v + 2v*t)/l, reduced."""
+    return KElem.of(OInt(order, u - order.trace * v, 2 * v), l)
+
+
 def kelem_from_planar(order: Order, u: Fraction | int, v: Fraction | int) -> KElem:
     """The field element whose planar coordinates are (u, v); inverse of planar()."""
     u = Fraction(u)
     v = Fraction(v)
-    b = 2 * v
-    a = u - order.trace * v
-    den = math.lcm(a.denominator, b.denominator)
-    return KElem.of(OInt(order, int(a * den), int(b * den)), den)
+    den = math.lcm(u.denominator, v.denominator)
+    return kelem_from_planar_int(order, u.numerator * (den // u.denominator), v.numerator * (den // v.denominator), den)
 
 
 def _rows(z: KElem, rsq: Fraction | int) -> Iterator[tuple[int, int, int]]:

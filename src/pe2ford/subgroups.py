@@ -26,6 +26,7 @@ from .arrangement import (
     Contributes,
     FaceStatus,
     HemiSet,
+    Owner,
     UnimodularPair,
     enumerate_hemispheres,
     envelope_dips_below,
@@ -33,10 +34,11 @@ from .arrangement import (
     pair_scan,
     plane_split,
 )
+from .cells import Disc, box_of, frame_of
 from .errors import OutOfScope, SearchExhausted
 from .ford import CosetKey, amalgam_rectangle, coset_key, presentation
 from .moebius import Hemisphere, Mat, gen_s
-from .orders import KElem, OInt, Order, nearest_lattice_point
+from .orders import KElem, OInt, Order, kelem_from_planar_int, nearest_lattice_point
 from .words import MembershipResult, NonMember, R, S, Word, membership, word_to_matrix
 
 PLANE = Fraction(2, 3)  # the default height t0 of the plane that splits the arrangement
@@ -248,8 +250,11 @@ class AmalgamReport:
     notes: tuple[str, ...]
 
 
-def _hemi_record(center: KElem, pair: UnimodularPair, above: bool, below: bool) -> FaceRecord:
-    order = center.order
+def _hemi_record(order: Order, hd: Disc, owner: Owner, above: bool, below: bool) -> FaceRecord:
+    # the center and the pair are built here, for the window's contributors only
+    la, lb, ma, mb = owner
+    center = kelem_from_planar_int(order, *hd[:3])
+    pair = UnimodularPair(OInt(order, la, lb), OInt(order, ma, mb))
     if pair.mu.norm() == 1:
         gamma = center.num  # radius one, so the center is a lattice point
         word: Word = (R(),) if gamma.is_zero() else (S(gamma), R(), S(-gamma))
@@ -318,19 +323,22 @@ def amalgam_report(order: Order, norm_bound: int, plane: Fraction = PLANE) -> Am
     hs = enumerate_hemispheres(order, norm_bound, window)
     statuses = face_statuses(hs)
     split = plane_split(hs, statuses, plane)
-    above_set, below_set = set(split[0]), set(split[1])
+    above_set, below_set = {h.disc for h in split[0]}, {h.disc for h in split[1]}
 
     # an axis-parallel box: its least and greatest vertices are opposite corners
     (u_lo, v_lo), (u_hi, v_hi) = min(window.vertices), max(window.vertices)
-    top = [(h, pair) for h, pair, s in zip(hs.hemispheres, hs.pairs, statuses) if isinstance(s, Contributes)]
+    (w, x_lo, x_hi, y_lo, y_hi), _ = box_of(frame_of(window.vertices))
+    top = [i for i, s in enumerate(statuses) if isinstance(s, Contributes)]
+    top_discs, top_owners = tuple(hs.discs[i] for i in top), tuple(hs.owners[i] for i in top)
     records: list[FaceRecord] = []
-    for h, pair in top:
-        u, v = h.center.planar()
-        if not (u_lo <= u < u_hi and v_lo <= v <= v_hi):
+    for hd, owner in zip(top_discs, top_owners):
+        u, v, l = hd[:3]
+        # u_lo <= u/l < u_hi and v_lo <= v/l <= v_hi, times w*l > 0
+        if not (x_lo * l <= u * w < x_hi * l and y_lo * l <= v * w <= y_hi * l):
             continue
-        records.append(_hemi_record(h.center, pair, h in above_set, h in below_set))
+        records.append(_hemi_record(order, hd, owner, hd in above_set, hd in below_set))
 
-    top_hs = replace(hs, hemispheres=tuple(h for h, _ in top), pairs=tuple(p for _, p in top))
+    top_hs = replace(hs, discs=top_discs, owners=top_owners)
     u_dips = envelope_dips_below(top_hs, (u_lo, v_lo), (u_lo, v_hi), plane)
     v_dips = envelope_dips_below(top_hs, (u_lo, v_lo), (u_hi, v_lo), plane)
     one, tau = order.one, order.tau

@@ -447,16 +447,16 @@ def test_face_status_unit_apex_witness():
 
 def test_face_status_duplicate_is_covered():
     h = Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1))
-    status = face_status(h, [Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1))])
+    status = face_status(ORDER40, h.disc, [Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1)).disc])
     assert status == Covered()
-    assert face_status(h, [h]) == Covered()
+    assert face_status(ORDER40, h.disc, [h.disc]) == Covered()
 
 
 def test_face_status_swallowed_hemisphere():
     small = Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1, 16))
     unit = Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1))
-    assert isinstance(face_status(small, [unit]), Covered)
-    assert isinstance(face_status(unit, [small]), Contributes)
+    assert isinstance(face_status(ORDER40, small.disc, [unit.disc]), Covered)
+    assert isinstance(face_status(ORDER40, unit.disc, [small.disc]), Contributes)
 
 
 def test_face_status_off_center_cell_by_hand():
@@ -466,19 +466,19 @@ def test_face_status_off_center_cell_by_hand():
     # vertex average (-5/8, 0)
     h = Hemisphere(KElem.from_oint(ORDER40.zero), Fraction(1, 4))
     k = Hemisphere(kelem_from_planar(ORDER40, Fraction(1, 2), 0), Fraction(3, 4))
-    assert face_status(h, [k]) == Contributes(kelem_from_planar(ORDER40, Fraction(-7, 16), 0))
+    assert face_status(ORDER40, h.disc, [k.disc]) == Contributes(kelem_from_planar(ORDER40, Fraction(-7, 16), 0))
     # plane_split reads the cell: near_sq 1/16, so h reaches above t0 iff t0^2 < 1/4 - 1/16,
     # and far_sq 41, past h's radius, so h dips below every t0.  k's cell u >= -1/4 holds
     # k's center, and its far vertices (3/2, +-1) are at squared distance 41 too
-    hs = HemiSet(order=ORDER40, hemispheres=(h, k), pairs=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
+    hs = HemiSet(order=ORDER40, discs=(h.disc, k.disc), owners=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
     statuses = face_statuses(hs)
-    assert statuses == (face_status(h, [k]), Contributes(k.center))
+    assert statuses == (face_status(ORDER40, h.disc, [k.disc]), Contributes(k.center))
     assert plane_split(hs, statuses, Fraction(2, 5)) == ([h, k], [h, k])  # 4/25 < 3/16
     assert plane_split(hs, statuses, Fraction(9, 20)) == ([k], [h, k])  # 81/400 > 3/16
     assert plane_split(hs, statuses, Fraction(1)) == ([], [h, k])
     # a rival of radius^2 1 moves the cut to u <= -1/2, at the distance of the radius
     k = Hemisphere(kelem_from_planar(ORDER40, Fraction(1, 2), 0), Fraction(1))
-    assert face_status(h, [k]) == Covered()
+    assert face_status(ORDER40, h.disc, [k.disc]) == Covered()
 
 
 COVER = "cover"  # face_status's walk ended on the rival alone
@@ -501,10 +501,11 @@ def _one_rival_walk(h, k):
         planes.append(plane)
         return clip(poly, plane)
 
+    order = h.center.order
     with mock.patch.object(arrangement, "clip", recording_clip):
-        status = face_status(h, [k])
+        status = face_status(order, h.disc, [k.disc])
         alone, planes[:] = planes[:], []
-        face_status(h, [k, h])
+        face_status(order, h.disc, [k.disc, h.disc])
     if alone:
         return alone
     if status == Covered():
@@ -533,7 +534,7 @@ def _check_box_neighbours(hs):
         # a duplicate or a one-rival cover counts as kept
         kept = {j for j, k in enumerate(hemis) if j != i and _one_rival_walk(h, k) != []}
         assert kept <= set(near[i])
-        full.append(face_status(h, rest))
+        full.append(face_status(hs.order, h.disc, [k.disc for k in rest]))
     assert face_statuses(hs) == tuple(full)
     return near
 
@@ -561,7 +562,7 @@ def test_box_neighbours_at_tangency():
         ((3, 0), Fraction(1, 4)),
     ]
     hemis = tuple(Hemisphere(kelem_from_planar(ORDER40, *c), rsq) for c, rsq in discs)
-    hs = HemiSet(order=ORDER40, hemispheres=hemis, pairs=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
+    hs = HemiSet(order=ORDER40, discs=tuple(h.disc for h in hemis), owners=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
     near = _check_box_neighbours(hs)
     for i, j in itertools.combinations(range(len(hemis)), 2):
         if _closed_discs_meet(hemis[i], hemis[j]):
@@ -654,8 +655,8 @@ def test_plane_split_needs_a_positive_plane():
 def test_envelope_dips_below_on_hand_made_segments():
     window = amalgam_rectangle(ORDER40)
     unit_at = [Hemisphere(KElem.from_oint(g), Fraction(1)) for g in (ORDER40.zero, ORDER40.one)]
-    one = HemiSet(order=ORDER40, hemispheres=tuple(unit_at[:1]), pairs=(), norm_bound=1, window=window)
-    two = HemiSet(order=ORDER40, hemispheres=tuple(unit_at), pairs=(), norm_bound=1, window=window)
+    one = HemiSet(order=ORDER40, discs=tuple(h.disc for h in unit_at[:1]), owners=(), norm_bound=1, window=window)
+    two = HemiSet(order=ORDER40, discs=tuple(h.disc for h in unit_at), owners=(), norm_bound=1, window=window)
     origin, mid, right = (Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)), (Fraction(1), Fraction(0))
     # under the unit hemisphere at 0, height^2 falls from 1 to 3/4 between origin and mid,
     # so only the segment's last or first point dips under t = 9/10
@@ -739,8 +740,8 @@ def test_lazy_wall_walk_matches_all_pairs(delta):
 
 def _contributors(hs):
     # the HemiSet of hs's contributing faces, as amalgam_report hands it to the walls
-    kept = [(h, p) for h, p, s in zip(hs.hemispheres, hs.pairs, face_statuses(hs)) if isinstance(s, Contributes)]
-    return dataclasses.replace(hs, hemispheres=tuple(h for h, _ in kept), pairs=tuple(p for _, p in kept))
+    kept = [i for i, s in enumerate(face_statuses(hs)) if isinstance(s, Contributes)]
+    return dataclasses.replace(hs, discs=tuple(hs.discs[i] for i in kept), owners=tuple(hs.owners[i] for i in kept))
 
 
 @pytest.mark.parametrize("delta", [-15, -19, -20, -24, -40, -43, -67, -163, -1003])
@@ -780,7 +781,7 @@ def test_lazy_wall_walk_clips_by_a_disjoint_rival():
     # the top is lowest where m and j tie, at u = -11/12 with height^2 23/144
     discs = [((Fraction(-1, 2), 0), Fraction(1, 16)), ((0, 0), Fraction(1)), ((Fraction(-3, 2), 0), Fraction(1, 2))]
     hemis = tuple(Hemisphere(kelem_from_planar(ORDER40, *c), rsq) for c, rsq in discs)
-    hs = HemiSet(order=ORDER40, hemispheres=hemis, pairs=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
+    hs = HemiSet(order=ORDER40, discs=tuple(h.disc for h in hemis), owners=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
     seg = ((Fraction(-3, 2), Fraction(0)), (Fraction(0), Fraction(0)))
     for t0, dips in ((Fraction(1, 3), False), (Fraction(2, 5), True)):
         assert envelope_dips_below(hs, *seg, t0) is dips
@@ -1155,11 +1156,45 @@ ENVELOPE_CASES = [(-40, 16), (-40, 64), (-40, 128), (-40, 256), (-67, 48), (-163
 SPLIT_PLANES = (Fraction(2, 3), Fraction(1, 2), Fraction(1, 5), Fraction(9, 10), Fraction(1))
 
 
+def _cell_extents_ref(n, center, cell):
+    """Least and greatest squared distance from center (U/L, V/L) to the closed cell, as Fractions.
+
+    Integers to the end, over the one denominator W*L: the cell's points
+    (X/W, Y/W) read (X*L, Y*L) and the center (U*W, V*W), in the metric
+    u^2 + n v^2.  Nearest: 0 when the center is inside every
+    counterclockwise edge, else the least distance to an edge, the foot
+    of the perpendicular clamped to the segment.  Written here, sharing
+    no code with cells.py.
+    """
+    u, v, l = center
+    w, verts = cell
+    cu, cv = u * w, v * w
+    pts = [(x * l, y * l) for x, y in verts]
+    scale = (w * l) ** 2
+    far = max((x - cu) ** 2 + n * (y - cv) ** 2 for x, y in pts)
+    edges = list(zip(pts[-1:] + pts[:-1], pts))
+    if all((bx - ax) * (cv - ay) - (by - ay) * (cu - ax) >= 0 for (ax, ay), (bx, by) in edges):
+        return (Fraction(0), Fraction(far, scale))
+    best = None  # (num, den) with den > 0
+    for (ax, ay), (bx, by) in edges:
+        du, dv, eu, ev = cu - ax, cv - ay, bx - ax, by - ay
+        dot, ee = du * eu + n * dv * ev, eu * eu + n * ev * ev
+        if dot <= 0:
+            d = (du * du + n * dv * dv, 1)
+        elif dot >= ee:
+            d = ((cu - bx) ** 2 + n * (cv - by) ** 2, 1)
+        else:
+            d = ((du * du + n * dv * dv) * ee - dot * dot, ee)
+        if best is None or d[0] * best[1] < best[0] * d[1]:
+            best = d
+    return (Fraction(best[0], best[1] * scale), Fraction(far, scale))
+
+
 @pytest.mark.parametrize("delta, bound", ENVELOPE_CASES)
 def test_plane_split_matches_all_rivals_extents(delta, bound):
     # plane_split clips each contributor by the contributors alone; its sides are still
     # those of near_sq and far_sq over the cell against every rival, measured here in
-    # Fractions by _polygon_nearest_ref
+    # integers by _cell_extents_ref
     order = make_order(delta)
     n = order.abs_delta
     seen = set()
@@ -1168,15 +1203,12 @@ def test_plane_split_matches_all_rivals_extents(delta, bound):
         hemis = hs.hemispheres
         near = box_neighbours(n, [h.disc for h in hemis])
         # face_statuses(hs), read off the same neighbour lists
-        statuses = tuple(face_status(h, [hemis[k] for k in ks]) for h, ks in zip(hemis, near))
+        statuses = tuple(face_status(order, h.disc, [hemis[k].disc for k in ks]) for h, ks in zip(hemis, near))
         extents = []
         for h, status, ks in zip(hemis, statuses, near):
             if isinstance(status, Contributes):
-                _, (w, verts) = _all_rivals_cell(h, [hemis[k] for k in ks])
-                poly = [(Fraction(x, w), Fraction(y, w)) for x, y in verts]
-                cu, cv = h.center.planar()
-                far_sq = max((x - cu) ** 2 + n * (y - cv) ** 2 for x, y in poly)
-                extents.append((h, _polygon_nearest_ref(n, poly, (cu, cv))[0], far_sq))
+                _, cell = _all_rivals_cell(h, [hemis[k] for k in ks])
+                extents.append((h, *_cell_extents_ref(n, h.center.planar_int(), cell)))
         for t0 in SPLIT_PLANES:
             above = [h for h, near_sq, _ in extents if near_sq < h.radius_sq - t0 * t0]
             below = [h for h, _, far_sq in extents if far_sq > h.radius_sq - t0 * t0]
@@ -1186,6 +1218,38 @@ def test_plane_split_matches_all_rivals_extents(delta, bound):
     # -19/16 with t0 = 1/5
     assert {(True, True), (False, True)} <= seen
     assert ((True, False) in seen) == ((delta, bound) == (-19, 16))
+
+
+def _object_enumeration(order, bound, window):
+    # the enumeration as objects, one Hemisphere and one UnimodularPair per kept pair: each
+    # pair of pair_scan over the padded box whose center lies within its radius of the
+    # window, with center KElem.of(xa + xb*t, N) and radius^2 1/N, sorted by (N, V, U)
+    n, e = order.abs_delta, order.trace
+    frame = frame_of(window.vertices)
+    kept = []
+    for lam, mu, xa, xb, norm in pair_scan(order, _padded_box(order, window), bound):
+        u, v = 2 * xa + e * xb, xb
+        num, den, _ = dist_sq_int(n, frame, (u, v, 2 * norm))
+        if num * norm <= den:
+            hemi = Hemisphere(KElem.of(OInt(order, xa, xb), norm), Fraction(1, norm))
+            kept.append(((norm, v, u), hemi, UnimodularPair(lam, mu)))
+    kept.sort(key=lambda k: k[0])
+    return (tuple(h for _, h, _ in kept), tuple(p for _, _, p in kept))
+
+
+@pytest.mark.parametrize("delta, bound", ENVELOPE_CASES)
+def test_hemiset_views_are_the_objects_of_each_pair(delta, bound):
+    # the integer discs and owner rows read back as the objects once built per kept pair,
+    # and each view is built once: a second read returns the same objects
+    order = make_order(delta)
+    for window in (amalgam_rectangle(order), voronoi_cell(order)):
+        hs = enumerate_hemispheres(order, bound, window)
+        hemis, pairs = _object_enumeration(order, bound, window)
+        assert hs.discs == tuple(h.disc for h in hemis)
+        assert hs.owners == tuple((p.lam.a, p.lam.b, p.mu.a, p.mu.b) for p in pairs)
+        views = (hs.hemispheres, hs.pairs)
+        assert views == (hemis, pairs)
+        assert hs.hemispheres is views[0] and hs.pairs is views[1]
 
 
 def test_center_on_a_bisector_is_no_witness():
@@ -1200,14 +1264,14 @@ def test_center_on_a_bisector_is_no_witness():
     assert _height_sq(h, h.center) == _height_sq(k, h.center) == Fraction(1, 4)
     assert _one_rival_walk(h, k) == [bisector(ORDER40.abs_delta, h.disc, k.disc)]
     assert _one_rival_walk(h, j) == [CENTER]
-    assert face_status(h, [k]) == Contributes(kelem_from_planar(ORDER40, Fraction(-1, 4), 0))
+    assert face_status(ORDER40, h.disc, [k.disc]) == Contributes(kelem_from_planar(ORDER40, Fraction(-1, 4), 0))
     # [-3/8, 0] x [-1, 1] has its vertex average (-3/16, 0) inside h's disc
     want = Contributes(kelem_from_planar(ORDER40, Fraction(-3, 16), 0))
-    assert face_status(h, [j, k]) == face_status(h, [k, j]) == want
+    assert face_status(ORDER40, h.disc, [j.disc, k.disc]) == face_status(ORDER40, h.disc, [k.disc, j.disc]) == want
     for rest in ([k], [j, k]):
-        w = face_status(h, rest).witness
+        w = face_status(ORDER40, h.disc, [r.disc for r in rest]).witness
         assert all(_height_sq(h, w) > _height_sq(r, w) for r in rest)
-    assert face_status(h, [j]) == Contributes(h.center)
+    assert face_status(ORDER40, h.disc, [j.disc]) == Contributes(h.center)
 
 
 def test_pe2_only_subarrangement_has_radius_one_faces():
@@ -1220,8 +1284,8 @@ def test_pe2_only_subarrangement_has_radius_one_faces():
     assert any(h.radius_sq < 1 for h, _ in keep)
     sub = HemiSet(
         order=ORDER40,
-        hemispheres=tuple(h for h, _ in keep),
-        pairs=tuple(p for _, p in keep),
+        discs=tuple(h.disc for h, _ in keep),
+        owners=tuple((p.lam.a, p.lam.b, p.mu.a, p.mu.b) for _, p in keep),
         norm_bound=full.norm_bound,
         window=full.window,
     )
@@ -1250,7 +1314,7 @@ def test_svg_topview_deterministic():
 
 def test_svg_topview_empty_set_draws_window_only():
     window = amalgam_rectangle(ORDER40)
-    hs = HemiSet(order=ORDER40, hemispheres=(), pairs=(), norm_bound=1, window=window)
+    hs = HemiSet(order=ORDER40, discs=(), owners=(), norm_bound=1, window=window)
     text = svg_topview(hs, (), ([], []))
     assert "<circle" not in text
     assert "<polygon" in text

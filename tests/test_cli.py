@@ -7,6 +7,7 @@ import io
 import json
 import sys
 import time
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
@@ -14,9 +15,11 @@ import jsonschema
 import pytest
 
 from pe2ford import cli
-from pe2ford.arrangement import UnimodularPair
+from pe2ford.arrangement import Contributes, UnimodularPair, enumerate_hemispheres, face_statuses
 from pe2ford.cli import main
 from pe2ford.errors import CycleNotClosed, SearchExhausted
+from pe2ford.ford import amalgam_rectangle
+from pe2ford.moebius import Hemisphere
 from pe2ford.orders import make_order
 from pe2ford.words import R, S, word_to_matrix
 
@@ -355,6 +358,45 @@ def test_gap_points_build_each_ratio_once(monkeypatch):
     assert [[p.lam.a, p.lam.b] for p in built] == [p["lam"] for p in json.loads(out)["points"]]
 
 
+@pytest.mark.parametrize("delta", [-40, -163])
+@pytest.mark.parametrize(
+    "argv", [["arrangement", "--format", "json"], ["amalgam", "--format", "json"], ["amalgam", "--format", "svg"]], ids=" ".join
+)
+def test_arrangement_builds_no_object_per_enumerated_pair(monkeypatch, argv, delta):
+    # the payload, the plane split and the SVG read the HemiSet's integer rows: a
+    # Hemisphere or a UnimodularPair is built at most once per contributor
+    order = make_order(delta)
+    hs = enumerate_hemispheres(order, 16, amalgam_rectangle(order))
+    contributors = sum(isinstance(s, Contributes) for s in face_statuses(hs))
+    assert contributors < len(hs.hemispheres)
+    built: Counter = Counter()
+    for cls in (Hemisphere, UnimodularPair):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _i=init, _c=cls, **k: built.update([_c]) or _i(self, *a, **k))
+    code, out, err = run(argv + ["--disc", str(delta), "--bound", "16"])
+    assert code == 0, err
+    assert built[Hemisphere] <= contributors and built[UnimodularPair] <= contributors
+
+
+@pytest.mark.parametrize("delta", [-15, -19, -20, -40, -43, -163])
+def test_arrangement_records_read_as_the_hemisphere_views(delta):
+    # the records are written from the integer rows, and read as the Hemisphere and pair
+    # views of the same HemiSet do, at odd and even delta
+    order = make_order(delta)
+    hs = enumerate_hemispheres(order, 8, amalgam_rectangle(order))
+    want = [
+        {
+            "center": {"num": [h.center.num.a, h.center.num.b], "den": h.center.den},
+            "uv": [str(c) for c in h.center.planar()],
+            "radius_sq": str(h.radius_sq),
+            "owner": [[p.lam.a, p.lam.b], [p.mu.a, p.mu.b]],
+        }
+        for h, p in zip(hs.hemispheres, hs.pairs)
+    ]
+    recs = _payload(["arrangement", "--disc", str(delta), "--bound", "8"])["hemispheres"]
+    assert [{key: r[key] for key in want[0]} for r in recs] == want
+
+
 def test_order_info_works_below_group_scope():
     code, out, _ = run(["order-info", "--disc", "-3"])
     assert code == 0
@@ -491,6 +533,13 @@ def test_json_writer_is_the_stdlib_encoder_on_edge_values(value):
 def test_json_writer_refuses_what_payloads_never_hold(value):
     with pytest.raises(TypeError):
         cli._json_text(value)
+
+
+def test_json_writer_refuses_int_keys_that_sort():
+    # all-int keys sort without error, so the key test in the item loop must refuse them
+    for value in ({2: "a", 1: "b"}, {0: None}, {"a": {3: 1, 1: 2}}, [{1: []}]):
+        with pytest.raises(TypeError, match="payload keys must be str"):
+            cli._json_text(value)
 
 
 def test_output_digests():

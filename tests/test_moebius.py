@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pe2ford.moebius import (
+    Hemisphere,
     Mat,
     Side,
     apply_interior,
@@ -14,7 +15,7 @@ from pe2ford.moebius import (
     order_in_psl,
     outside_test,
 )
-from pe2ford.orders import KElem, make_order
+from pe2ford.orders import KElem, OInt, kelem_from_planar, make_order
 
 DISCS = [-15, -16, -19, -20, -23, -24, -40]
 
@@ -136,3 +137,21 @@ def test_apply_interior_isometric_sphere_preserves_height():
     _, t2 = apply_interior(g, zeta, tsq)
     assert t2 == tsq
 
+
+
+@pytest.mark.parametrize("delta", DISCS)
+def test_hemisphere_hash_is_its_disc(delta):
+    # one point built two ways, from an unreduced KElem.of and from its planar
+    # coordinates, with its radius^2 from unreduced Fractions: equal, hash equal, one in a set
+    d = make_order(delta)
+    rng = random.Random(delta)
+    for _ in range(20):
+        a, b, q, k = rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9), rng.randint(2, 5)
+        rsq = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        z = KElem.of(OInt(d, k * a, k * b), k * q)
+        h = Hemisphere(z, Fraction(k * rsq.numerator, k * rsq.denominator))
+        g = Hemisphere(kelem_from_planar(d, *z.planar()), rsq)
+        assert h == g and hash(h) == hash(g) == hash(h.disc)
+        assert len({h, g}) == 1 and {h: 1}[g] == 1
+        other = Hemisphere(z, rsq + 1)  # the same center, another radius
+        assert other != h and len({h, g, other}) == 2
