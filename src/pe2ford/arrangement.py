@@ -69,45 +69,57 @@ from .moebius import Hemisphere, Mat
 from .orders import KElem, OInt, Order, kelem_from_planar_int, lattice_points_norm_at_most
 
 
-def _one_in_span(lam: OInt, mu: OInt) -> tuple[OInt, OInt]:
-    """Write 1 over the Z-span of (lam, lam*tau, mu, mu*tau), which must be all of Z^2.
+_Row = tuple[int, int, int, int, int, int]  # two coordinates in the basis (1, tau), then four tracked coefficients
 
-    Rows carry coordinates in the basis (1, tau) plus a tracked
-    coefficient vector; a column-echelon reduction over Z leaves a row
-    (+-1, y) and a row (0, +-1), and the tracked coefficients of the
-    combination that gives (1, 0) regroup into order elements x, y with
-    x*lam + y*mu = 1.  The rows are plain ints: g*tau = -m*g.b + (g.a + e*g.b)*tau.
+
+def _clear_column(col: int, pool: list[_Row]) -> tuple[_Row, list[_Row]]:
+    """Euclid's steps on column col of the rows: (the one row left with a nonzero entry there, the other rows).
+
+    Each step sorts the live rows by the size of their entry, stably, so
+    equal sizes keep their order, and subtracts from every other row the
+    floor quotient times the first; a row whose entry drops to 0 leaves.
     """
-    order = lam.order
+    live = [r for r in pool if r[col]]
+    rest = [r for r in pool if not r[col]]
+    while len(live) > 1:
+        live.sort(key=lambda r: abs(r[col]))
+        pivot = live[0]
+        p0, p1, p2, p3, p4, p5 = pivot
+        pc = pivot[col]
+        kept = [pivot]
+        for r in live[1:]:
+            q = r[col] // pc
+            r0, r1, r2, r3, r4, r5 = r
+            r = (r0 - q * p0, r1 - q * p1, r2 - q * p2, r3 - q * p3, r4 - q * p4, r5 - q * p5)
+            (kept if r[col] else rest).append(r)
+        live = kept
+    return live[0], rest
+
+
+def _one_in_span(order: Order, la: int, lb: int, ma: int, mb: int) -> tuple[int, int, int, int]:
+    """(x.a, x.b, y.a, y.b) with x*lam + y*mu = 1, for lam = la + lb*t and mu = ma + mb*t spanning Z^2.
+
+    Each of lam, lam*tau, mu, mu*tau is a flat int row: its coordinates in
+    the basis (1, tau), with g*tau = -m*g.b + (g.a + e*g.b)*tau, and a
+    tracked coefficient vector.  A column-echelon reduction over Z
+    (_clear_column on column 0, then on column 1 of the other rows)
+    leaves a row (+-1, y) and a row (0, +-1), and the tracked
+    coefficients of the combination that gives (1, 0) regroup into the
+    order elements x and y.
+    """
     e, m = order.trace, order.tau_norm
-    la, lb, ma, mb = lam.a, lam.b, mu.a, mu.b
     rows = [
-        [la, lb, 1, 0, 0, 0],
-        [-m * lb, la + e * lb, 0, 1, 0, 0],
-        [ma, mb, 0, 0, 1, 0],
-        [-m * mb, ma + e * mb, 0, 0, 0, 1],
+        (la, lb, 1, 0, 0, 0),
+        (-m * lb, la + e * lb, 0, 1, 0, 0),
+        (ma, mb, 0, 0, 1, 0),
+        (-m * mb, ma + e * mb, 0, 0, 0, 1),
     ]
-
-    def clear_column(col: int, pool: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-        live = [r for r in pool if r[col] != 0]
-        rest = [r for r in pool if r[col] == 0]
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))  # stable: equal sizes keep their order
-            pivot, kept = live[0], []
-            for r in live[1:]:
-                q = r[col] // pivot[col]
-                r = [x - q * y for x, y in zip(r, pivot)]
-                (kept if r[col] != 0 else rest).append(r)
-            live = [pivot] + kept
-        return (live[0], rest)
-
-    p0, rest = clear_column(0, rows)
-    p1, _ = clear_column(1, rest)
+    p0, rest = _clear_column(0, rows)
+    p1, _ = _clear_column(1, rest)
     # the lattice is Z^2, so p0[0] and p1[1] are +-1
     c0 = p0[0]
     c1 = -c0 * p0[1] * p1[1]
-    x0, x1, y0, y1 = (c0 * u + c1 * w for u, w in zip(p0[2:], p1[2:]))
-    return (OInt(order, x0, x1), OInt(order, y0, y1))
+    return (c0 * p0[2] + c1 * p1[2], c0 * p0[3] + c1 * p1[3], c0 * p0[4] + c1 * p1[4], c0 * p0[5] + c1 * p1[5])
 
 
 def unit_ideal(norm_lam: int, norm_mu: int, xa: int, xb: int) -> bool:
@@ -125,18 +137,33 @@ def unit_ideal(norm_lam: int, norm_mu: int, xa: int, xb: int) -> bool:
 def is_unimodular(lam: OInt, mu: OInt) -> Mat | None:
     """Completion of (lam, mu) to a determinant-one first column, or None.
 
-    unit_ideal decides first, on N(lam), N(mu) and lam*conj(mu), and only
-    a pair that passes is reduced: the tracked reduction yields x, y with
+    Everything runs on the four ints lam = la + lb*t and mu = ma + mb*t.
+    unit_ideal decides first, on N(lam), N(mu) and
+    lam*conj(mu) = (la*(ma + e*mb) + m*lb*mb) + (lb*ma - la*mb)*t, and
+    only a pair that passes is reduced: _one_in_span yields x, y with
     x*lam + y*mu = 1 and the completion [[lam, -y], [mu, x]],
-    deterministic but only canonical up to a right shift.
+    deterministic but only canonical up to a right shift.  Its
+    determinant x*lam + y*mu is checked on the ints before the matrix is
+    built unchecked.
     """
     if lam.is_zero() and mu.is_zero():
         raise ValueError("(0, 0) is not a pair")
-    c = lam * mu.conj()
-    if not unit_ideal(lam.norm(), mu.norm(), c.a, c.b):
+    order = lam.order
+    e, m = order.trace, order.tau_norm
+    la, lb, ma, mb = lam.a, lam.b, mu.a, mu.b
+    norm_lam = la * la + e * la * lb + m * lb * lb
+    norm_mu = ma * ma + e * ma * mb + m * mb * mb
+    if not unit_ideal(norm_lam, norm_mu, la * (ma + e * mb) + m * lb * mb, lb * ma - la * mb):
         return None
-    x, y = _one_in_span(lam, mu)
-    return Mat(lam, -y, mu, x)
+    x0, x1, y0, y1 = _one_in_span(order, la, lb, ma, mb)
+    # x*lam + y*mu, by (a + b*t)(c + d*t) = (ac - m*bd) + (ad + bc + e*bd)*t
+    det = (
+        x0 * la - m * x1 * lb + y0 * ma - m * y1 * mb,
+        x0 * lb + x1 * la + e * x1 * lb + y0 * mb + y1 * ma + e * y1 * mb,
+    )
+    if det != (1, 0):  # pragma: no cover
+        raise ArithmeticError(f"the reduction of ({lam}, {mu}) gave x*lam + y*mu = {det}, not 1")
+    return Mat._trusted(lam, OInt(order, -y0, -y1), mu, OInt(order, x0, x1))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .ford import HemiFace, amalgam_rectangle, pe2_ford_faces, presentation, voronoi_cell
 from .moebius import Mat
-from .orders import KElem, OInt, Order, lattice_points_count, lattice_points_within, make_order
+from .orders import KElem, OInt, Order, lattice_pairs_within, lattice_points_count, make_order
 from .subgroups import PLANE, GapPoint, amalgam_report, coset_family, gap_points
 from .words import (
     Member,
@@ -89,9 +89,9 @@ _BOUND = _checked(int, lambda x: 0 < x <= MAX_BOUND, f"a bound from 1 to {MAX_BO
 # lattice points that one gap-points payload may list under `checked`, summed
 # over its points; each list grows with sqrt(|delta|), so a request past this
 # exits 3.  lattice_points_count finds each list's size in O(rows) before any
-# list is built.  At -100000000003, --count 10 lists about 944,000 points in
-# 4.6 s CPU and 300 MB on a shared 2-vCPU VM; at -100000000000003 the third point
-# alone has 3.7 million
+# list is built.  At -100000000003, --count 10 --format json lists 980,977
+# points in 2.3-2.7 s CPU and 293 MB on a shared 2-vCPU VM; at
+# -100000000000003 the third point alone has 3.7 million
 MAX_CHECKED = 1_000_000
 _POSITIVE_FRACTION = _checked(Fraction, lambda x: x > 0, "positive")
 
@@ -198,12 +198,13 @@ def _input_word(args: argparse.Namespace, order: Order) -> Word:
 
 
 def _gap_point_json(gp: GapPoint, z: KElem) -> dict[str, Any]:
-    # z is gp.ratio(), built once by the caller
+    # z is gp.ratio(), built once by the caller; uv is read off its planar integers
+    u, v, l = z.planar_int()
     return {
         "lam": _oint_json(gp.pair.lam),
         "mu": _oint_json(gp.pair.mu),
         "ratio": _kelem_json(z),
-        "uv": _uv_json(z.planar()),
+        "uv": [_ratio_text(u, l), _ratio_text(v, l)],
         "min_dist_sq": str(gp.min_dist_sq),
     }
 
@@ -389,7 +390,7 @@ def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
     points = [
         {
             **_gap_point_json(gp, z),
-            "checked": [_oint_json(g) for g in lattice_points_within(z, reach)],
+            "checked": lattice_pairs_within(z, reach),
             "completion": _mat_json(gp.pair.completion),
         }
         for gp, z in zip(pts, ratios)

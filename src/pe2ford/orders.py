@@ -343,11 +343,16 @@ def _rows(z: KElem, rsq: Fraction | int) -> Iterator[tuple[int, int, int]]:
         yield b, -((w_max - mid) // (2 * den)), (mid + w_max) // (2 * den)
 
 
-def lattice_points_within(z: KElem, rsq: Fraction | int) -> list[OInt]:
-    """All lattice points g with |z - g|^2 <= rsq, sorted by key(): the rows of _rows, expanded."""
-    order = z.order
+def lattice_pairs_within(z: KElem, rsq: Fraction | int) -> list[list[int]]:
+    """[a, b] for every lattice point g = a + b*t with |z - g|^2 <= rsq, by key(): the rows of _rows, expanded."""
     # b ascending, then a ascending: exactly the key() order
-    return [OInt(order, a, b) for b, lo, hi in _rows(z, rsq) for a in range(lo, hi + 1)]
+    return [[a, b] for b, lo, hi in _rows(z, rsq) for a in range(lo, hi + 1)]
+
+
+def lattice_points_within(z: KElem, rsq: Fraction | int) -> list[OInt]:
+    """All lattice points g with |z - g|^2 <= rsq, sorted by key(): lattice_pairs_within as OInts."""
+    order = z.order
+    return [OInt(order, a, b) for a, b in lattice_pairs_within(z, rsq)]
 
 
 def lattice_points_count(z: KElem, rsq: Fraction | int) -> int:

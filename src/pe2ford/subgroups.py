@@ -18,6 +18,7 @@ All gap and split certificates are exact rational comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator
@@ -34,7 +35,7 @@ from .arrangement import (
     pair_scan,
     plane_split,
 )
-from .cells import Disc, box_of, frame_of
+from .cells import Box, Disc, box_of, frame_of
 from .errors import OutOfScope, SearchExhausted
 from .ford import CosetKey, amalgam_rectangle, coset_key, presentation
 from .moebius import Hemisphere, Mat, gen_s
@@ -46,7 +47,13 @@ PLANE = Fraction(2, 3)  # the default height t0 of the plane that splits the arr
 
 @dataclass(frozen=True)
 class GapPoint:
-    """Unimodular ratio exactly outside every closed unit lattice disc; ratio() is built from the pair on each call."""
+    """Unimodular ratio exactly outside every closed unit lattice disc, as the gap stream found it.
+
+    pair is the (lam, mu) that pair_scan yielded over the gap strip, and
+    min_dist_sq the squared distance to the nearest lattice point, read
+    off the scan's integers by the gap rule.  ratio() is built from the
+    pair on each call, and pair.completion runs on the pair's four ints.
+    """
 
     pair: UnimodularPair
     min_dist_sq: Fraction
@@ -73,13 +80,39 @@ def gap_check(z: KElem) -> Fraction | None:
     return _gap_dist(z.order, z.num.a, z.num.b, z.den)
 
 
+_STRIP_W = 128  # the denominator of the gap strip's edges
+
+
+def _gap_strip(order: Order) -> Box:
+    """The box lo/W <= v <= 1/2 - lo/W, 0 <= u <= 1 that holds every gap point of the band (proof at _gap_stream)."""
+    w = _STRIP_W
+    lo = math.isqrt(3 * w * w // (4 * order.abs_delta))
+    return (w, 0, w, lo, w // 2 - lo)
+
+
 def _gap_stream(order: Order) -> Iterator[GapPoint]:
-    # the ratios of pair_scan, all unimodular, over the closed band [0, 1] x
-    # [0, 1/2], kept in the half-open band u in [0, 1), v in [0, 1/2), which
-    # meets every translation orbit once; the band test and the gap rule read
-    # the scan's ints
-    e = order.trace
-    for lam, mu, xa, xb, norm in pair_scan(order, lambda norm: (2, 0, 2, 0, 1)):
+    """The gap points of the half-open band u in [0, 1), v in [0, 1/2), which meets every translation orbit once.
+
+    They are the ratios of pair_scan, all unimodular, read over the strip
+    lo/W <= v <= 1/2 - lo/W of the closed band [0, 1] x [0, 1/2], with
+    W = _STRIP_W and lo = isqrt(3 W^2 / (4 |delta|)); the band test and
+    the gap rule read the scan's ints.
+
+    Every gap point lies in the strip.  Row b = 0 holds the points u = a,
+    so some lattice point is within 1/2 of z = (u, v) in u, and
+    |z - g|^2 <= 1/4 + |delta| v^2, at most 1 when |delta| v^2 <= 3/4.
+    So a gap point has |delta| v^2 > 3/4 >= |delta| (lo/W)^2, since
+    lo^2 <= 3 W^2 / (4 |delta|): v > lo/W.  Row b = 1 holds the points
+    u = a + trace/2 at v = 1/2, so the same bound gives 1/2 - v > lo/W.
+
+    So the strip changes no point of the stream, nor their order.
+    pair_scan reads mu by (norm, key()) and, for each mu, lam in key()
+    order over the box it is given, so over a sub-box it yields the
+    band's candidates that lie in the sub-box, in the band's order.  The
+    band's candidates outside the strip are no gap points.
+    """
+    e, strip = order.trace, _gap_strip(order)
+    for lam, mu, xa, xb, norm in pair_scan(order, lambda norm: strip):
         if not (0 <= 2 * xa + e * xb < 2 * norm and 0 <= xb < norm):
             continue
         min_dist = _gap_dist(order, xa, xb, norm)

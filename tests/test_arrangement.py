@@ -56,7 +56,7 @@ from pe2ford.orders import (
     lattice_points_within,
     make_order,
 )
-from pe2ford.subgroups import gap_points
+from pe2ford.subgroups import _gap_strip, gap_points
 from pe2ford.words import Member, membership
 
 
@@ -159,29 +159,70 @@ def _oint_one_in_span(lam, mu):
     return (OInt(order, combo[2], combo[3]), OInt(order, combo[4], combo[5]))
 
 
+def _span(lam, mu):
+    """_one_in_span on the four ints of (lam, mu), its x and y read back as OInts."""
+    order = lam.order
+    x0, x1, y0, y1 = _one_in_span(order, lam.a, lam.b, mu.a, mu.b)
+    return (OInt(order, x0, x1), OInt(order, y0, y1))
+
+
 @pytest.mark.parametrize("delta", [-20, -31, -40, -163])
 def test_one_in_span_is_the_oint_echelon_on_gap_pairs(delta):
     # the completion's x and y, not only x*lam + y*mu = 1: the gap-point
     # and cosets digests pin the completion entries
     for gp in gap_points(make_order(delta), 200):
         lam, mu = gp.pair.lam, gp.pair.mu
-        assert _one_in_span(lam, mu) == _oint_one_in_span(lam, mu), (lam, mu)
+        assert _span(lam, mu) == _oint_one_in_span(lam, mu), (lam, mu)
 
 
-@pytest.mark.parametrize("delta", [-40, -15])
+@pytest.mark.parametrize("delta", [-40, -15, -19, -163, -1003, -100000003])
 def test_one_in_span_is_the_oint_echelon_on_random_pairs(delta):
     pairs = [(lam, mu) for lam, mu in _random_pairs(delta) if _unimodular_oracle(lam, mu)]
     assert len(pairs) > 50
     for lam, mu in pairs:
-        assert _one_in_span(lam, mu) == _oint_one_in_span(lam, mu), (lam, mu)
+        assert _span(lam, mu) == _oint_one_in_span(lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("delta", [-15, -19, -20, -40, -163, -1003, -100000003])
+def test_is_unimodular_on_ints_refuses_every_proper_ideal(delta):
+    # a unimodular pair times a non-unit g spans (g), and (2, tau) or (3, tau) spans
+    # a proper ideal whenever 2 or 3 divides N(tau): the int completion returns None
+    # exactly where the minor oracle refuses, and never builds a matrix there
+    order = make_order(delta)
+    units = [(lam, mu) for lam, mu in _random_pairs(delta) if _unimodular_oracle(lam, mu)][:40]
+    factors = [order.elt(2), order.tau, order.elt(1, 1), order.elt(-3, 2)]
+    refused = [(g * lam, g * mu) for lam, mu in units for g in factors]
+    refused += [(order.elt(p), order.tau) for p in (2, 3) if order.tau_norm % p == 0]
+    for lam, mu in refused:
+        assert not _unimodular_oracle(lam, mu), (lam, mu)
+        assert is_unimodular(lam, mu) is None, (lam, mu)
+        assert is_unimodular(mu, lam) is None, (lam, mu)
+
+
+def _cuts(n, box):
+    """(ku, kv): cut the box (w, u_lo, u_hi, v_lo, v_hi) into ku x kv equal cells, none longer than wide.
+
+    In the metric u^2 + |delta| v^2 the box is du/w wide and sqrt(|delta|) dv/w
+    tall.  Its longer side is cut into more parts than the ratio of the sides,
+    so each cell lies in a circumscribed disc no wider than the box needs.
+    """
+    _, u_lo, u_hi, v_lo, v_hi = box
+    du, dv = u_hi - u_lo, v_hi - v_lo
+    if n * dv * dv >= du * du:
+        return 1, math.isqrt(n * dv * dv // (du * du)) + 1
+    return math.isqrt(du * du // (n * dv * dv)) + 1, 1
 
 
 def _candidate_scan(order, box):
-    """Every candidate (lam, mu, xa, xb, N) of a disc scan that encloses box(N), with no end.
+    """Every candidate (lam, mu, xa, xb, N) of a scan by discs that cover box(N), with no end.
 
-    The disc about the box's center has the box's circumradius, times sqrt(N)
-    about centre*mu, so it holds every lam with lam/mu in the box.  Filtered by
-    the oracle and the closed box, it is the reference for pair_scan.
+    The discs circumscribe the cells of _cuts.  z -> z*mu scales the plane by
+    sqrt(N) about 0, so a disc about c of radius^2 r^2 goes to the disc about c*mu
+    of radius^2 N r^2, and the images hold every lam with lam/mu in the box.
+    The lattice points lie on the rows v = b/2, and an image that reaches no row
+    is skipped without a scan; the others' points, merged without repeats in
+    key() order, filtered by the oracle and the closed box, are the reference
+    for pair_scan.
     """
     e, m = order.trace, order.tau_norm
     n = order.abs_delta
@@ -191,12 +232,28 @@ def _candidate_scan(order, box):
         shell = [mu for mu in scan if mu.norm() > done and mu.is_canonical_positive()]
         for mu in sorted(shell, key=OInt.norm):
             norm, ca, cb = mu.norm(), mu.a + e * mu.b, -mu.b
+            p, q = 2 * mu.a + e * mu.b, mu.b  # mu at planar (p, q)/2
             w, u_lo, u_hi, v_lo, v_hi = box(norm)
-            centre = kelem_from_planar(order, Fraction(u_lo + u_hi, 2 * w), Fraction(v_lo + v_hi, 2 * w))
-            circum_sq = Fraction(u_hi - u_lo, 2 * w) ** 2 + n * Fraction(v_hi - v_lo, 2 * w) ** 2
-            for lam in lattice_points_within(centre * mu, circum_sq * norm):
-                la, lb = lam.a, lam.b
-                yield lam, mu, la * ca - m * lb * cb, la * cb + lb * ca + e * lb * cb, norm
+            ku, kv = _cuts(n, box(norm))
+            du, dv = u_hi - u_lo, v_hi - v_lo
+            y = 2 * w * ku * kv
+            # the cell (i, j) has centre (x_i, y_j)/y and radius^2 rr/y^2
+            xs = [kv * (2 * u_lo * ku + (2 * i + 1) * du) for i in range(ku)]
+            ys = [ku * (2 * v_lo * kv + (2 * j + 1) * dv) for j in range(kv)]
+            rr = du * du * kv * kv + n * dv * dv * ku * ku
+            lams = set()
+            for cx in xs:
+                for cy in ys:
+                    # the image's centre has v = (cx q + cy p)/(2y) = x/(2y), and it reaches
+                    # the row nearest it iff |delta| (b/2 - v)^2 <= N rr/y^2, times 4 y^2
+                    x = cx * q + cy * p
+                    off = min(x % y, y - x % y)
+                    if n * off * off > 4 * norm * rr:
+                        continue
+                    centre = kelem_from_planar(order, Fraction(cx, y), Fraction(cy, y))
+                    lams.update(g.key() for g in lattice_points_within(centre * mu, Fraction(rr, y * y) * norm))
+            for lb, la in sorted(lams):
+                yield OInt(order, la, lb), mu, la * ca - m * lb * cb, la * cb + lb * ca + e * lb * cb, norm
         done, bound = bound, 4 * bound
 
 
@@ -228,32 +285,48 @@ def _padded_box(order, window):
 
 
 PAIR_SCAN_DISCS = [-15, -19, -20, -23, -40, -163, -1003]
-BAND = (2, 0, 2, 0, 1)  # the gap stream's closed band [0, 1] x [0, 1/2]
+# the closed cell band [0, 1] x [0, 1/2]: the gap stream's half-open band
+# closed, which holds the strip that the stream scans (_gap_strip)
+BAND = (2, 0, 2, 0, 1)
 
 
 @pytest.mark.parametrize("delta", PAIR_SCAN_DISCS + [-100000003])
 def test_pair_scan_is_the_candidate_scan_filtered_by_the_oracle(delta):
-    # through the first three mu shells (norms up to 4, 16 and 64), over the gap
-    # stream's band and over the padded boxes of the rectangle and the Voronoi cell
+    # through the first three mu shells (norms up to 4, 16 and 64), over the
+    # band, the gap stream's strip and the padded boxes of the rectangle and the
+    # Voronoi cell
     order = make_order(delta)
 
     def upto_64(scan):
         return list(itertools.takewhile(lambda c: c[4] <= 64, scan))
 
-    boxes = [lambda norm: BAND, _padded_box(order, amalgam_rectangle(order))]
-    if abs(delta) < 10**4:  # at -100000003 the reference disc is about 10^4 times the box
-        boxes.append(_padded_box(order, voronoi_cell(order)))
+    strip = _gap_strip(order)
+    boxes = [
+        lambda norm: BAND,
+        lambda norm: strip,
+        _padded_box(order, amalgam_rectangle(order)),
+        _padded_box(order, voronoi_cell(order)),
+    ]
+    scans = []
     for box in map(functools.cache, boxes):
         candidates = upto_64(_candidate_scan(order, box))
         got = upto_64(pair_scan(order, box))
         want = [c for c in candidates if _ratio_in_closed_box(order, box, c)]
         assert got == [c for c in want if _unimodular_oracle(c[0], c[1])]
         assert 0 < len(got) < len(want)
-        assert {c[4] for c in got} > {1, 4}  # past the first shell
+        norms = {c[4] for c in got}
+        assert norms - {1, 4}  # past the first shell
         for lam, mu, xa, xb, norm in got:
             assert lam * mu.conj() == order.elt(xa, xb) and mu.norm() == norm
             assert _in_closed_box(box(norm), KElem.of(lam, mu))
         assert len({KElem.of(lam, mu) for lam, mu, *_ in got}) == len(got)  # distinct ratios
+        scans.append((norms, got))
+    (_, band), (_, in_strip), *padded = scans
+    # the strip leaves out v near 0, so it may miss norm 1 and 4 (at -15 and -23 it
+    # holds neither); the other boxes hold both
+    assert all(norms > {1, 4} for norms, _ in [scans[0]] + padded)
+    # a sub-box gets the box's pairs that lie in it, in the box's order (_gap_stream's proof)
+    assert in_strip == [c for c in band if _ratio_in_closed_box(order, lambda norm: strip, c)]
 
 
 @pytest.mark.parametrize("delta", [-15, -20, -40, -100000003])

@@ -2,11 +2,13 @@
 
 The box scans share no formula with the lattice code they check: they
 walk a box of lattice coordinates and measure each point with field
-arithmetic, (z - g).abs_sq(), and read the band off planar().
+arithmetic, (z - g).abs_sq(), and read the band off planar().  The gap
+strip is checked against band_stream, the pair scan over the whole band.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pe2ford.arrangement import is_unimodular
+from pe2ford import subgroups
+from pe2ford.arrangement import is_unimodular, pair_scan
 from pe2ford.orders import KElem, gap_neighbourhood, lattice_points_count, make_order, nearest_lattice_point
-from pe2ford.subgroups import gap_check, gap_points
+from pe2ford.subgroups import _gap_stream, gap_check, gap_points
 from pe2ford.words import NonMember, membership, random_pe2_word, word_to_matrix
 
 DISCS = [-m for m in range(13, 200) if m % 4 in (0, 3)]
@@ -169,3 +172,41 @@ def test_gap_neighbourhood_size_is_the_list_length(delta, a, b, s):
     assert size == len(gap_neighbourhood(z))
     if -delta < 200:
         assert size == len(box_scan(z))
+
+
+def band_stream(d, tests: list):
+    """(lam, mu, min_dist_sq) of the gap points over the whole closed band [0, 1] x [0, 1/2]: the stream as it read before the strip.
+
+    The pairs come from pair_scan over the band, in its order; each ratio
+    (xa + xb*t)/N in the half-open band u in [0, 1), v in [0, 1/2) is
+    appended to tests and gets the gap rule.
+    """
+    e = d.trace
+    for lam, mu, xa, xb, norm in pair_scan(d, lambda norm: (2, 0, 2, 0, 1)):
+        if 0 <= 2 * xa + e * xb < 2 * norm and 0 <= xb < norm:
+            tests.append((xa, xb, norm))
+            dist = subgroups._gap_dist(d, xa, xb, norm)
+            if dist is not None:
+                yield lam, mu, dist
+
+
+@pytest.mark.parametrize("delta", [-15, -19, -20, -23, -24, -31, -40, -43, -163, -1003, -100000000003])
+def test_gap_stream_on_the_strip_is_the_band_stream(delta):
+    # the strip leaves out only band ratios within 1 of row 0 or of the tau row,
+    # so the first 2,000 points and their order are the band's
+    d = make_order(delta)
+    got = [(gp.pair.lam, gp.pair.mu, gp.min_dist_sq) for gp in itertools.islice(_gap_stream(d), 2000)]
+    assert got == list(itertools.islice(band_stream(d, []), 2000))
+
+
+def test_gap_stream_tests_only_the_strip(monkeypatch):
+    # the first 200 points at -20: the band reference makes 1,401 gap tests, the strip at most 398
+    d = make_order(-20)
+    band_tests: list = []
+    want = list(itertools.islice(band_stream(d, band_tests), 200))
+    calls = []
+    gap_dist = subgroups._gap_dist
+    monkeypatch.setattr(subgroups, "_gap_dist", lambda *args: calls.append(args) or gap_dist(*args))
+    assert [(gp.pair.lam, gp.pair.mu, gp.min_dist_sq) for gp in gap_points(d, 200)] == want
+    assert len(band_tests) == 1401
+    assert len(calls) <= 398
