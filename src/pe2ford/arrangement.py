@@ -185,9 +185,6 @@ class UnimodularPair:
             raise ValueError("(lam, mu) does not generate the unit ideal")
         return m
 
-    def ratio(self) -> KElem:
-        return KElem.of(self.lam, self.mu)
-
 
 Owner = tuple[int, int, int, int]  # a pair (lam, mu) as (lam.a, lam.b, mu.a, mu.b)
 
@@ -230,8 +227,8 @@ class HemiSet:
 
 def pair_scan(
     order: Order, box: Callable[[int], Box], bound: int | None = None
-) -> Iterator[tuple[OInt, OInt, int, int, int]]:
-    """Unimodular pairs (lam, mu, xa, xb, N) with lam/mu in the closed box(N), mu by norm N, then key().
+) -> Iterator[tuple[int, int, int, int, int, int, int]]:
+    """Unimodular pairs (a, b, c, d, xa, xb, N) with lam/mu in the closed box(N), mu by norm N, then key().
 
     mu is nonzero with the canonical sign.  Each pass rescans norm <= top
     from the origin, keeps the shell past the previous top and quadruples
@@ -249,9 +246,10 @@ def pair_scan(
     ascending, is key() order.  A side whose coefficient of a is 0 bounds
     b alone, and the row range is exactly that bound.  A pair is yielded
     when unit_ideal passes on N(lam), N, xa and xb, the integers the scan
-    already has, and only then is lam built.  No ratio comes twice:
-    unimodular pairs of one ratio differ by a unit, the units are +-1
-    when |delta| > 4, and mu's canonical sign leaves 1.
+    already has, and it is yielded as those seven ints, with no OInt built
+    for it (mu itself comes from lattice_points_norm_at_most).  No ratio
+    comes twice: unimodular pairs of one ratio differ by a unit, the units
+    are +-1 when |delta| > 4, and mu's canonical sign leaves 1.
     """
     e, m = order.trace, order.tau_norm
     done, top = 0, 4
@@ -281,7 +279,7 @@ def pair_scan(
                 for a in range(a_lo, a_hi + 1):
                     xa, xb = a * ca + xa0, xb0 - a * d
                     if unit_ideal(a * a + e * a * b + nb, norm, xa, xb):
-                        yield OInt(order, a, b), mu, xa, xb, norm
+                        yield a, b, c, d, xa, xb, norm
         if top == bound:
             return
         done, top = top, 4 * top
@@ -301,10 +299,10 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
     alone when the window is that box (a rectangle), then dist_sq_int
     against the hexagon.  A pair that passes gets its disc from the scan's
     integers, center (xa + xb*t)/N reduced by g = gcd(xa, xb, N), so
-    (U, V, 2N)/g, and squared radius 1/N, and its owner row from lam and
-    mu; no Hemisphere, KElem, Fraction or completion is built.  The output
-    is sorted by descending radius, then v, then u, on the integers
-    (N, V, U).
+    (U, V, 2N)/g, and squared radius 1/N, and its owner row (a, b, c, d)
+    as the scan yields it; no OInt of lam, Hemisphere, KElem, Fraction or
+    completion is built.  The output is sorted by descending radius, then
+    v, then u, on the integers (N, V, U).
     """
     if not order.group_scope:
         raise OutOfScope("hemisphere arrangement needs |delta| > 12")
@@ -321,7 +319,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
         return (w * r * s, xlo * r * s - w * s, xhi * r * s + w * s, ylo * r * s - w * r, yhi * r * s + w * r)
 
     found: list[tuple[int, int, int, Disc, Owner]] = []
-    for lam, mu, xa, xb, norm in pair_scan(order, scan_box, norm_bound):
+    for a, b, c, d, xa, xb, norm in pair_scan(order, scan_box, norm_bound):
         # the center, at planar (u, v)/(2N), against the radius 1/sqrt(N(mu))
         u, v, l = 2 * xa + e * xb, xb, 2 * norm
         num, den = box_dist_sq_int(n, wbox, (u, v, l))
@@ -332,7 +330,7 @@ def enumerate_hemispheres(order: Order, norm_bound: int, window: FundPolygon) ->
             if num * norm > den:
                 continue
         g = math.gcd(xa, xb, norm)
-        found.append((norm, v, u, (u // g, v // g, l // g, 1, norm), (lam.a, lam.b, mu.a, mu.b)))
+        found.append((norm, v, u, (u // g, v // g, l // g, 1, norm), (a, b, c, d)))
     # radius^2 = 1/N(mu), and centers of one norm share the denominator 2 N(mu); no
     # ratio comes twice, so the keys (N, V, U) are distinct and decide the sort alone
     found.sort()
@@ -605,6 +603,8 @@ _STROKE_BOTH = "#c0392b"
 _STROKE_ABOVE = "#2471a3"
 _STROKE_BELOW = "#1e8449"
 _STROKE_NONE = "#7f8c8d"
+# keyed by (in the split's above list, in its below list)
+_STROKES = {(True, True): _STROKE_BOTH, (True, False): _STROKE_ABOVE, (False, True): _STROKE_BELOW, (False, False): _STROKE_NONE}
 _SVG_SCALE = 100
 
 
@@ -653,16 +653,7 @@ def svg_topview(
         cx, cy = v / l * sqrt_n * _SVG_SCALE, u / l * _SVG_SCALE
         r = math.sqrt(p / q) * _SVG_SCALE
         fill = _FILL_CONTRIBUTES if isinstance(status, Contributes) else _FILL_COVERED
-        in_above = hd in above_set
-        in_below = hd in below_set
-        if in_above and in_below:
-            stroke = _STROKE_BOTH
-        elif in_above:
-            stroke = _STROKE_ABOVE
-        elif in_below:
-            stroke = _STROKE_BELOW
-        else:
-            stroke = _STROKE_NONE
+        stroke = _STROKES[hd in above_set, hd in below_set]
         lines.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
             f'fill="{fill}" fill-opacity="0.65" stroke="{stroke}" stroke-width="1.5"/>'

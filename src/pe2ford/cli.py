@@ -45,7 +45,7 @@ from .errors import (
 )
 from .ford import HemiFace, amalgam_rectangle, pe2_ford_faces, presentation, voronoi_cell
 from .moebius import Mat
-from .orders import KElem, OInt, Order, lattice_pairs_within, lattice_points_count, make_order
+from .orders import KElem, OInt, Order, lattice_rows, make_order
 from .subgroups import PLANE, GapPoint, amalgam_report, coset_family, gap_points
 from .words import (
     Member,
@@ -88,9 +88,10 @@ MAX_BOUND = 512
 _BOUND = _checked(int, lambda x: 0 < x <= MAX_BOUND, f"a bound from 1 to {MAX_BOUND}")
 # lattice points that one gap-points payload may list under `checked`, summed
 # over its points; each list grows with sqrt(|delta|), so a request past this
-# exits 3.  lattice_points_count finds each list's size in O(rows) before any
-# list is built.  At -100000000003, --count 10 --format json lists 980,977
-# points in 2.3-2.7 s CPU and 293 MB on a shared 2-vCPU VM; at
+# exits 3.  Each point's lattice_rows are read once: their widths give the
+# list's size in O(rows) before any list is built, and the same rows are then
+# expanded into it.  At -100000000003, --count 10 --format json lists 980,977
+# points in 1.7-1.8 s CPU and 293 MB on a shared 2-vCPU VM; at
 # -100000000000003 the third point alone has 3.7 million
 MAX_CHECKED = 1_000_000
 _POSITIVE_FRACTION = _checked(Fraction, lambda x: x > 0, "positive")
@@ -197,13 +198,13 @@ def _input_word(args: argparse.Namespace, order: Order) -> Word:
     return random_pe2_word(order, args.seed)
 
 
-def _gap_point_json(gp: GapPoint, z: KElem) -> dict[str, Any]:
-    # z is gp.ratio(), built once by the caller; uv is read off its planar integers
-    u, v, l = z.planar_int()
+def _gap_point_json(gp: GapPoint) -> dict[str, Any]:
+    # uv is read off the stored ratio's planar integers
+    u, v, l = gp.z.planar_int()
     return {
         "lam": _oint_json(gp.pair.lam),
         "mu": _oint_json(gp.pair.mu),
-        "ratio": _kelem_json(z),
+        "ratio": _kelem_json(gp.z),
         "uv": [_ratio_text(u, l), _ratio_text(v, l)],
         "min_dist_sq": str(gp.min_dist_sq),
     }
@@ -309,7 +310,7 @@ def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
     body = {
         "count": n,
         "members": [
-            {"matrix": _mat_json(m), **_gap_point_json(gp, gp.ratio()), "coset_point": {"s": s, "num": [p, q]}}
+            {"matrix": _mat_json(m), **_gap_point_json(gp), "coset_point": {"s": s, "num": [p, q]}}
             for m, gp, (s, p, q) in zip(fam.members, fam.points, fam.keys)
         ],
         # distinct keys separate every pair of members
@@ -382,18 +383,19 @@ def _cmd_amalgam(args: argparse.Namespace, order: Order) -> _Result:
 
 def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
     pts = gap_points(order, args.count)
-    ratios = [gp.ratio() for gp in pts]
     reach = order.gap_reach()
+    rows = [list(lattice_rows(gp.z, reach)) for gp in pts]
     # counted from the rows before any list is built
-    if sum(lattice_points_count(z, reach) for z in ratios) > MAX_CHECKED:
+    if sum(hi - lo + 1 for point_rows in rows for _, lo, hi in point_rows) > MAX_CHECKED:
         raise OutOfScope(f"the checked lists of {args.count} gap points would hold more than {MAX_CHECKED} lattice points")
     points = [
         {
-            **_gap_point_json(gp, z),
-            "checked": lattice_pairs_within(z, reach),
+            **_gap_point_json(gp),
+            # b ascending, then a ascending: key() order
+            "checked": [[a, b] for b, lo, hi in point_rows for a in range(lo, hi + 1)],
             "completion": _mat_json(gp.pair.completion),
         }
-        for gp, z in zip(pts, ratios)
+        for gp, point_rows in zip(pts, rows)
     ]
     return {"count": len(pts), "points": points}, None
 

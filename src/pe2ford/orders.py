@@ -77,8 +77,9 @@ class Order:
     def gap_reach(self) -> Fraction:
         """Squared radius of a gap point's neighbourhood: the covering radius squared, plus 1.
 
-        `gap-points` lists the lattice points within it under `checked`,
-        and NonMember.nearby reads them through gap_neighbourhood.
+        `gap-points` reads each point's lattice_rows within it once, to
+        count and then to list them under `checked`, and NonMember.nearby
+        reads them through gap_neighbourhood.
         """
         return self.covering_radius_sq() + 1
 
@@ -318,15 +319,17 @@ def kelem_from_planar(order: Order, u: Fraction | int, v: Fraction | int) -> KEl
     return kelem_from_planar_int(order, u.numerator * (den // u.denominator), v.numerator * (den // v.denominator), den)
 
 
-def _rows(z: KElem, rsq: Fraction | int) -> Iterator[tuple[int, int, int]]:
-    """(b, least a, greatest a) for each row b of the closed disc |z - g|^2 <= rsq, b ascending.
+def lattice_rows(z: KElem, rsq: Fraction | int) -> Iterator[tuple[int, int, int]]:
+    """(b, least a, greatest a) for each row b of the closed disc |z - g|^2 <= rsq, b ascending: the one disc scan.
 
     With z = (p + q*t)/Q, g = a + b*t, y = q - b*Q and w = 2(p - a*Q) + trace*y,
     4 Q^2 |z - g|^2 = w^2 + |delta| y^2.
     So with rsq = P/S the rows b satisfy S |delta| y^2 <= 4 Q^2 P, and each
     row bounds |w| by an integer square root; no rational arithmetic runs.
     A row may hold no point, with least a = greatest a + 1, so its width
-    greatest a - least a + 1 is never negative.
+    greatest a - least a + 1 is never negative, and the widths sum to the
+    number of points in O(rows).  Expanding each row by a ascending gives
+    the points in key() order.
     """
     order = z.order
     p, q, den = z.num.a, z.num.b, z.den
@@ -343,21 +346,10 @@ def _rows(z: KElem, rsq: Fraction | int) -> Iterator[tuple[int, int, int]]:
         yield b, -((w_max - mid) // (2 * den)), (mid + w_max) // (2 * den)
 
 
-def lattice_pairs_within(z: KElem, rsq: Fraction | int) -> list[list[int]]:
-    """[a, b] for every lattice point g = a + b*t with |z - g|^2 <= rsq, by key(): the rows of _rows, expanded."""
-    # b ascending, then a ascending: exactly the key() order
-    return [[a, b] for b, lo, hi in _rows(z, rsq) for a in range(lo, hi + 1)]
-
-
 def lattice_points_within(z: KElem, rsq: Fraction | int) -> list[OInt]:
-    """All lattice points g with |z - g|^2 <= rsq, sorted by key(): lattice_pairs_within as OInts."""
+    """All lattice points g with |z - g|^2 <= rsq, sorted by key(): the rows of lattice_rows, expanded."""
     order = z.order
-    return [OInt(order, a, b) for a, b in lattice_pairs_within(z, rsq)]
-
-
-def lattice_points_count(z: KElem, rsq: Fraction | int) -> int:
-    """len(lattice_points_within(z, rsq)) in O(rows), however many points the rows hold."""
-    return sum(hi - lo + 1 for _, lo, hi in _rows(z, rsq))
+    return [OInt(order, a, b) for b, lo, hi in lattice_rows(z, rsq) for a in range(lo, hi + 1)]
 
 
 def nearest_lattice_point(order: Order, p: int, q: int, s: int) -> tuple[int, int, int]:

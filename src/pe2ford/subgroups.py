@@ -49,17 +49,20 @@ PLANE = Fraction(2, 3)  # the default height t0 of the plane that splits the arr
 class GapPoint:
     """Unimodular ratio exactly outside every closed unit lattice disc, as the gap stream found it.
 
-    pair is the (lam, mu) that pair_scan yielded over the gap strip, and
+    pair is the (lam, mu) that pair_scan yielded over the gap strip, z the
+    ratio lam/mu, built once from the scan's (xa + xb*t)/N, and
     min_dist_sq the squared distance to the nearest lattice point, read
-    off the scan's integers by the gap rule.  ratio() is built from the
-    pair on each call, and pair.completion runs on the pair's four ints.
+    off the same integers by the gap rule.  pair.completion runs on the
+    pair's four ints.
     """
 
     pair: UnimodularPair
+    z: KElem
     min_dist_sq: Fraction
 
     def ratio(self) -> KElem:
-        return self.pair.ratio()
+        """z, the stored ratio, as the call that tests/test_acceptance.py reads."""
+        return self.z
 
 
 def _gap_dist(order: Order, p: int, q: int, s: int) -> Fraction | None:
@@ -96,7 +99,8 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
     They are the ratios of pair_scan, all unimodular, read over the strip
     lo/W <= v <= 1/2 - lo/W of the closed band [0, 1] x [0, 1/2], with
     W = _STRIP_W and lo = isqrt(3 W^2 / (4 |delta|)); the band test and
-    the gap rule read the scan's ints.
+    the gap rule read the scan's ints, and a yielded point's pair and ratio
+    are built from them.
 
     Every gap point lies in the strip.  Row b = 0 holds the points u = a,
     so some lattice point is within 1/2 of z = (u, v) in u, and
@@ -112,12 +116,14 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
     band's candidates outside the strip are no gap points.
     """
     e, strip = order.trace, _gap_strip(order)
-    for lam, mu, xa, xb, norm in pair_scan(order, lambda norm: strip):
+    for a, b, c, d, xa, xb, norm in pair_scan(order, lambda norm: strip):
         if not (0 <= 2 * xa + e * xb < 2 * norm and 0 <= xb < norm):
             continue
         min_dist = _gap_dist(order, xa, xb, norm)
         if min_dist is not None:
-            yield GapPoint(UnimodularPair(lam, mu), min_dist)
+            pair = UnimodularPair(OInt(order, a, b), OInt(order, c, d))
+            # lam/mu = lam*conj(mu)/N(mu)
+            yield GapPoint(pair, KElem.of(OInt(order, xa, xb), norm), min_dist)
 
 
 def gap_points(order: Order, count: int) -> list[GapPoint]:
@@ -177,7 +183,7 @@ def coset_family(order: Order, count: int) -> CosetFamily:
         res = membership(cand.inv())
         key = coset_key(res) if isinstance(res, NonMember) else None
         if key is None or key in keys:
-            replaced.append(gp.ratio())
+            replaced.append(gp.z)
             continue
         members.append(cand)
         points.append(gp)

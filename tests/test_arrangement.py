@@ -214,7 +214,7 @@ def _cuts(n, box):
 
 
 def _candidate_scan(order, box):
-    """Every candidate (lam, mu, xa, xb, N) of a scan by discs that cover box(N), with no end.
+    """Every candidate (a, b, c, d, xa, xb, N), lam = a + b*t and mu = c + d*t, of a scan by discs that cover box(N), with no end.
 
     The discs circumscribe the cells of _cuts.  z -> z*mu scales the plane by
     sqrt(N) about 0, so a disc about c of radius^2 r^2 goes to the disc about c*mu
@@ -253,7 +253,7 @@ def _candidate_scan(order, box):
                     centre = kelem_from_planar(order, Fraction(cx, y), Fraction(cy, y))
                     lams.update(g.key() for g in lattice_points_within(centre * mu, Fraction(rr, y * y) * norm))
             for lb, la in sorted(lams):
-                yield OInt(order, la, lb), mu, la * ca - m * lb * cb, la * cb + lb * ca + e * lb * cb, norm
+                yield la, lb, mu.a, mu.b, la * ca - m * lb * cb, la * cb + lb * ca + e * lb * cb, norm
         done, bound = bound, 4 * bound
 
 
@@ -265,7 +265,7 @@ def _in_closed_box(box, ratio):
 
 def _ratio_in_closed_box(order, box, candidate):
     # lam/mu = (xa + xb*t)/N sits at planar ((2 xa + trace xb)/(2N), xb/(2N)); compared over W*2N
-    _, _, xa, xb, norm = candidate
+    *_, xa, xb, norm = candidate
     w, u_lo, u_hi, v_lo, v_hi = box(norm)
     u, v = w * (2 * xa + order.trace * xb), w * xb
     return 2 * norm * u_lo <= u <= 2 * norm * u_hi and 2 * norm * v_lo <= v <= 2 * norm * v_hi
@@ -298,7 +298,7 @@ def test_pair_scan_is_the_candidate_scan_filtered_by_the_oracle(delta):
     order = make_order(delta)
 
     def upto_64(scan):
-        return list(itertools.takewhile(lambda c: c[4] <= 64, scan))
+        return list(itertools.takewhile(lambda c: c[6] <= 64, scan))
 
     strip = _gap_strip(order)
     boxes = [
@@ -312,14 +312,18 @@ def test_pair_scan_is_the_candidate_scan_filtered_by_the_oracle(delta):
         candidates = upto_64(_candidate_scan(order, box))
         got = upto_64(pair_scan(order, box))
         want = [c for c in candidates if _ratio_in_closed_box(order, box, c)]
-        assert got == [c for c in want if _unimodular_oracle(c[0], c[1])]
+        assert got == [c for c in want if _unimodular_oracle(order.elt(c[0], c[1]), order.elt(c[2], c[3]))]
         assert 0 < len(got) < len(want)
-        norms = {c[4] for c in got}
+        assert all(type(x) is int for c in got for x in c) and {len(c) for c in got} == {7}
+        norms = {c[6] for c in got}
         assert norms - {1, 4}  # past the first shell
-        for lam, mu, xa, xb, norm in got:
+        ratios = []
+        for a, b, c, d, xa, xb, norm in got:
+            lam, mu = order.elt(a, b), order.elt(c, d)
             assert lam * mu.conj() == order.elt(xa, xb) and mu.norm() == norm
             assert _in_closed_box(box(norm), KElem.of(lam, mu))
-        assert len({KElem.of(lam, mu) for lam, mu, *_ in got}) == len(got)  # distinct ratios
+            ratios.append(KElem.of(lam, mu))
+        assert len(set(ratios)) == len(got)  # distinct ratios
         scans.append((norms, got))
     (_, band), (_, in_strip), *padded = scans
     # the strip leaves out v near 0, so it may miss norm 1 and 4 (at -15 and -23 it
@@ -344,7 +348,7 @@ def test_pair_scan_ends_after_the_bound(delta):
 
         got = list(pair_scan(order, box, bound))
         assert read == sorted(mu.norm() for mu in every if mu.norm() <= bound)
-        assert got == list(itertools.takewhile(lambda c: c[4] <= bound, pair_scan(order, lambda norm: BAND)))
+        assert got == list(itertools.takewhile(lambda c: c[6] <= bound, pair_scan(order, lambda norm: BAND)))
 
 
 @pytest.mark.parametrize("delta", PAIR_SCAN_DISCS)
@@ -421,7 +425,7 @@ def test_enumerate_monotone_and_sound():
     for h, p in zip(big.hemispheres, big.pairs):
         assert p.mu.norm() <= 16
         assert _unimodular_oracle(p.lam, p.mu)
-        assert h.center == p.ratio()
+        assert h.center == KElem.of(p.lam, p.mu)
         assert h.radius_sq == Fraction(1, p.mu.norm())
         # the window is the box [-1/2, 1/2] x [0, 1/2]; clamp to find the nearest point
         u, v = h.center.planar()
@@ -952,7 +956,7 @@ def _box_and_exact_verdicts(order, window, bound):
     n, e = order.abs_delta, order.trace
     frame = frame_of(window.vertices)
     box, _ = box_of(frame)
-    for _, _, xa, xb, norm in pair_scan(order, _padded_box(order, window), bound):
+    for *_, xa, xb, norm in pair_scan(order, _padded_box(order, window), bound):
         p = (2 * xa + e * xb, xb, 2 * norm)
         num, den = box_dist_sq_int(n, box, p)
         exact, exact_den, _ = dist_sq_int(n, frame, p)
@@ -1300,12 +1304,12 @@ def _object_enumeration(order, bound, window):
     n, e = order.abs_delta, order.trace
     frame = frame_of(window.vertices)
     kept = []
-    for lam, mu, xa, xb, norm in pair_scan(order, _padded_box(order, window), bound):
+    for a, b, c, d, xa, xb, norm in pair_scan(order, _padded_box(order, window), bound):
         u, v = 2 * xa + e * xb, xb
         num, den, _ = dist_sq_int(n, frame, (u, v, 2 * norm))
         if num * norm <= den:
             hemi = Hemisphere(KElem.of(OInt(order, xa, xb), norm), Fraction(1, norm))
-            kept.append(((norm, v, u), hemi, UnimodularPair(lam, mu)))
+            kept.append(((norm, v, u), hemi, UnimodularPair(OInt(order, a, b), OInt(order, c, d))))
     kept.sort(key=lambda k: k[0])
     return (tuple(h for _, h, _ in kept), tuple(p for _, _, p in kept))
 

@@ -20,7 +20,8 @@ from pe2ford.cli import main
 from pe2ford.errors import CycleNotClosed, SearchExhausted
 from pe2ford.ford import amalgam_rectangle
 from pe2ford.moebius import Hemisphere
-from pe2ford.orders import make_order
+from pe2ford.orders import KElem, make_order
+from pe2ford.subgroups import gap_points
 from pe2ford.words import R, S, word_to_matrix
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -96,6 +97,14 @@ OUTPUT_DIGESTS = {
         "f5ad9a22928f875fc58a03e84c42d6ebb82c6961f6c694652e9b296290dae585",
     "amalgam --disc -67 --bound 48 --format json":
         "a503086ee6fcd9a05325d504f8e4f39f17cb1883c21386c4b1ac6bd45d117bd5",
+    # the split strokes: below-only, both and none here, above-only, both and none at -19
+    "amalgam --disc -40 --bound 16 --format svg":
+        "29a4c6ba1167bc279aa04f52b230f3b71e5e9acef0e0753b82fc8c87fd354106",
+    "amalgam --disc -19 --bound 16 --plane 1/5 --format svg":
+        "598bdf9b3382e9c755d13a49b1bcfc593d31807d40d558f7fd9f9c3101fe4918",
+    # long rows: the third checked list holds 117,851 pairs, and the gap strip is the whole band (lo = 0)
+    "gap-points --disc -100000000003 --count 3 --format json":
+        "2c7bba7998c300f3cd423041fcf9704a72a74a3d6e182c043c49e2f45b27311b",
 }
 
 
@@ -347,15 +356,23 @@ def test_gap_points_past_the_checked_cap_exit_3(count):
     assert [len(p["checked"]) for p in payload["points"]] == [4, 4]
 
 
-def test_gap_points_build_each_ratio_once(monkeypatch):
-    # the size check, the printed ratio and the `checked` list read one ratio per point
-    built = []
-    build = UnimodularPair.ratio
-    monkeypatch.setattr(UnimodularPair, "ratio", lambda pair: built.append(pair) or build(pair))
-    code, out, err = run(["gap-points", "--disc", "-40", "--count", "25", "--format", "json"])
+@pytest.mark.parametrize(
+    "delta, count", [(-15, 200), (-20, 200), (-23, 200), (-40, 200), (-163, 200), (-1003, 200), (-100000000003, 3)]
+)
+def test_gap_points_carry_the_stored_ratio(delta, count):
+    # each gap point's ratio is built once, by the stream, from the scan's integers:
+    # it is lam/mu, and the printed ratio and uv are that ratio
+    order = make_order(delta)
+    pts = gap_points(order, count)
+    for gp in pts:
+        assert gp.z == KElem.of(gp.pair.lam, gp.pair.mu)
+        assert gp.ratio() is gp.z
+    code, out, err = run(["gap-points", "--disc", str(delta), "--count", str(count), "--format", "json"])
     assert code == 0, err
-    assert len(built) == 25
-    assert [[p.lam.a, p.lam.b] for p in built] == [p["lam"] for p in json.loads(out)["points"]]
+    printed = json.loads(out)["points"]
+    assert [(p["ratio"], p["uv"]) for p in printed] == [
+        ({"num": [gp.z.num.a, gp.z.num.b], "den": gp.z.den}, [str(c) for c in gp.z.planar()]) for gp in pts
+    ]
 
 
 @pytest.mark.parametrize("delta", [-40, -163])

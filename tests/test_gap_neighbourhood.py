@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from pe2ford import subgroups
 from pe2ford.arrangement import is_unimodular, pair_scan
-from pe2ford.orders import KElem, gap_neighbourhood, lattice_points_count, make_order, nearest_lattice_point
+from pe2ford.orders import KElem, gap_neighbourhood, lattice_rows, make_order, nearest_lattice_point
 from pe2ford.subgroups import _gap_stream, gap_check, gap_points
 from pe2ford.words import NonMember, membership, random_pe2_word, word_to_matrix
 
@@ -165,10 +165,10 @@ def test_gap_points_are_the_brute_force_stream(delta, mu_bound, printed_checked)
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(delta=st.sampled_from(DISCS + [-100003, -100000000003]), a=st.integers(-60, 60), b=st.integers(-60, 60), s=st.integers(1, 40))
 def test_gap_neighbourhood_size_is_the_list_length(delta, a, b, s):
-    # the count read off the row bounds, against the list itself and, at small |delta|, the box scan
+    # the summed widths of the rows, against the list itself and, at small |delta|, the box scan
     order = make_order(delta)
     z = KElem.of(order.elt(a, b), s)
-    size = lattice_points_count(z, order.gap_reach())
+    size = sum(hi - lo + 1 for _, lo, hi in lattice_rows(z, order.gap_reach()))
     assert size == len(gap_neighbourhood(z))
     if -delta < 200:
         assert size == len(box_scan(z))
@@ -182,12 +182,12 @@ def band_stream(d, tests: list):
     appended to tests and gets the gap rule.
     """
     e = d.trace
-    for lam, mu, xa, xb, norm in pair_scan(d, lambda norm: (2, 0, 2, 0, 1)):
+    for a, b, c, dd, xa, xb, norm in pair_scan(d, lambda norm: (2, 0, 2, 0, 1)):
         if 0 <= 2 * xa + e * xb < 2 * norm and 0 <= xb < norm:
             tests.append((xa, xb, norm))
             dist = subgroups._gap_dist(d, xa, xb, norm)
             if dist is not None:
-                yield lam, mu, dist
+                yield d.elt(a, b), d.elt(c, dd), dist
 
 
 @pytest.mark.parametrize("delta", [-15, -19, -20, -23, -24, -31, -40, -43, -163, -1003, -100000000003])

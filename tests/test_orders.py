@@ -13,9 +13,9 @@ from pe2ford.moebius import gen_r
 from pe2ford.orders import (
     KElem,
     OInt,
-    lattice_points_count,
     lattice_points_within,
     lattice_points_norm_at_most,
+    lattice_rows,
     make_order,
     scaled_dist_sq,
 )
@@ -227,8 +227,8 @@ def test_lattice_points_within_matches_brute_force():
 
 @pytest.mark.parametrize("rsq", [-1, Fraction(-1, 3), 0, Fraction(1, 7), Fraction(3, 2), 600], ids=str)
 def test_lattice_points_count_at_any_reach(rsq):
-    # the count and the list read the same rows, so the brute-force box scan
-    # checks the rows themselves; reach 0 keeps only a z on the lattice, a
+    # the summed widths of lattice_rows and the list read the same rows, so the
+    # brute-force box scan checks the rows themselves; reach 0 keeps only a z on the lattice, a
     # negative reach keeps nothing, and reach 600 holds thousands of points
     rng = random.Random(23)
     for delta in (-3, -4) if rsq == 600 else (-3, -4, -15, -40):
@@ -238,7 +238,7 @@ def test_lattice_points_count_at_any_reach(rsq):
         sizes = []
         for z in zs:
             sizes.append(len(_check_within(z, Fraction(rsq))))
-            assert lattice_points_count(z, rsq) == sizes[-1]
+            assert sum(hi - lo + 1 for _, lo, hi in lattice_rows(z, rsq)) == sizes[-1]
         if rsq < 0:
             assert sizes == [0] * 4
         elif rsq == 0:
