@@ -38,7 +38,7 @@ each hemisphere as the scan's ints, an integer disc and an owner row,
 and sorts on integers.  The face walk, the plane sides and the walls
 read those discs; a KElem is built only for a witness, and a Hemisphere
 only where plane_split returns one, for a contributor.  HemiSet's
-hemispheres and pairs are views built on first read.
+hemispheres are a view built on first read.
 """
 
 from __future__ import annotations
@@ -204,9 +204,9 @@ class HemiSet:
     with U = 2a + trace*b, V = b and L = 2*den, and its squared radius is
     P/Q in lowest terms.  owners[i] is its pair (lam, mu) as the four
     integers (lam.a, lam.b, mu.a, mu.b); a set built from bare discs may
-    have none.  The arrangement reads only these integers.  The views
-    hemispheres and pairs are built on their first read, once per set,
-    and every later read returns the same objects.
+    have none.  The arrangement reads only these integers.  The view
+    hemispheres is built on its first read, once per set, and every
+    later read returns the same objects.
     """
 
     order: Order
@@ -218,11 +218,6 @@ class HemiSet:
     @cached_property
     def hemispheres(self) -> tuple[Hemisphere, ...]:
         return tuple(_disc_hemisphere(self.order, hd) for hd in self.discs)
-
-    @cached_property
-    def pairs(self) -> tuple[UnimodularPair, ...]:
-        order = self.order
-        return tuple(UnimodularPair(OInt(order, la, lb), OInt(order, ma, mb)) for la, lb, ma, mb in self.owners)
 
 
 def pair_scan(

@@ -7,7 +7,8 @@ sides of F, paired in parallel pairs by translations.  Following the
 edge cycles of this polyhedron and reading off the pairing maps yields
 the defining relations: every vertical-wall cycle imposes the
 commutation of the two shift generators, and the hemisphere/wall cycle
-imposes a power of r*s(1).
+imposes a power of r*s(1).  pe2_relations writes the relations once;
+presentation checks that the cycles derive them.
 
 All geometry lives in (u, v) coordinates for the boundary point
 u + v*sqrt(|delta|)*i, which keeps every vertex, edge and pairing image
@@ -298,8 +299,7 @@ def _finish_cycle(
     else:
         # a wall cycle: the shifts close up, which is exactly the
         # commutation of the two generating translations
-        one, tau = order.one, order.tau
-        derived = (S(one), S(tau), S(-one), S(-tau))
+        derived = pe2_relations(order)[0]
         note = ""
     return EdgeCycle(seq, word, transform, exponent, relation, derived, note)
 
@@ -312,13 +312,27 @@ class Presentation:
     cycles: tuple[EdgeCycle, ...]  # the edge cycles the relations were read from
 
 
-def presentation(order: Order) -> Presentation:
-    """Defining presentation on r, s(1), s(tau), read off the edge cycles.
+def pe2_relations(order: Order) -> tuple[Word, ...]:
+    """The defining relations on r, s(1), s(tau): the shifts' commutator, r^2 and (r s(1))^3.
 
-    Relations: the commutator of the two shifts, which a wall cycle
-    derives, r^2, and (r s(1))^k, which the hemisphere cycle derives
-    with k the order of its transformation (k = 3).
-    Every relation is re-verified as a matrix identity.
+    The one place they are written.  presentation derives them from the
+    edge cycles of the Ford domain and checks them against this table;
+    callers that need only the words, such as the collapse check of the
+    amalgam, read the table and build no domain.
+    """
+    one, tau = order.one, order.tau
+    return ((S(one), S(tau), S(-one), S(-tau)), (R(), R()), (R(), S(one)) * 3)
+
+
+def presentation(order: Order) -> Presentation:
+    """Defining presentation on r, s(1), s(tau): pe2_relations, derived from the edge cycles.
+
+    A wall cycle that closes up to the identity derives the commutator
+    of the two shifts; r^2 holds as r is self-paired; and the hemisphere
+    cycle derives (r s(1))^k, with k the order of its transformation.
+    CycleNotClosed is raised unless every wall cycle closes up and the
+    hemisphere cycle derives exactly the table's (r s(1))^3, and unless
+    every relation re-checks as a matrix identity.
     """
     if not order.group_scope:
         raise OutOfScope("the three-relation presentation needs |delta| > 12")
@@ -327,14 +341,14 @@ def presentation(order: Order) -> Presentation:
     wall = [c for c in cycles if None not in c.word]
     if len(hemi) != 1 or not wall:
         raise CycleNotClosed("unexpected cycle structure for the Ford domain")
-    for c in wall:
-        if not c.cycle_transform.is_identity():
-            raise CycleNotClosed("a wall cycle failed to impose the commutation")
-    one, tau = order.one, order.tau
-    relations = (wall[0].derived_relation, (R(), R()), hemi[0].derived_relation)
+    relations = pe2_relations(order)
+    # a wall cycle derives the commutator exactly when its shifts close up
+    if any(not c.cycle_transform.is_identity() for c in wall) or hemi[0].derived_relation != relations[2]:
+        raise CycleNotClosed("the edge cycles do not derive the relation table")
     for rel in relations:
         if not word_to_matrix(rel, order).is_identity():
             raise CycleNotClosed(f"relation {format_word(rel)} is not the identity")
+    one, tau = order.one, order.tau
     generators = (
         ("r", (R(),)),
         (format_word((S(one),)), (S(one),)),

@@ -32,12 +32,13 @@ from .arrangement import (
     enumerate_hemispheres,
     envelope_dips_below,
     face_statuses,
+    is_unimodular,
     pair_scan,
     plane_split,
 )
 from .cells import Box, Disc, box_of, frame_of
 from .errors import OutOfScope, SearchExhausted
-from .ford import CosetKey, amalgam_rectangle, coset_key, presentation
+from .ford import CosetKey, amalgam_rectangle, coset_key, pe2_relations
 from .moebius import Hemisphere, Mat, gen_s
 from .orders import KElem, OInt, Order, kelem_from_planar_int, nearest_lattice_point
 from .words import MembershipResult, NonMember, R, S, Word, membership, word_to_matrix
@@ -237,18 +238,19 @@ def n_generators(order: Order) -> list[Word]:
 def collapse_hom_check(order: Order) -> bool:
     """Collapsing onto the tau-shift subgroup kills N but not s(tau).
 
-    True when every defining relation and every generator of N maps to
-    the identity while s(tau) itself does not; the collapse is then a
-    well-defined surjection whose kernel contains N strictly.  The map
-    r, s(1) -> 1, s(tau) -> s(tau) sends s(a + b*tau) = s(1)^a s(tau)^b to
-    s(b*tau), so a word goes to s(B*tau), B the sum of the tau-coordinates
-    b of its shift letters, and dies exactly when B = 0.
+    True when every defining relation, read from the pe2_relations table
+    with no Ford domain built, and every generator of N maps to the
+    identity while s(tau) itself does not; the collapse is then a
+    well-defined surjection whose kernel contains N strictly.  The map r, s(1) -> 1, s(tau) -> s(tau) sends
+    s(a + b*tau) = s(1)^a s(tau)^b to s(b*tau), so a word goes to
+    s(B*tau), B the sum of the tau-coordinates b of its shift letters,
+    and dies exactly when B = 0.
     """
 
     def dies(word: Word) -> bool:
         return sum(a.b for a in word if a is not None) == 0
 
-    rels_ok = all(dies(rel) for rel in presentation(order).relations)
+    rels_ok = all(dies(rel) for rel in pe2_relations(order))
     n_ok = all(dies(w) for w in n_generators(order))
     return rels_ok and n_ok and not dies((S(order.tau),))
 
@@ -290,17 +292,16 @@ class AmalgamReport:
 
 
 def _hemi_record(order: Order, hd: Disc, owner: Owner, above: bool, below: bool) -> FaceRecord:
-    # the center and the pair are built here, for the window's contributors only
-    la, lb, ma, mb = owner
+    # the center is built here, for the window's contributors only; an
+    # enumerated disc has squared radius 1/N(mu), so Q = 1 is the unit radius
     center = kelem_from_planar_int(order, *hd[:3])
-    pair = UnimodularPair(OInt(order, la, lb), OInt(order, ma, mb))
-    if pair.mu.norm() == 1:
+    if hd[4] == 1:
         gamma = center.num  # radius one, so the center is a lattice point
         word: Word = (R(),) if gamma.is_zero() else (S(gamma), R(), S(-gamma))
         pairing = word_to_matrix(word, order)
     else:
-        word = None
-        pairing = pair.completion.inv()
+        # the owner row (lam.a, lam.b, mu.a, mu.b) is unimodular, so it has a completion
+        word, pairing = None, is_unimodular(OInt(order, *owner[:2]), OInt(order, *owner[2:])).inv()
     return FaceRecord("hemisphere", f"hemisphere at {center}", center, word, pairing, above, below)
 
 

@@ -70,6 +70,11 @@ def _unimodular_oracle(lam, mu):
     return g == 1
 
 
+def _pairs(hs):
+    # the pair of each hemisphere, built from its owner row (lam.a, lam.b, mu.a, mu.b)
+    return tuple(UnimodularPair(OInt(hs.order, la, lb), OInt(hs.order, ma, mb)) for la, lb, ma, mb in hs.owners)
+
+
 def test_is_unimodular_unit_pairs():
     order = make_order(-40)
     assert is_unimodular(order.one, order.zero) == Mat.identity(order)
@@ -358,8 +363,8 @@ def test_enumerated_hemisphere_is_the_inverse_completion_hemisphere(delta):
     order = make_order(delta)
     for window in (amalgam_rectangle(order), voronoi_cell(order)):
         hs = enumerate_hemispheres(order, 16, window)
-        assert len(hs.hemispheres) == len(hs.pairs) > 0
-        for h, pair in zip(hs.hemispheres, hs.pairs):
+        assert len(hs.hemispheres) == len(hs.owners) > 0
+        for h, pair in zip(hs.hemispheres, _pairs(hs)):
             g = pair.completion.inv()
             assert (h.center, h.radius_sq) == (KElem.of(-g.m22, g.m21), Fraction(1, g.m21.norm()))
             assert h.disc == h.center.planar_int() + (1, g.m21.norm())
@@ -399,7 +404,7 @@ def test_enumerate_bound_one_rectangle():
     want = {KElem.from_oint(g) for g in (ORDER40.zero, ORDER40.one, -ORDER40.one, t, t + 1, t - 1)}
     assert {h.center for h in hs.hemispheres} == want
     assert all(h.radius_sq == 1 for h in hs.hemispheres)
-    assert all(p.mu.norm() == 1 for p in hs.pairs)
+    assert all(p.mu.norm() == 1 for p in _pairs(hs))
     assert _sorted_by_radius_then_center(hs)
 
 
@@ -422,7 +427,7 @@ def test_enumerate_monotone_and_sound():
     big = _rect_set()
     big_keys = {(h.center, h.radius_sq) for h in big.hemispheres}
     assert {(h.center, h.radius_sq) for h in _rect_set(1).hemispheres} <= small <= big_keys
-    for h, p in zip(big.hemispheres, big.pairs):
+    for h, p in zip(big.hemispheres, _pairs(big)):
         assert p.mu.norm() <= 16
         assert _unimodular_oracle(p.lam, p.mu)
         assert h.center == KElem.of(p.lam, p.mu)
@@ -490,9 +495,10 @@ def test_enumerate_is_complete(delta, bound):
                     assert inside(lam, lam_edges)
                     want.add((lam, mu))
         hs = enumerate_hemispheres(order, bound, window)
-        assert {(p.lam, p.mu) for p in hs.pairs} == want
-        assert len(hs.pairs) == len(want)  # and no pair twice
-        for p in hs.pairs:
+        pairs = _pairs(hs)
+        assert {(p.lam, p.mu) for p in pairs} == want
+        assert len(pairs) == len(want)  # and no pair twice
+        for p in pairs:
             m = p.completion
             assert m.m11 * m.m22 - m.m12 * m.m21 == order.one
             assert (m.m11, m.m21) in {(p.lam, p.mu), (-p.lam, -p.mu)}
@@ -1317,16 +1323,15 @@ def _object_enumeration(order, bound, window):
 @pytest.mark.parametrize("delta, bound", ENVELOPE_CASES)
 def test_hemiset_views_are_the_objects_of_each_pair(delta, bound):
     # the integer discs and owner rows read back as the objects once built per kept pair,
-    # and each view is built once: a second read returns the same objects
+    # and the hemispheres view is built once: a second read returns the same objects
     order = make_order(delta)
     for window in (amalgam_rectangle(order), voronoi_cell(order)):
         hs = enumerate_hemispheres(order, bound, window)
         hemis, pairs = _object_enumeration(order, bound, window)
         assert hs.discs == tuple(h.disc for h in hemis)
         assert hs.owners == tuple((p.lam.a, p.lam.b, p.mu.a, p.mu.b) for p in pairs)
-        views = (hs.hemispheres, hs.pairs)
-        assert views == (hemis, pairs)
-        assert hs.hemispheres is views[0] and hs.pairs is views[1]
+        assert hs.hemispheres == hemis
+        assert hs.hemispheres is hs.hemispheres
 
 
 def test_center_on_a_bisector_is_no_witness():
@@ -1355,7 +1360,7 @@ def test_pe2_only_subarrangement_has_radius_one_faces():
     full = _rect_set()
     keep = [
         (h, p)
-        for h, p in zip(full.hemispheres, full.pairs)
+        for h, p in zip(full.hemispheres, _pairs(full))
         if isinstance(membership(p.completion), Member)
     ]
     assert any(h.radius_sq < 1 for h, _ in keep)

@@ -105,6 +105,13 @@ OUTPUT_DIGESTS = {
     # long rows: the third checked list holds 117,851 pairs, and the gap strip is the whole band (lo = 0)
     "gap-points --disc -100000000003 --count 3 --format json":
         "2c7bba7998c300f3cd423041fcf9704a72a74a3d6e182c043c49e2f45b27311b",
+    # odd delta: the hexagon cell, with six walls and two wall cycles
+    "presentation --disc -15 --format json":
+        "494785ed1924fc54e5465e5a8641b6c9035dedc1a41ef5f02e8209a5bbac6ea4",
+    "presentation --disc -163 --format json":
+        "d028ab644407b4211ff11a4aa137149e0b880caa42a222f75de3fbbeb54f6ac3",
+    "amalgam --disc -163 --bound 16 --format svg":
+        "0076428184622efef5f3447a846047da95e9ef74ea55b7b030e4ae99b5bdb6d7",
 }
 
 
@@ -381,7 +388,7 @@ def test_gap_points_carry_the_stored_ratio(delta, count):
 )
 def test_arrangement_builds_no_object_per_enumerated_pair(monkeypatch, argv, delta):
     # the payload, the plane split and the SVG read the HemiSet's integer rows: a
-    # Hemisphere or a UnimodularPair is built at most once per contributor
+    # Hemisphere is built at most once per contributor, and no UnimodularPair at all
     order = make_order(delta)
     hs = enumerate_hemispheres(order, 16, amalgam_rectangle(order))
     contributors = sum(isinstance(s, Contributes) for s in face_statuses(hs))
@@ -392,13 +399,13 @@ def test_arrangement_builds_no_object_per_enumerated_pair(monkeypatch, argv, del
         monkeypatch.setattr(cls, "__init__", lambda self, *a, _i=init, _c=cls, **k: built.update([_c]) or _i(self, *a, **k))
     code, out, err = run(argv + ["--disc", str(delta), "--bound", "16"])
     assert code == 0, err
-    assert built[Hemisphere] <= contributors and built[UnimodularPair] <= contributors
+    assert built[Hemisphere] <= contributors and built[UnimodularPair] == 0
 
 
 @pytest.mark.parametrize("delta", [-15, -19, -20, -40, -43, -163])
 def test_arrangement_records_read_as_the_hemisphere_views(delta):
-    # the records are written from the integer rows, and read as the Hemisphere and pair
-    # views of the same HemiSet do, at odd and even delta
+    # the records are written from the integer rows, and read as the Hemisphere view and
+    # the owner rows of the same HemiSet do, at odd and even delta
     order = make_order(delta)
     hs = enumerate_hemispheres(order, 8, amalgam_rectangle(order))
     want = [
@@ -406,9 +413,9 @@ def test_arrangement_records_read_as_the_hemisphere_views(delta):
             "center": {"num": [h.center.num.a, h.center.num.b], "den": h.center.den},
             "uv": [str(c) for c in h.center.planar()],
             "radius_sq": str(h.radius_sq),
-            "owner": [[p.lam.a, p.lam.b], [p.mu.a, p.mu.b]],
+            "owner": [[la, lb], [ma, mb]],
         }
-        for h, p in zip(hs.hemispheres, hs.pairs)
+        for h, (la, lb, ma, mb) in zip(hs.hemispheres, hs.owners)
     ]
     recs = _payload(["arrangement", "--disc", str(delta), "--bound", "8"])["hemispheres"]
     assert [{key: r[key] for key in want[0]} for r in recs] == want

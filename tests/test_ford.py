@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from pe2ford import ford
 from pe2ford.cells import dist_sq_int, frame_of
 from pe2ford.errors import CycleNotClosed, OutOfScope
 from pe2ford.ford import (
@@ -15,6 +17,7 @@ from pe2ford.ford import (
     coset_key,
     edge_cycles,
     pe2_ford_faces,
+    pe2_relations,
     presentation,
     voronoi_cell,
 )
@@ -351,6 +354,41 @@ def test_presentation():
         assert len(pres.notes) == 1 and "order 3" in pres.notes[0]
     for delta in (-11, -12):
         with pytest.raises(OutOfScope):
+            presentation(make_order(delta))
+
+
+@pytest.mark.parametrize("delta", [-15, -16, -19, -20, -23, -24, -40, -163, -1003, -100000000000003])
+def test_presentation_derives_the_relation_table(delta):
+    # the cycles derive the table's commutator and cubed rotation-shift, and the
+    # presentation returns the table itself, at odd and even delta and far out
+    d = make_order(delta)
+    pres, table = presentation(d), pe2_relations(d)
+    assert pres.relations == table
+    hemi = [c for c in pres.cycles if None in c.word]
+    wall = [c for c in pres.cycles if None not in c.word]
+    assert [c.derived_relation for c in hemi] == [table[2]]
+    assert {c.derived_relation for c in wall} == {table[0]}
+
+
+def test_presentation_refuses_cycles_that_miss_the_relation_table(monkeypatch):
+    # a wall cycle whose shifts do not close up derives no commutator
+    real = edge_cycles
+    for delta in (-15, -40):
+        d = make_order(delta)
+
+        def open_wall(faces, d=d):
+            first, *rest = real(faces)
+            return (dataclasses.replace(first, cycle_transform=gen_s(d.one)), *rest)
+
+        monkeypatch.setattr(ford, "edge_cycles", open_wall)
+        with pytest.raises(CycleNotClosed):
+            presentation(d)
+    monkeypatch.undo()
+    # a hemisphere cycle of order 6 would derive (r s(1))^6, the identity too, but
+    # not the table's (r s(1))^3, so the presentation refuses it
+    monkeypatch.setattr(ford, "order_in_psl", lambda g: 6)
+    for delta in (-15, -40):
+        with pytest.raises(CycleNotClosed):
             presentation(make_order(delta))
 
 

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import functools
+import io
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from pe2ford import subgroups
+from pe2ford import ford, subgroups
 from pe2ford.arrangement import Contributes, envelope_dips_below, enumerate_hemispheres, is_unimodular
+from pe2ford.cli import main
 from pe2ford.errors import OutOfScope, SearchExhausted
 from pe2ford.ford import amalgam_rectangle
 from pe2ford.moebius import Mat, Side, gen_r, gen_s, outside_test
@@ -340,7 +342,7 @@ def test_collapsed_word_dies_iff_its_tau_sum_is_zero():
     d = ORDER40
     rng = random.Random(40)
     words = [random_pe2_word(d, rng.randrange(10**9), length=rng.randint(1, 12), coeff_bound=2) for _ in range(200)]
-    words += n_generators(d) + list(subgroups.presentation(d).relations) + [(S(d.tau),)]
+    words += n_generators(d) + list(subgroups.pe2_relations(d)) + [(S(d.tau),)]
     seen = set()
     for w in words:
         collapsed = tuple(S(d.elt(0, a.b)) for a in w if a is not None)
@@ -352,18 +354,35 @@ def test_collapsed_word_dies_iff_its_tau_sum_is_zero():
 
 def test_collapse_hom_check_refuses_a_relation_with_a_tau_sum(monkeypatch):
     d = ORDER40
-    pres = subgroups.presentation(d)
+    rels = subgroups.pe2_relations(d)
     assert collapse_hom_check(d)
 
     def check_with(rel):
-        extra = dataclasses.replace(pres, relations=pres.relations + (rel,))
-        monkeypatch.setattr(subgroups, "presentation", lambda order: extra)
+        monkeypatch.setattr(subgroups, "pe2_relations", lambda order: rels + (rel,))
         return collapse_hom_check(d)
 
     # s(1)-coordinates collapse away, so a relation with tau-sum 0 still passes
     assert check_with((S(d.elt(3, 2)), R(), S(d.elt(1, -2))))
     # tau-sum 2 - 1 = 1: the relation's image is s(tau), not the identity
     assert not check_with((S(d.elt(1, 2)), R(), S(d.elt(0, -1))))
+
+
+@pytest.mark.parametrize("delta", [-15, -40, -163])
+def test_amalgam_builds_no_ford_domain(monkeypatch, delta):
+    # the collapse check reads the relation table, so neither the report nor the CLI
+    # builds the Ford domain's faces or follows its edge cycles
+    def refuse(*args):
+        raise AssertionError("the amalgam built the Ford domain")
+
+    monkeypatch.setattr(ford, "pe2_ford_faces", refuse)
+    monkeypatch.setattr(ford, "edge_cycles", refuse)
+    assert amalgam_report(make_order(delta), 16).hom_check
+    for fmt in ("json", "svg"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["amalgam", "--disc", str(delta), "--bound", "16", "--format", fmt])
+        assert code == 0, err.getvalue()
+        assert out.getvalue()
 
 
 def test_collapse_hom_check_all_discs():
@@ -481,19 +500,19 @@ def test_one_answer_per_wall_pairing():
 
 
 def test_walls_read_every_contributor_and_nothing_else(monkeypatch):
-    # amalgam_report hands each wall the contributing faces, with their pairs, and no
+    # amalgam_report hands each wall the contributing faces, with their owner rows, and no
     # covered one; test_one_answer_per_wall_pairing checks the answers against all discs
     walls = []
 
     def spy(hs, start, end, t0):
-        walls.append((hs.hemispheres, hs.pairs))
+        walls.append((hs.hemispheres, hs.owners))
         return envelope_dips_below(hs, start, end, t0)
 
     monkeypatch.setattr(subgroups, "envelope_dips_below", spy)
     for delta, bound in ((-15, 12), (-40, 16), (-163, 16)):
         rep = amalgam_report(make_order(delta), bound)
         hs = rep.arrangement
-        top = [(h, p) for h, p, s in zip(hs.hemispheres, hs.pairs, rep.statuses) if isinstance(s, Contributes)]
+        top = [(h, p) for h, p, s in zip(hs.hemispheres, hs.owners, rep.statuses) if isinstance(s, Contributes)]
         assert 0 < len(top) < len(hs.hemispheres)
         want = (tuple(h for h, _ in top), tuple(p for _, p in top))
         assert walls == [want, want]
