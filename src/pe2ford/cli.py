@@ -8,7 +8,10 @@ its own fields only; `main` puts the `command` and `discriminant` header
 in front.  The payload is the dict that `--format json` prints and that
 the schemas under docs/schemas describe; `_json_text` prints it with the
 bytes of `json.dumps(payload, indent=2, sort_keys=True)`, through the C
-string escaper instead of the stdlib's pure-Python indenting encoder.
+string escaper instead of the stdlib's pure-Python indenting encoder, and
+writes each int pair [a, b] in place from one template per depth.  Gap
+points are written from the integers the gap stream holds, with no
+ratio, pair or Fraction built for the payload.
 `--format text` renders the same payload one `key: value` line at a
 time, and `--format svg` (arrangement and amalgam) draws the
 arrangement the command already computed.
@@ -151,20 +154,28 @@ def _json_text(value: Any, newline: str = "\n") -> str:
 
     Strings and keys go through the stdlib's C escaper, ints through
     int.__repr__, lists and tuples become arrays.  A str, int, bool or None
-    item is rendered in place by its _JSON_LEAF entry, so only a list,
-    tuple or dict item costs a recursive call.  Any other type, floats and
-    subclasses included, and a non-str key raise TypeError.
+    item is rendered in place by its _JSON_LEAF entry, and a list of exactly
+    two exact ints, such as an order element [a, b], by the one pair
+    template of its depth, whose %d writes an int as int.__repr__ does; only
+    any other list, tuple or dict item costs a recursive call.  Any other
+    type, floats and subclasses included, and a non-str key raise TypeError.
     """
     leaf = _JSON_LEAF.get(type(value))
     if leaf is not None:
         return leaf(value)
     kind = type(value)
     inner = newline + "  "
+    pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
     items = []
     if kind is list or kind is tuple:
         for v in value:
             leaf = _JSON_LEAF.get(type(v))
-            items.append(leaf(v) if leaf is not None else _json_text(v, inner))
+            if leaf is not None:
+                items.append(leaf(v))
+            elif type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
+                items.append(pair % (v[0], v[1]))
+            else:
+                items.append(_json_text(v, inner))
         return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
     if kind is dict:
         # keys that do not sort raise TypeError in sorted(), and keys that do, such as ints, here
@@ -172,7 +183,13 @@ def _json_text(value: Any, newline: str = "\n") -> str:
             if type(k) is not str:
                 raise TypeError("payload keys must be str")
             leaf = _JSON_LEAF.get(type(v))
-            items.append(encode_basestring_ascii(k) + ": " + (leaf(v) if leaf is not None else _json_text(v, inner)))
+            if leaf is not None:
+                text = leaf(v)
+            elif type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
+                text = pair % (v[0], v[1])
+            else:
+                text = _json_text(v, inner)
+            items.append(encode_basestring_ascii(k) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
     raise TypeError(f"{kind.__name__} is not a payload value")
 
@@ -199,14 +216,16 @@ def _input_word(args: argparse.Namespace, order: Order) -> Word:
 
 
 def _gap_point_json(gp: GapPoint) -> dict[str, Any]:
-    # uv is read off the stored ratio's planar integers
-    u, v, l = gp.z.planar_int()
+    # written from the point's integers: the ratio (xa + xb*t)/N in lowest
+    # terms, as KElem.of reduces it, at planar ((2xa + trace*xb)/2N, xb/2N)
+    xa, xb, n = gp.xa, gp.xb, gp.norm
+    g, l = math.gcd(xa, xb, n), 2 * n
     return {
-        "lam": _oint_json(gp.pair.lam),
-        "mu": _oint_json(gp.pair.mu),
-        "ratio": _kelem_json(gp.z),
-        "uv": [_ratio_text(u, l), _ratio_text(v, l)],
-        "min_dist_sq": str(gp.min_dist_sq),
+        "lam": [gp.a, gp.b],
+        "mu": [gp.c, gp.d],
+        "ratio": {"num": [xa // g, xb // g], "den": n // g},
+        "uv": [_ratio_text(2 * xa + gp.order.trace * xb, l), _ratio_text(xb, l)],
+        "min_dist_sq": _ratio_text(gp.dist, n * n),
     }
 
 
@@ -278,13 +297,10 @@ def _cmd_presentation(args: argparse.Namespace, order: Order) -> _Result:
     pres = presentation(order)
     body = {
         "generators": [{"name": name, "word": format_word(w)} for name, w in pres.generators],
-        # presentation()'s own test, word_to_matrix(rel).is_identity(), run
-        # again to print one flag per relation; presentation() raises
-        # CycleNotClosed when it fails, so every printed flag is true
-        "relations": [
-            {"word": format_word(rel), "verified": word_to_matrix(rel, order).is_identity()}
-            for rel in pres.relations
-        ],
+        # presentation() checked word_to_matrix(rel).is_identity() for every
+        # relation and raises CycleNotClosed on a failure, so a returned
+        # presentation has every flag true
+        "relations": [{"word": format_word(rel), "verified": True} for rel in pres.relations],
         "cycles": [
             {
                 "length": len(c.edges),
@@ -393,7 +409,7 @@ def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
             **_gap_point_json(gp),
             # b ascending, then a ascending: key() order
             "checked": [[a, b] for b, lo, hi in point_rows for a in range(lo, hi + 1)],
-            "completion": _mat_json(gp.pair.completion),
+            "completion": _mat_json(gp.completion),
         }
         for gp, point_rows in zip(pts, rows)
     ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .arrangement import (
@@ -48,30 +49,62 @@ PLANE = Fraction(2, 3)  # the default height t0 of the plane that splits the arr
 
 @dataclass(frozen=True)
 class GapPoint:
-    """Unimodular ratio exactly outside every closed unit lattice disc, as the gap stream found it.
+    """Unimodular ratio exactly outside every closed unit lattice disc, held as the gap stream's integers.
 
-    pair is the (lam, mu) that pair_scan yielded over the gap strip, z the
-    ratio lam/mu, built once from the scan's (xa + xb*t)/N, and
-    min_dist_sq the squared distance to the nearest lattice point, read
-    off the same integers by the gap rule.  pair.completion runs on the
-    pair's four ints.
+    a, b, c, d, xa, xb and norm are the row pair_scan yielded over the gap
+    strip: lam = a + b*t, mu = c + d*t, and the ratio lam/mu is
+    (xa + xb*t)/norm with norm = N(mu).  dist is the gap rule's numerator,
+    norm^2 times the squared distance to the nearest lattice point.  The
+    rest are views built on read: pair and completion on each read, z once
+    per point, so ratio() is z, and min_dist_sq = dist/norm^2.  Equality
+    is that of the integers, so a point read from two streams compares
+    equal.
     """
 
-    pair: UnimodularPair
-    z: KElem
-    min_dist_sq: Fraction
+    order: Order
+    a: int
+    b: int
+    c: int
+    d: int
+    xa: int
+    xb: int
+    norm: int
+    dist: int
+
+    @property
+    def pair(self) -> UnimodularPair:
+        order = self.order
+        return UnimodularPair(OInt(order, self.a, self.b), OInt(order, self.c, self.d))
+
+    @cached_property
+    def z(self) -> KElem:
+        # lam/mu = lam*conj(mu)/N(mu)
+        return KElem.of(OInt(self.order, self.xa, self.xb), self.norm)
+
+    @property
+    def min_dist_sq(self) -> Fraction:
+        return Fraction(self.dist, self.norm * self.norm)
+
+    @property
+    def completion(self) -> Mat:
+        """A determinant-one matrix with first column (lam, mu), read by is_unimodular as pair.completion reads it."""
+        order = self.order
+        m = is_unimodular(OInt(order, self.a, self.b), OInt(order, self.c, self.d))
+        if m is None:  # pragma: no cover
+            raise ArithmeticError("pair_scan yielded a pair that is not unimodular")
+        return m
 
     def ratio(self) -> KElem:
         """z, the stored ratio, as the call that tests/test_acceptance.py reads."""
         return self.z
 
 
-def _gap_dist(order: Order, p: int, q: int, s: int) -> Fraction | None:
+def _gap_dist(order: Order, p: int, q: int, s: int) -> int | None:
     # the one gap rule: (p + q*t)/s is a gap point when its nearest lattice
-    # point lies past distance 1, d > s^2; d/s^2 does not depend on the scale
+    # point lies past distance 1, d > s^2, with d = s^2 times the squared
+    # distance; d/s^2 does not depend on the scale
     d, _, _ = nearest_lattice_point(order, p, q, s)
-    sq = s * s
-    return None if d <= sq else Fraction(d, sq)
+    return d if d > s * s else None
 
 
 def gap_check(z: KElem) -> Fraction | None:
@@ -81,7 +114,8 @@ def gap_check(z: KElem) -> Fraction | None:
     unit disc about it, the test membership uses for NonMember; both read
     nearest_lattice_point, and a gap point builds the one Fraction.
     """
-    return _gap_dist(z.order, z.num.a, z.num.b, z.den)
+    d = _gap_dist(z.order, z.num.a, z.num.b, z.den)
+    return None if d is None else Fraction(d, z.den * z.den)
 
 
 _STRIP_W = 128  # the denominator of the gap strip's edges
@@ -120,11 +154,9 @@ def _gap_stream(order: Order) -> Iterator[GapPoint]:
     for a, b, c, d, xa, xb, norm in pair_scan(order, lambda norm: strip):
         if not (0 <= 2 * xa + e * xb < 2 * norm and 0 <= xb < norm):
             continue
-        min_dist = _gap_dist(order, xa, xb, norm)
-        if min_dist is not None:
-            pair = UnimodularPair(OInt(order, a, b), OInt(order, c, d))
-            # lam/mu = lam*conj(mu)/N(mu)
-            yield GapPoint(pair, KElem.of(OInt(order, xa, xb), norm), min_dist)
+        dist = _gap_dist(order, xa, xb, norm)
+        if dist is not None:
+            yield GapPoint(order, a, b, c, d, xa, xb, norm, dist)
 
 
 def gap_points(order: Order, count: int) -> list[GapPoint]:
@@ -180,7 +212,7 @@ def coset_family(order: Order, count: int) -> CosetFamily:
         budget -= 1
         if budget < 0:
             raise SearchExhausted(f"no family of {count} within the candidate budget")
-        cand = gp.pair.completion
+        cand = gp.completion
         res = membership(cand.inv())
         key = coset_key(res) if isinstance(res, NonMember) else None
         if key is None or key in keys:
@@ -209,20 +241,30 @@ def normalizer_witness(g: Mat) -> OInt:
     Of -1 and 1, first by key(), alpha is the one whose conjugate ratio
     lambda/mu - 1/(alpha*mu^2) = (alpha*lambda*mu - 1)/(alpha*mu^2) is a
     gap point, and 1 when neither is; the conjugate is re-checked.
+
+    The conjugate is built in closed form.  With g = [[lambda, b], [mu, d]]
+    and det g = lambda*d - b*mu = 1, g^-1 = [[d, -b], [-mu, lambda]], so
+    g*s(alpha)*g^-1 = [[lambda*d - b*mu - alpha*lambda*mu, alpha*lambda^2],
+    [-alpha*mu^2, lambda*d - b*mu + alpha*lambda*mu]]
+    = [[1 - alpha*lambda*mu, alpha*lambda^2], [-alpha*mu^2, 1 + alpha*lambda*mu]],
+    which reads only lambda*mu and mu^2, as the alpha test does, and
+    lambda^2.  The checked Mat re-tests its determinant.
     """
     order = g.order
     if not order.group_scope:
         raise OutOfScope("normalizer witnesses need |delta| > 12")
     # g is outside the subgroup exactly when g^-1 is; g^-1 is checked, as
-    # the conjugate below needs it anyway
-    g_inv = g.inv()
-    if not isinstance(membership(g_inv), NonMember):
+    # coset_family checks the inverse of each member
+    if not isinstance(membership(g.inv()), NonMember):
         raise ValueError("g must certify NonMember")
     # a NonMember g has mu != 0: m21 = 0 makes the diagonal units, +-1 in
     # scope, so g = +-s(x), a member
-    one, lam_mu, mu_sq = order.one, g.m11 * g.m21, g.m21 * g.m21
+    one, lam, mu = order.one, g.m11, g.m21
+    lam_mu, mu_sq = lam * mu, mu * mu
     alpha = next((a for a in (-one, one) if gap_check(KElem.of(a * lam_mu - one, a * mu_sq)) is not None), one)
-    if not isinstance(membership(g * gen_s(alpha) * g_inv), NonMember):  # pragma: no cover
+    shift = alpha * lam_mu
+    conj = Mat(one - shift, alpha * (lam * lam), -(alpha * mu_sq), one + shift)
+    if not isinstance(membership(conj), NonMember):  # pragma: no cover
         raise ArithmeticError("g s(alpha) g^-1 came back Member, against the proof above")
     return alpha
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from pe2ford import cli
+from pe2ford import cli, ford, words
 from pe2ford.arrangement import Contributes, UnimodularPair, enumerate_hemispheres, face_statuses
 from pe2ford.cli import main
 from pe2ford.errors import CycleNotClosed, SearchExhausted
@@ -402,6 +402,19 @@ def test_arrangement_builds_no_object_per_enumerated_pair(monkeypatch, argv, del
     assert built[Hemisphere] <= contributors and built[UnimodularPair] == 0
 
 
+@pytest.mark.parametrize("command, count, key", [("gap-points", 200, "points"), ("cosets", 50, "members")])
+def test_gap_stream_builds_no_pair_object(monkeypatch, command, count, key):
+    # gap points hold the scan's integers, and the payload is written from
+    # them: no UnimodularPair is built for the stream, the ratio or the completion
+    built: Counter = Counter()
+    init = UnimodularPair.__init__
+    monkeypatch.setattr(UnimodularPair, "__init__", lambda self, *a, **k: built.update(["pair"]) or init(self, *a, **k))
+    code, out, err = run([command, "--disc", "-40", "--count", str(count), "--format", "json"])
+    assert code == 0, err
+    assert len(json.loads(out)[key]) == count
+    assert built["pair"] == 0
+
+
 @pytest.mark.parametrize("delta", [-15, -19, -20, -40, -43, -163])
 def test_arrangement_records_read_as_the_hemisphere_views(delta):
     # the records are written from the integer rows, and read as the Hemisphere view and
@@ -491,6 +504,22 @@ def test_presentation_reports_cycle_flag():
     assert lengths == [2, 4]
 
 
+def test_presentation_flags_come_from_its_own_check(monkeypatch):
+    # presentation() checks each of the three relations once; the payload
+    # prints that check's result and multiplies no relation out again
+    calls = []
+
+    def spy(word, order):
+        calls.append(word)
+        return word_to_matrix(word, order)
+
+    for module in (cli, ford, words):
+        monkeypatch.setattr(module, "word_to_matrix", spy)
+    payload = json.loads(run(["presentation", "--disc", "-40", "--format", "json"])[1])
+    assert [rel["verified"] for rel in payload["relations"]] == [True] * 3
+    assert len(calls) == 3
+
+
 def test_amalgam_json_cross_references():
     code, out, _ = run(["amalgam", "--disc", "-40", "--bound", "4", "--format", "json"])
     assert code == 0
@@ -564,6 +593,46 @@ def test_json_writer_refuses_int_keys_that_sort():
     for value in ({2: "a", 1: "b"}, {0: None}, {"a": {3: 1, 1: 2}}, [{1: []}]):
         with pytest.raises(TypeError, match="payload keys must be str"):
             cli._json_text(value)
+
+
+class _IntSubclass(int):
+    pass
+
+
+# int pairs at depths 0 to 3, as list items and as dict values, with
+# negative and long ints, and the shapes beside them that keep the general path
+PAIR_VALUES = [
+    [1, 2], [-3, 0],
+    [[1, 2]], [[-1, -2], [0, 10**40]], {"a": [1, -2]}, {"a": [0, 0], "b": [5, 6], "c": "x"},
+    [[[1, 2]]], [{"a": [3, 4]}], {"a": [[5, -6]]}, {"a": {"b": [-7, 8]}},
+    [[[[1, 2], [3, 4]]]], {"a": {"b": {"c": [9, -9]}}}, [{"a": [[1, 2]]}], {"a": [{"b": [3, 4]}]},
+    {"m": {"entries": [[1, 0], [-(10**20), 1], [0, 0], [1, 0]], "sign_canonical": True}},
+    [True, 1], [1, False], [0, None], (1, 2), [1, 2, 3], [[True, 1], [1, False], [0, None]],
+    {"a": (1, 2), "b": [1, 2, 3], "c": [1], "d": [[1, 2]], "e": ["1", 2]},
+    [[10**5000, -(10**4400)]], {"a": [-(10**4301), 10**4301]},
+]
+
+
+@pytest.mark.parametrize("value", PAIR_VALUES, ids=lambda v: type(v).__name__)
+def test_json_writer_writes_int_pairs_as_the_stdlib(value):
+    with _no_digit_limit():
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [[1.0, 2], [_IntSubclass(1), 2], [[1.0, 2]], {"a": [_IntSubclass(1), 2]}, {"a": [1, 2.5]}])
+def test_json_writer_refuses_pairs_that_are_not_two_ints(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_json_writer_writes_long_int_pairs_through_main(sign):
+    # a shift of 5,000 digits puts a pair past the int/str digit limit in the matrix entries
+    argv = ["normal-form", "--disc", "-40", "--word", f"s({sign}{'9' * 5000})*r", "--format", "json"]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    with _no_digit_limit():
+        assert out == json.dumps(_payload(argv), indent=2, sort_keys=True) + "\n"
 
 
 def test_output_digests():

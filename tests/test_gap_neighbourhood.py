@@ -179,7 +179,8 @@ def band_stream(d, tests: list):
 
     The pairs come from pair_scan over the band, in its order; each ratio
     (xa + xb*t)/N in the half-open band u in [0, 1), v in [0, 1/2) is
-    appended to tests and gets the gap rule.
+    appended to tests and gets the gap rule, whose numerator d gives
+    min_dist_sq = d/N^2.
     """
     e = d.trace
     for a, b, c, dd, xa, xb, norm in pair_scan(d, lambda norm: (2, 0, 2, 0, 1)):
@@ -187,7 +188,7 @@ def band_stream(d, tests: list):
             tests.append((xa, xb, norm))
             dist = subgroups._gap_dist(d, xa, xb, norm)
             if dist is not None:
-                yield d.elt(a, b), d.elt(c, dd), dist
+                yield d.elt(a, b), d.elt(c, dd), Fraction(dist, norm * norm)
 
 
 @pytest.mark.parametrize("delta", [-15, -19, -20, -23, -24, -31, -40, -43, -163, -1003, -100000000003])

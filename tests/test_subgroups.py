@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 
 from pe2ford import ford, subgroups
-from pe2ford.arrangement import Contributes, envelope_dips_below, enumerate_hemispheres, is_unimodular
+from pe2ford.arrangement import (
+    Contributes,
+    UnimodularPair,
+    envelope_dips_below,
+    enumerate_hemispheres,
+    is_unimodular,
+)
 from pe2ford.cli import main
 from pe2ford.errors import OutOfScope, SearchExhausted
 from pe2ford.ford import amalgam_rectangle
@@ -320,6 +326,58 @@ def test_normalizer_witness_sweep_over_orders():
                 # member, and the witness takes the other
                 lam_mu, mu_sq = g.m11 * g.m21, g.m21 * g.m21
                 assert gap_check(KElem.of(alpha * lam_mu - one, alpha * mu_sq)) is not None, (delta, g)
+
+
+@pytest.mark.parametrize("delta", [-15, -20, -23, -31, -40, -163, -1003])
+def test_normalizer_conjugate_is_the_closed_form(monkeypatch, delta):
+    # the matrix normalizer_witness re-checks is g*s(alpha)*g^-1, for the
+    # completions of the first 60 gap points
+    d = make_order(delta)
+    checked = []
+    real = subgroups.membership
+    monkeypatch.setattr(subgroups, "membership", lambda g, *a: checked.append(g) or real(g, *a))
+    for gp in gap_points(d, 60):
+        g = gp.completion
+        checked.clear()
+        alpha = normalizer_witness(g)
+        assert alpha in (d.one, -d.one)
+        assert checked == [g.inv(), g * gen_s(alpha) * g.inv()]
+
+
+def test_normalizer_witness_multiplies_no_matrices(monkeypatch):
+    # the conjugate is built from its closed form: no Mat product and no gen_s
+    completions = [gp.completion for gp in gap_points(ORDER40, 20)]
+    calls = []
+    mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda self, other: calls.append("mul") or mul(self, other))
+    monkeypatch.setattr(subgroups, "gen_s", lambda a: calls.append("gen_s") or gen_s(a))
+    for g in completions:
+        assert normalizer_witness(g) in (ORDER40.one, -ORDER40.one)
+    assert calls == []
+
+
+@pytest.mark.parametrize("delta, count", [(-15, 200), (-20, 200), (-40, 200), (-163, 200), (-1003, 200), (-100000000003, 3)])
+def test_gap_point_views_read_its_integers(delta, count):
+    # pair, z, min_dist_sq and the completion are views of the point's
+    # integers, and equal the objects built from lam and mu
+    d = make_order(delta)
+    for gp in gap_points(d, count):
+        lam, mu = d.elt(gp.a, gp.b), d.elt(gp.c, gp.d)
+        assert gp.pair == UnimodularPair(lam, mu)
+        assert gp.ratio() is gp.z
+        assert gp.z == KElem.of(lam, mu)
+        assert gp.min_dist_sq == gap_check(gp.z)
+        assert gp.completion == gp.pair.completion == is_unimodular(lam, mu)
+
+
+def test_gap_points_from_two_streams_compare_equal():
+    # a point is its integers: two streams give equal points, whatever views were read
+    first = gap_points(ORDER40, 50)
+    assert all(gp.z is not None and gp.pair is not None for gp in first[::2])
+    second = gap_points(make_order(-40), 50)
+    assert first == second
+    assert [hash(gp) for gp in first] == [hash(gp) for gp in second]
+    assert first[0] != first[1]
 
 
 def test_n_generator_words():
