@@ -134,17 +134,43 @@ def unit_ideal(norm_lam: int, norm_mu: int, xa: int, xb: int) -> bool:
     return math.gcd(norm_lam, norm_mu, xa, xb) == 1
 
 
+def completion_entries(order: Order, la: int, lb: int, ma: int, mb: int) -> tuple[int, int, int, int, int, int, int, int]:
+    """The completion of a unimodular pair (lam, mu), as the eight ints (m11.a, m11.b, m12.a, ..., m22.b).
+
+    lam = la + lb*t and mu = ma + mb*t must generate the unit ideal, as
+    unit_ideal tests: pair_scan yields only such pairs, and is_unimodular
+    tests before it calls this.  _one_in_span yields x, y with
+    x*lam + y*mu = 1, and the completion is [[lam, -y], [mu, x]],
+    deterministic but only canonical up to a right shift.  Its
+    determinant x*lam + y*mu is checked on the ints, so a pair other than
+    (0, 0) outside the unit ideal raises ArithmeticError.  The entries carry Mat's sign
+    rule: the first nonzero of m11 and m12 (det 1 leaves one) has a
+    positive leading coordinate, so they are the entries of the Mat.
+    """
+    e, m = order.trace, order.tau_norm
+    x0, x1, y0, y1 = _one_in_span(order, la, lb, ma, mb)
+    # x*lam + y*mu, by (a + b*t)(c + d*t) = (ac - m*bd) + (ad + bc + e*bd)*t
+    det = (
+        x0 * la - m * x1 * lb + y0 * ma - m * y1 * mb,
+        x0 * lb + x1 * la + e * x1 * lb + y0 * mb + y1 * ma + e * y1 * mb,
+    )
+    if det != (1, 0):
+        raise ArithmeticError(f"the reduction of ({la}, {lb}), ({ma}, {mb}) gave x*lam + y*mu = {det}, not 1")
+    a, b = (la, lb) if la or lb else (-y0, -y1)
+    if b < 0 if b else a < 0:
+        return (-la, -lb, y0, y1, -ma, -mb, -x0, -x1)
+    return (la, lb, -y0, -y1, ma, mb, x0, x1)
+
+
 def is_unimodular(lam: OInt, mu: OInt) -> Mat | None:
     """Completion of (lam, mu) to a determinant-one first column, or None.
 
     Everything runs on the four ints lam = la + lb*t and mu = ma + mb*t.
     unit_ideal decides first, on N(lam), N(mu) and
     lam*conj(mu) = (la*(ma + e*mb) + m*lb*mb) + (lb*ma - la*mb)*t, and
-    only a pair that passes is reduced: _one_in_span yields x, y with
-    x*lam + y*mu = 1 and the completion [[lam, -y], [mu, x]],
-    deterministic but only canonical up to a right shift.  Its
-    determinant x*lam + y*mu is checked on the ints before the matrix is
-    built unchecked.
+    only a pair that passes is completed, by completion_entries, whose
+    checked ints become the matrix unchecked.  A caller that holds a pair
+    the scan already accepted calls completion_entries itself.
     """
     if lam.is_zero() and mu.is_zero():
         raise ValueError("(0, 0) is not a pair")
@@ -155,15 +181,7 @@ def is_unimodular(lam: OInt, mu: OInt) -> Mat | None:
     norm_mu = ma * ma + e * ma * mb + m * mb * mb
     if not unit_ideal(norm_lam, norm_mu, la * (ma + e * mb) + m * lb * mb, lb * ma - la * mb):
         return None
-    x0, x1, y0, y1 = _one_in_span(order, la, lb, ma, mb)
-    # x*lam + y*mu, by (a + b*t)(c + d*t) = (ac - m*bd) + (ad + bc + e*bd)*t
-    det = (
-        x0 * la - m * x1 * lb + y0 * ma - m * y1 * mb,
-        x0 * lb + x1 * la + e * x1 * lb + y0 * mb + y1 * ma + e * y1 * mb,
-    )
-    if det != (1, 0):  # pragma: no cover
-        raise ArithmeticError(f"the reduction of ({lam}, {mu}) gave x*lam + y*mu = {det}, not 1")
-    return Mat._trusted(lam, OInt(order, -y0, -y1), mu, OInt(order, x0, x1))
+    return Mat._trusted_ints(order, completion_entries(order, la, lb, ma, mb))
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ its own fields only; `main` puts the `command` and `discriminant` header
 in front.  The payload is the dict that `--format json` prints and that
 the schemas under docs/schemas describe; `_json_text` prints it with the
 bytes of `json.dumps(payload, indent=2, sort_keys=True)`, through the C
-string escaper instead of the stdlib's pure-Python indenting encoder, and
-writes each int pair [a, b] in place from one template per depth.  Gap
+string escaper instead of the stdlib's pure-Python indenting encoder,
+writes each int pair [a, b] in place from one template per depth, and
+sorts and escapes the keys of each dict shape once per call.  Gap
 points are written from the integers the gap stream holds, with no
-ratio, pair or Fraction built for the payload.
+ratio, pair or Fraction built for the payload, and a gap point's
+completion from the ints of arrangement.completion_entries.
 `--format text` renders the same payload one `key: value` line at a
 time, and `--format svg` (arrangement and amalgam) draws the
 arrangement the command already computed.
@@ -38,7 +40,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
 
-from .arrangement import Contributes, enumerate_hemispheres, face_statuses, svg_topview
+from .arrangement import Contributes, completion_entries, enumerate_hemispheres, face_statuses, svg_topview
 from .errors import (
     CycleNotClosed,
     InvalidDiscriminant,
@@ -108,6 +110,11 @@ def _mat_json(m: Mat) -> dict[str, Any]:
     return {"entries": m.coords(), "sign_canonical": True}
 
 
+def _entries_json(e: tuple[int, ...]) -> dict[str, Any]:
+    # _mat_json of the Mat whose eight entry ints are e
+    return {"entries": [[e[0], e[1]], [e[2], e[3]], [e[4], e[5]], [e[6], e[7]]], "sign_canonical": True}
+
+
 def _kelem_json(z: KElem) -> dict[str, Any]:
     return {"num": _oint_json(z.num), "den": z.den}
 
@@ -149,49 +156,80 @@ _JSON_LEAF: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _json_text(value: Any, newline: str = "\n") -> str:
+def _json_text(value: Any) -> str:
     """json.dumps(value, indent=2, sort_keys=True) for payload values, without its pure-Python encoder.
 
     Strings and keys go through the stdlib's C escaper, ints through
     int.__repr__, lists and tuples become arrays.  A str, int, bool or None
     item is rendered in place by its _JSON_LEAF entry, and a list of exactly
-    two exact ints, such as an order element [a, b], by the one pair
-    template of its depth, whose %d writes an int as int.__repr__ does; only
-    any other list, tuple or dict item costs a recursive call.  Any other
-    type, floats and subclasses included, and a non-str key raise TypeError.
+    two exact ints, such as an order element [a, b], by the pair template
+    of its depth, whose %d writes an int as int.__repr__ does; only any
+    other list, tuple or dict item costs a recursive call.
+
+    A payload repeats a few dict shapes many times, so the call keeps one
+    small dict from (a dict's keys in insertion order, its depth) to its
+    sorted keys, each with the text in front of its value: the separator,
+    the indentation and the escaped "key": .  A shape is sorted, checked
+    and escaped on its first meeting, and the newline-and-indent strings
+    and the pair template of each depth are built once.  Both live for the
+    one call.  Any other type, floats and subclasses included, and a key
+    that is no exact str (a str subclass too, even where an equal str key
+    made the shape) raise TypeError.
     """
-    leaf = _JSON_LEAF.get(type(value))
-    if leaf is not None:
-        return leaf(value)
-    kind = type(value)
-    inner = newline + "  "
-    pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
-    items = []
-    if kind is list or kind is tuple:
-        for v in value:
-            leaf = _JSON_LEAF.get(type(v))
-            if leaf is not None:
-                items.append(leaf(v))
-            elif type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
-                items.append(pair % (v[0], v[1]))
-            else:
-                items.append(_json_text(v, inner))
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
-    if kind is dict:
-        # keys that do not sort raise TypeError in sorted(), and keys that do, such as ints, here
-        for k, v in sorted(value.items()):
+    shapes: dict[tuple[tuple, int], list[tuple[str, str]]] = {}
+    # per depth: the newline and indent of a container's closing bracket and
+    # of its items, and the template of an int pair among its items
+    pads: list[tuple[str, str, str]] = []
+
+    def write(value: Any, depth: int) -> str:
+        kind = type(value)
+        leaf = _JSON_LEAF.get(kind)
+        if leaf is not None:
+            return leaf(value)
+        while len(pads) <= depth:
+            nl = "\n" + "  " * len(pads)
+            inner = nl + "  "
+            pads.append((nl, inner, "[" + inner + "  %d," + inner + "  %d" + inner + "]"))
+        nl, inner, pair = pads[depth]
+        texts = []
+        if kind is list or kind is tuple:
+            for v in value:
+                leaf = _JSON_LEAF.get(type(v))
+                if leaf is not None:
+                    texts.append(leaf(v))
+                elif type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
+                    texts.append(pair % (v[0], v[1]))
+                else:
+                    texts.append(write(v, depth + 1))
+            return "[" + inner + ("," + inner).join(texts) + nl + "]" if texts else "[]"
+        if kind is not dict:
+            raise TypeError(f"{kind.__name__} is not a payload value")
+        if not value:
+            return "{}"
+        keys = tuple(value)
+        for k in keys:
             if type(k) is not str:
                 raise TypeError("payload keys must be str")
+        shape = shapes.get((keys, depth))
+        if shape is None:
+            # the first key's text opens the object, each later one follows a comma
+            shape = [(k, "," + inner + encode_basestring_ascii(k) + ": ") for k in sorted(keys)]
+            shape[0] = (shape[0][0], "{" + shape[0][1][1:])
+            shapes[keys, depth] = shape
+        for k, head in shape:
+            v = value[k]
+            texts.append(head)
             leaf = _JSON_LEAF.get(type(v))
             if leaf is not None:
-                text = leaf(v)
+                texts.append(leaf(v))
             elif type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
-                text = pair % (v[0], v[1])
+                texts.append(pair % (v[0], v[1]))
             else:
-                text = _json_text(v, inner)
-            items.append(encode_basestring_ascii(k) + ": " + text)
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-    raise TypeError(f"{kind.__name__} is not a payload value")
+                texts.append(write(v, depth + 1))
+        texts.append(nl + "}")
+        return "".join(texts)
+
+    return write(value, 0)
 
 
 def _render_text(payload: dict[str, Any]) -> str:
@@ -409,7 +447,7 @@ def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
             **_gap_point_json(gp),
             # b ascending, then a ascending: key() order
             "checked": [[a, b] for b, lo, hi in point_rows for a in range(lo, hi + 1)],
-            "completion": _mat_json(gp.completion),
+            "completion": _entries_json(completion_entries(order, gp.a, gp.b, gp.c, gp.d)),
         }
         for gp, point_rows in zip(pts, rows)
     ]

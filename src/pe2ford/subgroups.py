@@ -30,6 +30,7 @@ from .arrangement import (
     HemiSet,
     Owner,
     UnimodularPair,
+    completion_entries,
     enumerate_hemispheres,
     envelope_dips_below,
     face_statuses,
@@ -87,12 +88,12 @@ class GapPoint:
 
     @property
     def completion(self) -> Mat:
-        """A determinant-one matrix with first column (lam, mu), read by is_unimodular as pair.completion reads it."""
-        order = self.order
-        m = is_unimodular(OInt(order, self.a, self.b), OInt(order, self.c, self.d))
-        if m is None:  # pragma: no cover
-            raise ArithmeticError("pair_scan yielded a pair that is not unimodular")
-        return m
+        """The completion of (lam, mu), as is_unimodular builds it, from completion_entries on the scan's ints.
+
+        pair_scan yielded the pair because unit_ideal passed, so the test is
+        not run again; completion_entries still checks the determinant.
+        """
+        return Mat._trusted_ints(self.order, completion_entries(self.order, self.a, self.b, self.c, self.d))
 
     def ratio(self) -> KElem:
         """z, the stored ratio, as the call that tests/test_acceptance.py reads."""
@@ -242,13 +243,23 @@ def normalizer_witness(g: Mat) -> OInt:
     lambda/mu - 1/(alpha*mu^2) = (alpha*lambda*mu - 1)/(alpha*mu^2) is a
     gap point, and 1 when neither is; the conjugate is re-checked.
 
+    Everything runs on the entries' ints: lambda*mu, mu^2 and lambda^2
+    are int pairs.  The gap test reads the ratio as
+    (alpha*lambda*mu - 1)*conj(alpha*mu^2) over N(alpha*mu^2) = N(mu)^2,
+    one integer point (p + q*t)/s with s > 0, and asks _gap_dist.  The
+    gap rule does not depend on the scale: (p + q*t)/s and (kp + kq*t)/(ks)
+    are the same point z, so they have the same nearest lattice point c,
+    and d > s^2 exactly when |z - c|^2 > 1.  So alpha is the one that
+    gap_check(KElem.of(alpha*lambda*mu - 1, alpha*mu^2)) picks, whose
+    reduced denominator may differ.
+
     The conjugate is built in closed form.  With g = [[lambda, b], [mu, d]]
     and det g = lambda*d - b*mu = 1, g^-1 = [[d, -b], [-mu, lambda]], so
     g*s(alpha)*g^-1 = [[lambda*d - b*mu - alpha*lambda*mu, alpha*lambda^2],
     [-alpha*mu^2, lambda*d - b*mu + alpha*lambda*mu]]
-    = [[1 - alpha*lambda*mu, alpha*lambda^2], [-alpha*mu^2, 1 + alpha*lambda*mu]],
-    which reads only lambda*mu and mu^2, as the alpha test does, and
-    lambda^2.  The checked Mat re-tests its determinant.
+    = [[1 - alpha*lambda*mu, alpha*lambda^2], [-alpha*mu^2, 1 + alpha*lambda*mu]].
+    Its determinant is checked on the ints before the Mat is built
+    unchecked, so no OInt product is formed.
     """
     order = g.order
     if not order.group_scope:
@@ -257,16 +268,34 @@ def normalizer_witness(g: Mat) -> OInt:
     # coset_family checks the inverse of each member
     if not isinstance(membership(g.inv()), NonMember):
         raise ValueError("g must certify NonMember")
+    # products of order elements as int pairs, by
+    # (a + b*t)(c + d*t) = (ac - m*bd) + (ad + bc + e*bd)*t
+    e, m = order.trace, order.tau_norm
     # a NonMember g has mu != 0: m21 = 0 makes the diagonal units, +-1 in
     # scope, so g = +-s(x), a member
-    one, lam, mu = order.one, g.m11, g.m21
-    lam_mu, mu_sq = lam * mu, mu * mu
-    alpha = next((a for a in (-one, one) if gap_check(KElem.of(a * lam_mu - one, a * mu_sq)) is not None), one)
-    shift = alpha * lam_mu
-    conj = Mat(one - shift, alpha * (lam * lam), -(alpha * mu_sq), one + shift)
-    if not isinstance(membership(conj), NonMember):  # pragma: no cover
+    la, lb, ma, mb = g.m11.a, g.m11.b, g.m21.a, g.m21.b
+    xa, xb = la * ma - m * lb * mb, la * mb + lb * ma + e * lb * mb  # lambda*mu
+    sa, sb = ma * ma - m * mb * mb, 2 * ma * mb + e * mb * mb  # mu^2
+    n = ma * ma + e * ma * mb + m * mb * mb  # N(mu)
+    alpha = 1
+    for a in (-1, 1):
+        # (a*lambda*mu - 1)*conj(a*mu^2), with conj(mu^2) = (sa + e*sb) - sb*t, over N(mu)^2
+        pa, pb, qa, qb = a * xa - 1, a * xb, a * (sa + e * sb), -a * sb
+        if _gap_dist(order, pa * qa - m * pb * qb, pa * qb + pb * qa + e * pb * qb, n * n) is not None:
+            alpha = a
+            break
+    ta, tb = la * la - m * lb * lb, 2 * la * lb + e * lb * lb  # lambda^2
+    entries = (1 - alpha * xa, -alpha * xb, alpha * ta, alpha * tb, -alpha * sa, -alpha * sb, 1 + alpha * xa, alpha * xb)
+    a11, b11, a12, b12, a21, b21, a22, b22 = entries
+    det = (
+        a11 * a22 - m * b11 * b22 - a12 * a21 + m * b12 * b21,
+        a11 * b22 + b11 * a22 + e * b11 * b22 - a12 * b21 - b12 * a21 - e * b12 * b21,
+    )
+    if det != (1, 0):  # pragma: no cover
+        raise ArithmeticError(f"g s({alpha}) g^-1 has determinant {det}, not 1")
+    if not isinstance(membership(Mat._trusted_ints(order, entries)), NonMember):  # pragma: no cover
         raise ArithmeticError("g s(alpha) g^-1 came back Member, against the proof above")
-    return alpha
+    return OInt(order, alpha, 0)
 
 
 def n_generators(order: Order) -> list[Word]:

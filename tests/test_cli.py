@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from pe2ford import cli, ford, words
+from pe2ford import arrangement, cli, ford, words
 from pe2ford.arrangement import Contributes, UnimodularPair, enumerate_hemispheres, face_statuses
 from pe2ford.cli import main
 from pe2ford.errors import CycleNotClosed, SearchExhausted
@@ -415,6 +415,19 @@ def test_gap_stream_builds_no_pair_object(monkeypatch, command, count, key):
     assert built["pair"] == 0
 
 
+@pytest.mark.parametrize("command, count, key", [("gap-points", 200, "points"), ("cosets", 50, "members")])
+def test_gap_point_completions_run_no_second_unit_test(monkeypatch, command, count, key):
+    # pair_scan accepted every gap point's pair with unit_ideal, and the
+    # completions go straight to completion_entries: no other caller tests again
+    callers: Counter = Counter()
+    unit_ideal = arrangement.unit_ideal
+    monkeypatch.setattr(arrangement, "unit_ideal", lambda *a: callers.update([sys._getframe(1).f_code.co_name]) or unit_ideal(*a))
+    code, out, err = run([command, "--disc", "-40", "--count", str(count), "--format", "json"])
+    assert code == 0, err
+    assert len(json.loads(out)[key]) == count
+    assert set(callers) == {"pair_scan"} and callers["pair_scan"] >= count
+
+
 @pytest.mark.parametrize("delta", [-15, -19, -20, -40, -43, -163])
 def test_arrangement_records_read_as_the_hemisphere_views(delta):
     # the records are written from the integer rows, and read as the Hemisphere view and
@@ -633,6 +646,53 @@ def test_json_writer_writes_long_int_pairs_through_main(sign):
     assert (code, err) == (0, "")
     with _no_digit_limit():
         assert out == json.dumps(_payload(argv), indent=2, sort_keys=True) + "\n"
+
+
+class _StrSubclass(str):
+    pass
+
+
+# dict shapes met more than once in one call: the writer orders each
+# (keys in insertion order, depth) once and reuses it within the call
+SHAPE_VALUES = [
+    # the same key set in two insertion orders
+    [{"b": 1, "a": [1, 2]}, {"a": [3, 4], "b": 2}, {"b": 3, "a": [5, 6]}],
+    {"y": {"b": 1, "a": 2}, "x": {"a": 3, "b": 4}},
+    # one shape at two and at three depths
+    {"a": 1, "b": {"a": 2, "b": {"a": 3, "b": [4, 5]}}},
+    [{"k": "v"}, [{"k": "w"}, [{"k": [1, 2]}]], {"k": {"k": None}}],
+    # same-shaped dicts mixed with an empty dict and non-dicts
+    [{"n": 1, "m": [1, 2]}, {}, {"n": 2, "m": [3, 4]}, "s", {"n": 3, "m": None}, [5, 6], {}, {"n": 4, "m": True}],
+    # keys that change between siblings
+    [{"a": 1, "b": 2}, {"a": 1, "c": 2}, {"a": 1}, {"b": 2, "a": 1, "c": 3}, {"c": {"a": 1}}, {"a": {"c": 1}}],
+    {"p": [{"entries": [[1, 0], [0, 1]], "sign_canonical": True}, {"entries": [], "other": False}]},
+]
+
+
+@pytest.mark.parametrize("value", SHAPE_VALUES, ids=lambda v: type(v).__name__)
+def test_json_writer_orders_each_shape_once_per_call(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_keeps_no_shape_across_calls():
+    # a dict rewritten in place between two calls is written afresh by each
+    value = {"b": {"y": 1, "x": 2}, "a": [1, 2]}
+    first = cli._json_text(value)
+    assert first == json.dumps(value, indent=2, sort_keys=True)
+    del value["b"]["y"]
+    value["b"]["z"] = [3, 4]
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True) != first
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[{"a": 1}, {_StrSubclass("a"): 1}], [{"a": 1}, {"a": {1: 2}}], {"a": {"b": 1}, "c": [{"b": 2}, {True: 3}]}],
+    ids=["str subclass", "int key", "bool key"],
+)
+def test_json_writer_refuses_a_non_str_key_of_a_known_shape(value):
+    # a key equal to a str of a shape met before is still checked
+    with pytest.raises(TypeError, match="payload keys must be str"):
+        cli._json_text(value)
 
 
 def test_output_digests():

@@ -13,6 +13,7 @@ from pe2ford import ford, subgroups
 from pe2ford.arrangement import (
     Contributes,
     UnimodularPair,
+    completion_entries,
     envelope_dips_below,
     enumerate_hemispheres,
     is_unimodular,
@@ -21,7 +22,7 @@ from pe2ford.cli import main
 from pe2ford.errors import OutOfScope, SearchExhausted
 from pe2ford.ford import amalgam_rectangle
 from pe2ford.moebius import Mat, Side, gen_r, gen_s, outside_test
-from pe2ford.orders import KElem, lattice_points_within, make_order
+from pe2ford.orders import KElem, OInt, lattice_points_within, make_order
 from pe2ford.subgroups import (
     amalgam_report,
     collapse_hom_check,
@@ -354,6 +355,87 @@ def test_normalizer_witness_multiplies_no_matrices(monkeypatch):
     for g in completions:
         assert normalizer_witness(g) in (ORDER40.one, -ORDER40.one)
     assert calls == []
+
+
+def _oint_closed_form(g):
+    # alpha and the conjugate as the OInt code picks and builds them: the gap
+    # test on KElem.of(alpha*lam*mu - 1, alpha*mu^2), then the checked Mat
+    one, lam, mu = g.order.one, g.m11, g.m21
+    lam_mu, mu_sq = lam * mu, mu * mu
+    alpha = next((a for a in (-one, one) if gap_check(KElem.of(a * lam_mu - one, a * mu_sq)) is not None), one)
+    return alpha, Mat(one - alpha * lam_mu, alpha * (lam * lam), -(alpha * mu_sq), one + alpha * lam_mu)
+
+
+@pytest.mark.parametrize("delta", [-15, -19, -20, -31, -40, -163, -1003])
+def test_normalizer_in_integers_is_the_oint_closed_form(monkeypatch, delta):
+    # for the completions of the first 60 gap points, the int gap test picks
+    # the alpha of the OInt gap test, and the conjugate re-checked after g^-1
+    # is the checked closed-form Mat, which is g*s(alpha)*g^-1
+    d = make_order(delta)
+    checked = []
+    real = subgroups.membership
+    monkeypatch.setattr(subgroups, "membership", lambda g, *a: checked.append(g) or real(g, *a))
+    picked = set()
+    for gp in gap_points(d, 60):
+        g = gp.completion
+        alpha, conj = _oint_closed_form(g)
+        checked.clear()
+        assert normalizer_witness(g) == alpha
+        assert checked == [g.inv(), conj]
+        assert conj == g * gen_s(alpha) * g.inv()
+        picked.add(alpha.a)
+    # both signs occur where some member's -1 conjugate ratio leaves the gap
+    assert picked == ({-1, 1} if delta in (-15, -19, -20) else {-1})
+
+
+def test_normalizer_witness_forms_no_oint_product(monkeypatch):
+    # the gap test, the conjugate and its determinant run on ints: no OInt
+    # product and no checked Mat, whose __init__ multiplies out the determinant
+    completions = [gp.completion for d in (-15, -20, -40, -163) for gp in gap_points(make_order(d), 20)]
+    calls = []
+    product, init = OInt.__mul__, Mat.__init__
+    spy = lambda self, other: calls.append("OInt.__mul__") or product(self, other)
+    monkeypatch.setattr(OInt, "__mul__", spy)
+    monkeypatch.setattr(OInt, "__rmul__", spy)
+    monkeypatch.setattr(Mat, "__init__", lambda self, *a: calls.append("Mat.__init__") or init(self, *a))
+    for g in completions:
+        assert normalizer_witness(g).a in (-1, 1)
+    assert calls == []
+    assert ORDER40.one * ORDER40.tau == ORDER40.tau and calls == ["OInt.__mul__"]  # the spy is live
+
+
+def _owner_rows(delta, bound):
+    d = make_order(delta)
+    return d, enumerate_hemispheres(d, bound, amalgam_rectangle(d)).owners
+
+
+@pytest.mark.parametrize("source", ["gap points", "owner rows"])
+def test_completion_entries_are_is_unimodulars_entries(source):
+    # the one completion routine: on pairs the scan accepted, its eight ints
+    # are the entries of is_unimodular's Mat, sign rule included
+    if source == "gap points":
+        orders = [make_order(d) for d in (-15, -20, -40, -163, -1003)]
+        rows = [(d, (gp.a, gp.b, gp.c, gp.d)) for d in orders for gp in gap_points(d, 200)]
+        assert len(rows) == 1000
+    else:
+        rows = [(d, owner) for d, owners in (_owner_rows(-40, 16), _owner_rows(-163, 16)) for owner in owners]
+        assert len(rows) > 100
+    flipped = 0
+    for d, (la, lb, ma, mb) in rows:
+        entries = completion_entries(d, la, lb, ma, mb)
+        m = is_unimodular(d.elt(la, lb), d.elt(ma, mb))
+        assert [list(entries[i : i + 2]) for i in range(0, 8, 2)] == m.coords()
+        flipped += entries[:2] != (la, lb)
+    assert flipped > 0  # some first columns (lam, mu) come out as (-lam, -mu)
+
+
+def test_completion_entries_refuse_a_pair_outside_the_unit_ideal():
+    # the caller owns the unit test; a pair that fails it fails the determinant check
+    d = ORDER40
+    with pytest.raises(ArithmeticError):
+        completion_entries(d, 2, 0, 4, 0)
+    with pytest.raises(ArithmeticError):
+        completion_entries(d, 2, 0, 0, 1)  # (2, tau) at -40: N(tau) = 10
 
 
 @pytest.mark.parametrize("delta, count", [(-15, 200), (-20, 200), (-40, 200), (-163, 200), (-1003, 200), (-100000000003, 3)])
