@@ -143,9 +143,8 @@ def completion_entries(order: Order, la: int, lb: int, ma: int, mb: int) -> tupl
     x*lam + y*mu = 1, and the completion is [[lam, -y], [mu, x]],
     deterministic but only canonical up to a right shift.  Its
     determinant x*lam + y*mu is checked on the ints, so a pair other than
-    (0, 0) outside the unit ideal raises ArithmeticError.  The entries carry Mat's sign
-    rule: the first nonzero of m11 and m12 (det 1 leaves one) has a
-    positive leading coordinate, so they are the entries of the Mat.
+    (0, 0) outside the unit ideal raises ArithmeticError.  The ints are
+    not sign-canonical: Mat._trusted_ints makes them the Mat.
     """
     e, m = order.trace, order.tau_norm
     x0, x1, y0, y1 = _one_in_span(order, la, lb, ma, mb)
@@ -156,9 +155,6 @@ def completion_entries(order: Order, la: int, lb: int, ma: int, mb: int) -> tupl
     )
     if det != (1, 0):
         raise ArithmeticError(f"the reduction of ({la}, {lb}), ({ma}, {mb}) gave x*lam + y*mu = {det}, not 1")
-    a, b = (la, lb) if la or lb else (-y0, -y1)
-    if b < 0 if b else a < 0:
-        return (-la, -lb, y0, y1, -ma, -mb, -x0, -x1)
     return (la, lb, -y0, -y1, ma, mb, x0, x1)
 
 

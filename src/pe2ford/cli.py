@@ -12,8 +12,7 @@ string escaper instead of the stdlib's pure-Python indenting encoder,
 writes each int pair [a, b] in place from one template per depth, and
 sorts and escapes the keys of each dict shape once per call.  Gap
 points are written from the integers the gap stream holds, with no
-ratio, pair or Fraction built for the payload, and a gap point's
-completion from the ints of arrangement.completion_entries.
+ratio, pair or Fraction built for the payload.
 `--format text` renders the same payload one `key: value` line at a
 time, and `--format svg` (arrangement and amalgam) draws the
 arrangement the command already computed.
@@ -40,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
 
-from .arrangement import Contributes, completion_entries, enumerate_hemispheres, face_statuses, svg_topview
+from .arrangement import Contributes, enumerate_hemispheres, face_statuses, svg_topview
 from .errors import (
     CycleNotClosed,
     InvalidDiscriminant,
@@ -108,11 +107,6 @@ def _oint_json(x: OInt) -> list[int]:
 
 def _mat_json(m: Mat) -> dict[str, Any]:
     return {"entries": m.coords(), "sign_canonical": True}
-
-
-def _entries_json(e: tuple[int, ...]) -> dict[str, Any]:
-    # _mat_json of the Mat whose eight entry ints are e
-    return {"entries": [[e[0], e[1]], [e[2], e[3]], [e[4], e[5]], [e[6], e[7]]], "sign_canonical": True}
 
 
 def _kelem_json(z: KElem) -> dict[str, Any]:
@@ -447,7 +441,7 @@ def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
             **_gap_point_json(gp),
             # b ascending, then a ascending: key() order
             "checked": [[a, b] for b, lo, hi in point_rows for a in range(lo, hi + 1)],
-            "completion": _entries_json(completion_entries(order, gp.a, gp.b, gp.c, gp.d)),
+            "completion": _mat_json(gp.completion),
         }
         for gp, point_rows in zip(pts, rows)
     ]

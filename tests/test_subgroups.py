@@ -412,7 +412,7 @@ def _owner_rows(delta, bound):
 @pytest.mark.parametrize("source", ["gap points", "owner rows"])
 def test_completion_entries_are_is_unimodulars_entries(source):
     # the one completion routine: on pairs the scan accepted, its eight ints
-    # are the entries of is_unimodular's Mat, sign rule included
+    # make is_unimodular's Mat, whose sign rule is Mat's alone
     if source == "gap points":
         orders = [make_order(d) for d in (-15, -20, -40, -163, -1003)]
         rows = [(d, (gp.a, gp.b, gp.c, gp.d)) for d in orders for gp in gap_points(d, 200)]
@@ -424,9 +424,10 @@ def test_completion_entries_are_is_unimodulars_entries(source):
     for d, (la, lb, ma, mb) in rows:
         entries = completion_entries(d, la, lb, ma, mb)
         m = is_unimodular(d.elt(la, lb), d.elt(ma, mb))
-        assert [list(entries[i : i + 2]) for i in range(0, 8, 2)] == m.coords()
-        flipped += entries[:2] != (la, lb)
-    assert flipped > 0  # some first columns (lam, mu) come out as (-lam, -mu)
+        assert entries[:2] == (la, lb) and entries[4:6] == (ma, mb)
+        assert Mat._trusted_ints(d, entries) == m
+        flipped += m.coords()[0] != [la, lb]
+    assert flipped > 0  # some Mats read (lam, mu) as (-lam, -mu)
 
 
 def test_completion_entries_refuse_a_pair_outside_the_unit_ideal():
