@@ -21,7 +21,21 @@ One loop in face_status walks the rivals.  It tests h's center against
 each first, and a center strictly on top of every rival is the witness,
 with no bisector built; otherwise the walk clips the cell as each
 rival's bisector comes and stops at its first rival that covers it
-alone, or as soon as its cell is empty.  The upper envelope of a finite
+alone, or as soon as its cell is empty.  Two exact facts skip work that
+cannot change a verdict.  The apex lemma: at h's center, h is strictly
+higher than any rival k with r_k <= r_h that is not a duplicate, since
+r_k^2 - |c_h - c_k|^2 <= r_k^2 <= r_h^2 with equality only for a
+duplicate; so such a rival passes the center test on one comparison of
+radii, and only a strictly larger rival can cover h alone.  Mirror
+orbits: a reflection of the window's bounding box that maps the discs
+onto the discs, radii kept and the images a permutation of the indices,
+is an isometry of u^2 + |delta| v^2 that carries each hemisphere's
+heights onto its image's, so a face is Covered iff its image is, and
+the plane sides of a contributor are its image's.  face_statuses walks
+no face whose orbit already holds a Covered face, and plane_split
+clips no contributor whose orbit already has its sides; without the
+permutation (say a duplicate pair whose image is one disc) nothing
+carries over.  The upper envelope of a finite
 set of hemispheres is that of its contributing faces, so plane_split
 clips each contributor's cell by the contributors alone, and the walls
 of amalgam_report read the contributors alone; a wall clips each disc's
@@ -138,8 +152,9 @@ def completion_entries(order: Order, la: int, lb: int, ma: int, mb: int) -> tupl
     """The completion of a unimodular pair (lam, mu), as the eight ints (m11.a, m11.b, m12.a, ..., m22.b).
 
     lam = la + lb*t and mu = ma + mb*t must generate the unit ideal, as
-    unit_ideal tests: pair_scan yields only such pairs, and is_unimodular
-    tests before it calls this.  _one_in_span yields x, y with
+    unit_ideal tests: pair_scan yields only such pairs, which gap points
+    and the amalgam's records complete with no second test, and
+    is_unimodular tests before it calls this.  _one_in_span yields x, y with
     x*lam + y*mu = 1, and the completion is [[lam, -y], [mu, x]],
     deterministic but only canonical up to a right shift.  Its
     determinant x*lam + y*mu is checked on the ints, so a pair other than
@@ -232,6 +247,57 @@ class HemiSet:
     @cached_property
     def hemispheres(self) -> tuple[Hemisphere, ...]:
         return tuple(_disc_hemisphere(self.order, hd) for hd in self.discs)
+
+    @cached_property
+    def mirror_low(self) -> tuple[int, ...]:
+        """For each disc i, the least index in its orbit under the box reflections that permute the discs.
+
+        The candidates sigma are the reflections in the two center lines of
+        the window's bounding box, u -> su - u and v -> sv - v, and their
+        composition, the point reflection in its center.  Each is an
+        isometry of u^2 + |delta| v^2.  A candidate is kept only when it
+        sends every disc i onto a disc pi(i) of the set with the same P/Q
+        and pi is a permutation of the indices.  Images are matched on the
+        integer rows themselves, each center over w*L: a match is the same
+        point, so a kept map is exact.  A reflection is one-to-one on rows,
+        so when no two rows are equal, an image in the set for every disc
+        makes pi a permutation; a duplicate pair has one row, and then no
+        map is kept.  The enumerated centers are in lowest terms, and each
+        of -conj(z), conj(z), -z, conj(z) + tau and tau - z keeps the
+        lowest terms and the L of z = (a + b*t)/den, so on the amalgam
+        rectangle and the Voronoi cell no symmetry of an enumerated set is
+        missed.  Two kept reflections give the point reflection by
+        composition, and exactly one rules it out (with the point
+        reflection it would give the other), so the kept maps and the
+        identity form a group, and the orbit of i is i with its images.
+        Built on first read, once per set.
+        """
+        w, xlo, xhi, ylo, yhi = box_of(frame_of(self.window.vertices))[0]
+        su, sv = xlo + xhi, ylo + yhi  # twice the box's center, over w
+        rows = [(w * u, w * v, l, p, q) for u, v, l, p, q in self.discs]
+        index = {r: i for i, r in enumerate(rows)}
+        if len(index) < len(rows):
+            return tuple(range(len(rows)))
+
+        def permutation(ru: bool, rv: bool) -> tuple[int, ...] | None:
+            # reflect u if ru and v if rv; stop at the first disc with no image
+            get, pi = index.get, []
+            for x, y, l, p, q in rows:
+                j = get((su * l - x if ru else x, sv * l - y if rv else y, l, p, q))
+                if j is None:
+                    return None
+                pi.append(j)
+            return tuple(pi)
+
+        pu, pv = permutation(True, False), permutation(False, True)
+        if pu is not None and pv is not None:
+            kept = [pu, pv, [pv[j] for j in pu]]
+        elif pu is not None or pv is not None:
+            kept = [pu or pv]
+        else:
+            pc = permutation(True, True)
+            kept = [] if pc is None else [pc]
+        return tuple(min(js) for js in zip(range(len(rows)), *kept))
 
 
 def pair_scan(
@@ -367,6 +433,17 @@ class Covered:
 FaceStatus = Contributes | Covered
 
 
+def _open_discs_meet(n: int, hd: Disc, kd: Disc) -> bool:
+    """Whether the open discs of hd and kd meet: the negation of face_status's disjointness test."""
+    hu, hv, hl, hp, hq = hd
+    ku, kv, kl, kp, kq = kd
+    du, dv = hu * kl - ku * hl, hv * kl - kv * hl
+    qq = hq * kq
+    ll = (hl * kl) ** 2
+    g = (du * du + n * dv * dv) * qq - (hp * kq + kp * hq) * ll
+    return not (g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2)
+
+
 def face_status(order: Order, hd: Disc, rest: Sequence[Disc]) -> FaceStatus:
     """Contributes iff the power cell of h, the disc hd, against its rivals has area and meets h's open disc.
 
@@ -390,6 +467,19 @@ def face_status(order: Order, hd: Disc, rest: Sequence[Disc]) -> FaceStatus:
     witness do not depend on where a walk stops; the center is not
     strictly inside the bisector of the rival that started the walk, so
     the witness is off the center.
+
+    Apex lemma.  A rival k with r_k <= r_h that is not a duplicate of h
+    passes the center test: r_k^2 - |c_h - c_k|^2 <= r_k^2 <= r_h^2, with
+    equality in both only when c_k = c_h and r_k = r_h.  So until the
+    walk starts, such a rival joins the passed ones after one comparison
+    of radii, P_k Q_h <= P_h Q_k, with no other arithmetic; its
+    disjointness test runs only when a walk starts, and in order, so the
+    walk clips exactly the rivals it clipped when every rival was tested
+    as it came.  An apex face, whose center is its witness, reads nothing
+    of a rival no larger than itself but that comparison.  In the walk,
+    only a strictly larger rival meets the one-rival cover test: the
+    cover needs s > 0, h's center strictly outside k's bisector, so k
+    strictly higher there, which the lemma rules out for the others.
 
     Center test.  h is strictly higher than k at h's center iff
     r_h^2 > r_k^2 - |c_h - c_k|^2, that is iff gap + 2 r_h^2 > 0 with the
@@ -416,6 +506,10 @@ def face_status(order: Order, hd: Disc, rest: Sequence[Disc]) -> FaceStatus:
     passed: list[Disc] | None = []  # the rivals the center is strictly on top of, until the walk starts
     for kd in rest:
         ku, kv, kl, kp, kq = kd
+        larger = kp * hq > hp * kq  # r_k > r_h
+        if passed is not None and not larger and kd != hd:
+            passed.append(kd)  # the apex lemma
+            continue
         # gap = |c_h - c_k|^2 - r_h^2 - r_k^2, times (L_h L_k)^2 Q_h Q_k > 0
         du, dv = hu * kl - ku * hl, hv * kl - kv * hl
         qq = hq * kq
@@ -428,14 +522,16 @@ def face_status(order: Order, hd: Disc, rest: Sequence[Disc]) -> FaceStatus:
                 passed.append(kd)
                 continue
             for jd in passed:
-                poly = clip(poly, bisector(n, hd, jd))
+                if _open_discs_meet(n, hd, jd):  # the disjointness test the lemma put off
+                    poly = clip(poly, bisector(n, hd, jd))
             passed = None
         if kd == hd:
             return Covered()
         plane = a, b, c = bisector(n, hd, kd)
-        s = a * hu + b * hv - c * hl
-        if s > 0 and s * s * n * hq >= hp * hl * hl * (n * a * a + b * b):
-            return Covered()
+        if larger:  # the one-rival cover needs k strictly higher at h's center
+            s = a * hu + b * hv - c * hl
+            if s > 0 and s * s * n * hq >= hp * hl * hl * (n * a * a + b * b):
+                return Covered()
         poly = clip(poly, plane)
         if len(poly) < 3:
             return Covered()  # a point or a segment never regains area
@@ -470,10 +566,32 @@ def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:
     tested against its box_neighbours.  They come in set order, a
     subsequence of all the others, so the walk meets the same rivals in
     the same order as it would in the full set.
+
+    Mirror orbits.  Let sigma be one of the reflections that
+    HemiSet.mirror_low keeps, with sigma(disc i) = disc pi(i) and pi a
+    permutation of the indices.  sigma is an isometry of u^2 + |delta| v^2
+    that keeps each radius, so height_pi(i)(sigma z) = height_i(z) at
+    every z, and pi carries the other discs of i onto the other discs of
+    pi(i).  So h_i is strictly on top of every other hemisphere at z iff
+    h_pi(i) is at sigma z, and i is Covered iff pi(i) is: the statuses are
+    constant on each orbit.  A face whose orbit has a least index j < i
+    that is Covered is Covered with no walk.  The permutation condition
+    matters: were two discs a duplicate pair whose image is one disc,
+    that disc would have no duplicate, and a Covered verdict would not
+    carry over.  Every face that contributes is still walked, in set
+    order, so each witness is the walk's own.
     """
     order, discs = hs.order, hs.discs
     near = box_neighbours(order.abs_delta, discs)
-    return tuple(face_status(order, hd, [discs[k] for k in ks]) for hd, ks in zip(discs, near))
+    low = hs.mirror_low
+    out: list[FaceStatus] = []
+    for i, (hd, ks) in enumerate(zip(discs, near)):
+        j = low[i]
+        if j < i and type(out[j]) is Covered:
+            out.append(Covered())
+        else:
+            out.append(face_status(order, hd, [discs[k] for k in ks]))
+    return tuple(out)
 
 
 def plane_split(
@@ -520,6 +638,14 @@ def plane_split(
     hemispheres tie, one of them would be strictly on top there, above the
     floor, so it would contribute.  (Two hemispheres that agree on an open
     set are equal, and a HemiSet has no duplicates.)
+
+    Mirror orbits.  A reflection that HemiSet.mirror_low keeps maps the
+    set onto itself isometrically, keeping radii, so it maps the
+    contributors onto the contributors (face_statuses) and the cell
+    against every rival of a contributor onto that of its image.  The
+    sides depend on that cell's distances from the center alone, so they
+    are constant on each orbit: a contributor whose orbit has a least
+    index j < i takes j's sides, with no cell clipped.
     """
     if t0 <= 0:
         raise ValueError("the plane needs t0 > 0")
@@ -527,25 +653,33 @@ def plane_split(
     n = order.abs_delta
     t0sq = Fraction(t0) ** 2
     ta, tb = t0sq.numerator, t0sq.denominator
-    discs = [hd for hd, s in zip(hs.discs, statuses) if isinstance(s, Contributes)]
+    top = [i for i, s in enumerate(statuses) if isinstance(s, Contributes)]
+    discs = [hs.discs[i] for i in top]
+    low = hs.mirror_low
+    sides: dict[int, tuple[bool, bool]] = {}  # (above, below) of each contributor decided so far
     above, below = [], []
-    for hd, ks in zip(discs, box_neighbours(n, discs)):
+    for i, hd, ks in zip(top, discs, box_neighbours(n, discs)):
         hu, hv, hl, hp, hq = hd
-        h = _disc_hemisphere(order, hd)
         rr = hp * tb - ta * hq  # R^2 = r^2 - t0^2, times Q tb > 0
-        if rr <= 0:
-            below.append(h)  # h is nowhere higher than t0, and its face has area, so is lower somewhere
-            continue
-        poly = cell_square(hd)
-        for k in ks:
-            poly = clip(poly, bisector(n, hd, discs[k]))
-        # the cell holds a contributing face, so it has area
-        cw, verts = cell = cell_frame(poly)
-        near_num, near_den, _ = dist_sq_int(n, cell, (hu, hv, hl))
-        far_num = max((vx * hl - hu * cw) ** 2 + n * (vy * hl - hv * cw) ** 2 for vx, vy in verts)
-        if near_num * hq * tb < rr * near_den:
+        j = low[i]
+        if j < i:
+            up, down = sides[j]  # its mirror image's sides
+        elif rr <= 0:
+            up, down = False, True  # h is nowhere higher than t0, and its face has area, so is lower somewhere
+        else:
+            poly = cell_square(hd)
+            for k in ks:
+                poly = clip(poly, bisector(n, hd, discs[k]))
+            # the cell holds a contributing face, so it has area
+            cw, verts = cell = cell_frame(poly)
+            near_num, near_den, _ = dist_sq_int(n, cell, (hu, hv, hl))
+            far_num = max((vx * hl - hu * cw) ** 2 + n * (vy * hl - hv * cw) ** 2 for vx, vy in verts)
+            up, down = near_num * hq * tb < rr * near_den, far_num * hq * tb > rr * (cw * hl) ** 2
+        sides[i] = (up, down)
+        h = _disc_hemisphere(order, hd)
+        if up:
             above.append(h)
-        if far_num * hq * tb > rr * (cw * hl) ** 2:
+        if down:
             below.append(h)
     return (above, below)
 

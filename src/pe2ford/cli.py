@@ -85,9 +85,9 @@ def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -
 # this is refused (coset_family(-40, 10000) takes about a second)
 MAX_COUNT = 10_000
 _COUNT = _checked(int, lambda x: 0 < x <= MAX_COUNT, f"a count from 1 to {MAX_COUNT}")
-# --bound of arrangement and amalgam; amalgam_report(-40, 512) takes 35-37 s
-# CPU and about 570 MB on a shared 2-vCPU VM, mostly box_neighbours' lists, and
-# the cost grows faster than bound^2
+# --bound of arrangement and amalgam; amalgam_report(-40, 512) takes about 25 s
+# CPU and 554 MB on a shared 2-vCPU VM (Python 3.11.7; 26 s before the mirror
+# orbits), mostly box_neighbours' lists, and the cost grows faster than bound^2
 MAX_BOUND = 512
 _BOUND = _checked(int, lambda x: 0 < x <= MAX_BOUND, f"a bound from 1 to {MAX_BOUND}")
 # lattice points that one gap-points payload may list under `checked`, summed

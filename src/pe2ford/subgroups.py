@@ -34,7 +34,6 @@ from .arrangement import (
     enumerate_hemispheres,
     envelope_dips_below,
     face_statuses,
-    is_unimodular,
     pair_scan,
     plane_split,
 )
@@ -43,7 +42,7 @@ from .errors import OutOfScope, SearchExhausted
 from .ford import CosetKey, amalgam_rectangle, coset_key, pe2_relations
 from .moebius import Hemisphere, Mat, gen_s
 from .orders import KElem, OInt, Order, kelem_from_planar_int, nearest_lattice_point
-from .words import MembershipResult, NonMember, R, S, Word, membership, word_to_matrix
+from .words import MembershipResult, NonMember, R, S, Word, membership
 
 PLANE = Fraction(2, 3)  # the default height t0 of the plane that splits the arrangement
 
@@ -363,16 +362,28 @@ class AmalgamReport:
 
 
 def _hemi_record(order: Order, hd: Disc, owner: Owner, above: bool, below: bool) -> FaceRecord:
-    # the center is built here, for the window's contributors only; an
-    # enumerated disc has squared radius 1/N(mu), so Q = 1 is the unit radius
+    """The record of one window contributor, its pairing built from integers.
+
+    The center is built here, for the window's contributors only.  An
+    enumerated disc has squared radius 1/N(mu), so Q = 1 is the unit
+    radius, and then the center gamma = a + b*t is a lattice point and the
+    pairing is s(gamma) r s(-gamma) = [[gamma, -1 - gamma^2], [1, -gamma]],
+    which is r when gamma = 0; gamma^2 = (a^2 - m b^2) + (2ab + e b^2)*t.
+    Otherwise the owner row (lam, mu) is a pair that pair_scan accepted,
+    so completion_entries completes it to [[lam, -y], [mu, x]] with no
+    second unit test, and the pairing is its inverse [[x, y], [-mu, lam]].
+    Both have determinant 1, so Mat only makes them sign-canonical.
+    """
     center = kelem_from_planar_int(order, *hd[:3])
     if hd[4] == 1:
-        gamma = center.num  # radius one, so the center is a lattice point
-        word: Word = (R(),) if gamma.is_zero() else (S(gamma), R(), S(-gamma))
-        pairing = word_to_matrix(word, order)
+        gamma = center.num
+        word: Word | None = (R(),) if gamma.is_zero() else (S(gamma), R(), S(-gamma))
+        a, b, e, m = gamma.a, gamma.b, order.trace, order.tau_norm
+        entries = (a, b, -1 - (a * a - m * b * b), -(2 * a * b + e * b * b), 1, 0, -a, -b)
     else:
-        # the owner row (lam.a, lam.b, mu.a, mu.b) is unimodular, so it has a completion
-        word, pairing = None, is_unimodular(OInt(order, *owner[:2]), OInt(order, *owner[2:])).inv()
+        la, lb, m12a, m12b, ma, mb, x0, x1 = completion_entries(order, *owner)  # m12 = -y
+        word, entries = None, (x0, x1, -m12a, -m12b, -ma, -mb, la, lb)
+    pairing = Mat._trusted_ints(order, entries)
     return FaceRecord("hemisphere", f"hemisphere at {center}", center, word, pairing, above, below)
 
 

@@ -52,6 +52,7 @@ from pe2ford.orders import (
     KElem,
     OInt,
     kelem_from_planar,
+    kelem_from_planar_int,
     lattice_points_norm_at_most,
     lattice_points_within,
     make_order,
@@ -1301,6 +1302,130 @@ def test_plane_split_matches_all_rivals_extents(delta, bound):
     # -19/16 with t0 = 1/5
     assert {(True, True), (False, True)} <= seen
     assert ((True, False) in seen) == ((delta, bound) == (-19, 16))
+
+
+HALF = Fraction(1, 2)
+# the reflections of the amalgam rectangle's box, whose center is (0, 1/4), on planar points
+BOX_MAPS = {"u": lambda u, v: (-u, v), "v": lambda u, v: (u, HALF - v), "point": lambda u, v: (-u, HALF - v)}
+
+
+def _image(f, h):
+    return Hemisphere(kelem_from_planar(h.center.order, *f(*h.center.planar())), h.radius_sq)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    delta=st.sampled_from((-15, -20, -40, -43)),
+    group=st.sampled_from((("u",), ("v",), ("point",), ("u", "v", "point"))),
+    case=st.sampled_from(("symmetric", "moved", "trap")),
+    data=st.data(),
+)
+def test_mirror_orbits_match_all_rivals(delta, group, case, data):
+    # discs closed under some of the box reflections ("symmetric"), the same with one disc
+    # moved off the symmetry, and the multiset trap: a duplicate pair whose image is one
+    # disc, where no map is a permutation and nothing may carry over.  Radii repeat and
+    # some pairs are tangent.  face_statuses is the all-rivals classifier's, mirror_low
+    # names only true images, and plane_split's sides are the all-rivals cell's
+    order = make_order(delta)
+    n = order.abs_delta
+    point = st.tuples(rationals(1, 4).map(lambda x: x / 2), rationals(1, 4).map(lambda x: x / 2))
+    radius = st.sampled_from((Fraction(1), Fraction(1, 4), Fraction(1, 9), Fraction(4, 9), Fraction(1, 16)))  # squares
+    base = []
+    for _ in range(data.draw(st.integers(2, 6))):
+        (u, v), rsq = data.draw(point), data.draw(radius)
+        base.append(Hemisphere(kelem_from_planar(order, u, v), rsq))
+        if data.draw(st.booleans()):  # a disc tangent to it from outside, along u
+            ssq = data.draw(radius)
+            r, s = (Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator)) for x in (rsq, ssq))
+            base.append(Hemisphere(kelem_from_planar(order, u + r + s, v), ssq))
+    hemis = list(dict.fromkeys(base + [_image(BOX_MAPS[g], h) for g in group for h in base]))
+    hemis = list(data.draw(st.permutations(hemis)))
+    if case == "moved":
+        i = data.draw(st.integers(0, len(hemis) - 1))
+        u, v = hemis[i].center.planar()
+        hemis[i] = Hemisphere(kelem_from_planar(order, u + Fraction(1, 97), v), hemis[i].radius_sq)
+    if case == "trap":
+        f = BOX_MAPS[group[0]]
+        off = [h for h in hemis if _image(f, h) != h]
+        if off:
+            a = data.draw(st.sampled_from(off))
+            hemis.insert(data.draw(st.integers(0, len(hemis))), a)  # a twice, its image once
+    hs = HemiSet(order=order, discs=tuple(h.disc for h in hemis), owners=(), norm_bound=1, window=amalgam_rectangle(order))
+    low = hs.mirror_low
+    if len(set(hemis)) < len(hemis):
+        assert low == tuple(range(len(hemis)))
+    # each orbit's least index is an image of the disc under a map that fixes the set, and
+    # every such map is found where it keeps the rows in lowest terms: always for u -> -u,
+    # and for all three at even delta
+    fixing = [g for g, f in BOX_MAPS.items() if {_image(f, h) for h in hemis} == set(hemis)]
+    for i, h in enumerate(hemis):
+        assert hemis[low[i]] in {h} | {_image(BOX_MAPS[g], h) for g in fixing}
+        for g in fixing:
+            if len(set(hemis)) == len(hemis) and (g == "u" or order.even):
+                assert low[i] <= hemis.index(_image(BOX_MAPS[g], h))
+    statuses = face_statuses(hs)
+    near = box_neighbours(n, hs.discs)
+    assert statuses == tuple(_all_rivals_status(h, [hemis[k] for k in ks]) for h, ks in zip(hemis, near))
+    if len(set(hemis)) < len(hemis):
+        return  # plane_split reads a set with no duplicates
+    extents = []
+    for h, status, ks in zip(hemis, statuses, near):
+        if isinstance(status, Contributes):
+            _, cell = _all_rivals_cell(h, [hemis[k] for k in ks])
+            extents.append((h, *_cell_extents_ref(n, h.center.planar_int(), cell)))
+    for t0 in (Fraction(1, 5), Fraction(1, 2), Fraction(9, 10)):
+        above = [h for h, near_sq, _ in extents if near_sq < h.radius_sq - t0 * t0]
+        below = [h for h, _, far_sq in extents if far_sq > h.radius_sq - t0 * t0]
+        assert plane_split(hs, statuses, t0) == (above, below)
+
+
+def test_mirror_orbits_skip_no_permutation():
+    # the multiset trap by hand: a, a and a's image b under u -> -u.  The rows are no
+    # permutation, so b is walked and contributes, while both copies of a are Covered
+    a = Hemisphere(kelem_from_planar(ORDER40, Fraction(1, 3), Fraction(1, 8)), Fraction(1, 9))
+    b = _image(BOX_MAPS["u"], a)
+    hs = HemiSet(order=ORDER40, discs=(a.disc, a.disc, b.disc), owners=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
+    assert hs.mirror_low == (0, 1, 2)
+    assert face_statuses(hs) == (Covered(), Covered(), Contributes(b.center))
+    hs = HemiSet(order=ORDER40, discs=(a.disc, b.disc), owners=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
+    assert hs.mirror_low == (0, 0)
+
+
+class _Watched(int):
+    """An int that records each arithmetic operation it takes part in; the results are plain ints."""
+
+    seen: list = []
+
+
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__pow__", "__floordiv__", "__mod__"):
+    setattr(_Watched, _name, lambda self, other, _name=_name: _Watched.seen.append(_name) or getattr(int, _name)(self, other))
+
+
+@pytest.mark.parametrize("delta, bound", [(-40, 16), (-163, 16), (-1003, 64)])
+def test_apex_face_reads_no_smaller_rival(monkeypatch, delta, bound):
+    # the apex lemma: when h's center is its witness, a rival no larger than h that is no
+    # duplicate passes on one comparison of radii.  Its center integers take part in no
+    # arithmetic and it reaches no bisector; statuses are as with plain ints
+    order = make_order(delta)
+    hs = enumerate_hemispheres(order, bound, amalgam_rectangle(order))
+    discs = hs.discs
+    bisected = []
+    real_bisector = arrangement.bisector
+    monkeypatch.setattr(arrangement, "bisector", lambda n, hd, kd: bisected.append((hd, kd)) or real_bisector(n, hd, kd))
+    apex = 0
+    for hd, ks in zip(discs, box_neighbours(order.abs_delta, discs)):
+        rest = [discs[k] for k in ks]
+        want = face_status(order, hd, rest)
+        smaller = [kd[3] * hd[4] <= hd[3] * kd[4] and kd != hd for kd in rest]
+        watched = [(*map(_Watched, kd[:3]), *kd[3:]) if small else kd for kd, small in zip(rest, smaller)]
+        _Watched.seen.clear()
+        bisected.clear()
+        assert face_status(order, hd, watched) == want
+        hu, hv, hl = hd[:3]
+        if want == Contributes(kelem_from_planar_int(order, hu, hv, hl)):
+            assert _Watched.seen == [] and bisected == []
+            apex += any(smaller)
+    assert apex >= 5
 
 
 def _object_enumeration(order, bound, window):

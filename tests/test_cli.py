@@ -415,17 +415,33 @@ def test_gap_stream_builds_no_pair_object(monkeypatch, command, count, key):
     assert built["pair"] == 0
 
 
+def _unit_ideal_callers(monkeypatch, argv):
+    # (the names of the functions that call arrangement.unit_ideal while argv runs, stdout)
+    callers: Counter = Counter()
+    unit_ideal = arrangement.unit_ideal
+    monkeypatch.setattr(arrangement, "unit_ideal", lambda *a: callers.update([sys._getframe(1).f_code.co_name]) or unit_ideal(*a))
+    code, out, err = run(argv)
+    assert code == 0, err
+    return callers, out
+
+
 @pytest.mark.parametrize("command, count, key", [("gap-points", 200, "points"), ("cosets", 50, "members")])
 def test_gap_point_completions_run_no_second_unit_test(monkeypatch, command, count, key):
     # pair_scan accepted every gap point's pair with unit_ideal, and the
     # completions go straight to completion_entries: no other caller tests again
-    callers: Counter = Counter()
-    unit_ideal = arrangement.unit_ideal
-    monkeypatch.setattr(arrangement, "unit_ideal", lambda *a: callers.update([sys._getframe(1).f_code.co_name]) or unit_ideal(*a))
-    code, out, err = run([command, "--disc", "-40", "--count", str(count), "--format", "json"])
-    assert code == 0, err
+    callers, out = _unit_ideal_callers(monkeypatch, [command, "--disc", "-40", "--count", str(count), "--format", "json"])
     assert len(json.loads(out)[key]) == count
     assert set(callers) == {"pair_scan"} and callers["pair_scan"] >= count
+
+
+@pytest.mark.parametrize("fmt", ["json", "svg"])
+def test_amalgam_records_run_no_second_unit_test(monkeypatch, fmt):
+    # the hemisphere records complete their owner rows, which pair_scan accepted, with
+    # completion_entries alone; -40/16 has records of radius below one
+    callers, out = _unit_ideal_callers(monkeypatch, ["amalgam", "--disc", "-40", "--bound", "16", "--format", fmt])
+    assert set(callers) == {"pair_scan"}
+    if fmt == "json":
+        assert any(r["kind"] == "hemisphere" and r["pairing_word"] is None for r in json.loads(out)["faces"])
 
 
 @pytest.mark.parametrize("delta", [-15, -19, -20, -40, -43, -163])

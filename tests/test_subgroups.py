@@ -574,6 +574,31 @@ def test_amalgam_report_sides():
     assert set(rep.below_generators) == {r for r in rep.faces if r.below}
 
 
+@pytest.mark.parametrize("delta", [-15, -19, -40, -43, -163])
+def test_hemisphere_record_pairings_from_the_owner_rows(delta):
+    # _hemi_record builds each pairing from integers: the closed form of s(gamma) r s(-gamma)
+    # on a unit-radius face, else the inverse of the owner row's completion_entries; each is
+    # the Mat that word_to_matrix or is_unimodular(lam, mu).inv() builds
+    order = make_order(delta)
+    rep = amalgam_report(order, 16)
+    hs = rep.arrangement
+    owners = {h.center: owner for h, owner in zip(hs.hemispheres, hs.owners)}
+    kinds = set()
+    for rec in rep.faces:
+        if rec.kind != "hemisphere":
+            continue
+        if rec.center.den == 1:
+            gamma = rec.center.num
+            assert rec.pairing_word == ((R(),) if gamma.is_zero() else (S(gamma), R(), S(-gamma)))
+            assert rec.pairing == word_to_matrix((S(gamma), R(), S(-gamma)), order)
+        else:
+            la, lb, ma, mb = owners[rec.center]
+            assert rec.pairing_word is None
+            assert rec.pairing == is_unimodular(OInt(order, la, lb), OInt(order, ma, mb)).inv()
+        kinds.add((rec.center.den == 1, rec.center.num.is_zero()))
+    assert kinds >= {(True, True), (True, False), (False, False)}
+
+
 def test_amalgam_report_odd_discriminant():
     d = make_order(-15)
     rep = amalgam_report(d, 12)
