@@ -15,15 +15,18 @@ arrangement dips under the plane.  Contributes and Covered are exact
 for the truncated arrangement; floats appear only in the SVG emitter.
 
 The cells come from the integer kernel in cells.py.  A face is clipped
-only by the hemispheres whose discs meet its own, and one integer sweep
-(box_neighbours) lists those candidates instead of a test of every pair.
-One loop in face_status walks the rivals.  It tests h's center against
-each first, and a center strictly on top of every rival is the witness,
-with no bisector built; otherwise the walk clips the cell as each
-rival's bisector comes and stops at its first rival that covers it
-alone, or as soon as its cell is empty.  Two exact facts skip work that
-cannot change a verdict.  The apex lemma: at h's center, h is strictly
-higher than any rival k with r_k <= r_h that is not a duplicate, since
+only by the hemispheres whose discs meet its own, and one lazy source
+(box_rivals) yields those candidates in set order, from integer boxes,
+instead of a test of every pair; no face's list is built.  face_status
+reads the rivals once, in two loops.  The center pass tests h's center
+against each, and a center strictly on top of every rival is the
+witness, with no bisector built; at the first rival it fails, the walk
+clips the cell by the rivals passed so far, that rival and the rest as
+each bisector comes, skipping discs that miss h's, and stops at its
+first rival that covers h alone, or as soon as its cell is empty, with
+nothing further drawn.  Two exact facts skip work that cannot change a
+verdict.  The apex lemma: at h's center, h is strictly higher than any
+rival k with r_k <= r_h that is not a duplicate, since
 r_k^2 - |c_h - c_k|^2 <= r_k^2 <= r_h^2 with equality only for a
 duplicate; so such a rival passes the center test on one comparison of
 radii, and only a strictly larger rival can cover h alone.  Mirror
@@ -61,7 +64,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cells import (
     Box,
@@ -69,8 +73,8 @@ from .cells import (
     Point,
     bisector,
     box_dist_sq_int,
-    box_neighbours,
     box_of,
+    box_rivals,
     cell_frame,
     cell_square,
     clip,
@@ -433,59 +437,56 @@ class Covered:
 FaceStatus = Contributes | Covered
 
 
-def _open_discs_meet(n: int, hd: Disc, kd: Disc) -> bool:
-    """Whether the open discs of hd and kd meet: the negation of face_status's disjointness test."""
-    hu, hv, hl, hp, hq = hd
-    ku, kv, kl, kp, kq = kd
-    du, dv = hu * kl - ku * hl, hv * kl - kv * hl
-    qq = hq * kq
-    ll = (hl * kl) ** 2
-    g = (du * du + n * dv * dv) * qq - (hp * kq + kp * hq) * ll
-    return not (g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2)
-
-
-def face_status(order: Order, hd: Disc, rest: Sequence[Disc]) -> FaceStatus:
+def face_status(order: Order, hd: Disc, rest: Iterable[Disc]) -> FaceStatus:
     """Contributes iff the power cell of h, the disc hd, against its rivals has area and meets h's open disc.
 
     The discs are read as HemiSet.discs are, and only a witness becomes a
-    field element.  rest is taken literally, so a duplicate of h in it
-    means Covered.  One
-    loop over rest, in its order, skips each rival whose open disc misses
-    h's: such a rival is below the floor all over h's open disc.  Each
-    other rival meets the center test first, whether h is strictly higher
-    than it at h's center.  If the center passes every rival, it is the
-    witness, strictly inside every bisector and in h's open disc, and no
-    bisector is built.  At the first rival it does not pass, the walk
-    starts: it clips the cell from cell_square by the bisectors of the
-    rivals passed so far, then by each rival's bisector as it comes, and
-    stops as soon as the face is Covered: at a duplicate (a tie at every
-    point means no strict dominance anywhere), at a cell of fewer than 3
-    points, or at a rival that covers h alone.  No passed rival could have
-    stopped it, since the center is strictly inside their bisectors, so
-    this is the walk that clips every rival from the first.  A face that
-    contributes is clipped by every rival in order, so its cell and
-    witness do not depend on where a walk stops; the center is not
-    strictly inside the bisector of the rival that started the walk, so
-    the witness is off the center.
+    field element.  rest is any iterable of rivals, read once and in its
+    order, and nothing past the rival where the verdict is reached; it is
+    taken literally, so a duplicate of h in it means Covered.  Two loops
+    share the one iterator.
+
+    The center pass tests, rival by rival, whether h is strictly higher
+    than the rival at h's center (the center test), and keeps those it
+    passes.  A rival whose open disc misses h's always passes: its gap
+    |c_h - c_k|^2 - r_h^2 - r_k^2 is at least 2 r_h r_k >= 0, so
+    gap + 2 r_h^2 > 0.  So the pass needs no disjointness test.  If the
+    center passes every rival, it is the witness, strictly inside every
+    bisector and in h's open disc, and no bisector is built.  At the
+    first rival it does not pass, the pass stops.
+
+    The walk then reads the kept rivals, that rival and the rest of the
+    iterator, in order.  It skips each rival whose open disc misses h's,
+    since such a rival is below the floor all over h's open disc, and
+    clips the cell from cell_square by every other rival's bisector as it
+    comes.  It stops as soon as the face is Covered: at a duplicate (a tie
+    at every point means no strict dominance anywhere), at a cell of
+    fewer than 3 points, or at a rival that covers h alone.  No kept
+    rival can stop it, since the center is strictly inside their
+    bisectors and inside cell_square, so the walk's clips are those of a
+    walk over every rival from the first.  A face that contributes is
+    clipped by every rival in order, so its cell and witness do not
+    depend on where a walk stops; the center is not strictly inside the
+    bisector of the rival that ended the pass, so the witness is off the
+    center.
 
     Apex lemma.  A rival k with r_k <= r_h that is not a duplicate of h
     passes the center test: r_k^2 - |c_h - c_k|^2 <= r_k^2 <= r_h^2, with
-    equality in both only when c_k = c_h and r_k = r_h.  So until the
-    walk starts, such a rival joins the passed ones after one comparison
-    of radii, P_k Q_h <= P_h Q_k, with no other arithmetic; its
-    disjointness test runs only when a walk starts, and in order, so the
-    walk clips exactly the rivals it clipped when every rival was tested
-    as it came.  An apex face, whose center is its witness, reads nothing
-    of a rival no larger than itself but that comparison.  In the walk,
-    only a strictly larger rival meets the one-rival cover test: the
-    cover needs s > 0, h's center strictly outside k's bisector, so k
-    strictly higher there, which the lemma rules out for the others.
+    equality in both only when c_k = c_h and r_k = r_h.  So the center
+    pass keeps such a rival after one comparison of radii,
+    P_k Q_h <= P_h Q_k, with no other arithmetic, and its disjointness test
+    runs only in the walk.  An apex face, whose center is its witness,
+    reads nothing of a rival no larger than itself but that comparison.
+    In the walk, only a strictly larger rival meets the one-rival cover
+    test: the cover needs s > 0, h's center strictly outside k's bisector,
+    so k strictly higher there, which the lemma rules out for the others.
 
     Center test.  h is strictly higher than k at h's center iff
     r_h^2 > r_k^2 - |c_h - c_k|^2, that is iff gap + 2 r_h^2 > 0 with the
     gap = |c_h - c_k|^2 - r_h^2 - r_k^2 of the disjointness test.  Times
-    (L_h L_k)^2 Q_h Q_k, 2 r_h^2 is 2 P_h Q_k (L_h L_k)^2.  A tie, where k's
-    bisector passes through the center, does not pass.
+    (L_h L_k)^2 Q_h Q_k, gap + 2 r_h^2 is
+    |c_h - c_k|^2 Q_h Q_k (L_h L_k)^2 + (P_h Q_k - P_k Q_h) (L_h L_k)^2.  A tie,
+    where k's bisector passes through the center, does not pass.
 
     One-rival cover.  Let a*u + b*v <= c be the bisector against one
     rival, the closed half-plane where h is at least as high; h has
@@ -502,14 +503,23 @@ def face_status(order: Order, hd: Disc, rest: Sequence[Disc]) -> FaceStatus:
     """
     n = order.abs_delta
     hu, hv, hl, hp, hq = hd
-    poly = cell_square(hd)
-    passed: list[Disc] | None = []  # the rivals the center is strictly on top of, until the walk starts
+    rest = iter(rest)
+    passed: list[Disc] = []  # the rivals h's center is strictly on top of
     for kd in rest:
         ku, kv, kl, kp, kq = kd
-        larger = kp * hq > hp * kq  # r_k > r_h
-        if passed is not None and not larger and kd != hd:
-            passed.append(kd)  # the apex lemma
+        if kp * hq <= hp * kq and kd != hd:  # the apex lemma
+            passed.append(kd)
             continue
+        # the center test: gap + 2 r_h^2 > 0, times (L_h L_k)^2 Q_h Q_k
+        du, dv = hu * kl - ku * hl, hv * kl - kv * hl
+        if (du * du + n * dv * dv) * hq * kq + (hp * kq - kp * hq) * (hl * kl) ** 2 <= 0:
+            break
+        passed.append(kd)
+    else:
+        return Contributes(kelem_from_planar_int(order, hu, hv, hl))
+    poly = cell_square(hd)
+    for kd in chain(passed, (kd,), rest):
+        ku, kv, kl, kp, kq = kd
         # gap = |c_h - c_k|^2 - r_h^2 - r_k^2, times (L_h L_k)^2 Q_h Q_k > 0
         du, dv = hu * kl - ku * hl, hv * kl - kv * hl
         qq = hq * kq
@@ -517,26 +527,16 @@ def face_status(order: Order, hd: Disc, rest: Sequence[Disc]) -> FaceStatus:
         g = (du * du + n * dv * dv) * qq - (hp * kq + kp * hq) * ll
         if g >= 0 and g * g * qq >= 4 * hp * kp * (ll * qq) ** 2:
             continue  # gap^2 >= 4 r_h^2 r_k^2: open discs disjoint, k is below the floor on all of h
-        if passed is not None:
-            if g + 2 * hp * kq * ll > 0:  # the center test
-                passed.append(kd)
-                continue
-            for jd in passed:
-                if _open_discs_meet(n, hd, jd):  # the disjointness test the lemma put off
-                    poly = clip(poly, bisector(n, hd, jd))
-            passed = None
         if kd == hd:
             return Covered()
         plane = a, b, c = bisector(n, hd, kd)
-        if larger:  # the one-rival cover needs k strictly higher at h's center
+        if kp * hq > hp * kq:  # the one-rival cover needs k strictly higher at h's center, so r_k > r_h
             s = a * hu + b * hv - c * hl
             if s > 0 and s * s * n * hq >= hp * hl * hl * (n * a * a + b * b):
                 return Covered()
         poly = clip(poly, plane)
         if len(poly) < 3:
             return Covered()  # a point or a segment never regains area
-    if passed is not None:
-        return Contributes(kelem_from_planar_int(order, hu, hv, hl))
     cell = cell_frame(poly)
     if cell is None:
         return Covered()
@@ -562,10 +562,12 @@ def face_status(order: Order, hd: Disc, rest: Sequence[Disc]) -> FaceStatus:
 def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:
     """Status of each hemisphere against all the others, in set order.
 
-    Only a hemisphere whose disc meets h's can be a rival, so h is
-    tested against its box_neighbours.  They come in set order, a
-    subsequence of all the others, so the walk meets the same rivals in
-    the same order as it would in the full set.
+    Only a hemisphere whose disc meets h's can be a rival, so each walked
+    face reads its box neighbours from one box_rivals source, as an
+    iterator: in set order, a subsequence of all the others, so the walk
+    meets the same rivals in the same order as it would in the full set,
+    and it draws none past the rival where its verdict is reached.  No
+    face's neighbour list is built.
 
     Mirror orbits.  Let sigma be one of the reflections that
     HemiSet.mirror_low keeps, with sigma(disc i) = disc pi(i) and pi a
@@ -582,15 +584,15 @@ def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:
     order, so each witness is the walk's own.
     """
     order, discs = hs.order, hs.discs
-    near = box_neighbours(order.abs_delta, discs)
+    rivals = box_rivals(order.abs_delta, discs)
     low = hs.mirror_low
     out: list[FaceStatus] = []
-    for i, (hd, ks) in enumerate(zip(discs, near)):
+    for i, hd in enumerate(discs):
         j = low[i]
         if j < i and type(out[j]) is Covered:
             out.append(Covered())
         else:
-            out.append(face_status(order, hd, [discs[k] for k in ks]))
+            out.append(face_status(order, hd, map(discs.__getitem__, rivals(i))))
     return tuple(out)
 
 
@@ -612,7 +614,8 @@ def plane_split(
     h is above when its cell comes nearer the center than R, and below
     when the cell leaves the closed disc B of radius R about the center.
     The cell read here, X, is cell_square clipped by the bisectors of h's
-    box_neighbours among the contributors' discs alone: every contributor
+    box neighbours among the contributors' discs alone, read to the end
+    from one box_rivals source over the contributors: every contributor
     whose disc meets h's, and maybe some whose discs miss it.
 
     Proof that X gives the answers of the cell A against every rival whose
@@ -658,7 +661,8 @@ def plane_split(
     low = hs.mirror_low
     sides: dict[int, tuple[bool, bool]] = {}  # (above, below) of each contributor decided so far
     above, below = [], []
-    for i, hd, ks in zip(top, discs, box_neighbours(n, discs)):
+    rivals = box_rivals(n, discs)
+    for at, (i, hd) in enumerate(zip(top, discs)):
         hu, hv, hl, hp, hq = hd
         rr = hp * tb - ta * hq  # R^2 = r^2 - t0^2, times Q tb > 0
         j = low[i]
@@ -668,7 +672,7 @@ def plane_split(
             up, down = False, True  # h is nowhere higher than t0, and its face has area, so is lower somewhere
         else:
             poly = cell_square(hd)
-            for k in ks:
+            for k in rivals(at):
                 poly = clip(poly, bisector(n, hd, discs[k]))
             # the cell holds a contributing face, so it has area
             cw, verts = cell = cell_frame(poly)

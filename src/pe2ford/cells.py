@@ -14,17 +14,20 @@ and the same number when the frame is its own box, a rectangle or an
 axis-parallel segment, so there it decides alone.  The Voronoi cell of
 the lattice is the power cell of the unit disc at 0.
 
-box_neighbours finds which discs can meet with one sweep instead of a
-test of every pair: each disc is read into an integer box in
-(u, sqrt(|delta|)*v) of cells 1/_BOX_SCALE wide, rounded outward, so the
-boxes of two discs that meet always meet.
+box_rivals finds which discs can meet without a test of every pair: each
+disc is read into an integer box in (u, sqrt(|delta|)*v) of cells
+1/_BOX_SCALE wide, rounded outward, so the boxes of two discs that meet
+always meet.  It lists nothing up front: rivals(i) yields disc i's box
+neighbours in index order, one run of equal box radii at a time, and a
+caller that stops early reads no further.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 # (U, V, L, P, Q): planar center (U/L, V/L) and squared radius P/Q, with L, Q > 0
 Disc = tuple[int, int, int, int, int]
@@ -34,7 +37,7 @@ HPoint = tuple[int, int, int]  # (x, y, w) with w > 0: the point (x/w, y/w)
 HalfPlane = tuple[int, int, int]  # a*u + b*v <= c, integer coefficients
 Box = tuple[int, int, int, int, int]  # (W, X_lo, X_hi, Y_lo, Y_hi): [X_lo/W, X_hi/W] x [Y_lo/W, Y_hi/W], W > 0
 
-_BOX_SCALE = 64  # box_neighbours' cells per unit of u and of sqrt(|delta|)*v
+_BOX_SCALE = 64  # box_rivals' cells per unit of u and of sqrt(|delta|)*v
 
 
 def frame_of(points: Sequence[Point]) -> Frame:
@@ -116,38 +119,49 @@ def dist_sq_int(n: int, frame: Frame, p: HPoint) -> tuple[int, int, HPoint]:
     return (num, den * scale * scale, (x, y, h * scale))
 
 
-def box_neighbours(n: int, discs: Sequence[Disc]) -> list[list[int]]:
-    """For each disc, in ascending index order, the others whose integer boxes meet its own.
+def box_rivals(n: int, discs: Sequence[Disc]) -> Callable[[int], Iterator[int]]:
+    """rivals(i): lazily, in ascending index order, the other discs whose integer boxes meet disc i's.
 
     At scale s = _BOX_SCALE a disc reads as an integer center c, with
     s*u and s*y in [c, c + 1] for y = sqrt(|delta|)*v, and the radius
     r = floor(s*radius) + 1 > s*radius; its box runs from c - r to
     c + r + 1 on each axis.  So the box holds the closed disc, and two
     closed discs that meet, down to a tangent or a duplicate, have boxes
-    that meet.  One sweep by the lower y edge stops each disc's walk at
-    the first box wholly above it.
+    that meet: boxes of radii r and r' meet iff their centers differ by
+    at most r + r' + 1 on both axes.  The discs split into runs of
+    consecutive indices with one box radius whose centers rise in y
+    (HemiSet's sort on (N, V, U) makes each norm one run; any other order
+    only gives shorter runs).  rivals(i) reads the runs in order: two
+    bisects give each run's y-window, and a filter on u keeps the boxes
+    that meet.  Nothing is read past the rival a caller stops at.
     """
     s = _BOX_SCALE
-    boxes = []  # (y_lo, y_hi, u_lo, u_hi, index)
+    boxes = []  # (center u, center y, radius), all in cells
+    runs: list[tuple[int, int, list[int], list[int]]] = []  # (first index, radius, center ys, center us)
     for i, (u, v, l, p, q) in enumerate(discs):
         r = math.isqrt(s * s * p // q) + 1
         cu = s * u // l
         cy = math.isqrt(s * s * n * v * v // (l * l))  # floor(s*|y|)
         if v < 0:
             cy = -cy - 1  # s*y lies in [-cy - 1, -cy]
-        boxes.append((cy - r, cy + r + 1, cu - r, cu + r + 1, i))
-    boxes.sort()
-    near: list[list[int]] = [[] for _ in boxes]
-    for a, (_, y_hi, u_lo, u_hi, i) in enumerate(boxes):
-        for y_lo_j, _, u_lo_j, u_hi_j, j in boxes[a + 1 :]:
-            if y_lo_j > y_hi:
-                break
-            if u_lo_j <= u_hi and u_lo <= u_hi_j:
-                near[i].append(j)
-                near[j].append(i)
-    for ks in near:
-        ks.sort()
-    return near
+        boxes.append((cu, cy, r))
+        if runs and runs[-1][1] == r and runs[-1][2][-1] <= cy:
+            runs[-1][2].append(cy)
+            runs[-1][3].append(cu)
+        else:
+            runs.append((i, r, [cy], [cu]))
+
+    def rivals(i: int) -> Iterator[int]:
+        cu, cy, ri = boxes[i]
+        for first, r, ys, us in runs:
+            d = r + ri + 1
+            lo = bisect_left(ys, cy - d)
+            if lo < len(ys) and ys[lo] <= cy + d:  # else the window is empty, as it mostly is at a large |delta|
+                for j in range(lo, bisect_right(ys, cy + d, lo + 1)):
+                    if -d <= us[j] - cu <= d and first + j != i:
+                        yield first + j
+
+    return rivals
 
 
 def bisector(n: int, hd: Disc, kd: Disc) -> HalfPlane:

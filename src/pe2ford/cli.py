@@ -85,10 +85,13 @@ def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -
 # this is refused (coset_family(-40, 10000) takes about a second)
 MAX_COUNT = 10_000
 _COUNT = _checked(int, lambda x: 0 < x <= MAX_COUNT, f"a count from 1 to {MAX_COUNT}")
-# --bound of arrangement and amalgam; amalgam_report(-40, 512) takes about 25 s
-# CPU and 554 MB on a shared 2-vCPU VM (Python 3.11.7; 26 s before the mirror
-# orbits), mostly box_neighbours' lists, and the cost grows faster than bound^2
-MAX_BOUND = 512
+# --bound of arrangement and amalgam.  At 1024 the costliest calls measured,
+# at -15, take 3.6 s CPU and 161 MB (amalgam) and 9.6 s and 663 MB
+# (arrangement --format json, whose payload lists all 229,082 hemispheres and
+# is most of that) on a shared 2-vCPU VM (Python 3.11.7); before the face
+# walks drew their rivals lazily, amalgam at -15 and bound 512 took 74 s and
+# 1.2 GB.  The hemisphere count grows as bound^2
+MAX_BOUND = 1024
 _BOUND = _checked(int, lambda x: 0 < x <= MAX_BOUND, f"a bound from 1 to {MAX_BOUND}")
 # lattice points that one gap-points payload may list under `checked`, summed
 # over its points; each list grows with sqrt(|delta|), so a request past this

@@ -35,10 +35,11 @@ from pe2ford.arrangement import (
 )
 from pe2ford import arrangement
 from pe2ford.cells import (
+    _BOX_SCALE,
     bisector,
     box_dist_sq_int,
-    box_neighbours,
     box_of,
+    box_rivals,
     cell_frame,
     cell_square,
     clip,
@@ -604,12 +605,18 @@ def _closed_discs_meet(h, k):
     return gap <= 0 or gap * gap <= 4 * h.radius_sq * k.radius_sq
 
 
+def _box_neighbours(n, discs):
+    # every disc's box neighbours, each list read to its end from box_rivals
+    rivals = box_rivals(n, discs)
+    return [list(rivals(i)) for i in range(len(discs))]
+
+
 def _check_box_neighbours(hs):
-    # the sweep lists each pair both ways, keeps every rival that face_status does not skip
+    # the source lists each pair both ways, keeps every rival that face_status does not skip
     # from the full pool, and leaves every face status as the full pool gives it
     n = hs.order.abs_delta
     hemis = hs.hemispheres
-    near = box_neighbours(n, [h.disc for h in hemis])
+    near = _box_neighbours(n, [h.disc for h in hemis])
     assert all(ks == sorted(set(ks)) and i not in ks for i, ks in enumerate(near))
     assert all(i in near[k] for i, ks in enumerate(near) for k in ks)
     full = []
@@ -657,6 +664,83 @@ def test_box_neighbours_at_tangency():
     statuses = face_statuses(hs)
     assert statuses[6] == statuses[7] == Covered()
     assert all(isinstance(statuses[i], Contributes) for i in (0, 3))
+
+
+def _all_pairs_box_neighbours(n, discs):
+    # a test of every pair on the closed integer boxes that the box_rivals docstring gives
+    s = _BOX_SCALE
+    boxes = []  # (u_lo, u_hi, y_lo, y_hi)
+    for u, v, l, p, q in discs:
+        r = math.isqrt(s * s * p // q) + 1
+        y = math.isqrt(s * s * n * v * v // (l * l))
+        y = -y - 1 if v < 0 else y
+        boxes.append((s * u // l - r, s * u // l + r + 1, y - r, y + r + 1))
+    return [
+        [j for j, b in enumerate(boxes) if j != i and b[0] <= a[1] and a[0] <= b[1] and b[2] <= a[3] and a[2] <= b[3]]
+        for i, a in enumerate(boxes)
+    ]
+
+
+@pytest.mark.parametrize("delta, bound", [(-15, 12), (-40, 24), (-163, 16), (-1003, 16)])
+def test_box_rivals_match_all_pairs(delta, bound):
+    # list for list, in index order: on the enumerated sets (one run per norm), the same
+    # sets shuffled (runs of about one disc) and the shuffled sets with a duplicate pair
+    order = make_order(delta)
+    n = order.abs_delta
+    rng = random.Random(bound - delta)
+    for window in (amalgam_rectangle(order), voronoi_cell(order)):
+        discs = list(enumerate_hemispheres(order, bound, window).discs)
+        shuffled = rng.sample(discs, len(discs))
+        doubled = list(shuffled)
+        j = rng.randrange(len(doubled))
+        doubled.insert(rng.randrange(len(doubled) + 1), doubled[j])
+        for ds in (discs, shuffled, doubled):
+            near = _box_neighbours(n, ds)
+            assert near == _all_pairs_box_neighbours(n, ds), window.kind
+        i = doubled.index(shuffled[j])  # near is the doubled set's
+        k = doubled.index(shuffled[j], i + 1)
+        assert k in near[i] and i in near[k]
+
+
+def test_face_status_draws_no_rival_past_the_cover():
+    # rest is read once and in order: a smaller rival passes the center, the larger one
+    # that covers h alone ends the walk, and nothing after it is drawn
+    h = Hemisphere(kelem_from_planar(ORDER40, 0, 0), Fraction(1, 16))
+    small = Hemisphere(kelem_from_planar(ORDER40, Fraction(1, 4), 0), Fraction(1, 25))
+    big = Hemisphere(kelem_from_planar(ORDER40, Fraction(1, 10), 0), Fraction(1))
+    assert _one_rival_walk(h, small) == [CENTER] and _one_rival_walk(h, big) == [COVER]
+
+    def rest():
+        yield small.disc
+        yield big.disc
+        raise AssertionError("drawn past the rival that covers h")
+
+    assert face_status(ORDER40, h.disc, rest()) == Covered()
+
+
+def test_face_walks_draw_few_box_pairs(monkeypatch):
+    # at -40/128 the walks of face_statuses draw under a tenth of the box pairs, where a
+    # list of every face's box neighbours would hold them all
+    order = make_order(-40)
+    hs = enumerate_hemispheres(order, 128, amalgam_rectangle(order))
+    want = face_statuses(hs)
+    rivals = box_rivals(order.abs_delta, hs.discs)
+    pairs = sum(1 for i in range(len(hs.discs)) for _ in rivals(i))
+    drawn = 0
+    real_face_status = arrangement.face_status
+
+    def counted(order, hd, rest):
+        def draws():
+            nonlocal drawn
+            for kd in rest:
+                drawn += 1
+                yield kd
+
+        return real_face_status(order, hd, draws())
+
+    monkeypatch.setattr(arrangement, "face_status", counted)
+    assert face_statuses(hs) == want
+    assert 0 < 10 * drawn < pairs
 
 
 def test_rectangle_statuses_expected_faces():
@@ -1231,7 +1315,7 @@ def test_one_pass_classifier_matches_all_rivals(delta, bound):
     for window in (amalgam_rectangle(order), voronoi_cell(order)):
         hs = enumerate_hemispheres(order, bound, window)
         hemis = hs.hemispheres
-        near = box_neighbours(order.abs_delta, [h.disc for h in hemis])
+        near = _box_neighbours(order.abs_delta, [h.disc for h in hemis])
         want = tuple(_all_rivals_status(h, [hemis[k] for k in ks]) for h, ks in zip(hemis, near))
         assert face_statuses(hs) == want, window.kind
 
@@ -1285,13 +1369,13 @@ def test_plane_split_matches_all_rivals_extents(delta, bound):
     for window in (amalgam_rectangle(order), voronoi_cell(order)):
         hs = enumerate_hemispheres(order, bound, window)
         hemis = hs.hemispheres
-        near = box_neighbours(n, [h.disc for h in hemis])
-        # face_statuses(hs), read off the same neighbour lists
-        statuses = tuple(face_status(order, h.disc, [hemis[k].disc for k in ks]) for h, ks in zip(hemis, near))
+        rivals = box_rivals(n, [h.disc for h in hemis])
+        # face_statuses(hs), read off the same rival source
+        statuses = tuple(face_status(order, h.disc, (hemis[k].disc for k in rivals(i))) for i, h in enumerate(hemis))
         extents = []
-        for h, status, ks in zip(hemis, statuses, near):
+        for i, (h, status) in enumerate(zip(hemis, statuses)):
             if isinstance(status, Contributes):
-                _, cell = _all_rivals_cell(h, [hemis[k] for k in ks])
+                _, cell = _all_rivals_cell(h, [hemis[k] for k in rivals(i)])
                 extents.append((h, *_cell_extents_ref(n, h.center.planar_int(), cell)))
         for t0 in SPLIT_PLANES:
             above = [h for h, near_sq, _ in extents if near_sq < h.radius_sq - t0 * t0]
@@ -1364,7 +1448,7 @@ def test_mirror_orbits_match_all_rivals(delta, group, case, data):
             if len(set(hemis)) == len(hemis) and (g == "u" or order.even):
                 assert low[i] <= hemis.index(_image(BOX_MAPS[g], h))
     statuses = face_statuses(hs)
-    near = box_neighbours(n, hs.discs)
+    near = _box_neighbours(n, hs.discs)
     assert statuses == tuple(_all_rivals_status(h, [hemis[k] for k in ks]) for h, ks in zip(hemis, near))
     if len(set(hemis)) < len(hemis):
         return  # plane_split reads a set with no duplicates
@@ -1413,7 +1497,7 @@ def test_apex_face_reads_no_smaller_rival(monkeypatch, delta, bound):
     real_bisector = arrangement.bisector
     monkeypatch.setattr(arrangement, "bisector", lambda n, hd, kd: bisected.append((hd, kd)) or real_bisector(n, hd, kd))
     apex = 0
-    for hd, ks in zip(discs, box_neighbours(order.abs_delta, discs)):
+    for hd, ks in zip(discs, _box_neighbours(order.abs_delta, discs)):
         rest = [discs[k] for k in ks]
         want = face_status(order, hd, rest)
         smaller = [kd[3] * hd[4] <= hd[3] * kd[4] and kd != hd for kd in rest]
