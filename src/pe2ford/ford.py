@@ -148,11 +148,14 @@ def pe2_ford_faces(order: Order) -> tuple[Face, ...]:
 CosetKey = tuple[int, int, int]
 
 
-def coset_key(res: NonMember) -> CosetKey:
-    """The least (S, p mod S, q mod S) over the face-pairing closure of res.node.
+def stop_key(order: Order, s: int, p: int, q: int, d: int) -> CosetKey:
+    """The least (S, p mod S, q mod S) over the face-pairing closure of a non-member stop.
 
-    x = node^-1 j, for j = (0, 1), sits at height 1/S over z = (p + q*t)/S
-    in the closed one-hemisphere Ford domain D (NonMember's certificate).
+    s, p, q and d are the reduction's integers where it stopped
+    (words.reduce_entries, NonMember): x = node^-1 j, for j = (0, 1),
+    sits at height 1/S over z = (p + q*t)/S in the closed one-hemisphere
+    Ford domain D, with d = S^2 |z - c|^2 for the lattice point c
+    nearest z.
     Let x' = h x be a second point of D in the subgroup orbit of x.
     Either h fixes infinity, so it is a shift (the units are +-1), and
     z' = z mod O.  Or h sends the outside of its isometric sphere into the
@@ -163,22 +166,27 @@ def coset_key(res: NonMember) -> CosetKey:
     orbit meets D at height 1/S in the class of z mod O and, when x lies on
     a unit hemisphere, in the class of -conj(z): the face-pairing closure.
     The least of the classes in integers is the key.  If H M = H M', then
-    M' j lies in the orbit of M j, and membership(M^-1) stops at a node with
-    node^-1 j = path * M j, so members with different keys lie in different
-    right cosets.
+    M' j lies in the orbit of M j, and the reduction of M^-1 stops at a node
+    with node^-1 j = path * M j, so members with different keys lie in
+    different right cosets.
 
-    The key reads the (S, p, q, d) that membership kept on res.  Taking p
-    and q mod S reduces z mod O exactly.  x lies on the unit hemisphere at
-    c exactly when S^2 |z - c|^2 = S^2 - 1, which no c goes below, so on
-    one exactly when d = S^2 - 1; then the pairing step node * s(c) * r
-    sends z to conj(c) - conj(z), whose class -conj(z), with S*conj(z) =
-    (p + trace*q) - q*t, is the same for every such c, ties included.
+    Taking p and q mod S reduces z mod O exactly.  x lies on the unit
+    hemisphere at c exactly when S^2 |z - c|^2 = S^2 - 1, which no c goes
+    below, so on one exactly when d = S^2 - 1; then the pairing step
+    node * s(c) * r sends z to conj(c) - conj(z), whose class -conj(z),
+    with S*conj(z) = (p + trace*q) - q*t, is the same for every such c,
+    ties included.  The node's sign does not enter: the four integers are
+    the same for node and -node.
     """
-    s, p, q = res.s, res.p, res.q
     key = (s, p % s, q % s)
-    if res.d == s * s - 1:
-        key = min(key, (s, -(p + res.node.order.trace * q) % s, q % s))
+    if d == s * s - 1:
+        key = min(key, (s, -(p + order.trace * q) % s, q % s))
     return key
+
+
+def coset_key(res: NonMember) -> CosetKey:
+    """The coset key of a NonMember: stop_key, the one rule, on the (S, p, q, d) that membership kept."""
+    return stop_key(res.node.order, res.s, res.p, res.q, res.d)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,11 @@ class Mat:
         """_trusted on the eight entry ints (m11.a, m11.b, m12.a, ..., m22.b), whose determinant the caller has checked."""
         return cls._trusted(OInt(order, e[0], e[1]), OInt(order, e[2], e[3]), OInt(order, e[4], e[5]), OInt(order, e[6], e[7]))
 
+    @staticmethod
+    def _inv_ints(e: tuple[int, ...]) -> tuple[int, int, int, int, int, int, int, int]:
+        """The eight entry ints of the inverse [[m22, -m12], [-m21, m11]] of the matrix with entry ints e, as inv lays it out."""
+        return (e[6], e[7], -e[2], -e[3], -e[4], -e[5], e[0], e[1])
+
     def _set(self, m11: OInt, m12: OInt, m21: OInt, m22: OInt) -> None:
         for entry in (m11, m12, m21, m22):
             if not entry.is_zero():

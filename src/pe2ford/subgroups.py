@@ -7,8 +7,11 @@ strictly outside every closed unit disc centered on a lattice point
 is its own normalizer: for every g outside it, g conjugates the shift
 s(1) or s(-1) to a matrix outside it.  A coset family tells its members
 apart by their coset keys, the canonical points of their orbits in the
-Ford domain (ford.coset_key): one reduction per candidate, no pairwise
-products.
+Ford domain (ford.stop_key, the rule of ford.coset_key): one reduction
+per candidate, no pairwise products.  Both checks run the reduction
+kernel words.reduce_entries, the loop that membership wraps, straight
+on the entries' ints and read its stop: no Mat.inv, no Mat for a check
+and no Member or NonMember object.
 Splitting the hemisphere arrangement over the straddling rectangle by
 the plane t = t0 exhibits the full group as an amalgam over the
 subgroup N = <r, s(1), s(tau) r s(tau)^-1>.
@@ -39,10 +42,10 @@ from .arrangement import (
 )
 from .cells import Box, Disc, box_of, frame_of
 from .errors import OutOfScope, SearchExhausted
-from .ford import CosetKey, amalgam_rectangle, coset_key, pe2_relations
+from .ford import CosetKey, amalgam_rectangle, pe2_relations, stop_key
 from .moebius import Hemisphere, Mat, gen_s
 from .orders import KElem, OInt, Order, kelem_from_planar_int, nearest_lattice_point
-from .words import MembershipResult, NonMember, R, S, Word, membership
+from .words import MembershipResult, R, S, Word, membership, reduce_entries
 
 PLANE = Fraction(2, 3)  # the default height t0 of the plane that splits the arrangement
 
@@ -193,11 +196,21 @@ class CosetFamily:
 def coset_family(order: Order, count: int) -> CosetFamily:
     """Completions of gap points representing distinct right cosets.
 
-    Each candidate's inverse is reduced once, and a NonMember gives the
-    candidate its coset_key: candidates with different keys lie in
+    Each candidate's inverse is reduced once, and a non-member stop gives
+    the candidate its coset key: candidates with different keys lie in
     different right cosets, so a candidate whose key is new joins, and n
     members cost n reductions.  A candidate whose key repeats, or whose
-    inverse comes back Member, is dropped and reported in `replaced`.
+    inverse reduces to a member (S = 1), is dropped and reported in
+    `replaced`.
+
+    The reduction is the kernel reduce_entries that membership wraps, run
+    on the inverse [[x, y], [-mu, lam]] (Mat._inv_ints) of the ints
+    [[lam, -y], [mu, x]] that completion_entries gives, and the key is
+    stop_key on its (S, p, q, d), the rule that coset_key reads off a
+    NonMember; so each key is coset_key(membership(completion^-1)).  The ints are not
+    sign-canonical, and need not be: negating all eight entries leaves
+    S, p, q and d as they are.  Only a joining candidate's completion is
+    built as a Mat.
     """
     if not order.group_scope:
         raise OutOfScope("coset families need |delta| > 12")
@@ -212,13 +225,13 @@ def coset_family(order: Order, count: int) -> CosetFamily:
         budget -= 1
         if budget < 0:
             raise SearchExhausted(f"no family of {count} within the candidate budget")
-        cand = gp.completion
-        res = membership(cand.inv())
-        key = coset_key(res) if isinstance(res, NonMember) else None
+        ints = completion_entries(order, gp.a, gp.b, gp.c, gp.d)
+        s, p, q, d, _, _ = reduce_entries(order, *Mat._inv_ints(ints))
+        key = stop_key(order, s, p, q, d) if s > 1 else None
         if key is None or key in keys:
             replaced.append(gp.z)
             continue
-        members.append(cand)
+        members.append(Mat._trusted_ints(order, ints))
         points.append(gp)
         keys[key] = None
         if len(members) == count:
@@ -242,8 +255,16 @@ def normalizer_witness(g: Mat) -> OInt:
     lambda/mu - 1/(alpha*mu^2) = (alpha*lambda*mu - 1)/(alpha*mu^2) is a
     gap point, and 1 when neither is; the conjugate is re-checked.
 
-    Everything runs on the entries' ints: lambda*mu, mu^2 and lambda^2
-    are int pairs.  The gap test reads the ratio as
+    Both NonMember checks are the kernel reduce_entries that membership
+    wraps, read at its stop: S > 1 is NonMember.  g is checked through
+    g^-1, whose ints [[d, -b], [-mu, lambda]] are g's rearranged by
+    Mat._inv_ints (g is outside the subgroup exactly when g^-1 is, and
+    coset_family reduces the inverse of each member in the same way).  No Mat.inv and no result
+    object is built, and no sign is canonicalised: negating all eight
+    entries leaves every S of the reduction as it was.
+
+    Everything else runs on the entries' ints too: lambda*mu, mu^2 and
+    lambda^2 are int pairs.  The gap test reads the ratio as
     (alpha*lambda*mu - 1)*conj(alpha*mu^2) over N(alpha*mu^2) = N(mu)^2,
     one integer point (p + q*t)/s with s > 0, and asks _gap_dist.  The
     gap rule does not depend on the scale: (p + q*t)/s and (kp + kq*t)/(ks)
@@ -257,22 +278,20 @@ def normalizer_witness(g: Mat) -> OInt:
     g*s(alpha)*g^-1 = [[lambda*d - b*mu - alpha*lambda*mu, alpha*lambda^2],
     [-alpha*mu^2, lambda*d - b*mu + alpha*lambda*mu]]
     = [[1 - alpha*lambda*mu, alpha*lambda^2], [-alpha*mu^2, 1 + alpha*lambda*mu]].
-    Its determinant is checked on the ints before the Mat is built
-    unchecked, so no OInt product is formed.
+    Its determinant is checked on the ints, and the kernel re-checks those
+    same eight ints, so no OInt product and no Mat is formed.
     """
     order = g.order
     if not order.group_scope:
         raise OutOfScope("normalizer witnesses need |delta| > 12")
-    # g is outside the subgroup exactly when g^-1 is; g^-1 is checked, as
-    # coset_family checks the inverse of each member
-    if not isinstance(membership(g.inv()), NonMember):
+    la, lb, ma, mb = g.m11.a, g.m11.b, g.m21.a, g.m21.b
+    if reduce_entries(order, *Mat._inv_ints((la, lb, g.m12.a, g.m12.b, ma, mb, g.m22.a, g.m22.b)))[0] == 1:
         raise ValueError("g must certify NonMember")
     # products of order elements as int pairs, by
     # (a + b*t)(c + d*t) = (ac - m*bd) + (ad + bc + e*bd)*t
     e, m = order.trace, order.tau_norm
     # a NonMember g has mu != 0: m21 = 0 makes the diagonal units, +-1 in
     # scope, so g = +-s(x), a member
-    la, lb, ma, mb = g.m11.a, g.m11.b, g.m21.a, g.m21.b
     xa, xb = la * ma - m * lb * mb, la * mb + lb * ma + e * lb * mb  # lambda*mu
     sa, sb = ma * ma - m * mb * mb, 2 * ma * mb + e * mb * mb  # mu^2
     n = ma * ma + e * ma * mb + m * mb * mb  # N(mu)
@@ -292,7 +311,7 @@ def normalizer_witness(g: Mat) -> OInt:
     )
     if det != (1, 0):  # pragma: no cover
         raise ArithmeticError(f"g s({alpha}) g^-1 has determinant {det}, not 1")
-    if not isinstance(membership(Mat._trusted_ints(order, entries)), NonMember):  # pragma: no cover
+    if reduce_entries(order, *entries)[0] == 1:  # pragma: no cover
         raise ArithmeticError("g s(alpha) g^-1 came back Member, against the proof above")
     return OInt(order, alpha, 0)
 
@@ -371,7 +390,8 @@ def _hemi_record(order: Order, hd: Disc, owner: Owner, above: bool, below: bool)
     which is r when gamma = 0; gamma^2 = (a^2 - m b^2) + (2ab + e b^2)*t.
     Otherwise the owner row (lam, mu) is a pair that pair_scan accepted,
     so completion_entries completes it to [[lam, -y], [mu, x]] with no
-    second unit test, and the pairing is its inverse [[x, y], [-mu, lam]].
+    second unit test, and the pairing is its inverse [[x, y], [-mu, lam]]
+    (Mat._inv_ints).
     Both have determinant 1, so Mat only makes them sign-canonical.
     """
     center = kelem_from_planar_int(order, *hd[:3])
@@ -381,8 +401,7 @@ def _hemi_record(order: Order, hd: Disc, owner: Owner, above: bool, below: bool)
         a, b, e, m = gamma.a, gamma.b, order.trace, order.tau_norm
         entries = (a, b, -1 - (a * a - m * b * b), -(2 * a * b + e * b * b), 1, 0, -a, -b)
     else:
-        la, lb, m12a, m12b, ma, mb, x0, x1 = completion_entries(order, *owner)  # m12 = -y
-        word, entries = None, (x0, x1, -m12a, -m12b, -ma, -mb, la, lb)
+        word, entries = None, Mat._inv_ints(completion_entries(order, *owner))
     pairing = Mat._trusted_ints(order, entries)
     return FaceRecord("hemisphere", f"hemisphere at {center}", center, word, pairing, above, below)
 

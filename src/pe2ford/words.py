@@ -15,10 +15,13 @@ A word is a tuple of letters, and a letter is its coefficient: the
 OInt a for s(a), or None for r.  So r*s(2-t)*r is (None, 2-t, None).
 
 Membership of a general matrix h is decided by reduction into the
-one-hemisphere Ford domain: one integer loop pushes h^-1 j, j = (0, 1),
-through the unit hemispheres at lattice points until it reaches height 1
-(a member, spelled as a word) or stops in the closed domain below height
-1 (a certified non-member).
+one-hemisphere Ford domain: one integer loop, the kernel reduce_entries
+on the eight entry ints, pushes h^-1 j, j = (0, 1), through the unit
+hemispheres at lattice points until it reaches height 1 (a member,
+spelled as a word) or stops in the closed domain below height 1 (a
+certified non-member).  membership wraps the kernel in the verdict
+objects; callers that read only the stop, as the coset and normalizer
+checks do, call the kernel on their own ints.
 """
 
 from __future__ import annotations
@@ -320,31 +323,32 @@ class NonMember:
 MembershipResult = Member | NonMember
 
 
-def membership(g: Mat, cap: int | None = None) -> MembershipResult:
-    """Decide membership in the elementary subgroup by reduction into its Ford domain.
+def reduce_entries(
+    order: Order, a11: int, b11: int, a12: int, b12: int, a21: int, b21: int, a22: int, b22: int
+) -> tuple[int, int, int, int, tuple[int, int, int, int, int, int, int, int], list[tuple[int, int]]]:
+    """The reduction of h = [[a11 + b11*t, a12 + b12*t], [a21 + b21*t, a22 + b22*t]] into the one-hemisphere Ford domain.
 
     h^-1 j, for j = (0, 1), has height 1/S over z, where S = norm(m11) +
-    norm(m21) and S*z = -(m12*conj(m11) + m22*conj(m21)).  As det h = 1, the
-    column step h*s(c)*r gives S*S' = d + 1 with the integer d = S^2 |z - c|^2.
-    While S > 1 the loop asks nearest_lattice_point for the lattice point c
-    nearest z, first by key(), and steps to it if d <= S^2 - 2.  Otherwise
-    h^-1 j lies in the closed one-hemisphere Ford domain below height 1,
-    which the subgroup's images of j never reach: NonMember.  At S = 1, h
-    is s(x) or r*s(x): Member.
-    S = (d + 1) // S falls at every step, so the loop ends within S steps.
-    It runs on the entries' integers; OInt and Mat are built for the verdict,
-    and a NonMember keeps the integers S, p, q and d of the stop.
+    norm(m21) and S*z = -(m12*conj(m11) + m22*conj(m21)) = p + q*t.  As
+    det h = 1, the column step h*s(c)*r gives S*S' = d + 1 with the integer
+    d = S^2 |z - c|^2.  While S > 1 the loop asks nearest_lattice_point for
+    the lattice point c nearest z, first by key(), and steps to it if
+    d <= S^2 - 2; otherwise it stops.  S = (d + 1) // S falls at every
+    step, so the loop ends within S steps.
 
-    cap is accepted and ignored, because perfbench/workloads.py still passes
-    one positionally.  Needs |delta| > 12, for the one-hemisphere domain.
+    Returns the stop's (S, p, q, d), the eight entry ints of the node it
+    stopped at and the moves c_1, ..., c_k as int pairs, with
+    h = node * r s(-c_k) * ... * r s(-c_1).  S = 1 is a member, and then
+    p, q and d are not read; S > 1 is a non-member, certified by
+    d >= S^2 - 1 (NonMember).  The caller checks det h = 1 and the scope.
+    No sign canonicalisation is needed: S, p, q and d are quadratic in the
+    entries and c is read off them, while each step is linear in the
+    entries, so negating all eight negates every entry at every step and
+    leaves every (S, p, q, d) and every move as it was.
     """
-    order = g.order
-    if not order.group_scope:
-        raise OutOfScope("membership certificates need |delta| > 12")
     e, m = order.trace, order.tau_norm
-    a11, b11, a12, b12 = g.m11.a, g.m11.b, g.m12.a, g.m12.b
-    a21, b21, a22, b22 = g.m21.a, g.m21.b, g.m22.a, g.m22.b
     s = a11 * a11 + e * a11 * b11 + m * b11 * b11 + a21 * a21 + e * a21 * b21 + m * b21 * b21
+    p = q = d = 0
     moves: list[tuple[int, int]] = []
     while s > 1:
         # s*z = p + q*t = -(m12*conj(m11) + m22*conj(m21))
@@ -358,9 +362,30 @@ def membership(g: Mat, cap: int | None = None) -> MembershipResult:
         a21, b21, a22, b22 = a21 * ca - m * b21 * cb + a22, a21 * cb + b21 * ca + e * b21 * cb + b22, -a21, -b21
         s = (d + 1) // s
         moves.append((ca, cb))
-    node = g
-    if moves:
-        node = Mat._trusted(OInt(order, a11, b11), OInt(order, a12, b12), OInt(order, a21, b21), OInt(order, a22, b22))
+    return s, p, q, d, (a11, b11, a12, b12, a21, b21, a22, b22), moves
+
+
+def membership(g: Mat, cap: int | None = None) -> MembershipResult:
+    """Decide membership in the elementary subgroup by reduction into its Ford domain.
+
+    The scope check, then the integer kernel reduce_entries on g's eight
+    entry ints, then the verdict.  At S = 1 the node is s(x) or r*s(x): Member,
+    with the normal form of the word it spells.  At S > 1, node^-1 j lies
+    in the closed one-hemisphere Ford domain below height 1, which the
+    subgroup's images of j never reach: NonMember, which keeps the
+    integers S, p, q and d of the stop.  The kernel runs on the entries'
+    integers; OInt and Mat are built for the verdict: the node (g itself
+    when no step was taken), the path word and the certificate.
+
+    cap is accepted and ignored, because perfbench/workloads.py still passes
+    one positionally.  Needs |delta| > 12, for the one-hemisphere domain.
+    """
+    order = g.order
+    if not order.group_scope:
+        raise OutOfScope("membership certificates need |delta| > 12")
+    m11, m12, m21, m22 = g.m11, g.m12, g.m21, g.m22
+    s, p, q, d, ints, moves = reduce_entries(order, m11.a, m11.b, m12.a, m12.b, m21.a, m21.b, m22.a, m22.b)
+    node = Mat._trusted_ints(order, ints) if moves else g
     # g = node * r s(-c_k) * ... * r s(-c_1) for the moves c_1, ..., c_k
     path = tuple(x for a, b in reversed(moves) for x in (R(), S(OInt(order, -a, -b))))
     if s > 1:

@@ -20,7 +20,7 @@ from pe2ford.arrangement import (
 )
 from pe2ford.cli import main
 from pe2ford.errors import OutOfScope, SearchExhausted
-from pe2ford.ford import amalgam_rectangle
+from pe2ford.ford import amalgam_rectangle, coset_key
 from pe2ford.moebius import Mat, Side, gen_r, gen_s, outside_test
 from pe2ford.orders import KElem, OInt, lattice_points_within, make_order
 from pe2ford.subgroups import (
@@ -173,24 +173,45 @@ def test_coset_family_pairwise_distinct():
         assert isinstance(rev, NonMember)
 
 
+def _ints(g):
+    # the eight entry ints (m11.a, m11.b, m12.a, ..., m22.b) of a Mat
+    return tuple(x for e in g.entries() for x in (e.a, e.b))
+
+
+def _spy_kernel(monkeypatch, stops=None):
+    # record, as Mats, the matrices subgroups hands the reduction kernel; a
+    # matrix in stops (keyed by Mat, so up to sign) gets the stop given there
+    checked, real = [], subgroups.reduce_entries
+
+    def spy(order, *ints):
+        g = Mat._trusted_ints(order, ints)
+        checked.append(g)
+        return stops[g] if stops and g in stops else real(order, *ints)
+
+    monkeypatch.setattr(subgroups, "reduce_entries", spy)
+    return checked
+
+
 def test_coset_family_replaces_member_candidates(monkeypatch):
     d = ORDER40
     first, second, third, fourth, fifth = gap_points(d, 5)
-    member = membership(gen_r(d))
-    assert isinstance(member, Member)
+    member = subgroups.reduce_entries(d, *_ints(gen_r(d)))
+    assert member[0] == 1 and isinstance(membership(gen_r(d)), Member)
     # the second candidate's inverse comes back Member, and the third reduces
     # as the first does, so its key repeats: both are dropped and reported,
     # and the next two take their places
-    real = subgroups.membership
-    forced = {second.pair.completion.inv(): member, third.pair.completion.inv(): real(first.pair.completion.inv())}
-    monkeypatch.setattr(subgroups, "membership", lambda g: forced.get(g) or real(g))
+    first_stop = subgroups.reduce_entries(d, *_ints(first.pair.completion.inv()))
+    forced = {second.pair.completion.inv(): member, third.pair.completion.inv(): first_stop}
+    checked = _spy_kernel(monkeypatch, forced)
     fam = coset_family(d, 3)
     assert fam.replaced == (second.ratio(), third.ratio())
     assert fam.points == (first, fourth, fifth)
     assert fam.members == tuple(gp.pair.completion for gp in fam.points)
     assert len(set(fam.keys)) == 3
+    # one reduction per candidate, of the candidate's inverse
+    assert checked == [gp.pair.completion.inv() for gp in (first, second, third, fourth, fifth)]
     # every product Member: no second member ever joins, and the budget runs out
-    monkeypatch.setattr(subgroups, "membership", lambda g: member)
+    monkeypatch.setattr(subgroups, "reduce_entries", lambda order, *ints: member)
     with pytest.raises(SearchExhausted):
         coset_family(d, 2)
 
@@ -210,11 +231,14 @@ def _pairwise_family(d, count):
     raise AssertionError("reference family ran out of candidates")
 
 
-@pytest.mark.parametrize("delta", [-15, -20, -23, -40, -163])
+@pytest.mark.parametrize("delta", [-15, -20, -23, -31, -40, -163])
 def test_coset_family_equals_the_pairwise_family(delta):
     d = make_order(delta)
     fam = coset_family(d, 30)
     assert (fam.members, fam.replaced) == _pairwise_family(d, 30)
+    # the kernel's stop read through stop_key is coset_key of the NonMember
+    # that membership returns for the member's inverse
+    assert fam.keys == tuple(coset_key(membership(m.inv())) for m in fam.members)
 
 
 def test_coset_family_scope_and_count():
@@ -334,9 +358,7 @@ def test_normalizer_conjugate_is_the_closed_form(monkeypatch, delta):
     # the matrix normalizer_witness re-checks is g*s(alpha)*g^-1, for the
     # completions of the first 60 gap points
     d = make_order(delta)
-    checked = []
-    real = subgroups.membership
-    monkeypatch.setattr(subgroups, "membership", lambda g, *a: checked.append(g) or real(g, *a))
+    checked = _spy_kernel(monkeypatch)
     for gp in gap_points(d, 60):
         g = gp.completion
         checked.clear()
@@ -357,6 +379,29 @@ def test_normalizer_witness_multiplies_no_matrices(monkeypatch):
     assert calls == []
 
 
+def test_cosets_checks_call_no_inverse_and_no_membership(monkeypatch):
+    # normalizer_witness and coset_family reduce the entries' ints with the
+    # kernel: no Mat.inv, and membership, which builds the verdict objects,
+    # is not called under either name
+    from pe2ford import words
+
+    calls = []
+    inv, real = Mat.inv, words.membership
+    monkeypatch.setattr(Mat, "inv", lambda self: calls.append("Mat.inv") or inv(self))
+    spy = lambda g, *a: calls.append("membership") or real(g, *a)
+    monkeypatch.setattr(words, "membership", spy)
+    monkeypatch.setattr(subgroups, "membership", spy)
+    for delta in (-15, -20, -40, -163):
+        d = make_order(delta)
+        fam = coset_family(d, 20)
+        for g in fam.members:
+            assert normalizer_witness(g).a in (-1, 1)
+    assert calls == []
+    # the spies are live
+    assert isinstance(subgroups.membership(gen_r(ORDER40).inv()), Member)
+    assert calls == ["Mat.inv", "membership"]
+
+
 def _oint_closed_form(g):
     # alpha and the conjugate as the OInt code picks and builds them: the gap
     # test on KElem.of(alpha*lam*mu - 1, alpha*mu^2), then the checked Mat
@@ -372,9 +417,7 @@ def test_normalizer_in_integers_is_the_oint_closed_form(monkeypatch, delta):
     # the alpha of the OInt gap test, and the conjugate re-checked after g^-1
     # is the checked closed-form Mat, which is g*s(alpha)*g^-1
     d = make_order(delta)
-    checked = []
-    real = subgroups.membership
-    monkeypatch.setattr(subgroups, "membership", lambda g, *a: checked.append(g) or real(g, *a))
+    checked = _spy_kernel(monkeypatch)
     picked = set()
     for gp in gap_points(d, 60):
         g = gp.completion
@@ -426,6 +469,7 @@ def test_completion_entries_are_is_unimodulars_entries(source):
         m = is_unimodular(d.elt(la, lb), d.elt(ma, mb))
         assert entries[:2] == (la, lb) and entries[4:6] == (ma, mb)
         assert Mat._trusted_ints(d, entries) == m
+        assert Mat._trusted_ints(d, Mat._inv_ints(entries)) == m.inv()
         flipped += m.coords()[0] != [la, lb]
     assert flipped > 0  # some Mats read (lam, mu) as (-lam, -mu)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pe2ford import words
 from pe2ford.errors import DegenerateChain, OutOfScope, WordSyntaxError
 from pe2ford.moebius import Mat, gen_r, gen_s
 from pe2ford.orders import KElem, lattice_points_within, make_order, scaled_dist_sq
@@ -25,6 +26,7 @@ from pe2ford.words import (
     parse_word,
     product_identity_check,
     random_pe2_word,
+    reduce_entries,
     word_inverse,
     word_to_matrix,
     zeta_chain,
@@ -435,3 +437,86 @@ def test_reduction_step_bound_is_the_r_letters():
         assert isinstance(res, Member), (d, i)
         assert word_to_matrix(res.certificate.to_word(), d) == g
         assert res.stats.nodes_explored - 1 <= w.count(None), (d, i)
+
+
+# the cosets workload's orders, and -15
+KERNEL_DISCS = [-15, -20, -31, -40, -163]
+
+
+def _kernel_inputs(d):
+    # the criterion-4 matrices (its 500 words, and its outsider where it has
+    # determinant 1), the completions of the cosets gap points and their
+    # inverses, and each completion's conjugates of s(-1) and s(1), one of
+    # which normalizer_witness re-checks
+    for seed in range(500):
+        yield word_to_matrix(random_pe2_word(d, seed, length=1 + seed % 24, coeff_bound=10), d)
+    if d.delta == -40:
+        yield Mat(d.elt(1, 1), d.elt(5), d.elt(2), d.elt(1, -1))
+    for gp in gap_points(d, 100):
+        g = gp.completion
+        yield g
+        yield g.inv()
+        for a in (-1, 1):
+            yield g * gen_s(d.elt(a)) * g.inv()
+
+
+def _reference_reduction(g):
+    # the reduction in OInt and KElem arithmetic, with no integer kernel: the
+    # nearest lattice point first by key() from lattice_points_within, and
+    # the column step as a Mat product; (S, (p, q, d) or None, node, moves)
+    d, h, moves = g.order, g, []
+    while True:
+        s = h.m11.norm() + h.m21.norm()
+        if s == 1:
+            return s, None, h, moves
+        x = -(h.m12 * h.m11.conj() + h.m22 * h.m21.conj())
+        z = KElem.of(x, s)
+        c = min(lattice_points_within(z, d.covering_radius_sq()), key=lambda c: ((z - c).abs_sq(), c.key()))
+        dist = (z - c).abs_sq() * s * s
+        assert dist.denominator == 1
+        if dist > s * s - 2:
+            return s, (x.a, x.b, int(dist)), h, moves
+        h = h * gen_s(c) * gen_r(d)
+        moves.append((c.a, c.b))
+
+
+def test_reduction_kernel_is_membership_and_the_reference(monkeypatch):
+    # the kernel's stop is membership's verdict: S = 1 exactly when Member,
+    # else the NonMember's S, p, q and d, its node up to sign and its path;
+    # and it is the stop of the reference reduction, step for step
+    calls = []
+    nearest = words.nearest_lattice_point
+
+    def counted(*args):
+        # the loop ends within S steps, one nearest-point call per step and
+        # one at a non-member stop, so a stop rule that lets S stand fails
+        # here instead of looping
+        calls.append(None)
+        assert len(calls) <= calls_bound, "the reduction did not end within S steps"
+        return nearest(*args)
+
+    monkeypatch.setattr(words, "nearest_lattice_point", counted)
+    on_face = 0
+    for g in (g for delta in KERNEL_DISCS for g in _kernel_inputs(make_order(delta))):
+        d = g.order
+        ints = tuple(x for e in g.entries() for x in (e.a, e.b))
+        calls.clear()
+        calls_bound = g.m11.norm() + g.m21.norm()
+        s, p, q, dist, node_ints, moves = reduce_entries(d, *ints)
+        node = Mat._trusted_ints(d, node_ints)
+        res = membership(g)
+        path = tuple(x for a, b in reversed(moves) for x in (R(), S(d.elt(-a, -b))))
+        assert (s == 1) == isinstance(res, Member), g
+        assert res.stats.nodes_explored == len(moves) + 1
+        ref_s, ref_stop, ref_node, ref_moves = _reference_reduction(g)
+        assert (s, node, moves) == (ref_s, ref_node, ref_moves), g
+        if s > 1:
+            assert (s, p, q, dist) == (res.s, res.p, res.q, res.d) == (ref_s, *ref_stop), g
+            assert node == res.node and path == res.path_word, g
+            assert node * word_to_matrix(path, d) == g
+            on_face += dist == s * s - 1
+        else:
+            assert node * word_to_matrix(path, d) == g
+    # some stops lie on a unit hemisphere, d = S^2 - 1, where the stop rule
+    # decides between a step and a stop (none of these at -163)
+    assert on_face > 0
