@@ -11,8 +11,15 @@ bytes of `json.dumps(payload, indent=2, sort_keys=True)`, through the C
 string escaper instead of the stdlib's pure-Python indenting encoder,
 writes each int pair [a, b] in place from one template per depth, and
 sorts and escapes the keys of each dict shape once per call.  Gap
-points are written from the integers the gap stream holds, with no
-ratio, pair or Fraction built for the payload.
+points are written from the integers the gap stream holds: `checked`
+from lattice_rows on the unreduced ratio (xa + xb*t)/N, and the
+`gap-points` completion from the eight ints of completion_entries,
+signed by moebius.entry_sign, the rule Mat stores by.  No KElem, OInt,
+Mat, pair or Fraction is built for a printed point; per point there is
+its GapPoint, its list of row triples, the completion's int tuple (and
+the int rows of its column echelon), and the payload's dicts, lists and
+strings.  A cosets member is printed from the Mat that coset_family
+built for it.
 `--format text` renders the same payload one `key: value` line at a
 time, and `--format svg` (arrangement and amalgam) draws the
 arrangement the command already computed.
@@ -39,7 +46,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
 
-from .arrangement import Contributes, enumerate_hemispheres, face_statuses, svg_topview
+from .arrangement import Contributes, completion_entries, enumerate_hemispheres, face_statuses, svg_topview
 from .errors import (
     CycleNotClosed,
     InvalidDiscriminant,
@@ -48,7 +55,7 @@ from .errors import (
     WordSyntaxError,
 )
 from .ford import HemiFace, amalgam_rectangle, pe2_ford_faces, presentation, voronoi_cell
-from .moebius import Mat
+from .moebius import Mat, entry_sign
 from .orders import KElem, OInt, Order, lattice_rows, make_order
 from .subgroups import PLANE, GapPoint, amalgam_report, coset_family, gap_points
 from .words import (
@@ -110,6 +117,15 @@ def _oint_json(x: OInt) -> list[int]:
 
 def _mat_json(m: Mat) -> dict[str, Any]:
     return {"entries": m.coords(), "sign_canonical": True}
+
+
+def _entries_json(e: tuple[int, ...]) -> dict[str, Any]:
+    """_mat_json of the Mat with entry ints e, written from the ints: entry_sign is the sign Mat stores by."""
+    s = entry_sign(e)
+    return {
+        "entries": [[s * e[0], s * e[1]], [s * e[2], s * e[3]], [s * e[4], s * e[5]], [s * e[6], s * e[7]]],
+        "sign_canonical": True,
+    }
 
 
 def _kelem_json(z: KElem) -> dict[str, Any]:
@@ -435,7 +451,8 @@ def _cmd_amalgam(args: argparse.Namespace, order: Order) -> _Result:
 def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
     pts = gap_points(order, args.count)
     reach = order.gap_reach()
-    rows = [list(lattice_rows(gp.z, reach)) for gp in pts]
+    # the rows of the unreduced ratio (xa + xb*t)/N are those of the reduced one
+    rows = [list(lattice_rows(order, gp.xa, gp.xb, gp.norm, reach)) for gp in pts]
     # counted from the rows before any list is built
     if sum(hi - lo + 1 for point_rows in rows for _, lo, hi in point_rows) > MAX_CHECKED:
         raise OutOfScope(f"the checked lists of {args.count} gap points would hold more than {MAX_CHECKED} lattice points")
@@ -444,7 +461,8 @@ def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
             **_gap_point_json(gp),
             # b ascending, then a ascending: key() order
             "checked": [[a, b] for b, lo, hi in point_rows for a in range(lo, hi + 1)],
-            "completion": _mat_json(gp.completion),
+            # pair_scan already ran the unit test
+            "completion": _entries_json(completion_entries(order, gp.a, gp.b, gp.c, gp.d)),
         }
         for gp, point_rows in zip(pts, rows)
     ]

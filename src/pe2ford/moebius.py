@@ -2,7 +2,9 @@
 
 Matrices are stored sign-canonically: the first nonzero entry in the
 scan order (m11, m12, m21, m22) has positive leading coordinate, so
-structural equality is equality in PSL2.  The bottom row (m21, m22)
+structural equality is equality in PSL2.  entry_sign decides that sign
+on the eight entry ints, the one sign rule, for Mat and for callers
+that hold only the ints.  The bottom row (m21, m22)
 encodes the isometric hemisphere: writing beta = -m21 and alpha = m22,
 the hemisphere sits at alpha/beta with squared radius 1/norm(beta), and
 a boundary point zeta maps to height t / (|alpha - beta*zeta|^2 + |beta|^2 t^2).
@@ -19,8 +21,26 @@ from .errors import NoHemisphere
 from .orders import KElem, OInt, Order
 
 
+def entry_sign(e: tuple[int, ...]) -> int:
+    """1 if the eight entry ints e = (m11.a, m11.b, m12.a, ..., m22.b) are sign-canonical as they are, else -1.
+
+    The one sign rule of PSL2: the first nonzero entry in the scan order
+    (m11, m12, m21, m22) must be canonical positive, its b > 0, or b = 0
+    and a > 0 (OInt.is_canonical_positive).  So the first nonzero int of
+    b11, a11, b12, a12, b21, a21, b22, a22 decides, and the ints times the
+    sign are the canonical ones.  Mat stores its entries by it, and the
+    gap-points payload writes a completion's ints by it with no Mat built.
+    """
+    a11, b11, a12, b12, a21, b21, a22, b22 = e
+    return 1 if (b11 or a11 or b12 or a12 or b21 or a21 or b22 or a22) >= 0 else -1
+
+
 class Mat:
-    """Determinant-one matrix over an order, canonical up to sign."""
+    """Determinant-one matrix over an order, canonical up to sign.
+
+    Every constructor stores through _set, which reads entry_sign on the
+    entries' ints and negates all four when it says -1.
+    """
 
     __slots__ = ("order", "m11", "m12", "m21", "m22")
 
@@ -48,11 +68,8 @@ class Mat:
         return (e[6], e[7], -e[2], -e[3], -e[4], -e[5], e[0], e[1])
 
     def _set(self, m11: OInt, m12: OInt, m21: OInt, m22: OInt) -> None:
-        for entry in (m11, m12, m21, m22):
-            if not entry.is_zero():
-                if not entry.is_canonical_positive():
-                    m11, m12, m21, m22 = -m11, -m12, -m21, -m22
-                break
+        if entry_sign((m11.a, m11.b, m12.a, m12.b, m21.a, m21.b, m22.a, m22.b)) < 0:
+            m11, m12, m21, m22 = -m11, -m12, -m21, -m22
         self.order = m11.order
         self.m11 = m11
         self.m12 = m12

@@ -319,20 +319,28 @@ def kelem_from_planar(order: Order, u: Fraction | int, v: Fraction | int) -> KEl
     return kelem_from_planar_int(order, u.numerator * (den // u.denominator), v.numerator * (den // v.denominator), den)
 
 
-def lattice_rows(z: KElem, rsq: Fraction | int) -> Iterator[tuple[int, int, int]]:
-    """(b, least a, greatest a) for each row b of the closed disc |z - g|^2 <= rsq, b ascending: the one disc scan.
+def lattice_rows(order: Order, p: int, q: int, den: int, rsq: Fraction | int) -> Iterator[tuple[int, int, int]]:
+    """(b, least a, greatest a) for each row b of the closed disc |z - g|^2 <= rsq about z = (p + q*t)/den, den > 0, b ascending: the one disc scan.
 
-    With z = (p + q*t)/Q, g = a + b*t, y = q - b*Q and w = 2(p - a*Q) + trace*y,
-    4 Q^2 |z - g|^2 = w^2 + |delta| y^2.
-    So with rsq = P/S the rows b satisfy S |delta| y^2 <= 4 Q^2 P, and each
+    With g = a + b*t, y = q - b*den and w = 2(p - a*den) + trace*y,
+    4 den^2 |z - g|^2 = w^2 + |delta| y^2.
+    So with rsq = P/S the rows b satisfy S |delta| y^2 <= 4 den^2 P, and each
     row bounds |w| by an integer square root; no rational arithmetic runs.
     A row may hold no point, with least a = greatest a + 1, so its width
     greatest a - least a + 1 is never negative, and the widths sum to the
     number of points in O(rows).  Expanding each row by a ascending gives
     the points in key() order.
+
+    (p, q, den) need not be in lowest terms: the rows of (kp, kq, k*den)
+    are those of (p, q, den) for every integer k > 0.  Scaling multiplies
+    y and w by k and the bound 4 den^2 P by k^2.  Since
+    isqrt(m // s) = floor(sqrt(m / s)) for m >= 0, the scaled row test
+    reads |k*y| <= floor(k*sqrt(X)) with X = 4 den^2 P / (S |delta|), and
+    for an integer y that holds exactly when |y| <= sqrt(X), the unscaled
+    test.  Within a row, |k*w| <= floor(k*sqrt(Y)) likewise holds exactly
+    when |w| <= sqrt(Y).  So a gap point's ratio (xa + xb*t)/N is scanned
+    as the stream holds it, with no KElem built to reduce it.
     """
-    order = z.order
-    p, q, den = z.num.a, z.num.b, z.den
     top = 4 * den * den * rsq.numerator
     s = rsq.denominator
     if top < 0:
@@ -347,9 +355,9 @@ def lattice_rows(z: KElem, rsq: Fraction | int) -> Iterator[tuple[int, int, int]
 
 
 def lattice_points_within(z: KElem, rsq: Fraction | int) -> list[OInt]:
-    """All lattice points g with |z - g|^2 <= rsq, sorted by key(): the rows of lattice_rows, expanded."""
+    """All lattice points g with |z - g|^2 <= rsq, sorted by key(): the rows of lattice_rows on z's ints, expanded."""
     order = z.order
-    return [OInt(order, a, b) for b, lo, hi in lattice_rows(z, rsq) for a in range(lo, hi + 1)]
+    return [OInt(order, a, b) for b, lo, hi in lattice_rows(order, z.num.a, z.num.b, z.den, rsq) for a in range(lo, hi + 1)]
 
 
 def nearest_lattice_point(order: Order, p: int, q: int, s: int) -> tuple[int, int, int]:

@@ -61,7 +61,10 @@ class GapPoint:
     rest are views built on read: pair and completion on each read, z once
     per point, so ratio() is z, and min_dist_sq = dist/norm^2.  Equality
     is that of the integers, so a point read from two streams compares
-    equal.
+    equal.  The gap-points payload reads no view: its rows come from
+    lattice_rows on (xa, xb, norm) as held, and its completion from
+    completion_entries signed by entry_sign, the rule the completion
+    view's Mat stores by.
     """
 
     order: Order

@@ -19,7 +19,7 @@ from pe2ford.arrangement import Contributes, UnimodularPair, enumerate_hemispher
 from pe2ford.cli import main
 from pe2ford.errors import CycleNotClosed, SearchExhausted
 from pe2ford.ford import amalgam_rectangle
-from pe2ford.moebius import Hemisphere
+from pe2ford.moebius import Hemisphere, Mat
 from pe2ford.orders import KElem, make_order
 from pe2ford.subgroups import gap_points
 from pe2ford.words import R, S, word_to_matrix
@@ -402,17 +402,35 @@ def test_arrangement_builds_no_object_per_enumerated_pair(monkeypatch, argv, del
     assert built[Hemisphere] <= contributors and built[UnimodularPair] == 0
 
 
-@pytest.mark.parametrize("command, count, key", [("gap-points", 200, "points"), ("cosets", 50, "members")])
-def test_gap_stream_builds_no_pair_object(monkeypatch, command, count, key):
+@pytest.mark.parametrize(
+    "command, count, key, mats",
+    [
+        pytest.param("gap-points", 200, "points", 0, id="gap-points-200-points"),
+        pytest.param("cosets", 50, "members", 50, id="cosets-50-members"),
+    ],
+)
+def test_gap_stream_builds_no_pair_object(monkeypatch, command, count, key, mats):
     # gap points hold the scan's integers, and the payload is written from
-    # them: no UnimodularPair is built for the stream, the ratio or the completion
+    # them: no UnimodularPair is built for the stream, the ratio or the
+    # completion, no KElem for a ratio (the only KElems are the origins of
+    # the pair scan's mu scans, one per pass), and a Mat only for a coset member
+    # (at -40 no candidate is replaced); every Mat is stored through _set
     built: Counter = Counter()
     init = UnimodularPair.__init__
     monkeypatch.setattr(UnimodularPair, "__init__", lambda self, *a, **k: built.update(["pair"]) or init(self, *a, **k))
+    kelem_init = KElem.__init__
+    kelem_callers: Counter = Counter()
+    monkeypatch.setattr(KElem, "__init__", lambda self, *a: kelem_callers.update([sys._getframe(1).f_code.co_name]) or kelem_init(self, *a))
+    set_entries = Mat._set
+    monkeypatch.setattr(Mat, "_set", lambda self, *a: built.update(["mat"]) or set_entries(self, *a))
     code, out, err = run([command, "--disc", "-40", "--count", str(count), "--format", "json"])
     assert code == 0, err
-    assert len(json.loads(out)[key]) == count
+    payload = json.loads(out)
+    assert len(payload[key]) == count
     assert built["pair"] == 0
+    assert set(kelem_callers) <= {"lattice_points_norm_at_most"}
+    assert built["mat"] == mats
+    assert command == "gap-points" or payload["replaced"] == []
 
 
 def _unit_ideal_callers(monkeypatch, argv):

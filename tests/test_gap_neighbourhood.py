@@ -168,7 +168,7 @@ def test_gap_neighbourhood_size_is_the_list_length(delta, a, b, s):
     # the summed widths of the rows, against the list itself and, at small |delta|, the box scan
     order = make_order(delta)
     z = KElem.of(order.elt(a, b), s)
-    size = sum(hi - lo + 1 for _, lo, hi in lattice_rows(z, order.gap_reach()))
+    size = sum(hi - lo + 1 for _, lo, hi in lattice_rows(order, z.num.a, z.num.b, z.den, order.gap_reach()))
     assert size == len(gap_neighbourhood(z))
     if -delta < 200:
         assert size == len(box_scan(z))

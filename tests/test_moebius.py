@@ -10,6 +10,7 @@ from pe2ford.moebius import (
     Mat,
     Side,
     apply_interior,
+    entry_sign,
     gen_r,
     gen_s,
     order_in_psl,
@@ -44,6 +45,30 @@ def test_sign_canonical_equality():
     assert hash(g) == hash(h)
     entry = next(e for e in g.entries() if not e.is_zero())
     assert entry.is_canonical_positive()
+
+
+def test_entry_sign_is_the_oint_rule():
+    # the first nonzero entry in the scan order (m11, m12, m21, m22) is made
+    # canonical positive (OInt.is_canonical_positive); every leading-zero
+    # position, each sign of a lead b and, with b = 0, of a lead a, and the
+    # all-zero tuple.  Mat stores by the same rule from OInts and from ints
+    d = make_order(-40)
+    rng = random.Random(11)
+    cases = [(0,) * 8]
+    for lead in range(4):
+        for a, b in [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]:
+            for _ in range(3):
+                rest = [rng.choice([0, 0, rng.randint(-3, 3)]) for _ in range(6 - 2 * lead)]
+                cases.append((0, 0) * lead + (a, b) + tuple(rest))
+    assert len(cases) == 1 + 4 * 24 * 3
+    for e in cases:
+        entries = [OInt(d, e[i], e[i + 1]) for i in (0, 2, 4, 6)]
+        first = next((x for x in entries if not x.is_zero()), None)
+        sign = -1 if first is not None and not first.is_canonical_positive() else 1
+        assert entry_sign(e) == sign, e
+        want = [[sign * e[i], sign * e[i + 1]] for i in (0, 2, 4, 6)]
+        assert Mat._trusted(*entries).coords() == want, e
+        assert Mat._trusted_ints(d, e).coords() == want, e
 
 
 @pytest.mark.parametrize("delta", [-15, -40, -163])

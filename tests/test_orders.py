@@ -238,13 +238,28 @@ def test_lattice_points_count_at_any_reach(rsq):
         sizes = []
         for z in zs:
             sizes.append(len(_check_within(z, Fraction(rsq))))
-            assert sum(hi - lo + 1 for _, lo, hi in lattice_rows(z, rsq)) == sizes[-1]
+            assert sum(hi - lo + 1 for _, lo, hi in lattice_rows(d, z.num.a, z.num.b, z.den, rsq)) == sizes[-1]
         if rsq < 0:
             assert sizes == [0] * 4
         elif rsq == 0:
             assert sizes[0] == 1
         elif rsq == 600:
             assert min(sizes) > 1800
+
+
+@pytest.mark.parametrize("delta", [-15, -20, -23, -31, -40, -163])
+def test_lattice_rows_do_not_depend_on_the_scale(delta):
+    # gap-points scans each ratio (xa + xb*t)/N as the stream holds it: at the
+    # scales k = 1 (as held), 2, 3 and 7 the rows are those of the reduced
+    # ratio, whose points are the brute-force box scan's
+    d = make_order(delta)
+    for gp in gap_points(d, 40):
+        z = KElem.of(d.elt(gp.xa, gp.xb), gp.norm)
+        for rsq in (d.gap_reach(), Fraction(1, 7), 1):
+            rows = list(lattice_rows(d, z.num.a, z.num.b, z.den, rsq))
+            assert [d.elt(a, b) for b, lo, hi in rows for a in range(lo, hi + 1)] == _brute_points(z, Fraction(rsq))
+            for k in (1, 2, 3, 7):
+                assert list(lattice_rows(d, k * gp.xa, k * gp.xb, k * gp.norm, rsq)) == rows, (gp, k, rsq)
 
 
 def test_lattice_points_norm_at_most():
