@@ -6,23 +6,31 @@ the one command table: each subcommand names its handler there.  The
 handler computes its result once and returns the body of one payload,
 its own fields only; `main` puts the `command` and `discriminant` header
 in front.  The payload is the dict that `--format json` prints and that
-the schemas under docs/schemas describe; `_json_text` prints it with the
-bytes of `json.dumps(payload, indent=2, sort_keys=True)`, through the C
-string escaper instead of the stdlib's pure-Python indenting encoder,
-writes each int pair [a, b] in place from one template per depth, and
-sorts and escapes the keys of each dict shape once per call.  Gap
-points are written from the integers the gap stream holds: `checked`
-from lattice_rows on the unreduced ratio (xa + xb*t)/N, and the
-`gap-points` completion from the eight ints of completion_entries,
-signed by moebius.entry_sign, the rule Mat stores by.  No KElem, OInt,
-Mat, pair or Fraction is built for a printed point; per point there is
-its GapPoint, its list of row triples, the completion's int tuple (and
-the int rows of its column echelon), and the payload's dicts, lists and
-strings.  A cosets member is printed from the Mat that coset_family
-built for it.
+the schemas under docs/schemas describe.  Its three long record lists,
+the `gap-points` points, the `cosets` members and the `arrangement`
+hemispheres, are each one _Records value: the record kind's layout
+function, which builds one record's dict from its leaves, and one tuple
+of leaves per record.  `_json_text` prints the payload with the bytes
+of `json.dumps(payload, indent=2, sort_keys=True)` (each record list
+read as its dicts), through the C string escaper instead of the
+stdlib's pure-Python indenting encoder: it writes each int pair [a, b]
+in place from one template per depth, sorts and escapes the keys of
+each dict shape once per call, and writes each record with one
+`template % leaves`, from a % template that it derives once per call
+from the layout itself.  Gap points are written from the integers the
+gap stream holds: `checked` from lattice_rows on the unreduced ratio
+(xa + xb*t)/N, and the `gap-points` completion from the eight ints of
+completion_entries, signed by moebius.entry_sign, the rule Mat stores
+by.  No KElem, OInt, Mat, pair or Fraction is built for a printed
+point, and no dict: per point there is its GapPoint, its list of row
+triples, the completion's int tuple (and the int rows of its column
+echelon), its `checked` list, its three ratio strings and its tuple of
+leaves.  A cosets member is printed from the eight ints of the Mat that
+coset_family built for it.
 `--format text` renders the same payload one `key: value` line at a
-time, and `--format svg` (arrangement and amalgam) draws the
-arrangement the command already computed.
+time, a record list as one line per dict its layout builds, and
+`--format svg` (arrangement and amalgam) draws the arrangement the
+command already computed.
 
 Exit codes: 0 success (a membership verdict, Member or NonMember,
 included), 2 usage error (including malformed words, invalid
@@ -43,8 +51,9 @@ import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .arrangement import Contributes, completion_entries, enumerate_hemispheres, face_statuses, svg_topview
 from .errors import (
@@ -93,11 +102,12 @@ def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -
 MAX_COUNT = 10_000
 _COUNT = _checked(int, lambda x: 0 < x <= MAX_COUNT, f"a count from 1 to {MAX_COUNT}")
 # --bound of arrangement and amalgam.  At 1024 the costliest calls measured,
-# at -15, take 3.6 s CPU and 161 MB (amalgam) and 9.6 s and 663 MB
-# (arrangement --format json, whose payload lists all 229,082 hemispheres and
-# is most of that) on a shared 2-vCPU VM (Python 3.11.7); before the face
-# walks drew their rivals lazily, amalgam at -15 and bound 512 took 74 s and
-# 1.2 GB.  The hemisphere count grows as bound^2
+# at -15, take 4.1 s CPU and 161 MiB (amalgam) and 4.9-6.7 s and 530 MiB
+# (arrangement --format json, whose payload lists all 229,082 hemispheres in
+# 86 MB of text; enumerating and classifying them takes 4.0 s and 157 MiB) on
+# a shared 2-vCPU VM (Python 3.11.7); before the face walks drew their rivals
+# lazily, amalgam at -15 and bound 512 took 74 s and 1.2 GB.  The hemisphere
+# count grows as bound^2
 MAX_BOUND = 1024
 _BOUND = _checked(int, lambda x: 0 < x <= MAX_BOUND, f"a bound from 1 to {MAX_BOUND}")
 # lattice points that one gap-points payload may list under `checked`, summed
@@ -105,7 +115,7 @@ _BOUND = _checked(int, lambda x: 0 < x <= MAX_BOUND, f"a bound from 1 to {MAX_BO
 # exits 3.  Each point's lattice_rows are read once: their widths give the
 # list's size in O(rows) before any list is built, and the same rows are then
 # expanded into it.  At -100000000003, --count 10 --format json lists 980,977
-# points in 1.7-1.8 s CPU and 293 MB on a shared 2-vCPU VM; at
+# points in 1.6 s CPU and 294 MiB on a shared 2-vCPU VM; at
 # -100000000000003 the third point alone has 3.7 million
 MAX_CHECKED = 1_000_000
 _POSITIVE_FRACTION = _checked(Fraction, lambda x: x > 0, "positive")
@@ -115,17 +125,21 @@ def _oint_json(x: OInt) -> list[int]:
     return [x.a, x.b]
 
 
+def _mat_layout(a11: int, b11: int, a12: int, b12: int, a21: int, b21: int, a22: int, b22: int) -> dict[str, Any]:
+    return {"entries": [[a11, b11], [a12, b12], [a21, b21], [a22, b22]], "sign_canonical": True}
+
+
+def _mat_leaves(m: Mat) -> tuple[int, ...]:
+    return (m.m11.a, m.m11.b, m.m12.a, m.m12.b, m.m21.a, m.m21.b, m.m22.a, m.m22.b)
+
+
 def _mat_json(m: Mat) -> dict[str, Any]:
-    return {"entries": m.coords(), "sign_canonical": True}
+    return _mat_layout(*_mat_leaves(m))
 
 
-def _entries_json(e: tuple[int, ...]) -> dict[str, Any]:
-    """_mat_json of the Mat with entry ints e, written from the ints: entry_sign is the sign Mat stores by."""
-    s = entry_sign(e)
-    return {
-        "entries": [[s * e[0], s * e[1]], [s * e[2], s * e[3]], [s * e[4], s * e[5]], [s * e[6], s * e[7]]],
-        "sign_canonical": True,
-    }
+def _entries_leaves(e: tuple[int, ...]) -> tuple[int, ...]:
+    """_mat_leaves of the Mat with entry ints e, from the ints: entry_sign is the sign Mat stores by."""
+    return e if entry_sign(e) > 0 else tuple(-x for x in e)
 
 
 def _kelem_json(z: KElem) -> dict[str, Any]:
@@ -150,6 +164,30 @@ def _polygon_json(poly) -> dict[str, Any]:
     }
 
 
+class _Records:
+    """A payload list of records of one kind: the dicts layout(*row), one per row.
+
+    Each row is the record's leaves in the layout's argument order; the
+    layout only places them, so it runs on any leaves.  Iterating yields
+    the dicts (what `--format text` and json.dumps(default=list) read);
+    _json_text writes the rows through one template derived from the
+    layout.
+    """
+
+    __slots__ = ("layout", "rows")
+
+    def __init__(self, layout: Callable[..., dict[str, Any]], rows: list[tuple]) -> None:
+        self.layout = layout
+        self.rows = rows
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        layout = self.layout
+        return (layout(*row) for row in self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 def _text_value(value: Any) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
@@ -160,12 +198,23 @@ def _text_value(value: Any) -> str:
     return "none" if value is None else str(value)
 
 
-# the JSON text of each leaf type, looked up by exact type, so a subclass is no leaf
+class _Slot:
+    """Leaf i of a record, placed by its layout while _json_text derives the record's template."""
+
+    __slots__ = ("i",)
+
+    def __init__(self, i: int) -> None:
+        self.i = i
+
+
+# the JSON text of each leaf type, looked up by exact type, so a subclass is no leaf;
+# a _Slot is written as its number between two NULs, which the escaper writes as \u0000
 _JSON_LEAF: dict[type, Callable[[Any], str]] = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
+    _Slot: lambda s: f"\x00{s.i}\x00",
 }
 
 
@@ -173,10 +222,11 @@ def _json_text(value: Any) -> str:
     """json.dumps(value, indent=2, sort_keys=True) for payload values, without its pure-Python encoder.
 
     Strings and keys go through the stdlib's C escaper, ints through
-    int.__repr__, lists and tuples become arrays.  A str, int, bool or None
-    item is rendered in place by its _JSON_LEAF entry, and a list of exactly
-    two exact ints, such as an order element [a, b], by the pair template
-    of its depth, whose %d writes an int as int.__repr__ does; only any
+    int.__repr__, lists and tuples become arrays, and a _Records value
+    becomes the array of its records.  A str, int, bool or None item is
+    rendered in place by its _JSON_LEAF entry, and a list of exactly two
+    exact ints, such as an order element [a, b], by the pair template of
+    its depth, whose %d writes an int as int.__repr__ does; only any
     other list, tuple or dict item costs a recursive call.
 
     A payload repeats a few dict shapes many times, so the call keeps one
@@ -184,15 +234,37 @@ def _json_text(value: Any) -> str:
     sorted keys, each with the text in front of its value: the separator,
     the indentation and the escaped "key": .  A shape is sorted, checked
     and escaped on its first meeting, and the newline-and-indent strings
-    and the pair template of each depth are built once.  Both live for the
-    one call.  Any other type, floats and subclasses included, and a key
-    that is no exact str (a str subclass too, even where an equal str key
-    made the shape) raise TypeError.
+    and the pair template of each depth are built once.
+
+    A record list is written from one % template per (layout, depth).
+    On its first meeting the call writes the layout run on numbered
+    _Slot leaves with this same code, so the template holds the layout's
+    text exactly, with a %s where each slot was.  Each record is then
+    one `template % leaves`: an exact int leaf as %s writes it, which is
+    int.__repr__, and any other leaf as this code writes it at the depth
+    of its slot (a str through the escaper, a list or dict such as
+    `checked` or a status recursively).  The shapes, pads and templates
+    live for the one call.  Any other type, floats and subclasses
+    included, and a key that is no exact str (a str subclass too, even
+    where an equal str key made the shape) raise TypeError.
     """
     shapes: dict[tuple[tuple, int], list[tuple[str, str]]] = {}
     # per depth: the newline and indent of a container's closing bracket and
     # of its items, and the template of an int pair among its items
     pads: list[tuple[str, str, str]] = []
+    # per (layout, depth): the template, the leaves in template order, and the depth of each
+    forms: dict[tuple[Callable, int], tuple[str, Callable[[tuple], tuple], list[int]]] = {}
+
+    def form(layout: Callable[..., dict[str, Any]], n: int, depth: int) -> tuple[str, Callable[[tuple], tuple], list[int]]:
+        # the text, its first line indented for depth as the caller writes it, splits
+        # at the NULs into literal, slot number, literal, ..., literal
+        parts = ("  " * depth + write(layout(*map(_Slot, range(n))), depth)).split("\x00")
+        slots = [int(i) for i in parts[1::2]]
+        # each slot opens its own line, indented two spaces per depth
+        lines = [p[p.rfind("\n") + 1 :] for p in parts[0:-1:2]]
+        depths = [(len(line) - len(line.lstrip(" "))) // 2 for line in lines]
+        pick = itemgetter(*slots) if len(slots) > 1 else lambda row: tuple(row[i] for i in slots)
+        return "%s".join(p.replace("%", "%%") for p in parts[0::2])[2 * depth :], pick, depths
 
     def write(value: Any, depth: int) -> str:
         kind = type(value)
@@ -215,6 +287,21 @@ def _json_text(value: Any) -> str:
                 else:
                     texts.append(write(v, depth + 1))
             return "[" + inner + ("," + inner).join(texts) + nl + "]" if texts else "[]"
+        if kind is _Records:
+            rows = value.rows
+            if not rows:
+                return "[]"
+            key = (value.layout, depth + 1)
+            if key not in forms:
+                forms[key] = form(value.layout, len(rows[0]), depth + 1)
+            template, pick, depths = forms[key]
+            for row in rows:
+                leaves = [
+                    x if type(x) is int else encode_basestring_ascii(x) if type(x) is str else write(x, d)
+                    for x, d in zip(pick(row), depths)
+                ]
+                texts.append(template % tuple(leaves))
+            return "[" + inner + ("," + inner).join(texts) + nl + "]"
         if kind is not dict:
             raise TypeError(f"{kind.__name__} is not a payload value")
         if not value:
@@ -255,7 +342,7 @@ def _render_text(payload: dict[str, Any]) -> str:
     for key, value in payload.items():
         if key == "command":
             continue
-        items = value if isinstance(value, list) else [value]
+        items = value if isinstance(value, (list, _Records)) else [value]
         lines += [f"{key.replace('_', ' ')}: {_text_value(item)}" for item in items or [None]]
     return "\n".join(lines) + "\n"
 
@@ -266,18 +353,19 @@ def _input_word(args: argparse.Namespace, order: Order) -> Word:
     return random_pe2_word(order, args.seed)
 
 
-def _gap_point_json(gp: GapPoint) -> dict[str, Any]:
+def _gap_point_layout(a: int, b: int, c: int, d: int, xa: int, xb: int, den: int, u: str, v: str, dist_sq: str) -> dict[str, Any]:
+    return {"lam": [a, b], "mu": [c, d], "ratio": {"num": [xa, xb], "den": den}, "uv": [u, v], "min_dist_sq": dist_sq}
+
+
+def _gap_point_leaves(gp: GapPoint) -> tuple:
     # written from the point's integers: the ratio (xa + xb*t)/N in lowest
     # terms, as KElem.of reduces it, at planar ((2xa + trace*xb)/2N, xb/2N)
     xa, xb, n = gp.xa, gp.xb, gp.norm
     g, l = math.gcd(xa, xb, n), 2 * n
-    return {
-        "lam": [gp.a, gp.b],
-        "mu": [gp.c, gp.d],
-        "ratio": {"num": [xa // g, xb // g], "den": n // g},
-        "uv": [_ratio_text(2 * xa + gp.order.trace * xb, l), _ratio_text(xb, l)],
-        "min_dist_sq": _ratio_text(gp.dist, n * n),
-    }
+    return (
+        gp.a, gp.b, gp.c, gp.d, xa // g, xb // g, n // g,
+        _ratio_text(2 * xa + gp.order.trace * xb, l), _ratio_text(xb, l), _ratio_text(gp.dist, n * n),
+    )
 
 
 def _cmd_order_info(args: argparse.Namespace, order: Order) -> _Result:
@@ -368,6 +456,12 @@ def _cmd_presentation(args: argparse.Namespace, order: Order) -> _Result:
     return body, None
 
 
+def _member_layout(*leaves: Any) -> dict[str, Any]:
+    # the member Mat's eight ints, its gap point's ten leaves, then its coset key (s, p, q)
+    s, p, q = leaves[18:]
+    return {"matrix": _mat_layout(*leaves[:8]), **_gap_point_layout(*leaves[8:18]), "coset_point": {"s": s, "num": [p, q]}}
+
+
 def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
     fam = coset_family(order, args.count)
     n = len(fam.members)
@@ -376,10 +470,10 @@ def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
         digest.update(f"{s}:{p},{q}\n".encode())
     body = {
         "count": n,
-        "members": [
-            {"matrix": _mat_json(m), **_gap_point_json(gp), "coset_point": {"s": s, "num": [p, q]}}
-            for m, gp, (s, p, q) in zip(fam.members, fam.points, fam.keys)
-        ],
+        "members": _Records(
+            _member_layout,
+            [_mat_leaves(m) + _gap_point_leaves(gp) + key for m, gp, key in zip(fam.members, fam.points, fam.keys)],
+        ),
         # distinct keys separate every pair of members
         "pairs_checked": n * (n - 1) // 2,
         "all_non_member": len(set(fam.keys)) == n,
@@ -389,33 +483,35 @@ def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
     return body, None
 
 
+def _hemisphere_layout(
+    a: int, b: int, den: int, u: str, v: str, radius_sq: str, la: int, lb: int, ma: int, mb: int, status: dict[str, Any]
+) -> dict[str, Any]:
+    return {
+        "center": {"num": [a, b], "den": den},
+        "uv": [u, v],
+        "radius_sq": radius_sq,
+        "owner": [[la, lb], [ma, mb]],
+        "status": status,
+    }
+
+
 def _cmd_arrangement(args: argparse.Namespace, order: Order) -> _Result:
     hs = enumerate_hemispheres(order, args.bound, amalgam_rectangle(order))
     statuses = face_statuses(hs)
     e = order.trace
-    recs = []
+    rows = []
     # each record is written from the HemiSet's integers: a disc's center (U/L, V/L) is
     # (a + b*t)/den in lowest terms with b = V, 2a = U - trace*V and 2*den = L
-    for (u, v, l, p, q), (la, lb, ma, mb), s in zip(hs.discs, hs.owners, statuses):
-        status: dict[str, Any] = {"kind": "covered"}
-        if isinstance(s, Contributes):
-            status = {"kind": "contributes", "witness": _kelem_json(s.witness)}
-        recs.append(
-            {
-                "center": {"num": [(u - e * v) // 2, v], "den": l // 2},
-                "uv": [_ratio_text(u, l), _ratio_text(v, l)],
-                "radius_sq": _ratio_text(p, q),
-                "owner": [[la, lb], [ma, mb]],
-                "status": status,
-            }
-        )
+    for (u, v, l, p, q), owner, s in zip(hs.discs, hs.owners, statuses):
+        status = {"kind": "contributes", "witness": _kelem_json(s.witness)} if isinstance(s, Contributes) else {"kind": "covered"}
+        rows.append(((u - e * v) // 2, v, l // 2, _ratio_text(u, l), _ratio_text(v, l), _ratio_text(p, q), *owner, status))
     contributing = sum(isinstance(s, Contributes) for s in statuses)
     body = {
         "bound": hs.norm_bound,
         "window": _polygon_json(hs.window),
-        "hemispheres": recs,
+        "hemispheres": _Records(_hemisphere_layout, rows),
         "contributing": contributing,
-        "covered": len(recs) - contributing,
+        "covered": len(rows) - contributing,
     }
     return body, (hs, statuses, ((), ()))
 
@@ -448,6 +544,11 @@ def _cmd_amalgam(args: argparse.Namespace, order: Order) -> _Result:
     return body, (rep.arrangement, rep.statuses, rep.split)
 
 
+def _gap_points_layout(*leaves: Any) -> dict[str, Any]:
+    # the gap point's ten leaves, its checked list, then its completion's eight ints
+    return {**_gap_point_layout(*leaves[:10]), "checked": leaves[10], "completion": _mat_layout(*leaves[11:])}
+
+
 def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
     pts = gap_points(order, args.count)
     reach = order.gap_reach()
@@ -457,16 +558,13 @@ def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
     if sum(hi - lo + 1 for point_rows in rows for _, lo, hi in point_rows) > MAX_CHECKED:
         raise OutOfScope(f"the checked lists of {args.count} gap points would hold more than {MAX_CHECKED} lattice points")
     points = [
-        {
-            **_gap_point_json(gp),
-            # b ascending, then a ascending: key() order
-            "checked": [[a, b] for b, lo, hi in point_rows for a in range(lo, hi + 1)],
-            # pair_scan already ran the unit test
-            "completion": _entries_json(completion_entries(order, gp.a, gp.b, gp.c, gp.d)),
-        }
+        # b ascending, then a ascending: key() order; pair_scan already ran the unit test
+        _gap_point_leaves(gp)
+        + ([[a, b] for b, lo, hi in point_rows for a in range(lo, hi + 1)],)
+        + _entries_leaves(completion_entries(order, gp.a, gp.b, gp.c, gp.d))
         for gp, point_rows in zip(pts, rows)
     ]
-    return {"count": len(pts), "points": points}, None
+    return {"count": len(pts), "points": _Records(_gap_points_layout, points)}, None
 
 
 def _build_parser() -> argparse.ArgumentParser:

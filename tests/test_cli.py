@@ -112,6 +112,15 @@ OUTPUT_DIGESTS = {
         "d028ab644407b4211ff11a4aa137149e0b880caa42a222f75de3fbbeb54f6ac3",
     "amalgam --disc -163 --bound 16 --format svg":
         "0076428184622efef5f3447a846047da95e9ef74ea55b7b030e4ae99b5bdb6d7",
+    # record shapes at odd delta, where a center's num reads the trace, and the arrangement as text
+    "arrangement --disc -163 --bound 16 --format json":
+        "7b5cfc415a1b6c4e60f726d6f91ad677e5356d4e37f2b0be65c1dc6f22b59a54",
+    "arrangement --disc -40 --bound 16":
+        "d342b439abb75a2474497bd5c347a30213ae2040dd81990fa3830a443e5b35b4",
+    "cosets --disc -163 --count 20 --format json":
+        "93c7d704b4e20ae1d74c2b2ec5ec482d8e763f6b8149fe1f355a089955ffbe9d",
+    "gap-points --disc -163 --count 50 --format json":
+        "8242208db3c24d3dde8ec030139bf597d65355971aa3b334f436d031afa80e8d",
 }
 
 
@@ -607,6 +616,27 @@ def _no_digit_limit():
             sys.set_int_max_str_digits(limit)
 
 
+class _IntSubclass(int):
+    pass
+
+
+class _StrSubclass(str):
+    pass
+
+
+def _toy_layout(a, b, c):
+    # a record layout with a % in a key, a slot in a pair, one in a dict and one at the record's top
+    return {"b%d": [a, {"%s": b}], "a": c, "z": [a, a]}
+
+
+# record rows of every leaf kind: ints, true, null and false, strs that need
+# escapes or hold a %, a long int, nested lists, tuples and dicts, empty ones
+TOY_ROWS = [
+    [(1, 2, 3)],
+    [(True, None, False), ("%s", "\x00", "\u2028"), (-(10**5000), [[1, 2], []], {"q": (1, [])})],
+    [(1, "x", [3]), ({}, (), [[]])],
+]
+
 WRITER_VALUES = [
     [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[{}]]], {"b": {"c": []}, "a": [{}]},
     "", "caf\u00e9 \u2203 \U0001d53b \ufeff", "\x00\x01\x1f\x7f\t\n\r\b\f \" \\ / </script>",
@@ -614,22 +644,31 @@ WRITER_VALUES = [
     [True, 1, False, 0, None], {"true": True, "one": 1, "false": False, "zero": 0, "null": None},
     0, -1, -(10**5999), 10**6000 - 1, [10**5999, [-(10**5999)]],
     ("a", (1, ("b", [])), ()), {"z": 1, "a": 2, "m": {"y": [3, (4,)], "b": "x"}},
+    *(cli._Records(_toy_layout, rows) for rows in [[], *TOY_ROWS]),
+    {"r": cli._Records(_toy_layout, TOY_ROWS[1]), "s": [cli._Records(_toy_layout, TOY_ROWS[1])]},
 ]
 
 
 @pytest.mark.parametrize("argv", [argv for _, argv in JSON_CASES], ids=" ".join)
 def test_json_writer_is_the_stdlib_encoder_on_payloads(argv):
+    # a record list reaches json.dumps as the list of its records, each built by its layout
     payload = _payload(argv)
-    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True, default=list)
 
 
 @pytest.mark.parametrize("value", WRITER_VALUES, ids=lambda v: type(v).__name__)
 def test_json_writer_is_the_stdlib_encoder_on_edge_values(value):
+    # a record list reaches json.dumps as the list of its records, each built by its layout
     with _no_digit_limit():
-        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True, default=list)
 
 
-@pytest.mark.parametrize("value", [1.5, [0.0], {"a": float("nan")}, {1: "a"}, {"a": {None: 1}}, {"a", "b"}, b"x"])
+@pytest.mark.parametrize(
+    "value",
+    [1.5, [0.0], {"a": float("nan")}, {1: "a"}, {"a": {None: 1}}, {"a", "b"}, b"x"]
+    # a record leaf no payload holds, in the second record, after the template is derived
+    + [cli._Records(_toy_layout, [(1, 2, 3), (1, leaf, 3)]) for leaf in (1.5, _IntSubclass(1), _StrSubclass("a"), {1: 2}, b"x")],
+)
 def test_json_writer_refuses_what_payloads_never_hold(value):
     with pytest.raises(TypeError):
         cli._json_text(value)
@@ -640,10 +679,6 @@ def test_json_writer_refuses_int_keys_that_sort():
     for value in ({2: "a", 1: "b"}, {0: None}, {"a": {3: 1, 1: 2}}, [{1: []}]):
         with pytest.raises(TypeError, match="payload keys must be str"):
             cli._json_text(value)
-
-
-class _IntSubclass(int):
-    pass
 
 
 # int pairs at depths 0 to 3, as list items and as dict values, with
@@ -680,10 +715,6 @@ def test_json_writer_writes_long_int_pairs_through_main(sign):
     assert (code, err) == (0, "")
     with _no_digit_limit():
         assert out == json.dumps(_payload(argv), indent=2, sort_keys=True) + "\n"
-
-
-class _StrSubclass(str):
-    pass
 
 
 # dict shapes met more than once in one call: the writer orders each
@@ -727,6 +758,49 @@ def test_json_writer_refuses_a_non_str_key_of_a_known_shape(value):
     # a key equal to a str of a shape met before is still checked
     with pytest.raises(TypeError, match="payload keys must be str"):
         cli._json_text(value)
+
+
+# each record kind at odd, even and huge delta: (argv, the key of its record list)
+RECORD_CASES = [
+    ([command, "--disc", delta, size, "3"], key)
+    for delta in ("-15", "-40", "-100000000003")
+    for command, size, key in (("gap-points", "--count", "points"), ("cosets", "--count", "members"), ("arrangement", "--bound", "hemispheres"))
+]
+
+
+def _odd_leaf(x):
+    # a leaf of x's kind that the stream never makes: a long negative int, an empty
+    # list or dict, a str that needs escapes and holds a %
+    if type(x) is int:
+        return -(10**60) - x
+    return {list: [], dict: {}, str: '%s "caf\u00e9" %d\n'}[type(x)]
+
+
+@pytest.mark.parametrize("argv, key", RECORD_CASES, ids=lambda c: " ".join(c) if isinstance(c, list) else c)
+def test_record_templates_write_the_layout_dicts(argv, key):
+    # a record list written through its template is the writer's text of the
+    # same records as dicts, at the payload's depth and nested deeper, with a
+    # record whose list (or dict) leaf is empty among them; the writer on dicts
+    # is json.dumps (test_json_writer_is_the_stdlib_encoder_on_payloads)
+    records = _payload(argv)[key]
+    assert type(records) is cli._Records and records.rows
+    value = cli._Records(records.layout, [*records.rows, tuple(map(_odd_leaf, records.rows[0]))])
+    dicts = list(value)
+    for wrap in (lambda v: v, lambda v: {"k": v, "a": 1}, lambda v: [{"k": [v]}, v]):
+        got, want = cli._json_text(wrap(value)), cli._json_text(wrap(dicts))
+        if got != want:
+            # name the first line that differs: pytest's own diff of megabytes of text takes minutes
+            line = next((i for i, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))) if g != w), None)
+            pytest.fail(f"the template text first differs from the dicts' at line {line}")
+
+
+def test_record_templates_live_for_one_call():
+    # a layout that changes between two calls is derived afresh by each
+    keys = ["a"]
+    records = cli._Records(lambda x: {keys[0]: x}, [(1,), (2,)])
+    first = cli._json_text(records)
+    keys[0] = "b"
+    assert cli._json_text(records) == json.dumps(list(records), indent=2, sort_keys=True) != first
 
 
 def test_output_digests():
