@@ -33,12 +33,14 @@ radii, and only a strictly larger rival can cover h alone.  Mirror
 orbits: a reflection of the window's bounding box that maps the discs
 onto the discs, radii kept and the images a permutation of the indices,
 is an isometry of u^2 + |delta| v^2 that carries each hemisphere's
-heights onto its image's, so a face is Covered iff its image is, and
-the plane sides of a contributor are its image's.  face_statuses walks
-no face whose orbit already holds a Covered face, and plane_split
-clips no contributor whose orbit already has its sides; without the
-permutation (say a duplicate pair whose image is one disc) nothing
-carries over.  The upper envelope of a finite
+heights onto its image's, so a face is Covered iff its image is, a
+contributor's witness is the image of its image's walked witness (the
+walk is equivariant: face_statuses proves it), and the plane sides of a
+contributor are its image's.  face_statuses walks each orbit once, at
+its least index, and gives every other face of it the Covered verdict or
+the reflected witness; plane_split clips no contributor whose orbit
+already has its sides.  Without the permutation (say a duplicate pair
+whose image is one disc) nothing carries over.  The upper envelope of a finite
 set of hemispheres is that of its contributing faces, so plane_split
 clips each contributor's cell by the contributors alone, and the walls
 of amalgam_report read the contributors alone; a wall clips each disc's
@@ -220,6 +222,9 @@ class UnimodularPair:
 
 
 Owner = tuple[int, int, int, int]  # a pair (lam, mu) as (lam.a, lam.b, mu.a, mu.b)
+# (W, A, B, C, D): the affine map (x/l, y/l) -> ((A*l + B*x)/(W*l), (C*l + D*y)/(W*l)) of planar points
+Reflection = tuple[int, int, int, int, int]
+_IDENTITY: Reflection = (1, 0, 1, 0, 1)
 
 
 def _disc_hemisphere(order: Order, hd: Disc) -> Hemisphere:
@@ -253,8 +258,8 @@ class HemiSet:
         return tuple(_disc_hemisphere(self.order, hd) for hd in self.discs)
 
     @cached_property
-    def mirror_low(self) -> tuple[int, ...]:
-        """For each disc i, the least index in its orbit under the box reflections that permute the discs.
+    def mirror_orbits(self) -> tuple[tuple[int, ...], tuple[Reflection, ...]]:
+        """(low, sigma): for each disc i, the least index low[i] in its orbit under the box reflections that permute the discs, and a reflection sigma[i] that carries disc low[i] onto disc i.
 
         The candidates sigma are the reflections in the two center lines of
         the window's bounding box, u -> su - u and v -> sv - v, and their
@@ -274,6 +279,11 @@ class HemiSet:
         composition, and exactly one rules it out (with the point
         reflection it would give the other), so the kept maps and the
         identity form a group, and the orbit of i is i with its images.
+
+        Each kept reflection is an involution, so the one that sends i to
+        low[i] sends disc low[i] onto disc i; sigma[i] is that reflection,
+        the identity when low[i] = i, as the ints (W, A, B, C, D) that carry
+        a planar point (x/l, y/l) to ((A*l + B*x)/(W*l), (C*l + D*y)/(W*l)).
         Built on first read, once per set.
         """
         w, xlo, xhi, ylo, yhi = box_of(frame_of(self.window.vertices))[0]
@@ -281,7 +291,7 @@ class HemiSet:
         rows = [(w * u, w * v, l, p, q) for u, v, l, p, q in self.discs]
         index = {r: i for i, r in enumerate(rows)}
         if len(index) < len(rows):
-            return tuple(range(len(rows)))
+            return tuple(range(len(rows))), (_IDENTITY,) * len(rows)
 
         def permutation(ru: bool, rv: bool) -> tuple[int, ...] | None:
             # reflect u if ru and v if rv; stop at the first disc with no image
@@ -293,15 +303,24 @@ class HemiSet:
                 pi.append(j)
             return tuple(pi)
 
+        # each kept permutation with its reflection as (W, A, B, C, D)
+        flip_u, flip_v, flip_uv = (w, su, -w, 0, w), (w, 0, w, sv, -w), (w, su, -w, sv, -w)
         pu, pv = permutation(True, False), permutation(False, True)
         if pu is not None and pv is not None:
-            kept = [pu, pv, [pv[j] for j in pu]]
-        elif pu is not None or pv is not None:
-            kept = [pu or pv]
+            kept = [(pu, flip_u), (pv, flip_v), ([pv[j] for j in pu], flip_uv)]
+        elif pu is not None:
+            kept = [(pu, flip_u)]
+        elif pv is not None:
+            kept = [(pv, flip_v)]
         else:
             pc = permutation(True, True)
-            kept = [] if pc is None else [pc]
-        return tuple(min(js) for js in zip(range(len(rows)), *kept))
+            kept = [] if pc is None else [(pc, flip_uv)]
+        low, sigma = list(range(len(rows))), [_IDENTITY] * len(rows)
+        for pi, f in kept:
+            for i, j in enumerate(pi):
+                if j < low[i]:
+                    low[i], sigma[i] = j, f
+        return tuple(low), tuple(sigma)
 
 
 def pair_scan(
@@ -570,29 +589,75 @@ def face_statuses(hs: HemiSet) -> tuple[FaceStatus, ...]:
     face's neighbour list is built.
 
     Mirror orbits.  Let sigma be one of the reflections that
-    HemiSet.mirror_low keeps, with sigma(disc i) = disc pi(i) and pi a
-    permutation of the indices.  sigma is an isometry of u^2 + |delta| v^2
-    that keeps each radius, so height_pi(i)(sigma z) = height_i(z) at
-    every z, and pi carries the other discs of i onto the other discs of
-    pi(i).  So h_i is strictly on top of every other hemisphere at z iff
-    h_pi(i) is at sigma z, and i is Covered iff pi(i) is: the statuses are
-    constant on each orbit.  A face whose orbit has a least index j < i
-    that is Covered is Covered with no walk.  The permutation condition
-    matters: were two discs a duplicate pair whose image is one disc,
-    that disc would have no duplicate, and a Covered verdict would not
-    carry over.  Every face that contributes is still walked, in set
-    order, so each witness is the walk's own.
+    HemiSet.mirror_orbits keeps: it sends each disc k onto disc pi(k),
+    with pi a permutation of the indices, and let i = pi(j).  sigma is an
+    isometry of u^2 + |delta| v^2 that keeps each radius, so
+    height_i(sigma z) = height_j(z) at every z, and pi carries the other
+    discs of j onto the other discs of i.  So h_j is strictly on top of
+    every other hemisphere at z iff h_i is at sigma z, and j is Covered
+    iff i is: the statuses are constant on each orbit.  The permutation
+    condition matters: were two discs a duplicate pair whose image is one
+    disc, that disc would have no duplicate, and a Covered verdict would
+    not carry over.  Each orbit is walked once, at
+    its least index j; a face i > j of it is Covered when j is, and
+    otherwise takes Contributes(sigma(witness_j)), with sigma the
+    mirror_orbits reflection that carries disc j onto disc i, applied to
+    the witness's planar integers and reduced by kelem_from_planar_int.
+
+    That point is the witness face_status finds on face i itself, since
+    each step of the walk is carried over by sigma.
+    - Its rivals.  The box rivals of a face are a superset of the discs
+      whose closed discs meet its own (box_rivals), in set order.  The
+      center pass ends in an apex witness iff the center is strictly on
+      top of every rival, and a rival whose open disc misses h's always
+      passes it, so that outcome is decided by the rivals whose open
+      discs meet h's.  A contributor's walk stops early nowhere (each
+      early stop is a Covered verdict), so it reads every rival, the
+      passed ones too, and clips by exactly those whose open discs meet
+      h's, skipping the others.  sigma maps the rivals of j whose open
+      discs meet j's onto those of i, and cell_square(j), the square
+      center +-1, onto cell_square(i).  The center test and the bisector
+      are powers, which sigma keeps, so j's center passes iff i's does,
+      and the cell of i is sigma of the cell of j as a set.
+    - Its vertices.  clip is exact Sutherland-Hodgman, and it adds a
+      crossing only strictly inside an edge whose ends are strictly on
+      opposite sides of the line.  Start from the four corners of the
+      square.  If every point of a convex polygon P with area is a
+      corner (an extreme point), so is every point that clip keeps of
+      P & H: a corner of P in H stays extreme in the smaller set, and a
+      crossing is the end of the part of its edge in H, which lies on a
+      supporting line of P, so it is extreme too.  Conversely an extreme
+      point of P & H off the line is extreme in P, and one on the line is
+      a corner of P or a crossing: inside an edge with an end on each
+      side, or else the edge lies on the line and the point is not
+      extreme.  A contributor's cell has area at every step, since a clip
+      never regains it.  So the final vertex list is the cell's corner
+      set, each corner once, whatever order the clips came in.
+    - Its witness.  The nearest point of a convex cell to the center is
+      unique, the vertex average of a corner set commutes with affine
+      maps, and the halving count k is the first of 1, 2, 4, ... at which
+      the point ((k - 1) * nearest + average) / k lies in h's open disc.
+      sigma is an affine isometry that carries the center of j onto that
+      of i and keeps the radius, so it carries each of the three over,
+      and the point found on j onto the point found on i.  An apex
+      witness is the center, which sigma carries over too.
+    KElem is canonical, so the reflected witness is the walked one, as an
+    object equal to it.
     """
     order, discs = hs.order, hs.discs
     rivals = box_rivals(order.abs_delta, discs)
-    low = hs.mirror_low
+    low, sigma = hs.mirror_orbits
     out: list[FaceStatus] = []
     for i, hd in enumerate(discs):
         j = low[i]
-        if j < i and type(out[j]) is Covered:
-            out.append(Covered())
-        else:
+        if j == i:
             out.append(face_status(order, hd, map(discs.__getitem__, rivals(i))))
+        elif type(out[j]) is Covered:
+            out.append(out[j])
+        else:
+            x, y, l = out[j].witness.planar_int()
+            w, a, b, c, d = sigma[i]
+            out.append(Contributes(kelem_from_planar_int(order, a * l + b * x, c * l + d * y, w * l)))
     return tuple(out)
 
 
@@ -642,13 +707,14 @@ def plane_split(
     floor, so it would contribute.  (Two hemispheres that agree on an open
     set are equal, and a HemiSet has no duplicates.)
 
-    Mirror orbits.  A reflection that HemiSet.mirror_low keeps maps the
-    set onto itself isometrically, keeping radii, so it maps the
+    Mirror orbits.  A reflection that HemiSet.mirror_orbits keeps maps
+    the set onto itself isometrically, keeping radii, so it maps the
     contributors onto the contributors (face_statuses) and the cell
     against every rival of a contributor onto that of its image.  The
     sides depend on that cell's distances from the center alone, so they
     are constant on each orbit: a contributor whose orbit has a least
-    index j < i takes j's sides, with no cell clipped.
+    index j < i takes j's sides, with no cell clipped.  Only the index is
+    read here, not the reflection.
     """
     if t0 <= 0:
         raise ValueError("the plane needs t0 > 0")
@@ -658,7 +724,7 @@ def plane_split(
     ta, tb = t0sq.numerator, t0sq.denominator
     top = [i for i, s in enumerate(statuses) if isinstance(s, Contributes)]
     discs = [hs.discs[i] for i in top]
-    low = hs.mirror_low
+    low, _ = hs.mirror_orbits
     sides: dict[int, tuple[bool, bool]] = {}  # (above, below) of each contributor decided so far
     above, below = [], []
     rivals = box_rivals(n, discs)

@@ -2,7 +2,8 @@
 
 `main` parses the arguments with one parser built at import, makes the
 order once, and hands both to the subcommand's handler.  The parser is
-the one command table: each subcommand names its handler there.  The
+the one command table: each subcommand names its handler there, and
+`arrangement` and `amalgam` also name a draw function.  The
 handler computes its result once and returns the body of one payload,
 its own fields only; `main` puts the `command` and `discriminant` header
 in front.  The payload is the dict that `--format json` prints and that
@@ -28,9 +29,12 @@ echelon), its `checked` list, its three ratio strings and its tuple of
 leaves.  A cosets member is printed from the eight ints of the Mat that
 coset_family built for it.
 `--format text` renders the same payload one `key: value` line at a
-time, a record list as one line per dict its layout builds, and
-`--format svg` (arrangement and amalgam) draws the arrangement the
-command already computed.
+time, a record list as one line per dict its layout builds.  A command
+offers `--format svg` exactly when it has a draw function, which `main`
+runs in place of the handler: it draws from the HemiSet, its face
+statuses and its plane split alone (`arrangement` has no split), so no
+payload, record row, face record, wall, generator word or hom check is
+built for an SVG.
 
 Exit codes: 0 success (a membership verdict, Member or NonMember,
 included), 2 usage error (including malformed words, invalid
@@ -55,7 +59,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from .arrangement import Contributes, completion_entries, enumerate_hemispheres, face_statuses, svg_topview
+from .arrangement import Contributes, FaceStatus, HemiSet, completion_entries, enumerate_hemispheres, face_statuses, svg_topview
 from .errors import (
     CycleNotClosed,
     InvalidDiscriminant,
@@ -66,7 +70,7 @@ from .errors import (
 from .ford import HemiFace, amalgam_rectangle, pe2_ford_faces, presentation, voronoi_cell
 from .moebius import Mat, entry_sign
 from .orders import KElem, OInt, Order, lattice_rows, make_order
-from .subgroups import PLANE, GapPoint, amalgam_report, coset_family, gap_points
+from .subgroups import PLANE, GapPoint, amalgam_report, amalgam_split, coset_family, gap_points
 from .words import (
     Member,
     Word,
@@ -78,9 +82,9 @@ from .words import (
     word_to_matrix,
 )
 
-# payload body, and the svg_topview arguments of the commands that offer --format svg
-_Result = tuple[dict[str, Any], tuple | None]
-_Handler = Callable[[argparse.Namespace, Order], _Result]
+# a handler returns its payload body, and a draw function the text of --format svg
+_Handler = Callable[[argparse.Namespace, Order], dict[str, Any]]
+_Draw = Callable[[argparse.Namespace, Order], str]
 
 
 def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -> Callable[[str], Any]:
@@ -368,7 +372,7 @@ def _gap_point_leaves(gp: GapPoint) -> tuple:
     )
 
 
-def _cmd_order_info(args: argparse.Namespace, order: Order) -> _Result:
+def _cmd_order_info(args: argparse.Namespace, order: Order) -> dict[str, Any]:
     body = {
         "even": order.even,
         "tau_trace": order.trace,
@@ -376,10 +380,10 @@ def _cmd_order_info(args: argparse.Namespace, order: Order) -> _Result:
         "covering_radius_sq": str(order.covering_radius_sq()),
         "group_scope": order.group_scope,
     }
-    return body, None
+    return body
 
 
-def _cmd_normal_form(args: argparse.Namespace, order: Order) -> _Result:
+def _cmd_normal_form(args: argparse.Namespace, order: Order) -> dict[str, Any]:
     word = _input_word(args, order)
     sf = normal_form(word, order)
     mat = word_to_matrix(word, order)
@@ -391,10 +395,10 @@ def _cmd_normal_form(args: argparse.Namespace, order: Order) -> _Result:
         "preserved": word_to_matrix(sf.to_word(), order) == mat,
         "interior_ok": all(not a.is_small() for a in sf.alphas[1:-1]),
     }
-    return body, None
+    return body
 
 
-def _cmd_membership(args: argparse.Namespace, order: Order) -> _Result:
+def _cmd_membership(args: argparse.Namespace, order: Order) -> dict[str, Any]:
     word = _input_word(args, order)
     mat = word_to_matrix(word, order)
     res = membership(mat)
@@ -416,10 +420,10 @@ def _cmd_membership(args: argparse.Namespace, order: Order) -> _Result:
             nearby=[{"point": _oint_json(g), "dist_sq": str(d)} for g, d in res.nearby],
             path=format_word(res.path_word),
         )
-    return body, None
+    return body
 
 
-def _cmd_pe2_ford(args: argparse.Namespace, order: Order) -> _Result:
+def _cmd_pe2_ford(args: argparse.Namespace, order: Order) -> dict[str, Any]:
     recs = []
     for f in pe2_ford_faces(order):
         rec: dict[str, Any]
@@ -429,10 +433,10 @@ def _cmd_pe2_ford(args: argparse.Namespace, order: Order) -> _Result:
             rec = {"kind": "wall", "start": _uv_json(f.start), "end": _uv_json(f.end), "toward": _oint_json(f.toward)}
         rec.update(pairing=_mat_json(f.pairing), pairing_word=format_word(f.pairing_word))
         recs.append(rec)
-    return {"cell": _polygon_json(voronoi_cell(order)), "faces": recs}, None
+    return {"cell": _polygon_json(voronoi_cell(order)), "faces": recs}
 
 
-def _cmd_presentation(args: argparse.Namespace, order: Order) -> _Result:
+def _cmd_presentation(args: argparse.Namespace, order: Order) -> dict[str, Any]:
     pres = presentation(order)
     body = {
         "generators": [{"name": name, "word": format_word(w)} for name, w in pres.generators],
@@ -453,7 +457,7 @@ def _cmd_presentation(args: argparse.Namespace, order: Order) -> _Result:
         ],
         "notes": list(pres.notes),
     }
-    return body, None
+    return body
 
 
 def _member_layout(*leaves: Any) -> dict[str, Any]:
@@ -462,7 +466,7 @@ def _member_layout(*leaves: Any) -> dict[str, Any]:
     return {"matrix": _mat_layout(*leaves[:8]), **_gap_point_layout(*leaves[8:18]), "coset_point": {"s": s, "num": [p, q]}}
 
 
-def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
+def _cmd_cosets(args: argparse.Namespace, order: Order) -> dict[str, Any]:
     fam = coset_family(order, args.count)
     n = len(fam.members)
     digest = hashlib.sha256()
@@ -480,7 +484,7 @@ def _cmd_cosets(args: argparse.Namespace, order: Order) -> _Result:
         "replaced": [_kelem_json(z) for z in fam.replaced],
         "certificates_sha256": digest.hexdigest(),
     }
-    return body, None
+    return body
 
 
 def _hemisphere_layout(
@@ -495,9 +499,13 @@ def _hemisphere_layout(
     }
 
 
-def _cmd_arrangement(args: argparse.Namespace, order: Order) -> _Result:
+def _arrangement(args: argparse.Namespace, order: Order) -> tuple[HemiSet, tuple[FaceStatus, ...]]:
     hs = enumerate_hemispheres(order, args.bound, amalgam_rectangle(order))
-    statuses = face_statuses(hs)
+    return hs, face_statuses(hs)
+
+
+def _cmd_arrangement(args: argparse.Namespace, order: Order) -> dict[str, Any]:
+    hs, statuses = _arrangement(args, order)
     e = order.trace
     rows = []
     # each record is written from the HemiSet's integers: a disc's center (U/L, V/L) is
@@ -513,10 +521,15 @@ def _cmd_arrangement(args: argparse.Namespace, order: Order) -> _Result:
         "contributing": contributing,
         "covered": len(rows) - contributing,
     }
-    return body, (hs, statuses, ((), ()))
+    return body
 
 
-def _cmd_amalgam(args: argparse.Namespace, order: Order) -> _Result:
+def _draw_arrangement(args: argparse.Namespace, order: Order) -> str:
+    # no plane split, so every circle has the neutral stroke
+    return svg_topview(*_arrangement(args, order), ((), ()))
+
+
+def _cmd_amalgam(args: argparse.Namespace, order: Order) -> dict[str, Any]:
     rep = amalgam_report(order, args.bound, args.plane)
     body = {
         "bound": rep.arrangement.norm_bound,
@@ -541,7 +554,11 @@ def _cmd_amalgam(args: argparse.Namespace, order: Order) -> _Result:
         "overlap": [r.label for r in rep.overlap],
         "notes": list(rep.notes),
     }
-    return body, (rep.arrangement, rep.statuses, rep.split)
+    return body
+
+
+def _draw_amalgam(args: argparse.Namespace, order: Order) -> str:
+    return svg_topview(*amalgam_split(order, args.bound, args.plane))
 
 
 def _gap_points_layout(*leaves: Any) -> dict[str, Any]:
@@ -549,7 +566,7 @@ def _gap_points_layout(*leaves: Any) -> dict[str, Any]:
     return {**_gap_point_layout(*leaves[:10]), "checked": leaves[10], "completion": _mat_layout(*leaves[11:])}
 
 
-def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
+def _cmd_gap_points(args: argparse.Namespace, order: Order) -> dict[str, Any]:
     pts = gap_points(order, args.count)
     reach = order.gap_reach()
     # the rows of the unreduced ratio (xa + xb*t)/N are those of the reduced one
@@ -564,7 +581,7 @@ def _cmd_gap_points(args: argparse.Namespace, order: Order) -> _Result:
         + _entries_leaves(completion_entries(order, gp.a, gp.b, gp.c, gp.d))
         for gp, point_rows in zip(pts, rows)
     ]
-    return {"count": len(pts), "points": _Records(_gap_points_layout, points)}, None
+    return {"count": len(pts), "points": _Records(_gap_points_layout, points)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -574,40 +591,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, formats: tuple[str, ...], handler: _Handler) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler: _Handler, draw: _Draw | None = None) -> argparse.ArgumentParser:
+        # a command offers --format svg exactly when it has a draw function
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, draw=draw)
         p.add_argument("--disc", type=int, required=True, help="order discriminant (negative)")
-        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--format", choices=("text", "json", "svg") if draw else ("text", "json"), default="text")
         p.add_argument("--out", type=Path, default=None, help="write output to this file")
         return p
 
-    add("order-info", "basic invariants of the order", ("text", "json"), _cmd_order_info)
+    add("order-info", "basic invariants of the order", _cmd_order_info)
 
     def add_word(p: argparse.ArgumentParser) -> None:
         given = p.add_mutually_exclusive_group(required=True)
         given.add_argument("--word", default=None, help="word such as 'r*s(2-t)'")
         given.add_argument("--seed", type=int, default=None, help="generate a random word instead")
 
-    add_word(add("normal-form", "rewrite a word into standard form", ("text", "json"), _cmd_normal_form))
+    add_word(add("normal-form", "rewrite a word into standard form", _cmd_normal_form))
 
-    p = add("membership", "decide elementary-subgroup membership, with a certificate", ("text", "json"), _cmd_membership)
+    p = add("membership", "decide elementary-subgroup membership, with a certificate", _cmd_membership)
     add_word(p)
 
-    add("pe2-ford", "faces of the one-hemisphere Ford domain", ("text", "json"), _cmd_pe2_ford)
-    add("presentation", "edge cycles and defining relations", ("text", "json"), _cmd_presentation)
+    add("pe2-ford", "faces of the one-hemisphere Ford domain", _cmd_pe2_ford)
+    add("presentation", "edge cycles and defining relations", _cmd_presentation)
 
-    p = add("cosets", "pairwise-distinct right-coset family", ("text", "json"), _cmd_cosets)
+    p = add("cosets", "pairwise-distinct right-coset family", _cmd_cosets)
     p.add_argument("--count", type=_COUNT, default=100, help=f"how many, at most {MAX_COUNT}")
 
-    p = add("arrangement", "hemisphere arrangement over the straddling rectangle", ("text", "json", "svg"), _cmd_arrangement)
+    p = add("arrangement", "hemisphere arrangement over the straddling rectangle", _cmd_arrangement, _draw_arrangement)
     p.add_argument("--bound", type=_BOUND, default=16, help=f"owner norm bound, at most {MAX_BOUND}")
 
-    p = add("amalgam", "plane split of the arrangement and generator pools", ("text", "json", "svg"), _cmd_amalgam)
+    p = add("amalgam", "plane split of the arrangement and generator pools", _cmd_amalgam, _draw_amalgam)
     p.add_argument("--bound", type=_BOUND, default=16, help=f"owner norm bound, at most {MAX_BOUND}")
     p.add_argument("--plane", type=_POSITIVE_FRACTION, default=PLANE, help="height, as p/q > 0")
 
-    p = add("gap-points", "unimodular ratios outside all unit discs", ("text", "json"), _cmd_gap_points)
+    p = add("gap-points", "unimodular ratios outside all unit discs", _cmd_gap_points)
     p.add_argument("--count", type=_COUNT, default=100, help=f"how many, at most {MAX_COUNT}")
 
     return parser
@@ -637,7 +655,11 @@ def _run(argv: list[str] | None) -> int:
         return int(exc.code or 0)
     try:
         order = make_order(args.disc)
-        body, view = args.handler(args, order)
+        if args.format == "svg":  # offered only by the commands that have a draw function
+            text = args.draw(args, order)
+        else:
+            payload = {"command": args.command, "discriminant": order.delta, **args.handler(args, order)}
+            text = _json_text(payload) + "\n" if args.format == "json" else _render_text(payload)
     except (WordSyntaxError, InvalidDiscriminant) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -647,13 +669,6 @@ def _run(argv: list[str] | None) -> int:
     except (SearchExhausted, CycleNotClosed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    payload = {"command": args.command, "discriminant": order.delta, **body}
-    if args.format == "json":
-        text = _json_text(payload) + "\n"
-    elif args.format == "svg":  # offered only by the commands that return a view
-        text = svg_topview(*view)
-    else:
-        text = _render_text(payload)
     if args.out is None:
         sys.stdout.write(text)
         return 0

@@ -432,11 +432,25 @@ def _overlap_matches_n(overlap: tuple[FaceRecord, ...], order: Order) -> bool:
     return saw == {"wall", "zero", "tau row"}
 
 
+def amalgam_split(
+    order: Order, norm_bound: int, plane: Fraction
+) -> tuple[HemiSet, tuple[FaceStatus, ...], tuple[list[Hemisphere], list[Hemisphere]]]:
+    """The arrangement over the straddling rectangle, its face statuses, and its plane split at t = plane > 0.
+
+    amalgam_report reads its records and walls off these three, and the
+    amalgam SVG draws them and reads nothing else.
+    """
+    hs = enumerate_hemispheres(order, norm_bound, amalgam_rectangle(order))
+    statuses = face_statuses(hs)
+    return hs, statuses, plane_split(hs, statuses, plane)
+
+
 def amalgam_report(order: Order, norm_bound: int, plane: Fraction = PLANE) -> AmalgamReport:
     """Split the arrangement over the straddling rectangle at t = plane > 0.
 
     Hemisphere faces come from face_statuses, and their sides from
-    plane_split, which clips each contributor by the contributors alone.
+    plane_split, which clips each contributor by the contributors alone;
+    amalgam_split computes the three.
     Walls are unbounded upward, so a wall pair is above the plane, and
     below it too when the arrangement dips under the plane on its walls.
     Faces are reduced to window representatives, centers in the window's
@@ -463,10 +477,8 @@ def amalgam_report(order: Order, norm_bound: int, plane: Fraction = PLANE) -> Am
     values on it as on the whole line, and so on the side v = 1/2.  So both walls of a pair
     see the same heights of E.
     """
-    window = amalgam_rectangle(order)
-    hs = enumerate_hemispheres(order, norm_bound, window)
-    statuses = face_statuses(hs)
-    split = plane_split(hs, statuses, plane)
+    hs, statuses, split = amalgam_split(order, norm_bound, plane)
+    window = hs.window
     above_set, below_set = {h.disc for h in split[0]}, {h.disc for h in split[1]}
 
     # an axis-parallel box: its least and greatest vertices are opposite corners

@@ -1408,7 +1408,7 @@ def test_mirror_orbits_match_all_rivals(delta, group, case, data):
     # discs closed under some of the box reflections ("symmetric"), the same with one disc
     # moved off the symmetry, and the multiset trap: a duplicate pair whose image is one
     # disc, where no map is a permutation and nothing may carry over.  Radii repeat and
-    # some pairs are tangent.  face_statuses is the all-rivals classifier's, mirror_low
+    # some pairs are tangent.  face_statuses is the all-rivals classifier's, mirror_orbits
     # names only true images, and plane_split's sides are the all-rivals cell's
     order = make_order(delta)
     n = order.abs_delta
@@ -1435,7 +1435,7 @@ def test_mirror_orbits_match_all_rivals(delta, group, case, data):
             a = data.draw(st.sampled_from(off))
             hemis.insert(data.draw(st.integers(0, len(hemis))), a)  # a twice, its image once
     hs = HemiSet(order=order, discs=tuple(h.disc for h in hemis), owners=(), norm_bound=1, window=amalgam_rectangle(order))
-    low = hs.mirror_low
+    low, _ = hs.mirror_orbits
     if len(set(hemis)) < len(hemis):
         assert low == tuple(range(len(hemis)))
     # each orbit's least index is an image of the disc under a map that fixes the set, and
@@ -1469,10 +1469,60 @@ def test_mirror_orbits_skip_no_permutation():
     a = Hemisphere(kelem_from_planar(ORDER40, Fraction(1, 3), Fraction(1, 8)), Fraction(1, 9))
     b = _image(BOX_MAPS["u"], a)
     hs = HemiSet(order=ORDER40, discs=(a.disc, a.disc, b.disc), owners=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
-    assert hs.mirror_low == (0, 1, 2)
+    assert hs.mirror_orbits[0] == (0, 1, 2)
     assert face_statuses(hs) == (Covered(), Covered(), Contributes(b.center))
     hs = HemiSet(order=ORDER40, discs=(a.disc, b.disc), owners=(), norm_bound=1, window=amalgam_rectangle(ORDER40))
-    assert hs.mirror_low == (0, 0)
+    assert hs.mirror_orbits[0] == (0, 0)
+
+
+# (delta, bound, window, image contributors, those of them whose witness is off the center)
+IMAGE_CASES = [
+    (-40, 16, amalgam_rectangle, 15, 3),
+    (-40, 64, amalgam_rectangle, 16, 3),
+    (-163, 16, amalgam_rectangle, 16, 0),
+    (-67, 48, amalgam_rectangle, 22, 0),
+    (-40, 16, voronoi_cell, 14, 3),
+    (-19, 16, voronoi_cell, 14, 6),
+]
+
+
+@pytest.mark.parametrize("delta, bound, window, images, off_center", IMAGE_CASES, ids=lambda c: getattr(c, "__name__", c))
+def test_image_witnesses_are_the_walked_witnesses(delta, bound, window, images, off_center):
+    # a contributor that is a mirror image takes the reflected witness of its orbit's
+    # least face; that is the witness face_status finds walking the face itself, off
+    # the center too, where the walk clips a cell
+    order = make_order(delta)
+    hs = enumerate_hemispheres(order, bound, window(order))
+    statuses = face_statuses(hs)
+    low, sigma = hs.mirror_orbits
+    rivals = box_rivals(order.abs_delta, hs.discs)
+    seen = []
+    for i, status in enumerate(statuses):
+        if low[i] < i and isinstance(status, Contributes):
+            assert sigma[i] != (1, 0, 1, 0, 1)
+            assert status == face_status(order, hs.discs[i], map(hs.discs.__getitem__, rivals(i)))
+            seen.append(status.witness != kelem_from_planar_int(order, *hs.discs[i][:3]))
+    assert (len(seen), sum(seen)) == (images, off_center)
+
+
+@pytest.mark.parametrize(
+    "delta, bound, window",
+    [(-40, 16, amalgam_rectangle), (-163, 16, amalgam_rectangle), (-43, 8, amalgam_rectangle), (-19, 16, voronoi_cell)],
+    ids=lambda c: getattr(c, "__name__", c),
+)
+def test_face_status_runs_once_per_mirror_orbit(monkeypatch, delta, bound, window):
+    # face_statuses walks each orbit at its least index and no other face
+    order = make_order(delta)
+    hs = enumerate_hemispheres(order, bound, window(order))
+    want = face_statuses(hs)
+    walked = []
+    real_face_status = arrangement.face_status
+    monkeypatch.setattr(arrangement, "face_status", lambda order, hd, rest: walked.append(hd) or real_face_status(order, hd, rest))
+    assert face_statuses(hs) == want
+    low, _ = hs.mirror_orbits
+    orbits = sorted(set(low))
+    assert walked == [hs.discs[j] for j in orbits]
+    assert len(orbits) < len(hs.discs)
 
 
 class _Watched(int):

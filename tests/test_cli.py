@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from pe2ford import arrangement, cli, ford, words
+from pe2ford import arrangement, cli, ford, subgroups, words
 from pe2ford.arrangement import Contributes, UnimodularPair, enumerate_hemispheres, face_statuses
 from pe2ford.cli import main
 from pe2ford.errors import CycleNotClosed, SearchExhausted
@@ -196,6 +196,35 @@ def test_arrangement_svg_runs():
     code, out, _ = run(["arrangement", "--disc", "-40", "--bound", "4", "--format", "svg"])
     assert code == 0
     assert out.count("<circle") == 12
+
+
+@pytest.mark.parametrize("delta", [-40, -163])
+@pytest.mark.parametrize("command", ["amalgam", "arrangement"])
+def test_svg_draws_from_the_split_alone(monkeypatch, command, delta):
+    # --format svg runs the command's draw function, which reads the HemiSet, its statuses
+    # and its plane split: no face record, wall, generator word, hom check or payload row
+    want = run([command, "--disc", str(delta), "--bound", "16", "--format", "svg"])
+    called: Counter = Counter()
+    for module, name in [
+        (subgroups, "_hemi_record"),
+        (subgroups, "envelope_dips_below"),
+        (subgroups, "collapse_hom_check"),
+        (subgroups, "n_generators"),
+        (cli, "_ratio_text"),
+        (cli, "_kelem_json"),
+    ]:
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=fn, _n=name, **k: called.update([_n]) or _f(*a, **k))
+    got = run([command, "--disc", str(delta), "--bound", "16", "--format", "svg"])
+    assert got == want and got[0] == 0 and got[1].startswith("<svg ")
+    assert called == Counter()
+
+
+def test_svg_out_of_scope_exits_3():
+    # the draw runs inside main's error handling, so the out-of-scope order exits 3 with
+    # the same single line as the other formats
+    for argv in (["amalgam", "--disc", "-11"], ["arrangement", "--disc", "-12"]):
+        assert run(argv + ["--format", "svg"]) == (3, "", "error: amalgam rectangle needs |delta| > 12\n")
 
 
 def test_usage_errors_exit_2():
@@ -600,7 +629,7 @@ def _payload(argv):
     # the dict that main prints for argv, built as main builds it
     args = cli._PARSER.parse_args(argv)
     order = make_order(args.disc)
-    body, _ = args.handler(args, order)
+    body = args.handler(args, order)
     return {"command": args.command, "discriminant": order.delta, **body}
 
 
